@@ -177,9 +177,6 @@ def cmd_check(args) -> int:
         return _fail(str(exc))
     except CompileError as exc:
         return _fail(str(exc))
-    if not base_sols.complete or not full_sols.complete:
-        print("error: oracle hit an enumeration limit", file=sys.stderr)
-        return EXIT_ORACLE_LIMIT
     verdict = {
         "equal": "EQUAL",
         "superset": "SUPERSET",

@@ -2,9 +2,11 @@
 
 This is the semantic ground truth used to check that rewriting passes
 preserve solution sets, so it stays deliberately naive: plain backtracking
-in declaration order, no propagation.  The only liberties taken are that
+in declaration order, no propagation.  The only liberty taken is that
 constraints are checked as soon as their last variable is assigned (eager
-filtering) and that each constraint is compiled once into a Python closure.
+filtering).  For speed, the search over each program is written out as
+Python source, one nested ``for`` loop per variable with that depth's
+constraints fused into one condition, and compiled once with ``exec``.
 
 Evaluation is exact: integer arithmetic is unbounded, ``/`` evaluates in
 rationals, and set values are frozensets over the declared universe.
@@ -51,6 +53,7 @@ class Assignment:
 class SolutionSet:
     solutions: tuple[Assignment, ...] = ()
     complete: bool = True
+    nodes: int = field(default=0, compare=False)  # values tried; checked against max_nodes
 
     def __len__(self) -> int:
         return len(self.solutions)
@@ -118,7 +121,7 @@ def parse_flat(text: str, file: str = "<flat>") -> FlatProgram:
 
 
 # --------------------------------------------------------------------------
-# Compiling constraints to closures over a positional value vector
+# Exact helpers called by the generated search
 
 def _div(a, b):
     if b == 0:
@@ -153,91 +156,207 @@ def _ordered(op: str, a, b) -> bool:
     return a > b
 
 
-def compile_expression(e: ir.Expression, index: dict[str, int]):
-    """Build a closure evaluating e against a positional value vector."""
-    if isinstance(e, ir.IntValue):
-        v = e.v
-        return lambda env: v
-    if isinstance(e, ir.RealValue):
-        v = Fraction(e.v)  # floats are binary rationals; keep them exact
-        return lambda env: v
-    if isinstance(e, ir.BoolValue):
-        v = e.value
-        return lambda env: v
-    if isinstance(e, ir.IntervalValue):
-        v = frozenset(range(math.ceil(e.lo), math.floor(e.hi) + 1))
-        return lambda env: v
-    if isinstance(e, ir.VarOccurrence):
-        if e.indexes or e.name not in index:
-            raise CompileError(f"'{e.name}' is not a flat variable")
-        i = index[e.name]
-        return lambda env: env[i]
-    if isinstance(e, ir.SetValue):
-        elems = [compile_expression(x, index) for x in e.elems]
-        return lambda env: frozenset(int(fn(env)) for fn in elems)
-    if isinstance(e, ir.SetFunction):
-        arg = compile_expression(e.arg, index)
-        return lambda env: len(arg(env))
-    if isinstance(e, ir.SetBinaryOp):
-        left = compile_expression(e.left, index)
-        right = compile_expression(e.right, index)
-        if e.op == "intersect":
-            return lambda env: left(env) & right(env)
-        if e.op == "union":
-            return lambda env: left(env) | right(env)
-        return lambda env: left(env) - right(env)
-    if isinstance(e, ir.AlgUnaryOp):
-        operand = compile_expression(e.operand, index)
-        if e.op == "neg":
-            return lambda env: -operand(env)
-        return lambda env: +operand(env)
-    if isinstance(e, ir.AlgBinaryOp):
-        left = compile_expression(e.left, index)
-        right = compile_expression(e.right, index)
-        op = e.op
-        if op == "+":
-            return lambda env: left(env) + right(env)
-        if op == "-":
-            return lambda env: left(env) - right(env)
-        if op == "*":
-            return lambda env: left(env) * right(env)
-        if op == "/":
-            return lambda env: _div(left(env), right(env))
-        return lambda env: _pow(left(env), right(env))
-    if isinstance(e, ir.AlgFunction):
-        args = [compile_expression(a, index) for a in e.args]
-        fn = e.fn
-        if fn == "abs":
-            a0 = args[0]
-            return lambda env: abs(a0(env))
-        if fn == "min":
-            return lambda env: min(a(env) for a in args)
-        if fn == "max":
-            return lambda env: max(a(env) for a in args)
-        mathfn = getattr(math, fn)
-        a0 = args[0]
-        return lambda env: mathfn(float(a0(env)))
-    if isinstance(e, ir.BoolUnaryOp):
-        operand = compile_expression(e.operand, index)
-        return lambda env: not operand(env)
-    if isinstance(e, ir.BoolBinaryOp):
-        left = compile_expression(e.left, index)
-        right = compile_expression(e.right, index)
-        op = e.op
-        if op == "=":
-            return lambda env: left(env) == right(env)
-        if op == "!=":
-            return lambda env: left(env) != right(env)
-        if op in ("<=", ">=", "<", ">"):
-            return lambda env: _ordered(op, left(env), right(env))
-        if op == "and":
-            return lambda env: bool(left(env)) and bool(right(env))
-        if op == "or":
-            return lambda env: bool(left(env)) or bool(right(env))
-        if op == "implies":
-            return lambda env: (not left(env)) or bool(right(env))
-        return lambda env: bool(left(env)) == bool(right(env))  # iff
-    raise CompileError(f"cannot evaluate {type(e).__name__} in the oracle")
+class _Stop(Exception):
+    """Raised by the generated search when a limit ends it early; its one
+    argument is the node count."""
+
+
+# --------------------------------------------------------------------------
+# Generating the search as Python source
+
+# CPython rejects more than 20 statically nested blocks, so one generated
+# function runs at most this many loops and calls the next for the rest.
+_LOOPS_PER_FUNCTION = 16
+# Expression levels emitted inline before a subtree moves into a helper
+# function.  A level opens at most three brackets, which keeps the source
+# within the tokenizer's 200 nested brackets and the compiler's recursion
+# limit.
+_MAX_DEPTH = 48
+
+_ARITH = {"+": " + ", "-": " - ", "*": " * "}
+_SET_OPS = {"intersect": " & ", "union": " | "}
+_COMPARE = {"=": " == ", "!=": " != ", "<=": " <= ", ">=": " >= ", "<": " < ", ">": " > "}
+_ORDERED = {op: repr(op) for op in ("<=", ">=", "<", ">")}
+_LOGIC = {"and": " and ", "or": " or "}
+# Larger ints are bound as constants: str() refuses ints of over 4,300 digits.
+_SMALL_INT = 1 << 64
+
+
+class _Writer:
+    """Python source for the constraints of one flat program.
+
+    Variable i is the local ``v<i>``.  Values other than small ints and
+    bools (rationals, frozensets, math functions) are bound to names in
+    the namespace the source runs in, so no name or string read from the
+    input reaches the source text.
+    """
+
+    def __init__(self, program: FlatProgram):
+        self.index = {v.name: i for i, v in enumerate(program.vars)}
+        self.set_vars = {i for i, v in enumerate(program.vars) if v.kind == "set"}
+        self.constants: dict[str, object] = {}
+        self.helpers: list[str] = []
+        self.used: set[int] = set()
+
+    def condition(self, c: ir.Expression) -> tuple[str, set[int]]:
+        """Source testing constraint c, and the indexes of the variables
+        it reads."""
+        self.used = set()
+        return self.emit(c, 0, True)[0], self.used
+
+    def constant(self, value) -> tuple[str, bool]:
+        name = f"k{len(self.constants)}"
+        self.constants[name] = value
+        return name, isinstance(value, frozenset)
+
+    def helper(self, e: ir.Expression, cond: bool) -> tuple[str, bool]:
+        """Move e into a function of the variables it reads; the call
+        evaluates e exactly where the inline source would."""
+        outer, self.used = self.used, set()
+        body, is_set = self.emit(e, 0, cond)
+        params = ", ".join(f"v{i}" for i in sorted(self.used))
+        name = f"h{len(self.helpers)}"
+        self.helpers.append(f"def {name}({params}):\n    return {body}\n")
+        self.used = outer | self.used
+        return f"{name}({params})", is_set
+
+    def emit(self, e: ir.Expression, depth: int = 0, cond: bool = False) -> tuple[str, bool]:
+        """Source for e, bracketed unless it is a name, literal or call,
+        and whether its value may be a set.
+
+        With cond, only the truth of the source must match e's value, which
+        spares the connectives a bool() call.  One Python frame per level,
+        because flat constraints can be thousands of levels deep."""
+        if depth > _MAX_DEPTH:
+            return self.helper(e, cond)
+        depth += 1
+        if isinstance(e, ir.VarOccurrence):
+            i = None if e.indexes else self.index.get(e.name)
+            if i is None:
+                raise CompileError(f"'{e.name}' is not a flat variable")
+            self.used.add(i)
+            return f"v{i}", i in self.set_vars
+        if isinstance(e, ir.IntValue):
+            if type(e.v) is not int or abs(e.v) >= _SMALL_INT:
+                return self.constant(e.v)
+            return str(e.v) if e.v >= 0 else f"({e.v})", False
+        if isinstance(e, ir.BoolValue):
+            if type(e.value) is not bool:
+                return self.constant(e.value)
+            return "True" if e.value else "False", False
+        if isinstance(e, ir.RealValue):
+            return self.constant(Fraction(e.v))  # floats are binary rationals; keep them exact
+        if isinstance(e, ir.IntervalValue):
+            return self.constant(frozenset(range(math.ceil(e.lo), math.floor(e.hi) + 1)))
+        if isinstance(e, ir.SetValue):
+            elems = "".join(f"int({self.emit(x, depth)[0]}), " for x in e.elems)
+            return f"frozenset(({elems}))", True
+        if isinstance(e, ir.SetFunction):
+            return f"len({self.emit(e.arg, depth)[0]})", False
+        if isinstance(e, ir.AlgUnaryOp):
+            sign = "-" if e.op == "neg" else "+"
+            return f"({sign}{self.emit(e.operand, depth)[0]})", False
+        if isinstance(e, ir.AlgFunction):
+            if e.fn in ("min", "max"):
+                fn = "min" if e.fn == "min" else "max"
+                if len(e.args) > 2:
+                    # min(a, b, c) as min(min(a, b), c): the same comparisons
+                    # after the same evaluations, so the same error comes first
+                    head, head_set = self.emit(ir.AlgFunction(e.fn, e.args[:-1]), depth)
+                    last, last_set = self.emit(e.args[-1], depth)
+                    return f"{fn}({head}, {last})", head_set or last_set
+                args = [self.emit(a, depth) for a in e.args]
+                items = "".join(f"{src}, " for src, _ in args)
+                src = f"{fn}({items[:-2]})" if len(args) == 2 else f"{fn}(({items}))"
+                return src, any(is_set for _, is_set in args)
+            # only the first argument is evaluated, but an unknown variable
+            # in any of them is an error and places the check
+            args = [self.emit(a, depth)[0] for a in e.args]
+            if e.fn == "abs":
+                return f"abs({args[0]})", False
+            fn = self.constant(getattr(math, e.fn))[0]
+            return f"{fn}(float({args[0]}))", False
+        if isinstance(e, ir.BoolUnaryOp):
+            return f"(not {self.emit(e.operand, depth, True)[0]})", False
+        if isinstance(e, ir.AlgBinaryOp):
+            left, left_set = self.emit(e.left, depth)
+            right, right_set = self.emit(e.right, depth)
+            if e.op in _ARITH:
+                return f"({left}{_ARITH[e.op]}{right})", e.op == "-" and (left_set or right_set)
+            fn = "_div" if e.op == "/" else "_pow"
+            return f"{fn}({left}, {right})", False
+        if isinstance(e, ir.SetBinaryOp):
+            left, right = self.emit(e.left, depth)[0], self.emit(e.right, depth)[0]
+            return f"({left}{_SET_OPS.get(e.op, ' - ')}{right})", True
+        if isinstance(e, ir.BoolBinaryOp):
+            if e.op in _COMPARE:
+                left, left_set = self.emit(e.left, depth)
+                right, right_set = self.emit(e.right, depth)
+                if e.op in _ORDERED and (left_set or right_set):
+                    return f"_ordered({_ORDERED[e.op]}, {left}, {right})", False
+                return f"({left}{_COMPARE[e.op]}{right})", False
+            left, right = self.emit(e.left, depth, True)[0], self.emit(e.right, depth, True)[0]
+            if e.op in _LOGIC:
+                src = f"({left}{_LOGIC[e.op]}{right})"
+            elif e.op == "implies":
+                src = f"(not {left} or {right})"
+            else:  # iff
+                return f"((not {left}) == (not {right}))", False
+            return (src if cond else f"bool{src}"), False  # src is bracketed
+        raise CompileError(f"cannot evaluate {type(e).__name__} in the oracle")
+
+
+def _search_source(program: FlatProgram) -> tuple[str, dict]:
+    """Source defining ``s0(P, nodes)``, the whole search, plus the
+    constants it reads.
+
+    Each variable gets one loop, in declaration order.  After each value the
+    node counter is checked against MAX_NODES, then every constraint whose
+    last variable is that one, fused into one ``and`` in program order.
+    Constraints over no variable are checked once before the first loop.
+    ``s<k>`` runs the loops of the k-th run of _LOOPS_PER_FUNCTION
+    variables and receives the earlier values as the tuple P.  It returns
+    the node count; a limit raises Stop instead.
+    """
+    writer = _Writer(program)
+    n = len(program.vars)
+    checks: list[list[str]] = [[] for _ in range(n)]
+    reads: list[set[int]] = [set() for _ in range(n)]
+    constant_checks: list[str] = []
+    for c in program.constraints:
+        src, used = writer.condition(c)
+        if used:
+            last = max(used)
+            checks[last].append(src)
+            reads[last] |= used
+        else:
+            constant_checks.append(src)
+
+    lines: list[str] = []
+    for k, start in enumerate(range(0, max(n, 1), _LOOPS_PER_FUNCTION)):
+        stop = min(start + _LOOPS_PER_FUNCTION, n)
+        lines += [f"def s{k}(P, nodes):", "    D = DOMAINS", "    max_nodes = MAX_NODES"]
+        earlier = set().union(*reads[start:stop])
+        lines += [f"    v{i} = P[{i}]" for i in sorted(earlier) if i < start]
+        if k == 0 and constant_checks:
+            lines.append(f"    if not ({' and '.join(constant_checks)}): return nodes")
+        pad = "    "
+        for i in range(start, stop):
+            lines.append(f"{pad}for v{i} in D[{i}]:")
+            pad += "    "
+            lines.append(f"{pad}nodes += 1")
+            lines.append(f"{pad}if nodes > max_nodes: raise Stop(nodes)")
+            if checks[i]:
+                lines.append(f"{pad}if not ({' and '.join(checks[i])}): continue")
+        own = "".join(f"v{i}, " for i in range(start, stop))
+        values = f"({own})" if k == 0 else f"P + ({own})"
+        if stop < n:
+            lines.append(f"{pad}nodes = s{k + 1}({values}, nodes)")
+        else:
+            lines.append(f"{pad}OUT.append(Assignment(dict(zip(NAMES, {values}))))")
+            lines.append(f"{pad}if len(OUT) >= MAX_SOLUTIONS: raise Stop(nodes)")
+        lines.append("    return nodes")
+    return "\n".join(writer.helpers + lines) + "\n", writer.constants
 
 
 def domain_values(v: FlatVar) -> list:
@@ -271,8 +390,7 @@ def enumerate_solutions(
     max_nodes: int = DEFAULT_MAX_NODES,
 ) -> SolutionSet:
     """Exhaustive backtracking search; exact unless a limit triggers."""
-    names = [v.name for v in program.vars]
-    index = {n: i for i, n in enumerate(names)}
+    names = tuple(v.name for v in program.vars)
     domains = [domain_values(v) for v in program.vars]
     space = 1
     for d in domains:
@@ -282,52 +400,23 @@ def enumerate_solutions(
                 f"search space exceeds 2^40 ({len(program.vars)} variables)"
             )
 
-    checks: list[list] = [[] for _ in names]
-    constant_checks = []
-    for c in program.constraints:
-        used = sorted(
-            {index[n.name] for n in ir.walk_expr(c) if isinstance(n, ir.VarOccurrence)}
-        )
-        fn = compile_expression(c, index)
-        if used:
-            checks[used[-1]].append(fn)
-        else:
-            constant_checks.append(fn)
-    for fn in constant_checks:
-        if not fn(()):
-            return SolutionSet((), True)
-
-    n = len(names)
-    env: list = [None] * n
+    source, constants = _search_source(program)
     solutions: list[Assignment] = []
-    state = {"nodes": 0, "complete": True}
-
-    def search(d: int) -> bool:  # True aborts the whole search
-        if d == n:
-            solutions.append(Assignment(dict(zip(names, env))))
-            if len(solutions) >= max_solutions:
-                state["complete"] = False
-                return True
-            return False
-        for value in domains[d]:
-            state["nodes"] += 1
-            if state["nodes"] > max_nodes:
-                state["complete"] = False
-                return True
-            env[d] = value
-            ok = True
-            for fn in checks[d]:
-                if not fn(env):
-                    ok = False
-                    break
-            if ok and search(d + 1):
-                return True
-        return False
-
-    search(0)
+    namespace = dict(
+        constants,
+        DOMAINS=domains, NAMES=names, OUT=solutions,
+        MAX_NODES=max_nodes, MAX_SOLUTIONS=max_solutions,
+        Assignment=Assignment, Stop=_Stop,
+        _div=_div, _pow=_pow, _ordered=_ordered,
+    )
+    exec(compile(source, "<oracle search>", "exec"), namespace)
+    try:
+        nodes, complete = namespace["s0"]((), 0), True
+    except _Stop as stop:
+        nodes, complete = stop.args[0], False
     ordered_names = sorted(names)
     solutions.sort(key=lambda a: tuple(_value_key(a.values[x]) for x in ordered_names))
-    return SolutionSet(tuple(solutions), state["complete"])
+    return SolutionSet(tuple(solutions), complete, nodes)
 
 
 def compare_solutions(a: SolutionSet, b: SolutionSet, projection=None) -> str:

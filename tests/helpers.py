@@ -15,7 +15,7 @@ from pivotc.parser import KEYWORDS
 
 # --------------------------------------------------------------------------
 # Naive full cross-product filter, written independently of the oracle's
-# backtracking search and closure compiler.
+# generated backtracking search.
 
 
 def _naive_values(v):

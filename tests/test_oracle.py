@@ -2,7 +2,13 @@ import itertools
 
 import pytest
 
-from pivotc.errors import IncompleteSolutionsError, SearchSpaceError
+from pivotc import ir
+from pivotc.errors import (
+    CompileError,
+    DivisionByZeroError,
+    IncompleteSolutionsError,
+    SearchSpaceError,
+)
 from pivotc.flat import FlatProgram, FlatVar, lower_to_flat
 from pivotc.oracle import compare_solutions, enumerate_solutions, parse_flat
 from pivotc.parser import SourceUnit, parse
@@ -104,6 +110,15 @@ def test_bools_participate_in_sums():
         "var set of 1..3 s;\nvar set of 1..3 t;\nconstraint card(s intersect t) = 1;\n",
         "var bool a;\nvar int x in 0..3;\nconstraint a implies x > 1;\nconstraint x != 2;\n",
         "var set of 1..4 s;\nconstraint s = {1,3} union {2};\n",
+        "var int x in 1..4;\nvar int y in 1..4;\nconstraint x / y = 3 / 2;\n",
+        "var int x in 1..3;\nvar int y in -2..2;\nconstraint x ^ y < 1;\n",
+        "var int x in 1..3;\nvar int y in 1..3;\nconstraint min(x, y) + max(x, y) = 4;\n",
+        "var int x in 0..9;\nconstraint sqrt(x) = 2;\n",
+        "var set of 1..3 s;\nconstraint card(s diff {1}) = 1;\n",
+        "var int x in 0..3;\nconstraint x * 0.5 = 1;\n",
+        "var int x in -2..2;\nconstraint -x > +1;\n",
+        "var bool a;\nvar bool b;\nconstraint (a iff b) or not a;\n",
+        "var int x in 0..4;\nconstraint {x, x + 1} = {2, 3};\n",
     ],
 )
 def test_oracle_matches_naive_filter(text):
@@ -129,8 +144,10 @@ def test_max_solutions_limit_marks_incomplete():
 
 def test_max_nodes_limit_marks_incomplete():
     p = parse_flat("var int x in 1..9;\nvar int y in 1..9;\n")
+    assert enumerate_solutions(p).nodes == 90  # 9 values of x, then 9 of y under each
     s = enumerate_solutions(p, max_nodes=10)
     assert not s.complete
+    assert s.nodes == 11  # the value that crossed the limit is counted
 
 
 def test_search_space_guard():
@@ -143,6 +160,78 @@ def test_set_universe_guard():
     p = FlatProgram((FlatVar("s", "set", 1, 13),), ())
     with pytest.raises(SearchSpaceError):
         enumerate_solutions(p)
+
+
+def test_more_variables_than_python_nests_loops():
+    # CPython allows at most 20 statically nested blocks per function
+    text = "".join(f"var bool b{i};\n" for i in range(30))
+    text += "".join(f"constraint not b{i};\n" for i in range(30))
+    s = enumerate_solutions(parse_flat(text))
+    assert s.complete and len(s) == 1
+    assert not any(s.solutions[0].values.values())
+
+
+def test_long_sum_constraint():
+    # a 5,000-deep left-nested tree, deeper than the Python compiler recurses
+    text = "var int x in 0..1;\nconstraint " + " + ".join(["x"] * 5000) + " = 5000;\n"
+    s = enumerate_solutions(parse_flat(text))
+    assert [a["x"] for a in s.solutions] == [1]
+
+
+def test_deeply_nested_constraint_matches_naive():
+    # 300 nested subtractions exceed the 200 nested brackets Python parses;
+    # parse_flat rejects that depth, so the tree is built directly
+    x = ir.VarOccurrence("x")
+    e = x
+    for _ in range(300):
+        e = ir.AlgBinaryOp("-", x, e)
+    p = FlatProgram((FlatVar("x", "int", -1, 1),), (ir.BoolBinaryOp("=", e, ir.IntValue(0)),))
+    s = enumerate_solutions(p)
+    assert s.solutions == naive_enumerate(p).solutions
+    assert [a["x"] for a in s.solutions] == [0]
+
+
+# --------------------------------------------------------------------------
+# errors raised during the search
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "var int x in 0..1;\nconstraint 1 / x = 1;\n",
+        "var int x in -1..1;\nconstraint x ^ -1 = 1;\n",
+    ],
+)
+def test_division_by_zero_raises(text):
+    with pytest.raises(DivisionByZeroError):
+        enumerate_solutions(parse_flat(text))
+
+
+def test_conjunction_short_circuits_before_division():
+    p = parse_flat("var int x in 0..2;\nconstraint x != 0 and 1 / x = 1;\n")
+    assert [a["x"] for a in enumerate_solutions(p).solutions] == [1]
+
+
+def test_max_compares_before_evaluating_later_arguments():
+    # max(s, x, 1 / x) compares x with s, which fails, before it divides by x = 0
+    p = parse_flat("var set of 1..2 s;\nvar int x in 0..1;\nconstraint max(s, x, 1 / x) = 1;\n")
+    with pytest.raises(TypeError):
+        enumerate_solutions(p)
+
+
+def test_ordering_sets_is_a_compile_error():
+    p = parse_flat("var set of 1..2 s;\nvar set of 1..2 t;\nconstraint s <= t;\n")
+    with pytest.raises(CompileError):
+        enumerate_solutions(p)
+
+
+def test_interval_value_in_constraint_matches_naive():
+    p = FlatProgram(
+        (FlatVar("s", "set", 1, 4),),
+        (ir.BoolBinaryOp("=", ir.VarOccurrence("s"), ir.IntervalValue(1.5, 3.0)),),
+    )
+    s = enumerate_solutions(p)
+    assert s.solutions == naive_enumerate(p).solutions
+    assert [a["s"] for a in s.solutions] == [frozenset({2, 3})]
 
 
 # --------------------------------------------------------------------------
