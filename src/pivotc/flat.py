@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from . import ir, sema
 from .errors import IndexOutOfBoundsError, ResidualStatementError
-from .passes import _Folder, _literal_value, _value_int, const_env
+from .passes import _as_int, _Folder, _literal_value, _value_int, const_env
 from .printer import print_expression
 
 
@@ -57,6 +57,7 @@ class _Lowerer:
         self.model = model
         self.scope = sema.Scope(model)
         self.env = const_env(model)
+        self.folder = _Folder(self.env)
         self.dims: dict[str, tuple[int, ...]] = {}
         self.vars: list[FlatVar] = []
         self.domain_constraints: list[ir.Expression] = []
@@ -139,40 +140,44 @@ class _Lowerer:
                 )
 
     def rewrite(self, e: ir.Expression) -> ir.Expression:
-        e = _Folder(self.env).fold(e)
+        """Fold e and name its array cells in one bottom-up walk."""
+        return ir.map_expr(e, self._lower_node)
 
-        def fix(node: ir.Expression) -> ir.Expression:
-            if isinstance(node, ir.ObjectOccurrence):
-                raise ResidualStatementError("object navigation", print_expression(node))
-            if not isinstance(node, ir.VarOccurrence):
-                return node
-            b = node.binding
-            if b is not None and b.kind == "enum_literal":
-                raise ResidualStatementError("enumeration literal", node.name)
-            if b is not None and b.kind == "iterator":
-                raise ResidualStatementError("loop iterator", node.name)
-            if b is not None and b.kind == "constant":
-                raise ResidualStatementError("non-ground constant", node.name)
-            dims = self.dims.get(node.name)
-            if dims is None:
-                raise ResidualStatementError("unknown variable", node.name)
-            if len(node.indexes) != len(dims):
-                raise ResidualStatementError(
-                    "partial array reference", f"'{node.name}'"
+    def _lower_node(self, node: ir.Expression) -> ir.Expression:
+        folded = self.folder._fold_node(node)
+        if folded is not node:
+            # a literal, or one of the node's children, already named
+            # (``1 * b[1, 1]`` -> ``b__1__1``): naming it again would fail
+            return folded
+        if isinstance(node, ir.ObjectOccurrence):
+            raise ResidualStatementError("object navigation", print_expression(node))
+        if not isinstance(node, ir.VarOccurrence):
+            return node
+        b = node.binding
+        if b is not None and b.kind == "enum_literal":
+            raise ResidualStatementError("enumeration literal", node.name)
+        if b is not None and b.kind == "iterator":
+            raise ResidualStatementError("loop iterator", node.name)
+        if b is not None and b.kind == "constant":
+            raise ResidualStatementError("non-ground constant", node.name)
+        dims = self.dims.get(node.name)
+        if dims is None:
+            raise ResidualStatementError("unknown variable", node.name)
+        if len(node.indexes) != len(dims):
+            raise ResidualStatementError(
+                "partial array reference", f"'{node.name}'"
+            )
+        idx = []
+        for expr, size in zip(node.indexes, dims):  # already folded
+            value = _as_int(_literal_value(expr, self.env))
+            if value is None:
+                raise ResidualStatementError("non-ground index", print_expression(expr))
+            if not 1 <= value <= size:
+                raise IndexOutOfBoundsError(
+                    f"index {value} outside 1..{size} for '{node.name}'", node.loc
                 )
-            idx = []
-            for expr, size in zip(node.indexes, dims):
-                value = _value_int(expr, self.env)
-                if value is None:
-                    raise ResidualStatementError("non-ground index", print_expression(expr))
-                if not 1 <= value <= size:
-                    raise IndexOutOfBoundsError(
-                        f"index {value} outside 1..{size} for '{node.name}'", node.loc
-                    )
-                idx.append(value)
-            return ir.VarOccurrence(_cell_name(node.name, tuple(idx)), loc=node.loc)
-
-        return ir.map_expr(e, fix)
+            idx.append(value)
+        return ir.VarOccurrence(_cell_name(node.name, tuple(idx)), loc=node.loc)
 
     def run(self) -> FlatProgram:
         for e in self.model.elements:

@@ -27,6 +27,8 @@ node for variables, constants, loop iterators and enumeration literals;
 from __future__ import annotations
 
 import dataclasses
+import operator
+import typing
 from dataclasses import dataclass, field
 
 from .errors import Loc
@@ -43,7 +45,7 @@ __all__ = [
     "SetValue", "Statement", "TypedElement", "TypeKind", "VarOccurrence",
     "Variable", "BOOLEAN", "INTEGER", "REAL", "SET_OF_INT", "enum_kind",
     "set_of_enum", "object_kind", "ALG_FUNCTIONS", "BOOL_BINARY_OPS",
-    "COMPARISON_OPS", "SET_BINARY_OPS", "element_count", "iter_expressions",
+    "CHILD_FIELDS", "COMPARISON_OPS", "SET_BINARY_OPS", "element_count", "iter_expressions",
     "map_expressions", "map_expr", "model_equals", "walk_expr",
 ]
 
@@ -422,37 +424,63 @@ def model_equals(a: Model, b: Model) -> bool:
 # --------------------------------------------------------------------------
 # Tree helpers
 
+class _ChildFields(dict):
+    """Per node class, (field name, holds a tuple) for every field that
+    holds expressions; read once per class from the field annotations."""
+
+    def __missing__(self, cls: type) -> tuple[tuple[str, bool], ...]:
+        hints = typing.get_type_hints(cls)
+        table = []
+        for f in dataclasses.fields(cls):
+            t = hints[f.name]
+            elem = typing.get_args(t)[0] if typing.get_origin(t) is tuple else t
+            if isinstance(elem, type) and issubclass(elem, Expression):
+                table.append((f.name, elem is not t))
+        self[cls] = table = tuple(table)
+        return table
+
+
+# Recursive walks iterate it in their own body: one frame per tree level.
+CHILD_FIELDS = _ChildFields()
+
+
 def map_expr(e: Expression, fn) -> Expression:
     """Rebuild an expression bottom-up, applying fn to every node.
 
     Children are compared by identity: equality would miss changes to
     fields excluded from comparison (bindings, locations)."""
     updates = {}
-    for f in dataclasses.fields(e):
-        v = getattr(e, f.name)
-        if isinstance(v, Expression):
+    for name, many in CHILD_FIELDS[type(e)]:
+        v = getattr(e, name)
+        if many:
+            nv = tuple([map_expr(x, fn) for x in v])
+            if any(map(operator.is_not, nv, v)):
+                updates[name] = nv
+        elif v is not None:
             nv = map_expr(v, fn)
             if nv is not v:
-                updates[f.name] = nv
-        elif isinstance(v, tuple) and v and isinstance(v[0], Expression):
-            nv = tuple(map_expr(x, fn) for x in v)
-            if any(a is not b for a, b in zip(nv, v)):
-                updates[f.name] = nv
+                updates[name] = nv
     if updates:
-        e = dataclasses.replace(e, **updates)
+        # dataclasses.replace without its per-call field scan: copy the
+        # instance dict (bindings and locations too), then apply the updates
+        new = object.__new__(type(e))
+        new.__dict__.update(e.__dict__, **updates)
+        e = new
     return fn(e)
 
 
 def walk_expr(e: Expression):
     """Yield every node of an expression tree, parents after children."""
-    for f in dataclasses.fields(e):
-        v = getattr(e, f.name)
-        if isinstance(v, Expression):
-            yield from walk_expr(v)
-        elif isinstance(v, tuple) and v and isinstance(v[0], Expression):
-            for x in v:
-                yield from walk_expr(x)
-    yield e
+    stack = [(e, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            yield node
+            continue
+        stack.append((node, True))
+        for name, many in reversed(CHILD_FIELDS[type(node)]):
+            v = getattr(node, name)
+            stack.extend([(x, False) for x in reversed(v if many else (v,)) if x is not None])
 
 
 def _map_domain(d: Domain | None, fn) -> Domain | None:

@@ -1,8 +1,10 @@
 """Rewriting passes over pivot models.
 
-Each pass is a pure function Model -> Model: inputs are never mutated and
-outputs come back freshly resolved.  ``run_pipeline`` chains passes and
-collects one report per pass.
+Each pass is a pure function Model -> Model: inputs are never mutated.
+Passes take and return resolved models: objectFlatten resolves its output,
+the others bind what they create and mark it (``sema.mark_resolved``), so
+the next ``resolve`` is free.  Unresolved input is resolved on entry.
+``run_pipeline`` chains passes and collects one report per pass.
 
 Passes:
   * object_flatten  - remove classes; object attributes become prefixed
@@ -321,7 +323,7 @@ def _fold_constants_counted(model: ir.Model) -> tuple[ir.Model, int]:
     model = sema.resolve(model)
     folder = _Folder(const_env(model))
     out = ir.map_expressions(model, folder._fold_node)
-    return sema.resolve(out), folder.count
+    return sema.mark_resolved(out), folder.count
 
 
 def fold_constants(model: ir.Model) -> ir.Model:
@@ -329,7 +331,11 @@ def fold_constants(model: ir.Model) -> ir.Model:
 
 
 def _value_int(e: ir.Expression, env: dict) -> int | None:
-    v = _literal_value(_Folder(env).fold(e), env)
+    return _as_int(_literal_value(_Folder(env).fold(e), env))
+
+
+def _as_int(v) -> int | None:
+    """The integer a ground value stands for, or None."""
     if v is _MISSING:
         return None
     v = _num(v)
@@ -436,16 +442,16 @@ class _Flattener:
         if isinstance(e, ir.ObjectOccurrence):
             return self._rewrite_path(e, prefix, ctx_pairs, cls)
         updates = {}
-        for f in dataclasses.fields(e):
-            v = getattr(e, f.name)
-            if isinstance(v, ir.Expression):
-                nv = rw(v)
-                if nv is not v:
-                    updates[f.name] = nv
-            elif isinstance(v, tuple) and v and isinstance(v[0], ir.Expression):
+        for name, many in ir.CHILD_FIELDS[type(e)]:
+            v = getattr(e, name)
+            if many:
                 nv = tuple(rw(x) for x in v)
                 if any(a is not b for a, b in zip(nv, v)):
-                    updates[f.name] = nv
+                    updates[name] = nv
+            elif v is not None:
+                nv = rw(v)
+                if nv is not v:
+                    updates[name] = nv
         return dataclasses.replace(e, **updates) if updates else e
 
     def _rewrite_path(self, e: ir.ObjectOccurrence, prefix, ctx_pairs, cls):
@@ -671,7 +677,7 @@ def _enum_remove_counted(model: ir.Model) -> tuple[ir.Model, int]:
                 e = dataclasses.replace(e, type_name="int")
         elements.append(e)
     out = dataclasses.replace(mapped, elements=tuple(elements))
-    return sema.resolve(out), count
+    return sema.mark_resolved(out), count
 
 
 def enum_remove(model: ir.Model) -> ir.Model:
@@ -785,7 +791,8 @@ def _alldiff_to_boolean(
     b = ir.Variable(name, "bool", dims=(ir.IntValue(n), ir.IntValue(m)), loc=c.loc)
 
     def cell(i: int, j: int) -> ir.Expression:
-        return ir.VarOccurrence(name, (ir.IntValue(i), ir.IntValue(j)))
+        b = ir.Binding("variable", name)
+        return ir.VarOccurrence(name, (ir.IntValue(i), ir.IntValue(j)), binding=b)
 
     features: list[ir.ModelFeature] = [b]
     for i in range(1, n + 1):  # one value per variable
@@ -887,7 +894,7 @@ def _alldiff_rewrite_counted(model: ir.Model, mode: str) -> tuple[ir.Model, int]
         else:
             elements.append(e)
     out = dataclasses.replace(model, elements=tuple(elements))
-    return sema.resolve(out), count
+    return sema.mark_resolved(out), count
 
 
 def alldiff_rewrite(model: ir.Model, mode: str = "disequalities") -> ir.Model:
@@ -897,97 +904,70 @@ def alldiff_rewrite(model: ir.Model, mode: str = "disequalities") -> ir.Model:
 # --------------------------------------------------------------------------
 # Loop unrolling
 
-def _subst_iter(e: ir.Expression, name: str, value: ir.Expression) -> ir.Expression:
-    def fix(node: ir.Expression) -> ir.Expression:
-        if (
-            isinstance(node, ir.VarOccurrence)
-            and node.name == name
-            and not node.indexes
-            and (node.binding is None or node.binding.kind == "iterator")
-        ):
-            return value
-        return node
-
-    return ir.map_expr(e, fix)
-
-
-def _subst_stmt(s: ir.Statement, name: str, value: ir.Expression) -> ir.Statement:
-    if isinstance(s, ir.ExpressionConstraint):
-        return ir.ExpressionConstraint(_subst_iter(s.expr, name, value), loc=s.loc)
-    if isinstance(s, ir.GlobalCtr):
-        return ir.GlobalCtr(
-            s.ctr_name, tuple(_subst_iter(p, name, value) for p in s.params), loc=s.loc
-        )
-    if isinstance(s, ir.ForAll):
-        lower = _subst_iter(s.lower, name, value)
-        upper = _subst_iter(s.upper, name, value)
-        if s.iter_var == name:  # inner loop shadows the outer iterator
-            return dataclasses.replace(s, lower=lower, upper=upper)
-        return ir.ForAll(
-            s.iter_var, lower, upper,
-            tuple(_subst_stmt(b, name, value) for b in s.body), loc=s.loc,
-        )
-    if isinstance(s, ir.If):
-        else_body = None
-        if s.else_body is not None:
-            else_body = tuple(_subst_stmt(b, name, value) for b in s.else_body)
-        return ir.If(
-            _subst_iter(s.cond, name, value),
-            tuple(_subst_stmt(b, name, value) for b in s.then_body),
-            else_body, loc=s.loc,
-        )
-    raise TypeError(f"unknown statement {s!r}")
-
-
 def _loop_unroll_counted(model: ir.Model) -> tuple[ir.Model, int]:
     model = sema.resolve(model)
     _ensure_class_free(model, "loopUnroll")
     env = const_env(model)
+    folder = _Folder(env)
     count = 0
 
-    def bound_value(e: ir.Expression, loop: ir.ForAll) -> int:
-        v = _value_int(e, env)
+    def instantiate(iters: dict):
+        """Node function: substitute enclosing iterators' values, then fold."""
+
+        def node(n: ir.Expression) -> ir.Expression:
+            if (
+                isinstance(n, ir.VarOccurrence)
+                and n.name in iters
+                and not n.indexes
+                and (n.binding is None or n.binding.kind == "iterator")
+            ):
+                return iters[n.name]
+            return folder._fold_node(n)
+
+        return node
+
+    def bound_value(e: ir.Expression, loop: ir.ForAll, iters: dict) -> int:
+        v = _value_int(ir.map_expr(e, instantiate(iters)), env)
         if v is None:
             raise NonGroundBoundError(
                 f"loop over '{loop.iter_var}' has a non-ground bound", loop.loc
             )
         return v
 
-    def unroll_stmts(stmts) -> list[ir.Statement]:
+    def unroll_stmts(stmts, iters: dict) -> list[ir.Statement]:
+        """iters: enclosing iterator -> value; inner loops shadow outer ones."""
         nonlocal count
         out: list[ir.Statement] = []
         for s in stmts:
             if isinstance(s, ir.ForAll):
                 count += 1
-                lo = bound_value(s.lower, s)
-                hi = bound_value(s.upper, s)
+                lo = bound_value(s.lower, s, iters)
+                hi = bound_value(s.upper, s, iters)
                 for v in range(lo, hi + 1):
-                    body = [_subst_stmt(b, s.iter_var, ir.IntValue(v)) for b in s.body]
-                    out.extend(unroll_stmts(body))
+                    out.extend(unroll_stmts(s.body, {**iters, s.iter_var: ir.IntValue(v)}))
             elif isinstance(s, ir.If):
                 count += 1
-                folded = _Folder(env).fold(s.cond)
-                if not isinstance(folded, ir.BoolValue):
+                cond = ir.map_expr(s.cond, instantiate(iters))
+                if not isinstance(cond, ir.BoolValue):
                     raise NonGroundConditionError(
                         "conditional with a non-ground condition cannot be unrolled", s.loc
                     )
-                branch = s.then_body if folded.value else (s.else_body or ())
-                out.extend(unroll_stmts(list(branch)))
+                branch = s.then_body if cond.value else (s.else_body or ())
+                out.extend(unroll_stmts(branch, iters))
             else:
-                folder = _Folder(env)
-                out.append(ir._map_statement(s, folder._fold_node))
+                out.append(ir._map_statement(s, instantiate(iters)))
         return out
 
     elements: list[ir.ModelElement] = []
     for e in model.elements:
         if isinstance(e, ir.ConstraintZone):
-            elements.append(ir.ConstraintZone(e.name, tuple(unroll_stmts(e.body)), loc=e.loc))
+            elements.append(ir.ConstraintZone(e.name, tuple(unroll_stmts(e.body, {})), loc=e.loc))
         elif isinstance(e, ir.Statement):
-            elements.extend(unroll_stmts([e]))
+            elements.extend(unroll_stmts([e], {}))
         else:
             elements.append(e)
     out = dataclasses.replace(model, elements=tuple(elements))
-    return sema.resolve(out), count
+    return sema.mark_resolved(out), count
 
 
 def loop_unroll(model: ir.Model) -> ir.Model:

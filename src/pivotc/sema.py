@@ -1,9 +1,9 @@
 """Name resolution, type inference and model validation.
 
 ``resolve`` rebinds every occurrence to its declaration and returns a new
-model; it is idempotent.  ``infer_type`` computes the unique TypeKind of a
-resolved (or resolvable) expression.  ``validate`` returns diagnostics and
-never raises.
+model; it is idempotent, and returns its own output as is.  ``infer_type``
+computes the unique TypeKind of a resolved (or resolvable) expression.
+``validate`` returns diagnostics and never raises.
 
 Typing rules beyond the obvious ones:
   * integer promotes to real in mixed arithmetic;
@@ -16,6 +16,7 @@ Typing rules beyond the obvious ones:
 from __future__ import annotations
 
 import dataclasses
+import weakref
 
 from . import ir
 from .errors import (
@@ -130,14 +131,30 @@ class Scope:
 # --------------------------------------------------------------------------
 # Resolution
 
+# Models known to be resolved, keyed by id; the weak values drop an entry
+# when its model dies, and the identity check below ignores reused ids.
+_RESOLVED: weakref.WeakValueDictionary[int, ir.Model] = weakref.WeakValueDictionary()
+
+
+def mark_resolved(model: ir.Model) -> ir.Model:
+    """Declare every occurrence in model bound; ``resolve`` returns it as is."""
+    _RESOLVED[id(model)] = model
+    return model
+
+
 def resolve(model: ir.Model) -> ir.Model:
     """Bind every name reference to its declaration (returns a new model).
 
-    Raises UnresolvedNameError or DuplicateNameError.  Idempotent.
+    Raises UnresolvedNameError or DuplicateNameError.  Idempotent: its own
+    output, or a model passed to ``mark_resolved``, comes back as is.  The
+    test is identity, not ``==`` (blind to bindings) or ``hash`` (a whole
+    walk), so a structural copy is resolved afresh.
     """
+    if _RESOLVED.get(id(model)) is model:
+        return model
     scope = Scope(model)
     elements = tuple(_resolve_element(e, scope) for e in model.elements)
-    return dataclasses.replace(model, elements=elements)
+    return mark_resolved(dataclasses.replace(model, elements=elements))
 
 
 def _resolve_element(e: ir.ModelElement, scope: Scope) -> ir.ModelElement:
@@ -259,16 +276,16 @@ def _resolve_expr(e: ir.Expression, scope: Scope) -> ir.Expression:
     # structural recursion for operator/value nodes; compare by identity,
     # not ==, because bindings are excluded from equality
     updates = {}
-    for f in dataclasses.fields(e):
-        v = getattr(e, f.name)
-        if isinstance(v, ir.Expression):
-            nv = _resolve_expr(v, scope)
-            if nv is not v:
-                updates[f.name] = nv
-        elif isinstance(v, tuple) and v and isinstance(v[0], ir.Expression):
+    for name, many in ir.CHILD_FIELDS[type(e)]:
+        v = getattr(e, name)
+        if many:
             nv = tuple(_resolve_expr(x, scope) for x in v)
             if any(a is not b for a, b in zip(nv, v)):
-                updates[f.name] = nv
+                updates[name] = nv
+        elif v is not None:
+            nv = _resolve_expr(v, scope)
+            if nv is not v:
+                updates[name] = nv
     return dataclasses.replace(e, **updates) if updates else e
 
 

@@ -7,7 +7,7 @@ from pivotc.errors import IndexOutOfBoundsError, ResidualStatementError
 from pivotc.flat import FlatProgram, FlatVar, emit_flat, lower_to_flat
 from pivotc.oracle import parse_flat
 from pivotc.parser import SourceUnit, parse
-from pivotc.passes import PassConfig, run_pipeline
+from pivotc.passes import PassConfig, loop_unroll, run_pipeline
 from pivotc.printer import print_expression
 
 from conftest import parse_fixture
@@ -159,3 +159,23 @@ def test_bool_variable_with_domain_rejected():
     m = parse(SourceUnit("model B;\nbool b in 0..0;\n"))
     with pytest.raises(ResidualStatementError):
         lower_to_flat(m)
+
+
+def _lowered_texts(text):
+    p = lower_to_flat(loop_unroll(parse(SourceUnit(text))))
+    return [print_expression(c) for c in p.constraints]
+
+
+def test_shadowed_iterator_lowers_per_inner_iteration():
+    texts = _lowered_texts(
+        "model U;\nint x[3] in 1..3;\n"
+        "constraint k { forall(i in 1..2) forall(i in i+1..3) { x[i] = i; } }"
+    )
+    assert texts == ["x__2 = 2", "x__3 = 3", "x__3 = 3"]
+
+
+def test_identity_fold_keeps_named_cell():
+    # folding 1 * x[1] + 0 hands back the child x[1], already named x__1;
+    # it must not be named a second time
+    texts = _lowered_texts("model I;\nint x[2] in 1..3;\nconstraint c { 1 * x[1] + 0 = x[2]; }")
+    assert texts == ["x__1 = x__2"]

@@ -1,7 +1,10 @@
+import dataclasses
+
 import pytest
 
 from pivotc import ir
 from pivotc.errors import (
+    CompileError,
     CyclicCompositionError,
     DivisionByZeroError,
     DomainAssumptionError,
@@ -12,6 +15,7 @@ from pivotc.errors import (
     NotAlldifferentError,
     PreconditionError,
 )
+from pivotc.cli import main
 from pivotc.parser import SourceUnit, parse
 from pivotc.passes import (
     PassConfig,
@@ -348,6 +352,44 @@ def test_unroll_nested_bounds_use_outer_iterator():
     assert texts == ["x[1] != x[2]", "x[1] != x[3]", "x[2] != x[3]"]
 
 
+def test_unroll_inner_iterator_shadows_outer():
+    # the inner bounds read the outer i; the body reads the inner one
+    m = parse(SourceUnit(
+        "model U;\nint x[3] in 1..3;\n"
+        "constraint k { forall(i in 1..2) forall(i in i+1..3) { x[i] = i; } }"
+    ))
+    out = loop_unroll(m)
+    texts = [print_expression(s.expr) for s in _zone(out, "k").body]
+    assert texts == ["x[2] = 2", "x[3] = 3", "x[3] = 3"]
+
+
+def test_unroll_if_condition_reads_iterator():
+    m = parse(SourceUnit(
+        "model U;\nint x[3] in 1..5;\n"
+        "constraint k { forall(i in 1..3) { if (i = 2) { x[i] = 1; } else { x[i] = i + 1; } } }"
+    ))
+    out = loop_unroll(m)
+    texts = [print_expression(s.expr) for s in _zone(out, "k").body]
+    assert texts == ["x[1] = 2", "x[2] = 1", "x[3] = 4"]
+
+
+def test_unroll_alldifferent_in_loop_keeps_instantiated_params(tmp_path):
+    model = tmp_path / "a.som"
+    model.write_text(
+        "model A;\nint x[2, 3] in 1..3;\n"
+        "constraint k { forall(i in 1..2) { alldifferent(x[i, 1], x[i, 2], x[i + 0, 3]); } }"
+    )
+    out = tmp_path / "a.pivot"
+    argv = ["compile", "-m", str(model), "--target", "pivot", "--passes", "loopUnroll",
+            "-o", str(out)]
+    assert main(argv) == 0
+    assert out.read_text() == (
+        "model A;\nint x[2,3] in 1..3;\nconstraint k {\n"
+        "  alldifferent(x[1,1], x[1,2], x[1,3]);\n"
+        "  alldifferent(x[2,1], x[2,2], x[2,3]);\n}\n"
+    )
+
+
 def test_unroll_non_ground_bound_rejected():
     m = parse(SourceUnit(
         "model U;\nint x in 1..5;\nconstraint k { forall(i in 1..x) { x = i; } }"
@@ -548,3 +590,33 @@ def test_flatten_scalar_object_containing_object_array():
     q = _zone(flat, "q")
     assert print_expression(q.body[0].expr.left) == "hub_leaves_v[2]"
     assert validate(flat) == []
+
+
+def _bindings(model):
+    return [
+        (n.name, n.binding)
+        for e in model.elements
+        for x in ir.iter_expressions(e)
+        for n in ir.walk_expr(x)
+        if isinstance(n, ir.VarOccurrence)
+    ]
+
+
+FLAT_PIPELINE = ("objectFlatten", "enumRemove", "foldConstants", "alldiffRewrite", "loopUnroll")
+
+
+@pytest.mark.parametrize("mode", ["disequalities", "relaxation", "boolean"])
+@pytest.mark.parametrize("model_name,data_name", ALL_FIXTURES)
+def test_pass_outputs_carry_fresh_bindings(model_name, data_name, mode):
+    # passes hand back resolved models without resolving them again: every
+    # binding must match what a fresh resolve of a structural copy gives
+    model = parse_fixture(model_name, data_name)
+    for k in range(1, len(FLAT_PIPELINE) + 1):
+        try:
+            out, _ = run_pipeline(model, PassConfig(FLAT_PIPELINE[:k], mode))
+        except CompileError:
+            break  # e.g. boolean mode on differing domains; longer prefixes fail too
+        assert resolve(out) is out
+        fresh = resolve(dataclasses.replace(out, elements=tuple(out.elements)))
+        assert fresh is not out
+        assert _bindings(out) == _bindings(fresh)

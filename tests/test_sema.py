@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from pivotc import ir
@@ -33,6 +35,16 @@ def test_resolve_undeclared_name():
 def test_resolve_idempotent(golfers):
     r = resolve(golfers)
     assert resolve(r) == r
+
+
+def test_resolve_returns_its_own_output_as_is(golfers):
+    r = resolve(golfers)
+    assert resolve(r) is r
+    # a structural copy is equal but not known to be resolved
+    copy = dataclasses.replace(r, elements=tuple(r.elements))
+    again = resolve(copy)
+    assert again is not copy and again == r
+    assert resolve(golfers) is not golfers
 
 
 def test_duplicate_top_level_name():
