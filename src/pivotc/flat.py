@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from . import ir, sema
 from .errors import IndexOutOfBoundsError, ResidualStatementError
-from .passes import _as_int, _Folder, _literal_value, _value_int, const_env
+from .passes import _as_int, _Folder, _value_int, const_env
 from .printer import print_expression
 
 
@@ -61,6 +61,9 @@ class _Lowerer:
         self.dims: dict[str, tuple[int, ...]] = {}
         self.vars: list[FlatVar] = []
         self.domain_constraints: list[ir.Expression] = []
+        # id(occurrence) -> (occurrence, lowered): an occurrence the unrolled
+        # model shares between constraints is lowered once
+        self.cells: dict[int, tuple[ir.VarOccurrence, ir.Expression]] = {}
 
     def _dims_of(self, v: ir.Variable) -> tuple[int, ...]:
         out = []
@@ -89,8 +92,7 @@ class _Lowerer:
                 members.append(value)
             return frozenset(members)
         if isinstance(d, ir.ExprDomain):
-            folded = _Folder(self.env).fold(d.expr)
-            value = _literal_value(folded, self.env)
+            value = _Folder(self.env).ground_value(d.expr)
             if isinstance(value, frozenset):
                 return value
             raise ResidualStatementError("non-ground domain", f"variable '{v.name}'")
@@ -144,15 +146,19 @@ class _Lowerer:
         return ir.map_expr(e, self._lower_node)
 
     def _lower_node(self, node: ir.Expression) -> ir.Expression:
-        folded = self.folder._fold_node(node)
-        if folded is not node:
-            # a literal, or one of the node's children, already named
-            # (``1 * b[1, 1]`` -> ``b__1__1``): naming it again would fail
-            return folded
+        if type(node) is ir.VarOccurrence:
+            hit = self.cells.get(id(node))
+            if hit is None:
+                hit = self.cells[id(node)] = (node, self._lower_occurrence(node))
+            return hit[1]
         if isinstance(node, ir.ObjectOccurrence):
             raise ResidualStatementError("object navigation", print_expression(node))
-        if not isinstance(node, ir.VarOccurrence):
-            return node
+        return self.folder._fold_node(node)
+
+    def _lower_occurrence(self, node: ir.VarOccurrence) -> ir.Expression:
+        folded = self.folder._fold_node(node)
+        if folded is not node:  # an inlined constant
+            return folded
         b = node.binding
         if b is not None and b.kind == "enum_literal":
             raise ResidualStatementError("enumeration literal", node.name)
@@ -169,7 +175,7 @@ class _Lowerer:
             )
         idx = []
         for expr, size in zip(node.indexes, dims):  # already folded
-            value = _as_int(_literal_value(expr, self.env))
+            value = _as_int(self.folder.value(expr))
             if value is None:
                 raise ResidualStatementError("non-ground index", print_expression(expr))
             if not 1 <= value <= size:

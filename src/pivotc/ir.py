@@ -46,7 +46,7 @@ __all__ = [
     "Variable", "BOOLEAN", "INTEGER", "REAL", "SET_OF_INT", "enum_kind",
     "set_of_enum", "object_kind", "ALG_FUNCTIONS", "BOOL_BINARY_OPS",
     "CHILD_FIELDS", "COMPARISON_OPS", "SET_BINARY_OPS", "element_count", "iter_expressions",
-    "map_expressions", "map_expr", "model_equals", "walk_expr",
+    "map_expressions", "map_expr", "model_equals", "rebuild", "walk_expr",
 ]
 
 
@@ -448,7 +448,10 @@ def map_expr(e: Expression, fn) -> Expression:
     """Rebuild an expression bottom-up, applying fn to every node.
 
     Children are compared by identity: equality would miss changes to
-    fields excluded from comparison (bindings, locations)."""
+    fields excluded from comparison (bindings, locations).  After
+    ``loopUnroll`` identical subtrees may be shared between statements;
+    nodes are immutable, so fn sees a shared node once per occurrence and
+    must not rely on node identity being unique."""
     updates = {}
     for name, many in CHILD_FIELDS[type(e)]:
         v = getattr(e, name)
@@ -460,13 +463,15 @@ def map_expr(e: Expression, fn) -> Expression:
             nv = map_expr(v, fn)
             if nv is not v:
                 updates[name] = nv
-    if updates:
-        # dataclasses.replace without its per-call field scan: copy the
-        # instance dict (bindings and locations too), then apply the updates
-        new = object.__new__(type(e))
-        new.__dict__.update(e.__dict__, **updates)
-        e = new
-    return fn(e)
+    return fn(rebuild(e, updates) if updates else e)
+
+
+def rebuild(e: Node, updates: dict) -> Node:
+    """A copy of e with some fields replaced: dataclasses.replace without
+    its per-call field scan (bindings and locations are copied too)."""
+    new = object.__new__(type(e))
+    new.__dict__.update(e.__dict__, **updates)
+    return new
 
 
 def walk_expr(e: Expression):

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -117,119 +118,6 @@ def _arith(op: str, a, b, loc):
     raise ValueError(op)
 
 
-def _literal_value(e: ir.Expression, env: dict):
-    """Exact recursive value of a ground expression, or _MISSING.
-
-    Rationals stay exact (Fractions); enum literals, variables, iterators
-    and navigation paths are opaque and yield _MISSING."""
-    if isinstance(e, ir.IntValue):
-        return e.v
-    if isinstance(e, ir.RealValue):
-        return e.v
-    if isinstance(e, ir.BoolValue):
-        return e.value
-    if isinstance(e, ir.VarOccurrence):
-        b = e.binding
-        if (
-            not e.indexes
-            and b is not None
-            and b.kind == "constant"
-            and b.owner is None
-            and e.name in env
-        ):
-            return env[e.name]
-        return _MISSING
-    if isinstance(e, ir.SetValue):
-        members = []
-        for m in e.elems:
-            v = _literal_value(m, env)
-            if v is _MISSING or not isinstance(_num(v), int):
-                return _MISSING
-            members.append(_num(v))
-        return frozenset(members)
-    if isinstance(e, ir.IntervalValue):
-        if e.lo != int(e.lo) and math.ceil(e.lo) > math.floor(e.hi):
-            return frozenset()
-        return frozenset(range(math.ceil(e.lo), math.floor(e.hi) + 1))
-    if isinstance(e, ir.AlgBinaryOp):
-        a = _literal_value(e.left, env)
-        if a is _MISSING:
-            return _MISSING
-        b = _literal_value(e.right, env)
-        if b is _MISSING:
-            return _MISSING
-        return _arith(e.op, a, b, e.loc)
-    if isinstance(e, ir.AlgUnaryOp):
-        v = _literal_value(e.operand, env)
-        if v is _MISSING:
-            return _MISSING
-        return -_num(v) if e.op == "neg" else _num(v)
-    if isinstance(e, ir.AlgFunction):
-        vals = []
-        for a in e.args:
-            v = _literal_value(a, env)
-            if v is _MISSING:
-                return _MISSING
-            vals.append(_num(v))
-        if e.fn == "abs":
-            return abs(vals[0])
-        if e.fn == "min":
-            return min(vals)
-        if e.fn == "max":
-            return max(vals)
-        return getattr(math, e.fn)(float(vals[0]))
-    if isinstance(e, ir.BoolUnaryOp):
-        v = _literal_value(e.operand, env)
-        if v is _MISSING or not isinstance(v, bool):
-            return _MISSING
-        return not v
-    if isinstance(e, ir.BoolBinaryOp):
-        a = _literal_value(e.left, env)
-        if a is _MISSING:
-            return _MISSING
-        b = _literal_value(e.right, env)
-        if b is _MISSING:
-            return _MISSING
-        if e.op in ("iff", "implies", "and", "or"):
-            if not (isinstance(a, bool) and isinstance(b, bool)):
-                return _MISSING
-            return {
-                "iff": a == b,
-                "implies": (not a) or b,
-                "and": a and b,
-                "or": a or b,
-            }[e.op]
-        if isinstance(a, frozenset) != isinstance(b, frozenset):
-            return _MISSING
-        if isinstance(a, frozenset):
-            if e.op == "=":
-                return a == b
-            if e.op == "!=":
-                return a != b
-            return _MISSING
-        a, b = _num(a), _num(b)
-        return {
-            "=": a == b, "!=": a != b, "<=": a <= b,
-            ">=": a >= b, "<": a < b, ">": a > b,
-        }[e.op]
-    if isinstance(e, ir.SetFunction):
-        v = _literal_value(e.arg, env)
-        return len(v) if isinstance(v, frozenset) else _MISSING
-    if isinstance(e, ir.SetBinaryOp):
-        a = _literal_value(e.left, env)
-        if not isinstance(a, frozenset):
-            return _MISSING
-        b = _literal_value(e.right, env)
-        if not isinstance(b, frozenset):
-            return _MISSING
-        if e.op == "intersect":
-            return a & b
-        if e.op == "union":
-            return a | b
-        return a - b
-    return _MISSING
-
-
 def _materialize(v, loc) -> ir.Expression | None:
     if isinstance(v, bool):
         return ir.BoolValue(v, loc=loc)
@@ -249,32 +137,153 @@ def _materialize(v, loc) -> ir.Expression | None:
 _INT_ZERO = ir.IntValue(0)
 _INT_ONE = ir.IntValue(1)
 
+_COMPARE = {
+    "=": lambda a, b: a == b, "!=": lambda a, b: a != b,
+    "<=": lambda a, b: a <= b, ">=": lambda a, b: a >= b,
+    "<": lambda a, b: a < b, ">": lambda a, b: a > b,
+}
+_LOGIC = {
+    "iff": lambda a, b: a == b, "implies": lambda a, b: (not a) or b,
+    "and": lambda a, b: a and b, "or": lambda a, b: a or b,
+}
+
 
 class _Folder:
-    """Bottom-up ground evaluation; counts the rewrites it makes."""
+    """Bottom-up ground evaluation; counts the rewrites it makes.
+
+    ``_fold_node`` sees a node whose children this folder has already
+    folded and computes the node's value from theirs, never from the
+    subtree below them.  A folded node is ground when it is a literal, an
+    inlined-constant occurrence, or a ground node no literal holds exactly
+    (a non-integral rational), whose value ``_exact`` keeps by identity.
+    Rationals stay exact; enum literals, variables, iterators and
+    navigation paths are opaque."""
 
     def __init__(self, env: dict):
         self.env = env
         self.count = 0
+        self._exact: dict[int, tuple[ir.Expression, Fraction]] = {}  # node kept alive
 
     def fold(self, e: ir.Expression) -> ir.Expression:
         return ir.map_expr(e, self._fold_node)
 
+    def ground_value(self, e: ir.Expression):
+        """Fold e; its value, or _MISSING."""
+        return self.value(self.fold(e))
+
+    def value(self, e: ir.Expression):
+        """The value of a node this folder returned, or _MISSING."""
+        t = type(e)
+        if t is ir.IntValue or t is ir.RealValue:
+            return e.v
+        if t is ir.BoolValue:
+            return e.value
+        if t is ir.VarOccurrence:
+            b = e.binding
+            if not e.indexes and b is not None and b.kind == "constant" and b.owner is None:
+                return self.env.get(e.name, _MISSING)
+            return _MISSING
+        if t is ir.SetValue:
+            members = []
+            for m in e.elems:
+                v = _num(self.value(m))
+                if not isinstance(v, int):
+                    return _MISSING
+                members.append(v)
+            return frozenset(members)
+        hit = self._exact.get(id(e))
+        return _MISSING if hit is None else hit[1]
+
+    def _eval(self, e: ir.Expression):
+        """The value of e from its folded children's values, or _MISSING."""
+        value = self.value
+        t = type(e)
+        if t is ir.AlgBinaryOp:
+            a = value(e.left)
+            if a is _MISSING:
+                return a
+            b = value(e.right)
+            if b is _MISSING:
+                return b
+            return _arith(e.op, a, b, e.loc)
+        if t is ir.BoolBinaryOp:
+            a = value(e.left)
+            if a is _MISSING:
+                return a
+            b = value(e.right)
+            if b is _MISSING:
+                return b
+            if e.op in _LOGIC:
+                if not (isinstance(a, bool) and isinstance(b, bool)):
+                    return _MISSING
+                return _LOGIC[e.op](a, b)
+            if isinstance(a, frozenset) != isinstance(b, frozenset):
+                return _MISSING
+            if isinstance(a, frozenset) and e.op not in ("=", "!="):
+                return _MISSING
+            return _COMPARE[e.op](_num(a), _num(b))
+        if t is ir.AlgUnaryOp:
+            v = value(e.operand)
+            if v is _MISSING:
+                return v
+            return -_num(v) if e.op == "neg" else _num(v)
+        if t is ir.AlgFunction:
+            vals = []
+            for a in e.args:
+                v = value(a)
+                if v is _MISSING:
+                    return v
+                vals.append(_num(v))
+            if e.fn == "abs":
+                return abs(vals[0])
+            if e.fn == "min":
+                return min(vals)
+            if e.fn == "max":
+                return max(vals)
+            return getattr(math, e.fn)(float(vals[0]))
+        if t is ir.BoolUnaryOp:
+            v = value(e.operand)
+            return not v if isinstance(v, bool) else _MISSING
+        if t is ir.SetFunction:
+            v = value(e.arg)
+            return len(v) if isinstance(v, frozenset) else _MISSING
+        if t is ir.SetBinaryOp:
+            a = value(e.left)
+            if not isinstance(a, frozenset):
+                return _MISSING
+            b = value(e.right)
+            if not isinstance(b, frozenset):
+                return _MISSING
+            if e.op == "intersect":
+                return a & b
+            if e.op == "union":
+                return a | b
+            return a - b
+        if t is ir.IntervalValue:
+            if e.lo != int(e.lo) and math.ceil(e.lo) > math.floor(e.hi):
+                return frozenset()
+            return frozenset(range(math.ceil(e.lo), math.floor(e.hi) + 1))
+        return value(e)
+
     def _fold_node(self, e: ir.Expression) -> ir.Expression:
-        if isinstance(e, (ir.IntValue, ir.RealValue, ir.BoolValue)):
+        t = type(e)
+        if t is ir.IntValue or t is ir.RealValue or t is ir.BoolValue:
             return e
         try:
-            v = _literal_value(e, self.env)
+            v = self._eval(e)
         except (ValueError, OverflowError):
             v = _MISSING  # domain error: leave the node symbolic
-        if v is not _MISSING:
-            node = _materialize(v, e.loc)
-            if node is not None:
-                if node == e:
-                    return e
-                self.count += 1
-                return node
-        return self._identities(e)
+        if v is _MISSING:
+            return self._identities(e)
+        node = _materialize(v, e.loc)
+        if node is None:  # ground, but no literal holds the value exactly
+            out = self._identities(e)
+            self._exact[id(out)] = (out, v)
+            return out
+        if node == e:
+            return e
+        self.count += 1
+        return node
 
     def _identities(self, e: ir.Expression) -> ir.Expression:
         if isinstance(e, ir.AlgBinaryOp):
@@ -300,6 +309,7 @@ class _Folder:
                 return e.left
         return e
 
+
 def const_env(model: ir.Model) -> dict:
     """Values of all evaluable constants (exact rationals for division)."""
     consts = [e for e in model.elements if isinstance(e, ir.Constant) and not e.dims]
@@ -309,8 +319,7 @@ def const_env(model: ir.Model) -> dict:
         for c in consts:
             if c.name in env:
                 continue
-            folded = _Folder(env).fold(c.value)
-            v = _literal_value(folded, env)
+            v = _Folder(env).ground_value(c.value)
             if v is not _MISSING:
                 env[c.name] = v
                 progress = True
@@ -331,7 +340,7 @@ def fold_constants(model: ir.Model) -> ir.Model:
 
 
 def _value_int(e: ir.Expression, env: dict) -> int | None:
-    return _as_int(_literal_value(_Folder(env).fold(e), env))
+    return _as_int(_Folder(env).ground_value(e))
 
 
 def _as_int(v) -> int | None:
@@ -907,27 +916,76 @@ def alldiff_rewrite(model: ir.Model, mode: str = "disequalities") -> ir.Model:
 def _loop_unroll_counted(model: ir.Model) -> tuple[ir.Model, int]:
     model = sema.resolve(model)
     _ensure_class_free(model, "loopUnroll")
-    env = const_env(model)
-    folder = _Folder(env)
+    folder = _Folder(const_env(model))
+    fold = folder._fold_node
     count = 0
+    # Per template node (kept alive by the model, so ids are stable): the
+    # iterator names its subtree may read, known after its first instance.
+    reads: dict[int, tuple[str, ...]] = {}
+    leaf_reads: dict[int, int] = {}  # per leaf statement: how many names it reads
+    # (template node, values of the names it reads, None if unbound) -> its
+    # instance.  A subtree that reads every name its leaf reads is built
+    # once per leaf instance anyway, so storing it would only cost memory.
+    memo: dict[tuple, ir.Expression] = {}
+    literals: dict[int, ir.IntValue] = {}  # iterator value -> its one node
 
-    def instantiate(iters: dict):
-        """Node function: substitute enclosing iterators' values, then fold."""
+    def instantiate(e: ir.Expression, iters: dict, leaf_n: int) -> ir.Expression:
+        """Substitute the values of the enclosing iterators (``iters``:
+        name -> int) into template e and fold, bottom-up."""
+        if (
+            type(e) is ir.VarOccurrence
+            and not e.indexes
+            and (e.binding is None or e.binding.kind == "iterator")
+        ):
+            reads[id(e)] = (e.name,)
+            v = iters.get(e.name)
+            if v is None:
+                return e
+            node = literals.get(v)
+            if node is None:
+                literals[v] = node = ir.IntValue(v)
+            return node
+        names = reads.get(id(e))
+        key = None
+        if names is not None and len(names) < leaf_n:
+            key = (id(e), tuple(map(iters.get, names)))
+            hit = memo.get(key)
+            if hit is not None:
+                return hit
+        updates = {}
+        fields = ir.CHILD_FIELDS[type(e)]
+        for name, many in fields:
+            v = getattr(e, name)
+            if many:
+                nv = tuple([instantiate(x, iters, leaf_n) for x in v])
+                if any(map(operator.is_not, nv, v)):
+                    updates[name] = nv
+            elif v is not None:
+                nv = instantiate(v, iters, leaf_n)
+                if nv is not v:
+                    updates[name] = nv
+        out = fold(ir.rebuild(e, updates) if updates else e)
+        if key is not None:
+            memo[key] = out
+        elif names is None:
+            below: set[str] = set()
+            for name, many in fields:
+                v = getattr(e, name)
+                for x in v if many else (v,):
+                    if x is not None:
+                        below.update(reads[id(x)])
+            reads[id(e)] = tuple(below)
+        return out
 
-        def node(n: ir.Expression) -> ir.Expression:
-            if (
-                isinstance(n, ir.VarOccurrence)
-                and n.name in iters
-                and not n.indexes
-                and (n.binding is None or n.binding.kind == "iterator")
-            ):
-                return iters[n.name]
-            return folder._fold_node(n)
-
-        return node
+    def instantiate_leaf(exprs, s: ir.Statement, iters: dict) -> list[ir.Expression]:
+        leaf_n = leaf_reads.get(id(s), 0)
+        out = [instantiate(x, iters, leaf_n) for x in exprs]
+        if id(s) not in leaf_reads:
+            leaf_reads[id(s)] = len({name for x in exprs for name in reads[id(x)]})
+        return out
 
     def bound_value(e: ir.Expression, loop: ir.ForAll, iters: dict) -> int:
-        v = _value_int(ir.map_expr(e, instantiate(iters)), env)
+        v = _as_int(folder.value(instantiate(e, iters, 0)))
         if v is None:
             raise NonGroundBoundError(
                 f"loop over '{loop.iter_var}' has a non-ground bound", loop.loc
@@ -944,18 +1002,24 @@ def _loop_unroll_counted(model: ir.Model) -> tuple[ir.Model, int]:
                 lo = bound_value(s.lower, s, iters)
                 hi = bound_value(s.upper, s, iters)
                 for v in range(lo, hi + 1):
-                    out.extend(unroll_stmts(s.body, {**iters, s.iter_var: ir.IntValue(v)}))
+                    out.extend(unroll_stmts(s.body, {**iters, s.iter_var: v}))
             elif isinstance(s, ir.If):
                 count += 1
-                cond = ir.map_expr(s.cond, instantiate(iters))
+                cond = instantiate(s.cond, iters, 0)
                 if not isinstance(cond, ir.BoolValue):
                     raise NonGroundConditionError(
                         "conditional with a non-ground condition cannot be unrolled", s.loc
                     )
                 branch = s.then_body if cond.value else (s.else_body or ())
                 out.extend(unroll_stmts(branch, iters))
+            elif isinstance(s, ir.ExpressionConstraint):
+                (expr,) = instantiate_leaf((s.expr,), s, iters)
+                out.append(ir.ExpressionConstraint(expr, loc=s.loc))
+            elif isinstance(s, ir.GlobalCtr):
+                params = instantiate_leaf(s.params, s, iters)
+                out.append(ir.GlobalCtr(s.ctr_name, tuple(params), loc=s.loc))
             else:
-                out.append(ir._map_statement(s, instantiate(iters)))
+                raise TypeError(f"unknown statement {s!r}")
         return out
 
     elements: list[ir.ModelElement] = []

@@ -1,17 +1,22 @@
 """Test-suite support: an independent cross-product enumerator (the check
-on the oracle itself) and a generator of small valid random models."""
+on the oracle itself), a naive loop unroller (the check on loopUnroll's
+shared instantiation) and a generator of small valid random models."""
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import itertools
 import math
 import random
 from fractions import Fraction
 
 from pivotc import ir
+from pivotc.errors import NonGroundBoundError, NonGroundConditionError
 from pivotc.flat import FlatProgram
 from pivotc.oracle import Assignment, SolutionSet
-from pivotc.parser import KEYWORDS
+from pivotc.parser import KEYWORDS, SourceUnit, parse
+from pivotc.passes import fold_constants
 
 # --------------------------------------------------------------------------
 # Naive full cross-product filter, written independently of the oracle's
@@ -112,6 +117,78 @@ def naive_enumerate(program: FlatProgram) -> SolutionSet:
 
     solutions.sort(key=key)
     return SolutionSet(tuple(solutions), True)
+
+
+# --------------------------------------------------------------------------
+# Naive loop unrolling, written independently of loopUnroll: every instance
+# of a statement is a fresh deep copy, nothing is memoized or shared.
+
+
+def naive_unroll(model: ir.Model) -> ir.Model:
+    """Unroll the loops and conditionals of a resolved, class-free model.
+
+    Bounds and conditions are evaluated with eval_expr over the iterators
+    and the constants; each leaf statement is deep-copied per iterator
+    assignment, its iterators replaced by their values, and folded by
+    foldConstants (declarations keep their unfolded form, as loopUnroll
+    leaves them)."""
+    consts: dict = {}
+    for e in model.elements:
+        if isinstance(e, ir.Constant) and not e.dims:
+            try:
+                consts[e.name] = eval_expr(e.value, consts)
+            except KeyError:
+                pass
+
+    def substitute(e: ir.Expression, iters: dict) -> ir.Expression:
+        def node(n):
+            b = n.binding if isinstance(n, ir.VarOccurrence) else None
+            if b is not None and b.kind == "iterator" and not n.indexes:
+                return ir.IntValue(iters[n.name])
+            return n
+
+        return ir.map_expr(copy.deepcopy(e), node)
+
+    def ground(e: ir.Expression, iters: dict, error, what: str, loc):
+        try:
+            return eval_expr(substitute(e, iters), consts)
+        except KeyError:
+            raise error(what, loc) from None
+
+    def unroll(stmts, iters: dict) -> list[ir.Statement]:
+        out: list[ir.Statement] = []
+        for s in stmts:
+            if isinstance(s, ir.ForAll):
+                what = f"loop over '{s.iter_var}' has a non-ground bound"
+                lo = ground(s.lower, iters, NonGroundBoundError, what, s.loc)
+                hi = ground(s.upper, iters, NonGroundBoundError, what, s.loc)
+                for v in range(lo, hi + 1):
+                    out += unroll(s.body, {**iters, s.iter_var: v})
+            elif isinstance(s, ir.If):
+                what = "conditional with a non-ground condition cannot be unrolled"
+                cond = ground(s.cond, iters, NonGroundConditionError, what, s.loc)
+                out += unroll(s.then_body if cond else (s.else_body or ()), iters)
+            elif isinstance(s, ir.ExpressionConstraint):
+                out.append(ir.ExpressionConstraint(substitute(s.expr, iters), loc=s.loc))
+            else:
+                params = tuple(substitute(p, iters) for p in s.params)
+                out.append(ir.GlobalCtr(s.ctr_name, params, loc=s.loc))
+        return out
+
+    elements: list[ir.ModelElement] = []
+    for e in model.elements:
+        if isinstance(e, ir.ConstraintZone):
+            elements.append(ir.ConstraintZone(e.name, tuple(unroll(e.body, {})), loc=e.loc))
+        elif isinstance(e, ir.Statement):
+            elements += unroll([e], {})
+        else:
+            elements.append(e)
+    unrolled = dataclasses.replace(model, elements=tuple(elements))
+    folded = fold_constants(unrolled).elements
+    return dataclasses.replace(model, elements=tuple(
+        f if isinstance(f, (ir.ConstraintZone, ir.Statement)) else e
+        for e, f in zip(unrolled.elements, folded)
+    ))
 
 
 # --------------------------------------------------------------------------
@@ -276,3 +353,55 @@ def gen_model(rng: random.Random) -> ir.Model:
         elements.append(ir.Class(main_name, tuple(main_features), is_main=True))
 
     return ir.Model(model_name, tuple(elements))
+
+
+def gen_loop_model(rng: random.Random) -> ir.Model:
+    """A random model of nested foralls: bounds that read outer iterators,
+    inner loops that shadow outer names, ifs on iterators, and leaves that
+    mix iterators, constants, array cells and divisions (some by zero).
+    These are the shapes where loopUnroll shares instances."""
+
+    def index(scope):
+        a = rng.choice(scope)
+        return rng.choice([a, f"{a} + {rng.choice(scope)}", f"c + {a}"])
+
+    def term(scope, depth):
+        r = rng.random()
+        if depth <= 0 or r < 0.3:
+            return rng.choice([rng.choice(scope), str(rng.randint(0, 4)), "c", f"x[{index(scope)}]"])
+        if r < 0.45:
+            return f"x[{index(scope)}]"
+        if r < 0.55:
+            return f"({term(scope, depth - 1)} / ({rng.choice(scope)} - {rng.randint(1, 3)}))"
+        op = rng.choice(["+", "-", "*"])
+        return f"({term(scope, depth - 1)} {op} {term(scope, depth - 1)})"
+
+    def stmts(scope, depth, pad):
+        out = []
+        for _ in range(rng.randint(1, 2)):
+            r = rng.random()
+            if depth > 0 and r < 0.5:
+                name = rng.choice("ijk")
+                lo = rng.choice(["1", "2"] + [f"{s} + 1" for s in scope])
+                hi = rng.choice(["2", "3"] + [f"{s} + 1" for s in scope])
+                body = stmts(scope + [name], depth - 1, pad + "  ")
+                out.append(f"{pad}forall({name} in {lo}..{hi}) {{\n{body}{pad}}}\n")
+            elif depth > 0 and scope and r < 0.65:
+                cond = f"{rng.choice(scope)} {rng.choice(['=', '<', '>='])} {rng.randint(1, 3)}"
+                then = stmts(scope, depth - 1, pad + "  ")
+                other = stmts(scope, depth - 1, pad + "  ")
+                out.append(f"{pad}if ({cond}) {{\n{then}{pad}}} else {{\n{other}{pad}}}\n")
+            elif scope and r < 0.67:
+                out.append(f"{pad}alldifferent(x[{index(scope)}], x[{index(scope)}]);\n")
+            elif scope:
+                op = rng.choice(["<=", ">=", "!=", "="])
+                out.append(f"{pad}{term(scope, 2)} {op} {term(scope, 2)};\n")
+            else:
+                out.append(f"{pad}x[{rng.randint(1, 12)}] >= {rng.randint(0, 4)};\n")
+        return "".join(out)
+
+    text = (
+        f"model L;\nint c := {rng.randint(1, 3)};\nint x[12] in 0..9;\n"
+        f"constraint z {{\n{stmts([], 3, '  ')}}}\n"
+    )
+    return parse(SourceUnit(text))

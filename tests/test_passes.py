@@ -1,6 +1,9 @@
 import dataclasses
+import hashlib
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pivotc import ir
 from pivotc.errors import (
@@ -16,6 +19,7 @@ from pivotc.errors import (
     PreconditionError,
 )
 from pivotc.cli import main
+from pivotc.flat import emit_flat, lower_to_flat
 from pivotc.parser import SourceUnit, parse
 from pivotc.passes import (
     PassConfig,
@@ -30,9 +34,11 @@ from pivotc.passes import (
     run_pipeline,
 )
 from pivotc.printer import print_expression, print_pivot
-from pivotc.sema import resolve, validate
+from pivotc.sema import mark_resolved, resolve, validate
 
 from conftest import ALL_FIXTURES, parse_fixture
+from helpers import gen_loop_model, gen_model, naive_unroll
+from test_acceptance import _within
 
 
 def _zone(model, name):
@@ -416,6 +422,120 @@ def test_unroll_golfers_statement_blowup(golfers):
     )
     assert count(flat) == 78  # 3*4 + 4*C(3,2) + C(4,2)*9, counted by hand
     assert count(flat) > count(structured)
+
+
+# Instances share subtrees: each template subtree that reads fewer iterators
+# than its statement is built once per distinct value of those it reads.
+
+def test_unroll_triangular_loop_outer_only_subtree():
+    m = parse(SourceUnit(
+        "model T;\nint x[3] in 0..1;\nint y[3] in 0..1;\n"
+        "constraint k { forall(i in 1..3) forall(j in i+1..3) { x[i] + y[j] >= 1; } }"
+    ))
+    assert print_pivot(loop_unroll(m)) == (
+        "model T;\nint x[3] in 0..1;\nint y[3] in 0..1;\nconstraint k {\n"
+        "  x[1] + y[2] >= 1;\n  x[1] + y[3] >= 1;\n  x[2] + y[3] >= 1;\n}\n"
+    )
+
+
+def test_unroll_shared_subtree_under_shadowing_iterator():
+    # one template node x[i] sits in a statement of the outer i loop and in
+    # one of an inner loop that shadows i: each instance reads its own i
+    m = resolve(parse(SourceUnit(
+        "model S;\nint x[4] in 0..9;\nint y[2] in 0..9;\n"
+        "constraint k { forall(i in 1..2) forall(j in 1..2) {"
+        " x[i] + y[j] >= 1; forall(i in 3..4) { x[i] + y[j] >= 2; } } }"
+    )))
+    zone = _zone(m, "k")
+    (j_loop,) = zone.body[0].body
+    outer_stmt, inner_loop = j_loop.body
+    (inner_stmt,) = inner_loop.body
+    shared = outer_stmt.expr.left.left
+    inner_expr = inner_stmt.expr
+    grafted = dataclasses.replace(
+        inner_expr, left=dataclasses.replace(inner_expr.left, left=shared)
+    )
+    inner_loop = dataclasses.replace(
+        inner_loop, body=(dataclasses.replace(inner_stmt, expr=grafted),)
+    )
+    j_loop = dataclasses.replace(j_loop, body=(outer_stmt, inner_loop))
+    zone = dataclasses.replace(zone, body=(dataclasses.replace(zone.body[0], body=(j_loop,)),))
+    m = mark_resolved(dataclasses.replace(
+        m, elements=tuple(zone if e.name == "k" else e for e in m.elements)
+    ))
+    texts = [print_expression(s.expr) for s in _zone(loop_unroll(m), "k").body]
+    expected = []
+    for i in (1, 2):
+        for j in (1, 2):
+            expected += [f"x[{i}] + y[{j}] >= 1", f"x[3] + y[{j}] >= 2", f"x[4] + y[{j}] >= 2"]
+    assert texts == expected
+
+
+def test_unroll_division_by_zero_in_one_iteration_only():
+    # 6 / (2 - i) reads only i, so it is stored for i = 0 and 1 and
+    # shared across j; i = 2 must still fail where it divides
+    m = parse(SourceUnit(
+        "model D;\nint x[2] in 0..5;\n"
+        "constraint k { forall(i in 0..2) forall(j in 1..2) { x[j] * (6 / (2 - i)) >= 0; } }"
+    ))
+    with pytest.raises(DivisionByZeroError) as info:
+        loop_unroll(m)
+    assert str(info.value) == "<model>:3:64: division by zero"
+
+
+def test_unroll_constant_subtree_folds_in_every_instance():
+    # (1/3 + 1/3) * 3 reads no iterator: folded once through a non-integral
+    # rational, then shared by every instance
+    m = parse(SourceUnit(
+        "model C;\nint c := 4;\nint x[3] in 0..9;\n"
+        "constraint k { forall(i in 1..3) forall(j in 1..2) {"
+        " x[i] * ((1/3 + 1/3) * 3) + (c - 1) * j >= c * 2 - i; } }"
+    ))
+    texts = [print_expression(s.expr) for s in _zone(loop_unroll(m), "k").body]
+    assert texts == [
+        "x[1] * 2 + 3 >= 7", "x[1] * 2 + 6 >= 7",
+        "x[2] * 2 + 3 >= 6", "x[2] * 2 + 6 >= 6",
+        "x[3] * 2 + 3 >= 5", "x[3] * 2 + 6 >= 5",
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32), st.sampled_from([gen_model, gen_loop_model]))
+def test_unroll_matches_naive_unroller(seed, gen):
+    m = enum_remove(object_flatten(gen(random.Random(seed))))
+
+    def run(unroll):
+        try:
+            unrolled = unroll(m)
+        except CompileError as exc:
+            return type(exc).__name__, str(exc)
+        try:
+            flat = emit_flat(lower_to_flat(unrolled))
+        except CompileError as exc:
+            flat = f"{type(exc).__name__}: {exc}"
+        return print_pivot(unrolled), flat
+
+    assert run(loop_unroll) == run(naive_unroll)
+
+
+def test_fold_long_sum_is_linear(tmp_path):
+    # each fold reads its children's values; re-evaluating every subtree
+    # made a left-deep n-term sum cost O(n^2) (about 40 s at 9,500 terms)
+    n = 9500
+    model = tmp_path / "s.som"
+    model.write_text(
+        f"model S;\nint x[{n}] in 0..1;\nconstraint c {{\n  "
+        + " + ".join(f"x[{k}]" for k in range(1, n + 1))
+        + " <= 3;\n}\n"
+    )
+    out = tmp_path / "s.ecl"
+    done = _within(10.0)
+    assert main(["compile", "-m", str(model), "--target", "clp", "-o", str(out)]) == 0
+    done()
+    # the output of the quadratic folder, byte for byte
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "b80a9932f5b748add5a4888c86ebd2002b5e390f7f3026f4f6bffcb1f6d92180"
+    )
 
 
 # --------------------------------------------------------------------------
