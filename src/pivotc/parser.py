@@ -19,13 +19,20 @@ Grammar sketch (see README for the full table):
 Operator precedence, loosest to tightest: iff, implies, or, and, not,
 comparisons, union/diff, intersect, additive, multiplicative, ^ (right
 associative), unary -/+ (an exponent may be signed, so ``-x^2`` reads as
-``-(x^2)``), then indexing / navigation / calls.
+``-(x^2)``), then indexing / navigation / calls.  The binary operators
+from iff to multiplicative share one precedence-climbing loop over
+``BINARY_OPS``; every one of those levels is left-associative.  Only
+operands recurse (brackets, prefixes, '^', calls), so parentheses and
+prefixes up to the nesting cap stay within Python's default recursion
+limit.
 """
 
 from __future__ import annotations
 
+import re
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import ir
 from .errors import Diagnostic, Loc, ParseError
@@ -39,6 +46,26 @@ KEYWORDS = frozenset(
 
 _OPERATORS = (":=", "..", "<=", ">=", "!=", "=", "<", ">", "+", "-", "*", "/",
               "^", "(", ")", "{", "}", "[", "]", ";", ",", ".")
+
+# Binding power and node type of each binary operator, loosest first.
+# 'not' (NOT_BP) binds between 'and' and the comparisons; '^' (POWER_BP)
+# and the unary signs bind tighter than every entry and are parsed apart.
+BINARY_OPS = {
+    "iff": (1, ir.BoolBinaryOp),
+    "implies": (2, ir.BoolBinaryOp),
+    "or": (3, ir.BoolBinaryOp),
+    "and": (4, ir.BoolBinaryOp),
+    **{op: (6, ir.BoolBinaryOp) for op in ir.COMPARISON_OPS},
+    "union": (7, ir.SetBinaryOp),
+    "diff": (7, ir.SetBinaryOp),
+    "intersect": (8, ir.SetBinaryOp),
+    "+": (9, ir.AlgBinaryOp),
+    "-": (9, ir.AlgBinaryOp),
+    "*": (10, ir.AlgBinaryOp),
+    "/": (10, ir.AlgBinaryOp),
+}
+NOT_BP = 5
+POWER_BP = 11
 
 MAX_DIAGNOSTICS = 20
 MAX_NESTING = 64
@@ -54,20 +81,11 @@ class SourceUnit:
     data_file: str = "<data>"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # ID | INT | REAL | KW | OP | EOF
     text: str
     line: int
     col: int
-
-
-def _is_ident_start(c: str) -> bool:
-    return "a" <= c <= "z" or "A" <= c <= "Z" or c == "_"
-
-
-def _is_ident_char(c: str) -> bool:
-    return _is_ident_start(c) or "0" <= c <= "9"
 
 
 class _Abort(Exception):
@@ -81,119 +99,98 @@ class _SyntaxIssue(Exception):
         super().__init__(message)
 
 
+# One match per token, after any blanks.  A real needs a digit after its
+# '.' or its exponent sign ("1.e5" is 1 . e5, "2e+" is 2 e +); operators
+# are tried longest first; any other non-blank character is BAD.
+_TOKEN_RE = re.compile(
+    r"[ \t\r]*(?:(?P<NL>\n)|(?P<COMMENT>//[^\n]*)"
+    r"|(?P<ID>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<REAL>[0-9]+(?:\.[0-9]+(?:[eE][+-]?[0-9]+)?|[eE][+-]?[0-9]+))"
+    r"|(?P<INT>[0-9]+)"
+    r"|(?P<OP>" + "|".join(re.escape(op) for op in _OPERATORS) + r")"
+    r"|(?P<BAD>[^ \t\r\n]))"
+)
+
+
 def _lex(text: str, file: str, diags: list[Diagnostic]) -> list[Token]:
     tokens: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
+    append = tokens.append
+    new_token = tuple.__new__  # Token(...) without the extra constructor call
+    line, line_start = 1, 0
+    kind = None
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        start = m.start(kind)
+        if kind == "NL":
             line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "/" and i + 1 < n and text[i + 1] == "/":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if _is_ident_start(c):
-            j = i
-            while j < n and _is_ident_char(text[j]):
-                j += 1
-            word = text[i:j]
-            kind = "KW" if word in KEYWORDS else "ID"
-            tokens.append(Token(kind, word, line, start_col))
-            col += j - i
-            i = j
-            continue
-        if "0" <= c <= "9":
-            j = i
-            while j < n and "0" <= text[j] <= "9":
-                j += 1
-            is_real = False
-            if j < n and text[j] == "." and j + 1 < n and "0" <= text[j + 1] <= "9":
-                is_real = True
-                j += 1
-                while j < n and "0" <= text[j] <= "9":
-                    j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and "0" <= text[k] <= "9":
-                    is_real = True
-                    j = k
-                    while j < n and "0" <= text[j] <= "9":
-                        j += 1
-            tokens.append(Token("REAL" if is_real else "INT", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        for op in _OPERATORS:
-            if text.startswith(op, i):
-                tokens.append(Token("OP", op, line, start_col))
-                i += len(op)
-                col += len(op)
-                break
-        else:
+            line_start = start + 1
+        elif kind == "COMMENT":
+            comment_col = start - line_start + 1
+        elif kind == "BAD":
             if len(diags) < MAX_DIAGNOSTICS:
-                diags.append(
-                    Diagnostic("error", f"unexpected character {c!r}", line, start_col, file)
-                )
+                diags.append(Diagnostic(
+                    "error", f"unexpected character {text[start]!r}",
+                    line, start - line_start + 1, file,
+                ))
             if len(diags) >= MAX_DIAGNOSTICS:
                 raise _Abort()
-            i += 1
-            col += 1
-    tokens.append(Token("EOF", "", line, col))
+        else:
+            word = m.group(kind)
+            if kind == "ID" and word in KEYWORDS:
+                kind = "KW"
+            append(new_token(Token, (kind, word, line, start - line_start + 1)))
+    # a comment running to the end of the text leaves the column where it starts
+    col = comment_col if kind == "COMMENT" else len(text) - line_start + 1
+    append(Token("EOF", "", line, col))
     return tokens
 
 
 class _Parser:
+    """Recursive descent over declarations and statements, precedence
+    climbing over binary operators.  An operator or keyword token is known
+    by its text alone: no identifier spells a keyword, and numbers and EOF
+    spell no operator."""
+
     def __init__(self, tokens: list[Token], file: str, diags: list[Diagnostic]):
         self.tokens = tokens
         self.file = file
         self.pos = 0
+        self.tok = tokens[0]  # the current token, tokens[pos]
         self.diags = diags
         self.depth = 0
 
     # ---- token plumbing ----
-    @property
-    def cur(self) -> Token:
-        return self.tokens[self.pos]
-
     def peek(self, off: int = 1) -> Token:
         return self.tokens[min(self.pos + off, len(self.tokens) - 1)]
 
-    def at(self, kind: str, text: str | None = None) -> bool:
-        t = self.cur
-        return t.kind == kind and (text is None or t.text == text)
-
     def advance(self) -> Token:
-        t = self.cur
+        t = self.tok
         if t.kind != "EOF":
             self.pos += 1
+            self.tok = self.tokens[self.pos]
         return t
 
-    def accept(self, kind: str, text: str | None = None) -> Token | None:
-        if self.at(kind, text):
+    def accept(self, text: str) -> Token | None:
+        if self.tok.text == text:
             return self.advance()
         return None
 
-    def expect(self, kind: str, text: str | None = None) -> Token:
-        if self.at(kind, text):
+    def expect(self, text: str) -> Token:
+        if self.tok.text == text:
             return self.advance()
-        want = text or kind.lower()
-        got = self.cur.text or "end of input"
-        raise _SyntaxIssue(f"expected '{want}', found '{got}'", self.cur)
+        raise self._expected(text)
 
-    def loc(self, tok: Token | None = None) -> Loc:
-        t = tok or self.cur
-        return Loc(t.line, t.col, self.file)
+    def expect_id(self) -> Token:
+        if self.tok.kind == "ID":
+            return self.advance()
+        raise self._expected("id")
+
+    def _expected(self, want: str) -> _SyntaxIssue:
+        got = self.tok.text or "end of input"
+        return _SyntaxIssue(f"expected '{want}', found '{got}'", self.tok)
+
+    def loc(self, tok: Token) -> Loc:
+        return Loc(tok.line, tok.col, self.file)
 
     def error(self, issue: _SyntaxIssue):
         if len(self.diags) < MAX_DIAGNOSTICS:
@@ -205,25 +202,24 @@ class _Parser:
 
     def sync_decl(self):
         """Skip to a plausible declaration boundary after an error."""
-        while not self.at("EOF"):
+        while self.tok.kind != "EOF":
             t = self.advance()
-            if t.kind == "OP" and t.text in (";", "}"):
+            if t.text in (";", "}"):
                 return
-            if self.cur.kind == "KW" and self.cur.text in ("class", "enum", "constraint", "main"):
+            if self.tok.text in ("class", "enum", "constraint", "main"):
                 return
 
     def sync_stmt(self):
-        while not self.at("EOF"):
-            if self.at("OP", "}"):
+        while self.tok.kind != "EOF":
+            if self.tok.text == "}":
                 return
-            t = self.advance()
-            if t.kind == "OP" and t.text == ";":
+            if self.advance().text == ";":
                 return
 
     # ---- declarations ----
     def parse_unit(self) -> list[ir.ModelElement]:
         elements: list[ir.ModelElement] = []
-        while not self.at("EOF"):
+        while self.tok.kind != "EOF":
             try:
                 elements.extend(self.parse_top_decl())
             except _SyntaxIssue as issue:
@@ -232,101 +228,102 @@ class _Parser:
         return elements
 
     def parse_top_decl(self) -> list[ir.ModelElement]:
-        if self.at("KW", "enum"):
+        t = self.tok
+        if t.text == "enum":
             return [self.parse_enum()]
-        if self.at("KW", "main") or self.at("KW", "class"):
+        if t.text in ("main", "class"):
             return [self.parse_class()]
-        if self.at("KW", "constraint"):
+        if t.text == "constraint":
             return [self.parse_zone()]
-        if self.cur.kind == "ID" or (self.cur.kind == "KW" and self.cur.text in ("int", "real", "bool")):
+        if t.kind == "ID" or t.text in ("int", "real", "bool"):
             return [self.parse_typed_decl()]
-        raise _SyntaxIssue(f"expected a declaration, found '{self.cur.text}'", self.cur)
+        raise _SyntaxIssue(f"expected a declaration, found '{t.text}'", t)
 
     def parse_enum(self) -> ir.Enumeration:
-        start = self.expect("KW", "enum")
-        name = self.expect("ID").text
-        self.expect("OP", ":=")
-        self.expect("OP", "{")
-        literals = [self.expect("ID").text]
-        while self.accept("OP", ","):
-            literals.append(self.expect("ID").text)
-        self.expect("OP", "}")
-        self.expect("OP", ";")
+        start = self.expect("enum")
+        name = self.expect_id().text
+        self.expect(":=")
+        self.expect("{")
+        literals = [self.expect_id().text]
+        while self.accept(","):
+            literals.append(self.expect_id().text)
+        self.expect("}")
+        self.expect(";")
         return ir.Enumeration(name, tuple(literals), loc=self.loc(start))
 
     def parse_class(self) -> ir.Class:
-        is_main = self.accept("KW", "main") is not None
-        start = self.expect("KW", "class")
-        name = self.expect("ID").text
-        self.expect("OP", "{")
+        is_main = self.accept("main") is not None
+        start = self.expect("class")
+        name = self.expect_id().text
+        self.expect("{")
         features: list[ir.ModelFeature] = []
-        while not self.at("OP", "}") and not self.at("EOF"):
+        while self.tok.text != "}" and self.tok.kind != "EOF":
             try:
-                if self.at("KW", "constraint"):
+                if self.tok.text == "constraint":
                     features.append(self.parse_zone())
                 else:
                     features.append(self.parse_typed_decl())
             except _SyntaxIssue as issue:
                 self.error(issue)
                 self.sync_stmt()
-        self.expect("OP", "}")
+        self.expect("}")
         return ir.Class(name, tuple(features), is_main, loc=self.loc(start))
 
     def parse_typed_decl(self) -> ir.ModelFeature:
-        start = self.cur
-        if self.cur.kind == "KW" and self.cur.text in ("int", "real", "bool"):
+        start = self.tok
+        if start.text in ("int", "real", "bool"):
             type_name = self.advance().text
         else:
-            type_name = self.expect("ID").text
-        is_set = self.accept("KW", "set") is not None
-        name = self.expect("ID").text
-        if self.at("OP", ":="):
+            type_name = self.expect_id().text
+        is_set = self.accept("set") is not None
+        name = self.expect_id().text
+        if self.tok.text == ":=":
             if is_set:
-                raise _SyntaxIssue("constants cannot be sets", self.cur)
+                raise _SyntaxIssue("constants cannot be sets", self.tok)
             if type_name not in ("int", "real", "bool"):
                 raise _SyntaxIssue("constants must be int, real or bool", start)
             self.advance()
             value = self.parse_expression()
-            self.expect("OP", ";")
+            self.expect(";")
             return ir.Constant(name, type_name, value, loc=self.loc(start))
         dims: list[ir.Expression] = []
-        if self.accept("OP", "["):
+        if self.accept("["):
             dims.append(self.parse_expression())
-            while self.accept("OP", ","):
+            while self.accept(","):
                 dims.append(self.parse_expression())
-            self.expect("OP", "]")
+            self.expect("]")
         domain = None
-        if self.accept("KW", "in"):
+        if self.accept("in"):
             domain = self.parse_domain()
-        self.expect("OP", ";")
+        self.expect(";")
         return ir.Variable(name, type_name, is_set, tuple(dims), domain, loc=self.loc(start))
 
     def parse_domain(self) -> ir.Domain:
-        start = self.cur
-        if self.accept("OP", "{"):
+        start = self.tok
+        if self.accept("{"):
             members = [self.parse_expression()]
-            while self.accept("OP", ","):
+            while self.accept(","):
                 members.append(self.parse_expression())
-            self.expect("OP", "}")
+            self.expect("}")
             return ir.SetDomain(tuple(members), loc=self.loc(start))
         lo = self.parse_expression()
-        if self.accept("OP", ".."):
+        if self.accept(".."):
             hi = self.parse_expression()
             return ir.IntervalDomain(lo, hi, loc=self.loc(start))
         return ir.ExprDomain(lo, loc=self.loc(start))
 
     def parse_zone(self) -> ir.ConstraintZone:
-        start = self.expect("KW", "constraint")
-        name = self.expect("ID").text
-        self.expect("OP", "{")
+        start = self.expect("constraint")
+        name = self.expect_id().text
+        self.expect("{")
         body = self.parse_stmt_list()
-        self.expect("OP", "}")
+        self.expect("}")
         return ir.ConstraintZone(name, tuple(body), loc=self.loc(start))
 
     # ---- statements ----
     def parse_stmt_list(self) -> list[ir.Statement]:
         body: list[ir.Statement] = []
-        while not self.at("OP", "}") and not self.at("EOF"):
+        while self.tok.text != "}" and self.tok.kind != "EOF":
             try:
                 body.append(self.parse_stmt())
             except _SyntaxIssue as issue:
@@ -335,38 +332,37 @@ class _Parser:
         return body
 
     def parse_stmt(self) -> ir.Statement:
+        start = self.tok
         if self.depth >= MAX_NESTING:
-            raise _SyntaxIssue("statements nested too deeply", self.cur)
-        if self.at("KW", "forall"):
+            raise _SyntaxIssue("statements nested too deeply", start)
+        if start.text == "forall":
             return self.parse_forall()
-        if self.at("KW", "if"):
+        if start.text == "if":
             return self.parse_if()
         if (
-            self.cur.kind == "ID"
-            and self.cur.text in GLOBAL_CONSTRAINT_NAMES
-            and self.peek().kind == "OP"
+            start.kind == "ID"
+            and start.text in GLOBAL_CONSTRAINT_NAMES
             and self.peek().text == "("
         ):
             return self.parse_global()
-        start = self.cur
         expr = self.parse_expression()
-        self.expect("OP", ";")
+        self.expect(";")
         return ir.ExpressionConstraint(expr, loc=self.loc(start))
 
     def parse_forall(self) -> ir.ForAll:
-        start = self.expect("KW", "forall")
-        self.expect("OP", "(")
-        iter_var = self.expect("ID").text
-        self.expect("KW", "in")
+        start = self.expect("forall")
+        self.expect("(")
+        iter_var = self.expect_id().text
+        self.expect("in")
         lower = self.parse_expression()
-        self.expect("OP", "..")
+        self.expect("..")
         upper = self.parse_expression()
-        self.expect("OP", ")")
+        self.expect(")")
         self.depth += 1
         try:
-            if self.accept("OP", "{"):
+            if self.accept("{"):
                 body = self.parse_stmt_list()
-                self.expect("OP", "}")
+                self.expect("}")
             else:
                 body = [self.parse_stmt()]
         finally:
@@ -374,169 +370,163 @@ class _Parser:
         return ir.ForAll(iter_var, lower, upper, tuple(body), loc=self.loc(start))
 
     def parse_if(self) -> ir.If:
-        start = self.expect("KW", "if")
-        self.expect("OP", "(")
+        start = self.expect("if")
+        self.expect("(")
         cond = self.parse_expression()
-        self.expect("OP", ")")
+        self.expect(")")
         self.depth += 1
         try:
-            self.expect("OP", "{")
+            self.expect("{")
             then_body = self.parse_stmt_list()
-            self.expect("OP", "}")
+            self.expect("}")
             else_body = None
-            if self.accept("KW", "else"):
-                self.expect("OP", "{")
+            if self.accept("else"):
+                self.expect("{")
                 else_body = tuple(self.parse_stmt_list())
-                self.expect("OP", "}")
+                self.expect("}")
         finally:
             self.depth -= 1
         return ir.If(cond, tuple(then_body), else_body, loc=self.loc(start))
 
     def parse_global(self) -> ir.GlobalCtr:
-        start = self.expect("ID")
-        self.expect("OP", "(")
+        start = self.expect_id()
+        self.expect("(")
         params = [self.parse_expression()]
-        while self.accept("OP", ","):
+        while self.accept(","):
             params.append(self.parse_expression())
-        self.expect("OP", ")")
-        self.expect("OP", ";")
+        self.expect(")")
+        self.expect(";")
         return ir.GlobalCtr(start.text, tuple(params), loc=self.loc(start))
 
     # ---- expressions ----
-    def parse_expression(self) -> ir.Expression:
-        return self.parse_iff()
-
-    def _binary_loop(self, sub, ops: dict, node_type):
-        left = sub()
+    def parse_expression(self, min_bp: int = 1) -> ir.Expression:
+        """Parse the operators of BINARY_OPS that bind at least min_bp, by
+        precedence climbing with an explicit stack: before an operator is
+        pushed, the pending ones that bind at least as tightly take their
+        right operands, so every level is left-associative.  The loop adds
+        no call per operator; only operands recurse."""
+        operands = [self.parse_operand(min_bp)]
+        pending: list[tuple[int, type, Token]] = []
         while True:
-            tok = self.cur
-            key = tok.text
-            if (tok.kind in ("KW", "OP")) and key in ops:
-                self.advance()
-                right = sub()
-                left = node_type(ops[key], left, right, loc=self.loc(tok))
-            else:
-                return left
+            tok = self.tok
+            op = BINARY_OPS.get(tok.text)
+            bp = op[0] if op is not None and op[0] >= min_bp else 0  # 0: the end
+            while pending and pending[-1][0] >= bp:
+                _bp, node_type, op_tok = pending.pop()
+                right = operands.pop()
+                operands[-1] = node_type(op_tok.text, operands[-1], right, loc=self.loc(op_tok))
+            if not bp:
+                return operands[0]
+            self.advance()
+            pending.append((bp, op[1], tok))
+            # a right operand binds tighter than its operator
+            operands.append(self.parse_operand(bp + 1))
 
-    def parse_iff(self):
-        return self._binary_loop(self.parse_implies, {"iff": "iff"}, ir.BoolBinaryOp)
-
-    def parse_implies(self):
-        return self._binary_loop(self.parse_or, {"implies": "implies"}, ir.BoolBinaryOp)
-
-    def parse_or(self):
-        return self._binary_loop(self.parse_and, {"or": "or"}, ir.BoolBinaryOp)
-
-    def parse_and(self):
-        return self._binary_loop(self.parse_not, {"and": "and"}, ir.BoolBinaryOp)
-
-    def parse_not(self):
-        if self.at("KW", "not"):
-            tok = self.advance()
-            if self.depth >= MAX_NESTING:
-                raise _SyntaxIssue("expression nested too deeply", tok)
-            self.depth += 1
-            try:
-                operand = self.parse_not()
-            finally:
-                self.depth -= 1
-            return ir.BoolUnaryOp("not", operand, loc=self.loc(tok))
-        return self.parse_comparison()
-
-    def parse_comparison(self):
-        ops = {"=": "=", "!=": "!=", "<=": "<=", ">=": ">=", "<": "<", ">": ">"}
-        return self._binary_loop(self.parse_set_union, ops, ir.BoolBinaryOp)
-
-    def parse_set_union(self):
-        return self._binary_loop(
-            self.parse_set_intersect, {"union": "union", "diff": "diff"}, ir.SetBinaryOp
-        )
-
-    def parse_set_intersect(self):
-        return self._binary_loop(
-            self.parse_additive, {"intersect": "intersect"}, ir.SetBinaryOp
-        )
-
-    def parse_additive(self):
-        return self._binary_loop(self.parse_multiplicative, {"+": "+", "-": "-"}, ir.AlgBinaryOp)
-
-    def parse_multiplicative(self):
-        return self._binary_loop(self.parse_unary, {"*": "*", "/": "/"}, ir.AlgBinaryOp)
+    def parse_operand(self, min_bp: int) -> ir.Expression:
+        """'not' (where operators binding at least min_bp may follow, and
+        NOT_BP is among them) or a signed operand."""
+        tok = self.tok
+        if tok.text != "not" or min_bp > NOT_BP:
+            return self.parse_unary()
+        self.advance()
+        if self.depth >= MAX_NESTING:
+            raise _SyntaxIssue("expression nested too deeply", tok)
+        self.depth += 1
+        try:
+            operand = self.parse_expression(NOT_BP)
+        finally:
+            self.depth -= 1
+        return ir.BoolUnaryOp("not", operand, loc=self.loc(tok))
 
     def parse_unary(self):
-        if self.at("OP", "-") or self.at("OP", "+"):
-            tok = self.advance()
-            negative = tok.text == "-"
-            # a sign directly on a numeric literal folds into the literal,
-            # unless '^' follows (the sign binds below the power: -2^2 = -(2^2))
-            followed_by_power = self.peek().kind == "OP" and self.peek().text == "^"
-            if self.cur.kind == "INT" and not followed_by_power:
-                lit = self.advance()
+        tok = self.tok
+        if tok.text != "-" and tok.text != "+":
+            return self.parse_power()
+        self.advance()
+        negative = tok.text == "-"
+        # a sign directly on a numeric literal folds into the literal,
+        # unless '^' follows (the sign binds below the power: -2^2 = -(2^2))
+        lit = self.tok
+        if (lit.kind == "INT" or lit.kind == "REAL") and self.peek().text != "^":
+            self.advance()
+            if lit.kind == "INT":
                 v = int(lit.text)
                 return ir.IntValue(-v if negative else v, loc=self.loc(tok))
-            if self.cur.kind == "REAL" and not followed_by_power:
-                lit = self.advance()
-                v = float(lit.text)
-                return ir.RealValue(-v if negative else v, loc=self.loc(tok))
-            if self.depth >= MAX_NESTING:
-                raise _SyntaxIssue("expression nested too deeply", tok)
-            self.depth += 1
-            try:
-                operand = self.parse_unary()
-            finally:
-                self.depth -= 1
-            return ir.AlgUnaryOp("neg" if negative else "plus", operand, loc=self.loc(tok))
-        return self.parse_power()
+            v = float(lit.text)
+            return ir.RealValue(-v if negative else v, loc=self.loc(tok))
+        if self.depth >= MAX_NESTING:
+            raise _SyntaxIssue("expression nested too deeply", tok)
+        self.depth += 1
+        try:
+            operand = self.parse_unary()
+        finally:
+            self.depth -= 1
+        return ir.AlgUnaryOp("neg" if negative else "plus", operand, loc=self.loc(tok))
 
     def parse_power(self):
-        left = self.parse_postfix()
-        if self.at("OP", "^"):
-            tok = self.advance()
+        left = self.parse_primary()
+        tok = self.tok
+        if tok.text == "[" or tok.text == ".":
+            left = self.parse_suffixes(left, tok)
+            tok = self.tok
+        if tok.text == "^":
+            self.advance()
             right = self.parse_unary()  # right-assoc; exponent may be signed
             return ir.AlgBinaryOp("^", left, right, loc=self.loc(tok))
         return left
 
-    def parse_postfix(self):
-        node = self.parse_primary()
-        if isinstance(node, ir.VarOccurrence):
-            if self.at("OP", "["):
-                node = ir.VarOccurrence(node.name, tuple(self.parse_indexes()), loc=node.loc)
-            if self.at("OP", "."):
-                steps = [node]
-                while self.accept("OP", "."):
-                    name_tok = self.expect("ID")
-                    indexes: tuple[ir.Expression, ...] = ()
-                    if self.at("OP", "["):
-                        indexes = tuple(self.parse_indexes())
-                    steps.append(
-                        ir.VarOccurrence(name_tok.text, indexes, loc=self.loc(name_tok))
-                    )
-                return ir.ObjectOccurrence(tuple(steps), loc=steps[0].loc)
+    def parse_suffixes(self, node: ir.Expression, tok: Token) -> ir.Expression:
+        """Indexes and navigation after node; tok, the current token, is
+        '[' or '.'."""
+        if not isinstance(node, ir.VarOccurrence):
+            raise _SyntaxIssue("only variables can be indexed or navigated", tok)
+        if tok.text == "[":
+            node = ir.VarOccurrence(node.name, tuple(self.parse_indexes()), loc=node.loc)
+        if self.tok.text != ".":
             return node
-        if self.at("OP", "[") or self.at("OP", "."):
-            raise _SyntaxIssue("only variables can be indexed or navigated", self.cur)
-        return node
+        steps = [node]
+        while self.accept("."):
+            name_tok = self.expect_id()
+            indexes: tuple[ir.Expression, ...] = ()
+            if self.tok.text == "[":
+                indexes = tuple(self.parse_indexes())
+            steps.append(ir.VarOccurrence(name_tok.text, indexes, loc=self.loc(name_tok)))
+        return ir.ObjectOccurrence(tuple(steps), loc=steps[0].loc)
 
     def parse_indexes(self) -> list[ir.Expression]:
-        self.expect("OP", "[")
+        self.expect("[")
         indexes = [self.parse_expression()]
-        while self.accept("OP", ","):
+        while self.accept(","):
             indexes.append(self.parse_expression())
-        self.expect("OP", "]")
+        self.expect("]")
         return indexes
 
     def parse_primary(self):
-        tok = self.cur
-        if tok.kind == "INT":
+        tok = self.tok
+        kind, text = tok.kind, tok.text
+        if kind == "ID":
+            if self.peek().text == "(":
+                if text in ir.ALG_FUNCTIONS:
+                    self.advance()
+                    self.advance()
+                    args = [self.parse_expression()]
+                    while self.accept(","):
+                        args.append(self.parse_expression())
+                    self.expect(")")
+                    return ir.AlgFunction(text, tuple(args), loc=self.loc(tok))
+                raise _SyntaxIssue(f"unknown function '{text}'", tok)
             self.advance()
-            return ir.IntValue(int(tok.text), loc=self.loc(tok))
-        if tok.kind == "REAL":
+            return ir.VarOccurrence(text, loc=self.loc(tok))
+        if kind == "INT":
             self.advance()
-            return ir.RealValue(float(tok.text), loc=self.loc(tok))
-        if tok.kind == "KW" and tok.text in ("true", "false"):
+            return ir.IntValue(int(text), loc=self.loc(tok))
+        if kind == "REAL":
             self.advance()
-            return ir.BoolValue(tok.text == "true", loc=self.loc(tok))
-        if tok.kind == "OP" and tok.text == "(":
+            return ir.RealValue(float(text), loc=self.loc(tok))
+        if text == "true" or text == "false":
+            self.advance()
+            return ir.BoolValue(text == "true", loc=self.loc(tok))
+        if text == "(":
             self.advance()
             if self.depth >= MAX_NESTING:
                 raise _SyntaxIssue("expression nested too deeply", tok)
@@ -545,41 +535,28 @@ class _Parser:
                 inner = self.parse_expression()
             finally:
                 self.depth -= 1
-            self.expect("OP", ")")
+            self.expect(")")
             return inner
-        if tok.kind == "OP" and tok.text == "{":
+        if text == "{":
             self.advance()
             elems: list[ir.Expression] = []
-            if not self.at("OP", "}"):
+            if self.tok.text != "}":
                 self.depth += 1
                 try:
                     elems.append(self.parse_expression())
-                    while self.accept("OP", ","):
+                    while self.accept(","):
                         elems.append(self.parse_expression())
                 finally:
                     self.depth -= 1
-            self.expect("OP", "}")
+            self.expect("}")
             return ir.SetValue(tuple(elems), loc=self.loc(tok))
-        if tok.kind == "KW" and tok.text == "card":
+        if text == "card":
             self.advance()
-            self.expect("OP", "(")
+            self.expect("(")
             arg = self.parse_expression()
-            self.expect("OP", ")")
+            self.expect(")")
             return ir.SetFunction("card", arg, loc=self.loc(tok))
-        if tok.kind == "ID":
-            if self.peek().kind == "OP" and self.peek().text == "(":
-                if tok.text in ir.ALG_FUNCTIONS:
-                    self.advance()
-                    self.advance()
-                    args = [self.parse_expression()]
-                    while self.accept("OP", ","):
-                        args.append(self.parse_expression())
-                    self.expect("OP", ")")
-                    return ir.AlgFunction(tok.text, tuple(args), loc=self.loc(tok))
-                raise _SyntaxIssue(f"unknown function '{tok.text}'", tok)
-            self.advance()
-            return ir.VarOccurrence(tok.text, loc=self.loc(tok))
-        raise _SyntaxIssue(f"expected an expression, found '{tok.text or 'end of input'}'", tok)
+        raise _SyntaxIssue(f"expected an expression, found '{text or 'end of input'}'", tok)
 
 
 def _parse_decls(text: str, file: str, diags: list[Diagnostic], allow_header: bool):
@@ -588,9 +565,9 @@ def _parse_decls(text: str, file: str, diags: list[Diagnostic], allow_header: bo
     header_name = None
     if (
         allow_header
-        and parser.at("ID", "model")
+        and parser.tok.kind == "ID"
+        and parser.tok.text == "model"
         and parser.peek().kind == "ID"
-        and parser.peek(2).kind == "OP"
         and parser.peek(2).text == ";"
     ):
         parser.advance()
@@ -635,8 +612,8 @@ def parse_expression(text: str, file: str = "<expr>") -> ir.Expression:
         tokens = _lex(text, file, diags)
         parser = _Parser(tokens, file, diags)
         expr = parser.parse_expression()
-        if not parser.at("EOF"):
-            raise _SyntaxIssue(f"unexpected trailing input '{parser.cur.text}'", parser.cur)
+        if parser.tok.kind != "EOF":
+            raise _SyntaxIssue(f"unexpected trailing input '{parser.tok.text}'", parser.tok)
     except _SyntaxIssue as issue:
         diags.append(Diagnostic("error", issue.message, issue.token.line, issue.token.col, file))
         raise ParseError(diags) from None

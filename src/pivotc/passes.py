@@ -1,9 +1,9 @@
 """Rewriting passes over pivot models.
 
 Each pass is a pure function Model -> Model: inputs are never mutated.
-Passes take and return resolved models: objectFlatten resolves its output,
-the others bind what they create and mark it (``sema.mark_resolved``), so
-the next ``resolve`` is free.  Unresolved input is resolved on entry.
+Passes take and return resolved models: each binds what it creates and
+marks its output (``sema.mark_resolved``), so the next ``resolve`` is
+free.  Unresolved input is resolved on entry.
 ``run_pipeline`` chains passes and collects one report per pass.
 
 Passes:
@@ -399,90 +399,133 @@ def _composed_dim(sizes: list[ir.Expression]) -> ir.Expression:
 
 
 class _Flattener:
+    """Rewrites a resolved model into one without classes, in one walk.
+
+    Each occurrence it renames is bound as it is built (``Binding(kind,
+    flat_name)``, or "iterator" for the fresh instance loops), and an
+    untouched subtree comes back as is, bindings included.  ``run`` marks
+    the output resolved unless a flat name could change what a kept
+    occurrence means there (see ``_rebind_needed``)."""
+
     def __init__(self, model: ir.Model):
         self.model = model
         self.classes = model.classes()
         self.scope = sema.Scope(model)
+        # attributes by name per class; the first one wins a repeated name
+        self.attrs: dict[str, dict[str, ir.TypedElement]] = {}
+        for name, cls in self.classes.items():
+            attrs = self.attrs[name] = {}
+            for f in cls.features:
+                if isinstance(f, (ir.Variable, ir.Constant)):
+                    attrs.setdefault(f.name, f)
+        self.objects = {
+            e.name
+            for e in model.elements
+            if isinstance(e, ir.Variable) and e.type_name in self.classes
+        }
         self.taken = {
             e.name
             for e in model.elements
             if isinstance(e, (ir.Variable, ir.Constant, ir.Enumeration))
         }
         self.created = 0
+        # for _rebind_needed: every loop of the output, the names read by
+        # sizes placed away from where they were bound (linear indexes,
+        # instance loops), and whether every kept occurrence still names a
+        # declaration of the output (an object, or a class attribute, does not)
+        self.loops: set[str] = set()
+        self.moved_names: set[str] = set()
+        self.moved_ids: set[int] = set()
+        self.exact = True
 
     # -- expression rewriting ------------------------------------------
-    def _attr_of(self, cls: ir.Class | None, name: str):
-        if cls is None:
-            return None
-        for f in cls.features:
-            if isinstance(f, (ir.Variable, ir.Constant)) and f.name == name:
-                return f
-        return None
-
-    def _flat_ref(self, prefix: list[str], ctx_pairs, steps, cls: ir.Class | None, loc):
+    def _flat_ref(self, prefix: list[str], ctx_pairs, steps, loc) -> ir.VarOccurrence:
         """steps: list of (name, rewritten indexes, decl).  Returns the flat
-        occurrence for a navigation that starts at an attribute of cls
-        (prefix non-empty context) or at a top-level object variable."""
-        names = prefix + [name for name, _, _ in steps]
-        flat_name = "_".join(names)
-        last_decl = steps[-1][2]
+        occurrence for a navigation that starts at an attribute of the
+        class at prefix (prefix non-empty context) or at a top-level object
+        variable."""
+        flat_name = "_".join(prefix + [name for name, _, _ in steps])
+        _name, indexes, last_decl = steps[-1]
+        # constants are shared by all instances: prefix only; without
+        # enclosing arrays anywhere a variable is only renamed
         if isinstance(last_decl, ir.Constant):
-            # constants are shared by all instances: prefix only
-            return ir.VarOccurrence(flat_name, steps[-1][1], loc=loc)
-        pairs = list(ctx_pairs)
-        for _name, indexes, decl in steps:
-            pairs.extend(zip(indexes, decl.dims))
-        if not ctx_pairs and all(not decl.dims for _n, _i, decl in steps[:-1]):
-            # no enclosing arrays anywhere: pure renaming
-            return ir.VarOccurrence(flat_name, steps[-1][1], loc=loc)
-        indexes = (_linear_index(pairs),) if pairs else ()
-        return ir.VarOccurrence(flat_name, indexes, loc=loc)
+            kind = "constant"
+        else:
+            kind = "variable"
+            if ctx_pairs or any(decl.dims for _n, _i, decl in steps[:-1]):
+                pairs = list(ctx_pairs)
+                for _n, idx, decl in steps:
+                    pairs.extend(zip(idx, decl.dims))
+                for _idx, size in pairs[1:]:
+                    self._moving(size)
+                indexes = (_linear_index(pairs),) if pairs else ()
+        return ir.VarOccurrence(flat_name, indexes, binding=ir.Binding(kind, flat_name), loc=loc)
 
-    def _rewrite_expr(self, e: ir.Expression, prefix, ctx_pairs, cls):
-        rw = lambda x: self._rewrite_expr(x, prefix, ctx_pairs, cls)
+    def _moving(self, size: ir.Expression):
+        """Note the names size reads: it is placed under other loops than
+        where it was bound."""
+        if id(size) in self.moved_ids:
+            return
+        self.moved_ids.add(id(size))
+        for node in ir.walk_expr(size):
+            if isinstance(node, ir.VarOccurrence):
+                self.moved_names.add(node.name)
+                b = node.binding
+                if b is None or b.owner is not None or node.name in self.objects:
+                    self.exact = False
+
+    def _rewrite_expr(self, e: ir.Expression, prefix, ctx_pairs, cls) -> ir.Expression:
+        """e for the instance of cls at prefix (cls None: top level)."""
         if isinstance(e, ir.VarOccurrence):
-            indexes = tuple(rw(i) for i in e.indexes)
+            indexes = e.indexes
+            if indexes:
+                indexes = tuple([self._rewrite_expr(i, prefix, ctx_pairs, cls) for i in indexes])
             b = e.binding
-            if b is not None and b.kind in ("variable", "constant") and b.owner == (cls.name if cls else None) and cls is not None:
-                decl = self._attr_of(cls, e.name)
+            if b is None:
+                self.exact = False
+            elif cls is not None and b.owner == cls.name and b.kind in ("variable", "constant"):
+                decl = self.attrs[cls.name].get(e.name)
                 if decl is not None and decl.type_name not in self.classes:
-                    return self._flat_ref(prefix, ctx_pairs, [(e.name, indexes, decl)], cls, e.loc)
-            return ir.VarOccurrence(e.name, indexes, binding=b, loc=e.loc)
+                    return self._flat_ref(prefix, ctx_pairs, [(e.name, indexes, decl)], e.loc)
+                self.exact = False
+            elif e.name in self.objects and b.kind == "variable" and b.owner is None:
+                self.exact = False
+            if any(map(operator.is_not, indexes, e.indexes)):
+                return ir.VarOccurrence(e.name, indexes, binding=b, loc=e.loc)
+            return e
         if isinstance(e, ir.ObjectOccurrence):
             return self._rewrite_path(e, prefix, ctx_pairs, cls)
         updates = {}
         for name, many in ir.CHILD_FIELDS[type(e)]:
             v = getattr(e, name)
             if many:
-                nv = tuple(rw(x) for x in v)
-                if any(a is not b for a, b in zip(nv, v)):
+                nv = tuple([self._rewrite_expr(x, prefix, ctx_pairs, cls) for x in v])
+                if any(map(operator.is_not, nv, v)):
                     updates[name] = nv
             elif v is not None:
-                nv = rw(v)
+                nv = self._rewrite_expr(v, prefix, ctx_pairs, cls)
                 if nv is not v:
                     updates[name] = nv
-        return dataclasses.replace(e, **updates) if updates else e
+        return ir.rebuild(e, updates) if updates else e
 
     def _rewrite_path(self, e: ir.ObjectOccurrence, prefix, ctx_pairs, cls):
         head = e.path[0]
-        hb = head.binding
-        steps = []
-        if hb is not None and hb.owner == (cls.name if cls else None) and cls is not None:
-            decl = self._attr_of(cls, head.name)
+        if cls is not None and head.binding.owner == cls.name:
+            decl = self.attrs[cls.name].get(head.name)
             base_prefix, base_ctx = prefix, ctx_pairs
         else:
-            kind, decl = self.scope.lookup(head.name)
+            _kind, decl = self.scope.lookup(head.name)
             base_prefix, base_ctx = [], []
-        current = decl
-        indexes = tuple(self._rewrite_expr(i, prefix, ctx_pairs, cls) for i in head.indexes)
-        steps.append((head.name, indexes, current))
-        owner = self.classes.get(current.type_name)
-        for step in e.path[1:]:
-            feature = self._attr_of(owner, step.name)
-            indexes = tuple(self._rewrite_expr(i, prefix, ctx_pairs, cls) for i in step.indexes)
-            steps.append((step.name, indexes, feature))
-            owner = self.classes.get(feature.type_name) if feature is not None else None
-        return self._flat_ref(base_prefix, base_ctx, steps, cls, e.loc)
+        steps = []
+        for step in e.path:
+            if step is not head:
+                attrs = self.attrs.get(decl.type_name) if decl is not None else None
+                decl = attrs.get(step.name) if attrs is not None else None
+            indexes = tuple([self._rewrite_expr(i, prefix, ctx_pairs, cls) for i in step.indexes])
+            steps.append((step.name, indexes, decl))
+        if decl is None or decl.type_name in self.classes:
+            self.exact = False
+        return self._flat_ref(base_prefix, base_ctx, steps, e.loc)
 
     def _rewrite_stmt(self, s: ir.Statement, prefix, ctx_pairs, cls):
         rw = lambda x: self._rewrite_expr(x, prefix, ctx_pairs, cls)
@@ -491,6 +534,7 @@ class _Flattener:
         if isinstance(s, ir.GlobalCtr):
             return ir.GlobalCtr(s.ctr_name, tuple(rw(p) for p in s.params), loc=s.loc)
         if isinstance(s, ir.ForAll):
+            self.loops.add(s.iter_var)
             return ir.ForAll(
                 s.iter_var, rw(s.lower), rw(s.upper),
                 tuple(self._rewrite_stmt(b, prefix, ctx_pairs, cls) for b in s.body),
@@ -509,16 +553,24 @@ class _Flattener:
         raise TypeError(f"unknown statement {s!r}")
 
     # -- feature flattening --------------------------------------------
-    def _fresh_iters(self, count: int, body_names: set[str]) -> list[str]:
-        names = []
+    def _instance_pairs(self, enclosing: list[ir.Expression], body_names: set[str]):
+        """(fresh iterator occurrence, size) per enclosing array; the
+        iterators avoid body_names and every name taken so far."""
+        names: list[str] = []
         n = 1
-        while len(names) < count:
+        while len(names) < len(enclosing):
             cand = f"I{n}"
             n += 1
             if cand in body_names or cand in self.taken or cand in names:
                 continue
             names.append(cand)
-        return names
+        self.loops.update(names)
+        for size in enclosing:
+            self._moving(size)
+        return [
+            (ir.VarOccurrence(name, binding=ir.Binding("iterator", name)), size)
+            for name, size in zip(names, enclosing)
+        ]
 
     def _claim(self, name: str):
         if name in self.taken:
@@ -555,31 +607,25 @@ class _Flattener:
             return out
         if isinstance(f, ir.ConstraintZone):
             zone_name = "_".join(prefix + [f.name]) if prefix else f.name
-            body_names = {
-                node.name
-                for s in f.body
-                for expr in ir._statement_exprs(s)
-                for node in ir.walk_expr(expr)
-                if isinstance(node, ir.VarOccurrence)
-            }
-            iters = self._fresh_iters(len(enclosing), body_names)
-            ctx_pairs = [
-                (ir.VarOccurrence(name), size) for name, size in zip(iters, enclosing)
-            ]
+            ctx_pairs = []
+            if enclosing:
+                body_names = {
+                    node.name
+                    for s in f.body
+                    for expr in ir._statement_exprs(s)
+                    for node in ir.walk_expr(expr)
+                    if isinstance(node, ir.VarOccurrence)
+                }
+                ctx_pairs = self._instance_pairs(enclosing, body_names)
             body = tuple(self._rewrite_stmt(s, prefix, ctx_pairs, cls) for s in f.body)
-            for name, size in reversed(list(zip(iters, enclosing))):
-                body = (ir.ForAll(name, ir.IntValue(1), size, body, loc=f.loc),)
+            for it, size in reversed(ctx_pairs):
+                body = (ir.ForAll(it.name, ir.IntValue(1), size, body, loc=f.loc),)
             out.append(ir.ConstraintZone(zone_name, body, loc=f.loc))
             return out
         if isinstance(f, ir.Statement):
-            ctx_pairs = []
-            if enclosing:
-                iters = self._fresh_iters(len(enclosing), set())
-                ctx_pairs = [
-                    (ir.VarOccurrence(name), size) for name, size in zip(iters, enclosing)
-                ]
+            ctx_pairs = self._instance_pairs(enclosing, set()) if enclosing else []
             stmt = self._rewrite_stmt(f, prefix, ctx_pairs, cls)
-            for (it, size) in reversed(ctx_pairs):
+            for it, size in reversed(ctx_pairs):
                 stmt = ir.ForAll(it.name, ir.IntValue(1), size, (stmt,), loc=f.loc)
             out.append(stmt)
             return out
@@ -594,6 +640,19 @@ class _Flattener:
         if isinstance(d, ir.SetDomain):
             return ir.SetDomain(tuple(rw(m) for m in d.members), loc=d.loc)
         return ir.ExprDomain(rw(d.expr), loc=d.loc)
+
+    def _rebind_needed(self, out_scope: sema.Scope) -> bool:
+        """True when a fresh resolve of the output might bind an occurrence
+        otherwise than the walk did: a flat top-level name that hides an
+        enum literal or is hidden by a loop, a moved size read under a loop
+        of the same name, or a kept occurrence the output does not declare."""
+        new_top = out_scope.top.keys() - self.scope.top.keys()
+        return (
+            not self.exact
+            or not new_top.isdisjoint(self.scope.literals)
+            or not new_top.isdisjoint(self.loops)
+            or not self.loops.isdisjoint(self.moved_names)
+        )
 
     def run(self) -> ir.Model:
         out: list[ir.ModelElement] = []
@@ -622,8 +681,19 @@ class _Flattener:
             if isinstance(e, ir.Statement):
                 out.append(self._rewrite_stmt(e, [], [], None))
                 continue
+            # a top-level declaration can only navigate from a top-level object
+            if self.objects and isinstance(e, (ir.Variable, ir.Constant)) and any(
+                isinstance(node, ir.VarOccurrence) and node.name in self.objects
+                for x in ir.iter_expressions(e)
+                for node in ir.walk_expr(x)
+            ):
+                self.exact = False
             out.append(e)
-        return dataclasses.replace(self.model, elements=tuple(out))
+        model = dataclasses.replace(self.model, elements=tuple(out))
+        # a flat name that clashes with a top-level one raises here
+        if self._rebind_needed(sema.Scope(model)):
+            return sema.resolve(model)
+        return sema.mark_resolved(model)
 
 
 def _object_flatten_counted(model: ir.Model) -> tuple[ir.Model, int]:
@@ -633,8 +703,7 @@ def _object_flatten_counted(model: ir.Model) -> tuple[ir.Model, int]:
         return model, 0
     _composition_cycle_check(classes)
     flattener = _Flattener(model)
-    out = flattener.run()
-    return sema.resolve(out), flattener.created
+    return flattener.run(), flattener.created
 
 
 def object_flatten(model: ir.Model) -> ir.Model:

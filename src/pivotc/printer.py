@@ -10,38 +10,10 @@ from __future__ import annotations
 
 from . import ir
 from .errors import UnprintableError
+from .parser import BINARY_OPS, NOT_BP, POWER_BP
 
-# Binding strengths, loosest to tightest.  Keep in sync with parser.py.
-_BOOL_PREC = {"iff": 1, "implies": 2, "or": 3, "and": 4}
-_CMP_PREC = 6
-_SET_PREC = {"union": 7, "diff": 7, "intersect": 8}
-_ALG_PREC = {"+": 9, "-": 9, "*": 10, "/": 10, "^": 11}
-_UNARY_PREC = 12
+_UNARY_PREC = 12  # binding strengths beyond the parser's BINARY_OPS
 _ATOM_PREC = 13
-_POWER_PREC = 11
-
-
-def _prec(e: ir.Expression) -> int:
-    if isinstance(e, ir.BoolBinaryOp):
-        return _BOOL_PREC.get(e.op, _CMP_PREC)
-    if isinstance(e, ir.BoolUnaryOp):
-        return 5
-    if isinstance(e, ir.SetBinaryOp):
-        return _SET_PREC[e.op]
-    if isinstance(e, ir.AlgBinaryOp):
-        return _ALG_PREC[e.op]
-    if isinstance(e, ir.AlgUnaryOp):
-        return _UNARY_PREC
-    if isinstance(e, (ir.IntValue, ir.RealValue)) and e.v < 0:
-        return _UNARY_PREC  # prints with a leading minus
-    return _ATOM_PREC
-
-
-def print_expression(e: ir.Expression, min_prec: int = 0) -> str:
-    text = _render(e)
-    if _prec(e) < min_prec:
-        return f"({text})"
-    return text
 
 
 def _render_occurrence(e: ir.VarOccurrence) -> str:
@@ -51,63 +23,61 @@ def _render_occurrence(e: ir.VarOccurrence) -> str:
     return text
 
 
-def _render(e: ir.Expression) -> str:
-    if isinstance(e, ir.IntValue):
-        return str(e.v)
-    if isinstance(e, ir.RealValue):
-        return repr(e.v)
-    if isinstance(e, ir.BoolValue):
-        return "true" if e.value else "false"
-    if isinstance(e, ir.IntervalValue):
+def print_expression(e: ir.Expression, min_prec: int = 0) -> str:
+    """Source text of e, parenthesized when it binds looser than min_prec.
+    One call per expression level: operands recurse here directly."""
+    prec = _ATOM_PREC
+    if isinstance(e, (ir.BoolBinaryOp, ir.SetBinaryOp, ir.AlgBinaryOp)):
+        if e.op == "^":
+            prec = POWER_BP
+            text = (
+                print_expression(e.left, _ATOM_PREC)
+                + " ^ "
+                + print_expression(e.right, POWER_BP)
+            )
+        else:
+            prec = BINARY_OPS[e.op][0]
+            text = (
+                print_expression(e.left, prec)
+                + f" {e.op} "
+                + print_expression(e.right, prec + 1)
+            )
+    elif isinstance(e, ir.VarOccurrence):
+        text = _render_occurrence(e)
+    elif isinstance(e, (ir.IntValue, ir.RealValue)):
+        text = str(e.v) if isinstance(e, ir.IntValue) else repr(e.v)
+        if e.v < 0:
+            prec = _UNARY_PREC  # prints with a leading minus
+    elif isinstance(e, ir.BoolValue):
+        text = "true" if e.value else "false"
+    elif isinstance(e, ir.IntervalValue):
         raise UnprintableError("interval values have no source syntax")
-    if isinstance(e, ir.VarOccurrence):
-        return _render_occurrence(e)
-    if isinstance(e, ir.ObjectOccurrence):
-        return ".".join(_render_occurrence(s) for s in e.path)
-    if isinstance(e, ir.FunctionCall) or isinstance(e, ir.PredicateCall):
+    elif isinstance(e, ir.ObjectOccurrence):
+        text = ".".join(_render_occurrence(s) for s in e.path)
+    elif isinstance(e, (ir.FunctionCall, ir.PredicateCall)):
         raise UnprintableError(f"call of '{e.name}' has no source syntax")
-    if isinstance(e, ir.BoolUnaryOp):
-        return "not " + print_expression(e.operand, 5)
-    if isinstance(e, ir.BoolBinaryOp):
-        p = _prec(e)
-        return (
-            print_expression(e.left, p)
-            + f" {e.op} "
-            + print_expression(e.right, p + 1)
-        )
-    if isinstance(e, ir.SetValue):
-        return "{" + ",".join(print_expression(x) for x in e.elems) + "}"
-    if isinstance(e, ir.SetFunction):
-        return f"{e.fn}(" + print_expression(e.arg) + ")"
-    if isinstance(e, ir.SetBinaryOp):
-        p = _prec(e)
-        return (
-            print_expression(e.left, p)
-            + f" {e.op} "
-            + print_expression(e.right, p + 1)
-        )
-    if isinstance(e, ir.AlgFunction):
-        return f"{e.fn}(" + ", ".join(print_expression(a) for a in e.args) + ")"
-    if isinstance(e, ir.AlgUnaryOp):
+    elif isinstance(e, ir.BoolUnaryOp):
+        prec = NOT_BP
+        text = "not " + print_expression(e.operand, NOT_BP)
+    elif isinstance(e, ir.SetValue):
+        text = "{" + ",".join(print_expression(x) for x in e.elems) + "}"
+    elif isinstance(e, ir.SetFunction):
+        text = f"{e.fn}(" + print_expression(e.arg) + ")"
+    elif isinstance(e, ir.AlgFunction):
+        text = f"{e.fn}(" + ", ".join(print_expression(a) for a in e.args) + ")"
+    elif isinstance(e, ir.AlgUnaryOp):
+        prec = _UNARY_PREC
         sign = "-" if e.op == "neg" else "+"
         # parenthesize literal operands so reparsing does not fold them
         if isinstance(e.operand, (ir.IntValue, ir.RealValue)):
-            return f"{sign}({_render(e.operand)})"
-        return sign + print_expression(e.operand, _POWER_PREC)
-    if isinstance(e, ir.AlgBinaryOp):
-        if e.op == "^":
-            return (
-                print_expression(e.left, _ATOM_PREC)
-                + " ^ "
-                + print_expression(e.right, _POWER_PREC)
-            )
-        p = _prec(e)
-        return (
-            print_expression(e.left, p)
-            + f" {e.op} "
-            + print_expression(e.right, p + 1)
-        )
-    raise TypeError(f"unknown expression {e!r}")
+            text = f"{sign}({print_expression(e.operand)})"
+        else:
+            text = sign + print_expression(e.operand, POWER_BP)
+    else:
+        raise TypeError(f"unknown expression {e!r}")
+    if prec < min_prec:
+        return f"({text})"
+    return text
 
 
 # --------------------------------------------------------------------------

@@ -2,9 +2,12 @@
 
 ``tests/fixtures/golden/`` holds the ``--target flat`` and ``--target clp``
 output of ``pivotc compile`` with the default passes for every fixture
-(golfers once per data file).  A change to the passes, the lowering or the
-emitters that alters a single byte of either backend fails here.  Golfers
-at benchmark scale is checked by the sha256 of its flat output.
+(golfers once per data file).  ``wide_classes.som`` exercises objectFlatten:
+scalar and array instances, nested object arrays, navigation, class
+constants, enum-set features and zones in the main and the part classes.
+A change to the passes, the lowering or the emitters that alters a single
+byte of either backend fails here.  Golfers at benchmark scale is checked
+by the sha256 of its flat output.
 """
 
 import copy
@@ -29,6 +32,7 @@ CASES = [
     ("queens5", "queens5.som", None),
     ("queens6", "queens6.som", None),
     ("send", "send.som", None),
+    ("wide_classes", "wide_classes.som", None),
 ]
 
 

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from pivotc import ir
@@ -187,3 +189,125 @@ def test_domain_forms():
     assert isinstance(a.domain, ir.IntervalDomain)
     assert isinstance(b.domain, ir.SetDomain)
     assert isinstance(c.domain, ir.IntervalDomain) and c.is_set
+
+
+# (message, line, column) of every diagnostic, as the character-by-character
+# lexer and the one-function-per-level parser reported them
+DEEP = 65
+PINNED_DIAGNOSTICS = {
+    "stray_char_after_tab": (
+        "model M;\nint x in 1..3;\n\t@ constraint c { x = 1; }\n",
+        [("unexpected character '@'", 3, 2)],
+    ),
+    # the end-of-input column is where a final comment starts
+    "comment_at_eof": (
+        "model M;\nint x in 1..3 // no semicolon",
+        [("expected ';', found 'end of input'", 2, 15)],
+    ),
+    "real_without_fraction_digits": (
+        "int x;\nconstraint c { x = 1.e5; }\n",
+        [("only variables can be indexed or navigated", 2, 21)],
+    ),
+    "exponent_without_digits": (
+        "int x;\nconstraint c { x = 2e+; }\n",
+        [("expected ';', found 'e'", 2, 21)],
+    ),
+    "range_in_expression": (
+        "int x;\nconstraint c { x = 1..3; }\n",
+        [("expected ';', found '..'", 2, 21)],
+    ),
+    "navigation_from_literal": (
+        "int x;\nconstraint c { x = 3.x; }\n",
+        [("only variables can be indexed or navigated", 2, 21)],
+    ),
+    "deep_parentheses": (
+        "int x;\nconstraint c { x = " + "(" * DEEP + "1" + ")" * DEEP + "; }\n",
+        [("expression nested too deeply", 2, 84)],
+    ),
+    "deep_not_chain": (
+        "bool b;\nconstraint c { " + "not " * DEEP + "b; }\n",
+        [("expression nested too deeply", 2, 272)],
+    ),
+    "deep_minus_chain": (
+        "int x;\nconstraint c { x = " + "- " * DEEP + "x; }\n",
+        [("expression nested too deeply", 2, 148)],
+    ),
+    # set literals deepen without a check of their own
+    "deep_sets_then_parentheses": (
+        "int x;\nconstraint c { x = card("
+        + "{" * 40 + "(" * 30 + "1" + ")" * 30 + "}" * 40 + "); }\n",
+        [("expression nested too deeply", 2, 89)]
+        + [("expected a declaration, found '}'", 2, col) for col in range(127, 146)],
+    ),
+    "deep_statements": (
+        "int x;\nconstraint c {\n" + "forall(i in 1..2)\n" * DEEP + "x = 1;\n}\n",
+        [("statements nested too deeply", 67, 1)],
+    ),
+    "not_after_comparison": (
+        "bool a;\nbool b;\nconstraint c { a = not b; }\n",
+        [("expected an expression, found 'not'", 3, 20)],
+    ),
+    "dangling_navigation": (
+        "int x[2];\nconstraint c { x[1].; }\n",
+        [("expected 'id', found ';'", 2, 21)],
+    ),
+    "unknown_function": (
+        "int x;\nconstraint c { frob(x, 1) = 2; }\n",
+        [("unknown function 'frob'", 2, 16)],
+    ),
+    "signed_literal_before_power": (
+        "int x;\nconstraint c { x = -2 ^ ; }\n",
+        [("expected an expression, found ';'", 2, 25)],
+    ),
+    "doubled_operator_then_eof": (
+        "int x;\nconstraint c { x = = 1; }\nconstraint d { x = (1 + ",
+        [
+            ("expected an expression, found '='", 2, 20),
+            ("expected an expression, found 'end of input'", 3, 25),
+            ("expected '}', found 'end of input'", 3, 25),
+        ],
+    ),
+    # the lexer stops at the twentieth diagnostic
+    "many_bad_characters": (
+        "int x;\n" + "@ $ " * 13 + "\n",
+        [(f"unexpected character '{'@$'[k % 2]}'", 2, 1 + 2 * k) for k in range(20)],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DIAGNOSTICS))
+def test_pinned_diagnostics(name):
+    text, expected = PINNED_DIAGNOSTICS[name]
+    with pytest.raises(ParseError) as info:
+        parse(SourceUnit(text))
+    assert [(d.message, d.line, d.column) for d in info.value.diagnostics] == expected
+
+
+@pytest.mark.parametrize("text,expected", [
+    ("1 + 2 )", [("unexpected trailing input ')'", 1, 7)]),
+    ("1 + frob(2)", [("unknown function 'frob'", 1, 5)]),
+    ("", [("expected an expression, found 'end of input'", 1, 1)]),
+])
+def test_pinned_expression_diagnostics(text, expected):
+    with pytest.raises(ParseError) as info:
+        parse_expression(text)
+    assert [(d.message, d.line, d.column) for d in info.value.diagnostics] == expected
+
+
+def test_deepest_nesting_within_default_recursion_limit():
+    # parenthesized levels that each pass through every binding power parse
+    # without the raised process-wide recursion limit, up to the cap of 64
+    def nested(depth):
+        level = "a iff b implies c or d and e = f union g intersect h + k * m ^ ("
+        return "bool a;\nconstraint c { " + level * depth + "1" + ")" * depth + "; }\n"
+
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        model = parse(SourceUnit(nested(64)))
+        with pytest.raises(ParseError) as info:
+            parse(SourceUnit(nested(65)))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(model.elements) == 2
+    assert info.value.diagnostics[0].message == "expression nested too deeply"

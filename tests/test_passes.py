@@ -143,6 +143,75 @@ def test_flatten_output_validates(golfers):
     assert validate(object_flatten(golfers)) == []
 
 
+# A flat name can change what an occurrence the walk keeps means: a
+# main-class feature hides an enum literal, a loop hides a renamed attribute
+# or a size moved into a linear index, or fresh instance loops take the
+# names of main-class constants.  The bindings must still be a resolve's.
+REBIND_MODELS = {
+    "literal_hidden": (
+        "enum Color := {red, blue};\nColor c2;\nconstraint t { c2 = red; }\n"
+        "main class M { int red in 1..3; Color c; constraint z { c = blue; red >= 2; } }"
+    ),
+    "renamed_under_loop": (
+        "class C { int x in 1..3; constraint z { forall(o_x in 1..2) { x >= o_x; } } }\nC o;"
+    ),
+    "path_under_loop": (
+        "class C { int x in 1..3; }\nC o;\n"
+        "constraint t { forall(o_x in 1..2) { o.x >= o_x; } }"
+    ),
+    "moved_size_under_loop": (
+        "int n := 2;\n"
+        "class C { int x[n] in 0..5; constraint z { forall(n in 1..2) { x[n] = 0; } } }\nC o[2];"
+    ),
+    "instance_loops_named_like_constants": (
+        "main class M { int I1 := 2; int I2 := 3; P p[I2, I1]; }\n"
+        "class P { int y in 0..3; constraint z { y > 0; } }"
+    ),
+    "no_clash": (
+        "int k := 2;\n"
+        "class Leaf { int v in 0..3; int w[k] in 0..3;"
+        " constraint p { forall(i in 1..k) { w[i] >= v; } } }\n"
+        "class Mid { Leaf leaves[3]; int c := 1; constraint q { leaves[2].v = c; } }\n"
+        "main class Top { Mid hub[2]; constraint r { hub[1].leaves[2].w[1] <= hub[2].c; } }"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REBIND_MODELS))
+def test_flatten_binds_like_a_fresh_resolve(name):
+    out = object_flatten(parse(SourceUnit(REBIND_MODELS[name])))
+    assert resolve(out) is out
+    fresh = resolve(dataclasses.replace(out, elements=tuple(out.elements)))
+    assert _bindings(out) == _bindings(fresh)
+
+
+def test_flatten_long_sum_in_main_class(tmp_path):
+    # one frame per expression level: a 9,500-term sum in a main class
+    # compiles, to what the same sum at top level compiles to
+    n = 9500
+    terms = " + ".join(f"x[{k}]" for k in range(1, n + 1))
+    top = tmp_path / "top.som"
+    top.write_text(f"model S;\nint x[{n}] in 0..1;\nconstraint c {{\n  {terms} <= 3;\n}}\n")
+    cls = tmp_path / "cls.som"
+    cls.write_text(
+        f"model S;\nmain class M {{\n  int x[{n}] in 0..1;\n"
+        f"  constraint c {{\n    {terms} <= 3;\n  }}\n}}\n"
+    )
+    for model in (top, cls):
+        argv = ["compile", "-m", str(model), "--target", "clp", "-o", str(model.with_suffix(".ecl"))]
+        assert main(argv) == 0
+    assert cls.with_suffix(".ecl").read_bytes() == top.with_suffix(".ecl").read_bytes()
+
+
+def test_flatten_main_feature_clashing_with_top_level_name(tmp_path, capsys):
+    model = tmp_path / "m.som"
+    model.write_text(
+        "int n := 3;\nmain class M {\n  int n in 1..3;\n  constraint c { n >= 2; }\n}\n"
+    )
+    assert main(["compile", "-m", str(model), "--target", "clp", "-o", str(tmp_path / "m.ecl")]) == 1
+    assert f"{model}:3:3: duplicate name 'n'" in capsys.readouterr().err
+
+
 # --------------------------------------------------------------------------
 # enumRemove
 
@@ -726,7 +795,7 @@ FLAT_PIPELINE = ("objectFlatten", "enumRemove", "foldConstants", "alldiffRewrite
 
 
 @pytest.mark.parametrize("mode", ["disequalities", "relaxation", "boolean"])
-@pytest.mark.parametrize("model_name,data_name", ALL_FIXTURES)
+@pytest.mark.parametrize("model_name,data_name", ALL_FIXTURES + [("wide_classes.som", None)])
 def test_pass_outputs_carry_fresh_bindings(model_name, data_name, mode):
     # passes hand back resolved models without resolving them again: every
     # binding must match what a fresh resolve of a structural copy gives

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pivotc import ir
+from pivotc.cli import main
 from pivotc.errors import UnprintableError
 from pivotc.parser import SourceUnit, parse, parse_expression
 from pivotc.printer import print_expression, print_pivot
@@ -122,3 +123,22 @@ def test_expr_domain_round_trip():
     narrowed = m.elements[1]
     assert isinstance(narrowed.domain, ir.ExprDomain)
     assert ir.model_equals(parse(SourceUnit(print_pivot(m))), m)
+
+
+def test_long_sum_prints_through_flat_and_pivot(tmp_path):
+    # print_expression takes one frame per expression level, so a sum as
+    # long as --target clp compiles prints through both text targets
+    n = 9500
+    model = tmp_path / "s.som"
+    model.write_text(
+        f"model S;\nint x[{n}] in 0..1;\nconstraint c {{\n  "
+        + " + ".join(f"x[{k}]" for k in range(1, n + 1))
+        + " <= 3;\n}\n"
+    )
+    for target in ("flat", "pivot"):
+        out = tmp_path / f"s.{target}"
+        assert main(["compile", "-m", str(model), "--target", target, "-o", str(out)]) == 0
+    assert (tmp_path / "s.pivot").read_text() == model.read_text()
+    flat = (tmp_path / "s.flat").read_text().splitlines()
+    assert len(flat) == n + 1
+    assert flat[-1] == "constraint " + " + ".join(f"x__{k}" for k in range(1, n + 1)) + " <= 3;"
