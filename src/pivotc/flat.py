@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import ir, sema
-from .errors import IndexOutOfBoundsError, ResidualStatementError
+from .errors import IndexOutOfBoundsError, ResidualStatementError, UnsupportedElementError
 from .passes import _as_int, _Folder, _value_int, const_env
 from .printer import print_expression
 
@@ -165,6 +165,12 @@ class _Lowerer:
         if b is not None and b.kind == "iterator":
             raise ResidualStatementError("loop iterator", node.name)
         if b is not None and b.kind == "constant":
+            value = self.env.get(node.name)
+            if value is not None:  # ground, but not an integer
+                raise UnsupportedElementError(
+                    f"cannot lower model: the flat format has no literal for {value}, "
+                    f"the value of constant '{node.name}'"
+                )
             raise ResidualStatementError("non-ground constant", node.name)
         dims = self.dims.get(node.name)
         if dims is None:

@@ -1,12 +1,34 @@
-"""Brute-force enumeration over flat programs.
+"""Exhaustive enumeration over flat programs.
 
 This is the semantic ground truth used to check that rewriting passes
-preserve solution sets, so it stays deliberately naive: plain backtracking
-in declaration order, no propagation.  The only liberty taken is that
-constraints are checked as soon as their last variable is assigned (eager
-filtering).  For speed, the search over each program is written out as
+preserve solution sets, so it stays simple: backtracking in declaration
+order, no heuristics, every constraint checked as soon as its last variable
+is assigned.  For speed, the search over each program is written out as
 Python source, one nested ``for`` loop per variable with that depth's
 constraints fused into one condition, and compiled once with ``exec``.
+
+When no constraint can raise, linear comparisons also prune.  That is the
+case when the variables are ints and bools and the constraints use only
+int literals, ``+ - *``, ``abs``, comparisons and the connectives.  A
+comparison whose two sides are sums of int literals and variables times
+int literals reads as ``sum c_i * v_i op k``, with op one of
+``= <= >= < >``.  At each of its variables but the last, a value is
+rejected when the partial sum plus the least or the greatest that the
+remaining terms can add proves the comparison false.  An equality whose
+last variable is an int with coefficient +-1 forces that variable: its
+loop tries only the value the partial sum leaves, and only if the domain
+holds it.  A program that may raise (division, powers, math functions,
+reals, min/max, sets) keeps the plain search, because pruning skips
+evaluations and the error one of them would raise must not be skipped.
+
+Pruning drops only assignments that violate a constraint and keeps the
+order of the others, so the solutions are those of the plain search, in
+the same order.  ``SolutionSet.nodes`` counts the values tried: every value
+a loop binds, also one that a bounds test then rejects, and a forced value
+once.  ``max_nodes`` caps that count.  Solutions are returned in canonical
+order, by value (as ``domain_values`` orders them) in sorted variable-name
+order.  When the variables are declared in sorted name order, the search
+yields that order itself and nothing is sorted.
 
 Evaluation is exact: integer arithmetic is unbounded, ``/`` evaluates in
 rationals, and set values are frozensets over the declared universe.
@@ -16,6 +38,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -178,6 +201,9 @@ _SET_OPS = {"intersect": " & ", "union": " | "}
 _COMPARE = {"=": " == ", "!=": " != ", "<=": " <= ", ">=": " >= ", "<": " < ", ">": " > "}
 _ORDERED = {op: repr(op) for op in ("<=", ">=", "<", ">")}
 _LOGIC = {"and": " and ", "or": " or "}
+_LINEAR_OPS = ("=", "<=", ">=", "<", ">")
+# node types whose evaluation cannot raise on int and bool values
+_SAFE_NODES = (ir.VarOccurrence, ir.AlgUnaryOp, ir.BoolUnaryOp, ir.BoolBinaryOp)
 # Larger ints are bound as constants: str() refuses ints of over 4,300 digits.
 _SMALL_INT = 1 << 64
 
@@ -306,31 +332,190 @@ class _Writer:
         raise CompileError(f"cannot evaluate {type(e).__name__} in the oracle")
 
 
+def _may_raise(program: FlatProgram) -> bool:
+    """Whether evaluating some constraint might raise: anything beyond int
+    and bool variables, int literals, ``+ - *``, ``abs``, comparisons and
+    the connectives.  Pruning skips evaluations, so it must not skip an
+    error."""
+    if any(v.kind == "set" for v in program.vars):
+        return True
+    for c in program.constraints:
+        for e in ir.walk_expr(c):
+            t = type(e)
+            if t is ir.IntValue:
+                if type(e.v) is not int:
+                    return True
+            elif t is ir.BoolValue:
+                if type(e.value) is not bool:
+                    return True
+            elif t is ir.AlgBinaryOp:
+                if e.op not in _ARITH:
+                    return True
+            elif t is ir.AlgFunction:
+                if e.fn != "abs":
+                    return True
+            elif t not in _SAFE_NODES:
+                return True
+    return False
+
+
+def _int_literal(e: ir.Expression) -> int | None:
+    """The value of an int literal under any signs, or None."""
+    sign = 1
+    while type(e) is ir.AlgUnaryOp:
+        sign = -sign if e.op == "neg" else sign
+        e = e.operand
+    return sign * e.v if type(e) is ir.IntValue and type(e.v) is int else None
+
+
+def _linear(c: ir.Expression, index: dict[str, int]) -> tuple[str, dict[int, int], int] | None:
+    """c as ``(op, {variable index: coefficient}, k)``, meaning the sum of
+    coefficient * variable ``op`` k, when both sides of the comparison c
+    are linear; repeated variables are merged and zero coefficients
+    dropped.  An explicit stack, because sums run thousands of terms."""
+    if type(c) is not ir.BoolBinaryOp or c.op not in _LINEAR_OPS:
+        return None
+    coefs: dict[int, int] = {}
+    k = 0
+    stack = [(c.left, 1), (c.right, -1)]
+    while stack:
+        e, m = stack.pop()
+        t = type(e)
+        if t is ir.VarOccurrence:
+            i = index[e.name]
+            coefs[i] = coefs.get(i, 0) + m
+        elif t is ir.IntValue and type(e.v) is int:
+            k -= m * e.v
+        elif t is ir.AlgUnaryOp:
+            stack.append((e.operand, -m if e.op == "neg" else m))
+        elif t is ir.AlgBinaryOp and e.op in _ARITH:
+            if e.op != "*":
+                stack.append((e.left, m))
+                stack.append((e.right, -m if e.op == "-" else m))
+                continue
+            lit, other = _int_literal(e.left), e.right
+            if lit is None:
+                lit, other = _int_literal(e.right), e.left
+            if lit is None:
+                return None
+            stack.append((other, m * lit))
+        else:
+            return None
+    return c.op, {i: a for i, a in coefs.items() if a}, k
+
+
+def _term(coef: int, x: str) -> str:
+    return x if coef == 1 else f"-{x}" if coef == -1 else f"{coef} * {x}"
+
+
+class _Bounds:
+    """Pruning code for the linear constraints of one program.
+
+    A constraint ``sum c_i * v_i op k`` gets, at the depth of each of its
+    variables but the last, a conjunct that binds the partial sum so far to
+    the local ``a<c>_<i>`` and fails when no values of the remaining
+    variables, taken anywhere in their domains, can satisfy the
+    constraint.  An equality whose last variable is an int with
+    coefficient +-1 forces that variable: its loop runs over the one value
+    the partial sum leaves, if the domain holds it, and the constraint
+    needs no check of its own.
+    """
+
+    def __init__(self, program: FlatProgram):
+        self.vars = program.vars
+        n = len(program.vars)
+        self.tests: list[list[str]] = [[] for _ in range(n)]
+        self.loops: list[str | None] = [None] * n
+        self.reads: list[set[str]] = [set() for _ in range(n)]  # partial sums read
+        self.sums: dict[str, list[tuple[int, int]]] = {}  # partial sum -> its terms
+
+    def _range(self, coef: int, i: int) -> tuple[int, int]:
+        v = self.vars[i]
+        lo, hi = (v.lo, v.hi) if v.kind == "int" else (0, 1)
+        return (coef * lo, coef * hi) if coef > 0 else (coef * hi, coef * lo)
+
+    def add(self, c: int, op: str, coefs: dict[int, int], k: int) -> bool:
+        """Emit the tests for constraint c; True when it forces a value
+        and so needs no check."""
+        order = sorted(coefs)
+        ranges = [self._range(coefs[i], i) for i in order]
+        numbers = [k, *coefs.values(), *(x for r in ranges for x in r)]
+        if max(abs(x) for x in numbers) * (len(order) + 1) >= _SMALL_INT:
+            return False  # keep the generated literals small
+        rest_lo = sum(r[0] for r in ranges)
+        rest_hi = sum(r[1] for r in ranges)
+        prev = None
+        for j, i in enumerate(order[:-1]):
+            rest_lo -= ranges[j][0]
+            rest_hi -= ranges[j][1]
+            name = f"a{c}_{i}"
+            if prev is None:
+                expr = f"({name} := {_term(coefs[i], f'v{i}')})"
+            else:
+                expr = f"({name} := {prev} + {_term(coefs[i], f'v{i}')})"
+                self.reads[i].add(prev)
+            self.sums[name] = [(coefs[x], x) for x in order[: j + 1]]
+            low = k - rest_hi + (op == ">") if op in ("=", ">=", ">") else None
+            high = k - rest_lo - (op == "<") if op in ("=", "<=", "<") else None
+            test = expr if low is None else f"{low} <= {expr}"
+            self.tests[i].append(test if high is None else f"{test} <= {high}")
+            prev = name
+        last = order[-1]
+        v = self.vars[last]
+        if op != "=" or abs(coefs[last]) != 1 or v.kind != "int" or self.loops[last] is not None:
+            return False
+        if prev is None:
+            forced = k * coefs[last]
+            self.loops[last] = f"({forced},)" if v.lo <= forced <= v.hi else "()"
+        else:
+            self.reads[last].add(prev)
+            value = f"{k} - {prev}" if coefs[last] == 1 else f"{prev} - {k}"
+            self.loops[last] = f"(f{last},) if {v.lo} <= (f{last} := {value}) <= {v.hi} else ()"
+        return True
+
+    def rebuild(self, start: int, stop: int) -> list[str]:
+        """Statements that recompute from P, the earlier values, the partial
+        sums that loops start..stop-1 read but earlier loops bound."""
+        lines = []
+        for name in sorted(set().union(*self.reads[start:stop])):
+            terms = self.sums[name]
+            if terms[-1][1] < start:
+                items = ", ".join(_term(coef, f"P[{i}]") for coef, i in terms)
+                lines.append(f"    {name} = sum(({items},))")  # flat, however many terms
+        return lines
+
+
 def _search_source(program: FlatProgram) -> tuple[str, dict]:
     """Source defining ``s0(P, nodes)``, the whole search, plus the
     constants it reads.
 
     Each variable gets one loop, in declaration order.  After each value the
     node counter is checked against MAX_NODES, then every constraint whose
-    last variable is that one, fused into one ``and`` in program order.
-    Constraints over no variable are checked once before the first loop.
-    ``s<k>`` runs the loops of the k-th run of _LOOPS_PER_FUNCTION
-    variables and receives the earlier values as the tuple P.  It returns
-    the node count; a limit raises Stop instead.
+    last variable is that one, fused into one ``and`` in program order,
+    followed by the bounds tests of the linear constraints (see _Bounds)
+    when no constraint may raise.  Constraints over no variable are checked
+    once before the first loop.  ``s<k>`` runs the loops of the k-th run of
+    _LOOPS_PER_FUNCTION variables and receives the earlier values as the
+    tuple P.  It returns the node count; a limit raises Stop instead.
     """
     writer = _Writer(program)
+    bounds = _Bounds(program)
+    prune = not _may_raise(program)
     n = len(program.vars)
     checks: list[list[str]] = [[] for _ in range(n)]
     reads: list[set[int]] = [set() for _ in range(n)]
     constant_checks: list[str] = []
-    for c in program.constraints:
-        src, used = writer.condition(c)
-        if used:
-            last = max(used)
-            checks[last].append(src)
-            reads[last] |= used
-        else:
+    for c, constraint in enumerate(program.constraints):
+        src, used = writer.condition(constraint)
+        if not used:
             constant_checks.append(src)
+            continue
+        linear = _linear(constraint, writer.index) if prune else None
+        if linear is not None and linear[1] and bounds.add(c, *linear):
+            continue
+        last = max(used)
+        checks[last].append(src)
+        reads[last] |= used
 
     lines: list[str] = []
     for k, start in enumerate(range(0, max(n, 1), _LOOPS_PER_FUNCTION)):
@@ -338,16 +523,18 @@ def _search_source(program: FlatProgram) -> tuple[str, dict]:
         lines += [f"def s{k}(P, nodes):", "    D = DOMAINS", "    max_nodes = MAX_NODES"]
         earlier = set().union(*reads[start:stop])
         lines += [f"    v{i} = P[{i}]" for i in sorted(earlier) if i < start]
+        lines += bounds.rebuild(start, stop)
         if k == 0 and constant_checks:
             lines.append(f"    if not ({' and '.join(constant_checks)}): return nodes")
         pad = "    "
         for i in range(start, stop):
-            lines.append(f"{pad}for v{i} in D[{i}]:")
+            lines.append(f"{pad}for v{i} in {bounds.loops[i] or f'D[{i}]'}:")
             pad += "    "
             lines.append(f"{pad}nodes += 1")
             lines.append(f"{pad}if nodes > max_nodes: raise Stop(nodes)")
-            if checks[i]:
-                lines.append(f"{pad}if not ({' and '.join(checks[i])}): continue")
+            tests = checks[i] + bounds.tests[i]
+            if tests:
+                lines.append(f"{pad}if not ({' and '.join(tests)}): continue")
         own = "".join(f"v{i}, " for i in range(start, stop))
         values = f"({own})" if k == 0 else f"P + ({own})"
         if stop < n:
@@ -378,10 +565,27 @@ def domain_values(v: FlatVar) -> list:
     return out
 
 
-def _value_key(v):
-    if isinstance(v, frozenset):
-        return (len(v), tuple(sorted(v)))
-    return (int(v),)
+def _canonical_key(program: FlatProgram, domains: list[list]):
+    """Sort key that puts solutions in canonical order: by value in sorted
+    variable-name order, each value ranked by its place in domain_values.
+    None when the variables are declared in sorted name order, because the
+    search then yields that order already."""
+    names = [v.name for v in program.vars]
+    ordered = sorted(names)
+    if ordered == names:
+        return None
+    get = operator.itemgetter(*ordered)  # two names at least: a tuple
+    ranks = {
+        v.name: {s: r for r, s in enumerate(d)}
+        for v, d in zip(program.vars, domains)
+        if v.kind == "set"
+    }
+    if not ranks:  # ints and bools rank as their own values
+        return lambda a: get(a.values)
+    by_position = [ranks.get(x) for x in ordered]
+    return lambda a: tuple(
+        value if rank is None else rank[value] for rank, value in zip(by_position, get(a.values))
+    )
 
 
 def enumerate_solutions(
@@ -414,8 +618,9 @@ def enumerate_solutions(
         nodes, complete = namespace["s0"]((), 0), True
     except _Stop as stop:
         nodes, complete = stop.args[0], False
-    ordered_names = sorted(names)
-    solutions.sort(key=lambda a: tuple(_value_key(a.values[x]) for x in ordered_names))
+    key = _canonical_key(program, domains)
+    if key is not None:
+        solutions.sort(key=key)
     return SolutionSet(tuple(solutions), complete, nodes)
 
 
@@ -429,8 +634,10 @@ def compare_solutions(a: SolutionSet, b: SolutionSet, projection=None) -> str:
         pb = {tuple(sorted(s.values.items(), key=lambda kv: kv[0])) for s in b.solutions}
     else:
         names = list(projection)
-        pa = {s.project(names) for s in a.solutions}
-        pb = {s.project(names) for s in b.solutions}
+        # one name projects to a bare value, the same on both sides
+        get = operator.itemgetter(*names) if names else (lambda values: ())
+        pa = set(map(get, [s.values for s in a.solutions]))
+        pb = set(map(get, [s.values for s in b.solutions]))
     if pa == pb:
         return "equal"
     if pa < pb:

@@ -391,9 +391,7 @@ class _Parser:
     def parse_global(self) -> ir.GlobalCtr:
         start = self.expect_id()
         self.expect("(")
-        params = [self.parse_expression()]
-        while self.accept(","):
-            params.append(self.parse_expression())
+        params = self.parse_list()
         self.expect(")")
         self.expect(";")
         return ir.GlobalCtr(start.text, tuple(params), loc=self.loc(start))
@@ -429,13 +427,7 @@ class _Parser:
         if tok.text != "not" or min_bp > NOT_BP:
             return self.parse_unary()
         self.advance()
-        if self.depth >= MAX_NESTING:
-            raise _SyntaxIssue("expression nested too deeply", tok)
-        self.depth += 1
-        try:
-            operand = self.parse_expression(NOT_BP)
-        finally:
-            self.depth -= 1
+        operand = self.nested(tok, self.parse_expression, NOT_BP)
         return ir.BoolUnaryOp("not", operand, loc=self.loc(tok))
 
     def parse_unary(self):
@@ -454,13 +446,7 @@ class _Parser:
                 return ir.IntValue(-v if negative else v, loc=self.loc(tok))
             v = float(lit.text)
             return ir.RealValue(-v if negative else v, loc=self.loc(tok))
-        if self.depth >= MAX_NESTING:
-            raise _SyntaxIssue("expression nested too deeply", tok)
-        self.depth += 1
-        try:
-            operand = self.parse_unary()
-        finally:
-            self.depth -= 1
+        operand = self.nested(tok, self.parse_unary)
         return ir.AlgUnaryOp("neg" if negative else "plus", operand, loc=self.loc(tok))
 
     def parse_power(self):
@@ -494,12 +480,29 @@ class _Parser:
         return ir.ObjectOccurrence(tuple(steps), loc=steps[0].loc)
 
     def parse_indexes(self) -> list[ir.Expression]:
-        self.expect("[")
-        indexes = [self.parse_expression()]
-        while self.accept(","):
-            indexes.append(self.parse_expression())
+        indexes = self.nested(self.expect("["), self.parse_list)
         self.expect("]")
         return indexes
+
+    def parse_list(self) -> list[ir.Expression]:
+        """One or more comma-separated expressions."""
+        items = [self.parse_expression()]
+        while self.accept(","):
+            items.append(self.parse_expression())
+        return items
+
+    def nested(self, tok: Token, parse, *args):
+        """parse(*args) one nesting level deeper; every bracket, call and
+        prefix operator of an expression goes through here, so that input
+        nested past MAX_NESTING is a diagnostic at tok, not a
+        RecursionError."""
+        if self.depth >= MAX_NESTING:
+            raise _SyntaxIssue("expression nested too deeply", tok)
+        self.depth += 1
+        try:
+            return parse(*args)
+        finally:
+            self.depth -= 1
 
     def parse_primary(self):
         tok = self.tok
@@ -509,9 +512,7 @@ class _Parser:
                 if text in ir.ALG_FUNCTIONS:
                     self.advance()
                     self.advance()
-                    args = [self.parse_expression()]
-                    while self.accept(","):
-                        args.append(self.parse_expression())
+                    args = self.nested(tok, self.parse_list)
                     self.expect(")")
                     return ir.AlgFunction(text, tuple(args), loc=self.loc(tok))
                 raise _SyntaxIssue(f"unknown function '{text}'", tok)
@@ -528,32 +529,18 @@ class _Parser:
             return ir.BoolValue(text == "true", loc=self.loc(tok))
         if text == "(":
             self.advance()
-            if self.depth >= MAX_NESTING:
-                raise _SyntaxIssue("expression nested too deeply", tok)
-            self.depth += 1
-            try:
-                inner = self.parse_expression()
-            finally:
-                self.depth -= 1
+            inner = self.nested(tok, self.parse_expression)
             self.expect(")")
             return inner
         if text == "{":
             self.advance()
-            elems: list[ir.Expression] = []
-            if self.tok.text != "}":
-                self.depth += 1
-                try:
-                    elems.append(self.parse_expression())
-                    while self.accept(","):
-                        elems.append(self.parse_expression())
-                finally:
-                    self.depth -= 1
+            elems = self.nested(tok, self.parse_list) if self.tok.text != "}" else []
             self.expect("}")
             return ir.SetValue(tuple(elems), loc=self.loc(tok))
         if text == "card":
             self.advance()
             self.expect("(")
-            arg = self.parse_expression()
+            arg = self.nested(tok, self.parse_expression)
             self.expect(")")
             return ir.SetFunction("card", arg, loc=self.loc(tok))
         raise _SyntaxIssue(f"expected an expression, found '{text or 'end of input'}'", tok)

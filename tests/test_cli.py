@@ -145,6 +145,30 @@ def test_eval_parse_error():
     assert proc.returncode == 1
 
 
+def test_eval_deep_set_literal_is_a_diagnostic():
+    proc = run_cli("eval", "-e", "{" * 2500 + "1" + "}" * 2500)
+    assert proc.returncode == 1
+    assert "expression nested too deeply" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", [
+    ("compile", "--target", "flat", "--unroll", "-o", "out.flat"),
+    ("check",),
+])
+def test_non_integral_constant_has_no_flat_literal(tmp_path, command):
+    model = tmp_path / "r.som"
+    model.write_text(
+        "model R;\nreal r := 1/3;\nint x[2] in 0..3;\n"
+        "constraint c { forall(i in 1..2) { x[i] * (r + r) * 3 >= 2; } }\n"
+    )
+    args = [a if a != "out.flat" else str(tmp_path / a) for a in command]
+    proc = run_cli(*args[:1], "-m", str(model), *args[1:])
+    assert proc.returncode == 1
+    assert "the flat format has no literal for 1/3, the value of constant 'r'" in proc.stderr
+    assert "non-ground" not in proc.stderr
+
+
 def test_verify_against(tmp_path):
     out1 = tmp_path / "a.ecl"
     base_args = (

@@ -1,6 +1,8 @@
 import itertools
+import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pivotc import ir
 from pivotc.errors import (
@@ -69,6 +71,7 @@ def test_send_more_money_unique_solution():
     p = _lowered("send.som")
     s = enumerate_solutions(p)
     assert s.complete and len(s) == 1
+    assert s.nodes < 20_000  # bounds on the sum prune; generate-and-test tries 6.3M
     a = s.solutions[0]
     assert (a["s"], a["e"], a["n"], a["d"]) == (9, 5, 6, 7)
     assert (a["m"], a["o"], a["r"], a["y"]) == (1, 0, 8, 2)
@@ -131,6 +134,83 @@ def test_golfers_small_matches_naive():
     s = enumerate_solutions(p)
     assert s.solutions == naive_enumerate(p).solutions
     assert len(s) == 4  # two independent week partitions of {a,b} into singletons
+
+
+# --------------------------------------------------------------------------
+# bounds pruning and forced values, against the naive filter
+
+@st.composite
+def _linear_programs(draw):
+    """Small programs of linear comparisons over int (and some bool)
+    variables, declared in a random order: coefficients from -3 to 3,
+    repeated variables and constants on both sides."""
+    n = draw(st.integers(2, 4))
+    names = [f"x{i}" for i in range(n)]
+    decls = []
+    for name in draw(st.permutations(names)):
+        if draw(st.integers(0, 5)) == 0:
+            decls.append(f"var bool {name};\n")
+        else:
+            lo = draw(st.integers(-3, 2))
+            decls.append(f"var int {name} in {lo}..{lo + draw(st.integers(0, 4))};\n")
+
+    def side():
+        terms = []
+        for _ in range(draw(st.integers(1, 4))):
+            if draw(st.integers(0, 3)) == 0:
+                terms.append(str(draw(st.integers(-6, 6))))
+            else:
+                coef = draw(st.sampled_from([1, -1, 1, -1, 2, -2, 3, -3, 0]))
+                name = draw(st.sampled_from(names))
+                terms.append(name if coef == 1 else f"-{name}" if coef == -1 else f"{coef} * {name}")
+        return " + ".join(terms)
+
+    constraints = [
+        f"constraint {side()} {draw(st.sampled_from(['=', '=', '=', '<=', '>=', '<', '>']))} {side()};\n"
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    return "".join(decls + constraints)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_linear_programs())
+# the forced value of y, 5 - x, falls outside 0..2 for x = 1
+@example("var int x in 1..3;\nvar int y in 0..2;\nconstraint x + y = 5;\n")
+# y forced to 2 * x - 9 - 1, outside 0..4 for most x; then -y with coefficient -1
+@example("var int x in 2..6;\nvar int y in 0..4;\nconstraint 2 * x - 9 = y + 1;\n")
+@example("var int y in 0..4;\nvar int x in -2..2;\nconstraint 3 - x = -y + 2 * x;\n")
+# a single-variable equality forces a constant, in or out of the domain
+@example("var int x in 0..3;\nconstraint x + x - x = 2 + 5;\n")
+def test_linear_programs_match_naive(text):
+    p = parse_flat(text)
+    s = enumerate_solutions(p)
+    assert s.complete
+    assert s.solutions == naive_enumerate(p).solutions
+
+
+def test_forced_sum_crosses_the_loop_split():
+    # 18 loops run in two generated functions; the second rebuilds the
+    # partial sum from the first's values and forces the last variable
+    names = [f"x{i}" for i in range(1, 19)]  # x10 sorts before x2
+    text = "".join(f"var int {x} in 0..1;\n" for x in names)
+    text += f"constraint {' + '.join(names)} = 3;\n"
+    s = enumerate_solutions(parse_flat(text))
+    assert s.complete and len(s) == math.comb(18, 3) == 816
+    assert {tuple(x for x in names if a[x]) for a in s.solutions} == set(
+        itertools.combinations(names, 3)
+    )
+    keys = [tuple(a[x] for x in sorted(names)) for a in s.solutions]
+    assert keys == sorted(keys)  # canonical order, though declared unsorted
+
+
+def test_division_keeps_the_error_a_pruned_search_would_skip():
+    # bounds on x + y = 4 would rule out y = 0; a program with a division
+    # is searched without them, so 1 / y meets y = 0 as before
+    p = parse_flat(
+        "var int x in 0..2;\nvar int y in 0..2;\nconstraint 1 / y = 1;\nconstraint x + y = 4;\n"
+    )
+    with pytest.raises(DivisionByZeroError):
+        enumerate_solutions(p)
 
 
 # --------------------------------------------------------------------------
@@ -242,6 +322,16 @@ def test_projection_onto_all_variables_is_identity():
     s = enumerate_solutions(p)
     assert compare_solutions(s, s, ["x", "y"]) == "equal"
     assert compare_solutions(s, s) == "equal"
+
+
+def test_projection_onto_one_name_and_onto_none():
+    a = enumerate_solutions(parse_flat("var int x in 1..3;\nvar int y in 1..2;\nconstraint x != y;\n"))
+    b = enumerate_solutions(parse_flat("var int x in 1..3;\nvar int y in 1..2;\n"))
+    assert compare_solutions(a, b, ["x"]) == "equal"
+    assert compare_solutions(a, b, ["y", "x"]) == "subset"
+    assert compare_solutions(a, b, []) == "equal"
+    none = enumerate_solutions(parse_flat("var int x in 1..2;\nconstraint x = 3;\n"))
+    assert compare_solutions(none, b, []) == "subset"
 
 
 def test_compare_antisymmetry():

@@ -175,6 +175,25 @@ def test_deep_nesting_reports_instead_of_crashing():
         parse_expression(text)
 
 
+@pytest.mark.parametrize("opener,closer", [
+    ("{", "}"),
+    ("abs(", ")"),
+    ("min(1, ", ")"),
+    ("card(", ")"),
+    ("x[", "]"),
+])
+def test_deep_brackets_and_calls_report_instead_of_crashing(opener, closer):
+    text = opener * 2500 + "1" + closer * 2500
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        with pytest.raises(ParseError) as info:
+            parse_expression(text)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert [d.message for d in info.value.diagnostics] == ["expression nested too deeply"]
+
+
 def test_real_literals():
     assert parse_expression("0.5") == ir.RealValue(0.5)
     assert parse_expression("1.5e3") == ir.RealValue(1500.0)
@@ -232,11 +251,11 @@ PINNED_DIAGNOSTICS = {
         "int x;\nconstraint c { x = " + "- " * DEEP + "x; }\n",
         [("expression nested too deeply", 2, 148)],
     ),
-    # set literals deepen without a check of their own
+    # card( and each set literal count one level: the 24th '(' is too deep
     "deep_sets_then_parentheses": (
         "int x;\nconstraint c { x = card("
         + "{" * 40 + "(" * 30 + "1" + ")" * 30 + "}" * 40 + "); }\n",
-        [("expression nested too deeply", 2, 89)]
+        [("expression nested too deeply", 2, 88)]
         + [("expected a declaration, found '}'", 2, col) for col in range(127, 146)],
     ),
     "deep_statements": (
