@@ -3,46 +3,51 @@
 Frontend (object-oriented modeling language) -> pivot model -> rewriting
 passes -> structured CLP text or a flat constraint list, with a brute-force
 enumerator as the semantic ground truth for the rewrites.
+
+The public names are exported lazily (PEP 562): ``import pivotc`` loads no
+submodule, and the first access to a name imports the one module that
+defines it.  So a command pays only for the modules it uses.
 """
 
-from .clp import ClpEmitOptions, emit_clp
-from .errors import CompileError, Diagnostic, Loc, ParseError
-from .flat import FlatProgram, FlatVar, emit_flat, lower_to_flat
-from .ir import Model, model_equals
-from .oracle import (
-    Assignment,
-    SolutionSet,
-    compare_solutions,
-    enumerate_solutions,
-    parse_flat,
-)
-from .parser import SourceUnit, parse, parse_expression
-from .passes import (
-    PassConfig,
-    PassReport,
-    alldiff_rewrite,
-    alldiff_to_boolean,
-    alldiff_to_disequalities,
-    alldiff_to_relaxation,
-    enum_remove,
-    fold_constants,
-    loop_unroll,
-    object_flatten,
-    run_pipeline,
-)
-from .printer import print_expression, print_pivot
-from .sema import Scope, infer_type, resolve, validate
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Assignment", "ClpEmitOptions", "CompileError", "Diagnostic",
-    "FlatProgram", "FlatVar", "Loc", "Model", "ParseError", "PassConfig",
-    "PassReport", "Scope", "SolutionSet", "SourceUnit", "__version__",
-    "alldiff_rewrite", "alldiff_to_boolean", "alldiff_to_disequalities",
-    "alldiff_to_relaxation", "compare_solutions", "emit_clp", "emit_flat",
-    "enum_remove", "enumerate_solutions", "fold_constants", "infer_type",
-    "loop_unroll", "lower_to_flat", "model_equals", "object_flatten",
-    "parse", "parse_expression", "parse_flat", "print_expression",
-    "print_pivot", "resolve", "run_pipeline", "validate",
-]
+# public name -> the submodule that defines it
+_EXPORTS = {
+    "ClpEmitOptions": "clp", "emit_clp": "clp",
+    "CompileError": "errors", "Diagnostic": "errors", "Loc": "errors",
+    "ParseError": "errors",
+    "FlatProgram": "flat", "FlatVar": "flat", "emit_flat": "flat",
+    "lower_to_flat": "flat",
+    "Model": "ir", "model_equals": "ir",
+    "Assignment": "oracle", "SolutionSet": "oracle",
+    "compare_solutions": "oracle", "enumerate_solutions": "oracle",
+    "parse_flat": "oracle",
+    "SourceUnit": "parser", "parse": "parser", "parse_expression": "parser",
+    "PassConfig": "passes", "PassReport": "passes",
+    "alldiff_rewrite": "passes", "alldiff_to_boolean": "passes",
+    "alldiff_to_disequalities": "passes", "alldiff_to_relaxation": "passes",
+    "enum_remove": "passes", "fold_constants": "passes",
+    "loop_unroll": "passes", "object_flatten": "passes",
+    "run_pipeline": "passes",
+    "print_expression": "printer", "print_pivot": "printer",
+    "Scope": "sema", "infer_type": "sema", "resolve": "sema",
+    "validate": "sema",
+}
+
+__all__ = sorted([*_EXPORTS, "__version__"])
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -9,28 +9,29 @@ Subcommands:
 
 Exit codes: 0 success, 1 diagnostics, 2 usage error, 3 oracle limit.
 Pass reports go to stderr; payload only ever goes to the output file.
+
+Start-up is a fixed cost of every command, so the backends (``clp``,
+``flat``, ``oracle``, ``printer``) are imported inside the commands that
+use them, and ``main`` runs with the cyclic garbage collector off.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 from . import ir
-from .clp import ClpEmitOptions, emit_clp
 from .errors import (
     CompileError,
     IncompleteSolutionsError,
     ParseError,
     SearchSpaceError,
 )
-from .flat import emit_flat, lower_to_flat
-from .oracle import compare_solutions, enumerate_solutions
 from .parser import SourceUnit, parse, parse_expression
 from .passes import ALLDIFF_MODES, PASS_IDS, PassConfig, _Folder, run_pipeline
-from .printer import print_expression, print_pivot
 from .sema import resolve, validate
 
 DEFAULT_PASSES = ("objectFlatten", "enumRemove", "foldConstants")
@@ -114,10 +115,16 @@ def cmd_compile(args) -> int:
         for r in reports:
             print(str(r), file=sys.stderr)
         if spec.target == "clp":
+            from .clp import ClpEmitOptions, emit_clp
+
             payload = emit_clp(model, ClpEmitOptions(label_sets=not args.no_label))
         elif spec.target == "flat":
+            from .flat import emit_flat, lower_to_flat
+
             payload = emit_flat(lower_to_flat(model))
         else:
+            from .printer import print_pivot
+
             payload = print_pivot(model)
     except ParseError as exc:
         for d in exc.diagnostics:
@@ -143,12 +150,17 @@ def cmd_compile(args) -> int:
 
 
 def _flat_solutions(model: ir.Model, cfg: PassConfig):
+    from .flat import lower_to_flat
+    from .oracle import enumerate_solutions
+
     processed, _reports = run_pipeline(model, cfg)
     program = lower_to_flat(processed)
     return program, enumerate_solutions(program)
 
 
 def cmd_check(args) -> int:
+    from .oracle import compare_solutions
+
     try:
         cfg = _pass_config(args, None)
     except ValueError as exc:
@@ -188,6 +200,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from .printer import print_expression
+
     try:
         expr = parse_expression(args.expr)
         folded = _Folder({}).fold(expr)
@@ -234,12 +248,21 @@ def _build_argparser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_argparser()
+    # A command builds immutable, acyclic trees and exits; the collector
+    # would scan them many times and free almost nothing.  The caller's
+    # setting comes back on every way out.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else 0
-    return args.func(args)
+        parser = _build_argparser()
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return EXIT_USAGE if exc.code not in (0, None) else 0
+        return args.func(args)
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def entry():  # console_scripts hook

@@ -63,7 +63,7 @@ class _Emitter:
 
     def _check_supported(self):
         for e in self.model.elements:
-            if isinstance(e, (ir.Class, ir.Enumeration, ir.Record, ir.Predicate, ir.Function)):
+            if isinstance(e, (ir.Class, ir.Enumeration)):
                 raise UnsupportedElementError(
                     f"{type(e).__name__.lower()} '{e.name}' is not supported by the clp target"
                 )

@@ -193,7 +193,7 @@ class _Lowerer:
 
     def run(self) -> FlatProgram:
         for e in self.model.elements:
-            if isinstance(e, (ir.Class, ir.Enumeration, ir.Record, ir.Predicate, ir.Function)):
+            if isinstance(e, (ir.Class, ir.Enumeration)):
                 raise ResidualStatementError(type(e).__name__.lower(), f"'{e.name}'")
             if isinstance(e, ir.Variable):
                 self.add_variable(e)

@@ -9,17 +9,15 @@ The element hierarchy:
 
     Model
       Classifier ............ Enumeration | Class   (DataType is built in)
-      ModelFeature .......... Variable | Constant | ConstraintZone | Record
-                              | Statement
+      ModelFeature .......... Variable | Constant | ConstraintZone | Statement
       Statement ............. ExpressionConstraint | GlobalCtr | ForAll | If
-      ParameterizedElement .. Predicate | Function
 
 ``ConstraintZone`` is the in-tree form of a named group of statements; the
 frontend attaches one per ``constraint <name> { ... }`` block and passes
 keep the grouping so the structured backend can emit one block per zone.
 
 Expressions form a separate tree (values, occurrences, boolean / set /
-algebraic operators, calls).  ``VarOccurrence`` is the single occurrence
+algebraic operators and functions).  ``VarOccurrence`` is the single occurrence
 node for variables, constants, loop iterators and enumeration literals;
 ``resolve`` distinguishes them by attaching a ``Binding``.
 """
@@ -37,12 +35,10 @@ __all__ = [
     "AlgBinaryOp", "AlgFunction", "AlgUnaryOp", "Binding", "BoolBinaryOp",
     "BoolUnaryOp", "BoolValue", "Class", "Classifier", "Constant",
     "ConstraintZone", "DataType", "Domain", "Enumeration", "Expression",
-    "ExpressionConstraint", "ExprDomain", "ForAll", "Function",
-    "FunctionCall", "GlobalCtr", "If", "IntervalDomain", "IntervalValue",
-    "IntValue", "Model", "ModelElement", "ModelFeature", "Node",
-    "ObjectOccurrence", "ParameterizedElement", "Predicate", "PredicateCall",
-    "RealValue", "Record", "SetBinaryOp", "SetDomain", "SetFunction",
-    "SetValue", "Statement", "TypedElement", "TypeKind", "VarOccurrence",
+    "ExpressionConstraint", "ExprDomain", "ForAll", "GlobalCtr", "If",
+    "IntervalDomain", "IntervalValue", "IntValue", "Model", "ModelElement",
+    "ModelFeature", "Node", "ObjectOccurrence", "RealValue", "SetBinaryOp",
+    "SetDomain", "SetFunction", "SetValue", "Statement", "TypedElement", "TypeKind", "VarOccurrence",
     "Variable", "BOOLEAN", "INTEGER", "REAL", "SET_OF_INT", "enum_kind",
     "set_of_enum", "object_kind", "ALG_FUNCTIONS", "BOOL_BINARY_OPS",
     "CHILD_FIELDS", "COMPARISON_OPS", "SET_BINARY_OPS", "element_count", "iter_expressions",
@@ -144,10 +140,6 @@ class Statement(ModelFeature):
     pass
 
 
-class ParameterizedElement(ModelElement):
-    pass
-
-
 class Expression(Node):
     pass
 
@@ -211,14 +203,6 @@ class ConstraintZone(ModelFeature):
     body: tuple[Statement, ...] = ()
 
 
-@dataclass(frozen=True)
-class Record(ModelFeature):
-    """Housed for completeness; nothing in this artifact produces one."""
-
-    name: str
-    components: tuple[ModelFeature, ...] = ()
-
-
 # --------------------------------------------------------------------------
 # Statements
 
@@ -246,24 +230,6 @@ class If(Statement):
     cond: Expression
     then_body: tuple[Statement, ...] = ()
     else_body: tuple[Statement, ...] | None = None
-
-
-# --------------------------------------------------------------------------
-# Parameterized elements (housed; no frontend syntax declares them)
-
-@dataclass(frozen=True)
-class Predicate(ParameterizedElement):
-    name: str
-    params: tuple[TypedElement, ...] = ()
-    body: tuple[ModelFeature, ...] = ()
-
-
-@dataclass(frozen=True)
-class Function(ParameterizedElement):
-    name: str
-    params: tuple[TypedElement, ...] = ()
-    result_type: str = "int"
-    body: Statement | None = None
 
 
 # --------------------------------------------------------------------------
@@ -321,18 +287,6 @@ class ObjectOccurrence(Expression):
     """Navigation path to an object attribute, e.g. ``a[i].b[j].c``."""
 
     path: tuple[VarOccurrence, ...]
-
-
-@dataclass(frozen=True)
-class FunctionCall(Expression):
-    name: str
-    args: tuple[Expression, ...] = ()
-
-
-@dataclass(frozen=True)
-class PredicateCall(Expression):
-    name: str
-    args: tuple[Expression, ...] = ()
 
 
 BOOL_BINARY_OPS = ("iff", "implies", "and", "or", "=", "!=", "<=", ">=", "<", ">")

@@ -613,11 +613,15 @@ def enumerate_solutions(
         Assignment=Assignment, Stop=_Stop,
         _div=_div, _pow=_pow, _ordered=_ordered,
     )
-    exec(compile(source, "<oracle search>", "exec"), namespace)
     try:
+        exec(compile(source, "<oracle search>", "exec"), namespace)
         nodes, complete = namespace["s0"]((), 0), True
     except _Stop as stop:
         nodes, complete = stop.args[0], False
+    finally:
+        # each generated function's globals are this namespace: a cycle
+        # that would keep OUT alive until the cyclic collector runs
+        namespace.clear()
     key = _canonical_key(program, domains)
     if key is not None:
         solutions.sort(key=key)

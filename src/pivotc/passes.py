@@ -362,20 +362,22 @@ def _as_int(v) -> int | None:
 
 def _composition_cycle_check(classes: dict[str, ir.Class]):
     state: dict[str, int] = {}  # 0 visiting, 1 done
-
-    def visit(name: str, parent: str | None):
-        if state.get(name) == 1:
-            return
-        if state.get(name) == 0:
-            raise CyclicCompositionError(parent or name, name)
-        state[name] = 0
-        for f in classes[name].features:
-            if isinstance(f, ir.Variable) and f.type_name in classes:
-                visit(f.type_name, name)
-        state[name] = 1
-
     for name in classes:
-        visit(name, None)
+        _visit_composition(classes, state, name, None)
+
+
+def _visit_composition(classes, state, name: str, parent: str | None):
+    # not a closure: a recursive closure is a reference cycle, which would
+    # keep the classes alive until the cyclic collector runs
+    if state.get(name) == 1:
+        return
+    if state.get(name) == 0:
+        raise CyclicCompositionError(parent or name, name)
+    state[name] = 0
+    for f in classes[name].features:
+        if isinstance(f, ir.Variable) and f.type_name in classes:
+            _visit_composition(classes, state, f.type_name, name)
+    state[name] = 1
 
 
 def _linear_index(pairs: list[tuple[ir.Expression, ir.Expression]]) -> ir.Expression:
@@ -398,6 +400,24 @@ def _composed_dim(sizes: list[ir.Expression]) -> ir.Expression:
     return acc
 
 
+def _names_in(stmts, names: set[str] | None = None) -> set[str]:
+    """Every name the statements read, and every loop iterator they bind."""
+    names = set() if names is None else names
+    for s in stmts:
+        inner = ()
+        if isinstance(s, ir.ForAll):
+            names.add(s.iter_var)
+            exprs, inner = (s.lower, s.upper), s.body
+        elif isinstance(s, ir.If):
+            exprs, inner = (s.cond,), s.then_body + (s.else_body or ())
+        else:
+            exprs = ir._statement_exprs(s)
+        for x in exprs:
+            names.update(n.name for n in ir.walk_expr(x) if isinstance(n, ir.VarOccurrence))
+        _names_in(inner, names)
+    return names
+
+
 class _Flattener:
     """Rewrites a resolved model into one without classes, in one walk.
 
@@ -405,7 +425,11 @@ class _Flattener:
     flat_name)``, or "iterator" for the fresh instance loops), and an
     untouched subtree comes back as is, bindings included.  ``run`` marks
     the output resolved unless a flat name could change what a kept
-    occurrence means there (see ``_rebind_needed``)."""
+    occurrence means there (see ``_rebind_needed``).
+
+    A loop whose iterator is named like a name the walk places in its body
+    (a flat name, a moved size, an instance iterator) would capture it, so
+    such a loop is renamed (``renames``), and its body rewritten again."""
 
     def __init__(self, model: ir.Model):
         self.model = model
@@ -435,16 +459,23 @@ class _Flattener:
         # declaration of the output (an object, or a class attribute, does not)
         self.loops: set[str] = set()
         self.moved_names: set[str] = set()
-        self.moved_ids: set[int] = set()
         self.exact = True
+        # per moved size, by id: the size itself (so the id stays its own)
+        # and the names it reads
+        self.size_names: dict[int, tuple[ir.Expression, set[str]]] = {}
+        # names placed in the loop body being rewritten, and the loop
+        # iterators renamed so far (old name -> new name)
+        self.placed: set[str] = set()
+        self.renames: dict[str, str] = {}
 
     # -- expression rewriting ------------------------------------------
-    def _flat_ref(self, prefix: list[str], ctx_pairs, steps, loc) -> ir.VarOccurrence:
+    def _flat_ref(self, prefix: list[str], ctx_pairs, steps, loc, cls) -> ir.VarOccurrence:
         """steps: list of (name, rewritten indexes, decl).  Returns the flat
-        occurrence for a navigation that starts at an attribute of the
-        class at prefix (prefix non-empty context) or at a top-level object
-        variable."""
+        occurrence for a navigation that starts at an attribute of cls, the
+        class of the instance at prefix, or (cls None) at a top-level
+        object variable."""
         flat_name = "_".join(prefix + [name for name, _, _ in steps])
+        self.placed.add(flat_name)
         _name, indexes, last_decl = steps[-1]
         # constants are shared by all instances: prefix only; without
         # enclosing arrays anywhere a variable is only renamed
@@ -454,8 +485,16 @@ class _Flattener:
             kind = "variable"
             if ctx_pairs or any(decl.dims for _n, _i, decl in steps[:-1]):
                 pairs = list(ctx_pairs)
-                for _n, idx, decl in steps:
-                    pairs.extend(zip(idx, decl.dims))
+                self.placed.update(it.name for it, _size in ctx_pairs)
+                # a class attribute's dims read the flat names of the
+                # instance that declares it
+                owner, at = cls, prefix
+                for name, idx, decl in steps:
+                    sizes = decl.dims
+                    if owner is not None:
+                        sizes = [self._rewrite_expr(d, at, [], owner) for d in sizes]
+                    pairs.extend(zip(idx, sizes))
+                    owner, at = self.classes.get(decl.type_name), at + [name]
                 for _idx, size in pairs[1:]:
                     self._moving(size)
                 indexes = (_linear_index(pairs),) if pairs else ()
@@ -464,15 +503,18 @@ class _Flattener:
     def _moving(self, size: ir.Expression):
         """Note the names size reads: it is placed under other loops than
         where it was bound."""
-        if id(size) in self.moved_ids:
-            return
-        self.moved_ids.add(id(size))
-        for node in ir.walk_expr(size):
-            if isinstance(node, ir.VarOccurrence):
-                self.moved_names.add(node.name)
-                b = node.binding
-                if b is None or b.owner is not None or node.name in self.objects:
-                    self.exact = False
+        entry = self.size_names.get(id(size))
+        if entry is None:
+            names = set()
+            for node in ir.walk_expr(size):
+                if isinstance(node, ir.VarOccurrence):
+                    names.add(node.name)
+                    b = node.binding
+                    if b is None or b.owner is not None or node.name in self.objects:
+                        self.exact = False
+            self.moved_names |= names
+            entry = self.size_names[id(size)] = (size, names)
+        self.placed |= entry[1]
 
     def _rewrite_expr(self, e: ir.Expression, prefix, ctx_pairs, cls) -> ir.Expression:
         """e for the instance of cls at prefix (cls None: top level)."""
@@ -483,10 +525,13 @@ class _Flattener:
             b = e.binding
             if b is None:
                 self.exact = False
+            elif b.kind == "iterator" and e.name in self.renames:
+                name = self.renames[e.name]
+                return ir.VarOccurrence(name, indexes, binding=ir.Binding("iterator", name), loc=e.loc)
             elif cls is not None and b.owner == cls.name and b.kind in ("variable", "constant"):
                 decl = self.attrs[cls.name].get(e.name)
                 if decl is not None and decl.type_name not in self.classes:
-                    return self._flat_ref(prefix, ctx_pairs, [(e.name, indexes, decl)], e.loc)
+                    return self._flat_ref(prefix, ctx_pairs, [(e.name, indexes, decl)], e.loc, cls)
                 self.exact = False
             elif e.name in self.objects and b.kind == "variable" and b.owner is None:
                 self.exact = False
@@ -512,10 +557,10 @@ class _Flattener:
         head = e.path[0]
         if cls is not None and head.binding.owner == cls.name:
             decl = self.attrs[cls.name].get(head.name)
-            base_prefix, base_ctx = prefix, ctx_pairs
+            base_prefix, base_ctx, base_cls = prefix, ctx_pairs, cls
         else:
             _kind, decl = self.scope.lookup(head.name)
-            base_prefix, base_ctx = [], []
+            base_prefix, base_ctx, base_cls = [], [], None
         steps = []
         for step in e.path:
             if step is not head:
@@ -525,7 +570,7 @@ class _Flattener:
             steps.append((step.name, indexes, decl))
         if decl is None or decl.type_name in self.classes:
             self.exact = False
-        return self._flat_ref(base_prefix, base_ctx, steps, e.loc)
+        return self._flat_ref(base_prefix, base_ctx, steps, e.loc, base_cls)
 
     def _rewrite_stmt(self, s: ir.Statement, prefix, ctx_pairs, cls):
         rw = lambda x: self._rewrite_expr(x, prefix, ctx_pairs, cls)
@@ -534,12 +579,25 @@ class _Flattener:
         if isinstance(s, ir.GlobalCtr):
             return ir.GlobalCtr(s.ctr_name, tuple(rw(p) for p in s.params), loc=s.loc)
         if isinstance(s, ir.ForAll):
-            self.loops.add(s.iter_var)
-            return ir.ForAll(
-                s.iter_var, rw(s.lower), rw(s.upper),
-                tuple(self._rewrite_stmt(b, prefix, ctx_pairs, cls) for b in s.body),
-                loc=s.loc,
-            )
+            lower, upper = rw(s.lower), rw(s.upper)
+            outer_placed, outer_renames = self.placed, self.renames
+            self.placed = set()
+            if s.iter_var in outer_renames:  # this loop hides the renamed one
+                self.renames = {k: v for k, v in outer_renames.items() if k != s.iter_var}
+            iter_var = s.iter_var
+            body = tuple(self._rewrite_stmt(b, prefix, ctx_pairs, cls) for b in s.body)
+            if iter_var in self.placed:
+                used = _names_in(body) | self.taken
+                n = 1
+                while f"{s.iter_var}_{n}" in used:
+                    n += 1
+                iter_var = f"{s.iter_var}_{n}"
+                self.renames = {**self.renames, s.iter_var: iter_var}
+                body = tuple(self._rewrite_stmt(b, prefix, ctx_pairs, cls) for b in s.body)
+            self.loops.add(iter_var)
+            outer_placed |= self.placed
+            self.placed, self.renames = outer_placed, outer_renames
+            return ir.ForAll(iter_var, lower, upper, body, loc=s.loc)
         if isinstance(s, ir.If):
             else_body = None
             if s.else_body is not None:
@@ -609,14 +667,7 @@ class _Flattener:
             zone_name = "_".join(prefix + [f.name]) if prefix else f.name
             ctx_pairs = []
             if enclosing:
-                body_names = {
-                    node.name
-                    for s in f.body
-                    for expr in ir._statement_exprs(s)
-                    for node in ir.walk_expr(expr)
-                    if isinstance(node, ir.VarOccurrence)
-                }
-                ctx_pairs = self._instance_pairs(enclosing, body_names)
+                ctx_pairs = self._instance_pairs(enclosing, _names_in(f.body))
             body = tuple(self._rewrite_stmt(s, prefix, ctx_pairs, cls) for s in f.body)
             for it, size in reversed(ctx_pairs):
                 body = (ir.ForAll(it.name, ir.IntValue(1), size, body, loc=f.loc),)

@@ -1,9 +1,8 @@
 """Deterministic source-syntax printing of pivot models.
 
 ``print_pivot(parse(text))`` reparses to a structurally equal model for
-every model built from frontend-expressible constructs.  Predicates,
-functions, records and interval values have no surface syntax and raise
-UnprintableError.
+every model built from frontend-expressible constructs.  Interval values
+have no surface syntax and raise UnprintableError.
 """
 
 from __future__ import annotations
@@ -54,8 +53,6 @@ def print_expression(e: ir.Expression, min_prec: int = 0) -> str:
         raise UnprintableError("interval values have no source syntax")
     elif isinstance(e, ir.ObjectOccurrence):
         text = ".".join(_render_occurrence(s) for s in e.path)
-    elif isinstance(e, (ir.FunctionCall, ir.PredicateCall)):
-        raise UnprintableError(f"call of '{e.name}' has no source syntax")
     elif isinstance(e, ir.BoolUnaryOp):
         prec = NOT_BP
         text = "not " + print_expression(e.operand, NOT_BP)
@@ -152,9 +149,6 @@ def _print_feature(e: ir.ModelElement, out: list[str], level: int):
         out.append(f"{pad}}}")
     elif isinstance(e, ir.Statement):
         _print_stmt(e, out, level)
-    elif isinstance(e, (ir.Predicate, ir.Function, ir.Record)):
-        kind = type(e).__name__.lower()
-        raise UnprintableError(f"{kind} '{e.name}' has no source syntax")
     else:
         raise TypeError(f"unknown element {e!r}")
 

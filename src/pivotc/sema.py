@@ -44,8 +44,7 @@ class Scope:
         self.iters: tuple[str, ...] = ()
         mains = 0
         for e in model.elements:
-            if isinstance(e, (ir.Enumeration, ir.Class, ir.Variable, ir.Constant,
-                              ir.Predicate, ir.Function, ir.Record)):
+            if isinstance(e, (ir.Enumeration, ir.Class, ir.Variable, ir.Constant)):
                 if e.name in self.top:
                     raise DuplicateNameError(e.name, e.loc)
                 self.top[e.name] = e
@@ -80,13 +79,6 @@ class Scope:
         child.iters = ()
         return child
 
-    def with_params(self, params) -> "Scope":
-        child = self._clone()
-        child.features = {p.name: p for p in params}
-        child.owner = None
-        child.iters = ()
-        return child
-
     def with_iter(self, name: str) -> "Scope":
         child = self._clone()
         child.iters = self.iters + (name,)
@@ -108,13 +100,7 @@ class Scope:
                 return "constant", decl
             if isinstance(decl, ir.Enumeration):
                 return "enum", decl
-            if isinstance(decl, ir.Class):
-                return "class", decl
-            if isinstance(decl, ir.Predicate):
-                return "predicate", decl
-            if isinstance(decl, ir.Function):
-                return "function", decl
-            return "record", decl
+            return "class", decl
         if name in self.literals:
             return "enum_literal", self.literals[name]
         raise UnresolvedNameError(name)
@@ -181,19 +167,6 @@ def _resolve_element(e: ir.ModelElement, scope: Scope) -> ir.ModelElement:
         )
     if isinstance(e, ir.Statement):
         return _resolve_stmt(e, scope)
-    if isinstance(e, ir.Predicate):
-        inner = scope.with_params(e.params)
-        return dataclasses.replace(
-            e, body=tuple(_resolve_element(f, inner) for f in e.body)
-        )
-    if isinstance(e, ir.Function):
-        inner = scope.with_params(e.params)
-        body = _resolve_stmt(e.body, inner) if e.body is not None else None
-        return dataclasses.replace(e, body=body)
-    if isinstance(e, ir.Record):
-        return dataclasses.replace(
-            e, components=tuple(_resolve_element(f, scope) for f in e.components)
-        )
     return e
 
 
@@ -262,17 +235,6 @@ def _resolve_expr(e: ir.Expression, scope: Scope) -> ir.Expression:
         return ir.VarOccurrence(e.name, indexes, binding=binding, loc=e.loc)
     if isinstance(e, ir.ObjectOccurrence):
         return _resolve_path(e, scope)
-    if isinstance(e, (ir.FunctionCall, ir.PredicateCall)):
-        try:
-            kind, _decl = scope.lookup(e.name)
-        except UnresolvedNameError:
-            raise UnresolvedNameError(e.name, e.loc) from None
-        want = "function" if isinstance(e, ir.FunctionCall) else "predicate"
-        if kind != want:
-            raise UnresolvedNameError(e.name, e.loc, f"'{e.name}' is not a {want}")
-        return dataclasses.replace(
-            e, args=tuple(_resolve_expr(a, scope) for a in e.args)
-        )
     # structural recursion for operator/value nodes; compare by identity,
     # not ==, because bindings are excluded from equality
     updates = {}
@@ -423,26 +385,6 @@ def infer_type(e: ir.Expression, scope: Scope) -> ir.TypeKind:
         return ir.REAL if ir.REAL in (lk, rk) else ir.INTEGER
     if isinstance(e, ir.AlgFunction):
         return _infer_alg_function(e, scope)
-    if isinstance(e, ir.FunctionCall):
-        kind, decl = scope.lookup(e.name)
-        if len(e.args) != len(decl.params):
-            raise TypeMismatchError(
-                f"'{e.name}' expects {len(decl.params)} arguments, got {len(e.args)}",
-                loc=e.loc,
-            )
-        for a in e.args:
-            infer_type(a, scope)
-        return scalar_kind(decl.result_type, scope, e.loc)
-    if isinstance(e, ir.PredicateCall):
-        kind, decl = scope.lookup(e.name)
-        if len(e.args) != len(decl.params):
-            raise TypeMismatchError(
-                f"'{e.name}' expects {len(decl.params)} arguments, got {len(e.args)}",
-                loc=e.loc,
-            )
-        for a in e.args:
-            infer_type(a, scope)
-        return ir.BOOLEAN
     raise TypeError(f"unknown expression {e!r}")
 
 
@@ -683,7 +625,7 @@ def validate(model: ir.Model) -> list[Diagnostic]:
         elif isinstance(e, ir.Class):
             names = set()
             for f in e.features:
-                if isinstance(f, (ir.Variable, ir.Constant, ir.ConstraintZone, ir.Record)):
+                if isinstance(f, (ir.Variable, ir.Constant, ir.ConstraintZone)):
                     if f.name in names:
                         diags.append(_diag(f"duplicate feature '{f.name}' in class '{e.name}'", f))
                     names.add(f.name)
@@ -701,7 +643,4 @@ def validate(model: ir.Model) -> list[Diagnostic]:
                 check_stmt(s, scope)
         elif isinstance(e, ir.Statement):
             check_stmt(e, scope)
-        elif isinstance(e, ir.Record):
-            if not e.components:
-                diags.append(_diag(f"record '{e.name}' must have components", e))
     return diags

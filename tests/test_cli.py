@@ -1,8 +1,11 @@
+import gc
+import json
 import subprocess
 import sys
 
 import pytest
 
+from pivotc import cli
 from pivotc.cli import main
 
 from conftest import FIXTURES
@@ -216,3 +219,97 @@ def test_check_oracle_limit_exit_code(tmp_path):
     proc = run_cli("check", "-m", str(huge))
     assert proc.returncode == 3
     assert proc.stderr.strip() != ""
+
+
+# --------------------------------------------------------------------------
+# Start-up: per-command imports, lazy package exports, no cyclic GC in main
+
+COMMON = {"pivotc", "pivotc.cli", "pivotc.errors", "pivotc.ir", "pivotc.parser",
+          "pivotc.passes", "pivotc.sema"}
+PROBE = (
+    "import json, sys\n"
+    "from pivotc.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('pivotc'))]))\n"
+)
+
+
+@pytest.mark.parametrize("command,extra", [
+    (["compile", "--target", "flat"], {"pivotc.flat", "pivotc.printer"}),
+    (["compile", "--target", "clp"], {"pivotc.clp"}),
+    (["check"], {"pivotc.flat", "pivotc.oracle", "pivotc.printer"}),
+], ids=["compile-flat", "compile-clp", "check"])
+def test_command_imports_only_its_backends(tmp_path, command, extra):
+    argv = [*command, "-m", str(FIXTURES / "queens4.som")]
+    if command[0] == "compile":
+        argv += ["-o", str(tmp_path / "out")]
+    proc = subprocess.run([sys.executable, "-c", PROBE, *argv], capture_output=True, text=True)
+    code, modules = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0
+    assert set(modules) == COMMON | extra
+
+
+def test_package_exports_every_name_lazily():
+    probe = (
+        "import sys, pivotc\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('pivotc.'))\n"
+        "for name in pivotc.__all__:\n"
+        "    exec(f'from pivotc import {name}')\n"
+        "    assert name in dir(pivotc), name\n"
+        "assert not hasattr(pivotc, 'no_such_name')\n"
+        "print(loaded)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def _raise(args):
+    raise RuntimeError("boom")
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("case", ["ok", "diagnostic", "usage", "oracle_limit", "raises"])
+def test_main_restores_the_collector(tmp_path, monkeypatch, enabled, case):
+    bad = tmp_path / "bad.som"
+    bad.write_text("model M;\nint x in 1..3;\nconstraint c { card(x) = 1; }\n")
+    huge = tmp_path / "huge.som"
+    huge.write_text("model H;\nint x[5] in 1..1024;\nconstraint c { x[1] = 1; }\n")
+    argv, expected = {
+        "ok": (["check", "-m", str(FIXTURES / "queens4.som")], 0),
+        "diagnostic": (["check", "-m", str(bad)], 1),
+        "usage": (["compile", "--target", "nope"], 2),
+        "oracle_limit": (["check", "-m", str(huge)], 3),
+        "raises": (["eval", "-e", "1"], RuntimeError),
+    }[case]
+    if case == "raises":
+        monkeypatch.setattr(cli, "cmd_eval", _raise)
+    collecting = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        if expected is RuntimeError:
+            with pytest.raises(RuntimeError):
+                main(argv)
+        else:
+            assert main(argv) == expected
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if collecting else gc.disable)()
+
+
+def test_main_runs_no_collection(tmp_path):
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.callbacks.append(count)
+    try:
+        code = main(["compile", "-m", str(FIXTURES / "golfers.som"),
+                     "-d", str(FIXTURES / "golfers_small.dat"),
+                     "--target", "flat", "-o", str(tmp_path / "g.flat")])
+    finally:
+        gc.callbacks.remove(count)
+    assert code == 0
+    assert starts == []

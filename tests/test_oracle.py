@@ -1,10 +1,12 @@
+import gc
 import itertools
 import math
+import types
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pivotc import ir
+from pivotc import ir, oracle
 from pivotc.errors import (
     CompileError,
     DivisionByZeroError,
@@ -495,3 +497,30 @@ def test_generated_models_pipeline_and_oracle_agree():
             checked += 1
             assert enumerate_solutions(program).solutions == naive_enumerate(program).solutions
     assert checked > 30
+
+
+@pytest.mark.parametrize("max_solutions", [10 ** 6, 1], ids=["complete", "stopped"])
+def test_search_releases_its_solution_list(monkeypatch, max_solutions):
+    # the generated functions' globals are the search namespace, a cycle;
+    # with the cyclic collector off, as under cli.main, nothing but the
+    # returned SolutionSet may still hold what the search built
+    lists = []
+
+    def spy(code, namespace):
+        lists.append(namespace["OUT"])
+        exec(code, namespace)
+
+    monkeypatch.setattr(oracle, "exec", spy, raising=False)
+    program = parse_flat("var int x in 1..3;\nvar int y in 1..3;\nconstraint x < y;\n")
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        result = enumerate_solutions(program, max_solutions=max_solutions)
+        out = lists.pop()
+        referrers = [r for r in gc.get_referrers(out) if not isinstance(r, types.FrameType)]
+    finally:
+        if collecting:
+            gc.enable()
+    assert referrers == []
+    assert result.solutions == tuple(out)
+    assert len(result) == (3 if max_solutions > 1 else 1)

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import random
 
@@ -20,6 +21,7 @@ from pivotc.errors import (
 )
 from pivotc.cli import main
 from pivotc.flat import emit_flat, lower_to_flat
+from pivotc.oracle import enumerate_solutions
 from pivotc.parser import SourceUnit, parse
 from pivotc.passes import (
     PassConfig,
@@ -183,6 +185,64 @@ def test_flatten_binds_like_a_fresh_resolve(name):
     assert resolve(out) is out
     fresh = resolve(dataclasses.replace(out, elements=tuple(out.elements)))
     assert _bindings(out) == _bindings(fresh)
+
+
+def _flat_solutions(source: str) -> list[dict]:
+    out, _ = run_pipeline(parse(SourceUnit(source)), PassConfig(FLAT_PIPELINE))
+    return [s.values for s in enumerate_solutions(lower_to_flat(out)).solutions]
+
+
+@pytest.mark.parametrize("name", ["renamed_under_loop", "path_under_loop"])
+def test_flatten_renames_a_loop_that_would_capture_a_flat_name(name):
+    # x >= o_x for o_x in 1..2 holds for x in {2, 3}; captured, the flat
+    # name read o_x >= o_x, which every value satisfies
+    assert _flat_solutions(REBIND_MODELS[name]) == [{"o_x": 2}, {"o_x": 3}]
+    out = object_flatten(parse(SourceUnit(REBIND_MODELS[name])))
+    assert "forall(o_x_1 in 1..2)" in print_pivot(out)
+
+
+def test_flatten_renames_a_loop_that_would_capture_a_moved_size():
+    # x[n] under forall(n ...) in instance I1 is cell 2*(I1-1)+n, with the
+    # size the constant n = 2: all four cells are 0.  Captured, the size
+    # read the iterator, and the index skipped cell 3.
+    cells = {f"o_x__{k}": 0 for k in range(1, 5)}
+    assert _flat_solutions(REBIND_MODELS["moved_size_under_loop"]) == [cells]
+
+
+ATTRIBUTE_DIMS = (
+    "class C { int n := 3; int x[n] in 0..5; constraint z { x[1] = 0; } }\nC o[2];"
+)
+
+
+@pytest.mark.parametrize("top", ["", "int n := 5;\n"], ids=["class_n", "top_level_n"])
+@pytest.mark.parametrize("target,expected", [
+    ("flat", ["constraint o_x__1 = 0;", "constraint o_x__4 = 0;"]),
+    ("clp", ["V1 is 3*(I1-1)+1,"]),
+], ids=["flat", "clp"])
+def test_flatten_reads_attribute_dims_as_flat_constants(tmp_path, top, target, expected):
+    # x[1] of instance o[k] is cell n*(k-1)+1 with the class's n = 3, read
+    # as the flat constant o_n, never as a top-level n
+    model = tmp_path / "m.som"
+    model.write_text(f"model D;\n{top}{ATTRIBUTE_DIMS}\n")
+    out = tmp_path / f"m.{target}"
+    assert main(["compile", "-m", str(model), "--target", target, "-o", str(out)]) == 0
+    text = out.read_text()
+    assert all(line in text for line in expected)
+
+
+def test_flatten_leaves_no_reference_cycle(golfers):
+    # cli.main runs without the cyclic collector: a cycle would keep what
+    # it reaches, such as the input model's classes, alive until exit
+    gc.collect()
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        object_flatten(golfers)
+        unreachable = gc.collect()
+    finally:
+        if collecting:
+            gc.enable()
+    assert unreachable == 0
 
 
 def test_flatten_long_sum_in_main_class(tmp_path):

@@ -24,18 +24,6 @@ def test_empty_model_prints_header_only():
     assert print_pivot(ir.Model("M", ())) == "model M;\n"
 
 
-def test_predicate_is_unprintable():
-    m = ir.Model("M", (ir.Predicate("p", (), ()),))
-    with pytest.raises(UnprintableError):
-        print_pivot(m)
-
-
-def test_record_is_unprintable():
-    m = ir.Model("M", (ir.Record("r", (ir.Variable("x", "int"),)),))
-    with pytest.raises(UnprintableError):
-        print_pivot(m)
-
-
 def test_interval_value_is_unprintable():
     with pytest.raises(UnprintableError):
         print_expression(ir.IntervalValue(1.0, 2.0))
