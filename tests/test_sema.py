@@ -362,6 +362,55 @@ FRONT_DIAGNOSTICS = {
         [("m.som:4:3: card expects a set", 4, 11),
          ("constraint expression must be boolean, found integer", 5, 5)],
     ),
+    "two_type_errors_first_wins": (
+        "model M;\nint set s in 1..3;\nint x in 1..3;\nconstraint c { s + card(x) = 1; }\n",
+        [("m.som:4:16: numeric operand expected", 4, 28)],
+    ),
+    "type_error_then_unresolved": (
+        "model M;\nint x in 1..3;\nconstraint c {\n  card(x) = 1;\n  q = 1;\n}\n",
+        [("unresolved name 'q'", 5, 3)],
+    ),
+    "type_error_then_unresolved_in_one_expression": (
+        "model M;\nint x in 1..3;\nconstraint c { card(x) = q; }\n",
+        [("unresolved name 'q'", 3, 26)],
+    ),
+    "type_error_in_class_zone": (
+        "model M;\nclass C {\n  int a in 1..3;\n  constraint z { card(a) = 1; }\n}\nC o;\n",
+        [("m.som:4:18: card expects a set", 4, 26)],
+    ),
+    "non_integer_index": (
+        "model M;\nint x[2] in 1..3;\nconstraint c { x[1.5] = 1; }\n",
+        [("m.som:3:18: array index must be integer", 3, 23)],
+    ),
+    "index_count_before_index_types": (
+        "model M;\nint x[2] in 1..3;\nconstraint c { x[1.5, 2] = 1; }\n",
+        [("m.som:3:16: 'x' has 1 dimension(s), referenced with 2 index(es)", 3, 26)],
+    ),
+    "min_of_one_argument": (
+        "model M;\nint x in 1..3;\nconstraint c { min(x) = 1; }\n",
+        [("m.som:3:16: 'min' expects at least 2 arguments", 3, 23)],
+    ),
+    "arity_before_argument_types": (
+        "model M;\nint x in 1..3;\nconstraint c { min(card(x)) = 1; }\n",
+        [("m.som:3:16: 'min' expects at least 2 arguments", 3, 29)],
+    ),
+    "unknown_function": (
+        "model M;\nint x in 1..3;\nconstraint c { foo(x) = 1; }\n",
+        [("unknown function 'foo'", 3, 16)],
+    ),
+    "non_ground_set_member": (
+        "model M;\nint y in 1..3;\nint x in {1, y};\n",
+        [("domain members must be ground", 3, 14)],
+    ),
+    "non_ground_constant_with_a_type_error": (
+        "model M;\nint x in 1..3;\nint k := card(x);\n",
+        [("constant 'k' must have a ground value", 3, 1),
+         ("m.som:3:10: card expects a set", 3, 10)],
+    ),
+    "int_constant_valued_with_a_set": (
+        "model M;\nint k := {1, 2};\n",
+        [("constant 'k' declared integer but valued set of int", 2, 1)],
+    ),
 }
 
 
