@@ -1,9 +1,15 @@
-"""Name resolution, type inference and model validation.
+"""Name resolution, type inference and model validation, in one walk.
 
-``resolve`` rebinds every occurrence to its declaration and returns a new
-model; it is idempotent, and returns its own output as is.  ``infer_type``
-computes the unique TypeKind of a resolved (or resolvable) expression.
-``validate`` returns diagnostics and never raises.
+``resolve`` walks a model once.  At each name occurrence it looks the name
+up once and binds the occurrence to its declaration; at each node it
+computes the node's TypeKind from its children's kinds, and it records
+the model's diagnostics on the way.  It raises on the first name that does
+not resolve, so an unresolved name wins over any type error, and it
+returns a new model; it is idempotent, and returns its own output as is.
+``validate`` returns the diagnostics that walk recorded for a model
+``resolve`` returned, and runs the same walk on any other model; it never
+raises.  ``infer_type`` walks one expression and raises its first type
+error.
 
 Typing rules beyond the obvious ones:
   * integer promotes to real in mixed arithmetic;
@@ -15,7 +21,6 @@ Typing rules beyond the obvious ones:
 
 from __future__ import annotations
 
-import dataclasses
 import weakref
 
 from . import ir
@@ -29,6 +34,11 @@ from .errors import (
 )
 
 _SCALAR_BUILTINS = {"int": ir.INTEGER, "real": ir.REAL, "bool": ir.BOOLEAN}
+_LITERAL_KINDS = {
+    ir.IntValue: ir.INTEGER, ir.RealValue: ir.REAL, ir.BoolValue: ir.BOOLEAN,
+    ir.IntervalValue: ir.SET_OF_INT,
+}
+_LOGICAL_OPS = ("iff", "implies", "and", "or")
 
 
 class Scope:
@@ -115,17 +125,30 @@ class Scope:
 
 
 # --------------------------------------------------------------------------
-# Resolution
+# Entry points
 
-# Models known to be resolved, keyed by id; the weak values drop an entry
-# when its model dies, and the identity check below ignores reused ids.
-_RESOLVED: weakref.WeakValueDictionary[int, ir.Model] = weakref.WeakValueDictionary()
+# Models known to be resolved, keyed by id, each with the diagnostics its
+# walk recorded (None for a model passed to ``mark_resolved``).  The weak
+# reference's callback drops an entry when its model dies, and the
+# identity check in ``_known`` ignores reused ids.
+_RESOLVED: dict[int, tuple[weakref.ref, list[Diagnostic] | None]] = {}
+
+
+def _remember(model: ir.Model, diags: list[Diagnostic] | None) -> ir.Model:
+    key = id(model)
+    _RESOLVED[key] = (weakref.ref(model, lambda _ref: _RESOLVED.pop(key, None)), diags)
+    return model
+
+
+def _known(model: ir.Model):
+    """The (reference, diagnostics) entry of a model known to be resolved."""
+    entry = _RESOLVED.get(id(model))
+    return entry if entry is not None and entry[0]() is model else None
 
 
 def mark_resolved(model: ir.Model) -> ir.Model:
     """Declare every occurrence in model bound; ``resolve`` returns it as is."""
-    _RESOLVED[id(model)] = model
-    return model
+    return _remember(model, None)
 
 
 def resolve(model: ir.Model) -> ir.Model:
@@ -136,164 +159,50 @@ def resolve(model: ir.Model) -> ir.Model:
     test is identity, not ``==`` (blind to bindings) or ``hash`` (a whole
     walk), so a structural copy is resolved afresh.
     """
-    if _RESOLVED.get(id(model)) is model:
+    if _known(model) is not None:
         return model
-    scope = Scope(model)
-    elements = tuple(_resolve_element(e, scope) for e in model.elements)
-    return mark_resolved(dataclasses.replace(model, elements=elements))
+    walk = _Walk(Scope(model))
+    model = ir.rebuild(model, {"elements": walk.elements(model.elements)})
+    return _remember(model, walk.diags)
 
 
-def _resolve_element(e: ir.ModelElement, scope: Scope) -> ir.ModelElement:
-    if isinstance(e, ir.Variable):
-        return dataclasses.replace(
-            e,
-            dims=tuple(_resolve_expr(d, scope) for d in e.dims),
-            domain=_resolve_domain(e.domain, scope),
-        )
-    if isinstance(e, ir.Constant):
-        return dataclasses.replace(
-            e,
-            dims=tuple(_resolve_expr(d, scope) for d in e.dims),
-            value=_resolve_expr(e.value, scope),
-        )
-    if isinstance(e, ir.Class):
-        inner = scope.in_class(e)
-        return dataclasses.replace(
-            e, features=tuple(_resolve_element(f, inner) for f in e.features)
-        )
-    if isinstance(e, ir.ConstraintZone):
-        return dataclasses.replace(
-            e, body=tuple(_resolve_stmt(s, scope) for s in e.body)
-        )
-    if isinstance(e, ir.Statement):
-        return _resolve_stmt(e, scope)
-    return e
+def validate(model: ir.Model) -> list[Diagnostic]:
+    """Check every structural and typing invariant; returns diagnostics.
 
-
-def _resolve_domain(d: ir.Domain | None, scope: Scope) -> ir.Domain | None:
-    if d is None:
-        return None
-    if isinstance(d, ir.IntervalDomain):
-        return ir.IntervalDomain(
-            _resolve_expr(d.lo, scope), _resolve_expr(d.hi, scope), loc=d.loc
-        )
-    if isinstance(d, ir.SetDomain):
-        return ir.SetDomain(tuple(_resolve_expr(m, scope) for m in d.members), loc=d.loc)
-    return ir.ExprDomain(_resolve_expr(d.expr, scope), loc=d.loc)
-
-
-def _resolve_stmt(s: ir.Statement, scope: Scope) -> ir.Statement:
-    if isinstance(s, ir.ExpressionConstraint):
-        return ir.ExpressionConstraint(_resolve_expr(s.expr, scope), loc=s.loc)
-    if isinstance(s, ir.GlobalCtr):
-        return ir.GlobalCtr(
-            s.ctr_name, tuple(_resolve_expr(p, scope) for p in s.params), loc=s.loc
-        )
-    if isinstance(s, ir.ForAll):
-        inner = scope.with_iter(s.iter_var)
-        return ir.ForAll(
-            s.iter_var,
-            _resolve_expr(s.lower, scope),
-            _resolve_expr(s.upper, scope),
-            tuple(_resolve_stmt(b, inner) for b in s.body),
-            loc=s.loc,
-        )
-    if isinstance(s, ir.If):
-        else_body = None
-        if s.else_body is not None:
-            else_body = tuple(_resolve_stmt(b, scope) for b in s.else_body)
-        return ir.If(
-            _resolve_expr(s.cond, scope),
-            tuple(_resolve_stmt(b, scope) for b in s.then_body),
-            else_body,
-            loc=s.loc,
-        )
-    raise TypeError(f"unknown statement {s!r}")
-
-
-def _binding_for(name: str, scope: Scope, loc) -> ir.Binding:
+    A model ``resolve`` returned gets the diagnostics its walk recorded.
+    Any other model is walked here; a name in it that does not resolve
+    ends the walk and is the one diagnostic."""
+    entry = _known(model)
+    if entry is not None and entry[1] is not None:
+        return list(entry[1])
     try:
-        kind, decl = scope.lookup(name)
+        walk = _Walk(Scope(model))
+        walk.elements(model.elements)
+    except (DuplicateNameError, UnresolvedNameError) as exc:
+        return [_diag(str(exc), None)]
+    return walk.diags
+
+
+def infer_type(e: ir.Expression, scope: Scope) -> ir.TypeKind:
+    """Return the unique TypeKind of e, or raise its first type error
+    (TypeMismatchError) or its first unresolved name."""
+    walk = _Walk(scope)
+    _, kind = walk.top(e)
+    if walk.error is not None:
+        raise walk.error
+    return kind
+
+
+def is_ground(e: ir.Expression, scope: Scope) -> bool:
+    """True when e contains no variable or iterator occurrences.  Constant
+    and enum-literal occurrences are ground (their values are fixed)."""
+    walk = _Walk(scope)
+    try:
+        walk.top(e)
     except UnresolvedNameError:
-        raise UnresolvedNameError(name, loc) from None
-    if kind == "enum_literal":
-        enum_name, pos = decl
-        return ir.Binding("enum_literal", name, enum_name=enum_name, position=pos)
-    if kind == "iterator":
-        return ir.Binding("iterator", name)
-    if kind in ("variable", "constant"):
-        return ir.Binding(kind, name, owner=scope.owner if scope.features and name in scope.features else None)
-    raise UnresolvedNameError(
-        name, loc, f"'{name}' names a {kind}, not a value"
-    )
+        return False
+    return walk.ground
 
-
-def _resolve_expr(e: ir.Expression, scope: Scope) -> ir.Expression:
-    if isinstance(e, ir.VarOccurrence):
-        binding = _binding_for(e.name, scope, e.loc)
-        indexes = tuple(_resolve_expr(i, scope) for i in e.indexes)
-        return ir.VarOccurrence(e.name, indexes, binding=binding, loc=e.loc)
-    if isinstance(e, ir.ObjectOccurrence):
-        return _resolve_path(e, scope)
-    # structural recursion for operator/value nodes; compare by identity,
-    # not ==, because bindings are excluded from equality
-    updates = {}
-    for name, many in ir.CHILD_FIELDS[type(e)]:
-        v = getattr(e, name)
-        if many:
-            nv = tuple(_resolve_expr(x, scope) for x in v)
-            if any(a is not b for a, b in zip(nv, v)):
-                updates[name] = nv
-        elif v is not None:
-            nv = _resolve_expr(v, scope)
-            if nv is not v:
-                updates[name] = nv
-    return dataclasses.replace(e, **updates) if updates else e
-
-
-def _resolve_path(e: ir.ObjectOccurrence, scope: Scope) -> ir.ObjectOccurrence:
-    steps = []
-    head = e.path[0]
-    binding = _binding_for(head.name, scope, head.loc)
-    steps.append(
-        ir.VarOccurrence(
-            head.name,
-            tuple(_resolve_expr(i, scope) for i in head.indexes),
-            binding=binding,
-            loc=head.loc,
-        )
-    )
-    kind, decl = scope.lookup(head.name)
-    current = scope.class_named(decl.type_name) if kind in ("variable", "constant") else None
-    for step in e.path[1:]:
-        if current is None:
-            raise UnresolvedNameError(
-                step.name, step.loc, f"cannot navigate into '{steps[-1].name}'"
-            )
-        feature = next(
-            (f for f in current.features
-             if isinstance(f, (ir.Variable, ir.Constant)) and f.name == step.name),
-            None,
-        )
-        if feature is None:
-            raise UnresolvedNameError(
-                step.name, step.loc, f"class '{current.name}' has no attribute '{step.name}'"
-            )
-        k = "constant" if isinstance(feature, ir.Constant) else "variable"
-        steps.append(
-            ir.VarOccurrence(
-                step.name,
-                tuple(_resolve_expr(i, scope) for i in step.indexes),
-                binding=ir.Binding(k, step.name, owner=current.name),
-                loc=step.loc,
-            )
-        )
-        current = scope.class_named(feature.type_name)
-    return ir.ObjectOccurrence(tuple(steps), loc=e.loc)
-
-
-# --------------------------------------------------------------------------
-# Type inference
 
 def scalar_kind(type_name: str, scope: Scope, loc=None) -> ir.TypeKind:
     if type_name in _SCALAR_BUILTINS:
@@ -321,326 +230,367 @@ def decl_kind(decl: ir.TypedElement, scope: Scope) -> ir.TypeKind:
     )
 
 
-def _as_number(k: ir.TypeKind, e: ir.Expression) -> ir.TypeKind:
-    if k == ir.BOOLEAN:
-        return ir.INTEGER  # 0/1 coercion
-    if k in (ir.INTEGER, ir.REAL):
-        return k
-    raise TypeMismatchError(
-        "numeric operand expected", expected="integer or real", found=str(k), loc=e.loc
-    )
-
-
-def _require(k: ir.TypeKind, want: ir.TypeKind, e: ir.Expression, what: str):
-    if k != want:
-        raise TypeMismatchError(
-            f"{what} must be {want}", expected=str(want), found=str(k), loc=e.loc
-        )
-
-
-def infer_type(e: ir.Expression, scope: Scope) -> ir.TypeKind:
-    """Return the unique TypeKind of e, or raise TypeMismatchError."""
-    if isinstance(e, ir.IntValue):
-        return ir.INTEGER
-    if isinstance(e, ir.RealValue):
-        return ir.REAL
-    if isinstance(e, ir.BoolValue):
-        return ir.BOOLEAN
-    if isinstance(e, ir.IntervalValue):
-        return ir.SET_OF_INT
-    if isinstance(e, ir.VarOccurrence):
-        return _infer_occurrence(e, scope)
-    if isinstance(e, ir.ObjectOccurrence):
-        return _infer_path(e, scope)
-    if isinstance(e, ir.BoolUnaryOp):
-        _require(infer_type(e.operand, scope), ir.BOOLEAN, e.operand, "'not' operand")
-        return ir.BOOLEAN
-    if isinstance(e, ir.BoolBinaryOp):
-        return _infer_bool_binary(e, scope)
-    if isinstance(e, ir.SetValue):
-        return _infer_set_value(e, scope)
-    if isinstance(e, ir.SetFunction):
-        k = infer_type(e.arg, scope)
-        if not k.is_set:
-            raise TypeMismatchError(
-                "card expects a set", expected="set", found=str(k), loc=e.loc
-            )
-        return ir.INTEGER
-    if isinstance(e, ir.SetBinaryOp):
-        lk = infer_type(e.left, scope)
-        rk = infer_type(e.right, scope)
-        if not lk.is_set or lk != rk:
-            raise TypeMismatchError(
-                f"'{e.op}' expects two sets of the same element type",
-                expected=str(lk), found=str(rk), loc=e.loc,
-            )
-        return lk
-    if isinstance(e, ir.AlgUnaryOp):
-        return _as_number(infer_type(e.operand, scope), e.operand)
-    if isinstance(e, ir.AlgBinaryOp):
-        lk = _as_number(infer_type(e.left, scope), e.left)
-        rk = _as_number(infer_type(e.right, scope), e.right)
-        if e.op == "/":
-            return ir.REAL
-        return ir.REAL if ir.REAL in (lk, rk) else ir.INTEGER
-    if isinstance(e, ir.AlgFunction):
-        return _infer_alg_function(e, scope)
-    raise TypeError(f"unknown expression {e!r}")
-
-
-def _infer_occurrence(e: ir.VarOccurrence, scope: Scope) -> ir.TypeKind:
-    kind, decl = scope.lookup(e.name)
-    if kind == "iterator":
-        if e.indexes:
-            raise TypeMismatchError(
-                f"loop iterator '{e.name}' cannot be indexed", loc=e.loc
-            )
-        return ir.INTEGER
-    if kind == "enum_literal":
-        if e.indexes:
-            raise TypeMismatchError(f"literal '{e.name}' cannot be indexed", loc=e.loc)
-        return ir.enum_kind(decl[0])
-    if kind in ("variable", "constant"):
-        if len(e.indexes) != len(decl.dims):
-            raise TypeMismatchError(
-                f"'{e.name}' has {len(decl.dims)} dimension(s), "
-                f"referenced with {len(e.indexes)} index(es)",
-                loc=e.loc,
-            )
-        for i in e.indexes:
-            _require(_as_number(infer_type(i, scope), i), ir.INTEGER, i, "array index")
-        return decl_kind(decl, scope)
-    raise TypeMismatchError(f"'{e.name}' ({kind}) is not a value", loc=e.loc)
-
-
-def _infer_path(e: ir.ObjectOccurrence, scope: Scope) -> ir.TypeKind:
-    if not e.path:
-        raise TypeMismatchError("empty navigation path", loc=e.loc)
-    kind = _infer_occurrence(e.path[0], scope)
-    for step in e.path[1:]:
-        if kind.kind != "object":
-            raise TypeMismatchError(
-                f"cannot navigate '.{step.name}' from a {kind}", loc=step.loc
-            )
-        cls = scope.class_named(kind.name)
-        feature = next(
-            (f for f in cls.features
-             if isinstance(f, (ir.Variable, ir.Constant)) and f.name == step.name),
-            None,
-        )
-        if feature is None:
-            raise UnresolvedNameError(
-                step.name, step.loc, f"class '{cls.name}' has no attribute '{step.name}'"
-            )
-        if len(step.indexes) != len(feature.dims):
-            raise TypeMismatchError(
-                f"'{step.name}' has {len(feature.dims)} dimension(s), "
-                f"referenced with {len(step.indexes)} index(es)",
-                loc=step.loc,
-            )
-        for i in step.indexes:
-            _require(_as_number(infer_type(i, scope), i), ir.INTEGER, i, "array index")
-        kind = decl_kind(feature, scope)
-    return kind
-
-
-def _infer_bool_binary(e: ir.BoolBinaryOp, scope: Scope) -> ir.TypeKind:
-    if e.op in ("iff", "implies", "and", "or"):
-        _require(infer_type(e.left, scope), ir.BOOLEAN, e.left, f"'{e.op}' operand")
-        _require(infer_type(e.right, scope), ir.BOOLEAN, e.right, f"'{e.op}' operand")
-        return ir.BOOLEAN
-    lk = infer_type(e.left, scope)
-    rk = infer_type(e.right, scope)
-    if e.op in ("=", "!="):
-        if lk.is_set and lk == rk:
-            return ir.BOOLEAN
-        if lk.kind == "enum" and lk == rk:
-            return ir.BOOLEAN
-    if lk.is_numeric and rk.is_numeric:
-        return ir.BOOLEAN
-    raise TypeMismatchError(
-        f"'{e.op}' cannot compare {lk} with {rk}",
-        expected=str(lk), found=str(rk), loc=e.loc,
-    )
-
-
-def _infer_set_value(e: ir.SetValue, scope: Scope) -> ir.TypeKind:
-    if not e.elems:
-        return ir.SET_OF_INT
-    kinds = [infer_type(x, scope) for x in e.elems]
-    if all(k.is_numeric for k in kinds):
-        for k, x in zip(kinds, e.elems):
-            _require(_as_number(k, x), ir.INTEGER, x, "set element")
-        return ir.SET_OF_INT
-    first = kinds[0]
-    if first.kind == "enum" and all(k == first for k in kinds):
-        return ir.set_of_enum(first.name)
-    raise TypeMismatchError(
-        "set elements must all be integers or literals of one enumeration",
-        loc=e.loc,
-    )
-
-
-def _infer_alg_function(e: ir.AlgFunction, scope: Scope) -> ir.TypeKind:
-    if e.fn not in ir.ALG_FUNCTIONS:
-        raise TypeMismatchError(f"unknown function '{e.fn}'", loc=e.loc)
-    if e.fn in ("min", "max"):
-        if len(e.args) < 2:
-            raise TypeMismatchError(f"'{e.fn}' expects at least 2 arguments", loc=e.loc)
-    elif len(e.args) != 1:
-        raise TypeMismatchError(f"'{e.fn}' expects exactly 1 argument", loc=e.loc)
-    kinds = [_as_number(infer_type(a, scope), a) for a in e.args]
-    if e.fn in ("abs", "min", "max"):
-        return ir.REAL if ir.REAL in kinds else ir.INTEGER
-    return ir.REAL
-
-
-# --------------------------------------------------------------------------
-# Groundness
-
-def is_ground(e: ir.Expression, scope: Scope) -> bool:
-    """True when e contains no variable or iterator occurrences.  Constant
-    and enum-literal occurrences are ground (their values are fixed)."""
-    for node in ir.walk_expr(e):
-        if isinstance(node, ir.ObjectOccurrence):
-            return False
-        if isinstance(node, ir.VarOccurrence):
-            try:
-                kind, _ = scope.lookup(node.name)
-            except UnresolvedNameError:
-                return False
-            if kind in ("variable", "iterator"):
-                return False
-    return True
-
-
-# --------------------------------------------------------------------------
-# Validation
-
 def _diag(message: str, node: ir.Node | None) -> Diagnostic:
     loc = getattr(node, "loc", None) or Loc()
     return Diagnostic("error", message, max(loc.line, 1), max(loc.col, 1), loc.file)
 
 
-def validate(model: ir.Model) -> list[Diagnostic]:
-    """Check every structural and typing invariant; returns diagnostics."""
-    try:
-        scope = Scope(model)
-    except (DuplicateNameError, UnresolvedNameError) as exc:
-        return [_diag(str(exc), None)]
-    diags: list[Diagnostic] = []
+# --------------------------------------------------------------------------
+# The walk
 
-    def check_expr(e: ir.Expression, sc: Scope, want: ir.TypeKind | None, what: str):
-        try:
-            k = infer_type(e, sc)
-        except CompileError as exc:
-            diags.append(_diag(str(exc), e))
-            return None
-        if want is not None and k != want:
-            if want == ir.INTEGER and k == ir.BOOLEAN:
-                return k  # coercible
-            diags.append(_diag(f"{what} must be {want}, found {k}", e))
-        return k
+class _Walk:
+    """Binds each name occurrence and types each node in one visit.
 
-    def check_domain(d: ir.Domain | None, sc: Scope, owner: ir.Node):
-        if d is None:
-            return
-        if isinstance(d, ir.IntervalDomain):
-            for side in (d.lo, d.hi):
-                k = check_expr(side, sc, None, "domain bound")
-                if k is not None and k not in (ir.INTEGER, ir.REAL, ir.BOOLEAN):
-                    diags.append(_diag(f"domain bound must be numeric, found {k}", side))
-        elif isinstance(d, ir.SetDomain):
-            for m in d.members:
-                check_expr(m, sc, None, "domain member")
-                if not is_ground(m, sc):
-                    diags.append(_diag("domain members must be ground", m))
-        elif isinstance(d, ir.ExprDomain):
-            k = check_expr(d.expr, sc, None, "domain expression")
-            if k is not None and not k.is_set:
-                diags.append(_diag(f"domain expression must be a set, found {k}", d.expr))
+    ``error`` holds the first type error of the top-level expression being
+    walked: the walk goes on binding after it, because an unresolved name
+    must still raise, but records nothing more for that expression.
+    ``ground`` tells whether that expression has read no variable and no
+    iterator."""
 
-    def check_typed(decl: ir.TypedElement, sc: Scope):
-        try:
-            base = scalar_kind(decl.type_name, sc, decl.loc)
-        except CompileError as exc:
-            diags.append(_diag(str(exc), decl))
-            return
-        for dim in decl.dims:
-            check_expr(dim, sc, ir.INTEGER, "array dimension")
-        if isinstance(decl, ir.Variable):
-            if base.kind == "object":
-                if decl.is_set:
-                    diags.append(_diag(f"'{decl.name}': object variables cannot be sets", decl))
-                if decl.domain is not None:
-                    diags.append(_diag(f"'{decl.name}': object variables take no domain", decl))
-            elif decl.is_set and base not in (ir.INTEGER,) and base.kind != "enum":
-                diags.append(_diag(f"'{decl.name}': sets of {base} are not supported", decl))
-            check_domain(decl.domain, sc, decl)
-        if isinstance(decl, ir.Constant):
-            if not is_ground(decl.value, sc):
-                diags.append(_diag(f"constant '{decl.name}' must have a ground value", decl))
-            k = check_expr(decl.value, sc, None, "constant value")
-            if k is not None and not decl.is_set and not decl.dims:
-                ok = (
-                    k == base
-                    or (base == ir.REAL and k in (ir.INTEGER, ir.BOOLEAN))
-                    or (base == ir.INTEGER and k == ir.BOOLEAN)
-                )
-                if not ok:
-                    diags.append(
-                        _diag(f"constant '{decl.name}' declared {base} but valued {k}", decl)
-                    )
+    def __init__(self, scope: Scope):
+        self.scope = scope
+        self.diags: list[Diagnostic] = []
+        self.error: CompileError | None = None
+        self.ground = True
 
-    def check_stmt(s: ir.Statement, sc: Scope):
-        if isinstance(s, ir.ExpressionConstraint):
-            check_expr(s.expr, sc, ir.BOOLEAN, "constraint expression")
-        elif isinstance(s, ir.GlobalCtr):
-            if not s.ctr_name:
-                diags.append(_diag("global constraint must be named", s))
-            for p in s.params:
-                k = check_expr(p, sc, None, "global constraint parameter")
-                if (
-                    s.ctr_name == "alldifferent"
-                    and k is not None
-                    and k not in (ir.INTEGER, ir.BOOLEAN)
-                ):
-                    diags.append(_diag(f"alldifferent parameter must be integer, found {k}", p))
-        elif isinstance(s, ir.ForAll):
-            check_expr(s.lower, sc, ir.INTEGER, "loop bound")
-            check_expr(s.upper, sc, ir.INTEGER, "loop bound")
-            inner = sc.with_iter(s.iter_var)
-            for b in s.body:
-                check_stmt(b, inner)
-        elif isinstance(s, ir.If):
-            check_expr(s.cond, sc, ir.BOOLEAN, "condition")
-            for b in s.then_body:
-                check_stmt(b, sc)
-            for b in s.else_body or ():
-                check_stmt(b, sc)
+    def _note(self, message: str, node: ir.Node | None):
+        self.diags.append(_diag(message, node))
 
-    for e in model.elements:
+    def _fail(self, message: str, node: ir.Node, expected: str = "", found: str = ""):
+        if self.error is None:
+            self.error = TypeMismatchError(message, expected, found, node.loc)
+
+    # -- elements, statements and domains ---------------------------------
+
+    def elements(self, elements) -> tuple:
+        return tuple([self.element(e) for e in elements])
+
+    def element(self, e: ir.ModelElement) -> ir.ModelElement:
         if isinstance(e, (ir.Variable, ir.Constant)):
-            check_typed(e, scope)
-        elif isinstance(e, ir.Class):
+            return self.typed(e)
+        if isinstance(e, ir.ConstraintZone):
+            return ir.rebuild(e, {"body": self.stmts(e.body)})
+        if isinstance(e, ir.Statement):
+            return self.stmt(e)
+        if isinstance(e, ir.Class):
             names = set()
             for f in e.features:
                 if isinstance(f, (ir.Variable, ir.Constant, ir.ConstraintZone)):
                     if f.name in names:
-                        diags.append(_diag(f"duplicate feature '{f.name}' in class '{e.name}'", f))
+                        self._note(f"duplicate feature '{f.name}' in class '{e.name}'", f)
                     names.add(f.name)
-            inner = scope.in_class(e)
-            for f in e.features:
-                if isinstance(f, (ir.Variable, ir.Constant)):
-                    check_typed(f, inner)
-                elif isinstance(f, ir.ConstraintZone):
-                    for s in f.body:
-                        check_stmt(s, inner)
-                elif isinstance(f, ir.Statement):
-                    check_stmt(f, inner)
-        elif isinstance(e, ir.ConstraintZone):
-            for s in e.body:
-                check_stmt(s, scope)
-        elif isinstance(e, ir.Statement):
-            check_stmt(e, scope)
-    return diags
+            outer, self.scope = self.scope, self.scope.in_class(e)
+            features = self.elements(e.features)
+            self.scope = outer
+            return ir.rebuild(e, {"features": features})
+        return e
+
+    def typed(self, d: ir.TypedElement) -> ir.TypedElement:
+        diags = self.diags
+        try:
+            base = scalar_kind(d.type_name, self.scope, d.loc)
+        except CompileError as exc:
+            self._note(str(exc), d)
+            self.diags, base = [], None  # bind the rest, report nothing more for d
+        dims = tuple([self.check(x, ir.INTEGER, "array dimension")[0] for x in d.dims])
+        if isinstance(d, ir.Variable):
+            if base is None:
+                pass
+            elif base.kind == "object":
+                if d.is_set:
+                    self._note(f"'{d.name}': object variables cannot be sets", d)
+                if d.domain is not None:
+                    self._note(f"'{d.name}': object variables take no domain", d)
+            elif d.is_set and base != ir.INTEGER and base.kind != "enum":
+                self._note(f"'{d.name}': sets of {base} are not supported", d)
+            update = {"dims": dims, "domain": self.domain(d.domain)}
+        else:
+            value, k = self.top(d.value)
+            if not self.ground:
+                self._note(f"constant '{d.name}' must have a ground value", d)
+            value, k = self.settle(value, k)
+            if k is not None and not d.is_set and not d.dims and not (
+                k == base
+                or (base == ir.REAL and k in (ir.INTEGER, ir.BOOLEAN))
+                or (base == ir.INTEGER and k == ir.BOOLEAN)
+            ):
+                self._note(f"constant '{d.name}' declared {base} but valued {k}", d)
+            update = {"dims": dims, "value": value}
+        self.diags = diags
+        return ir.rebuild(d, update)
+
+    def domain(self, d: ir.Domain | None) -> ir.Domain | None:
+        if d is None:
+            return None
+        if isinstance(d, ir.IntervalDomain):
+            sides = []
+            for side in (d.lo, d.hi):
+                side, k = self.check(side, None, "domain bound")
+                if k is not None and not k.is_numeric:
+                    self._note(f"domain bound must be numeric, found {k}", side)
+                sides.append(side)
+            return ir.rebuild(d, {"lo": sides[0], "hi": sides[1]})
+        if isinstance(d, ir.SetDomain):
+            members = []
+            for m in d.members:
+                m, _ = self.check(m, None, "domain member")
+                if not self.ground:
+                    self._note("domain members must be ground", m)
+                members.append(m)
+            return ir.rebuild(d, {"members": tuple(members)})
+        expr, k = self.check(d.expr, None, "domain expression")
+        if k is not None and not k.is_set:
+            self._note(f"domain expression must be a set, found {k}", expr)
+        return ir.rebuild(d, {"expr": expr})
+
+    def stmts(self, body) -> tuple:
+        return tuple([self.stmt(s) for s in body])
+
+    def stmt(self, s: ir.Statement) -> ir.Statement:
+        if isinstance(s, ir.ExpressionConstraint):
+            expr, _ = self.check(s.expr, ir.BOOLEAN, "constraint expression")
+            return ir.rebuild(s, {"expr": expr})
+        if isinstance(s, ir.GlobalCtr):
+            if not s.ctr_name:
+                self._note("global constraint must be named", s)
+            params = []
+            for p in s.params:
+                p, k = self.check(p, None, "global constraint parameter")
+                if s.ctr_name == "alldifferent" and k is not None and k not in (
+                    ir.INTEGER, ir.BOOLEAN
+                ):
+                    self._note(f"alldifferent parameter must be integer, found {k}", p)
+                params.append(p)
+            return ir.rebuild(s, {"params": tuple(params)})
+        if isinstance(s, ir.ForAll):
+            lower, _ = self.check(s.lower, ir.INTEGER, "loop bound")
+            upper, _ = self.check(s.upper, ir.INTEGER, "loop bound")
+            outer, self.scope = self.scope, self.scope.with_iter(s.iter_var)
+            body = self.stmts(s.body)
+            self.scope = outer
+            return ir.rebuild(s, {"lower": lower, "upper": upper, "body": body})
+        if isinstance(s, ir.If):
+            cond, _ = self.check(s.cond, ir.BOOLEAN, "condition")
+            then_body = self.stmts(s.then_body)
+            else_body = None if s.else_body is None else self.stmts(s.else_body)
+            return ir.rebuild(s, {"cond": cond, "then_body": then_body, "else_body": else_body})
+        raise TypeError(f"unknown statement {s!r}")
+
+    # -- top-level expressions ---------------------------------------------
+
+    def top(self, e: ir.Expression):
+        """Walk one top-level expression afresh: (e bound, its kind)."""
+        self.error, self.ground = None, True
+        return self.expr(e)
+
+    def settle(self, e: ir.Expression, k, want: ir.TypeKind | None = None, what: str = ""):
+        """Record e's first type error, or a kind other than want (boolean
+        passes for integer); returns (e, k) with k None after an error."""
+        if self.error is not None:
+            self._note(str(self.error), e)
+            return e, None
+        if want is not None and k != want and not (want == ir.INTEGER and k == ir.BOOLEAN):
+            self._note(f"{what} must be {want}, found {k}", e)
+        return e, k
+
+    def check(self, e: ir.Expression, want: ir.TypeKind | None, what: str):
+        return self.settle(*self.top(e), want, what)
+
+    # -- expressions ----------------------------------------------------------
+
+    def number(self, k, e: ir.Expression):
+        """k as an arithmetic operand: boolean counts as integer."""
+        if k in (ir.INTEGER, ir.REAL):
+            return k
+        if k == ir.BOOLEAN:
+            return ir.INTEGER
+        if k is not None:
+            self._fail("numeric operand expected", e, "integer or real", str(k))
+        return None
+
+    def require(self, k, want: ir.TypeKind, e: ir.Expression, what: str):
+        if k is not None and k != want:
+            self._fail(f"{what} must be {want}", e, str(want), str(k))
+
+    def expr(self, e: ir.Expression):
+        """Return (e with every name bound, e's TypeKind).  A check on a
+        child runs as soon as that child is typed; after a type error the
+        kind is None and only the first error is kept."""
+        t = type(e)
+        if t is ir.VarOccurrence:
+            return self.occurrence(e, *self.bind(e))
+        kind = _LITERAL_KINDS.get(t)
+        if kind is not None:
+            return e, kind
+        if t is ir.AlgBinaryOp:
+            left, lk = self.expr(e.left)
+            lk = self.number(lk, left)
+            right, rk = self.expr(e.right)
+            rk = self.number(rk, right)
+            e = ir.rebuild(e, {"left": left, "right": right})
+            if lk is None or rk is None:
+                return e, None
+            return e, ir.REAL if e.op == "/" or ir.REAL in (lk, rk) else ir.INTEGER
+        if t is ir.BoolBinaryOp:
+            logical = e.op in _LOGICAL_OPS
+            left, lk = self.expr(e.left)
+            if logical:
+                self.require(lk, ir.BOOLEAN, left, f"'{e.op}' operand")
+            right, rk = self.expr(e.right)
+            e = ir.rebuild(e, {"left": left, "right": right})
+            if logical:
+                self.require(rk, ir.BOOLEAN, right, f"'{e.op}' operand")
+                return e, ir.BOOLEAN
+            if lk is None or rk is None:
+                return e, None
+            if (lk.is_numeric and rk.is_numeric) or (
+                e.op in ("=", "!=") and lk == rk and (lk.is_set or lk.kind == "enum")
+            ):
+                return e, ir.BOOLEAN
+            self._fail(f"'{e.op}' cannot compare {lk} with {rk}", e, str(lk), str(rk))
+            return e, None
+        if t is ir.ObjectOccurrence:
+            return self.path(e)
+        if t is ir.AlgUnaryOp:
+            operand, k = self.expr(e.operand)
+            return ir.rebuild(e, {"operand": operand}), self.number(k, operand)
+        if t is ir.BoolUnaryOp:
+            operand, k = self.expr(e.operand)
+            self.require(k, ir.BOOLEAN, operand, "'not' operand")
+            return ir.rebuild(e, {"operand": operand}), ir.BOOLEAN
+        if t is ir.SetFunction:
+            arg, k = self.expr(e.arg)
+            if k is not None and not k.is_set:
+                self._fail("card expects a set", e, "set", str(k))
+            return ir.rebuild(e, {"arg": arg}), ir.INTEGER
+        if t is ir.SetBinaryOp:
+            left, lk = self.expr(e.left)
+            right, rk = self.expr(e.right)
+            e = ir.rebuild(e, {"left": left, "right": right})
+            if lk is None or rk is None:
+                return e, None
+            if not lk.is_set or lk != rk:
+                self._fail(
+                    f"'{e.op}' expects two sets of the same element type", e, str(lk), str(rk)
+                )
+                return e, None
+            return e, lk
+        if t is ir.SetValue:
+            elems, kinds = [], []
+            for x in e.elems:
+                x, k = self.expr(x)
+                elems.append(x)
+                kinds.append(k)
+            e = ir.rebuild(e, {"elems": tuple(elems)})
+            if not kinds:
+                return e, ir.SET_OF_INT
+            if any(k is None for k in kinds):
+                return e, None
+            if all(k.is_numeric for k in kinds):
+                for k, x in zip(kinds, elems):
+                    self.require(self.number(k, x), ir.INTEGER, x, "set element")
+                return e, ir.SET_OF_INT
+            first = kinds[0]
+            if first.kind == "enum" and all(k == first for k in kinds):
+                return e, ir.set_of_enum(first.name)
+            self._fail("set elements must all be integers or literals of one enumeration", e)
+            return e, None
+        if t is ir.AlgFunction:
+            if e.fn not in ir.ALG_FUNCTIONS:
+                self._fail(f"unknown function '{e.fn}'", e)
+            elif e.fn in ("min", "max"):
+                if len(e.args) < 2:
+                    self._fail(f"'{e.fn}' expects at least 2 arguments", e)
+            elif len(e.args) != 1:
+                self._fail(f"'{e.fn}' expects exactly 1 argument", e)
+            args, kinds = [], []
+            for a in e.args:
+                a, k = self.expr(a)
+                args.append(a)
+                kinds.append(self.number(k, a))
+            e = ir.rebuild(e, {"args": tuple(args)})
+            if e.fn in ("abs", "min", "max"):
+                return e, ir.REAL if ir.REAL in kinds else ir.INTEGER
+            return e, ir.REAL
+        raise TypeError(f"unknown expression {e!r}")
+
+    def bind(self, e: ir.VarOccurrence):
+        """Look e's name up, once: its Binding and its declaration (None for
+        an iterator or an enum literal)."""
+        scope = self.scope
+        try:
+            kind, decl = scope.lookup(e.name)
+        except UnresolvedNameError:
+            raise UnresolvedNameError(e.name, e.loc) from None
+        if kind == "variable" or kind == "constant":
+            owner = scope.owner if scope.features and e.name in scope.features else None
+            return ir.Binding(kind, e.name, owner=owner), decl
+        if kind == "iterator":
+            return ir.Binding("iterator", e.name), None
+        if kind == "enum_literal":
+            return ir.Binding(kind, e.name, *decl), None
+        raise UnresolvedNameError(e.name, e.loc, f"'{e.name}' names a {kind}, not a value")
+
+    def occurrence(self, e: ir.VarOccurrence, binding: ir.Binding, decl):
+        """Bind and type one occurrence or path step: the checks on e come
+        before its indexes, and e's kind after them."""
+        kind = binding.kind
+        if kind == "variable" or kind == "iterator":
+            self.ground = False
+        if decl is None:
+            if e.indexes:
+                what = "loop iterator" if kind == "iterator" else "literal"
+                self._fail(f"{what} '{e.name}' cannot be indexed", e)
+        elif len(e.indexes) != len(decl.dims):
+            self._fail(
+                f"'{e.name}' has {len(decl.dims)} dimension(s), "
+                f"referenced with {len(e.indexes)} index(es)",
+                e,
+            )
+        indexes = []
+        for i in e.indexes:
+            i, k = self.expr(i)
+            self.require(self.number(k, i), ir.INTEGER, i, "array index")
+            indexes.append(i)
+        e = ir.rebuild(e, {"indexes": tuple(indexes), "binding": binding})
+        if kind == "iterator":
+            return e, ir.INTEGER
+        if kind == "enum_literal":
+            return e, ir.enum_kind(binding.enum_name)
+        try:
+            return e, decl_kind(decl, self.scope)
+        except CompileError as exc:  # the declaration's type is unknown or unsupported
+            self.error = self.error or exc
+            return e, None
+
+    def path(self, e: ir.ObjectOccurrence):
+        """Bind and type a navigation path: each step's attribute is found
+        in the class of the step before it."""
+        self.ground = False
+        if not e.path:
+            self._fail("empty navigation path", e)
+            return e, None
+        head = e.path[0]
+        binding, decl = self.bind(head)
+        step, kind = self.occurrence(head, binding, decl)
+        steps = [step]
+        cls = self.scope.class_named(decl.type_name) if decl is not None else None
+        for step in e.path[1:]:
+            if cls is None:
+                raise UnresolvedNameError(
+                    step.name, step.loc, f"cannot navigate into '{steps[-1].name}'"
+                )
+            feature = next(
+                (f for f in cls.features
+                 if isinstance(f, (ir.Variable, ir.Constant)) and f.name == step.name),
+                None,
+            )
+            if feature is None:
+                raise UnresolvedNameError(
+                    step.name, step.loc, f"class '{cls.name}' has no attribute '{step.name}'"
+                )
+            k = "constant" if isinstance(feature, ir.Constant) else "variable"
+            step, kind = self.occurrence(step, ir.Binding(k, step.name, owner=cls.name), feature)
+            steps.append(step)
+            cls = self.scope.class_named(feature.type_name)
+        return ir.rebuild(e, {"path": tuple(steps)}), kind
