@@ -55,7 +55,6 @@ def _or_chain(terms: list[ir.Expression]) -> ir.Expression:
 class _Lowerer:
     def __init__(self, model: ir.Model):
         self.model = model
-        self.scope = sema.Scope(model)
         self.env = const_env(model)
         self.folder = _Folder(self.env)
         self.dims: dict[str, tuple[int, ...]] = {}

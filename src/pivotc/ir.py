@@ -552,23 +552,14 @@ def iter_expressions(e: ModelElement):
 
 def element_count(m: Model) -> int:
     """Number of features and statements in the model, recursively."""
+    return sum(map(_count, m.elements))
 
-    def count_stmt(s: Statement) -> int:
-        if isinstance(s, ForAll):
-            return 1 + sum(count_stmt(b) for b in s.body)
-        if isinstance(s, If):
-            return 1 + sum(count_stmt(b) for b in s.then_body) + sum(
-                count_stmt(b) for b in s.else_body or ()
-            )
-        return 1
 
-    def count_elem(e: ModelElement) -> int:
-        if isinstance(e, Class):
-            return 1 + sum(count_elem(f) for f in e.features)
-        if isinstance(e, ConstraintZone):
-            return 1 + sum(count_stmt(s) for s in e.body)
-        if isinstance(e, Statement):
-            return count_stmt(e)
-        return 1
-
-    return sum(count_elem(e) for e in m.elements)
+def _count(e: ModelElement) -> int:
+    if isinstance(e, Class):
+        return 1 + sum(map(_count, e.features))
+    if isinstance(e, (ConstraintZone, ForAll)):
+        return 1 + sum(map(_count, e.body))
+    if isinstance(e, If):
+        return 1 + sum(map(_count, e.then_body + (e.else_body or ())))
+    return 1

@@ -949,19 +949,6 @@ def alldiff_to_boolean(c: ir.GlobalCtr, model: ir.Model) -> list[ir.ModelFeature
     return _alldiff_to_boolean(c, sema.Scope(model), const_env(model), taken)
 
 
-def _contains_alldiff(stmts) -> bool:
-    for s in stmts:
-        if isinstance(s, ir.GlobalCtr) and s.ctr_name == "alldifferent":
-            return True
-        if isinstance(s, ir.ForAll) and _contains_alldiff(s.body):
-            return True
-        if isinstance(s, ir.If) and (
-            _contains_alldiff(s.then_body) or _contains_alldiff(s.else_body or ())
-        ):
-            return True
-    return False
-
-
 def _alldiff_rewrite_counted(model: ir.Model, mode: str) -> tuple[ir.Model, int]:
     if mode not in ALLDIFF_MODES:
         raise ValueError(f"unknown alldifferent mode '{mode}'")
