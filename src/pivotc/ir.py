@@ -422,10 +422,18 @@ def map_expr(e: Expression, fn) -> Expression:
 
 def rebuild(e: Node, updates: dict) -> Node:
     """A copy of e with some fields replaced: dataclasses.replace without
-    its per-call field scan (bindings and locations are copied too)."""
+    its per-call field scan (bindings and locations are copied too).
+
+    Each field is read and set on its own.  Touching ``__dict__`` instead
+    would give both nodes a dict of their own, about 64 bytes a node more
+    than the compact layout their class's instances share."""
     new = object.__new__(type(e))
-    new.__dict__.update(e.__dict__, **updates)
+    for name in e.__dataclass_fields__:
+        _set_field(new, name, updates[name] if name in updates else getattr(e, name))
     return new
+
+
+_set_field = object.__setattr__  # frozen dataclasses refuse plain assignment
 
 
 def walk_expr(e: Expression):
