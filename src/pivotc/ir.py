@@ -420,6 +420,9 @@ def map_expr(e: Expression, fn) -> Expression:
     return fn(rebuild(e, updates) if updates else e)
 
 
+_set_field = object.__setattr__  # frozen dataclasses refuse plain assignment
+
+
 def rebuild(e: Node, updates: dict) -> Node:
     """A copy of e with some fields replaced: dataclasses.replace without
     its per-call field scan (bindings and locations are copied too).
@@ -431,9 +434,6 @@ def rebuild(e: Node, updates: dict) -> Node:
     for name in e.__dataclass_fields__:
         _set_field(new, name, updates[name] if name in updates else getattr(e, name))
     return new
-
-
-_set_field = object.__setattr__  # frozen dataclasses refuse plain assignment
 
 
 def walk_expr(e: Expression):
