@@ -46,7 +46,6 @@ class Scope:
     features of one class, plus a stack of loop iterators."""
 
     def __init__(self, model: ir.Model):
-        self.model = model
         self.top: dict[str, ir.ModelElement] = {}
         self.literals: dict[str, tuple[str, int]] = {}
         self.features: dict[str, ir.ModelElement] | None = None
@@ -72,7 +71,6 @@ class Scope:
 
     def _clone(self) -> "Scope":
         child = object.__new__(Scope)
-        child.model = self.model
         child.top = self.top
         child.literals = self.literals
         child.features = self.features
