@@ -35,6 +35,7 @@ class CompileError(Exception):
 
     def __init__(self, message: str, loc: Loc | None = None):
         self.loc = loc
+        self.message = message  # without the location that str() puts first
         if loc is not None and loc.line:
             message = f"{loc}: {message}"
         super().__init__(message)

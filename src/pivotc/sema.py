@@ -177,7 +177,7 @@ def validate(model: ir.Model) -> list[Diagnostic]:
         walk = _Walk(Scope(model))
         walk.elements(model.elements)
     except (DuplicateNameError, UnresolvedNameError) as exc:
-        return [_diag(str(exc), None)]
+        return [_diag(exc.message, exc)]
     return walk.diags
 
 
@@ -228,7 +228,7 @@ def decl_kind(decl: ir.TypedElement, scope: Scope) -> ir.TypeKind:
     )
 
 
-def _diag(message: str, node: ir.Node | None) -> Diagnostic:
+def _diag(message: str, node: ir.Node | CompileError | None) -> Diagnostic:
     loc = getattr(node, "loc", None) or Loc()
     return Diagnostic("error", message, max(loc.line, 1), max(loc.col, 1), loc.file)
 
@@ -288,7 +288,7 @@ class _Walk:
         try:
             base = scalar_kind(d.type_name, self.scope, d.loc)
         except CompileError as exc:
-            self._note(str(exc), d)
+            self._note(exc.message, d)
             self.diags, base = [], None  # bind the rest, report nothing more for d
         dims = tuple([self.check(x, ir.INTEGER, "array dimension")[0] for x in d.dims])
         if isinstance(d, ir.Variable):
@@ -384,8 +384,8 @@ class _Walk:
     def settle(self, e: ir.Expression, k, want: ir.TypeKind | None = None, what: str = ""):
         """Record e's first type error, or a kind other than want (boolean
         passes for integer); returns (e, k) with k None after an error."""
-        if self.error is not None:
-            self._note(str(self.error), e)
+        if self.error is not None:  # at the node whose check failed
+            self._note(self.error.message, self.error if self.error.loc else e)
             return e, None
         if want is not None and k != want and not (want == ir.INTEGER and k == ir.BOOLEAN):
             self._note(f"{what} must be {want}, found {k}", e)
