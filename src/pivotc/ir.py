@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from .errors import Loc
 
 __all__ = [
-    "AlgBinaryOp", "AlgFunction", "AlgUnaryOp", "Binding", "BoolBinaryOp",
+    "AlgBinaryOp", "AlgFunction", "AlgUnaryOp", "Binding", "Bindings", "BoolBinaryOp",
     "BoolUnaryOp", "BoolValue", "Class", "Classifier", "Constant",
     "ConstraintZone", "DataType", "Domain", "Enumeration", "Expression",
     "ExpressionConstraint", "ExprDomain", "ForAll", "GlobalCtr", "If",
@@ -110,6 +110,19 @@ class Binding:
     enum_name: str | None = None
     position: int | None = None
     owner: str | None = None
+
+
+class Bindings(dict):
+    """Equal bindings as one shared object, for one walk: nodes are
+    immutable and bindings compare by value, so an occurrence needs no
+    Binding of its own."""
+
+    def __call__(self, kind, target, enum_name=None, position=None, owner=None) -> Binding:
+        key = (kind, target, enum_name, position, owner)
+        b = self.get(key)
+        if b is None:
+            b = self[key] = Binding(*key)
+        return b
 
 
 # --------------------------------------------------------------------------

@@ -2,14 +2,20 @@
 
 This is the semantic ground truth used to check that rewriting passes
 preserve solution sets, so it stays simple: backtracking in declaration
-order, no heuristics, every constraint checked as soon as its last variable
-is assigned.  For speed, the search over each program is written out as
-Python source, one nested ``for`` loop per variable with that depth's
-constraints fused into one condition, and compiled once with ``exec``.
+order, no ordering heuristics, every constraint checked as soon as its
+last variable is assigned unless a support mask filters it (below).  For
+speed, the search over each program is written out as Python source, one
+nested ``for`` loop per variable with that depth's constraints fused into
+one condition, and compiled once with ``exec``.
 
-When no constraint can raise, linear comparisons also prune.  That is the
-case when the variables are ints and bools and the constraints use only
-int literals, ``+ - *``, ``abs``, comparisons and the connectives.  A
+When no constraint can raise, masks and linear comparisons prune.  That is
+the case when the variables are ints and bools and the constraints use
+only int literals, ``+ - *``, ``abs``, comparisons and the connectives.
+A constraint over one or two int or bool variables of at most _MAX_MASKED
+values each becomes a support mask (forward checking, see _Masks): once a
+variable is bound, the mask of each later variable it constrains is
+narrowed to the values that agree with it, the value is rejected when a
+mask is left empty, and each loop binds only the values its mask keeps.  A
 comparison whose two sides are sums of int literals and variables times
 int literals reads as ``sum c_i * v_i op k``, with op one of
 ``= <= >= < >``.  At each of its variables but the last, a value is
@@ -17,18 +23,20 @@ rejected when the partial sum plus the least or the greatest that the
 remaining terms can add proves the comparison false.  An equality whose
 last variable is an int with coefficient +-1 forces that variable: its
 loop tries only the value the partial sum leaves, and only if the domain
-holds it.  A program that may raise (division, powers, math functions,
-reals, min/max, sets) keeps the plain search, because pruning skips
-evaluations and the error one of them would raise must not be skipped.
+holds it and its mask keeps it.  A program that may raise (division,
+powers, math functions, reals, min/max, sets) keeps the plain search,
+because pruning skips evaluations and the error one of them would raise
+must not be skipped.
 
 Pruning drops only assignments that violate a constraint and keeps the
 order of the others, so the solutions are those of the plain search, in
-the same order.  ``SolutionSet.nodes`` counts the values tried: every value
-a loop binds, also one that a bounds test then rejects, and a forced value
-once.  ``max_nodes`` caps that count.  Solutions are returned in canonical
-order, by value (as ``domain_values`` orders them) in sorted variable-name
-order.  When the variables are declared in sorted name order, the search
-yields that order itself and nothing is sorted.
+the same order.  ``SolutionSet.nodes`` counts the values bound: every value
+a loop binds, also one that a check, a bounds test or an emptied mask then
+rejects, and a forced value once; a value a mask excludes is never bound
+and not counted.  ``max_nodes`` caps that count.  Solutions are returned
+in canonical order, by value (as ``domain_values`` orders them) in sorted
+variable-name order.  When the variables are declared in sorted name
+order, the search yields that order itself and nothing is sorted.
 
 Evaluation is exact: integer arithmetic is unbounded, ``/`` evaluates in
 rationals, and set values are frozensets over the declared universe.
@@ -36,6 +44,7 @@ rationals, and set values are frozensets over the declared universe.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -61,7 +70,7 @@ DEFAULT_MAX_SOLUTIONS = 10 ** 6
 DEFAULT_MAX_NODES = 10 ** 7
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # no __dict__: a search can build 10^6 of them
 class Assignment:
     values: dict = field(default_factory=dict)
 
@@ -76,7 +85,7 @@ class Assignment:
 class SolutionSet:
     solutions: tuple[Assignment, ...] = ()
     complete: bool = True
-    nodes: int = field(default=0, compare=False)  # values tried; checked against max_nodes
+    nodes: int = field(default=0, compare=False)  # values bound; checked against max_nodes
 
     def __len__(self) -> int:
         return len(self.solutions)
@@ -195,6 +204,9 @@ _LOOPS_PER_FUNCTION = 16
 # within the tokenizer's 200 nested brackets and the compiler's recursion
 # limit.
 _MAX_DEPTH = 48
+# The largest domain, in values, whose loop is filtered through support
+# masks (see _Masks): its table VALS<j> holds one tuple per subset.
+_MAX_MASKED = 12
 
 _ARITH = {"+": " + ", "-": " - ", "*": " * "}
 _SET_OPS = {"intersect": " & ", "union": " | "}
@@ -416,16 +428,17 @@ class _Bounds:
     the local ``a<c>_<i>`` and fails when no values of the remaining
     variables, taken anywhere in their domains, can satisfy the
     constraint.  An equality whose last variable is an int with
-    coefficient +-1 forces that variable: its loop runs over the one value
-    the partial sum leaves, if the domain holds it, and the constraint
-    needs no check of its own.
+    coefficient +-1 forces that variable: ``forced`` holds the source of
+    the value the partial sum leaves, its loop runs over that one value if
+    the domain holds it (see _Masks.loop), and the constraint needs no
+    check of its own.
     """
 
     def __init__(self, program: FlatProgram):
         self.vars = program.vars
         n = len(program.vars)
         self.tests: list[list[str]] = [[] for _ in range(n)]
-        self.loops: list[str | None] = [None] * n
+        self.forced: list[str | None] = [None] * n  # source of a forced value
         self.reads: list[set[str]] = [set() for _ in range(n)]  # partial sums read
         self.sums: dict[str, list[tuple[int, int]]] = {}  # partial sum -> its terms
 
@@ -462,15 +475,13 @@ class _Bounds:
             prev = name
         last = order[-1]
         v = self.vars[last]
-        if op != "=" or abs(coefs[last]) != 1 or v.kind != "int" or self.loops[last] is not None:
+        if op != "=" or abs(coefs[last]) != 1 or v.kind != "int" or self.forced[last] is not None:
             return False
         if prev is None:
-            forced = k * coefs[last]
-            self.loops[last] = f"({forced},)" if v.lo <= forced <= v.hi else "()"
+            self.forced[last] = str(k * coefs[last])
         else:
             self.reads[last].add(prev)
-            value = f"{k} - {prev}" if coefs[last] == 1 else f"{prev} - {k}"
-            self.loops[last] = f"(f{last},) if {v.lo} <= (f{last} := {value}) <= {v.hi} else ()"
+            self.forced[last] = f"{k} - {prev}" if coefs[last] == 1 else f"{prev} - {k}"
         return True
 
     def rebuild(self, start: int, stop: int) -> list[str]:
@@ -485,22 +496,187 @@ class _Bounds:
         return lines
 
 
+def _mask(test, values) -> int:
+    """The mask of the values that pass test: bit b stands for values[b]."""
+    return sum(1 << b for b, x in enumerate(values) if test(x))
+
+
+def _support(test, xs, ys, pad: int, within: int) -> tuple[int, ...]:
+    """Per x, after pad entries that no value reads, the mask of the ys
+    that pass test(x, y), within the mask given."""
+    return (0,) * pad + tuple(_mask(functools.partial(test, x), ys) & within for x in xs)
+
+
+def _subsets(values) -> list[tuple]:
+    """Indexed by mask, the values whose bits are set, in domain order."""
+    table = [()]
+    for x in values:
+        table += [t + (x,) for t in table]
+    return table
+
+
+class _Masks:
+    """Forward checking through support masks, for the one- and
+    two-variable constraints of a program that cannot raise, over int and
+    bool variables of at most _MAX_MASKED values.
+
+    Bit b of a mask over variable j stands for the b-th value of its
+    domain.  The constraints over v<j> alone fold into the constant mask
+    ``U<j>``; those over v<i> and v<j>, i < j, into the table ``T<i>_<j>``,
+    which maps each value of v<i> to the mask of the v<j> values that
+    satisfy them with it (the first table of j also holds U<j>).  The
+    tables are built once per search, before the first loop, by evaluating
+    the constraints over the domains; that is safe only because no
+    constraint can raise.
+
+    Once v<i> is bound, ``m<i>_<j>`` is j's mask so far ANDed with
+    ``T<i>_<j>[v<i>]``, for every later j; the value is rejected when one
+    of these is empty.  Loop j binds only the values whose bits its mask
+    keeps, in domain order, looked up in ``VALS<j>``; a forced value is
+    bound only if its bit is set.  So a value a mask excludes is never
+    bound, and never counted as a node.
+    """
+
+    def __init__(self, program: FlatProgram, prune: bool):
+        self.vars = program.vars
+        self.masked = {
+            i
+            for i, v in enumerate(program.vars)
+            if prune and (v.kind == "bool" or v.kind == "int" and v.hi - v.lo < _MAX_MASKED)
+        }
+        self.unary: dict[int, list[str]] = {}
+        self.pairs: dict[tuple[int, int], list[str]] = {}
+        self.before: dict[int, set[int]] = {}  # j -> each i with a table T<i>_<j>
+        self.after: dict[int, set[int]] = {}  # i -> each j with a table T<i>_<j>
+
+    def add(self, src: str, used: set[int]) -> bool:
+        """Fold the constraint with source src into a mask; False when it
+        reads more than two variables or one that is not masked."""
+        if len(used) > 2 or not used <= self.masked:
+            return False
+        if len(used) == 1:
+            self.unary.setdefault(min(used), []).append(src)
+        else:
+            i, j = sorted(used)
+            self.pairs.setdefault((i, j), []).append(src)
+            self.before.setdefault(j, set()).add(i)
+            self.after.setdefault(i, set()).add(j)
+        return True
+
+    def _tables(self, j: int) -> list[int]:
+        """Each i with a table T<i>_<j>, in order."""
+        return sorted(self.before.get(j, ()))
+
+    def _pad(self, i: int) -> int:
+        """Unused entries that start a table T<i>_<j>, so that v<i>'s value
+        itself is the index: one per value below the lowest of its domain,
+        if there are few."""
+        v = self.vars[i]
+        return v.lo if v.kind == "int" and 0 <= v.lo <= _MAX_MASKED else 0
+
+    def _index(self, i: int) -> str:
+        """Source of the position of v<i>'s value in a table T<i>_<j>."""
+        v = self.vars[i]
+        shift = (v.lo if v.kind == "int" else 0) - self._pad(i)
+        return f"v{i} - {shift}" if shift > 0 else f"v{i} + {-shift}" if shift < 0 else f"v{i}"
+
+    def prelude(self, forced: list) -> list[str]:
+        """Module-level statements that build the masks and tables; forced
+        holds what _Bounds forces, per variable."""
+        lines = []
+        for j, srcs in sorted(self.unary.items()):
+            lines.append(f"U{j} = _mask(lambda v{j}: {' and '.join(srcs)}, DOMAINS[{j}])")
+        for (i, j), srcs in sorted(self.pairs.items()):
+            first = min(self.before[j]) == i
+            within = f"U{j}" if first and j in self.unary else "-1"
+            test = f"lambda v{i}, v{j}: {' and '.join(srcs)}"
+            lines.append(
+                f"T{i}_{j} = _support({test}, DOMAINS[{i}], DOMAINS[{j}], {self._pad(i)}, {within})"
+            )
+        shared: dict[tuple, int] = {}
+        for j in self._looped(forced, 0, len(self.vars)):
+            v = self.vars[j]
+            first = shared.setdefault((v.kind, v.lo, v.hi), j)
+            lines.append(f"VALS{j} = " + (f"VALS{first}" if first != j else f"_subsets(DOMAINS[{j}])"))
+        return lines
+
+    def _looped(self, forced: list, start: int, stop: int) -> list[int]:
+        """The variables among start..stop-1 whose loops read VALS<j>."""
+        return [
+            j
+            for j in range(start, stop)
+            if forced[j] is None and (j in self.unary or j in self.before)
+        ]
+
+    def hoisted(self, forced: list, start: int, stop: int) -> list[str]:
+        """The module-level names that loops start..stop-1 read, which the
+        function running them binds as locals, in lower case."""
+        tables = [f"T{i}_{j}" for i in range(start, stop) for j in sorted(self.after.get(i, ()))]
+        return tables + [f"VALS{j}" for j in self._looped(forced, start, stop)]
+
+    def rebuild(self, start: int, stop: int) -> tuple[list[str], set[int]]:
+        """Statements that recompute from the earlier values the masks that
+        loops start..stop-1 read but earlier loops computed, and the
+        indexes of those values."""
+        lines, reads = [], set()
+        for j in sorted(x for x in self.before if x >= start):
+            tables = self._tables(j)
+            old = [i for i in tables if i < start]
+            if old and (j < stop or any(start <= i < stop for i in tables)):
+                terms = " & ".join(f"T{i}_{j}[{self._index(i)}]" for i in old)
+                lines.append(f"    m{old[-1]}_{j} = {terms}")
+                reads.update(old)
+        return lines, reads
+
+    def _current(self, j: int, upto: int) -> str | None:
+        """j's mask once the values before v<upto> are bound."""
+        prior = [i for i in self._tables(j) if i < upto]
+        return f"m{prior[-1]}_{j}" if prior else None
+
+    def updates(self, i: int) -> list[str]:
+        """Conjuncts that narrow the masks of the later variables by the
+        value of v<i>, each false when it leaves no value."""
+        out = []
+        for j in sorted(self.after.get(i, ())):
+            prior = self._current(j, i)
+            table = f"t{i}_{j}[{self._index(i)}]"
+            out.append(f"(m{i}_{j} := {prior} & {table})" if prior else f"(m{i}_{j} := {table})")
+        return out
+
+    def loop(self, j: int, forced: str | None) -> str:
+        """Source of what loop j iterates over, given the source of the value
+        a linear equality forces."""
+        mask = self._current(j, j) or (f"U{j}" if j in self.unary else None)
+        v = self.vars[j]
+        if forced is not None:
+            test = f"{v.lo} <= (f{j} := {forced}) <= {v.hi}"
+            if mask:
+                shift = f"(f{j} - {v.lo})" if v.lo else f"f{j}"
+                test += f" and {mask} >> {shift} & 1"
+            return f"(f{j},) if {test} else ()"
+        return f"vals{j}[{mask}]" if mask else f"D[{j}]"
+
+
 def _search_source(program: FlatProgram) -> tuple[str, dict]:
     """Source defining ``s0(P, nodes)``, the whole search, plus the
     constants it reads.
 
-    Each variable gets one loop, in declaration order.  After each value the
-    node counter is checked against MAX_NODES, then every constraint whose
+    Each variable gets one loop, in declaration order.  When no constraint
+    may raise, the constraints over one or two small-domain variables
+    filter the values a loop binds (see _Masks).  After each value the node
+    counter is checked against MAX_NODES, then every other constraint whose
     last variable is that one, fused into one ``and`` in program order,
     followed by the bounds tests of the linear constraints (see _Bounds)
-    when no constraint may raise.  Constraints over no variable are checked
-    once before the first loop.  ``s<k>`` runs the loops of the k-th run of
-    _LOOPS_PER_FUNCTION variables and receives the earlier values as the
-    tuple P.  It returns the node count; a limit raises Stop instead.
+    and the mask updates when no constraint may raise.  Constraints over no
+    variable are checked once before the first loop.  ``s<k>`` runs the
+    loops of the k-th run of _LOOPS_PER_FUNCTION variables and receives the
+    earlier values as the tuple P.  It returns the node count; a limit
+    raises Stop instead.
     """
     writer = _Writer(program)
-    bounds = _Bounds(program)
     prune = not _may_raise(program)
+    bounds = _Bounds(program)
+    masks = _Masks(program, prune)
     n = len(program.vars)
     checks: list[list[str]] = [[] for _ in range(n)]
     reads: list[set[int]] = [set() for _ in range(n)]
@@ -510,6 +686,8 @@ def _search_source(program: FlatProgram) -> tuple[str, dict]:
         if not used:
             constant_checks.append(src)
             continue
+        if masks.add(src, used):
+            continue
         linear = _linear(constraint, writer.index) if prune else None
         if linear is not None and linear[1] and bounds.add(c, *linear):
             continue
@@ -517,22 +695,24 @@ def _search_source(program: FlatProgram) -> tuple[str, dict]:
         checks[last].append(src)
         reads[last] |= used
 
-    lines: list[str] = []
+    lines: list[str] = masks.prelude(bounds.forced)
     for k, start in enumerate(range(0, max(n, 1), _LOOPS_PER_FUNCTION)):
         stop = min(start + _LOOPS_PER_FUNCTION, n)
         lines += [f"def s{k}(P, nodes):", "    D = DOMAINS", "    max_nodes = MAX_NODES"]
-        earlier = set().union(*reads[start:stop])
+        lines += [f"    {name.lower()} = {name}" for name in masks.hoisted(bounds.forced, start, stop)]
+        rebuilt, masks_read = masks.rebuild(start, stop)
+        earlier = masks_read.union(*reads[start:stop])
         lines += [f"    v{i} = P[{i}]" for i in sorted(earlier) if i < start]
-        lines += bounds.rebuild(start, stop)
+        lines += bounds.rebuild(start, stop) + rebuilt
         if k == 0 and constant_checks:
             lines.append(f"    if not ({' and '.join(constant_checks)}): return nodes")
         pad = "    "
         for i in range(start, stop):
-            lines.append(f"{pad}for v{i} in {bounds.loops[i] or f'D[{i}]'}:")
+            lines.append(f"{pad}for v{i} in {masks.loop(i, bounds.forced[i])}:")
             pad += "    "
             lines.append(f"{pad}nodes += 1")
             lines.append(f"{pad}if nodes > max_nodes: raise Stop(nodes)")
-            tests = checks[i] + bounds.tests[i]
+            tests = checks[i] + bounds.tests[i] + masks.updates(i)
             if tests:
                 lines.append(f"{pad}if not ({' and '.join(tests)}): continue")
         own = "".join(f"v{i}, " for i in range(start, stop))
@@ -612,6 +792,7 @@ def enumerate_solutions(
         MAX_NODES=max_nodes, MAX_SOLUTIONS=max_solutions,
         Assignment=Assignment, Stop=_Stop,
         _div=_div, _pow=_pow, _ordered=_ordered,
+        _mask=_mask, _support=_support, _subsets=_subsets,
     )
     try:
         exec(compile(source, "<oracle search>", "exec"), namespace)

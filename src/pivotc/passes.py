@@ -467,6 +467,7 @@ class _Flattener:
         # iterators renamed so far (old name -> new name)
         self.placed: set[str] = set()
         self.renames: dict[str, str] = {}
+        self.binding = ir.Bindings()
 
     # -- expression rewriting ------------------------------------------
     def _flat_ref(self, prefix: list[str], ctx_pairs, steps, loc, cls) -> ir.VarOccurrence:
@@ -498,7 +499,7 @@ class _Flattener:
                 for _idx, size in pairs[1:]:
                     self._moving(size)
                 indexes = (_linear_index(pairs),) if pairs else ()
-        return ir.VarOccurrence(flat_name, indexes, binding=ir.Binding(kind, flat_name), loc=loc)
+        return ir.VarOccurrence(flat_name, indexes, binding=self.binding(kind, flat_name), loc=loc)
 
     def _moving(self, size: ir.Expression):
         """Note the names size reads: it is placed under other loops than
@@ -527,7 +528,7 @@ class _Flattener:
                 self.exact = False
             elif b.kind == "iterator" and e.name in self.renames:
                 name = self.renames[e.name]
-                return ir.VarOccurrence(name, indexes, binding=ir.Binding("iterator", name), loc=e.loc)
+                return ir.VarOccurrence(name, indexes, binding=self.binding("iterator", name), loc=e.loc)
             elif cls is not None and b.owner == cls.name and b.kind in ("variable", "constant"):
                 decl = self.attrs[cls.name].get(e.name)
                 if decl is not None and decl.type_name not in self.classes:
@@ -626,7 +627,7 @@ class _Flattener:
         for size in enclosing:
             self._moving(size)
         return [
-            (ir.VarOccurrence(name, binding=ir.Binding("iterator", name)), size)
+            (ir.VarOccurrence(name, binding=self.binding("iterator", name)), size)
             for name, size in zip(names, enclosing)
         ]
 

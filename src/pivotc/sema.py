@@ -250,6 +250,7 @@ class _Walk:
         self.diags: list[Diagnostic] = []
         self.error: CompileError | None = None
         self.ground = True
+        self.binding = ir.Bindings()
 
     def _note(self, message: str, node: ir.Node | None):
         self.diags.append(_diag(message, node))
@@ -522,11 +523,11 @@ class _Walk:
             raise UnresolvedNameError(e.name, e.loc) from None
         if kind == "variable" or kind == "constant":
             owner = scope.owner if scope.features and e.name in scope.features else None
-            return ir.Binding(kind, e.name, owner=owner), decl
+            return self.binding(kind, e.name, owner=owner), decl
         if kind == "iterator":
-            return ir.Binding("iterator", e.name), None
+            return self.binding("iterator", e.name), None
         if kind == "enum_literal":
-            return ir.Binding(kind, e.name, *decl), None
+            return self.binding(kind, e.name, *decl), None
         raise UnresolvedNameError(e.name, e.loc, f"'{e.name}' names a {kind}, not a value")
 
     def occurrence(self, e: ir.VarOccurrence, binding: ir.Binding, decl):
@@ -588,7 +589,7 @@ class _Walk:
                     step.name, step.loc, f"class '{cls.name}' has no attribute '{step.name}'"
                 )
             k = "constant" if isinstance(feature, ir.Constant) else "variable"
-            step, kind = self.occurrence(step, ir.Binding(k, step.name, owner=cls.name), feature)
+            step, kind = self.occurrence(step, self.binding(k, step.name, owner=cls.name), feature)
             steps.append(step)
             cls = self.scope.class_named(feature.type_name)
         return ir.rebuild(e, {"path": tuple(steps)}), kind

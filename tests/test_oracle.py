@@ -73,7 +73,7 @@ def test_send_more_money_unique_solution():
     p = _lowered("send.som")
     s = enumerate_solutions(p)
     assert s.complete and len(s) == 1
-    assert s.nodes < 20_000  # bounds on the sum prune; generate-and-test tries 6.3M
+    assert s.nodes < 3_500  # 3,177: bounds on the sum and masks on the disequalities prune
     a = s.solutions[0]
     assert (a["s"], a["e"], a["n"], a["d"]) == (9, 5, 6, 7)
     assert (a["m"], a["o"], a["r"], a["y"]) == (1, 0, 8, 2)
@@ -188,6 +188,75 @@ def test_linear_programs_match_naive(text):
     s = enumerate_solutions(p)
     assert s.complete
     assert s.solutions == naive_enumerate(p).solutions
+
+
+@st.composite
+def _mask_programs(draw):
+    """_linear_programs plus constraints over one or two variables that
+    only support masks prune: ``abs(x - y) != k``, ``x != y``,
+    ``not (x = y)``, ``x * y <= k`` and ``or``; x and y may be the same
+    variable."""
+    text = draw(_linear_programs())
+    names = [v.name for v in parse_flat(text).vars]
+
+    def shape():
+        x, y = draw(st.sampled_from(names)), draw(st.sampled_from(names))
+        k = draw(st.integers(-3, 4))
+        return draw(st.sampled_from([
+            f"abs({x} - {y}) != {k}",
+            f"{x} != {y}",
+            f"not ({x} = {y})",
+            f"{x} * {y} <= {k}",
+            f"{x} < {k} or {y} = {k}",
+        ]))
+
+    extra = []
+    for _ in range(draw(st.integers(1, 4))):
+        c = shape()
+        extra.append(f"constraint {c if draw(st.booleans()) else f'({c}) or ({shape()})'};\n")
+    return text + "".join(extra)
+
+
+_CROSSING = "".join(
+    f"var int x{i} in {'0..2' if i in (1, 2, 16, 17) else '1..1'};\n" for i in range(1, 18)
+) + (
+    "var bool x18;\n"
+    "constraint abs(x1 - x17) != 1;\nconstraint x2 != x17;\nconstraint not (x16 = x17);\n"
+    "constraint x17 * x18 <= 1;\nconstraint x2 < 1 or x18 = 1;\nconstraint x1 + x2 + x3 + x17 = 3;\n"
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mask_programs())
+# z is forced by the sum and also masked by x and by its own constraint
+@example(
+    "var int x in 1..3;\nvar int y in 1..3;\nvar int z in 0..5;\nconstraint x + y + z = 6;\n"
+    "constraint abs(x - z) != 1;\nconstraint z != 2;\n"
+)
+# no value of x passes its own constraint, so its loop is empty
+@example("var bool b;\nvar int x in -2..2;\nconstraint x * x <= -1;\nconstraint b or x > 0;\n")
+# tables indexed by x + 3 and by y - 20, since those values are negative or large
+@example(
+    "var int x in -3..-1;\nvar int y in 20..22;\nvar int z in -2..0;\n"
+    "constraint abs(x - z) != 1;\nconstraint y + z != 21;\n"
+)
+# 18 loops: the second generated function rebuilds x17's mask from the
+# values of x1 and x2 in P, then narrows x18's by x17
+@example(_CROSSING)
+def test_mask_programs_match_naive(text):
+    p = parse_flat(text)
+    s = enumerate_solutions(p)
+    assert s.complete
+    assert s.solutions == naive_enumerate(p).solutions
+
+
+def test_nodes_count_only_values_a_mask_keeps():
+    # x < y is a table from x to the y values above it: every x is bound,
+    # then only the 8 + 7 + ... + 0 values of y that the mask keeps
+    p = parse_flat("var int x in 1..9;\nvar int y in 1..9;\nconstraint x < y;\n")
+    s = enumerate_solutions(p)
+    assert len(s) == 36
+    assert s.nodes == 9 + 36
 
 
 def test_forced_sum_crosses_the_loop_split():

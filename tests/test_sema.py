@@ -29,6 +29,18 @@ def test_resolve_binds_constant_in_dim():
     assert dim.binding == ir.Binding("constant", "s")
 
 
+def test_resolve_shares_equal_bindings():
+    m = resolve(parse(SourceUnit(
+        "model M;\nint x in 1..3;\nint y in 1..3;\nconstraint c { x != y; x + y >= x; }"
+    )))
+    first, second = next(z.body for z in m.elements if isinstance(z, ir.ConstraintZone))
+    xs = [n for n in ir.walk_expr(first.expr) if isinstance(n, ir.VarOccurrence) and n.name == "x"]
+    xs += [n for n in ir.walk_expr(second.expr) if isinstance(n, ir.VarOccurrence) and n.name == "x"]
+    assert len(xs) == 3
+    assert all(n.binding is xs[0].binding for n in xs)
+    assert xs[0].binding == ir.Binding("variable", "x")
+
+
 def test_resolve_empty_model_identity():
     m = ir.Model("Empty", ())
     assert resolve(m) == m
