@@ -42,6 +42,15 @@ EXIT_DIAGNOSTICS = 1
 EXIT_USAGE = 2
 EXIT_ORACLE_LIMIT = 3
 
+# check's verdict, printed first on its line, per compare_solutions relation
+# of the transformed model's solutions to the baseline's
+VERDICTS = {
+    "equal": "EQUAL",
+    "superset": "SUPERSET",
+    "subset": "SUBSET",
+    "incomparable": "DIFFER",
+}
+
 
 @dataclass(frozen=True)
 class RunSpec:
@@ -189,13 +198,7 @@ def cmd_check(args) -> int:
         return _fail(str(exc))
     except CompileError as exc:
         return _fail(str(exc))
-    verdict = {
-        "equal": "EQUAL",
-        "superset": "SUPERSET",
-        "subset": "SUBSET",
-        "incomparable": "DIFFER",
-    }[relation]
-    print(f"{verdict} baseline={len(base_sols)} transformed={len(full_sols)}")
+    print(f"{VERDICTS[relation]} baseline={len(base_sols)} transformed={len(full_sols)}")
     return EXIT_OK
 
 

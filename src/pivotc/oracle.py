@@ -33,10 +33,13 @@ order of the others, so the solutions are those of the plain search, in
 the same order.  ``SolutionSet.nodes`` counts the values bound: every value
 a loop binds, also one that a check, a bounds test or an emptied mask then
 rejects, and a forced value once; a value a mask excludes is never bound
-and not counted.  ``max_nodes`` caps that count.  Solutions are returned
-in canonical order, by value (as ``domain_values`` orders them) in sorted
-variable-name order.  When the variables are declared in sorted name
-order, the search yields that order itself and nothing is sorted.
+and not counted.  ``max_nodes`` caps that count.  A search returns value
+rows, the values of each solution in declaration order, with the names
+stored once; ``SolutionSet.solutions`` builds ``Assignment``s from them only
+when read.  Rows are in canonical order, by value (as ``domain_values``
+orders them) in sorted variable-name order.  When the variables are
+declared in sorted name order, the search yields that order itself and
+nothing is sorted.
 
 Evaluation is exact: integer arithmetic is unbounded, ``/`` evaluates in
 rationals, and set values are frozensets over the declared universe.
@@ -70,7 +73,7 @@ DEFAULT_MAX_SOLUTIONS = 10 ** 6
 DEFAULT_MAX_NODES = 10 ** 7
 
 
-@dataclass(frozen=True, slots=True)  # no __dict__: a search can build 10^6 of them
+@dataclass(frozen=True, slots=True)  # no __dict__: a read of solutions can build 10^6
 class Assignment:
     values: dict = field(default_factory=dict)
 
@@ -83,12 +86,19 @@ class Assignment:
 
 @dataclass(frozen=True)
 class SolutionSet:
-    solutions: tuple[Assignment, ...] = ()
+    """Value rows in canonical order: ``rows[r][i]`` is ``names[i]``'s value."""
+
+    names: tuple[str, ...] = ()
+    rows: tuple[tuple, ...] = ()
     complete: bool = True
     nodes: int = field(default=0, compare=False)  # values bound; checked against max_nodes
 
     def __len__(self) -> int:
-        return len(self.solutions)
+        return len(self.rows)
+
+    @property
+    def solutions(self) -> tuple[Assignment, ...]:  # built anew on every read
+        return tuple(Assignment(dict(zip(self.names, row))) for row in self.rows)
 
 
 # --------------------------------------------------------------------------
@@ -720,7 +730,7 @@ def _search_source(program: FlatProgram) -> tuple[str, dict]:
         if stop < n:
             lines.append(f"{pad}nodes = s{k + 1}({values}, nodes)")
         else:
-            lines.append(f"{pad}OUT.append(Assignment(dict(zip(NAMES, {values}))))")
+            lines.append(f"{pad}OUT.append({values})")
             lines.append(f"{pad}if len(OUT) >= MAX_SOLUTIONS: raise Stop(nodes)")
         lines.append("    return nodes")
     return "\n".join(writer.helpers + lines) + "\n", writer.constants
@@ -746,25 +756,23 @@ def domain_values(v: FlatVar) -> list:
 
 
 def _canonical_key(program: FlatProgram, domains: list[list]):
-    """Sort key that puts solutions in canonical order: by value in sorted
+    """Sort key that puts value rows in canonical order: by value in sorted
     variable-name order, each value ranked by its place in domain_values.
     None when the variables are declared in sorted name order, because the
     search then yields that order already."""
     names = [v.name for v in program.vars]
-    ordered = sorted(names)
-    if ordered == names:
+    order = sorted(range(len(names)), key=names.__getitem__)
+    if order == list(range(len(names))):
         return None
-    get = operator.itemgetter(*ordered)  # two names at least: a tuple
-    ranks = {
-        v.name: {s: r for r, s in enumerate(d)}
-        for v, d in zip(program.vars, domains)
-        if v.kind == "set"
-    }
-    if not ranks:  # ints and bools rank as their own values
-        return lambda a: get(a.values)
-    by_position = [ranks.get(x) for x in ordered]
-    return lambda a: tuple(
-        value if rank is None else rank[value] for rank, value in zip(by_position, get(a.values))
+    get = operator.itemgetter(*order)  # two variables at least: a tuple
+    ranks = [
+        {s: r for r, s in enumerate(domains[i])} if program.vars[i].kind == "set" else None
+        for i in order
+    ]
+    if not any(ranks):  # ints and bools rank as their own values
+        return get
+    return lambda row: tuple(
+        value if rank is None else rank[value] for rank, value in zip(ranks, get(row))
     )
 
 
@@ -774,7 +782,6 @@ def enumerate_solutions(
     max_nodes: int = DEFAULT_MAX_NODES,
 ) -> SolutionSet:
     """Exhaustive backtracking search; exact unless a limit triggers."""
-    names = tuple(v.name for v in program.vars)
     domains = [domain_values(v) for v in program.vars]
     space = 1
     for d in domains:
@@ -785,12 +792,11 @@ def enumerate_solutions(
             )
 
     source, constants = _search_source(program)
-    solutions: list[Assignment] = []
+    rows: list[tuple] = []
     namespace = dict(
         constants,
-        DOMAINS=domains, NAMES=names, OUT=solutions,
-        MAX_NODES=max_nodes, MAX_SOLUTIONS=max_solutions,
-        Assignment=Assignment, Stop=_Stop,
+        DOMAINS=domains, OUT=rows,
+        MAX_NODES=max_nodes, MAX_SOLUTIONS=max_solutions, Stop=_Stop,
         _div=_div, _pow=_pow, _ordered=_ordered,
         _mask=_mask, _support=_support, _subsets=_subsets,
     )
@@ -805,8 +811,18 @@ def enumerate_solutions(
         namespace.clear()
     key = _canonical_key(program, domains)
     if key is not None:
-        solutions.sort(key=key)
-    return SolutionSet(tuple(solutions), complete, nodes)
+        rows.sort(key=key)
+    return SolutionSet(tuple(v.name for v in program.vars), tuple(rows), complete, nodes)
+
+
+def _project(s: SolutionSet, names: list[str]) -> set:
+    """s's rows projected onto names; one name projects to a bare value.
+    An unknown name raises KeyError."""
+    index = {name: i for i, name in enumerate(s.names)}
+    at = [index[n] for n in names]
+    if len(at) > 1 and at == list(range(len(s.names))):
+        return set(s.rows)  # every name in order: the rows themselves
+    return set(map(operator.itemgetter(*at) if at else (lambda row: ()), s.rows))
 
 
 def compare_solutions(a: SolutionSet, b: SolutionSet, projection=None) -> str:
@@ -819,10 +835,7 @@ def compare_solutions(a: SolutionSet, b: SolutionSet, projection=None) -> str:
         pb = {tuple(sorted(s.values.items(), key=lambda kv: kv[0])) for s in b.solutions}
     else:
         names = list(projection)
-        # one name projects to a bare value, the same on both sides
-        get = operator.itemgetter(*names) if names else (lambda values: ())
-        pa = set(map(get, [s.values for s in a.solutions]))
-        pb = set(map(get, [s.values for s in b.solutions]))
+        pa, pb = _project(a, names), _project(b, names)
     if pa == pb:
         return "equal"
     if pa < pb:

@@ -205,6 +205,9 @@ class _Folder:
             b = value(e.right)
             if b is _MISSING:
                 return b
+            a_set, b_set = isinstance(a, frozenset), isinstance(b, frozenset)
+            if a_set != b_set or a_set and e.op != "-":
+                return _MISSING  # arithmetic on a set stays symbolic; set difference folds
             return _arith(e.op, a, b, e.loc)
         if t is ir.BoolBinaryOp:
             a = value(e.left)
@@ -224,15 +227,15 @@ class _Folder:
             return _COMPARE[e.op](_num(a), _num(b))
         if t is ir.AlgUnaryOp:
             v = value(e.operand)
-            if v is _MISSING:
-                return v
+            if v is _MISSING or isinstance(v, frozenset):
+                return _MISSING
             return -_num(v) if e.op == "neg" else _num(v)
         if t is ir.AlgFunction:
             vals = []
             for a in e.args:
                 v = value(a)
-                if v is _MISSING:
-                    return v
+                if v is _MISSING or isinstance(v, frozenset):
+                    return _MISSING
                 vals.append(_num(v))
             if e.fn == "abs":
                 return abs(vals[0])
@@ -950,27 +953,26 @@ def alldiff_to_boolean(c: ir.GlobalCtr, model: ir.Model) -> list[ir.ModelFeature
     return _alldiff_to_boolean(c, sema.Scope(model), const_env(model), taken)
 
 
-def _alldiff_rewrite_counted(model: ir.Model, mode: str) -> tuple[ir.Model, int]:
-    if mode not in ALLDIFF_MODES:
-        raise ValueError(f"unknown alldifferent mode '{mode}'")
-    model = sema.resolve(model)
-    _ensure_class_free(model, "alldiffRewrite")
-    scope = sema.Scope(model)
-    env = const_env(model)
-    taken = {e.name for e in model.elements if hasattr(e, "name")}
-    count = 0
+class _AlldiffRewriter:
+    """Rewrites the alldifferent constraints of statement lists and counts
+    them.  Not a recursive closure: a closure that calls itself is a
+    reference cycle, which would keep the model alive until the cyclic
+    collector runs."""
 
-    def rewrite_stmts(stmts, nested: bool):
-        nonlocal count
+    def __init__(self, mode: str, scope: sema.Scope, env: dict, taken: set[str]):
+        self.mode, self.scope, self.env, self.taken = mode, scope, env, taken
+        self.count = 0
+
+    def stmts(self, stmts, nested: bool) -> tuple[list[ir.Statement], list[ir.Variable]]:
         out: list[ir.Statement] = []
         hoisted: list[ir.Variable] = []
         for s in stmts:
             if isinstance(s, ir.GlobalCtr) and s.ctr_name == "alldifferent":
-                count += 1
-                if mode == "disequalities":
+                self.count += 1
+                if self.mode == "disequalities":
                     out.extend(alldiff_to_disequalities(s))
-                elif mode == "relaxation":
-                    out.append(_alldiff_to_relaxation(s, scope, env))
+                elif self.mode == "relaxation":
+                    out.append(_alldiff_to_relaxation(s, self.scope, self.env))
                 else:
                     if nested:
                         raise PreconditionError(
@@ -978,19 +980,19 @@ def _alldiff_rewrite_counted(model: ir.Model, mode: str) -> tuple[ir.Model, int]
                             "boolean mode cannot rewrite alldifferent inside forall/if "
                             "(the matrix would be shared between iterations)",
                         )
-                    features = _alldiff_to_boolean(s, scope, env, taken)
+                    features = _alldiff_to_boolean(s, self.scope, self.env, self.taken)
                     hoisted.extend(f for f in features if isinstance(f, ir.Variable))
                     out.extend(f for f in features if isinstance(f, ir.Statement))
             elif isinstance(s, ir.ForAll):
-                body, inner_hoisted = rewrite_stmts(s.body, True)
+                body, inner_hoisted = self.stmts(s.body, True)
                 hoisted.extend(inner_hoisted)
                 out.append(dataclasses.replace(s, body=tuple(body)))
             elif isinstance(s, ir.If):
-                then_body, h1 = rewrite_stmts(s.then_body, True)
+                then_body, h1 = self.stmts(s.then_body, True)
                 hoisted.extend(h1)
                 else_body = None
                 if s.else_body is not None:
-                    eb, h2 = rewrite_stmts(s.else_body, True)
+                    eb, h2 = self.stmts(s.else_body, True)
                     hoisted.extend(h2)
                     else_body = tuple(eb)
                 out.append(dataclasses.replace(s, then_body=tuple(then_body), else_body=else_body))
@@ -998,20 +1000,28 @@ def _alldiff_rewrite_counted(model: ir.Model, mode: str) -> tuple[ir.Model, int]
                 out.append(s)
         return out, hoisted
 
+
+def _alldiff_rewrite_counted(model: ir.Model, mode: str) -> tuple[ir.Model, int]:
+    if mode not in ALLDIFF_MODES:
+        raise ValueError(f"unknown alldifferent mode '{mode}'")
+    model = sema.resolve(model)
+    _ensure_class_free(model, "alldiffRewrite")
+    taken = {e.name for e in model.elements if hasattr(e, "name")}
+    rewriter = _AlldiffRewriter(mode, sema.Scope(model), const_env(model), taken)
     elements: list[ir.ModelElement] = []
     for e in model.elements:
         if isinstance(e, ir.ConstraintZone):
-            body, hoisted = rewrite_stmts(e.body, False)
+            body, hoisted = rewriter.stmts(e.body, False)
             elements.extend(hoisted)
             elements.append(ir.ConstraintZone(e.name, tuple(body), loc=e.loc))
         elif isinstance(e, ir.Statement):
-            stmts, hoisted = rewrite_stmts([e], False)
+            stmts, hoisted = rewriter.stmts([e], False)
             elements.extend(hoisted)
             elements.extend(stmts)
         else:
             elements.append(e)
     out = dataclasses.replace(model, elements=tuple(elements))
-    return sema.mark_resolved(out), count
+    return sema.mark_resolved(out), rewriter.count
 
 
 def alldiff_rewrite(model: ir.Model, mode: str = "disequalities") -> ir.Model:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from pivotc import ir
 from pivotc.errors import NonGroundBoundError, NonGroundConditionError
 from pivotc.flat import FlatProgram
-from pivotc.oracle import Assignment, SolutionSet
+from pivotc.oracle import SolutionSet
 from pivotc.parser import KEYWORDS, SourceUnit, parse
 from pivotc.passes import fold_constants
 
@@ -102,21 +102,22 @@ def naive_enumerate(program: FlatProgram) -> SolutionSet:
     """Filter the full cross product of all domains; exact but slow."""
     names = [v.name for v in program.vars]
     value_lists = [_naive_values(v) for v in program.vars]
-    solutions = []
+    rows = []
     for combo in itertools.product(*value_lists):
         env = dict(zip(names, combo))
         if all(eval_expr(c, env) for c in program.constraints):
-            solutions.append(Assignment(env))
+            rows.append(combo)
 
-    def key(a: Assignment):
+    def key(row: tuple):
+        env = dict(zip(names, row))
         out = []
         for name in sorted(names):
-            v = a.values[name]
+            v = env[name]
             out.append((len(v), tuple(sorted(v))) if isinstance(v, frozenset) else (int(v),))
         return tuple(out)
 
-    solutions.sort(key=key)
-    return SolutionSet(tuple(solutions), True)
+    rows.sort(key=key)
+    return SolutionSet(tuple(names), tuple(rows), True)
 
 
 # --------------------------------------------------------------------------

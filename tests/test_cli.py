@@ -116,6 +116,13 @@ def test_check_relaxation_superset():
     assert proc.stdout.startswith("SUPERSET")
 
 
+def test_check_prints_the_exported_verdict(capsys):
+    assert set(cli.VERDICTS) == {"equal", "subset", "superset", "incomparable"}
+    argv = ["check", "-m", str(FIXTURES / "queens4.som"), "--alldiff", "relaxation"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == f"{cli.VERDICTS['superset']} baseline=2 transformed=4\n"
+
+
 def test_check_boolean_equal():
     proc = run_cli("check", "-m", str(FIXTURES / "queens4.som"), "--alldiff", "boolean")
     assert proc.returncode == 0
@@ -153,6 +160,16 @@ def test_eval_deep_set_literal_is_a_diagnostic():
     assert proc.returncode == 1
     assert "expression nested too deeply" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("expr", [
+    "abs({1})", "{1} + 1", "0 - {1}", "{1} * {2}", "{1} / 2", "2 ^ {1}",
+    "min({1}, 2)", "max(1, {2})", "-{1}",
+])
+def test_eval_set_operand_of_arithmetic_stays_symbolic(capsys, expr):
+    # a set has no arithmetic: the node is left unfolded, as 1.5 < {1} is
+    assert main(["eval", f"--expr={expr}"]) == 0
+    assert capsys.readouterr().out == expr + "\n"
 
 
 @pytest.mark.parametrize("command", [

@@ -1,6 +1,8 @@
 import gc
 import itertools
 import math
+import operator
+import tracemalloc
 import types
 
 import pytest
@@ -250,6 +252,62 @@ def test_mask_programs_match_naive(text):
     assert s.solutions == naive_enumerate(p).solutions
 
 
+_SHAPES = {  # constraint shapes over the kinds of the two variables they read
+    "num": ["{x} + {y} <= {k}", "{x} != {y}", "abs({x} - {y}) != {k}", "{x} * {y} >= {k}"],
+    "set": ["card({x}) = {k}", "card({x} union {y}) <= {k}", "{x} != {y}",
+            "card({x} intersect {y}) >= {k}", "{x} = {y} diff {{1}}"],
+    "mixed": ["card({x}) + {y} = {k}", "card({x}) != {y}"],
+}
+
+
+@st.composite
+def _var_decls(draw, names):
+    """One declaration per name: an int, a bool or a small set."""
+    decls = {}
+    for name in names:
+        kind = draw(st.sampled_from(["int", "int", "bool", "set"]))
+        if kind == "int":
+            lo = draw(st.integers(-2, 2))
+            decls[name] = ("num", f"var int {name} in {lo}..{lo + draw(st.integers(0, 3))};\n")
+        elif kind == "bool":
+            decls[name] = ("num", f"var bool {name};\n")
+        else:
+            decls[name] = ("set", f"var set of 1..{draw(st.integers(1, 3))} {name};\n")
+    return decls
+
+
+@st.composite
+def _constraints(draw, decls, count):
+    out = []
+    for _ in range(count):
+        x, y = draw(st.sampled_from(sorted(decls))), draw(st.sampled_from(sorted(decls)))
+        kinds = {decls[x][0], decls[y][0]}
+        if len(kinds) > 1 and decls[x][0] != "set":
+            x, y = y, x  # mixed shapes read the set first
+        shape = draw(st.sampled_from(_SHAPES[kinds.pop() if len(kinds) == 1 else "mixed"]))
+        out.append(f"constraint {shape.format(x=x, y=y, k=draw(st.integers(-1, 4)))};\n")
+    return out
+
+
+@st.composite
+def _mixed_programs(draw):
+    """Programs over one to four int, bool and set variables, declared in a
+    random order, so that the canonical sort has work to do."""
+    names = draw(st.permutations(["a", "b", "c", "d"]))[: draw(st.integers(1, 4))]
+    decls = draw(_var_decls(names))
+    constraints = draw(_constraints(decls, draw(st.integers(0, 3))))
+    return "".join(d for _, d in decls.values()) + "".join(constraints)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mixed_programs())
+def test_mixed_programs_match_naive(text):
+    p = parse_flat(text)
+    s, naive = enumerate_solutions(p), naive_enumerate(p)
+    assert s == naive  # names, rows in order and complete
+    assert s.solutions == naive.solutions
+
+
 def test_nodes_count_only_values_a_mask_keeps():
     # x < y is a table from x to the y values above it: every x is bound,
     # then only the 8 + 7 + ... + 0 values of y that the mask keeps
@@ -417,6 +475,48 @@ def test_compare_incomparable():
     a = enumerate_solutions(parse_flat("var int x in 1..2;\nconstraint x = 1;\n"))
     b = enumerate_solutions(parse_flat("var int x in 1..2;\nconstraint x = 2;\n"))
     assert compare_solutions(a, b, ["x"]) == "incomparable"
+
+
+def _compare_by_assignments(a, b, projection):
+    """compare_solutions as it projected Assignment dicts before solutions
+    became value rows."""
+    names = list(projection)
+    get = operator.itemgetter(*names) if names else (lambda values: ())
+    pa = set(map(get, [x.values for x in a.solutions]))
+    pb = set(map(get, [x.values for x in b.solutions]))
+    if pa == pb:
+        return "equal"
+    return "subset" if pa < pb else "superset" if pa > pb else "incomparable"
+
+
+@st.composite
+def _program_pairs(draw):
+    """Two programs over the same variables: the second declares them in
+    another order plus one extra, as boolean mode's lowering does, and keeps
+    a random part of the first's constraints."""
+    names = list(draw(st.permutations(["a", "b", "c"]))[: draw(st.integers(1, 3))])
+    decls = draw(_var_decls(names + ["z"]))
+    extra = decls.pop("z")
+    shared = {n: decls[n] for n in names}
+    first = draw(_constraints(shared, draw(st.integers(0, 3))))
+    kept = [c for c in first if draw(st.booleans())]
+    second = kept + draw(_constraints(dict(shared, z=extra), draw(st.integers(0, 1))))
+    order = draw(st.permutations(names))
+    text_a = "".join(decls[n][1] for n in names) + "".join(first)
+    text_b = "".join(decls[n][1] for n in order) + extra[1] + "".join(second)
+    projections = [[], [draw(st.sampled_from(names))], names, list(draw(st.permutations(names)))]
+    return text_a, text_b, projections
+
+
+@settings(max_examples=200, deadline=None)
+@given(_program_pairs())
+@example(("var int a in 1..2;\n", "var int a in 1..2;\nvar bool z;\n", [[], ["a"]]))
+def test_compare_matches_projected_assignments(pair):
+    text_a, text_b, projections = pair
+    a, b = enumerate_solutions(parse_flat(text_a)), enumerate_solutions(parse_flat(text_b))
+    for projection in projections:
+        for x, y in ((a, b), (b, a), (a, a)):
+            assert compare_solutions(x, y, projection) == _compare_by_assignments(x, y, projection)
 
 
 def test_compare_requires_complete_sets():
@@ -591,5 +691,27 @@ def test_search_releases_its_solution_list(monkeypatch, max_solutions):
         if collecting:
             gc.enable()
     assert referrers == []
-    assert result.solutions == tuple(out)
+    assert result.rows == tuple(out)
     assert len(result) == (3 if max_solutions > 1 else 1)
+
+
+def test_relaxed_queens_rows_stay_small():
+    # relaxed 9-queens: the sum of alldifferent's relaxation and the
+    # diagonals, 26,365 solutions held as value rows, not dicts
+    n = 9
+    text = "".join(f"var int q{i} in 1..{n};\n" for i in range(1, n + 1))
+    text += f"constraint {' + '.join(f'q{i}' for i in range(1, n + 1))} = {n * (n + 1) // 2};\n"
+    text += "".join(
+        f"constraint abs(q{i} - q{j}) != {j - i};\n"
+        for i in range(1, n + 1)
+        for j in range(i + 1, n + 1)
+    )
+    program = parse_flat(text)
+    tracemalloc.start()
+    try:
+        s = enumerate_solutions(program)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(s) == 26365
+    assert peak / len(s) < 200  # bytes per solution; an Assignment per solution took 331

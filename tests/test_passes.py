@@ -447,6 +447,23 @@ def test_alldiff_rewrite_fresh_matrix_names():
     assert "b2" in names  # "b" was taken
 
 
+@pytest.mark.parametrize("mode", ["disequalities", "boolean", "relaxation"])
+def test_alldiff_rewrite_leaves_no_reference_cycle(queens4, mode):
+    # cli.main runs without the cyclic collector, and check runs this pass
+    # twice: a cycle would keep what it reaches alive until exit
+    model = object_flatten(queens4)
+    gc.collect()
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        alldiff_rewrite(model, mode)
+        unreachable = gc.collect()
+    finally:
+        if collecting:
+            gc.enable()
+    assert unreachable == 0
+
+
 # --------------------------------------------------------------------------
 # loopUnroll
 
