@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import gc
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import ir
@@ -50,16 +49,6 @@ VERDICTS = {
     "subset": "SUBSET",
     "incomparable": "DIFFER",
 }
-
-
-@dataclass(frozen=True)
-class RunSpec:
-    model_path: str
-    data_path: str | None
-    target: str  # "clp" | "flat" | "pivot"
-    pass_config: PassConfig
-    out_path: str | None = None
-    verify_against: str | None = None
 
 
 def _fail(message: str) -> int:
@@ -117,17 +106,16 @@ def cmd_compile(args) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    spec = RunSpec(args.model, args.data, args.target, cfg, args.output, args.verify_against)
     try:
-        model = _front(spec.model_path, spec.data_path)
-        model, reports = run_pipeline(model, spec.pass_config)
+        model = _front(args.model, args.data)
+        model, reports = run_pipeline(model, cfg)
         for r in reports:
             print(str(r), file=sys.stderr)
-        if spec.target == "clp":
+        if args.target == "clp":
             from .clp import ClpEmitOptions, emit_clp
 
             payload = emit_clp(model, ClpEmitOptions(label_sets=not args.no_label))
-        elif spec.target == "flat":
+        elif args.target == "flat":
             from .flat import emit_flat, lower_to_flat
 
             payload = emit_flat(lower_to_flat(model))
@@ -144,17 +132,17 @@ def cmd_compile(args) -> int:
     except CompileError as exc:
         return _fail(str(exc))
     try:
-        with open(spec.out_path, "w", encoding="utf-8", newline="\n") as fh:
+        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(payload)
     except OSError as exc:
         return _fail(str(exc))
-    if spec.verify_against is not None:
+    if args.verify_against is not None:
         try:
-            expected = Path(spec.verify_against).read_text(encoding="utf-8")
+            expected = Path(args.verify_against).read_text(encoding="utf-8")
         except OSError as exc:
             return _fail(str(exc))
         if expected != payload:
-            return _fail(f"output differs from {spec.verify_against}")
+            return _fail(f"output differs from {args.verify_against}")
     return EXIT_OK
 
 

@@ -244,16 +244,12 @@ class _Emitter:
 
     def _param_list(self, s: ir.ForAll, iters: tuple[str, ...]) -> list[str]:
         """Outside names referenced anywhere in the loop body."""
-        used: set[str] = set()
-
-        def collect(stmt: ir.Statement):
-            for expr in ir._statement_exprs(stmt):
-                for node in ir.walk_expr(expr):
-                    if isinstance(node, ir.VarOccurrence):
-                        used.add(node.name)
-
-        for b in s.body:
-            collect(b)
+        used = {
+            node.name
+            for b in s.body
+            for node in ir.walk_expr(b)
+            if isinstance(node, ir.VarOccurrence)
+        }
         params = [_upper(v.name) for v in self.variables if v.name in used]
         params += [_upper(c.name) for c in self.constants if c.name in used]
         params += [_upper(name) for name in iters if name in used]

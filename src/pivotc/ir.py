@@ -1,9 +1,14 @@
 """The pivot intermediate representation for constraint models.
 
 Every node is a frozen dataclass; passes never mutate a tree, they build
-new ones (``dataclasses.replace``).  Source locations and name bindings
-ride along on nodes but are excluded from equality, so ``a == b`` is
-structural identity: same names, same order, same shapes.
+new ones, sharing every subtree they leave unchanged (``rebuild``).
+Source locations and name bindings ride along on nodes but are excluded
+from equality, so ``a == b`` is structural identity: same names, same
+order, same shapes.
+
+One table, ``CHILD_FIELDS``, names the fields of every node class that
+hold other nodes, from the model down to the expressions; ``map_expr``
+and ``walk_expr`` walk any node through it.
 
 The element hierarchy:
 
@@ -26,6 +31,7 @@ from __future__ import annotations
 
 import dataclasses
 import operator
+import types
 import typing
 from dataclasses import dataclass, field
 
@@ -41,7 +47,7 @@ __all__ = [
     "SetDomain", "SetFunction", "SetValue", "Statement", "TypedElement", "TypeKind", "VarOccurrence",
     "Variable", "BOOLEAN", "INTEGER", "REAL", "SET_OF_INT", "enum_kind",
     "set_of_enum", "object_kind", "ALG_FUNCTIONS", "BOOL_BINARY_OPS",
-    "CHILD_FIELDS", "COMPARISON_OPS", "SET_BINARY_OPS", "element_count", "iter_expressions",
+    "CHILD_FIELDS", "COMPARISON_OPS", "SET_BINARY_OPS", "element_count",
     "map_expressions", "map_expr", "model_equals", "rebuild", "walk_expr",
 ]
 
@@ -376,12 +382,6 @@ class Model(Node):
     def enumerations(self) -> dict[str, Enumeration]:
         return {e.name: e for e in self.elements if isinstance(e, Enumeration)}
 
-    def main_class(self) -> Class | None:
-        for e in self.elements:
-            if isinstance(e, Class) and e.is_main:
-                return e
-        return None
-
 
 def model_equals(a: Model, b: Model) -> bool:
     """Structural equality; locations and bindings are ignored by design."""
@@ -393,26 +393,33 @@ def model_equals(a: Model, b: Model) -> bool:
 
 class _ChildFields(dict):
     """Per node class, (field name, holds a tuple) for every field that
-    holds expressions; read once per class from the field annotations."""
+    holds IR nodes: ``X``, ``X | None``, ``tuple[X, ...]`` or
+    ``tuple[X, ...] | None`` for a node class X.  Read once per class
+    from the field annotations."""
 
     def __missing__(self, cls: type) -> tuple[tuple[str, bool], ...]:
         hints = typing.get_type_hints(cls)
         table = []
         for f in dataclasses.fields(cls):
             t = hints[f.name]
+            if isinstance(t, types.UnionType):  # X | None
+                t = typing.get_args(t)[0]
             elem = typing.get_args(t)[0] if typing.get_origin(t) is tuple else t
-            if isinstance(elem, type) and issubclass(elem, Expression):
+            if isinstance(elem, type) and issubclass(elem, Node):
                 table.append((f.name, elem is not t))
         self[cls] = table = tuple(table)
         return table
 
 
-# Recursive walks iterate it in their own body: one frame per tree level.
+# The child fields of every node class, statements, domains, features and
+# the model included.  Recursive walks iterate it in their own body: one
+# frame per tree level.
 CHILD_FIELDS = _ChildFields()
 
 
-def map_expr(e: Expression, fn) -> Expression:
-    """Rebuild an expression bottom-up, applying fn to every node.
+def map_expr(e: Node, fn) -> Node:
+    """Rebuild a tree bottom-up, applying fn to every node; fn returns a
+    node it does not rewrite as is, and so does the walk.
 
     Children are compared by identity: equality would miss changes to
     fields excluded from comparison (bindings, locations).  After
@@ -422,11 +429,13 @@ def map_expr(e: Expression, fn) -> Expression:
     updates = {}
     for name, many in CHILD_FIELDS[type(e)]:
         v = getattr(e, name)
+        if v is None:
+            continue
         if many:
             nv = tuple([map_expr(x, fn) for x in v])
             if any(map(operator.is_not, nv, v)):
                 updates[name] = nv
-        elif v is not None:
+        else:
             nv = map_expr(v, fn)
             if nv is not v:
                 updates[name] = nv
@@ -449,8 +458,8 @@ def rebuild(e: Node, updates: dict) -> Node:
     return new
 
 
-def walk_expr(e: Expression):
-    """Yield every node of an expression tree, parents after children."""
+def walk_expr(e: Node):
+    """Yield every node of a tree, parents after children."""
     stack = [(e, False)]
     while stack:
         node, expanded = stack.pop()
@@ -460,115 +469,13 @@ def walk_expr(e: Expression):
         stack.append((node, True))
         for name, many in reversed(CHILD_FIELDS[type(node)]):
             v = getattr(node, name)
-            stack.extend([(x, False) for x in reversed(v if many else (v,)) if x is not None])
-
-
-def _map_domain(d: Domain | None, fn) -> Domain | None:
-    if d is None:
-        return None
-    if isinstance(d, IntervalDomain):
-        return IntervalDomain(map_expr(d.lo, fn), map_expr(d.hi, fn), loc=d.loc)
-    if isinstance(d, SetDomain):
-        return SetDomain(tuple(map_expr(m, fn) for m in d.members), loc=d.loc)
-    if isinstance(d, ExprDomain):
-        return ExprDomain(map_expr(d.expr, fn), loc=d.loc)
-    raise TypeError(f"unknown domain {d!r}")
-
-
-def _map_statement(s: Statement, fn) -> Statement:
-    if isinstance(s, ExpressionConstraint):
-        return ExpressionConstraint(map_expr(s.expr, fn), loc=s.loc)
-    if isinstance(s, GlobalCtr):
-        return GlobalCtr(s.ctr_name, tuple(map_expr(p, fn) for p in s.params), loc=s.loc)
-    if isinstance(s, ForAll):
-        return ForAll(
-            s.iter_var,
-            map_expr(s.lower, fn),
-            map_expr(s.upper, fn),
-            tuple(_map_statement(b, fn) for b in s.body),
-            loc=s.loc,
-        )
-    if isinstance(s, If):
-        else_body = None
-        if s.else_body is not None:
-            else_body = tuple(_map_statement(b, fn) for b in s.else_body)
-        return If(
-            map_expr(s.cond, fn),
-            tuple(_map_statement(b, fn) for b in s.then_body),
-            else_body,
-            loc=s.loc,
-        )
-    raise TypeError(f"unknown statement {s!r}")
-
-
-def _map_feature(e: ModelElement, fn) -> ModelElement:
-    if isinstance(e, Variable):
-        return dataclasses.replace(
-            e,
-            dims=tuple(map_expr(d, fn) for d in e.dims),
-            domain=_map_domain(e.domain, fn),
-        )
-    if isinstance(e, Constant):
-        return dataclasses.replace(
-            e,
-            value=map_expr(e.value, fn),
-            dims=tuple(map_expr(d, fn) for d in e.dims),
-        )
-    if isinstance(e, ConstraintZone):
-        return ConstraintZone(e.name, tuple(_map_statement(s, fn) for s in e.body), loc=e.loc)
-    if isinstance(e, Statement):
-        return _map_statement(e, fn)
-    if isinstance(e, Class):
-        return dataclasses.replace(e, features=tuple(_map_feature(f, fn) for f in e.features))
-    return e
+            if v is not None:
+                stack.extend([(x, False) for x in reversed(v if many else (v,))])
 
 
 def map_expressions(m: Model, fn) -> Model:
-    """Apply fn bottom-up to every expression anywhere in the model."""
-    return dataclasses.replace(m, elements=tuple(_map_feature(e, fn) for e in m.elements))
-
-
-def _statement_exprs(s: Statement):
-    if isinstance(s, ExpressionConstraint):
-        yield s.expr
-    elif isinstance(s, GlobalCtr):
-        yield from s.params
-    elif isinstance(s, ForAll):
-        yield s.lower
-        yield s.upper
-        for b in s.body:
-            yield from _statement_exprs(b)
-    elif isinstance(s, If):
-        yield s.cond
-        for b in s.then_body:
-            yield from _statement_exprs(b)
-        for b in s.else_body or ():
-            yield from _statement_exprs(b)
-
-
-def iter_expressions(e: ModelElement):
-    """Yield the top-level expressions held by an element (not recursing
-    into expression trees; combine with walk_expr for that)."""
-    if isinstance(e, Variable):
-        yield from e.dims
-        if isinstance(e.domain, IntervalDomain):
-            yield e.domain.lo
-            yield e.domain.hi
-        elif isinstance(e.domain, SetDomain):
-            yield from e.domain.members
-        elif isinstance(e.domain, ExprDomain):
-            yield e.domain.expr
-    elif isinstance(e, Constant):
-        yield from e.dims
-        yield e.value
-    elif isinstance(e, ConstraintZone):
-        for s in e.body:
-            yield from _statement_exprs(s)
-    elif isinstance(e, Statement):
-        yield from _statement_exprs(e)
-    elif isinstance(e, Class):
-        for f in e.features:
-            yield from iter_expressions(f)
+    """Apply fn bottom-up to every node of the model (see ``map_expr``)."""
+    return map_expr(m, fn)
 
 
 def element_count(m: Model) -> int:

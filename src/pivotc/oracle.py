@@ -59,13 +59,13 @@ from . import ir
 from .errors import (
     CompileError,
     Diagnostic,
-    DivisionByZeroError,
     IncompleteSolutionsError,
     ParseError,
     SearchSpaceError,
 )
 from .flat import FlatProgram, FlatVar
 from .parser import parse_expression
+from .passes import _div, _pow
 
 MAX_SET_UNIVERSE = 12
 MAX_SEARCH_SPACE = 2 ** 40
@@ -163,28 +163,7 @@ def parse_flat(text: str, file: str = "<flat>") -> FlatProgram:
 
 
 # --------------------------------------------------------------------------
-# Exact helpers called by the generated search
-
-def _div(a, b):
-    if b == 0:
-        raise DivisionByZeroError("division by zero during evaluation")
-    if isinstance(a, float) or isinstance(b, float):
-        return a / b
-    return Fraction(a) / Fraction(b)
-
-
-def _pow(a, b):
-    if isinstance(a, float) or isinstance(b, float):
-        return float(a) ** float(b)
-    if isinstance(b, Fraction):
-        if b.denominator != 1:
-            return float(a) ** float(b)
-        b = b.numerator
-    try:
-        return Fraction(a) ** b if b < 0 or isinstance(a, Fraction) else a ** b
-    except ZeroDivisionError:
-        raise DivisionByZeroError("zero raised to a negative power") from None
-
+# Helpers called by the generated search (and _div, _pow from passes)
 
 def _ordered(op: str, a, b) -> bool:
     if isinstance(a, frozenset) or isinstance(b, frozenset):

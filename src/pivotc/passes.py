@@ -99,23 +99,32 @@ def _arith(op: str, a, b, loc):
     if op == "*":
         return a * b
     if op == "/":
-        if b == 0:
-            raise DivisionByZeroError("division by zero", loc)
-        if isinstance(a, float) or isinstance(b, float):
-            return a / b
-        return Fraction(a) / Fraction(b)
+        return _div(a, b, loc)
     if op == "^":
-        if isinstance(a, float) or isinstance(b, float):
-            return float(a) ** float(b)
-        if isinstance(b, Fraction):
-            if b.denominator != 1:
-                return float(a) ** float(b)
-            b = b.numerator
-        try:
-            return Fraction(a) ** b if isinstance(a, Fraction) or b < 0 else a ** b
-        except ZeroDivisionError:
-            raise DivisionByZeroError("zero raised to a negative power", loc) from None
+        return _pow(a, b, loc)
     raise ValueError(op)
+
+
+# Exact / and ^, shared with the oracle's generated search
+def _div(a, b, loc=None):
+    if b == 0:
+        raise DivisionByZeroError("division by zero", loc)
+    if isinstance(a, float) or isinstance(b, float):
+        return a / b
+    return Fraction(a) / Fraction(b)
+
+
+def _pow(a, b, loc=None):
+    if isinstance(a, float) or isinstance(b, float):
+        return float(a) ** float(b)
+    if isinstance(b, Fraction):
+        if b.denominator != 1:
+            return float(a) ** float(b)
+        b = b.numerator
+    try:
+        return Fraction(a) ** b if isinstance(a, Fraction) or b < 0 else a ** b
+    except ZeroDivisionError:
+        raise DivisionByZeroError("zero raised to a negative power", loc) from None
 
 
 def _materialize(v, loc) -> ir.Expression | None:
@@ -403,21 +412,15 @@ def _composed_dim(sizes: list[ir.Expression]) -> ir.Expression:
     return acc
 
 
-def _names_in(stmts, names: set[str] | None = None) -> set[str]:
+def _names_in(stmts) -> set[str]:
     """Every name the statements read, and every loop iterator they bind."""
-    names = set() if names is None else names
+    names = set()
     for s in stmts:
-        inner = ()
-        if isinstance(s, ir.ForAll):
-            names.add(s.iter_var)
-            exprs, inner = (s.lower, s.upper), s.body
-        elif isinstance(s, ir.If):
-            exprs, inner = (s.cond,), s.then_body + (s.else_body or ())
-        else:
-            exprs = ir._statement_exprs(s)
-        for x in exprs:
-            names.update(n.name for n in ir.walk_expr(x) if isinstance(n, ir.VarOccurrence))
-        _names_in(inner, names)
+        for n in ir.walk_expr(s):
+            if isinstance(n, ir.VarOccurrence):
+                names.add(n.name)
+            elif isinstance(n, ir.ForAll):
+                names.add(n.iter_var)
     return names
 
 
@@ -496,7 +499,7 @@ class _Flattener:
                 for name, idx, decl in steps:
                     sizes = decl.dims
                     if owner is not None:
-                        sizes = [self._rewrite_expr(d, at, [], owner) for d in sizes]
+                        sizes = [self._rewrite(d, at, [], owner) for d in sizes]
                     pairs.extend(zip(idx, sizes))
                     owner, at = self.classes.get(decl.type_name), at + [name]
                 for _idx, size in pairs[1:]:
@@ -520,12 +523,13 @@ class _Flattener:
             entry = self.size_names[id(size)] = (size, names)
         self.placed |= entry[1]
 
-    def _rewrite_expr(self, e: ir.Expression, prefix, ctx_pairs, cls) -> ir.Expression:
+    def _rewrite(self, e: ir.Node, prefix, ctx_pairs, cls) -> ir.Node:
         """e for the instance of cls at prefix (cls None: top level)."""
-        if isinstance(e, ir.VarOccurrence):
+        t = type(e)
+        if t is ir.VarOccurrence:
             indexes = e.indexes
             if indexes:
-                indexes = tuple([self._rewrite_expr(i, prefix, ctx_pairs, cls) for i in indexes])
+                indexes = tuple([self._rewrite(i, prefix, ctx_pairs, cls) for i in indexes])
             b = e.binding
             if b is None:
                 self.exact = False
@@ -542,17 +546,21 @@ class _Flattener:
             if any(map(operator.is_not, indexes, e.indexes)):
                 return ir.VarOccurrence(e.name, indexes, binding=b, loc=e.loc)
             return e
-        if isinstance(e, ir.ObjectOccurrence):
+        if t is ir.ObjectOccurrence:
             return self._rewrite_path(e, prefix, ctx_pairs, cls)
+        if t is ir.ForAll:
+            return self._rewrite_loop(e, prefix, ctx_pairs, cls)
         updates = {}
-        for name, many in ir.CHILD_FIELDS[type(e)]:
+        for name, many in ir.CHILD_FIELDS[t]:
             v = getattr(e, name)
+            if v is None:
+                continue
             if many:
-                nv = tuple([self._rewrite_expr(x, prefix, ctx_pairs, cls) for x in v])
+                nv = tuple([self._rewrite(x, prefix, ctx_pairs, cls) for x in v])
                 if any(map(operator.is_not, nv, v)):
                     updates[name] = nv
-            elif v is not None:
-                nv = self._rewrite_expr(v, prefix, ctx_pairs, cls)
+            else:
+                nv = self._rewrite(v, prefix, ctx_pairs, cls)
                 if nv is not v:
                     updates[name] = nv
         return ir.rebuild(e, updates) if updates else e
@@ -570,49 +578,34 @@ class _Flattener:
             if step is not head:
                 attrs = self.attrs.get(decl.type_name) if decl is not None else None
                 decl = attrs.get(step.name) if attrs is not None else None
-            indexes = tuple([self._rewrite_expr(i, prefix, ctx_pairs, cls) for i in step.indexes])
+            indexes = tuple([self._rewrite(i, prefix, ctx_pairs, cls) for i in step.indexes])
             steps.append((step.name, indexes, decl))
         if decl is None or decl.type_name in self.classes:
             self.exact = False
         return self._flat_ref(base_prefix, base_ctx, steps, e.loc, base_cls)
 
-    def _rewrite_stmt(self, s: ir.Statement, prefix, ctx_pairs, cls):
-        rw = lambda x: self._rewrite_expr(x, prefix, ctx_pairs, cls)
-        if isinstance(s, ir.ExpressionConstraint):
-            return ir.ExpressionConstraint(rw(s.expr), loc=s.loc)
-        if isinstance(s, ir.GlobalCtr):
-            return ir.GlobalCtr(s.ctr_name, tuple(rw(p) for p in s.params), loc=s.loc)
-        if isinstance(s, ir.ForAll):
-            lower, upper = rw(s.lower), rw(s.upper)
-            outer_placed, outer_renames = self.placed, self.renames
-            self.placed = set()
-            if s.iter_var in outer_renames:  # this loop hides the renamed one
-                self.renames = {k: v for k, v in outer_renames.items() if k != s.iter_var}
-            iter_var = s.iter_var
-            body = tuple(self._rewrite_stmt(b, prefix, ctx_pairs, cls) for b in s.body)
-            if iter_var in self.placed:
-                used = _names_in(body) | self.taken
-                n = 1
-                while f"{s.iter_var}_{n}" in used:
-                    n += 1
-                iter_var = f"{s.iter_var}_{n}"
-                self.renames = {**self.renames, s.iter_var: iter_var}
-                body = tuple(self._rewrite_stmt(b, prefix, ctx_pairs, cls) for b in s.body)
-            self.loops.add(iter_var)
-            outer_placed |= self.placed
-            self.placed, self.renames = outer_placed, outer_renames
-            return ir.ForAll(iter_var, lower, upper, body, loc=s.loc)
-        if isinstance(s, ir.If):
-            else_body = None
-            if s.else_body is not None:
-                else_body = tuple(self._rewrite_stmt(b, prefix, ctx_pairs, cls) for b in s.else_body)
-            return ir.If(
-                rw(s.cond),
-                tuple(self._rewrite_stmt(b, prefix, ctx_pairs, cls) for b in s.then_body),
-                else_body,
-                loc=s.loc,
-            )
-        raise TypeError(f"unknown statement {s!r}")
+    def _rewrite_loop(self, s: ir.ForAll, prefix, ctx_pairs, cls) -> ir.ForAll:
+        """s, renamed when its iterator would capture a name placed in its body."""
+        lower = self._rewrite(s.lower, prefix, ctx_pairs, cls)
+        upper = self._rewrite(s.upper, prefix, ctx_pairs, cls)
+        outer_placed, outer_renames = self.placed, self.renames
+        self.placed = set()
+        if s.iter_var in outer_renames:  # this loop hides the renamed one
+            self.renames = {k: v for k, v in outer_renames.items() if k != s.iter_var}
+        iter_var = s.iter_var
+        body = tuple(self._rewrite(b, prefix, ctx_pairs, cls) for b in s.body)
+        if iter_var in self.placed:
+            used = _names_in(body) | self.taken
+            n = 1
+            while f"{s.iter_var}_{n}" in used:
+                n += 1
+            iter_var = f"{s.iter_var}_{n}"
+            self.renames = {**self.renames, s.iter_var: iter_var}
+            body = tuple(self._rewrite(b, prefix, ctx_pairs, cls) for b in s.body)
+        self.loops.add(iter_var)
+        outer_placed |= self.placed
+        self.placed, self.renames = outer_placed, outer_renames
+        return ir.ForAll(iter_var, lower, upper, body, loc=s.loc)
 
     # -- feature flattening --------------------------------------------
     def _instance_pairs(self, enclosing: list[ir.Expression], body_names: set[str]):
@@ -646,7 +639,7 @@ class _Flattener:
         out: list[ir.ModelFeature] = []
         if isinstance(f, ir.Variable) and f.type_name in self.classes:
             inner = self.classes[f.type_name]
-            sizes = [self._rewrite_expr(d, prefix, [], cls) for d in f.dims]
+            sizes = [self._rewrite(d, prefix, [], cls) for d in f.dims]
             for g in inner.features:
                 out.extend(
                     self.flatten_class_feature(g, prefix + [f.name], enclosing + sizes, inner)
@@ -656,15 +649,11 @@ class _Flattener:
             flat_name = "_".join(prefix + [f.name]) if prefix else f.name
             if prefix:
                 self._claim(flat_name)
-            dims = tuple(self._rewrite_expr(d, prefix, [], cls) for d in f.dims)
-            if isinstance(f, ir.Constant):
-                value = self._rewrite_expr(f.value, prefix, [], cls)
-                out.append(dataclasses.replace(f, name=flat_name, dims=dims, value=value))
-            else:
-                if enclosing:
-                    dims = (_composed_dim(enclosing + list(dims)),)
-                domain = self._rewrite_domain(f.domain, prefix, cls)
-                out.append(dataclasses.replace(f, name=flat_name, dims=dims, domain=domain))
+            g = self._rewrite(f, prefix, [], cls)
+            updates = {"name": flat_name}
+            if enclosing and isinstance(g, ir.Variable):
+                updates["dims"] = (_composed_dim(enclosing + list(g.dims)),)
+            out.append(ir.rebuild(g, updates))
             self.created += 1
             return out
         if isinstance(f, ir.ConstraintZone):
@@ -672,29 +661,19 @@ class _Flattener:
             ctx_pairs = []
             if enclosing:
                 ctx_pairs = self._instance_pairs(enclosing, _names_in(f.body))
-            body = tuple(self._rewrite_stmt(s, prefix, ctx_pairs, cls) for s in f.body)
+            body = tuple(self._rewrite(s, prefix, ctx_pairs, cls) for s in f.body)
             for it, size in reversed(ctx_pairs):
                 body = (ir.ForAll(it.name, ir.IntValue(1), size, body, loc=f.loc),)
             out.append(ir.ConstraintZone(zone_name, body, loc=f.loc))
             return out
         if isinstance(f, ir.Statement):
             ctx_pairs = self._instance_pairs(enclosing, set()) if enclosing else []
-            stmt = self._rewrite_stmt(f, prefix, ctx_pairs, cls)
+            stmt = self._rewrite(f, prefix, ctx_pairs, cls)
             for it, size in reversed(ctx_pairs):
                 stmt = ir.ForAll(it.name, ir.IntValue(1), size, (stmt,), loc=f.loc)
             out.append(stmt)
             return out
         return [f]
-
-    def _rewrite_domain(self, d: ir.Domain | None, prefix, cls):
-        if d is None:
-            return None
-        rw = lambda x: self._rewrite_expr(x, prefix, [], cls)
-        if isinstance(d, ir.IntervalDomain):
-            return ir.IntervalDomain(rw(d.lo), rw(d.hi), loc=d.loc)
-        if isinstance(d, ir.SetDomain):
-            return ir.SetDomain(tuple(rw(m) for m in d.members), loc=d.loc)
-        return ir.ExprDomain(rw(d.expr), loc=d.loc)
 
     def _rebind_needed(self, out_scope: sema.Scope) -> bool:
         """True when a fresh resolve of the output might bind an occurrence
@@ -724,23 +703,13 @@ class _Flattener:
                         self.flatten_class_feature(g, [e.name], list(e.dims), inner)
                     )
                 continue
-            if isinstance(e, ir.ConstraintZone):
-                out.append(
-                    ir.ConstraintZone(
-                        e.name,
-                        tuple(self._rewrite_stmt(s, [], [], None) for s in e.body),
-                        loc=e.loc,
-                    )
-                )
-                continue
-            if isinstance(e, ir.Statement):
-                out.append(self._rewrite_stmt(e, [], [], None))
+            if isinstance(e, (ir.ConstraintZone, ir.Statement)):
+                out.append(self._rewrite(e, [], [], None))
                 continue
             # a top-level declaration can only navigate from a top-level object
             if self.objects and isinstance(e, (ir.Variable, ir.Constant)) and any(
                 isinstance(node, ir.VarOccurrence) and node.name in self.objects
-                for x in ir.iter_expressions(e)
-                for node in ir.walk_expr(x)
+                for node in ir.walk_expr(e)
             ):
                 self.exact = False
             out.append(e)

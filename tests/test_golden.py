@@ -70,7 +70,7 @@ def test_golfers_at_scale_matches_golden(tmp_path):
 
 
 def _nodes(model):
-    return [n for e in model.elements for x in ir.iter_expressions(e) for n in ir.walk_expr(x)]
+    return [n for e in model.elements for n in ir.walk_expr(e)]
 
 
 def test_lowering_ignores_sharing():

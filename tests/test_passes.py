@@ -12,6 +12,7 @@ from pivotc.errors import (
     CyclicCompositionError,
     DivisionByZeroError,
     DomainAssumptionError,
+    HeterogeneousDomainsError,
     NameCollisionError,
     NonGroundBoundError,
     NonGroundConditionError,
@@ -157,6 +158,10 @@ REBIND_MODELS = {
     "renamed_under_loop": (
         "class C { int x in 1..3; constraint z { forall(o_x in 1..2) { x >= o_x; } } }\nC o;"
     ),
+    "renamed_under_if": (
+        "class C { int x in 1..3; constraint z {"
+        " if (2 > 1) { forall(o_x in 1..2) { x >= o_x; } } else { x = 1; } } }\nC o;"
+    ),
     "path_under_loop": (
         "class C { int x in 1..3; }\nC o;\n"
         "constraint t { forall(o_x in 1..2) { o.x >= o_x; } }"
@@ -192,7 +197,7 @@ def _flat_solutions(source: str) -> list[dict]:
     return [s.values for s in enumerate_solutions(lower_to_flat(out)).solutions]
 
 
-@pytest.mark.parametrize("name", ["renamed_under_loop", "path_under_loop"])
+@pytest.mark.parametrize("name", ["renamed_under_loop", "renamed_under_if", "path_under_loop"])
 def test_flatten_renames_a_loop_that_would_capture_a_flat_name(name):
     # x >= o_x for o_x in 1..2 holds for x in {2, 3}; captured, the flat
     # name read o_x >= o_x, which every value satisfies
@@ -257,10 +262,11 @@ def test_flatten_long_sum_in_main_class(tmp_path):
         f"model S;\nmain class M {{\n  int x[{n}] in 0..1;\n"
         f"  constraint c {{\n    {terms} <= 3;\n  }}\n}}\n"
     )
-    for model in (top, cls):
-        argv = ["compile", "-m", str(model), "--target", "clp", "-o", str(model.with_suffix(".ecl"))]
-        assert main(argv) == 0
-    assert cls.with_suffix(".ecl").read_bytes() == top.with_suffix(".ecl").read_bytes()
+    for target in ("clp", "pivot"):
+        outs = [model.with_suffix(f".{target}") for model in (top, cls)]
+        for model, out in zip((top, cls), outs):
+            assert main(["compile", "-m", str(model), "--target", target, "-o", str(out)]) == 0
+        assert outs[1].read_bytes() == outs[0].read_bytes()
 
 
 def test_flatten_main_feature_clashing_with_top_level_name(tmp_path, capsys):
@@ -409,6 +415,19 @@ def test_alldiff_boolean_rejects_compound_params():
     ))
     with pytest.raises(NonVariableParamError):
         alldiff_to_boolean(_first_global(m), m)
+
+
+def test_alldiff_boolean_rejects_params_over_different_domains(tmp_path, capsys):
+    source = "model A;\nint a in 1..3;\nint b in 1..4;\nconstraint z { alldifferent(a, b); }"
+    with pytest.raises(HeterogeneousDomainsError):
+        alldiff_rewrite(parse(SourceUnit(source)), "boolean")
+    model = tmp_path / "a.som"
+    model.write_text(source)
+    argv = ["compile", "-m", str(model), "--target", "clp", "--alldiff", "boolean",
+            "-o", str(tmp_path / "a.ecl")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"{model}:4:16: boolean reformulation requires one common parameter domain" in err
 
 
 def test_alldiff_rewrite_order_preserved():
@@ -862,8 +881,7 @@ def _bindings(model):
     return [
         (n.name, n.binding)
         for e in model.elements
-        for x in ir.iter_expressions(e)
-        for n in ir.walk_expr(x)
+        for n in ir.walk_expr(e)
         if isinstance(n, ir.VarOccurrence)
     ]
 
