@@ -227,16 +227,14 @@ def lower_to_flat(model: ir.Model) -> FlatProgram:
 
 def emit_flat(p: FlatProgram) -> str:
     """Deterministic text form; declarations first, then constraints."""
-    lines = []
+    lines = []  # each ends in its newline, so one join makes the only copy
     for v in p.vars:
         if v.kind == "int":
-            lines.append(f"var int {v.name} in {v.lo}..{v.hi};")
+            lines.append(f"var int {v.name} in {v.lo}..{v.hi};\n")
         elif v.kind == "bool":
-            lines.append(f"var bool {v.name};")
+            lines.append(f"var bool {v.name};\n")
         else:
-            lines.append(f"var set of {v.lo}..{v.hi} {v.name};")
+            lines.append(f"var set of {v.lo}..{v.hi} {v.name};\n")
     for c in p.constraints:
-        lines.append(f"constraint {print_expression(c)};")
-    if not lines:
-        return ""
-    return "\n".join(lines) + "\n"
+        lines.append(f"constraint {print_expression(c)};\n")
+    return "".join(lines)

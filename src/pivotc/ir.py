@@ -1,7 +1,9 @@
 """The pivot intermediate representation for constraint models.
 
-Every node is a frozen dataclass; passes never mutate a tree, they build
-new ones, sharing every subtree they leave unchanged (``rebuild``).
+Every node is an immutable instance of a class with ``__slots__``, whose
+constructor, equality, hash and copy are generated from its field
+annotations at import.  Passes never mutate a tree, they build new ones,
+sharing every subtree they leave unchanged (``rebuild``).
 Source locations and name bindings ride along on nodes but are excluded
 from equality, so ``a == b`` is structural identity: same names, same
 order, same shapes.
@@ -29,11 +31,9 @@ node for variables, constants, loop iterators and enumeration literals;
 
 from __future__ import annotations
 
-import dataclasses
 import operator
 import types
 import typing
-from dataclasses import dataclass, field
 
 from .errors import Loc
 
@@ -53,10 +53,101 @@ __all__ = [
 
 
 # --------------------------------------------------------------------------
+# Slotted immutable classes
+
+# A class made by ``@_slotted`` annotates its fields, with their defaults,
+# in constructor order, and gets one slot per field.  Its ``__init__``,
+# ``__eq__``, ``__hash__`` and ``_copy`` come from ``_generate_methods``,
+# once every class is made.  On nodes, ``loc`` and ``binding`` ride along:
+# keyword-only, None by default, and left out of equality, hash and repr.
+_RIDERS = ("loc", "binding")
+
+
+class _Frozen:
+    __slots__ = ()
+    _fields = ()  # every field of the class, in declaration order
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field '{name}'")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field '{name}'")
+
+    def __repr__(self) -> str:
+        shown = (f"{f}={getattr(self, f)!r}" for f in self._fields if f not in _RIDERS)
+        return f"{type(self).__qualname__}({', '.join(shown)})"
+
+    def __reduce__(self):  # pickle and copy.deepcopy; their default sets slots by setattr
+        return _restore, (type(self), {f: getattr(self, f) for f in self._fields})
+
+
+def _restore(cls: type, fields: dict) -> _Frozen:
+    return cls(**fields)
+
+
+# The methods of one class, as the body of a factory that takes the class
+# and its slots' setters.  The setters bypass the refusing __setattr__.
+_METHODS = """(cls, {setters}):
+    def __init__(self, {params}):
+        {init}
+    def __eq__(self, other):
+        return ({mine}) == ({theirs}) if other.__class__ is self.__class__ else NotImplemented
+    def __hash__(self):
+        return hash(({mine}))
+    def _copy(self, u):
+        n = new(cls)
+        {copy}
+        return n
+    return __init__, __eq__, __hash__, _copy
+"""
+_SLOTTED: list[tuple[type, str]] = []  # (class, its factory body) awaiting methods
+
+
+def _slotted(cls: type) -> type:
+    """cls re-created with a slot for each field it annotates."""
+    own = tuple(cls.__dict__.get("__annotations__", ()))
+    body = {k: v for k, v in cls.__dict__.items() if k not in own and k not in ("__dict__", "__weakref__")}
+    body["__slots__"] = own + body.get("__slots__", ())
+    fields = body["_fields"] = cls._fields + own
+    compared = [f for f in fields if f not in _RIDERS]
+    params = [f"{f}={cls.__dict__[f]!r}" if f in cls.__dict__ else f for f in compared]
+    riders = [f"{f}=None" for f in fields if f in _RIDERS]
+    mine = "".join(f"self.{f}, " for f in compared)
+    methods = _METHODS.format(
+        setters=", ".join(f"s_{f}" for f in fields),
+        params=", ".join(params + ["*"] + riders if riders else params),
+        init="; ".join(f"s_{f}(self, {f})" for f in fields),
+        mine=mine,
+        theirs=mine.replace("self.", "other."),
+        copy="; ".join(f"s_{f}(n, u['{f}'] if '{f}' in u else self.{f})" for f in fields),
+    )
+    new = type(cls.__name__, cls.__bases__, body)
+    _SLOTTED.append((new, methods))
+    return new
+
+
+def _generate_methods() -> None:
+    """Compile the methods of every class ``_slotted`` made, in one source
+    string with one factory per distinct body, and give each class its own."""
+    names: dict[str, str] = {}
+    for _, methods in _SLOTTED:
+        names.setdefault(methods, f"_f{len(names)}")
+    namespace = {"new": object.__new__}
+    source = "".join(f"def {name}{methods}" for methods, name in names.items())
+    exec(compile(source, "<ir methods>", "exec"), namespace)
+    for cls, methods in _SLOTTED:
+        setters = [getattr(cls, f).__set__ for f in cls._fields]
+        for fn in namespace[names[methods]](cls, *setters):
+            fn.__qualname__ = f"{cls.__qualname__}.{fn.__name__}"
+            setattr(cls, fn.__name__, fn)
+    _SLOTTED.clear()
+
+
+# --------------------------------------------------------------------------
 # Inference results
 
-@dataclass(frozen=True)
-class TypeKind:
+@_slotted
+class TypeKind(_Frozen):
     """Result of type inference: a base kind plus an enum/class name."""
 
     kind: str  # boolean | integer | real | set_of_int | set_of_enum | enum | object
@@ -80,12 +171,6 @@ class TypeKind:
         return self.kind in ("set_of_int", "set_of_enum")
 
 
-BOOLEAN = TypeKind("boolean")
-INTEGER = TypeKind("integer")
-REAL = TypeKind("real")
-SET_OF_INT = TypeKind("set_of_int")
-
-
 def enum_kind(name: str) -> TypeKind:
     return TypeKind("enum", name)
 
@@ -101,8 +186,8 @@ def object_kind(name: str) -> TypeKind:
 # --------------------------------------------------------------------------
 # Bindings attached by name resolution
 
-@dataclass(frozen=True)
-class Binding:
+@_slotted
+class Binding(_Frozen):
     """What a resolved occurrence refers to.
 
     kind is one of "variable", "constant", "iterator", "enum_literal",
@@ -134,59 +219,57 @@ class Bindings(dict):
 # --------------------------------------------------------------------------
 # Node base
 
-@dataclass(frozen=True)
-class Node:
-    loc: Loc | None = field(default=None, compare=False, repr=False, kw_only=True)
+class Node(_Frozen):
+    __slots__ = ("loc",)
+    _fields = ("loc",)
+    loc: Loc | None
 
 
 class ModelElement(Node):
-    pass
+    __slots__ = ()
 
 
 class Classifier(ModelElement):
-    pass
+    __slots__ = ()
 
 
 class ModelFeature(ModelElement):
-    pass
+    __slots__ = ()
 
 
 class TypedElement(ModelFeature):
-    pass
+    __slots__ = ()
 
 
 class Statement(ModelFeature):
-    pass
+    __slots__ = ()
 
 
 class Expression(Node):
-    pass
+    __slots__ = ()
 
 
 class Domain(Node):
-    pass
+    __slots__ = ()
 
 
 # --------------------------------------------------------------------------
 # Classifiers
 
-@dataclass(frozen=True)
+@_slotted
 class DataType(Classifier):
     """One of the three primitive types; values compare by kind."""
 
     kind: str  # "boolean" | "integer" | "real"
 
 
-BUILTIN_TYPES = {"bool": DataType("boolean"), "int": DataType("integer"), "real": DataType("real")}
-
-
-@dataclass(frozen=True)
+@_slotted
 class Enumeration(Classifier):
     name: str
     literals: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@_slotted
 class Class(Classifier):
     name: str
     features: tuple[ModelFeature, ...] = ()
@@ -196,7 +279,7 @@ class Class(Classifier):
 # --------------------------------------------------------------------------
 # Features
 
-@dataclass(frozen=True)
+@_slotted
 class Variable(TypedElement):
     name: str
     type_name: str  # "int" | "real" | "bool" | enum name | class name
@@ -205,7 +288,7 @@ class Variable(TypedElement):
     domain: Domain | None = None
 
 
-@dataclass(frozen=True)
+@_slotted
 class Constant(TypedElement):
     name: str
     type_name: str
@@ -214,7 +297,7 @@ class Constant(TypedElement):
     dims: tuple[Expression, ...] = ()
 
 
-@dataclass(frozen=True)
+@_slotted
 class ConstraintZone(ModelFeature):
     """A named group of statements (``constraint <name> { ... }``)."""
 
@@ -225,18 +308,18 @@ class ConstraintZone(ModelFeature):
 # --------------------------------------------------------------------------
 # Statements
 
-@dataclass(frozen=True)
+@_slotted
 class ExpressionConstraint(Statement):
     expr: Expression
 
 
-@dataclass(frozen=True)
+@_slotted
 class GlobalCtr(Statement):
     ctr_name: str
     params: tuple[Expression, ...] = ()
 
 
-@dataclass(frozen=True)
+@_slotted
 class ForAll(Statement):
     iter_var: str
     lower: Expression = None  # type: ignore[assignment]
@@ -244,7 +327,7 @@ class ForAll(Statement):
     body: tuple[Statement, ...] = ()
 
 
-@dataclass(frozen=True)
+@_slotted
 class If(Statement):
     cond: Expression
     then_body: tuple[Statement, ...] = ()
@@ -254,18 +337,18 @@ class If(Statement):
 # --------------------------------------------------------------------------
 # Domains
 
-@dataclass(frozen=True)
+@_slotted
 class IntervalDomain(Domain):
     lo: Expression
     hi: Expression
 
 
-@dataclass(frozen=True)
+@_slotted
 class SetDomain(Domain):
     members: tuple[Expression, ...]
 
 
-@dataclass(frozen=True)
+@_slotted
 class ExprDomain(Domain):
     expr: Expression
 
@@ -273,35 +356,35 @@ class ExprDomain(Domain):
 # --------------------------------------------------------------------------
 # Expressions
 
-@dataclass(frozen=True)
+@_slotted
 class IntValue(Expression):
     v: int
 
 
-@dataclass(frozen=True)
+@_slotted
 class RealValue(Expression):
     v: float
 
 
-@dataclass(frozen=True)
+@_slotted
 class IntervalValue(Expression):
     lo: float
     hi: float
 
 
-@dataclass(frozen=True)
+@_slotted
 class BoolValue(Expression):
     value: bool
 
 
-@dataclass(frozen=True)
+@_slotted
 class VarOccurrence(Expression):
     name: str
     indexes: tuple[Expression, ...] = ()
-    binding: Binding | None = field(default=None, compare=False, repr=False, kw_only=True)
+    binding: Binding | None = None
 
 
-@dataclass(frozen=True)
+@_slotted
 class ObjectOccurrence(Expression):
     """Navigation path to an object attribute, e.g. ``a[i].b[j].c``."""
 
@@ -312,25 +395,25 @@ BOOL_BINARY_OPS = ("iff", "implies", "and", "or", "=", "!=", "<=", ">=", "<", ">
 COMPARISON_OPS = ("=", "!=", "<=", ">=", "<", ">")
 
 
-@dataclass(frozen=True)
+@_slotted
 class BoolUnaryOp(Expression):
     op: str  # "not"
     operand: Expression = None  # type: ignore[assignment]
 
 
-@dataclass(frozen=True)
+@_slotted
 class BoolBinaryOp(Expression):
     op: str
     left: Expression = None  # type: ignore[assignment]
     right: Expression = None  # type: ignore[assignment]
 
 
-@dataclass(frozen=True)
+@_slotted
 class SetValue(Expression):
     elems: tuple[Expression, ...] = ()
 
 
-@dataclass(frozen=True)
+@_slotted
 class SetFunction(Expression):
     fn: str  # "card"
     arg: Expression = None  # type: ignore[assignment]
@@ -339,7 +422,7 @@ class SetFunction(Expression):
 SET_BINARY_OPS = ("intersect", "union", "diff")
 
 
-@dataclass(frozen=True)
+@_slotted
 class SetBinaryOp(Expression):
     op: str
     left: Expression = None  # type: ignore[assignment]
@@ -349,19 +432,19 @@ class SetBinaryOp(Expression):
 ALG_FUNCTIONS = ("abs", "min", "max", "sin", "cos", "tan", "exp", "log", "sqrt")
 
 
-@dataclass(frozen=True)
+@_slotted
 class AlgFunction(Expression):
     fn: str
     args: tuple[Expression, ...] = ()
 
 
-@dataclass(frozen=True)
+@_slotted
 class AlgUnaryOp(Expression):
     op: str  # "neg" | "plus"
     operand: Expression = None  # type: ignore[assignment]
 
 
-@dataclass(frozen=True)
+@_slotted
 class AlgBinaryOp(Expression):
     op: str  # "+" | "-" | "*" | "/" | "^"
     left: Expression = None  # type: ignore[assignment]
@@ -371,8 +454,9 @@ class AlgBinaryOp(Expression):
 # --------------------------------------------------------------------------
 # Model root
 
-@dataclass(frozen=True)
+@_slotted
 class Model(Node):
+    __slots__ = ("__weakref__",)  # sema remembers resolved models weakly
     name: str
     elements: tuple[ModelElement, ...] = ()
 
@@ -381,6 +465,15 @@ class Model(Node):
 
     def enumerations(self) -> dict[str, Enumeration]:
         return {e.name: e for e in self.elements if isinstance(e, Enumeration)}
+
+
+_generate_methods()  # the classes above can make instances from here on
+
+BOOLEAN = TypeKind("boolean")
+INTEGER = TypeKind("integer")
+REAL = TypeKind("real")
+SET_OF_INT = TypeKind("set_of_int")
+BUILTIN_TYPES = {"bool": DataType("boolean"), "int": DataType("integer"), "real": DataType("real")}
 
 
 def model_equals(a: Model, b: Model) -> bool:
@@ -400,13 +493,13 @@ class _ChildFields(dict):
     def __missing__(self, cls: type) -> tuple[tuple[str, bool], ...]:
         hints = typing.get_type_hints(cls)
         table = []
-        for f in dataclasses.fields(cls):
-            t = hints[f.name]
+        for f in cls._fields:
+            t = hints[f]
             if isinstance(t, types.UnionType):  # X | None
                 t = typing.get_args(t)[0]
             elem = typing.get_args(t)[0] if typing.get_origin(t) is tuple else t
             if isinstance(elem, type) and issubclass(elem, Node):
-                table.append((f.name, elem is not t))
+                table.append((f, elem is not t))
         self[cls] = table = tuple(table)
         return table
 
@@ -442,20 +535,11 @@ def map_expr(e: Node, fn) -> Node:
     return fn(rebuild(e, updates) if updates else e)
 
 
-_set_field = object.__setattr__  # frozen dataclasses refuse plain assignment
-
-
 def rebuild(e: Node, updates: dict) -> Node:
-    """A copy of e with some fields replaced: dataclasses.replace without
-    its per-call field scan (bindings and locations are copied too).
-
-    Each field is read and set on its own.  Touching ``__dict__`` instead
-    would give both nodes a dict of their own, about 64 bytes a node more
-    than the compact layout their class's instances share."""
-    new = object.__new__(type(e))
-    for name in e.__dataclass_fields__:
-        _set_field(new, name, updates[name] if name in updates else getattr(e, name))
-    return new
+    """A new node of e's class with the fields named in updates replaced
+    and every other field, bindings and locations included, copied: one
+    call of the copy generated for the class."""
+    return e._copy(updates)
 
 
 def walk_expr(e: Node):

@@ -21,7 +21,6 @@ Passes:
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import operator
 from dataclasses import dataclass
@@ -277,7 +276,10 @@ class _Folder:
             return frozenset(range(math.ceil(e.lo), math.floor(e.hi) + 1))
         return value(e)
 
-    def _fold_node(self, e: ir.Expression) -> ir.Expression:
+    def _fold_node(self, e: ir.Node) -> ir.Node:
+        # map_expressions hands over statements, domains, features and the model too
+        if not isinstance(e, ir.Expression):
+            return e
         t = type(e)
         if t is ir.IntValue or t is ir.RealValue or t is ir.BoolValue:
             return e
@@ -713,7 +715,7 @@ class _Flattener:
             ):
                 self.exact = False
             out.append(e)
-        model = dataclasses.replace(self.model, elements=tuple(out))
+        model = ir.rebuild(self.model, {"elements": tuple(out)})
         # a flat name that clashes with a top-level one raises here
         if self._rebind_needed(sema.Scope(model)):
             return sema.resolve(model)
@@ -774,11 +776,11 @@ def _enum_remove_counted(model: ir.Model) -> tuple[ir.Model, int]:
                 domain = e.domain
                 if domain is None:
                     domain = ir.IntervalDomain(ir.IntValue(1), ir.IntValue(n))
-                e = dataclasses.replace(e, type_name="int", domain=domain)
+                e = ir.rebuild(e, {"type_name": "int", "domain": domain})
             else:
-                e = dataclasses.replace(e, type_name="int")
+                e = ir.rebuild(e, {"type_name": "int"})
         elements.append(e)
-    out = dataclasses.replace(mapped, elements=tuple(elements))
+    out = ir.rebuild(mapped, {"elements": tuple(elements)})
     return sema.mark_resolved(out), count
 
 
@@ -955,7 +957,7 @@ class _AlldiffRewriter:
             elif isinstance(s, ir.ForAll):
                 body, inner_hoisted = self.stmts(s.body, True)
                 hoisted.extend(inner_hoisted)
-                out.append(dataclasses.replace(s, body=tuple(body)))
+                out.append(ir.rebuild(s, {"body": tuple(body)}))
             elif isinstance(s, ir.If):
                 then_body, h1 = self.stmts(s.then_body, True)
                 hoisted.extend(h1)
@@ -964,7 +966,7 @@ class _AlldiffRewriter:
                     eb, h2 = self.stmts(s.else_body, True)
                     hoisted.extend(h2)
                     else_body = tuple(eb)
-                out.append(dataclasses.replace(s, then_body=tuple(then_body), else_body=else_body))
+                out.append(ir.rebuild(s, {"then_body": tuple(then_body), "else_body": else_body}))
             else:
                 out.append(s)
         return out, hoisted
@@ -989,7 +991,7 @@ def _alldiff_rewrite_counted(model: ir.Model, mode: str) -> tuple[ir.Model, int]
             elements.extend(stmts)
         else:
             elements.append(e)
-    out = dataclasses.replace(model, elements=tuple(elements))
+    out = ir.rebuild(model, {"elements": tuple(elements)})
     return sema.mark_resolved(out), rewriter.count
 
 
@@ -1117,7 +1119,7 @@ def _loop_unroll_counted(model: ir.Model) -> tuple[ir.Model, int]:
             elements.extend(unroll_stmts([e], {}))
         else:
             elements.append(e)
-    out = dataclasses.replace(model, elements=tuple(elements))
+    out = ir.rebuild(model, {"elements": tuple(elements)})
     return sema.mark_resolved(out), count
 
 

@@ -5,7 +5,6 @@ shared instantiation) and a generator of small valid random models."""
 from __future__ import annotations
 
 import copy
-import dataclasses
 import itertools
 import math
 import random
@@ -184,12 +183,12 @@ def naive_unroll(model: ir.Model) -> ir.Model:
             elements += unroll([e], {})
         else:
             elements.append(e)
-    unrolled = dataclasses.replace(model, elements=tuple(elements))
+    unrolled = ir.rebuild(model, {"elements": tuple(elements)})
     folded = fold_constants(unrolled).elements
-    return dataclasses.replace(model, elements=tuple(
+    return ir.rebuild(model, {"elements": tuple(
         f if isinstance(f, (ir.ConstraintZone, ir.Statement)) else e
         for e, f in zip(unrolled.elements, folded)
-    ))
+    )})
 
 
 # --------------------------------------------------------------------------

@@ -1,10 +1,15 @@
-import dataclasses
+import copy
 import operator
+import pickle
 import sys
 import types
 import typing
+import weakref
+
+import pytest
 
 from pivotc import ir
+from pivotc.errors import Loc
 from pivotc.parser import SourceUnit, parse, parse_expression
 from pivotc.printer import print_expression
 from pivotc.sema import resolve, validate
@@ -79,19 +84,19 @@ def test_every_node_field_has_a_shape_the_walks_know():
     for cls in _node_classes():
         hints = typing.get_type_hints(cls)
         walked = []
-        for f in dataclasses.fields(cls):
-            t = hints[f.name]
+        for f in cls._fields:
+            t = hints[f]
             if not _mentions_node(t):
                 continue
             if isinstance(t, types.UnionType):
-                assert typing.get_args(t)[1:] == (type(None),), (cls, f.name, t)
+                assert typing.get_args(t)[1:] == (type(None),), (cls, f, t)
                 t = typing.get_args(t)[0]
             many = typing.get_origin(t) is tuple
             if many:
-                assert typing.get_args(t)[1:] == (Ellipsis,), (cls, f.name, t)
+                assert typing.get_args(t)[1:] == (Ellipsis,), (cls, f, t)
                 t = typing.get_args(t)[0]
-            assert isinstance(t, type) and issubclass(t, ir.Node), (cls, f.name, t)
-            walked.append((f.name, many))
+            assert isinstance(t, type) and issubclass(t, ir.Node), (cls, f, t)
+            walked.append((f, many))
         assert ir.CHILD_FIELDS[cls] == tuple(walked), cls
 
 
@@ -123,3 +128,109 @@ def test_map_expressions_identity_keeps_every_element():
     out = ir.map_expressions(m, lambda n: n)
     assert out is m
     assert all(map(operator.is_, out.elements, m.elements))
+
+
+# --------------------------------------------------------------------------
+# What every node class promises: constructors, equality without locations
+# and bindings, repr, immutability, copies and weak references.
+
+def _binary(loc=None, xloc=None, binding=None):
+    x = ir.VarOccurrence("x", (ir.IntValue(1),), loc=xloc, binding=binding)
+    return ir.AlgBinaryOp("+", x, ir.IntValue(2), loc=loc)
+
+
+def test_nodes_construct_positionally_and_by_keyword():
+    loc = Loc(3, 4, "m.som")
+    binding = ir.Binding("variable", "x")
+    assert ir.AlgBinaryOp("+", ir.IntValue(1), ir.IntValue(2)) == ir.AlgBinaryOp(
+        right=ir.IntValue(2), op="+", left=ir.IntValue(1)
+    )
+    assert ir.AlgBinaryOp("-").left is None and ir.AlgBinaryOp("-").loc is None
+    occ = ir.VarOccurrence("x", (ir.IntValue(1),), binding=binding, loc=loc)
+    assert (occ.name, occ.indexes, occ.binding, occ.loc) == ("x", (ir.IntValue(1),), binding, loc)
+    assert ir.VarOccurrence(name="x").indexes == () and ir.VarOccurrence("x").binding is None
+    loop = ir.ForAll("i", ir.IntValue(1), upper=ir.IntValue(3), body=(), loc=loc)
+    assert (loop.iter_var, loop.lower, loop.upper, loop.body, loop.loc) == (
+        "i", ir.IntValue(1), ir.IntValue(3), (), loc
+    )
+    m = ir.Model("m", (loop,), loc=loc)
+    assert (m.name, m.elements, m.loc) == ("m", (loop,), loc)
+    assert ir.Model(name="m").elements == ()
+    with pytest.raises(TypeError):
+        ir.IntValue(1, loc)
+    with pytest.raises(TypeError):
+        ir.VarOccurrence("x", (), binding)
+    with pytest.raises(TypeError):
+        ir.AlgBinaryOp("+", ir.IntValue(1), ir.IntValue(2), loc)
+
+
+def test_equality_and_hash_ignore_locations_and_bindings():
+    plain = _binary()
+    located = _binary(Loc(1, 1), Loc(1, 2), ir.Binding("variable", "x"))
+    assert plain == located and hash(plain) == hash(located)
+    assert plain != ir.AlgBinaryOp("+", plain.left, ir.IntValue(3))
+    assert ir.IntValue(1) != ir.IntValue(2)
+    assert hash(ir.IntValue(1)) == hash((1,))
+    # the same fields in another class are another node
+    assert ir.AlgBinaryOp("+") != ir.SetBinaryOp("+")
+    assert ir.ExpressionConstraint(ir.BoolValue(True)) != ir.ExprDomain(ir.BoolValue(True))
+    assert len({plain, located, ir.SetBinaryOp("+", plain.left, plain.right)}) == 2
+    # bindings and inferred types compare and hash by every field
+    assert ir.Binding("variable", "x") == ir.Binding("variable", "x", None, None, None)
+    assert ir.Binding("variable", "x") != ir.Binding("constant", "x")
+    assert hash(ir.INTEGER) == hash(("integer", None)) and ir.INTEGER == ir.TypeKind("integer")
+
+
+def test_repr_shows_compared_fields_only():
+    e = _binary(Loc(1, 1), Loc(1, 2), ir.Binding("variable", "x"))
+    assert repr(e) == (
+        "AlgBinaryOp(op='+', left=VarOccurrence(name='x', indexes=(IntValue(v=1),)), "
+        "right=IntValue(v=2))"
+    )
+    assert repr(ir.Model("m")) == "Model(name='m', elements=())"
+    assert repr(ir.Binding("variable", "x")) == (
+        "Binding(kind='variable', target='x', enum_name=None, position=None, owner=None)"
+    )
+    assert repr(ir.enum_kind("Color")) == "TypeKind(kind='enum', name='Color')"
+
+
+def test_nodes_refuse_assignment():
+    e = _binary()
+    with pytest.raises(AttributeError):
+        e.op = "-"
+    with pytest.raises(AttributeError):
+        e.extra = 1
+    with pytest.raises(AttributeError):
+        del e.left
+    assert e.op == "+"
+
+
+def test_deepcopy_and_pickle_keep_locations_and_bindings():
+    loc, binding = Loc(2, 5, "m.som"), ir.Binding("variable", "x")
+    e = _binary(Loc(2, 3, "m.som"), loc, binding)
+    for twin in (copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
+        assert twin == e and twin is not e and type(twin) is ir.AlgBinaryOp
+        assert twin.loc == e.loc and twin.left.loc == loc and twin.left.binding == binding
+    shared = ir.IntValue(7)
+    pair = copy.deepcopy(ir.AlgBinaryOp("*", shared, shared))
+    assert pair.left is pair.right and pair.left is not shared
+
+
+def test_models_take_weak_references():
+    m = ir.Model("m")
+    ref = weakref.ref(m)
+    assert ref() is m
+    del m
+    assert ref() is None
+
+
+def test_every_node_class_has_slots_and_no_instance_dict():
+    # a node class without __slots__ would give its nodes a __dict__ again
+    for cls in _node_classes():
+        assert "__slots__" in vars(cls), cls
+        assert type(cls) is type, cls
+    # the field table keeps the declaration order, the base's loc first
+    assert ir.VarOccurrence._fields == ("loc", "name", "indexes", "binding")
+    for value in (_binary(), ir.Model("m"), ir.DataType("integer"), ir.ForAll("i"),
+                  ir.BOOLEAN, ir.Binding("variable", "x")):
+        assert not hasattr(value, "__dict__"), type(value)

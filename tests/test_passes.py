@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import hashlib
 import random
@@ -188,7 +187,7 @@ REBIND_MODELS = {
 def test_flatten_binds_like_a_fresh_resolve(name):
     out = object_flatten(parse(SourceUnit(REBIND_MODELS[name])))
     assert resolve(out) is out
-    fresh = resolve(dataclasses.replace(out, elements=tuple(out.elements)))
+    fresh = resolve(ir.rebuild(out, {"elements": tuple(out.elements)}))
     assert _bindings(out) == _bindings(fresh)
 
 
@@ -617,16 +616,16 @@ def test_unroll_shared_subtree_under_shadowing_iterator():
     (inner_stmt,) = inner_loop.body
     shared = outer_stmt.expr.left.left
     inner_expr = inner_stmt.expr
-    grafted = dataclasses.replace(
-        inner_expr, left=dataclasses.replace(inner_expr.left, left=shared)
+    grafted = ir.rebuild(
+        inner_expr, {"left": ir.rebuild(inner_expr.left, {"left": shared})}
     )
-    inner_loop = dataclasses.replace(
-        inner_loop, body=(dataclasses.replace(inner_stmt, expr=grafted),)
+    inner_loop = ir.rebuild(
+        inner_loop, {"body": (ir.rebuild(inner_stmt, {"expr": grafted}),)}
     )
-    j_loop = dataclasses.replace(j_loop, body=(outer_stmt, inner_loop))
-    zone = dataclasses.replace(zone, body=(dataclasses.replace(zone.body[0], body=(j_loop,)),))
-    m = mark_resolved(dataclasses.replace(
-        m, elements=tuple(zone if e.name == "k" else e for e in m.elements)
+    j_loop = ir.rebuild(j_loop, {"body": (outer_stmt, inner_loop)})
+    zone = ir.rebuild(zone, {"body": (ir.rebuild(zone.body[0], {"body": (j_loop,)}),)})
+    m = mark_resolved(ir.rebuild(
+        m, {"elements": tuple(zone if e.name == "k" else e for e in m.elements)}
     ))
     texts = [print_expression(s.expr) for s in _zone(loop_unroll(m), "k").body]
     expected = []
@@ -901,6 +900,6 @@ def test_pass_outputs_carry_fresh_bindings(model_name, data_name, mode):
         except CompileError:
             break  # e.g. boolean mode on differing domains; longer prefixes fail too
         assert resolve(out) is out
-        fresh = resolve(dataclasses.replace(out, elements=tuple(out.elements)))
+        fresh = resolve(ir.rebuild(out, {"elements": tuple(out.elements)}))
         assert fresh is not out
         assert _bindings(out) == _bindings(fresh)

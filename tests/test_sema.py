@@ -1,4 +1,3 @@
-import dataclasses
 
 import pytest
 
@@ -61,7 +60,7 @@ def test_resolve_returns_its_own_output_as_is(golfers):
     r = resolve(golfers)
     assert resolve(r) is r
     # a structural copy is equal but not known to be resolved
-    copy = dataclasses.replace(r, elements=tuple(r.elements))
+    copy = ir.rebuild(r, {"elements": tuple(r.elements)})
     again = resolve(copy)
     assert again is not copy and again == r
     assert resolve(golfers) is not golfers
