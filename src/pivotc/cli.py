@@ -8,7 +8,9 @@ Subcommands:
   eval    -e EXPR
 
 Exit codes: 0 success, 1 diagnostics, 2 usage error, 3 oracle limit.
-Pass reports go to stderr; payload only ever goes to the output file.
+The commands raise; ``main`` alone maps a failure to its exit code and
+stderr text.  Pass reports go to stderr; payload only ever goes to the
+output file.
 
 Start-up is a fixed cost of every command, so the backends (``clp``,
 ``flat``, ``oracle``, ``printer``) are imported inside the commands that
@@ -23,12 +25,7 @@ import sys
 from pathlib import Path
 
 from . import ir
-from .errors import (
-    CompileError,
-    IncompleteSolutionsError,
-    ParseError,
-    SearchSpaceError,
-)
+from .errors import CompileError, OracleLimitError, ParseError
 from .parser import SourceUnit, parse, parse_expression
 from .passes import ALLDIFF_MODES, PASS_IDS, PassConfig, _Folder, run_pipeline
 from .sema import resolve, validate
@@ -51,11 +48,6 @@ VERDICTS = {
 }
 
 
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_DIAGNOSTICS
-
-
 def _load_unit(model_path: str, data_path: str | None) -> SourceUnit:
     model_text = Path(model_path).read_text(encoding="utf-8")
     data_text = None
@@ -75,7 +67,10 @@ def _front(model_path: str, data_path: str | None) -> ir.Model:
     return model
 
 
-def _pass_config(args, target: str | None) -> PassConfig:
+def _pass_config(args) -> PassConfig:
+    """The passes args ask for; ValueError when they make no valid pipeline."""
+    target = getattr(args, "target", None)
+    unroll = getattr(args, "unroll", False)
     mode = args.alldiff or "disequalities"
     if args.passes:
         passes = tuple(p.strip() for p in args.passes.split(",") if p.strip())
@@ -86,63 +81,41 @@ def _pass_config(args, target: str | None) -> PassConfig:
         else:
             if args.alldiff:
                 passes = passes + ("alldiffRewrite",)
-            if getattr(args, "unroll", False):
+            if unroll:
                 passes = passes + ("loopUnroll",)
-    if getattr(args, "unroll", False) and "loopUnroll" not in passes:
+    if unroll and "loopUnroll" not in passes:
         passes = passes + ("loopUnroll",)
-    return PassConfig(passes, mode)
+    cfg = PassConfig(passes, mode)
+    if target == "flat" and not cfg.unroll:
+        raise ValueError(
+            "--target flat requires loop unrolling "
+            "(add --unroll or include loopUnroll in --passes)"
+        )
+    return cfg
 
 
 def cmd_compile(args) -> int:
-    try:
-        cfg = _pass_config(args, args.target)
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.target == "flat" and not cfg.unroll:
-        print(
-            "usage error: --target flat requires loop unrolling "
-            "(add --unroll or include loopUnroll in --passes)",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    try:
-        model = _front(args.model, args.data)
-        model, reports = run_pipeline(model, cfg)
-        for r in reports:
-            print(str(r), file=sys.stderr)
-        if args.target == "clp":
-            from .clp import ClpEmitOptions, emit_clp
+    model = _front(args.model, args.data)
+    model, reports = run_pipeline(model, args.cfg)
+    for r in reports:
+        print(str(r), file=sys.stderr)
+    if args.target == "clp":
+        from .clp import ClpEmitOptions, emit_clp
 
-            payload = emit_clp(model, ClpEmitOptions(label_sets=not args.no_label))
-        elif args.target == "flat":
-            from .flat import emit_flat, lower_to_flat
+        payload = emit_clp(model, ClpEmitOptions(label_sets=not args.no_label))
+    elif args.target == "flat":
+        from .flat import emit_flat, lower_to_flat
 
-            payload = emit_flat(lower_to_flat(model))
-        else:
-            from .printer import print_pivot
+        payload = emit_flat(lower_to_flat(model))
+    else:
+        from .printer import print_pivot
 
-            payload = print_pivot(model)
-    except ParseError as exc:
-        for d in exc.diagnostics:
-            print(str(d), file=sys.stderr)
-        return EXIT_DIAGNOSTICS
-    except OSError as exc:
-        return _fail(str(exc))
-    except CompileError as exc:
-        return _fail(str(exc))
-    try:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(payload)
-    except OSError as exc:
-        return _fail(str(exc))
+        payload = print_pivot(model)
+    with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(payload)
     if args.verify_against is not None:
-        try:
-            expected = Path(args.verify_against).read_text(encoding="utf-8")
-        except OSError as exc:
-            return _fail(str(exc))
-        if expected != payload:
-            return _fail(f"output differs from {args.verify_against}")
+        if Path(args.verify_against).read_text(encoding="utf-8") != payload:
+            raise CompileError(f"output differs from {args.verify_against}")
     return EXIT_OK
 
 
@@ -158,34 +131,17 @@ def _flat_solutions(model: ir.Model, cfg: PassConfig):
 def cmd_check(args) -> int:
     from .oracle import compare_solutions
 
-    try:
-        cfg = _pass_config(args, None)
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     base_cfg = PassConfig(DEFAULT_PASSES + FLAT_EXTRA_PASSES, "disequalities")
-    passes = cfg.passes
+    passes = args.cfg.passes
     for needed in FLAT_EXTRA_PASSES:  # the oracle needs fully lowered models
         if needed not in passes:
             passes = passes + (needed,)
-    full_cfg = PassConfig(passes, cfg.alldiff_mode)
-    try:
-        model = _front(args.model, args.data)
-        base_prog, base_sols = _flat_solutions(model, base_cfg)
-        _full_prog, full_sols = _flat_solutions(model, full_cfg)
-        projection = [v.name for v in base_prog.vars]
-        relation = compare_solutions(full_sols, base_sols, projection)
-    except ParseError as exc:
-        for d in exc.diagnostics:
-            print(str(d), file=sys.stderr)
-        return EXIT_DIAGNOSTICS
-    except (SearchSpaceError, IncompleteSolutionsError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ORACLE_LIMIT
-    except OSError as exc:
-        return _fail(str(exc))
-    except CompileError as exc:
-        return _fail(str(exc))
+    full_cfg = PassConfig(passes, args.cfg.alldiff_mode)
+    model = _front(args.model, args.data)
+    base_prog, base_sols = _flat_solutions(model, base_cfg)
+    _full_prog, full_sols = _flat_solutions(model, full_cfg)
+    projection = [v.name for v in base_prog.vars]
+    relation = compare_solutions(full_sols, base_sols, projection)
     print(f"{VERDICTS[relation]} baseline={len(base_sols)} transformed={len(full_sols)}")
     return EXIT_OK
 
@@ -193,16 +149,8 @@ def cmd_check(args) -> int:
 def cmd_eval(args) -> int:
     from .printer import print_expression
 
-    try:
-        expr = parse_expression(args.expr)
-        folded = _Folder({}).fold(expr)
-        print(print_expression(folded))
-    except ParseError as exc:
-        for d in exc.diagnostics:
-            print(str(d), file=sys.stderr)
-        return EXIT_DIAGNOSTICS
-    except CompileError as exc:
-        return _fail(str(exc))
+    expr = parse_expression(args.expr)
+    print(print_expression(_Folder({}).fold(expr)))
     return EXIT_OK
 
 
@@ -239,6 +187,8 @@ def _build_argparser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; the one place that turns a failure into its
+    message on stderr and its exit code."""
     # A command builds immutable, acyclic trees and exits; the collector
     # would scan them many times and free almost nothing.  The caller's
     # setting comes back on every way out.
@@ -250,7 +200,23 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
         except SystemExit as exc:
             return EXIT_USAGE if exc.code not in (0, None) else 0
+        if args.command != "eval":
+            try:
+                args.cfg = _pass_config(args)
+            except ValueError as exc:
+                print(f"usage error: {exc}", file=sys.stderr)
+                return EXIT_USAGE
         return args.func(args)
+    except ParseError as exc:
+        for d in exc.diagnostics:
+            print(str(d), file=sys.stderr)
+        return EXIT_DIAGNOSTICS
+    except OracleLimitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ORACLE_LIMIT
+    except (OSError, CompileError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DIAGNOSTICS
     finally:
         if collecting:
             gc.enable()

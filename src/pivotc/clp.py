@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass
 
 from . import ir, sema
-from .errors import NameCollisionError, UnsupportedElementError
+from .errors import CompileError
 
 _SPELLING = {"=": "$=", "!=": "$\\=", "<=": "$=<", ">=": "$>=", "<": "$<", ">": "$>"}
 _SET_SPELLING = {"intersect": "/\\", "union": "\\/", "diff": "\\"}
@@ -52,31 +52,33 @@ class _Emitter:
         self.scope = sema.Scope(model)
         self.variables = [e for e in model.elements if isinstance(e, ir.Variable)]
         self.constants = [e for e in model.elements if isinstance(e, ir.Constant)]
-        self.var_names = {v.name for v in self.variables}
-        self.const_names = {c.name for c in self.constants}
         self._check_supported()
-        upper_names = [_upper(n) for n in self.var_names | self.const_names]
-        if len(set(upper_names)) != len(upper_names):
-            raise NameCollisionError("upper-cased declaration names collide")
-        self.reserved = set(upper_names) | {"L"}
+        spelled: dict[str, str] = {}  # clp name -> the declaration that has it
+        for d in model.elements:
+            if isinstance(d, (ir.Variable, ir.Constant)):
+                first = spelled.setdefault(_upper(d.name), d.name)
+                if first != d.name:
+                    raise CompileError(
+                        f"declarations '{first}' and '{d.name}' share the clp name "
+                        f"'{_upper(d.name)}'"
+                    )
+        self.reserved = set(spelled) | {"L"}
         self.fresh_counter = 0
 
     def _check_supported(self):
         for e in self.model.elements:
             if isinstance(e, (ir.Class, ir.Enumeration)):
-                raise UnsupportedElementError(
+                raise CompileError(
                     f"{type(e).__name__.lower()} '{e.name}' is not supported by the clp target"
                 )
         for v in self.variables:
             if v.type_name == "real":
-                raise UnsupportedElementError(
+                raise CompileError(
                     f"real variable '{v.name}' is not supported by the clp target "
                     "(finite domains only)"
                 )
             if v.type_name not in ("int", "bool"):
-                raise UnsupportedElementError(
-                    f"variable '{v.name}' has unsupported type '{v.type_name}'"
-                )
+                raise CompileError(f"variable '{v.name}' has unsupported type '{v.type_name}'")
 
     def fresh(self) -> str:
         while True:
@@ -86,7 +88,7 @@ class _Emitter:
                 return name
 
     # ---- terms ----------------------------------------------------------
-    def term(self, e: ir.Expression, pre: list[str], iters: tuple[str, ...], prec: int = 0) -> str:
+    def term(self, e: ir.Expression, pre: list[str], prec: int = 0) -> str:
         """Render e as a target term, appending any needed aux goals to pre."""
         if isinstance(e, ir.IntValue):
             return str(e.v) if e.v >= 0 or prec == 0 else f"({e.v})"
@@ -95,43 +97,41 @@ class _Emitter:
         if isinstance(e, ir.BoolValue):
             return "1" if e.value else "0"
         if isinstance(e, ir.VarOccurrence):
-            return self._occurrence_term(e, pre, iters)
+            return self._occurrence_term(e, pre)
         if isinstance(e, ir.AlgBinaryOp):
             p = _PREC[e.op]
-            left = self.term(e.left, pre, iters, p)
-            right = self.term(e.right, pre, iters, p + 1)
+            left = self.term(e.left, pre, p)
+            right = self.term(e.right, pre, p + 1)
             text = f"{left}{e.op}{right}"
             return f"({text})" if p < prec else text
         if isinstance(e, ir.AlgUnaryOp):
-            inner = self.term(e.operand, pre, iters, 4)
+            inner = self.term(e.operand, pre, 4)
             return f"-{inner}" if e.op == "neg" else inner
         if isinstance(e, ir.AlgFunction):
-            args = ",".join(self.term(a, pre, iters) for a in e.args)
+            args = ",".join(self.term(a, pre) for a in e.args)
             return f"{e.fn}({args})"
         if isinstance(e, ir.SetFunction):
-            arg = self.term(e.arg, pre, iters)
+            arg = self.term(e.arg, pre)
             v = self.fresh()
             pre.append(f"#({arg}, {v})")
             return v
         if isinstance(e, ir.SetBinaryOp):
-            left = self.term(e.left, pre, iters, 4)
-            right = self.term(e.right, pre, iters, 4)
+            left = self.term(e.left, pre, 4)
+            right = self.term(e.right, pre, 4)
             text = f"{left} {_SET_SPELLING[e.op]} {right}"
             return f"({text})" if prec > 0 else text
         if isinstance(e, ir.SetValue):
-            return "[" + ",".join(self.term(x, pre, iters) for x in e.elems) + "]"
+            return "[" + ",".join(self.term(x, pre) for x in e.elems) + "]"
         if isinstance(e, ir.BoolBinaryOp) or isinstance(e, ir.BoolUnaryOp):
-            return self.bool_term(e, pre, iters)
-        raise UnsupportedElementError(
-            f"expression {type(e).__name__} is not supported by the clp target"
-        )
+            return self.bool_term(e, pre)
+        raise CompileError(f"expression {type(e).__name__} is not supported by the clp target")
 
-    def _occurrence_term(self, e: ir.VarOccurrence, pre: list[str], iters: tuple[str, ...]) -> str:
+    def _occurrence_term(self, e: ir.VarOccurrence, pre: list[str]) -> str:
         name = _upper(e.name)
         if not e.indexes:
             return name
         kind, decl = self.scope.lookup(e.name)
-        index = self._linear_index_term(e.indexes, decl.dims, pre, iters)
+        index = self._linear_index_term(e.indexes, decl.dims, pre)
         if not _SIMPLE_TERM_RE.match(index):
             v = self.fresh()
             pre.append(f"{v} is {index}")
@@ -140,65 +140,65 @@ class _Emitter:
         pre.append(f"nth({elem},{index},{name})")
         return elem
 
-    def _linear_index_term(self, indexes, dims, pre, iters) -> str:
+    def _linear_index_term(self, indexes, dims, pre) -> str:
         if len(indexes) == 1:
-            return self.term(indexes[0], pre, iters)
+            return self.term(indexes[0], pre)
         # row-major linearization over the declared sizes
-        linear = self.term(indexes[0], pre, iters)
+        linear = self.term(indexes[0], pre)
         for idx, size in zip(indexes[1:], dims[1:]):
-            size_t = self.term(size, pre, iters, 3)
-            idx_t = self.term(idx, pre, iters, 2)
+            size_t = self.term(size, pre, 3)
+            idx_t = self.term(idx, pre, 2)
             linear = f"{size_t}*({linear}-1)+{idx_t}"
         return linear
 
-    def bool_term(self, e: ir.Expression, pre: list[str], iters: tuple[str, ...]) -> str:
+    def bool_term(self, e: ir.Expression, pre: list[str]) -> str:
         if isinstance(e, ir.BoolValue):
             return "1" if e.value else "0"
         if isinstance(e, ir.VarOccurrence):
-            return self._occurrence_term(e, pre, iters)
+            return self._occurrence_term(e, pre)
         if isinstance(e, ir.BoolUnaryOp):
-            return f"neg({self.bool_term(e.operand, pre, iters)})"
+            return f"neg({self.bool_term(e.operand, pre)})"
         if isinstance(e, ir.BoolBinaryOp):
             if e.op in ir.COMPARISON_OPS:
-                left = self.term(e.left, pre, iters)
-                right = self.term(e.right, pre, iters)
+                left = self.term(e.left, pre)
+                right = self.term(e.right, pre)
                 return f"({left} {_SPELLING[e.op]} {right})"
             connective = {"and": "and", "or": "or", "implies": "=>", "iff": "<=>"}[e.op]
-            left = self.bool_term(e.left, pre, iters)
-            right = self.bool_term(e.right, pre, iters)
+            left = self.bool_term(e.left, pre)
+            right = self.bool_term(e.right, pre)
             return f"({left} {connective} {right})"
-        raise UnsupportedElementError(
+        raise CompileError(
             f"boolean expression {type(e).__name__} is not supported by the clp target"
         )
 
     # ---- statements ------------------------------------------------------
-    def constraint_goals(self, expr: ir.Expression, iters: tuple[str, ...]) -> list[str]:
+    def constraint_goals(self, expr: ir.Expression) -> list[str]:
         if isinstance(expr, ir.BoolBinaryOp) and expr.op == "and":
-            return self.constraint_goals(expr.left, iters) + self.constraint_goals(expr.right, iters)
+            return self.constraint_goals(expr.left) + self.constraint_goals(expr.right)
         pre: list[str] = []
         if isinstance(expr, ir.BoolBinaryOp) and expr.op in ir.COMPARISON_OPS:
-            left = self.term(expr.left, pre, iters)
-            right = self.term(expr.right, pre, iters)
+            left = self.term(expr.left, pre)
+            right = self.term(expr.right, pre)
             return pre + [f"{left} {_SPELLING[expr.op]} {right}"]
         if isinstance(expr, ir.BoolValue):
             return pre + (["true"] if expr.value else ["fail"])
         if isinstance(expr, ir.VarOccurrence):
-            term = self._occurrence_term(expr, pre, iters)
+            term = self._occurrence_term(expr, pre)
             return pre + [f"{term} $= 1"]
         if isinstance(expr, (ir.BoolUnaryOp, ir.BoolBinaryOp)):
-            goal = self.bool_term(expr, pre, iters)
+            goal = self.bool_term(expr, pre)
             return pre + [goal]
-        raise UnsupportedElementError(
+        raise CompileError(
             f"constraint expression {type(expr).__name__} is not supported by the clp target"
         )
 
     def stmt_goals(self, s: ir.Statement, level: int, iters: tuple[str, ...]) -> list[str]:
         pad = " " * level
         if isinstance(s, ir.ExpressionConstraint):
-            return [pad + g for g in self.constraint_goals(s.expr, iters)]
+            return [pad + g for g in self.constraint_goals(s.expr)]
         if isinstance(s, ir.GlobalCtr):
             pre: list[str] = []
-            terms = [self.term(p, pre, iters) for p in s.params]
+            terms = [self.term(p, pre) for p in s.params]
             if s.ctr_name == "alldifferent":
                 goal = f"alldifferent([{','.join(terms)}])"
             else:
@@ -208,16 +208,14 @@ class _Emitter:
             return self.loop_goals(s, level, iters)
         if isinstance(s, ir.If):
             pre: list[str] = []
-            cond = self.bool_term(s.cond, pre, iters)
+            cond = self.bool_term(s.cond, pre)
             block = [f"{pad}( {cond} ->"]
             block.append(",\n".join(self.body_goals(s.then_body, level + 1, iters)))
             block.append(f"{pad};")
             block.append(",\n".join(self.body_goals(s.else_body or (), level + 1, iters)))
             block.append(f"{pad})")
             return [pad + g for g in pre] + ["\n".join(block)]
-        raise UnsupportedElementError(
-            f"statement {type(s).__name__} is not supported by the clp target"
-        )
+        raise CompileError(f"statement {type(s).__name__} is not supported by the clp target")
 
     def body_goals(self, body, level: int, iters: tuple[str, ...]) -> list[str]:
         goals: list[str] = []
@@ -230,8 +228,8 @@ class _Emitter:
     def loop_goals(self, s: ir.ForAll, level: int, iters: tuple[str, ...]) -> list[str]:
         pad = " " * level
         pre: list[str] = []
-        lo = self.term(s.lower, pre, iters)
-        hi = self.term(s.upper, pre, iters)
+        lo = self.term(s.lower, pre)
+        hi = self.term(s.upper, pre)
         params = self._param_list(s, iters)
         iter_name = _upper(s.iter_var)
         head = f"{pad}(for({iter_name},{lo},{hi})"
@@ -257,7 +255,7 @@ class _Emitter:
 
     # ---- declarations ----------------------------------------------------
     def _count_term(self, v: ir.Variable, pre: list[str]) -> str:
-        dims = [self.term(d, pre, (), 3) for d in v.dims]
+        dims = [self.term(d, pre, 3) for d in v.dims]
         return "*".join(dims)
 
     def decl_goals(self) -> list[str]:
@@ -267,11 +265,9 @@ class _Emitter:
             pre: list[str] = []
             if v.is_set:
                 if not isinstance(v.domain, ir.IntervalDomain):
-                    raise UnsupportedElementError(
-                        f"set variable '{v.name}' needs an interval universe"
-                    )
-                lo = self.term(v.domain.lo, pre, ())
-                hi = self.term(v.domain.hi, pre, ())
+                    raise CompileError(f"set variable '{v.name}' needs an interval universe")
+                lo = self.term(v.domain.lo, pre)
+                hi = self.term(v.domain.hi, pre)
                 if v.dims:
                     count = self._count_term(v, pre)
                     goals.extend(pre)
@@ -293,15 +289,13 @@ class _Emitter:
         if v.type_name == "bool":
             return "0..1"
         if isinstance(v.domain, ir.IntervalDomain):
-            lo = self.term(v.domain.lo, pre, ())
-            hi = self.term(v.domain.hi, pre, ())
+            lo = self.term(v.domain.lo, pre)
+            hi = self.term(v.domain.hi, pre)
             return f"{lo}..{hi}"
         if isinstance(v.domain, ir.SetDomain):
-            members = ",".join(self.term(m, pre, ()) for m in v.domain.members)
+            members = ",".join(self.term(m, pre) for m in v.domain.members)
             return f"[{members}]"
-        raise UnsupportedElementError(
-            f"variable '{v.name}' needs a finite domain for the clp target"
-        )
+        raise CompileError(f"variable '{v.name}' needs a finite domain for the clp target")
 
     def decision_binding(self) -> list[str]:
         arrays = [_upper(v.name) for v in self.variables if v.dims]
@@ -325,13 +319,13 @@ class _Emitter:
         if name is None:
             name = self.model.name[:1].lower() + self.model.name[1:]
         if not _ATOM_RE.match(name):
-            raise UnsupportedElementError(f"'{name}' is not a valid predicate name")
+            raise CompileError(f"'{name}' is not a valid predicate name")
 
         sections: list[list[str]] = []
         const_goals = []
         for c in self.constants:
             pre: list[str] = []
-            value = self.term(c.value, pre, ())
+            value = self.term(c.value, pre)
             const_goals.extend(pre)
             const_goals.append(f"{_upper(c.name)} $= {value}")
         if const_goals:

@@ -62,84 +62,6 @@ class DuplicateNameError(CompileError):
         super().__init__(f"duplicate name '{name}'", loc)
 
 
-class TypeMismatchError(CompileError):
-    def __init__(self, message: str, expected: str = "", found: str = "", loc: Loc | None = None):
-        self.expected = expected
-        self.found = found
-        super().__init__(message, loc)
-
-
-class UnprintableError(CompileError):
-    """Raised when a model contains constructs the source grammar cannot express."""
-
-
-class CyclicCompositionError(CompileError):
-    def __init__(self, class_a: str, class_b: str):
-        self.class_a = class_a
-        self.class_b = class_b
-        super().__init__(f"cyclic composition between classes '{class_a}' and '{class_b}'")
-
-
-class NameCollisionError(CompileError):
-    def __init__(self, name: str):
-        self.name = name
-        super().__init__(f"flattened name '{name}' collides with an existing declaration")
-
-
-class PreconditionError(CompileError):
-    def __init__(self, pass_id: str, reason: str):
-        self.pass_id = pass_id
-        super().__init__(f"{pass_id}: {reason}")
-
-
-class NotAlldifferentError(CompileError):
-    pass
-
-
-class DomainAssumptionError(CompileError):
-    pass
-
-
-class NonVariableParamError(CompileError):
-    pass
-
-
-class HeterogeneousDomainsError(CompileError):
-    pass
-
-
-class NonGroundBoundError(CompileError):
-    pass
-
-
-class NonGroundConditionError(CompileError):
-    pass
-
-
-class DivisionByZeroError(CompileError):
-    pass
-
-
-class UnsupportedElementError(CompileError):
-    pass
-
-
-class ResidualStatementError(CompileError):
-    def __init__(self, kind: str, detail: str = ""):
-        self.kind = kind
-        msg = f"cannot lower model: residual {kind}"
-        if detail:
-            msg += f" ({detail})"
-        super().__init__(msg)
-
-
-class IndexOutOfBoundsError(CompileError):
-    pass
-
-
-class SearchSpaceError(CompileError):
-    pass
-
-
-class IncompleteSolutionsError(CompileError):
-    pass
+class OracleLimitError(CompileError):
+    """An oracle limit stops the answer: the search space is too large, or
+    a solution set to compare is incomplete (a search budget ran out)."""

@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import ir, sema
-from .errors import IndexOutOfBoundsError, ResidualStatementError, UnsupportedElementError
+from .errors import CompileError
 from .passes import _as_int, _Folder, _value_int, const_env
 from .printer import print_expression
 
@@ -43,6 +43,12 @@ def _cell_name(base: str, idx: tuple[int, ...]) -> str:
     if not idx:
         return base
     return base + "".join(f"__{i}" for i in idx)
+
+
+def _residual(kind: str, detail: str = "") -> CompileError:
+    """The error for a construct that lowering expects gone."""
+    detail = f" ({detail})" if detail else ""
+    return CompileError(f"cannot lower model: residual {kind}{detail}")
 
 
 def _or_chain(terms: list[ir.Expression]) -> ir.Expression:
@@ -69,7 +75,7 @@ class _Lowerer:
         for d in v.dims:
             n = _value_int(d, self.env)
             if n is None:
-                raise ResidualStatementError("non-ground dimension", f"variable '{v.name}'")
+                raise _residual("non-ground dimension", f"variable '{v.name}'")
             out.append(n)
         return tuple(out)
 
@@ -77,7 +83,7 @@ class _Lowerer:
         lo = _value_int(domain.lo, self.env)
         hi = _value_int(domain.hi, self.env)
         if lo is None or hi is None:
-            raise ResidualStatementError("non-ground domain", f"variable '{v.name}'")
+            raise _residual("non-ground domain", f"variable '{v.name}'")
         return lo, hi
 
     def _domain_members(self, v: ir.Variable) -> frozenset | None:
@@ -87,14 +93,14 @@ class _Lowerer:
             for m in d.members:
                 value = _value_int(m, self.env)
                 if value is None:
-                    raise ResidualStatementError("non-ground domain", f"variable '{v.name}'")
+                    raise _residual("non-ground domain", f"variable '{v.name}'")
                 members.append(value)
             return frozenset(members)
         if isinstance(d, ir.ExprDomain):
             value = _Folder(self.env).ground_value(d.expr)
             if isinstance(value, frozenset):
                 return value
-            raise ResidualStatementError("non-ground domain", f"variable '{v.name}'")
+            raise _residual("non-ground domain", f"variable '{v.name}'")
         return None
 
     def add_variable(self, v: ir.Variable):
@@ -105,16 +111,14 @@ class _Lowerer:
             name = _cell_name(v.name, idx)
             if v.is_set:
                 if not isinstance(v.domain, ir.IntervalDomain):
-                    raise ResidualStatementError(
+                    raise _residual(
                         "set variable without an interval universe", f"variable '{v.name}'"
                     )
                 lo, hi = self._interval(v, v.domain)
                 self.vars.append(FlatVar(name, "set", lo, hi))
             elif v.type_name == "bool":
                 if v.domain is not None:
-                    raise ResidualStatementError(
-                        "boolean variable with a domain", f"variable '{v.name}'"
-                    )
+                    raise _residual("boolean variable with a domain", f"variable '{v.name}'")
                 self.vars.append(FlatVar(name, "bool"))
             elif v.type_name == "int":
                 if isinstance(v.domain, ir.IntervalDomain):
@@ -123,9 +127,7 @@ class _Lowerer:
                     continue
                 members = self._domain_members(v)
                 if members is None or not members:
-                    raise ResidualStatementError(
-                        "variable without a finite domain", f"variable '{v.name}'"
-                    )
+                    raise _residual("variable without a finite domain", f"variable '{v.name}'")
                 lo, hi = min(members), max(members)
                 self.vars.append(FlatVar(name, "int", lo, hi))
                 if members != frozenset(range(lo, hi + 1)):
@@ -136,12 +138,12 @@ class _Lowerer:
                         )
                     )
             else:
-                raise ResidualStatementError(
-                    f"{v.type_name} variable", f"variable '{v.name}'"
-                )
+                raise _residual(f"{v.type_name} variable", f"variable '{v.name}'")
 
     def rewrite(self, e: ir.Expression) -> ir.Expression:
-        """Fold e and name its array cells in one bottom-up walk."""
+        """Inline the constants and name the array cells of e in one
+        bottom-up walk.  loopUnroll has folded e already, so its operator
+        nodes come back as they are."""
         return ir.map_expr(e, self._lower_node)
 
     def _lower_node(self, node: ir.Expression) -> ir.Expression:
@@ -151,8 +153,8 @@ class _Lowerer:
                 hit = self.cells[id(node)] = (node, self._lower_occurrence(node))
             return hit[1]
         if isinstance(node, ir.ObjectOccurrence):
-            raise ResidualStatementError("object navigation", print_expression(node))
-        return self.folder._fold_node(node)
+            raise _residual("object navigation", print_expression(node))
+        return node
 
     def _lower_occurrence(self, node: ir.VarOccurrence) -> ir.Expression:
         folded = self.folder._fold_node(node)
@@ -160,40 +162,36 @@ class _Lowerer:
             return folded
         b = node.binding
         if b is not None and b.kind == "enum_literal":
-            raise ResidualStatementError("enumeration literal", node.name)
+            raise _residual("enumeration literal", node.name)
         if b is not None and b.kind == "iterator":
-            raise ResidualStatementError("loop iterator", node.name)
+            raise _residual("loop iterator", node.name)
         if b is not None and b.kind == "constant":
             value = self.env.get(node.name)
             if value is not None:  # ground, but not an integer
-                raise UnsupportedElementError(
+                raise CompileError(
                     f"cannot lower model: the flat format has no literal for {value}, "
                     f"the value of constant '{node.name}'"
                 )
-            raise ResidualStatementError("non-ground constant", node.name)
+            raise _residual("non-ground constant", node.name)
         dims = self.dims.get(node.name)
         if dims is None:
-            raise ResidualStatementError("unknown variable", node.name)
+            raise _residual("unknown variable", node.name)
         if len(node.indexes) != len(dims):
-            raise ResidualStatementError(
-                "partial array reference", f"'{node.name}'"
-            )
+            raise _residual("partial array reference", f"'{node.name}'")
         idx = []
         for expr, size in zip(node.indexes, dims):  # already folded
             value = _as_int(self.folder.value(expr))
             if value is None:
-                raise ResidualStatementError("non-ground index", print_expression(expr))
+                raise _residual("non-ground index", print_expression(expr))
             if not 1 <= value <= size:
-                raise IndexOutOfBoundsError(
-                    f"index {value} outside 1..{size} for '{node.name}'", node.loc
-                )
+                raise CompileError(f"index {value} outside 1..{size} for '{node.name}'", node.loc)
             idx.append(value)
         return ir.VarOccurrence(_cell_name(node.name, tuple(idx)), loc=node.loc)
 
     def run(self) -> FlatProgram:
         for e in self.model.elements:
             if isinstance(e, (ir.Class, ir.Enumeration)):
-                raise ResidualStatementError(type(e).__name__.lower(), f"'{e.name}'")
+                raise _residual(type(e).__name__.lower(), f"'{e.name}'")
             if isinstance(e, ir.Variable):
                 self.add_variable(e)
         constraints = list(self.domain_constraints)
@@ -202,13 +200,13 @@ class _Lowerer:
             if isinstance(s, ir.ExpressionConstraint):
                 constraints.append(self.rewrite(s.expr))
             elif isinstance(s, ir.GlobalCtr):
-                raise ResidualStatementError("global constraint", s.ctr_name)
+                raise _residual("global constraint", s.ctr_name)
             elif isinstance(s, ir.ForAll):
-                raise ResidualStatementError("forall loop", f"over '{s.iter_var}'")
+                raise _residual("forall loop", f"over '{s.iter_var}'")
             elif isinstance(s, ir.If):
-                raise ResidualStatementError("conditional", "if statement")
+                raise _residual("conditional", "if statement")
             else:
-                raise ResidualStatementError(type(s).__name__, "")
+                raise _residual(type(s).__name__)
 
         for e in self.model.elements:
             if isinstance(e, ir.ConstraintZone):

@@ -32,8 +32,6 @@ node for variables, constants, loop iterators and enumeration literals;
 from __future__ import annotations
 
 import operator
-import types
-import typing
 
 from .errors import Loc
 
@@ -102,10 +100,29 @@ _METHODS = """(cls, {setters}):
 """
 _SLOTTED: list[tuple[type, str]] = []  # (class, its factory body) awaiting methods
 
+# Per node class (and per other class ``_slotted`` makes), (field name,
+# holds a tuple) for every field that holds IR nodes: ``X``, ``X | None``,
+# ``tuple[X, ...]`` or ``tuple[X, ...] | None`` for a node class X.
+# ``_slotted`` reads each field's shape from its annotation string, so the
+# node class a field holds is defined above the class that holds it.
+# Recursive walks iterate this table in their own body: one frame per
+# tree level.
+CHILD_FIELDS: dict[type, tuple[tuple[str, bool], ...]] = {}
+
+
+def _holds_nodes(annotation: str) -> bool | None:
+    """Whether a field annotated so holds a tuple of nodes (True) or one
+    node (False); None when it holds no node."""
+    t = annotation.removesuffix(" | None")
+    many = t.startswith("tuple[") and t.endswith(", ...]")
+    elem = globals().get(t[6:-6] if many else t)
+    return many if isinstance(elem, type) and issubclass(elem, Node) else None
+
 
 def _slotted(cls: type) -> type:
     """cls re-created with a slot for each field it annotates."""
-    own = tuple(cls.__dict__.get("__annotations__", ()))
+    annotations = cls.__dict__.get("__annotations__", {})
+    own = tuple(annotations)
     body = {k: v for k, v in cls.__dict__.items() if k not in own and k not in ("__dict__", "__weakref__")}
     body["__slots__"] = own + body.get("__slots__", ())
     fields = body["_fields"] = cls._fields + own
@@ -123,6 +140,8 @@ def _slotted(cls: type) -> type:
     )
     new = type(cls.__name__, cls.__bases__, body)
     _SLOTTED.append((new, methods))
+    shapes = ((f, _holds_nodes(a)) for f, a in annotations.items())
+    CHILD_FIELDS[new] = tuple((f, many) for f, many in shapes if many is not None)
     return new
 
 
@@ -251,6 +270,11 @@ class Expression(Node):
 
 class Domain(Node):
     __slots__ = ()
+
+
+CHILD_FIELDS.update(dict.fromkeys(  # the abstract node classes have no fields of their own
+    (Node, ModelElement, Classifier, ModelFeature, TypedElement, Statement, Expression, Domain), ()
+))
 
 
 # --------------------------------------------------------------------------
@@ -483,32 +507,6 @@ def model_equals(a: Model, b: Model) -> bool:
 
 # --------------------------------------------------------------------------
 # Tree helpers
-
-class _ChildFields(dict):
-    """Per node class, (field name, holds a tuple) for every field that
-    holds IR nodes: ``X``, ``X | None``, ``tuple[X, ...]`` or
-    ``tuple[X, ...] | None`` for a node class X.  Read once per class
-    from the field annotations."""
-
-    def __missing__(self, cls: type) -> tuple[tuple[str, bool], ...]:
-        hints = typing.get_type_hints(cls)
-        table = []
-        for f in cls._fields:
-            t = hints[f]
-            if isinstance(t, types.UnionType):  # X | None
-                t = typing.get_args(t)[0]
-            elem = typing.get_args(t)[0] if typing.get_origin(t) is tuple else t
-            if isinstance(elem, type) and issubclass(elem, Node):
-                table.append((f, elem is not t))
-        self[cls] = table = tuple(table)
-        return table
-
-
-# The child fields of every node class, statements, domains, features and
-# the model included.  Recursive walks iterate it in their own body: one
-# frame per tree level.
-CHILD_FIELDS = _ChildFields()
-
 
 def map_expr(e: Node, fn) -> Node:
     """Rebuild a tree bottom-up, applying fn to every node; fn returns a

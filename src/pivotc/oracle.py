@@ -56,13 +56,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import ir
-from .errors import (
-    CompileError,
-    Diagnostic,
-    IncompleteSolutionsError,
-    ParseError,
-    SearchSpaceError,
-)
+from .errors import CompileError, Diagnostic, OracleLimitError, ParseError
 from .flat import FlatProgram, FlatVar
 from .parser import parse_expression
 from .passes import _div, _pow
@@ -724,7 +718,7 @@ def domain_values(v: FlatVar) -> list:
         return [False, True]
     universe = list(range(v.lo, v.hi + 1))
     if len(universe) > MAX_SET_UNIVERSE:
-        raise SearchSpaceError(
+        raise OracleLimitError(
             f"set universe of '{v.name}' has {len(universe)} elements "
             f"(limit {MAX_SET_UNIVERSE})"
         )
@@ -766,7 +760,7 @@ def enumerate_solutions(
     for d in domains:
         space *= len(d)
         if space > MAX_SEARCH_SPACE:
-            raise SearchSpaceError(
+            raise OracleLimitError(
                 f"search space exceeds 2^40 ({len(program.vars)} variables)"
             )
 
@@ -808,7 +802,7 @@ def compare_solutions(a: SolutionSet, b: SolutionSet, projection=None) -> str:
     """'equal' | 'subset' (a strictly within b) | 'superset' | 'incomparable',
     after projecting both sides onto the given variable names."""
     if not a.complete or not b.complete:
-        raise IncompleteSolutionsError("cannot compare incomplete solution sets")
+        raise OracleLimitError("cannot compare incomplete solution sets")
     if projection is None:
         pa = {tuple(sorted(s.values.items(), key=lambda kv: kv[0])) for s in a.solutions}
         pb = {tuple(sorted(s.values.items(), key=lambda kv: kv[0])) for s in b.solutions}

@@ -27,19 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import ir, sema
-from .errors import (
-    CompileError,
-    CyclicCompositionError,
-    DivisionByZeroError,
-    DomainAssumptionError,
-    HeterogeneousDomainsError,
-    NameCollisionError,
-    NonGroundBoundError,
-    NonGroundConditionError,
-    NonVariableParamError,
-    NotAlldifferentError,
-    PreconditionError,
-)
+from .errors import CompileError
 
 PASS_IDS = ("objectFlatten", "enumRemove", "alldiffRewrite", "loopUnroll", "foldConstants")
 ALLDIFF_MODES = ("disequalities", "relaxation", "boolean")
@@ -107,7 +95,7 @@ def _arith(op: str, a, b, loc):
 # Exact / and ^, shared with the oracle's generated search
 def _div(a, b, loc=None):
     if b == 0:
-        raise DivisionByZeroError("division by zero", loc)
+        raise CompileError("division by zero", loc)
     if isinstance(a, float) or isinstance(b, float):
         return a / b
     return Fraction(a) / Fraction(b)
@@ -123,7 +111,7 @@ def _pow(a, b, loc=None):
     try:
         return Fraction(a) ** b if isinstance(a, Fraction) or b < 0 else a ** b
     except ZeroDivisionError:
-        raise DivisionByZeroError("zero raised to a negative power", loc) from None
+        raise CompileError("zero raised to a negative power", loc) from None
 
 
 def _materialize(v, loc) -> ir.Expression | None:
@@ -386,7 +374,7 @@ def _visit_composition(classes, state, name: str, parent: str | None):
     if state.get(name) == 1:
         return
     if state.get(name) == 0:
-        raise CyclicCompositionError(parent or name, name)
+        raise CompileError(f"cyclic composition between classes '{parent or name}' and '{name}'")
     state[name] = 0
     for f in classes[name].features:
         if isinstance(f, ir.Variable) and f.type_name in classes:
@@ -631,7 +619,7 @@ class _Flattener:
 
     def _claim(self, name: str):
         if name in self.taken:
-            raise NameCollisionError(name)
+            raise CompileError(f"flattened name '{name}' collides with an existing declaration")
         self.taken.add(name)
 
     def flatten_class_feature(self, f: ir.ModelFeature, prefix: list[str],
@@ -741,7 +729,7 @@ def object_flatten(model: ir.Model) -> ir.Model:
 
 def _ensure_class_free(model: ir.Model, pass_id: str):
     if model.classes():
-        raise PreconditionError(pass_id, "model still contains classes")
+        raise CompileError(f"{pass_id}: model still contains classes")
 
 
 def _enum_remove_counted(model: ir.Model) -> tuple[ir.Model, int]:
@@ -794,7 +782,7 @@ def enum_remove(model: ir.Model) -> ir.Model:
 def alldiff_to_disequalities(c: ir.GlobalCtr) -> list[ir.Statement]:
     """alldifferent(x1..xn) -> the n(n-1)/2 pairwise disequalities."""
     if not isinstance(c, ir.GlobalCtr) or c.ctr_name != "alldifferent":
-        raise NotAlldifferentError("expected an alldifferent constraint")
+        raise CompileError("expected an alldifferent constraint")
     out: list[ir.Statement] = []
     n = len(c.params)
     for i in range(n):
@@ -833,14 +821,12 @@ def _sum_of(terms: list[ir.Expression]) -> ir.Expression:
 
 def _alldiff_to_relaxation(c: ir.GlobalCtr, scope: sema.Scope, env: dict) -> ir.Statement:
     if not isinstance(c, ir.GlobalCtr) or c.ctr_name != "alldifferent":
-        raise NotAlldifferentError("expected an alldifferent constraint")
+        raise CompileError("expected an alldifferent constraint")
     n = len(c.params)
     for p in c.params:
         iv = _param_interval(p, scope, env)
         if iv != (1, n):
-            raise DomainAssumptionError(
-                f"relaxation requires every parameter domain to be 1..{n}", c.loc
-            )
+            raise CompileError(f"relaxation requires every parameter domain to be 1..{n}", c.loc)
     total = ir.IntValue(n * (n + 1) // 2)
     return ir.ExpressionConstraint(
         ir.BoolBinaryOp("=", _sum_of(list(c.params)), total, loc=c.loc), loc=c.loc
@@ -865,29 +851,23 @@ def _alldiff_to_boolean(
     c: ir.GlobalCtr, scope: sema.Scope, env: dict, taken: set[str]
 ) -> list[ir.ModelFeature]:
     if not isinstance(c, ir.GlobalCtr) or c.ctr_name != "alldifferent":
-        raise NotAlldifferentError("expected an alldifferent constraint")
+        raise CompileError("expected an alldifferent constraint")
     n = len(c.params)
     intervals = []
     for p in c.params:
         if not isinstance(p, ir.VarOccurrence) or (
             p.binding is not None and p.binding.kind != "variable"
         ):
-            raise NonVariableParamError(
-                "boolean reformulation requires plain variable parameters", c.loc
-            )
+            raise CompileError("boolean reformulation requires plain variable parameters", c.loc)
         iv = _param_interval(p, scope, env)
         if iv is None:
-            raise NonVariableParamError(
-                f"cannot determine the domain of parameter '{p.name}'", c.loc
-            )
+            raise CompileError(f"cannot determine the domain of parameter '{p.name}'", c.loc)
         intervals.append(iv)
     if len(set(intervals)) != 1:
-        raise HeterogeneousDomainsError(
-            "boolean reformulation requires one common parameter domain", c.loc
-        )
+        raise CompileError("boolean reformulation requires one common parameter domain", c.loc)
     lo, m = intervals[0]
     if lo != 1 or m < n:
-        raise DomainAssumptionError(
+        raise CompileError(
             f"boolean reformulation requires a common domain 1..m with m >= {n}", c.loc
         )
     name = _fresh_bool_matrix_name(taken)
@@ -946,10 +926,9 @@ class _AlldiffRewriter:
                     out.append(_alldiff_to_relaxation(s, self.scope, self.env))
                 else:
                     if nested:
-                        raise PreconditionError(
-                            "alldiffRewrite",
-                            "boolean mode cannot rewrite alldifferent inside forall/if "
-                            "(the matrix would be shared between iterations)",
+                        raise CompileError(
+                            "alldiffRewrite: boolean mode cannot rewrite alldifferent inside "
+                            "forall/if (the matrix would be shared between iterations)"
                         )
                     features = _alldiff_to_boolean(s, self.scope, self.env, self.taken)
                     hoisted.extend(f for f in features if isinstance(f, ir.Variable))
@@ -1002,25 +981,36 @@ def alldiff_rewrite(model: ir.Model, mode: str = "disequalities") -> ir.Model:
 # --------------------------------------------------------------------------
 # Loop unrolling
 
-def _loop_unroll_counted(model: ir.Model) -> tuple[ir.Model, int]:
-    model = sema.resolve(model)
-    _ensure_class_free(model, "loopUnroll")
-    folder = _Folder(const_env(model))
-    fold = folder._fold_node
-    count = 0
-    # Per template node (kept alive by the model, so ids are stable): the
-    # iterator names its subtree may read, known after its first instance.
-    reads: dict[int, tuple[str, ...]] = {}
-    leaf_reads: dict[int, int] = {}  # per leaf statement: how many names it reads
-    # (template node, values of the names it reads, None if unbound) -> its
-    # instance.  A subtree that reads every name its leaf reads is built
-    # once per leaf instance anyway, so storing it would only cost memory.
-    memo: dict[tuple, ir.Expression] = {}
-    literals: dict[int, ir.IntValue] = {}  # iterator value -> its one node
+class _Unroller:
+    """Expands the loops and grounds the conditionals of statement lists,
+    substituting iterator values into templates and folding them, and
+    counts the loops and conditionals.  Methods, not recursive closures: a
+    closure that calls itself is a reference cycle, which would keep the
+    model alive until the cyclic collector runs."""
 
-    def instantiate(e: ir.Expression, iters: dict, leaf_n: int) -> ir.Expression:
+    # slots: instantiate reads them on every call
+    __slots__ = ("folder", "fold", "count", "reads", "leaf_reads", "memo", "literals")
+
+    def __init__(self, env: dict):
+        self.folder = _Folder(env)
+        self.fold = self.folder._fold_node
+        self.count = 0
+        # Per template node (kept alive by the model, so ids are stable):
+        # the iterator names its subtree may read, known after its first
+        # instance.
+        self.reads: dict[int, tuple[str, ...]] = {}
+        self.leaf_reads: dict[int, int] = {}  # per leaf statement: how many names it reads
+        # (template node, values of the names it reads, None if unbound) ->
+        # its instance.  A subtree that reads every name its leaf reads is
+        # built once per leaf instance anyway, so storing it would only
+        # cost memory.
+        self.memo: dict[tuple, ir.Expression] = {}
+        self.literals: dict[int, ir.IntValue] = {}  # iterator value -> its one node
+
+    def instantiate(self, e: ir.Expression, iters: dict, leaf_n: int) -> ir.Expression:
         """Substitute the values of the enclosing iterators (``iters``:
         name -> int) into template e and fold, bottom-up."""
+        reads = self.reads
         if (
             type(e) is ir.VarOccurrence
             and not e.indexes
@@ -1030,15 +1020,15 @@ def _loop_unroll_counted(model: ir.Model) -> tuple[ir.Model, int]:
             v = iters.get(e.name)
             if v is None:
                 return e
-            node = literals.get(v)
+            node = self.literals.get(v)
             if node is None:
-                literals[v] = node = ir.IntValue(v)
+                self.literals[v] = node = ir.IntValue(v)
             return node
         names = reads.get(id(e))
         key = None
         if names is not None and len(names) < leaf_n:
             key = (id(e), tuple(map(iters.get, names)))
-            hit = memo.get(key)
+            hit = self.memo.get(key)
             if hit is not None:
                 return hit
         updates = {}
@@ -1046,16 +1036,16 @@ def _loop_unroll_counted(model: ir.Model) -> tuple[ir.Model, int]:
         for name, many in fields:
             v = getattr(e, name)
             if many:
-                nv = tuple([instantiate(x, iters, leaf_n) for x in v])
+                nv = tuple([self.instantiate(x, iters, leaf_n) for x in v])
                 if any(map(operator.is_not, nv, v)):
                     updates[name] = nv
             elif v is not None:
-                nv = instantiate(v, iters, leaf_n)
+                nv = self.instantiate(v, iters, leaf_n)
                 if nv is not v:
                     updates[name] = nv
-        out = fold(ir.rebuild(e, updates) if updates else e)
+        out = self.fold(ir.rebuild(e, updates) if updates else e)
         if key is not None:
-            memo[key] = out
+            self.memo[key] = out
         elif names is None:
             below: set[str] = set()
             for name, many in fields:
@@ -1066,61 +1056,64 @@ def _loop_unroll_counted(model: ir.Model) -> tuple[ir.Model, int]:
             reads[id(e)] = tuple(below)
         return out
 
-    def instantiate_leaf(exprs, s: ir.Statement, iters: dict) -> list[ir.Expression]:
-        leaf_n = leaf_reads.get(id(s), 0)
-        out = [instantiate(x, iters, leaf_n) for x in exprs]
-        if id(s) not in leaf_reads:
-            leaf_reads[id(s)] = len({name for x in exprs for name in reads[id(x)]})
+    def instantiate_leaf(self, exprs, s: ir.Statement, iters: dict) -> list[ir.Expression]:
+        leaf_n = self.leaf_reads.get(id(s), 0)
+        out = [self.instantiate(x, iters, leaf_n) for x in exprs]
+        if id(s) not in self.leaf_reads:
+            reads = self.reads
+            self.leaf_reads[id(s)] = len({name for x in exprs for name in reads[id(x)]})
         return out
 
-    def bound_value(e: ir.Expression, loop: ir.ForAll, iters: dict) -> int:
-        v = _as_int(folder.value(instantiate(e, iters, 0)))
+    def bound_value(self, e: ir.Expression, loop: ir.ForAll, iters: dict) -> int:
+        v = _as_int(self.folder.value(self.instantiate(e, iters, 0)))
         if v is None:
-            raise NonGroundBoundError(
-                f"loop over '{loop.iter_var}' has a non-ground bound", loop.loc
-            )
+            raise CompileError(f"loop over '{loop.iter_var}' has a non-ground bound", loop.loc)
         return v
 
-    def unroll_stmts(stmts, iters: dict) -> list[ir.Statement]:
+    def stmts(self, stmts, iters: dict) -> list[ir.Statement]:
         """iters: enclosing iterator -> value; inner loops shadow outer ones."""
-        nonlocal count
         out: list[ir.Statement] = []
         for s in stmts:
             if isinstance(s, ir.ForAll):
-                count += 1
-                lo = bound_value(s.lower, s, iters)
-                hi = bound_value(s.upper, s, iters)
+                self.count += 1
+                lo = self.bound_value(s.lower, s, iters)
+                hi = self.bound_value(s.upper, s, iters)
                 for v in range(lo, hi + 1):
-                    out.extend(unroll_stmts(s.body, {**iters, s.iter_var: v}))
+                    out.extend(self.stmts(s.body, {**iters, s.iter_var: v}))
             elif isinstance(s, ir.If):
-                count += 1
-                cond = instantiate(s.cond, iters, 0)
+                self.count += 1
+                cond = self.instantiate(s.cond, iters, 0)
                 if not isinstance(cond, ir.BoolValue):
-                    raise NonGroundConditionError(
+                    raise CompileError(
                         "conditional with a non-ground condition cannot be unrolled", s.loc
                     )
                 branch = s.then_body if cond.value else (s.else_body or ())
-                out.extend(unroll_stmts(branch, iters))
+                out.extend(self.stmts(branch, iters))
             elif isinstance(s, ir.ExpressionConstraint):
-                (expr,) = instantiate_leaf((s.expr,), s, iters)
+                (expr,) = self.instantiate_leaf((s.expr,), s, iters)
                 out.append(ir.ExpressionConstraint(expr, loc=s.loc))
             elif isinstance(s, ir.GlobalCtr):
-                params = instantiate_leaf(s.params, s, iters)
+                params = self.instantiate_leaf(s.params, s, iters)
                 out.append(ir.GlobalCtr(s.ctr_name, tuple(params), loc=s.loc))
             else:
                 raise TypeError(f"unknown statement {s!r}")
         return out
 
+
+def _loop_unroll_counted(model: ir.Model) -> tuple[ir.Model, int]:
+    model = sema.resolve(model)
+    _ensure_class_free(model, "loopUnroll")
+    unroller = _Unroller(const_env(model))
     elements: list[ir.ModelElement] = []
     for e in model.elements:
         if isinstance(e, ir.ConstraintZone):
-            elements.append(ir.ConstraintZone(e.name, tuple(unroll_stmts(e.body, {})), loc=e.loc))
+            elements.append(ir.ConstraintZone(e.name, tuple(unroller.stmts(e.body, {})), loc=e.loc))
         elif isinstance(e, ir.Statement):
-            elements.extend(unroll_stmts([e], {}))
+            elements.extend(unroller.stmts([e], {}))
         else:
             elements.append(e)
     out = ir.rebuild(model, {"elements": tuple(elements)})
-    return sema.mark_resolved(out), count
+    return sema.mark_resolved(out), unroller.count
 
 
 def loop_unroll(model: ir.Model) -> ir.Model:

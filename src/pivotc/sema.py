@@ -29,7 +29,6 @@ from .errors import (
     Diagnostic,
     DuplicateNameError,
     Loc,
-    TypeMismatchError,
     UnresolvedNameError,
 )
 
@@ -183,7 +182,7 @@ def validate(model: ir.Model) -> list[Diagnostic]:
 
 def infer_type(e: ir.Expression, scope: Scope) -> ir.TypeKind:
     """Return the unique TypeKind of e, or raise its first type error
-    (TypeMismatchError) or its first unresolved name."""
+    (CompileError) or its first unresolved name."""
     walk = _Walk(scope)
     _, kind = walk.top(e)
     if walk.error is not None:
@@ -220,12 +219,7 @@ def decl_kind(decl: ir.TypedElement, scope: Scope) -> ir.TypeKind:
         return ir.SET_OF_INT
     if base.kind == "enum":
         return ir.set_of_enum(base.name)
-    raise TypeMismatchError(
-        f"'{decl.name}': sets of {base} are not supported",
-        expected="int or enumeration element type",
-        found=str(base),
-        loc=decl.loc,
-    )
+    raise CompileError(f"'{decl.name}': sets of {base} are not supported", decl.loc)
 
 
 def _diag(message: str, node: ir.Node | CompileError | None) -> Diagnostic:
@@ -255,9 +249,9 @@ class _Walk:
     def _note(self, message: str, node: ir.Node | None):
         self.diags.append(_diag(message, node))
 
-    def _fail(self, message: str, node: ir.Node, expected: str = "", found: str = ""):
+    def _fail(self, message: str, node: ir.Node):
         if self.error is None:
-            self.error = TypeMismatchError(message, expected, found, node.loc)
+            self.error = CompileError(message, node.loc)
 
     # -- elements, statements and domains ---------------------------------
 
@@ -404,12 +398,12 @@ class _Walk:
         if k == ir.BOOLEAN:
             return ir.INTEGER
         if k is not None:
-            self._fail("numeric operand expected", e, "integer or real", str(k))
+            self._fail("numeric operand expected", e)
         return None
 
     def require(self, k, want: ir.TypeKind, e: ir.Expression, what: str):
         if k is not None and k != want:
-            self._fail(f"{what} must be {want}", e, str(want), str(k))
+            self._fail(f"{what} must be {want}", e)
 
     def expr(self, e: ir.Expression):
         """Return (e with every name bound, e's TypeKind).  A check on a
@@ -446,7 +440,7 @@ class _Walk:
                 e.op in ("=", "!=") and lk == rk and (lk.is_set or lk.kind == "enum")
             ):
                 return e, ir.BOOLEAN
-            self._fail(f"'{e.op}' cannot compare {lk} with {rk}", e, str(lk), str(rk))
+            self._fail(f"'{e.op}' cannot compare {lk} with {rk}", e)
             return e, None
         if t is ir.ObjectOccurrence:
             return self.path(e)
@@ -460,7 +454,7 @@ class _Walk:
         if t is ir.SetFunction:
             arg, k = self.expr(e.arg)
             if k is not None and not k.is_set:
-                self._fail("card expects a set", e, "set", str(k))
+                self._fail("card expects a set", e)
             return ir.rebuild(e, {"arg": arg}), ir.INTEGER
         if t is ir.SetBinaryOp:
             left, lk = self.expr(e.left)
@@ -469,9 +463,7 @@ class _Walk:
             if lk is None or rk is None:
                 return e, None
             if not lk.is_set or lk != rk:
-                self._fail(
-                    f"'{e.op}' expects two sets of the same element type", e, str(lk), str(rk)
-                )
+                self._fail(f"'{e.op}' expects two sets of the same element type", e)
                 return e, None
             return e, lk
         if t is ir.SetValue:

@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 
 from pivotc import ir
-from pivotc.errors import NonGroundBoundError, NonGroundConditionError
+from pivotc.errors import CompileError
 from pivotc.flat import FlatProgram
 from pivotc.oracle import SolutionSet
 from pivotc.parser import KEYWORDS, SourceUnit, parse
@@ -149,24 +149,24 @@ def naive_unroll(model: ir.Model) -> ir.Model:
 
         return ir.map_expr(copy.deepcopy(e), node)
 
-    def ground(e: ir.Expression, iters: dict, error, what: str, loc):
+    def ground(e: ir.Expression, iters: dict, what: str, loc):
         try:
             return eval_expr(substitute(e, iters), consts)
         except KeyError:
-            raise error(what, loc) from None
+            raise CompileError(what, loc) from None
 
     def unroll(stmts, iters: dict) -> list[ir.Statement]:
         out: list[ir.Statement] = []
         for s in stmts:
             if isinstance(s, ir.ForAll):
                 what = f"loop over '{s.iter_var}' has a non-ground bound"
-                lo = ground(s.lower, iters, NonGroundBoundError, what, s.loc)
-                hi = ground(s.upper, iters, NonGroundBoundError, what, s.loc)
+                lo = ground(s.lower, iters, what, s.loc)
+                hi = ground(s.upper, iters, what, s.loc)
                 for v in range(lo, hi + 1):
                     out += unroll(s.body, {**iters, s.iter_var: v})
             elif isinstance(s, ir.If):
                 what = "conditional with a non-ground condition cannot be unrolled"
-                cond = ground(s.cond, iters, NonGroundConditionError, what, s.loc)
+                cond = ground(s.cond, iters, what, s.loc)
                 out += unroll(s.then_body if cond else (s.else_body or ()), iters)
             elif isinstance(s, ir.ExpressionConstraint):
                 out.append(ir.ExpressionConstraint(substitute(s.expr, iters), loc=s.loc))

@@ -215,6 +215,13 @@ def test_missing_file_reports_and_fails(tmp_path):
     assert proc.stderr.strip() != ""
 
 
+def test_unwritable_output_is_a_diagnostic(tmp_path, capsys):
+    out = tmp_path / "missing" / "q.ecl"
+    code = main(["compile", "-m", str(FIXTURES / "queens4.som"), "--target", "clp", "-o", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines()[-1].startswith("error: [Errno 2] ")
+
+
 def test_main_callable_in_process(tmp_path):
     out = tmp_path / "q.ecl"
     code = main([

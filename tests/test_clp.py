@@ -4,7 +4,7 @@ import pytest
 
 from pivotc import ir
 from pivotc.clp import ClpEmitOptions, emit_clp
-from pivotc.errors import UnsupportedElementError
+from pivotc.errors import CompileError
 from pivotc.flat import lower_to_flat
 from pivotc.parser import SourceUnit, parse
 from pivotc.passes import PassConfig, run_pipeline
@@ -63,13 +63,15 @@ def test_minimal_model_three_domains_one_goal():
 
 
 def test_class_is_unsupported(golfers):
-    with pytest.raises(UnsupportedElementError):
+    with pytest.raises(CompileError, match="enumeration 'Name' is not supported by the clp target"):
         emit_clp(golfers)
 
 
 def test_real_variable_unsupported():
     m = parse(SourceUnit("model R;\nreal x in 1..2;"))
-    with pytest.raises(UnsupportedElementError):
+    with pytest.raises(
+        CompileError, match=r"real variable 'x' is not supported by the clp target \(finite domains"
+    ):
         emit_clp(m)
 
 
@@ -159,9 +161,21 @@ def test_custom_predicate_name_and_no_label():
     assert text.rstrip().endswith("X $= 1.")
 
 
+@pytest.mark.parametrize("decls,first,second,shared", [
+    ("int ab in 1..2;\nint AB in 1..2;", "ab", "AB", "AB"),
+    ("int k := 1;\nint x in 1..2;\nint K in 1..2;", "k", "K", "K"),
+])
+def test_declarations_sharing_a_clp_name_are_named(decls, first, second, shared):
+    m = parse(SourceUnit(f"model M;\n{decls}\n"))
+    message = f"declarations '{first}' and '{second}' share the clp name '{shared}'"
+    with pytest.raises(CompileError) as info:
+        emit_clp(m)
+    assert str(info.value) == message
+
+
 def test_invalid_predicate_name_rejected():
     m = parse(SourceUnit("model Tiny;\nint x in 1..2;"))
-    with pytest.raises(UnsupportedElementError):
+    with pytest.raises(CompileError, match="'NotAnAtom' is not a valid predicate name"):
         emit_clp(m, ClpEmitOptions(predicate_name="NotAnAtom"))
 
 

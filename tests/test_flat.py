@@ -3,7 +3,7 @@ from math import comb
 import pytest
 
 from pivotc import ir
-from pivotc.errors import IndexOutOfBoundsError, ResidualStatementError
+from pivotc.errors import CompileError
 from pivotc.flat import FlatProgram, FlatVar, emit_flat, lower_to_flat
 from pivotc.oracle import parse_flat
 from pivotc.parser import SourceUnit, parse
@@ -95,7 +95,7 @@ def test_residual_loop_rejected():
     m = parse(SourceUnit(
         "model R;\nint x[2] in 1..2;\nconstraint c { forall(i in 1..2) { x[i] = 1; } }"
     ))
-    with pytest.raises(ResidualStatementError):
+    with pytest.raises(CompileError, match=r"residual forall loop \(over 'i'\)"):
         lower_to_flat(m)
 
 
@@ -103,18 +103,18 @@ def test_residual_global_rejected():
     m = parse(SourceUnit(
         "model R;\nint x in 1..2;\nint y in 1..2;\nconstraint c { alldifferent(x, y); }"
     ))
-    with pytest.raises(ResidualStatementError):
+    with pytest.raises(CompileError, match=r"residual global constraint \(alldifferent\)"):
         lower_to_flat(m)
 
 
 def test_residual_class_rejected(golfers):
-    with pytest.raises(ResidualStatementError):
+    with pytest.raises(CompileError, match=r"residual enumeration \('Name'\)"):
         lower_to_flat(golfers)
 
 
 def test_residual_enum_rejected():
     m = parse(SourceUnit("model R;\nenum E := {p,q};\nE v;"))
-    with pytest.raises(ResidualStatementError):
+    with pytest.raises(CompileError, match=r"residual enumeration \('E'\)"):
         lower_to_flat(m)
 
 
@@ -122,7 +122,7 @@ def test_index_out_of_bounds():
     m = parse(SourceUnit(
         "model R;\nint x[2] in 1..2;\nconstraint c { x[3] = 1; }"
     ))
-    with pytest.raises(IndexOutOfBoundsError):
+    with pytest.raises(CompileError, match=r"index 3 outside 1\.\.2 for 'x'"):
         lower_to_flat(m)
 
 
@@ -157,7 +157,7 @@ def test_parse_flat_errors_positioned():
 
 def test_bool_variable_with_domain_rejected():
     m = parse(SourceUnit("model B;\nbool b in 0..0;\n"))
-    with pytest.raises(ResidualStatementError):
+    with pytest.raises(CompileError, match=r"residual boolean variable with a domain \(variable 'b'\)"):
         lower_to_flat(m)
 
 

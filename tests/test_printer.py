@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from pivotc import ir
 from pivotc.cli import main
-from pivotc.errors import UnprintableError
+from pivotc.errors import CompileError
 from pivotc.parser import SourceUnit, parse, parse_expression
 from pivotc.printer import print_expression, print_pivot
 
@@ -25,7 +25,7 @@ def test_empty_model_prints_header_only():
 
 
 def test_interval_value_is_unprintable():
-    with pytest.raises(UnprintableError):
+    with pytest.raises(CompileError, match="interval values have no source syntax"):
         print_expression(ir.IntervalValue(1.0, 2.0))
 
 
