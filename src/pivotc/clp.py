@@ -21,7 +21,7 @@ boolean and integer-set variables.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import ir, sema
 from .errors import CompileError
@@ -35,8 +35,7 @@ _SIMPLE_TERM_RE = re.compile(r"^[A-Z][A-Za-z0-9_]*$|^-?[0-9]+$")
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3}
 
 
-@dataclass(frozen=True)
-class ClpEmitOptions:
+class ClpEmitOptions(NamedTuple):
     predicate_name: str | None = None  # default: model name, first letter lowered
     label_sets: bool = True
 

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
+
+# The small value classes of the compiler (here and in parser, passes, flat
+# and clp) are NamedTuples: immutable, compared and hashed by value,
+# picklable, and cheap to build.  The parser builds one Loc per node.  The
+# few with behaviour beyond a __str__ (passes.PassConfig, oracle.Assignment
+# and oracle.SolutionSet) are plain classes with __slots__.
 
 
-@dataclass(frozen=True)
-class Loc:
+class Loc(NamedTuple):
     """1-based position of an element in its source file (0 = unknown)."""
 
     line: int = 0
@@ -17,8 +22,7 @@ class Loc:
         return f"{self.file or '<input>'}:{self.line}:{self.col}"
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     severity: str  # "error" | "warning"
     message: str
     line: int = 1

@@ -17,7 +17,7 @@ with every alldifferent already rewritten.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import ir, sema
 from .errors import CompileError
@@ -25,16 +25,14 @@ from .passes import _as_int, _Folder, _value_int, const_env
 from .printer import print_expression
 
 
-@dataclass(frozen=True)
-class FlatVar:
+class FlatVar(NamedTuple):
     name: str
     kind: str  # "int" | "bool" | "set"
     lo: int | None = None
     hi: int | None = None
 
 
-@dataclass(frozen=True)
-class FlatProgram:
+class FlatProgram(NamedTuple):
     vars: tuple[FlatVar, ...] = ()
     constraints: tuple[ir.Expression, ...] = ()
 

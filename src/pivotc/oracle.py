@@ -52,14 +52,13 @@ import itertools
 import math
 import operator
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import ir
 from .errors import CompileError, Diagnostic, OracleLimitError, ParseError
 from .flat import FlatProgram, FlatVar
 from .parser import parse_expression
-from .passes import _div, _pow
+from .passes import _div, _pow, _refuse
 
 MAX_SET_UNIVERSE = 12
 MAX_SEARCH_SPACE = 2 ** 40
@@ -67,9 +66,26 @@ DEFAULT_MAX_SOLUTIONS = 10 ** 6
 DEFAULT_MAX_NODES = 10 ** 7
 
 
-@dataclass(frozen=True, slots=True)  # no __dict__: a read of solutions can build 10^6
 class Assignment:
-    values: dict = field(default_factory=dict)
+    """One solution: variable name -> value.  Unhashable, as its dict is."""
+
+    __slots__ = ("values",)  # no __dict__: a read of solutions can build 10^6
+    __setattr__ = __delattr__ = _refuse
+    __hash__ = None
+
+    def __init__(self, values: dict | None = None):
+        object.__setattr__(self, "values", {} if values is None else values)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.values == other.values
+
+    def __repr__(self) -> str:
+        return f"Assignment(values={self.values!r})"
+
+    def __reduce__(self):
+        return Assignment, (self.values,)
 
     def __getitem__(self, name: str):
         return self.values[name]
@@ -78,14 +94,38 @@ class Assignment:
         return tuple(self.values[n] for n in names)
 
 
-@dataclass(frozen=True)
 class SolutionSet:
-    """Value rows in canonical order: ``rows[r][i]`` is ``names[i]``'s value."""
+    """Value rows in canonical order: ``rows[r][i]`` is ``names[i]``'s value.
+    ``nodes``, the values bound (checked against max_nodes), is the
+    search's cost, so equality and hash leave it out."""
 
-    names: tuple[str, ...] = ()
-    rows: tuple[tuple, ...] = ()
-    complete: bool = True
-    nodes: int = field(default=0, compare=False)  # values bound; checked against max_nodes
+    __slots__ = ("names", "rows", "complete", "nodes")
+    __setattr__ = __delattr__ = _refuse
+
+    def __init__(self, names: tuple[str, ...] = (), rows: tuple[tuple, ...] = (),
+                 complete: bool = True, nodes: int = 0):
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "complete", complete)
+        object.__setattr__(self, "nodes", nodes)
+
+    def _key(self) -> tuple:
+        return self.names, self.rows, self.complete
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (f"SolutionSet(names={self.names!r}, rows={self.rows!r}, "
+                f"complete={self.complete!r}, nodes={self.nodes!r})")
+
+    def __reduce__(self):
+        return SolutionSet, (self.names, self.rows, self.complete, self.nodes)
 
     def __len__(self) -> int:
         return len(self.rows)

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import ir
@@ -73,8 +72,7 @@ MAX_NESTING = 64
 GLOBAL_CONSTRAINT_NAMES = frozenset({"alldifferent"})
 
 
-@dataclass(frozen=True)
-class SourceUnit:
+class SourceUnit(NamedTuple):
     model_text: str
     data_text: str | None = None
     model_file: str = "<model>"
@@ -86,6 +84,12 @@ class Token(NamedTuple):
     text: str
     line: int
     col: int
+
+
+# Builds a NamedTuple (Token, Loc) from a tuple of all its fields, without
+# the Python-level __new__ that checks arguments: the parser makes one Loc
+# per node.
+_new_tuple = tuple.__new__
 
 
 class _Abort(Exception):
@@ -115,7 +119,7 @@ _TOKEN_RE = re.compile(
 def _lex(text: str, file: str, diags: list[Diagnostic]) -> list[Token]:
     tokens: list[Token] = []
     append = tokens.append
-    new_token = tuple.__new__  # Token(...) without the extra constructor call
+    new_token = _new_tuple  # bound locally: read once per token
     line, line_start = 1, 0
     kind = None
     for m in _TOKEN_RE.finditer(text):
@@ -190,7 +194,7 @@ class _Parser:
         return _SyntaxIssue(f"expected '{want}', found '{got}'", self.tok)
 
     def loc(self, tok: Token) -> Loc:
-        return Loc(tok.line, tok.col, self.file)
+        return _new_tuple(Loc, (tok.line, tok.col, self.file))
 
     def error(self, issue: _SyntaxIssue):
         if len(self.diags) < MAX_DIAGNOSTICS:
@@ -421,19 +425,69 @@ class _Parser:
             operands.append(self.parse_operand(bp + 1))
 
     def parse_operand(self, min_bp: int) -> ir.Expression:
-        """'not' (where operators binding at least min_bp may follow, and
-        NOT_BP is among them) or a signed operand."""
+        """One operand of the binary operators that bind at least min_bp:
+        'not' (only where NOT_BP >= min_bp), a sign, or a primary followed
+        by its indexes, navigation and exponent.  Every primary, the
+        leaves included, is made here, so a name or number returns from
+        this one call."""
         tok = self.tok
-        if tok.text != "not" or min_bp > NOT_BP:
-            return self.parse_unary()
-        self.advance()
-        operand = self.nested(tok, self.parse_expression, NOT_BP)
-        return ir.BoolUnaryOp("not", operand, loc=self.loc(tok))
+        kind, text = tok.kind, tok.text
+        loc = _new_tuple(Loc, (tok.line, tok.col, self.file))
+        if kind == "ID" and self.tokens[self.pos + 1].text != "(":  # EOF, not an ID, is last
+            self.advance()
+            node = ir.VarOccurrence(text, loc=loc)
+        elif kind == "INT":
+            self.advance()
+            node = ir.IntValue(int(text), loc=loc)
+        elif kind == "ID":
+            if text not in ir.ALG_FUNCTIONS:
+                raise _SyntaxIssue(f"unknown function '{text}'", tok)
+            self.advance()
+            self.advance()
+            args = self.nested(tok, self.parse_list)
+            self.expect(")")
+            node = ir.AlgFunction(text, tuple(args), loc=loc)
+        elif kind == "REAL":
+            self.advance()
+            node = ir.RealValue(float(text), loc=loc)
+        elif text == "true" or text == "false":
+            self.advance()
+            node = ir.BoolValue(text == "true", loc=loc)
+        elif text == "not" and min_bp <= NOT_BP:
+            self.advance()
+            operand = self.nested(tok, self.parse_expression, NOT_BP)
+            return ir.BoolUnaryOp("not", operand, loc=loc)
+        elif text == "-" or text == "+":
+            return self.parse_signed(tok, loc)
+        elif text == "(":
+            self.advance()
+            node = self.nested(tok, self.parse_expression)
+            self.expect(")")
+        elif text == "{":
+            self.advance()
+            elems = self.nested(tok, self.parse_list) if self.tok.text != "}" else []
+            self.expect("}")
+            node = ir.SetValue(tuple(elems), loc=loc)
+        elif text == "card":
+            self.advance()
+            self.expect("(")
+            arg = self.nested(tok, self.parse_expression)
+            self.expect(")")
+            node = ir.SetFunction("card", arg, loc=loc)
+        else:
+            raise _SyntaxIssue(f"expected an expression, found '{text or 'end of input'}'", tok)
+        tok = self.tok
+        if tok.text == "[" or tok.text == ".":
+            node = self.parse_suffixes(node, tok)
+            tok = self.tok
+        if tok.text == "^":
+            self.advance()
+            right = self.parse_operand(POWER_BP)  # right-assoc; exponent may be signed
+            return ir.AlgBinaryOp("^", node, right, loc=self.loc(tok))
+        return node
 
-    def parse_unary(self):
-        tok = self.tok
-        if tok.text != "-" and tok.text != "+":
-            return self.parse_power()
+    def parse_signed(self, tok: Token, loc: Loc) -> ir.Expression:
+        """The operand after the sign tok, the current token."""
         self.advance()
         negative = tok.text == "-"
         # a sign directly on a numeric literal folds into the literal,
@@ -443,23 +497,11 @@ class _Parser:
             self.advance()
             if lit.kind == "INT":
                 v = int(lit.text)
-                return ir.IntValue(-v if negative else v, loc=self.loc(tok))
+                return ir.IntValue(-v if negative else v, loc=loc)
             v = float(lit.text)
-            return ir.RealValue(-v if negative else v, loc=self.loc(tok))
-        operand = self.nested(tok, self.parse_unary)
-        return ir.AlgUnaryOp("neg" if negative else "plus", operand, loc=self.loc(tok))
-
-    def parse_power(self):
-        left = self.parse_primary()
-        tok = self.tok
-        if tok.text == "[" or tok.text == ".":
-            left = self.parse_suffixes(left, tok)
-            tok = self.tok
-        if tok.text == "^":
-            self.advance()
-            right = self.parse_unary()  # right-assoc; exponent may be signed
-            return ir.AlgBinaryOp("^", left, right, loc=self.loc(tok))
-        return left
+            return ir.RealValue(-v if negative else v, loc=loc)
+        operand = self.nested(tok, self.parse_operand, POWER_BP)
+        return ir.AlgUnaryOp("neg" if negative else "plus", operand, loc=loc)
 
     def parse_suffixes(self, node: ir.Expression, tok: Token) -> ir.Expression:
         """Indexes and navigation after node; tok, the current token, is
@@ -503,47 +545,6 @@ class _Parser:
             return parse(*args)
         finally:
             self.depth -= 1
-
-    def parse_primary(self):
-        tok = self.tok
-        kind, text = tok.kind, tok.text
-        if kind == "ID":
-            if self.peek().text == "(":
-                if text in ir.ALG_FUNCTIONS:
-                    self.advance()
-                    self.advance()
-                    args = self.nested(tok, self.parse_list)
-                    self.expect(")")
-                    return ir.AlgFunction(text, tuple(args), loc=self.loc(tok))
-                raise _SyntaxIssue(f"unknown function '{text}'", tok)
-            self.advance()
-            return ir.VarOccurrence(text, loc=self.loc(tok))
-        if kind == "INT":
-            self.advance()
-            return ir.IntValue(int(text), loc=self.loc(tok))
-        if kind == "REAL":
-            self.advance()
-            return ir.RealValue(float(text), loc=self.loc(tok))
-        if text == "true" or text == "false":
-            self.advance()
-            return ir.BoolValue(text == "true", loc=self.loc(tok))
-        if text == "(":
-            self.advance()
-            inner = self.nested(tok, self.parse_expression)
-            self.expect(")")
-            return inner
-        if text == "{":
-            self.advance()
-            elems = self.nested(tok, self.parse_list) if self.tok.text != "}" else []
-            self.expect("}")
-            return ir.SetValue(tuple(elems), loc=self.loc(tok))
-        if text == "card":
-            self.advance()
-            self.expect("(")
-            arg = self.nested(tok, self.parse_expression)
-            self.expect(")")
-            return ir.SetFunction("card", arg, loc=self.loc(tok))
-        raise _SyntaxIssue(f"expected an expression, found '{text or 'end of input'}'", tok)
 
 
 def _parse_decls(text: str, file: str, diags: list[Diagnostic], allow_header: bool):

@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import ir, sema
 from .errors import CompileError
@@ -33,28 +33,49 @@ PASS_IDS = ("objectFlatten", "enumRemove", "alldiffRewrite", "loopUnroll", "fold
 ALLDIFF_MODES = ("disequalities", "relaxation", "boolean")
 
 
-@dataclass(frozen=True)
-class PassConfig:
-    passes: tuple[str, ...] = ()
-    alldiff_mode: str = "disequalities"
+def _refuse(self, name, value=None):
+    """__setattr__ and __delattr__ of the immutable classes with __slots__."""
+    raise AttributeError(f"cannot assign to field '{name}'")
 
-    def __post_init__(self):
-        object.__setattr__(self, "passes", tuple(self.passes))
-        for p in self.passes:
+
+class PassConfig:
+    """A checked pipeline: pass ids in order, and the alldifferent mode."""
+
+    __slots__ = ("passes", "alldiff_mode")
+    __setattr__ = __delattr__ = _refuse
+
+    def __init__(self, passes: tuple[str, ...] = (), alldiff_mode: str = "disequalities"):
+        passes = tuple(passes)
+        for p in passes:
             if p not in PASS_IDS:
                 raise ValueError(f"unknown pass '{p}'")
-        if len(set(self.passes)) != len(self.passes):
+        if len(set(passes)) != len(passes):
             raise ValueError("duplicate pass in pipeline")
-        if self.alldiff_mode not in ALLDIFF_MODES:
-            raise ValueError(f"unknown alldifferent mode '{self.alldiff_mode}'")
+        if alldiff_mode not in ALLDIFF_MODES:
+            raise ValueError(f"unknown alldifferent mode '{alldiff_mode}'")
+        object.__setattr__(self, "passes", passes)
+        object.__setattr__(self, "alldiff_mode", alldiff_mode)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.passes, self.alldiff_mode) == (other.passes, other.alldiff_mode)
+
+    def __hash__(self) -> int:
+        return hash((self.passes, self.alldiff_mode))
+
+    def __repr__(self) -> str:
+        return f"PassConfig(passes={self.passes!r}, alldiff_mode={self.alldiff_mode!r})"
+
+    def __reduce__(self):
+        return PassConfig, (self.passes, self.alldiff_mode)
 
     @property
     def unroll(self) -> bool:
         return "loopUnroll" in self.passes
 
 
-@dataclass(frozen=True)
-class PassReport:
+class PassReport(NamedTuple):
     pass_id: str
     elements_before: int
     elements_after: int

@@ -288,6 +288,22 @@ def test_package_exports_every_name_lazily():
     assert proc.stdout.strip() == "[]"
 
 
+def test_commands_load_neither_dataclasses_nor_inspect():
+    # what compile (every target), check and eval import, measured against
+    # the modules the bare interpreter (site included) has already loaded
+    probe = (
+        "import sys\n"
+        "bare = set(sys.modules)\n"
+        "import pivotc.cli, pivotc.flat, pivotc.oracle, pivotc.clp, pivotc.printer\n"
+        "print(' '.join(sorted(set(sys.modules) - bare)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "pivotc.oracle" in loaded and "pivotc.clp" in loaded
+    assert not loaded & {"dataclasses", "inspect"}
+
+
 def _raise(args):
     raise RuntimeError("boom")
 

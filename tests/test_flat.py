@@ -107,9 +107,10 @@ def test_residual_global_rejected():
         lower_to_flat(m)
 
 
-def test_residual_class_rejected(golfers):
-    with pytest.raises(CompileError, match=r"residual enumeration \('Name'\)"):
-        lower_to_flat(golfers)
+def test_residual_class_rejected():
+    m = parse(SourceUnit("model R;\nint x in 1..2;\nclass C { int y in 1..2; }"))
+    with pytest.raises(CompileError, match=r"residual class \('C'\)"):
+        lower_to_flat(m)
 
 
 def test_residual_enum_rejected():

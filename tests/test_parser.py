@@ -5,6 +5,7 @@ import pytest
 from pivotc import ir
 from pivotc.errors import ParseError
 from pivotc.parser import SourceUnit, parse, parse_expression
+from pivotc.printer import print_expression
 
 
 def test_golfers_model_shape(golfers):
@@ -330,3 +331,53 @@ def test_deepest_nesting_within_default_recursion_limit():
         sys.setrecursionlimit(limit)
     assert len(model.elements) == 2
     assert info.value.diagnostics[0].message == "expression nested too deeply"
+
+
+def test_operand_locations():
+    # every operand form, each node at the (line, col) of its first token
+    # (a binary operator at its operator, a folded sign at the sign)
+    m = parse(SourceUnit(
+        "int v in 1..n;\n"
+        "constraint c { not b or x = 7 + a[1] + o.f + abs(x) + x^2 + -2^2 + -3; }\n",
+        model_file="m.som",
+    ))
+    domain = m.elements[0].domain
+    assert [(type(n).__name__, n.loc.line, n.loc.col) for n in (domain, domain.lo, domain.hi)] == [
+        ("IntervalDomain", 1, 10), ("IntValue", 1, 10), ("VarOccurrence", 1, 13),
+    ]
+    (stmt,) = m.elements[1].body
+    assert [(type(n).__name__, print_expression(n), n.loc.line, n.loc.col)
+            for n in ir.walk_expr(stmt.expr)] == [
+        ("VarOccurrence", "b", 2, 20),
+        ("BoolUnaryOp", "not b", 2, 16),
+        ("VarOccurrence", "x", 2, 25),
+        ("IntValue", "7", 2, 29),
+        ("IntValue", "1", 2, 35),
+        ("VarOccurrence", "a[1]", 2, 33),
+        ("AlgBinaryOp", "7 + a[1]", 2, 31),
+        ("VarOccurrence", "o", 2, 40),
+        ("VarOccurrence", "f", 2, 42),
+        ("ObjectOccurrence", "o.f", 2, 40),
+        ("AlgBinaryOp", "7 + a[1] + o.f", 2, 38),
+        ("VarOccurrence", "x", 2, 50),
+        ("AlgFunction", "abs(x)", 2, 46),
+        ("AlgBinaryOp", "7 + a[1] + o.f + abs(x)", 2, 44),
+        ("VarOccurrence", "x", 2, 55),
+        ("IntValue", "2", 2, 57),
+        ("AlgBinaryOp", "x ^ 2", 2, 56),
+        ("AlgBinaryOp", "7 + a[1] + o.f + abs(x) + x ^ 2", 2, 53),
+        ("IntValue", "2", 2, 62),
+        ("IntValue", "2", 2, 64),
+        ("AlgBinaryOp", "2 ^ 2", 2, 63),
+        ("AlgUnaryOp", "-2 ^ 2", 2, 61),
+        ("AlgBinaryOp", "7 + a[1] + o.f + abs(x) + x ^ 2 + -2 ^ 2", 2, 59),
+        ("IntValue", "-3", 2, 68),
+        ("AlgBinaryOp", "7 + a[1] + o.f + abs(x) + x ^ 2 + -2 ^ 2 + -3", 2, 66),
+        ("BoolBinaryOp", "x = 7 + a[1] + o.f + abs(x) + x ^ 2 + -2 ^ 2 + -3", 2, 27),
+        ("BoolBinaryOp", "not b or x = 7 + a[1] + o.f + abs(x) + x ^ 2 + -2 ^ 2 + -3", 2, 22),
+    ]
+    with pytest.raises(ParseError) as info:
+        parse(SourceUnit("int x;\nconstraint c { x = 1 + frob(x); }\n", model_file="m.som"))
+    assert [str(d) for d in info.value.diagnostics] == [
+        "m.som:2:24: error: unknown function 'frob'"
+    ]
