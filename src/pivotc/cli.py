@@ -27,7 +27,9 @@ from pathlib import Path
 from . import ir
 from .errors import CompileError, OracleLimitError, ParseError
 from .parser import SourceUnit, parse, parse_expression
-from .passes import ALLDIFF_MODES, PASS_IDS, PassConfig, _Folder, run_pipeline
+from .passes import (
+    ALLDIFF_MODES, PASS_IDS, PassConfig, _Folder, check_pipeline, model_features, run_pipeline,
+)
 from .sema import resolve, validate
 
 DEFAULT_PASSES = ("objectFlatten", "enumRemove", "foldConstants")
@@ -68,35 +70,23 @@ def _front(model_path: str, data_path: str | None) -> ir.Model:
 
 
 def _pass_config(args) -> PassConfig:
-    """The passes args ask for; ValueError when they make no valid pipeline."""
-    target = getattr(args, "target", None)
-    unroll = getattr(args, "unroll", False)
-    mode = args.alldiff or "disequalities"
+    """The passes args ask for; ValueError on an unknown or repeated pass id."""
     if args.passes:
         passes = tuple(p.strip() for p in args.passes.split(",") if p.strip())
+    elif getattr(args, "target", None) == "flat":
+        passes = DEFAULT_PASSES + FLAT_EXTRA_PASSES
+    elif args.alldiff:
+        passes = DEFAULT_PASSES + ("alldiffRewrite",)
     else:
         passes = DEFAULT_PASSES
-        if target == "flat":
-            passes = passes + FLAT_EXTRA_PASSES
-        else:
-            if args.alldiff:
-                passes = passes + ("alldiffRewrite",)
-            if unroll:
-                passes = passes + ("loopUnroll",)
-    if unroll and "loopUnroll" not in passes:
+    if getattr(args, "unroll", False) and "loopUnroll" not in passes:
         passes = passes + ("loopUnroll",)
-    cfg = PassConfig(passes, mode)
-    if target == "flat" and not cfg.unroll:
-        raise ValueError(
-            "--target flat requires loop unrolling "
-            "(add --unroll or include loopUnroll in --passes)"
-        )
-    return cfg
+    return PassConfig(passes, args.alldiff or "disequalities")
 
 
 def cmd_compile(args) -> int:
     model = _front(args.model, args.data)
-    model, reports = run_pipeline(model, args.cfg)
+    model, reports = run_pipeline(model, args.cfg, args.target)
     for r in reports:
         print(str(r), file=sys.stderr)
     if args.target == "clp":
@@ -106,13 +96,16 @@ def cmd_compile(args) -> int:
     elif args.target == "flat":
         from .flat import emit_flat, lower_to_flat
 
-        payload = emit_flat(lower_to_flat(model))
+        # drop each stage's input once the next is built: a lower peak
+        program, model = lower_to_flat(model), None
+        payload, program = emit_flat(program), None
     else:
         from .printer import print_pivot
 
         payload = print_pivot(model)
     with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(payload)
+        for at in range(0, len(payload), 1 << 16):  # no second full copy of the text
+            fh.write(payload[at:at + (1 << 16)])
     if args.verify_against is not None:
         if Path(args.verify_against).read_text(encoding="utf-8") != payload:
             raise CompileError(f"output differs from {args.verify_against}")
@@ -123,8 +116,7 @@ def _flat_solutions(model: ir.Model, cfg: PassConfig):
     from .flat import lower_to_flat
     from .oracle import enumerate_solutions
 
-    processed, _reports = run_pipeline(model, cfg)
-    program = lower_to_flat(processed)
+    program = lower_to_flat(run_pipeline(model, cfg, "flat")[0])
     return program, enumerate_solutions(program)
 
 
@@ -132,12 +124,11 @@ def cmd_check(args) -> int:
     from .oracle import compare_solutions
 
     base_cfg = PassConfig(DEFAULT_PASSES + FLAT_EXTRA_PASSES, "disequalities")
-    passes = args.cfg.passes
-    for needed in FLAT_EXTRA_PASSES:  # the oracle needs fully lowered models
-        if needed not in passes:
-            passes = passes + (needed,)
+    # the oracle needs fully lowered models
+    passes = args.cfg.passes + tuple(p for p in FLAT_EXTRA_PASSES if p not in args.cfg.passes)
     full_cfg = PassConfig(passes, args.cfg.alldiff_mode)
     model = _front(args.model, args.data)
+    check_pipeline(model_features(model), full_cfg.passes, "flat")  # before the baseline runs
     base_prog, base_sols = _flat_solutions(model, base_cfg)
     _full_prog, full_sols = _flat_solutions(model, full_cfg)
     projection = [v.name for v in base_prog.vars]

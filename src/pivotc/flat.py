@@ -203,8 +203,6 @@ class _Lowerer:
                 raise _residual("forall loop", f"over '{s.iter_var}'")
             elif isinstance(s, ir.If):
                 raise _residual("conditional", "if statement")
-            else:
-                raise _residual(type(s).__name__)
 
         for e in self.model.elements:
             if isinstance(e, ir.ConstraintZone):

@@ -40,13 +40,13 @@ __all__ = [
     "BoolUnaryOp", "BoolValue", "Class", "Classifier", "Constant",
     "ConstraintZone", "DataType", "Domain", "Enumeration", "Expression",
     "ExpressionConstraint", "ExprDomain", "ForAll", "GlobalCtr", "If",
-    "IntervalDomain", "IntervalValue", "IntValue", "Model", "ModelElement",
+    "IntervalDomain", "IntValue", "Model", "ModelElement",
     "ModelFeature", "Node", "ObjectOccurrence", "RealValue", "SetBinaryOp",
     "SetDomain", "SetFunction", "SetValue", "Statement", "TypedElement", "TypeKind", "VarOccurrence",
     "Variable", "BOOLEAN", "INTEGER", "REAL", "SET_OF_INT", "enum_kind",
     "set_of_enum", "object_kind", "ALG_FUNCTIONS", "BOOL_BINARY_OPS",
     "CHILD_FIELDS", "COMPARISON_OPS", "SET_BINARY_OPS", "element_count",
-    "map_expressions", "map_expr", "model_equals", "rebuild", "walk_expr",
+    "map_expressions", "map_expr", "model_equals", "rebuild", "walk_elements", "walk_expr",
 ]
 
 
@@ -391,12 +391,6 @@ class RealValue(Expression):
 
 
 @_slotted
-class IntervalValue(Expression):
-    lo: float
-    hi: float
-
-
-@_slotted
 class BoolValue(Expression):
     value: bool
 
@@ -560,16 +554,21 @@ def map_expressions(m: Model, fn) -> Model:
     return map_expr(m, fn)
 
 
+def walk_elements(m: Model):
+    """Every element of m, and every feature and statement below one; no
+    expression."""
+    todo = list(m.elements)
+    while todo:
+        e = todo.pop()
+        yield e
+        if isinstance(e, Class):
+            todo.extend(e.features)
+        elif isinstance(e, (ConstraintZone, ForAll)):
+            todo.extend(e.body)
+        elif isinstance(e, If):
+            todo.extend(e.then_body + (e.else_body or ()))
+
+
 def element_count(m: Model) -> int:
     """Number of features and statements in the model, recursively."""
-    return sum(map(_count, m.elements))
-
-
-def _count(e: ModelElement) -> int:
-    if isinstance(e, Class):
-        return 1 + sum(map(_count, e.features))
-    if isinstance(e, (ConstraintZone, ForAll)):
-        return 1 + sum(map(_count, e.body))
-    if isinstance(e, If):
-        return 1 + sum(map(_count, e.then_body + (e.else_body or ())))
-    return 1
+    return sum(1 for _ in walk_elements(m))

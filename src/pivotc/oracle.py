@@ -307,8 +307,6 @@ class _Writer:
             return "True" if e.value else "False", False
         if isinstance(e, ir.RealValue):
             return self.constant(Fraction(e.v))  # floats are binary rationals; keep them exact
-        if isinstance(e, ir.IntervalValue):
-            return self.constant(frozenset(range(math.ceil(e.lo), math.floor(e.hi) + 1)))
         if isinstance(e, ir.SetValue):
             elems = "".join(f"int({self.emit(x, depth)[0]}), " for x in e.elems)
             return f"frozenset(({elems}))", True

@@ -4,7 +4,9 @@ Each pass is a pure function Model -> Model: inputs are never mutated.
 Passes take and return resolved models: each binds what it creates and
 marks its output (``sema.mark_resolved``), so the next ``resolve`` is
 free.  Unresolved input is resolved on entry.
-``run_pipeline`` chains passes and collects one report per pass.
+``PASSES``, at the end, says what each pass needs absent and removes;
+``run_pipeline`` refuses a pass list that cannot reach its target before
+any pass runs, then collects one report per pass.
 
 Passes:
   * object_flatten  - remove classes; object attributes become prefixed
@@ -24,12 +26,11 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from . import ir, sema
 from .errors import CompileError
 
-PASS_IDS = ("objectFlatten", "enumRemove", "alldiffRewrite", "loopUnroll", "foldConstants")
 ALLDIFF_MODES = ("disequalities", "relaxation", "boolean")
 
 
@@ -45,6 +46,8 @@ class PassConfig:
     __setattr__ = __delattr__ = _refuse
 
     def __init__(self, passes: tuple[str, ...] = (), alldiff_mode: str = "disequalities"):
+        if isinstance(passes, str):
+            raise ValueError(f"pass list is the string '{passes}', not a sequence of pass ids")
         passes = tuple(passes)
         for p in passes:
             if p not in PASS_IDS:
@@ -69,10 +72,6 @@ class PassConfig:
 
     def __reduce__(self):
         return PassConfig, (self.passes, self.alldiff_mode)
-
-    @property
-    def unroll(self) -> bool:
-        return "loopUnroll" in self.passes
 
 
 class PassReport(NamedTuple):
@@ -279,10 +278,6 @@ class _Folder:
             if e.op == "union":
                 return a | b
             return a - b
-        if t is ir.IntervalValue:
-            if e.lo != int(e.lo) and math.ceil(e.lo) > math.floor(e.hi):
-                return frozenset()
-            return frozenset(range(math.ceil(e.lo), math.floor(e.hi) + 1))
         return value(e)
 
     def _fold_node(self, e: ir.Node) -> ir.Node:
@@ -352,14 +347,13 @@ def const_env(model: ir.Model) -> dict:
 
 
 def _fold_constants_counted(model: ir.Model) -> tuple[ir.Model, int]:
-    model = sema.resolve(model)
     folder = _Folder(const_env(model))
     out = ir.map_expressions(model, folder._fold_node)
     return sema.mark_resolved(out), folder.count
 
 
 def fold_constants(model: ir.Model) -> ir.Model:
-    return _fold_constants_counted(model)[0]
+    return run_pipeline(model, PassConfig(("foldConstants",)))[0]
 
 
 def _value_int(e: ir.Expression, env: dict) -> int | None:
@@ -667,23 +661,16 @@ class _Flattener:
             out.append(ir.rebuild(g, updates))
             self.created += 1
             return out
-        if isinstance(f, ir.ConstraintZone):
-            zone_name = "_".join(prefix + [f.name]) if prefix else f.name
-            ctx_pairs = []
-            if enclosing:
-                ctx_pairs = self._instance_pairs(enclosing, _names_in(f.body))
-            body = tuple(self._rewrite(s, prefix, ctx_pairs, cls) for s in f.body)
+        if isinstance(f, (ir.ConstraintZone, ir.Statement)):  # a statement: a body of one
+            stmts = f.body if isinstance(f, ir.ConstraintZone) else (f,)
+            ctx_pairs = self._instance_pairs(enclosing, _names_in(stmts)) if enclosing else []
+            body = tuple(self._rewrite(s, prefix, ctx_pairs, cls) for s in stmts)
             for it, size in reversed(ctx_pairs):
                 body = (ir.ForAll(it.name, ir.IntValue(1), size, body, loc=f.loc),)
-            out.append(ir.ConstraintZone(zone_name, body, loc=f.loc))
-            return out
-        if isinstance(f, ir.Statement):
-            ctx_pairs = self._instance_pairs(enclosing, set()) if enclosing else []
-            stmt = self._rewrite(f, prefix, ctx_pairs, cls)
-            for it, size in reversed(ctx_pairs):
-                stmt = ir.ForAll(it.name, ir.IntValue(1), size, (stmt,), loc=f.loc)
-            out.append(stmt)
-            return out
+            if isinstance(f, ir.ConstraintZone):
+                zone_name = "_".join(prefix + [f.name]) if prefix else f.name
+                body = (ir.ConstraintZone(zone_name, body, loc=f.loc),)
+            return list(body)
         return [f]
 
     def _rebind_needed(self, out_scope: sema.Scope) -> bool:
@@ -732,7 +719,6 @@ class _Flattener:
 
 
 def _object_flatten_counted(model: ir.Model) -> tuple[ir.Model, int]:
-    model = sema.resolve(model)
     classes = model.classes()
     if not classes:
         return model, 0
@@ -742,20 +728,13 @@ def _object_flatten_counted(model: ir.Model) -> tuple[ir.Model, int]:
 
 
 def object_flatten(model: ir.Model) -> ir.Model:
-    return _object_flatten_counted(model)[0]
+    return run_pipeline(model, PassConfig(("objectFlatten",)))[0]
 
 
 # --------------------------------------------------------------------------
 # Enumeration removal
 
-def _ensure_class_free(model: ir.Model, pass_id: str):
-    if model.classes():
-        raise CompileError(f"{pass_id}: model still contains classes")
-
-
 def _enum_remove_counted(model: ir.Model) -> tuple[ir.Model, int]:
-    model = sema.resolve(model)
-    _ensure_class_free(model, "enumRemove")
     enums = model.enumerations()
     if not enums:
         return model, 0
@@ -794,7 +773,7 @@ def _enum_remove_counted(model: ir.Model) -> tuple[ir.Model, int]:
 
 
 def enum_remove(model: ir.Model) -> ir.Model:
-    return _enum_remove_counted(model)[0]
+    return run_pipeline(model, PassConfig(("enumRemove",)))[0]
 
 
 # --------------------------------------------------------------------------
@@ -954,49 +933,47 @@ class _AlldiffRewriter:
                     features = _alldiff_to_boolean(s, self.scope, self.env, self.taken)
                     hoisted.extend(f for f in features if isinstance(f, ir.Variable))
                     out.extend(f for f in features if isinstance(f, ir.Statement))
-            elif isinstance(s, ir.ForAll):
-                body, inner_hoisted = self.stmts(s.body, True)
-                hoisted.extend(inner_hoisted)
-                out.append(ir.rebuild(s, {"body": tuple(body)}))
-            elif isinstance(s, ir.If):
-                then_body, h1 = self.stmts(s.then_body, True)
-                hoisted.extend(h1)
-                else_body = None
-                if s.else_body is not None:
-                    eb, h2 = self.stmts(s.else_body, True)
-                    hoisted.extend(h2)
-                    else_body = tuple(eb)
-                out.append(ir.rebuild(s, {"then_body": tuple(then_body), "else_body": else_body}))
+            elif isinstance(s, (ir.ForAll, ir.If)):
+                updates = {}
+                for name in ("body",) if isinstance(s, ir.ForAll) else ("then_body", "else_body"):
+                    body = getattr(s, name)
+                    if body is not None:
+                        body, inner_hoisted = self.stmts(body, True)
+                        hoisted.extend(inner_hoisted)
+                        updates[name] = tuple(body)
+                out.append(ir.rebuild(s, updates))
             else:
                 out.append(s)
         return out, hoisted
 
 
-def _alldiff_rewrite_counted(model: ir.Model, mode: str) -> tuple[ir.Model, int]:
-    if mode not in ALLDIFF_MODES:
-        raise ValueError(f"unknown alldifferent mode '{mode}'")
-    model = sema.resolve(model)
-    _ensure_class_free(model, "alldiffRewrite")
-    taken = {e.name for e in model.elements if hasattr(e, "name")}
-    rewriter = _AlldiffRewriter(mode, sema.Scope(model), const_env(model), taken)
+def _rewrite_bodies(model: ir.Model, rewrite) -> ir.Model:
+    """model with rewrite(statements) -> (statements, hoisted elements)
+    applied to each zone body and each top-level statement; the hoisted
+    elements go just before what they came from."""
     elements: list[ir.ModelElement] = []
     for e in model.elements:
         if isinstance(e, ir.ConstraintZone):
-            body, hoisted = rewriter.stmts(e.body, False)
+            body, hoisted = rewrite(e.body)
             elements.extend(hoisted)
             elements.append(ir.ConstraintZone(e.name, tuple(body), loc=e.loc))
         elif isinstance(e, ir.Statement):
-            stmts, hoisted = rewriter.stmts([e], False)
+            stmts, hoisted = rewrite([e])
             elements.extend(hoisted)
             elements.extend(stmts)
         else:
             elements.append(e)
-    out = ir.rebuild(model, {"elements": tuple(elements)})
-    return sema.mark_resolved(out), rewriter.count
+    return sema.mark_resolved(ir.rebuild(model, {"elements": tuple(elements)}))
+
+
+def _alldiff_rewrite_counted(model: ir.Model, mode: str) -> tuple[ir.Model, int]:
+    taken = {e.name for e in model.elements if hasattr(e, "name")}
+    rewriter = _AlldiffRewriter(mode, sema.Scope(model), const_env(model), taken)
+    return _rewrite_bodies(model, lambda stmts: rewriter.stmts(stmts, False)), rewriter.count
 
 
 def alldiff_rewrite(model: ir.Model, mode: str = "disequalities") -> ir.Model:
-    return _alldiff_rewrite_counted(model, mode)[0]
+    return run_pipeline(model, PassConfig(("alldiffRewrite",), mode))[0]
 
 
 # --------------------------------------------------------------------------
@@ -1116,54 +1093,97 @@ class _Unroller:
             elif isinstance(s, ir.GlobalCtr):
                 params = self.instantiate_leaf(s.params, s, iters)
                 out.append(ir.GlobalCtr(s.ctr_name, tuple(params), loc=s.loc))
-            else:
-                raise TypeError(f"unknown statement {s!r}")
         return out
 
 
 def _loop_unroll_counted(model: ir.Model) -> tuple[ir.Model, int]:
-    model = sema.resolve(model)
-    _ensure_class_free(model, "loopUnroll")
     unroller = _Unroller(const_env(model))
-    elements: list[ir.ModelElement] = []
-    for e in model.elements:
-        if isinstance(e, ir.ConstraintZone):
-            elements.append(ir.ConstraintZone(e.name, tuple(unroller.stmts(e.body, {})), loc=e.loc))
-        elif isinstance(e, ir.Statement):
-            elements.extend(unroller.stmts([e], {}))
-        else:
-            elements.append(e)
-    out = ir.rebuild(model, {"elements": tuple(elements)})
-    return sema.mark_resolved(out), unroller.count
+    return _rewrite_bodies(model, lambda stmts: (unroller.stmts(stmts, {}), ())), unroller.count
 
 
 def loop_unroll(model: ir.Model) -> ir.Model:
-    return _loop_unroll_counted(model)[0]
+    return run_pipeline(model, PassConfig(("loopUnroll",)))[0]
 
 
 # --------------------------------------------------------------------------
-# Pipeline
+# Pass table and pipeline
 
-def run_pipeline(model: ir.Model, cfg: PassConfig) -> tuple[ir.Model, list[PassReport]]:
-    """Apply cfg.passes in order; pass errors abort and carry the reports
-    collected so far on the exception's ``reports`` attribute."""
+# The model features a pass or a target can need absent
+FEATURES = ("classes", "enumerations", "alldifferent", "loops", "conditionals")
+
+
+class PassRow(NamedTuple):
+    run: Callable  # (resolved model, alldiff mode) -> (model, rewrites applied)
+    needs_absent: tuple[str, ...] = ()
+    removes: tuple[str, ...] = ()
+    adds: tuple[str, ...] = ()  # may add, while the model has a feature it removes
+
+
+PASSES = {
+    # the zones of arrays of objects end up in loops over the instances
+    "objectFlatten": PassRow(lambda m, _: _object_flatten_counted(m), (), ("classes",), ("loops",)),
+    "enumRemove": PassRow(lambda m, _: _enum_remove_counted(m), ("classes",), ("enumerations",)),
+    "alldiffRewrite": PassRow(_alldiff_rewrite_counted, ("classes",), ("alldifferent",)),
+    "loopUnroll": PassRow(
+        lambda m, _: _loop_unroll_counted(m), ("classes",), ("loops", "conditionals")
+    ),
+    "foldConstants": PassRow(lambda m, _: _fold_constants_counted(m)),
+}
+PASS_IDS = tuple(PASSES)
+TARGETS = {"flat": FEATURES, "clp": ("classes", "enumerations"), "pivot": ()}  # needs absent
+_REMOVER = {f: pass_id for pass_id, row in PASSES.items() for f in row.removes}
+_FEATURE_OF = {
+    ir.Class: "classes", ir.Enumeration: "enumerations", ir.ForAll: "loops", ir.If: "conditionals",
+}
+
+
+def model_features(model: ir.Model) -> set[str]:
+    """The FEATURES model has; no expression is walked."""
+    found = set()
+    for e in ir.walk_elements(model):
+        t = type(e)
+        if t in _FEATURE_OF:
+            found.add(_FEATURE_OF[t])
+        elif t is ir.GlobalCtr and e.ctr_name == "alldifferent":
+            found.add("alldifferent")
+    return found
+
+
+def check_pipeline(features, passes, target: str = "pivot"):
+    """Run passes over a model's FEATURES as the table says; where a pass,
+    or after the last one the target, meets a feature it needs absent,
+    raise a CompileError naming the pass to add or move.  A remover never
+    runs before a pass that adds its feature back: objectFlatten adds loops
+    only while classes are present, and loopUnroll needs classes absent."""
+    have = set(features)
+    for at, pass_id in enumerate(passes):
+        row = PASSES[pass_id]
+        _refuse_present(pass_id, row.needs_absent, have, passes[at + 1:], f" before {pass_id}")
+        if have.intersection(row.removes):
+            have.update(row.adds)
+        have.difference_update(row.removes)
+    _refuse_present(f"target {target}", TARGETS[target], have, (), "")
+
+
+def _refuse_present(who: str, needs_absent, have: set, later, where: str):
+    present = [f for f in needs_absent if f in have]
+    if present:
+        hints = dict.fromkeys(  # loops and conditionals share their remover
+            f"{'move' if _REMOVER[f] in later else 'add'} {_REMOVER[f]}{where}" for f in present
+        )
+        raise CompileError(f"{who}: model still contains {', '.join(present)}; {'; '.join(hints)}")
+
+
+def run_pipeline(model: ir.Model, cfg: PassConfig,
+                 target: str = "pivot") -> tuple[ir.Model, list[PassReport]]:
+    """Apply cfg.passes in order and collect one report per pass.  A pass
+    list that cannot bring the model to target raises before any pass runs."""
     model = sema.resolve(model)
+    check_pipeline(model_features(model), cfg.passes, target)
     reports: list[PassReport] = []
+    after = ir.element_count(model)
     for pass_id in cfg.passes:
-        before = ir.element_count(model)
-        try:
-            if pass_id == "objectFlatten":
-                model, n = _object_flatten_counted(model)
-            elif pass_id == "enumRemove":
-                model, n = _enum_remove_counted(model)
-            elif pass_id == "alldiffRewrite":
-                model, n = _alldiff_rewrite_counted(model, cfg.alldiff_mode)
-            elif pass_id == "loopUnroll":
-                model, n = _loop_unroll_counted(model)
-            else:
-                model, n = _fold_constants_counted(model)
-        except CompileError as exc:
-            exc.reports = reports  # type: ignore[attr-defined]
-            raise
-        reports.append(PassReport(pass_id, before, ir.element_count(model), n))
+        model, n = PASSES[pass_id].run(model, cfg.alldiff_mode)
+        before, after = after, ir.element_count(model)
+        reports.append(PassReport(pass_id, before, after, n))
     return model, reports

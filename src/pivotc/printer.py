@@ -1,14 +1,12 @@
 """Deterministic source-syntax printing of pivot models.
 
 ``print_pivot(parse(text))`` reparses to a structurally equal model for
-every model built from frontend-expressible constructs.  Interval values
-have no surface syntax and raise CompileError.
+every model built from frontend-expressible constructs.
 """
 
 from __future__ import annotations
 
 from . import ir
-from .errors import CompileError
 from .parser import BINARY_OPS, NOT_BP, POWER_BP
 
 _UNARY_PREC = 12  # binding strengths beyond the parser's BINARY_OPS
@@ -49,8 +47,6 @@ def print_expression(e: ir.Expression, min_prec: int = 0) -> str:
             prec = _UNARY_PREC  # prints with a leading minus
     elif isinstance(e, ir.BoolValue):
         text = "true" if e.value else "false"
-    elif isinstance(e, ir.IntervalValue):
-        raise CompileError("interval values have no source syntax")
     elif isinstance(e, ir.ObjectOccurrence):
         text = ".".join(_render_occurrence(s) for s in e.path)
     elif isinstance(e, ir.BoolUnaryOp):

@@ -15,8 +15,7 @@ Typing rules beyond the obvious ones:
   * integer promotes to real in mixed arithmetic;
   * boolean coerces to integer where a number is expected (so sums of 0/1
     indicator variables type-check);
-  * ``/`` always yields real, even on two integers;
-  * interval values type as integer sets.
+  * ``/`` always yields real, even on two integers.
 """
 
 from __future__ import annotations
@@ -33,10 +32,7 @@ from .errors import (
 )
 
 _SCALAR_BUILTINS = {"int": ir.INTEGER, "real": ir.REAL, "bool": ir.BOOLEAN}
-_LITERAL_KINDS = {
-    ir.IntValue: ir.INTEGER, ir.RealValue: ir.REAL, ir.BoolValue: ir.BOOLEAN,
-    ir.IntervalValue: ir.SET_OF_INT,
-}
+_LITERAL_KINDS = {ir.IntValue: ir.INTEGER, ir.RealValue: ir.REAL, ir.BoolValue: ir.BOOLEAN}
 _LOGICAL_OPS = ("iff", "implies", "and", "or")
 
 

@@ -42,8 +42,6 @@ def eval_expr(e: ir.Expression, env: dict):
         return Fraction(e.v)
     if isinstance(e, ir.BoolValue):
         return e.value
-    if isinstance(e, ir.IntervalValue):
-        return frozenset(range(math.ceil(e.lo), math.floor(e.hi) + 1))
     if isinstance(e, ir.VarOccurrence):
         return env[e.name]
     if isinstance(e, ir.SetValue):

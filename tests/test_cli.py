@@ -49,8 +49,45 @@ def test_compile_flat_requires_unroll(tmp_path):
         "--passes", "objectFlatten,enumRemove,foldConstants",
         "-o", str(tmp_path / "q.flat"),
     )
-    assert proc.returncode == 2
-    assert "unroll" in proc.stderr
+    assert proc.returncode == 1
+    assert proc.stderr == (
+        "error: target flat: model still contains alldifferent, loops; "
+        "add alldiffRewrite; add loopUnroll\n"
+    )
+
+
+@pytest.mark.parametrize("pass_args,message", [
+    (("--passes", "loopUnroll,objectFlatten"),
+     "loopUnroll: model still contains classes; move objectFlatten before loopUnroll"),
+    (("--passes", "objectFlatten", "--unroll"),
+     "target flat: model still contains enumerations; add enumRemove"),
+])
+def test_compile_refuses_an_unreachable_order_before_any_pass(tmp_path, capsys, pass_args, message):
+    out = tmp_path / "g.flat"
+    argv = ["compile", "-m", str(FIXTURES / "golfers.som"), "-d", str(FIXTURES / "golfers.dat"),
+            "--target", "flat", *pass_args, "-o", str(out)]
+    assert main(argv) == 1
+    # no pass report line: the refusal comes before the first pass
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_check_refuses_an_unreachable_order_before_the_baseline_runs(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_flat_solutions", lambda model, cfg: pytest.fail("a pipeline ran"))
+    assert main(["check", "-m", str(FIXTURES / "queens4.som"), "--passes", "foldConstants"]) == 1
+    assert capsys.readouterr() == ("", (
+        "error: alldiffRewrite: model still contains classes; "
+        "add objectFlatten before alldiffRewrite\n"
+    ))
+
+
+def test_compile_flat_without_unroll_when_the_model_has_no_loops(tmp_path):
+    model = tmp_path / "m.som"
+    model.write_text("model M;\nint x in 1..3;\nint y in 1..3;\nconstraint c { x < y; }\n")
+    out = tmp_path / "m.flat"
+    assert main(["compile", "-m", str(model), "--target", "flat", "--passes", "foldConstants",
+                 "-o", str(out)]) == 0
+    assert out.read_text() == "var int x in 1..3;\nvar int y in 1..3;\nconstraint x < y;\n"
 
 
 def test_compile_flat_queens(tmp_path):

@@ -3,6 +3,7 @@ import re
 import pytest
 
 from pivotc import ir
+from pivotc.cli import main
 from pivotc.clp import ClpEmitOptions, emit_clp
 from pivotc.errors import CompileError
 from pivotc.flat import lower_to_flat
@@ -228,3 +229,30 @@ def test_connectives_and_set_literals_emit():
     assert "((X $= 1) or (X $= 3))" in text
     assert "#(S \\/ [1,2], V1)" in text
     assert "V1 $>= 2" in text
+
+
+GRID = """model Grid;
+int n := 2;
+int m := 3;
+int a[n,m] in 1..6;
+constraint cells {
+  forall(i in 1..n)
+    forall(j in 1..m) {
+      a[i,j] >= 1;
+    }
+  a[2,3] <= 6;
+  alldifferent(a[1,1], a[1,2], a[1,3], a[2,1], a[2,2], a[2,3]);
+}
+"""
+
+
+def test_two_dimensional_index_is_row_major(tmp_path, capsys):
+    # a[i,j] of an n x m array is element m*(i-1)+j of the list A
+    text = emit_clp(run_pipeline(parse(SourceUnit(GRID)), GOLFERS_CFG)[0])
+    assert " length(A,2*3),\n A :: 1..6,\n" in text
+    assert "   V1 is 3*(I-1)+J,\n   nth(V2,V1,A),\n   V2 $>= 1\n" in text
+    assert " V3 is 3*(2-1)+3,\n nth(V4,V3,A),\n V4 $=< 6,\n" in text
+    model = tmp_path / "grid.som"
+    model.write_text(GRID)
+    assert main(["check", "-m", str(model)]) == 0
+    assert capsys.readouterr().out == "EQUAL baseline=720 transformed=720\n"

@@ -99,6 +99,14 @@ def test_residual_loop_rejected():
         lower_to_flat(m)
 
 
+def test_residual_conditional_rejected():
+    m = parse(SourceUnit(
+        "model R;\nint x in 1..2;\nconstraint c { if (1 = 1) { x = 1; } }"
+    ))
+    with pytest.raises(CompileError, match=r"residual conditional \(if statement\)"):
+        lower_to_flat(m)
+
+
 def test_residual_global_rejected():
     m = parse(SourceUnit(
         "model R;\nint x in 1..2;\nint y in 1..2;\nconstraint c { alldifferent(x, y); }"

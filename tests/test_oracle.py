@@ -430,16 +430,6 @@ def test_ordering_sets_is_a_compile_error():
         enumerate_solutions(p)
 
 
-def test_interval_value_in_constraint_matches_naive():
-    p = FlatProgram(
-        (FlatVar("s", "set", 1, 4),),
-        (ir.BoolBinaryOp("=", ir.VarOccurrence("s"), ir.IntervalValue(1.5, 3.0)),),
-    )
-    s = enumerate_solutions(p)
-    assert s.solutions == naive_enumerate(p).solutions
-    assert [a["s"] for a in s.solutions] == [frozenset({2, 3})]
-
-
 # --------------------------------------------------------------------------
 # comparisons
 

@@ -1,13 +1,15 @@
 import gc
 import hashlib
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pivotc import ir
+from pivotc import ir, passes
 from pivotc.errors import CompileError
 from pivotc.cli import main
+from pivotc.clp import emit_clp
 from pivotc.flat import emit_flat, lower_to_flat
 from pivotc.oracle import enumerate_solutions
 from pivotc.parser import SourceUnit, parse
@@ -790,10 +792,73 @@ def test_pipeline_empty_is_identity(golfers):
     assert ir.model_equals(out, resolve(golfers))
 
 
-def test_pipeline_precondition_violation_carries_reports(golfers):
-    with pytest.raises(CompileError, match="enumRemove: model still contains classes") as info:
+def test_pipeline_refuses_an_unreachable_order_before_any_pass(golfers, monkeypatch):
+    ran = []
+    for pass_id, row in passes.PASSES.items():
+        monkeypatch.setitem(passes.PASSES, pass_id, row._replace(run=lambda m, mode: ran.append(m)))
+    with pytest.raises(CompileError) as info:
         run_pipeline(golfers, PassConfig(("enumRemove",)))
-    assert info.value.reports == []
+    assert str(info.value) == (
+        "enumRemove: model still contains classes; add objectFlatten before enumRemove"
+    )
+    with pytest.raises(CompileError, match="^loopUnroll: model still contains classes; "
+                                           "move objectFlatten before loopUnroll$"):
+        run_pipeline(golfers, PassConfig(("foldConstants", "loopUnroll", "objectFlatten")))
+    assert ran == []
+
+
+ORDER_FIXTURES = [("queens4.som", None), ("golfers.som", "golfers_small.dat"), ("send.som", None)]
+EMITTERS = {
+    "flat": lambda m: emit_flat(lower_to_flat(m)),
+    "clp": emit_clp,
+    "pivot": print_pivot,
+}
+
+
+@pytest.mark.parametrize("model_name,data_name", ORDER_FIXTURES)
+def test_every_pass_order_compiles_or_is_refused_before_any_pass(model_name, data_name, monkeypatch):
+    """All 326 ordered lists of the five pass ids, for each target: a list
+    the table accepts compiles, and one it refuses raises before its first
+    pass.  Time budget, fixed before the first run: 5 s for the three
+    fixtures together."""
+    ran = []
+
+    def spy(pass_id, run):
+        def counted(m, mode):
+            ran.append(pass_id)
+            return run(m, mode)
+        return counted
+
+    for pass_id, row in passes.PASSES.items():
+        monkeypatch.setitem(passes.PASSES, pass_id, row._replace(run=spy(pass_id, row.run)))
+    model = resolve(parse_fixture(model_name, data_name))
+    features = passes.model_features(model)
+    orders = [o for k in range(6) for o in itertools.permutations(passes.PASS_IDS, k)]
+    assert len(orders) == 326
+    accepted = dict.fromkeys(EMITTERS, 0)
+    for order, target in itertools.product(orders, EMITTERS):
+        cfg = PassConfig(order)
+        ran.clear()
+        try:
+            passes.check_pipeline(features, order, target)
+        except CompileError as refusal:
+            with pytest.raises(CompileError) as info:
+                run_pipeline(model, cfg, target)
+            assert str(info.value) == str(refusal) and ran == []
+            continue
+        out, _ = run_pipeline(model, cfg, target)
+        assert ran == list(order)
+        EMITTERS[target](out)
+        accepted[target] += 1
+    assert accepted["flat"] > 0 and accepted["pivot"] >= accepted["clp"] >= accepted["flat"]
+
+
+def test_public_pass_functions_check_their_own_row(golfers):
+    with pytest.raises(CompileError, match="^loopUnroll: model still contains classes; "
+                                           "add objectFlatten before loopUnroll$"):
+        loop_unroll(golfers)
+    with pytest.raises(ValueError, match="^unknown alldifferent mode 'magic'$"):
+        alldiff_rewrite(object_flatten(golfers), "magic")
 
 
 def test_pass_config_rejects_duplicates_and_unknowns():
@@ -803,8 +868,6 @@ def test_pass_config_rejects_duplicates_and_unknowns():
         PassConfig(("inline",))
     with pytest.raises(ValueError):
         PassConfig((), alldiff_mode="magic")
-    assert PassConfig(("loopUnroll",)).unroll
-    assert not PassConfig(()).unroll
 
 
 @pytest.mark.parametrize("model_name,data_name", ALL_FIXTURES)

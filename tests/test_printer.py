@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from pivotc import ir
 from pivotc.cli import main
-from pivotc.errors import CompileError
 from pivotc.parser import SourceUnit, parse, parse_expression
 from pivotc.printer import print_expression, print_pivot
 
@@ -22,11 +21,6 @@ def test_fixture_round_trip(model_name, data_name):
 
 def test_empty_model_prints_header_only():
     assert print_pivot(ir.Model("M", ())) == "model M;\n"
-
-
-def test_interval_value_is_unprintable():
-    with pytest.raises(CompileError, match="interval values have no source syntax"):
-        print_expression(ir.IntervalValue(1.0, 2.0))
 
 
 def test_print_deterministic(golfers):

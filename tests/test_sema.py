@@ -145,11 +145,6 @@ def test_infer_navigation_path(golfers):
     assert infer_type(e, sc) == ir.set_of_enum("Name")
 
 
-def test_interval_value_types_as_int_set():
-    _, sc = _scope("model M;")
-    assert infer_type(ir.IntervalValue(1.0, 3.0), sc) == ir.SET_OF_INT
-
-
 def test_validate_golfers_clean(golfers):
     assert validate(resolve(golfers)) == []
 
@@ -224,7 +219,8 @@ def test_every_expression_variant_validates():
                     ir.ExpressionConstraint(ir.BoolBinaryOp(
                         "=",
                         ir.SetFunction("card", ir.SetBinaryOp(
-                            "diff", ir.IntervalValue(1.0, 4.0), ir.VarOccurrence("sv"))),
+                            "diff", ir.SetValue((ir.IntValue(1), ir.IntValue(4))),
+                            ir.VarOccurrence("sv"))),
                         ir.VarOccurrence("arr", (ir.IntValue(1),)),
                     )),
                     ir.ExpressionConstraint(ir.BoolBinaryOp(

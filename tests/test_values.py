@@ -42,9 +42,9 @@ def test_values_construct_positionally_and_by_keyword_with_defaults():
     assert (u.model_text, u.data_text, u.model_file, u.data_file) == ("int x;", None, "<model>", "<data>")
     assert SourceUnit(model_text="int x;", data_file="<data>") == u
     c = PassConfig()
-    assert (c.passes, c.alldiff_mode, c.unroll) == ((), "disequalities", False)
+    assert (c.passes, c.alldiff_mode) == ((), "disequalities")
     assert PassConfig(["loopUnroll"]).passes == ("loopUnroll",)  # any iterable, kept as a tuple
-    assert PassConfig(alldiff_mode="boolean", passes=("loopUnroll",)).unroll
+    assert PassConfig(alldiff_mode="boolean", passes=("loopUnroll",)).passes == ("loopUnroll",)
     r = PassReport(pass_id="p", elements_before=1, elements_after=2, rewrites_applied=3)
     assert r == PassReport("p", 1, 2, 3) and (r.elements_before, r.rewrites_applied) == (1, 3)
     v = FlatVar("b", "bool")
@@ -178,3 +178,10 @@ def test_values_survive_pickle_and_copies():
 def test_assignments_carry_no_instance_dict():
     # a read of solutions can build 10^6 of them
     assert not hasattr(Assignment({"x": 1}), "__dict__")
+
+
+def test_pass_config_refuses_a_string_pass_list():
+    # a string is an iterable of characters; it is refused as a whole
+    with pytest.raises(ValueError) as info:
+        PassConfig("loopUnroll")
+    assert str(info.value) == "pass list is the string 'loopUnroll', not a sequence of pass ids"
