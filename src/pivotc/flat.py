@@ -17,6 +17,7 @@ with every alldifferent already rewritten.
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import NamedTuple
 
 from . import ir, sema
@@ -65,7 +66,8 @@ class _Lowerer:
         self.vars: list[FlatVar] = []
         self.domain_constraints: list[ir.Expression] = []
         # id(occurrence) -> (occurrence, lowered): an occurrence the unrolled
-        # model shares between constraints is lowered once
+        # model shares between constraints is lowered once, and found here
+        # before its indexes are walked
         self.cells: dict[int, tuple[ir.VarOccurrence, ir.Expression]] = {}
 
     def _dims_of(self, v: ir.Variable) -> tuple[int, ...]:
@@ -140,21 +142,27 @@ class _Lowerer:
 
     def rewrite(self, e: ir.Expression) -> ir.Expression:
         """Inline the constants and name the array cells of e in one
-        bottom-up walk.  loopUnroll has folded e already, so its operator
-        nodes come back as they are."""
-        return ir.map_expr(e, self._lower_node)
-
-    def _lower_node(self, node: ir.Expression) -> ir.Expression:
-        if type(node) is ir.VarOccurrence:
-            hit = self.cells.get(id(node))
+        bottom-up walk, which rebuilds only the nodes whose children
+        change.  loopUnroll has folded e already, so its operator nodes
+        need no lowering of their own."""
+        t = type(e)
+        if t is ir.VarOccurrence:
+            hit = self.cells.get(id(e))
             if hit is None:
-                hit = self.cells[id(node)] = (node, self._lower_occurrence(node))
+                hit = self.cells[id(e)] = (e, self._lower_occurrence(e))
             return hit[1]
-        if isinstance(node, ir.ObjectOccurrence):
-            raise _residual("object navigation", print_expression(node))
-        return node
+        if t is ir.ObjectOccurrence:
+            raise _residual("object navigation", print_expression(e))
+        updates = {}
+        for name, many in ir.CHILD_FIELDS[t]:
+            v = getattr(e, name)
+            nv = tuple([self.rewrite(x) for x in v]) if many else self.rewrite(v)
+            if any(map(operator.is_not, nv, v)) if many else nv is not v:
+                updates[name] = nv
+        return ir.rebuild(e, updates) if updates else e
 
     def _lower_occurrence(self, node: ir.VarOccurrence) -> ir.Expression:
+        indexes = [self.rewrite(x) for x in node.indexes]  # first, as a bottom-up walk would
         folded = self.folder._fold_node(node)
         if folded is not node:  # an inlined constant
             return folded
@@ -177,7 +185,7 @@ class _Lowerer:
         if len(node.indexes) != len(dims):
             raise _residual("partial array reference", f"'{node.name}'")
         idx = []
-        for expr, size in zip(node.indexes, dims):  # already folded
+        for expr, size in zip(indexes, dims):  # already folded
             value = _as_int(self.folder.value(expr))
             if value is None:
                 raise _residual("non-ground index", print_expression(expr))

@@ -981,124 +981,138 @@ def alldiff_rewrite(model: ir.Model, mode: str = "disequalities") -> ir.Model:
 
 class _Unroller:
     """Expands the loops and grounds the conditionals of statement lists,
-    substituting iterator values into templates and folding them, and
-    counts the loops and conditionals.  Methods, not recursive closures: a
-    closure that calls itself is a reference cycle, which would keep the
-    model alive until the cyclic collector runs."""
+    and counts the loops and conditionals.  Each leaf statement, loop bound
+    and condition is compiled, when first met, into a plan: one closure per
+    template node that builds and folds its instance from the values in
+    ``iters``.  A subtree that reads no iterator is built once (where an
+    instance reaches it if that raises), one that reads fewer iterators than
+    enclose it once per tuple of the values it reads.  A node goes to the
+    folder only if it is no literal and has no child or one that can become
+    a value (holds no variable or object occurrence); the folder returns any
+    other as is.  Plans never refer to themselves: a reference cycle would
+    keep the model alive until the cyclic collector runs."""
 
-    # slots: instantiate reads them on every call
-    __slots__ = ("folder", "fold", "count", "reads", "leaf_reads", "memo", "literals")
+    __slots__ = ("folder", "count", "iters", "literals", "plans")
 
     def __init__(self, env: dict):
         self.folder = _Folder(env)
-        self.fold = self.folder._fold_node
         self.count = 0
-        # Per template node (kept alive by the model, so ids are stable):
-        # the iterator names its subtree may read, known after its first
-        # instance.
-        self.reads: dict[int, tuple[str, ...]] = {}
-        self.leaf_reads: dict[int, int] = {}  # per leaf statement: how many names it reads
-        # (template node, values of the names it reads, None if unbound) ->
-        # its instance.  A subtree that reads every name its leaf reads is
-        # built once per leaf instance anyway, so storing it would only
-        # cost memory.
-        self.memo: dict[tuple, ir.Expression] = {}
+        self.iters: dict[str, int] = {}  # enclosing iterator -> its value
         self.literals: dict[int, ir.IntValue] = {}  # iterator value -> its one node
+        # id(template) -> its plans; the model keeps templates alive, so ids are stable
+        self.plans: dict[int, list[Callable]] = {}
 
-    def instantiate(self, e: ir.Expression, iters: dict, leaf_n: int) -> ir.Expression:
-        """Substitute the values of the enclosing iterators (``iters``:
-        name -> int) into template e and fold, bottom-up."""
-        reads = self.reads
-        if (
-            type(e) is ir.VarOccurrence
-            and not e.indexes
-            and (e.binding is None or e.binding.kind == "iterator")
-        ):
-            reads[id(e)] = (e.name,)
-            v = iters.get(e.name)
-            if v is None:
-                return e
-            node = self.literals.get(v)
-            if node is None:
-                self.literals[v] = node = ir.IntValue(v)
-            return node
-        names = reads.get(id(e))
-        key = None
-        if names is not None and len(names) < leaf_n:
-            key = (id(e), tuple(map(iters.get, names)))
-            hit = self.memo.get(key)
-            if hit is not None:
-                return hit
-        updates = {}
-        fields = ir.CHILD_FIELDS[type(e)]
-        for name, many in fields:
+    def plan(self, template: ir.Node, exprs) -> list[Callable]:
+        """The plans of the expressions of template: a leaf statement, a
+        bound or a condition.  Each returns its expression's instance."""
+        runs = self.plans.get(id(template))
+        if runs is None:
+            runs = self.plans[id(template)] = [_call(self._compile(e)[0]) for e in exprs]
+        return runs
+
+    def _compile(self, e: ir.Expression):
+        """(e's instance if it reads no iterator and builds, else its plan;
+        the iterators e reads; whether e holds a variable or object
+        occurrence)."""
+        t, iters = type(e), self.iters
+        b = e.binding if t is ir.VarOccurrence else None
+        if b is not None and b.kind == "iterator" and not e.indexes and e.name in iters:
+            literals, name = self.literals, e.name
+            return (lambda: literals[iters[name]]), frozenset((name,)), False
+        fields, reads = [], frozenset()
+        changed = lazy = held = valued = False  # valued: a child can become a value
+        for name, many in ir.CHILD_FIELDS[t]:
             v = getattr(e, name)
-            if many:
-                nv = tuple([self.instantiate(x, iters, leaf_n) for x in v])
-                if any(map(operator.is_not, nv, v)):
-                    updates[name] = nv
-            elif v is not None:
-                nv = self.instantiate(v, iters, leaf_n)
-                if nv is not v:
-                    updates[name] = nv
-        out = self.fold(ir.rebuild(e, updates) if updates else e)
-        if key is not None:
-            self.memo[key] = out
-        elif names is None:
-            below: set[str] = set()
-            for name, many in fields:
-                v = getattr(e, name)
+            if v:  # neither None nor an empty tuple
+                plans = []
                 for x in v if many else (v,):
-                    if x is not None:
-                        below.update(reads[id(x)])
-            reads[id(e)] = tuple(below)
-        return out
+                    plan, r, h = self._compile(x)
+                    plans.append(plan)
+                    reads |= r
+                    changed, lazy = changed or plan is not x, lazy or callable(plan)
+                    held, valued = held or h, valued or not h
+                fields.append((name, many, plans))
+        literal = t is ir.IntValue or t is ir.RealValue or t is ir.BoolValue
+        fold = None if literal or held and not valued else self.folder._fold_node
+        held = held or t is ir.ObjectOccurrence or b is not None and b.kind == "variable"
+        if not lazy:
+            try:
+                node = e._copy({n: tuple(p) if m else p[0] for n, m, p in fields}) if changed else e
+                return (node if fold is None else fold(node)), reads, held
+            except CompileError:
+                pass  # raised again where an instance reaches it, in evaluation order
+        fields = [(name, many, [_call(p) for p in plans]) for name, many, plans in fields]
+        memo = {} if 0 < len(reads) < len(iters) else None  # e reads some, not all, iterators
+        key = operator.itemgetter(*reads) if memo is not None else None
 
-    def instantiate_leaf(self, exprs, s: ir.Statement, iters: dict) -> list[ir.Expression]:
-        leaf_n = self.leaf_reads.get(id(s), 0)
-        out = [self.instantiate(x, iters, leaf_n) for x in exprs]
-        if id(s) not in self.leaf_reads:
-            reads = self.reads
-            self.leaf_reads[id(s)] = len({name for x in exprs for name in reads[id(x)]})
-        return out
+        def run():
+            if memo is not None:
+                k = key(iters)
+                hit = memo.get(k)
+                if hit is not None:
+                    return hit
+            node = e
+            if fields:
+                u = {}
+                for name, many, runs in fields:  # not a comprehension: one frame per level
+                    u[name] = tuple([r() for r in runs]) if many else runs[0]()
+                node = e._copy(u)
+            if fold is not None:
+                node = fold(node)
+            if memo is not None:
+                memo[k] = node
+            return node
 
-    def bound_value(self, e: ir.Expression, loop: ir.ForAll, iters: dict) -> int:
-        v = _as_int(self.folder.value(self.instantiate(e, iters, 0)))
+        return run, reads, held
+
+    def bound(self, e: ir.Expression, loop: ir.ForAll) -> int:
+        v = _as_int(self.folder.value(self.plan(e, (e,))[0]()))
         if v is None:
             raise CompileError(f"loop over '{loop.iter_var}' has a non-ground bound", loop.loc)
         return v
 
-    def stmts(self, stmts, iters: dict) -> list[ir.Statement]:
-        """iters: enclosing iterator -> value; inner loops shadow outer ones."""
-        out: list[ir.Statement] = []
+    def stmts(self, stmts, out: list) -> list[ir.Statement]:
+        """out, with the instances of stmts under the values in iters
+        appended; an inner loop shadows an outer one of the same name."""
+        iters = self.iters
         for s in stmts:
-            if isinstance(s, ir.ForAll):
+            t = type(s)
+            if t is ir.ExpressionConstraint:
+                out.append(ir.ExpressionConstraint(self.plan(s, (s.expr,))[0](), loc=s.loc))
+            elif t is ir.GlobalCtr:
+                params = tuple([run() for run in self.plan(s, s.params)])
+                out.append(ir.GlobalCtr(s.ctr_name, params, loc=s.loc))
+            elif t is ir.ForAll:
                 self.count += 1
-                lo = self.bound_value(s.lower, s, iters)
-                hi = self.bound_value(s.upper, s, iters)
+                lo, hi = self.bound(s.lower, s), self.bound(s.upper, s)
+                outer = iters.get(s.iter_var)
                 for v in range(lo, hi + 1):
-                    out.extend(self.stmts(s.body, {**iters, s.iter_var: v}))
-            elif isinstance(s, ir.If):
+                    if v not in self.literals:
+                        self.literals[v] = ir.IntValue(v)
+                    iters[s.iter_var] = v
+                    self.stmts(s.body, out)
+                iters.pop(s.iter_var, None)
+                if outer is not None:  # the value it shadowed
+                    iters[s.iter_var] = outer
+            elif t is ir.If:
                 self.count += 1
-                cond = self.instantiate(s.cond, iters, 0)
+                cond = self.plan(s.cond, (s.cond,))[0]()
                 if not isinstance(cond, ir.BoolValue):
                     raise CompileError(
                         "conditional with a non-ground condition cannot be unrolled", s.loc
                     )
-                branch = s.then_body if cond.value else (s.else_body or ())
-                out.extend(self.stmts(branch, iters))
-            elif isinstance(s, ir.ExpressionConstraint):
-                (expr,) = self.instantiate_leaf((s.expr,), s, iters)
-                out.append(ir.ExpressionConstraint(expr, loc=s.loc))
-            elif isinstance(s, ir.GlobalCtr):
-                params = self.instantiate_leaf(s.params, s, iters)
-                out.append(ir.GlobalCtr(s.ctr_name, tuple(params), loc=s.loc))
+                self.stmts(s.then_body if cond.value else (s.else_body or ()), out)
         return out
+
+
+def _call(plan) -> Callable:
+    """plan, or for an instance built already, a call that returns it."""
+    return plan if callable(plan) else lambda: plan
 
 
 def _loop_unroll_counted(model: ir.Model) -> tuple[ir.Model, int]:
     unroller = _Unroller(const_env(model))
-    return _rewrite_bodies(model, lambda stmts: (unroller.stmts(stmts, {}), ())), unroller.count
+    return _rewrite_bodies(model, lambda stmts: (unroller.stmts(stmts, []), ())), unroller.count
 
 
 def loop_unroll(model: ir.Model) -> ir.Model:
@@ -1116,12 +1130,13 @@ class PassRow(NamedTuple):
     run: Callable  # (resolved model, alldiff mode) -> (model, rewrites applied)
     needs_absent: tuple[str, ...] = ()
     removes: tuple[str, ...] = ()
-    adds: tuple[str, ...] = ()  # may add, while the model has a feature it removes
+    adds: tuple[tuple[str, str], ...] = ()  # (feature it may add, while the model has this one)
 
 
 PASSES = {
     # the zones of arrays of objects end up in loops over the instances
-    "objectFlatten": PassRow(lambda m, _: _object_flatten_counted(m), (), ("classes",), ("loops",)),
+    "objectFlatten": PassRow(lambda m, _: _object_flatten_counted(m), (),
+                             ("classes", "object arrays"), (("loops", "object arrays"),)),
     "enumRemove": PassRow(lambda m, _: _enum_remove_counted(m), ("classes",), ("enumerations",)),
     "alldiffRewrite": PassRow(_alldiff_rewrite_counted, ("classes",), ("alldifferent",)),
     "loopUnroll": PassRow(
@@ -1138,14 +1153,19 @@ _FEATURE_OF = {
 
 
 def model_features(model: ir.Model) -> set[str]:
-    """The FEATURES model has; no expression is walked."""
-    found = set()
+    """The FEATURES model has, and "object arrays" if a variable of a
+    class type has dims; no expression is walked."""
+    found, arrays = set(), set()
     for e in ir.walk_elements(model):
         t = type(e)
         if t in _FEATURE_OF:
             found.add(_FEATURE_OF[t])
         elif t is ir.GlobalCtr and e.ctr_name == "alldifferent":
             found.add("alldifferent")
+        elif t is ir.Variable and e.dims:
+            arrays.add(e.type_name)
+    if not arrays.isdisjoint(model.classes()):
+        found.add("object arrays")
     return found
 
 
@@ -1154,13 +1174,13 @@ def check_pipeline(features, passes, target: str = "pivot"):
     or after the last one the target, meets a feature it needs absent,
     raise a CompileError naming the pass to add or move.  A remover never
     runs before a pass that adds its feature back: objectFlatten adds loops
-    only while classes are present, and loopUnroll needs classes absent."""
+    only while an array of objects is present, and loopUnroll needs classes
+    absent."""
     have = set(features)
     for at, pass_id in enumerate(passes):
         row = PASSES[pass_id]
         _refuse_present(pass_id, row.needs_absent, have, passes[at + 1:], f" before {pass_id}")
-        if have.intersection(row.removes):
-            have.update(row.adds)
+        have.update([f for f, when in row.adds if when in have])
         have.difference_update(row.removes)
     _refuse_present(f"target {target}", TARGETS[target], have, (), "")
 

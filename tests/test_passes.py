@@ -547,6 +547,47 @@ def test_unroll_inner_iterator_shadows_outer():
     assert texts == ["x[2] = 2", "x[3] = 3", "x[3] = 3"]
 
 
+def test_unroll_outer_iterator_reads_again_after_shadowing_loop():
+    # a statement after the inner loop reads the outer i, which that loop hid
+    m = parse(SourceUnit(
+        "model U;\nint x[4] in 0..4;\n"
+        "constraint k { forall(i in 1..2) { forall(i in 3..4) { x[i] = i; } x[i] = 0; }"
+        " forall(i in 1..0) { x[i] = 1; } forall(j in 1..1) { x[j] != 4; } }"
+    ))
+    texts = [print_expression(s.expr) for s in _zone(loop_unroll(m), "k").body]
+    assert texts == ["x[3] = 3", "x[4] = 4", "x[1] = 0", "x[3] = 3", "x[4] = 4", "x[2] = 0", "x[1] != 4"]
+
+
+def test_unroll_inlines_a_constant_beside_a_variable():
+    # c reads no iterator, so it is built once, folded to 1 and shared by
+    # every instance; its neighbour x[i] holds a variable
+    m = parse(SourceUnit(
+        "model C;\nint c := 1;\nint x[2] in 0..9;\n"
+        "constraint k { forall(i in 1..2) { c - x[i] = 4 - x[2]; } }"
+    ))
+    body = _zone(loop_unroll(m), "k").body
+    assert [print_expression(s.expr) for s in body] == ["1 - x[1] = 4 - x[2]", "1 - x[2] = 4 - x[2]"]
+    assert body[0].expr.left.left is body[1].expr.left.left
+
+
+def test_unroll_folds_what_varies_between_instances(monkeypatch):
+    # a node that reads no iterator is folded once, one that reads some
+    # once per instance or per tuple of their values; the count is exact,
+    # and folding every node of every instance (139 calls) exceeds the bound
+    structured, _ = run_pipeline(
+        parse_fixture("golfers.som", "golfers_small.dat"), PassConfig(("objectFlatten", "enumRemove"))
+    )
+    calls = []
+    fold_node = passes._Folder._fold_node
+    monkeypatch.setattr(passes._Folder, "_fold_node", lambda self, e: calls.append(1) or fold_node(self, e))
+    out = loop_unroll(structured)
+    zones = [e for e in structured.elements if isinstance(e, ir.ConstraintZone)]
+    template = sum(isinstance(n, ir.Expression) for z in zones for n in ir.walk_expr(z))
+    emitted = sum(len(e.body) for e in out.elements if isinstance(e, ir.ConstraintZone))
+    assert (len(calls), emitted, template) == (71, 10, 73)
+    assert len(calls) <= emitted + template
+
+
 def test_unroll_if_condition_reads_iterator():
     m = parse(SourceUnit(
         "model U;\nint x[3] in 1..5;\n"
@@ -659,6 +700,18 @@ def test_unroll_division_by_zero_in_one_iteration_only():
     with pytest.raises(CompileError) as info:
         loop_unroll(m)
     assert str(info.value) == "<model>:3:64: division by zero"
+
+
+def test_unroll_division_by_zero_fails_where_evaluation_reaches_it():
+    # 6 / (1 - 1) reads no iterator, so it is folded when the plan is made;
+    # its error still comes after that of the division to its left
+    m = parse(SourceUnit(
+        "model D;\nint x[2] in 0..5;\n"
+        "constraint k { forall(i in 1..2) { x[i] * (6 / (i - 1)) + 6 / (1 - 1) >= 0; } }"
+    ))
+    with pytest.raises(CompileError) as info:
+        loop_unroll(m)
+    assert str(info.value) == "<model>:3:46: division by zero"
 
 
 def test_unroll_constant_subtree_folds_in_every_instance():
@@ -851,6 +904,19 @@ def test_every_pass_order_compiles_or_is_refused_before_any_pass(model_name, dat
         EMITTERS[target](out)
         accepted[target] += 1
     assert accepted["flat"] > 0 and accepted["pivot"] >= accepted["clp"] >= accepted["flat"]
+
+
+def test_only_arrays_of_objects_make_object_flatten_add_loops(golfers):
+    # send.som's main class holds no array of objects, so a flat list needs
+    # no loopUnroll; golfers' array of weeks gets loops over its instances
+    order = ("objectFlatten", "enumRemove", "alldiffRewrite")
+    send = resolve(parse_fixture("send.som"))
+    assert passes.model_features(send) == {"classes", "alldifferent"}
+    out, _ = run_pipeline(send, PassConfig(order), "flat")
+    assert len(lower_to_flat(out).constraints) == 29  # 28 disequalities and the sum
+    assert "object arrays" in passes.model_features(resolve(golfers))
+    with pytest.raises(CompileError, match="^target flat: model still contains loops; add loopUnroll$"):
+        run_pipeline(golfers, PassConfig(order), "flat")
 
 
 def test_public_pass_functions_check_their_own_row(golfers):
