@@ -50,11 +50,20 @@ VERDICTS = {
 }
 
 
+def _read_text(path: str) -> str:
+    """The text of a UTF-8 file; a CompileError naming the file if it is
+    not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CompileError(
+            f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x} at offset {exc.start})"
+        ) from None
+
+
 def _load_unit(model_path: str, data_path: str | None) -> SourceUnit:
-    model_text = Path(model_path).read_text(encoding="utf-8")
-    data_text = None
-    if data_path is not None:
-        data_text = Path(data_path).read_text(encoding="utf-8")
+    model_text = _read_text(model_path)
+    data_text = None if data_path is None else _read_text(data_path)
     return SourceUnit(model_text, data_text, model_path, data_path or "<data>")
 
 
@@ -107,7 +116,7 @@ def cmd_compile(args) -> int:
         for at in range(0, len(payload), 1 << 16):  # no second full copy of the text
             fh.write(payload[at:at + (1 << 16)])
     if args.verify_against is not None:
-        if Path(args.verify_against).read_text(encoding="utf-8") != payload:
+        if _read_text(args.verify_against) != payload:
             raise CompileError(f"output differs from {args.verify_against}")
     return EXIT_OK
 

@@ -144,22 +144,42 @@ class _Lowerer:
         """Inline the constants and name the array cells of e in one
         bottom-up walk, which rebuilds only the nodes whose children
         change.  loopUnroll has folded e already, so its operator nodes
-        need no lowering of their own."""
+        need no lowering of their own.  A binary operator takes an int
+        operand, or a cell lowered already, in its own frame, without a
+        call, and rebuilds itself with its constructor."""
         t = type(e)
+        cells = self.cells
         if t is ir.VarOccurrence:
-            hit = self.cells.get(id(e))
+            hit = cells.get(id(e))
             if hit is None:
-                hit = self.cells[id(e)] = (e, self._lower_occurrence(e))
+                hit = cells[id(e)] = (e, self._lower_occurrence(e))
             return hit[1]
         if t is ir.ObjectOccurrence:
             raise _residual("object navigation", print_expression(e))
+        if t is ir.BoolBinaryOp or t is ir.SetBinaryOp or t is ir.AlgBinaryOp:
+            left, right = e.left, e.right
+            tx = type(left)
+            if tx is ir.IntValue:
+                nl = left
+            else:
+                hit = cells.get(id(left)) if tx is ir.VarOccurrence else None
+                nl = self.rewrite(left) if hit is None else hit[1]
+            tx = type(right)
+            if tx is ir.IntValue:
+                nr = right
+            else:
+                hit = cells.get(id(right)) if tx is ir.VarOccurrence else None
+                nr = self.rewrite(right) if hit is None else hit[1]
+            if nl is left and nr is right:
+                return e
+            return t(e.op, nl, nr, loc=e.loc)
         updates = {}
         for name, many in ir.CHILD_FIELDS[t]:
             v = getattr(e, name)
             nv = tuple([self.rewrite(x) for x in v]) if many else self.rewrite(v)
             if any(map(operator.is_not, nv, v)) if many else nv is not v:
                 updates[name] = nv
-        return ir.rebuild(e, updates) if updates else e
+        return e._copy(updates) if updates else e
 
     def _lower_occurrence(self, node: ir.VarOccurrence) -> ir.Expression:
         indexes = [self.rewrite(x) for x in node.indexes]  # first, as a bottom-up walk would
@@ -201,23 +221,23 @@ class _Lowerer:
             if isinstance(e, ir.Variable):
                 self.add_variable(e)
         constraints = list(self.domain_constraints)
-
-        def add_stmt(s: ir.Statement):
-            if isinstance(s, ir.ExpressionConstraint):
-                constraints.append(self.rewrite(s.expr))
-            elif isinstance(s, ir.GlobalCtr):
-                raise _residual("global constraint", s.ctr_name)
-            elif isinstance(s, ir.ForAll):
-                raise _residual("forall loop", f"over '{s.iter_var}'")
-            elif isinstance(s, ir.If):
-                raise _residual("conditional", "if statement")
-
         for e in self.model.elements:
             if isinstance(e, ir.ConstraintZone):
-                for s in e.body:
-                    add_stmt(s)
+                body = e.body
             elif isinstance(e, ir.Statement):
-                add_stmt(e)
+                body = (e,)
+            else:
+                continue
+            for s in body:
+                t = type(s)
+                if t is ir.ExpressionConstraint:
+                    constraints.append(self.rewrite(s.expr))
+                elif t is ir.GlobalCtr:
+                    raise _residual("global constraint", s.ctr_name)
+                elif t is ir.ForAll:
+                    raise _residual("forall loop", f"over '{s.iter_var}'")
+                elif t is ir.If:
+                    raise _residual("conditional", "if statement")
         return FlatProgram(tuple(self.vars), tuple(constraints))
 
 

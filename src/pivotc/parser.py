@@ -29,6 +29,7 @@ limit.
 
 from __future__ import annotations
 
+import math
 import re
 import sys
 from typing import NamedTuple
@@ -101,6 +102,15 @@ class _SyntaxIssue(Exception):
         self.message = message
         self.token = token
         super().__init__(message)
+
+
+def _finite(tok: Token) -> float:
+    """The value of the real literal tok; one beyond the float range has
+    no value, so it is refused."""
+    v = float(tok.text)
+    if math.isinf(v):
+        raise _SyntaxIssue(f"real literal '{tok.text}' is out of range", tok)
+    return v
 
 
 # One match per token, after any blanks.  A real needs a digit after its
@@ -449,7 +459,7 @@ class _Parser:
             node = ir.AlgFunction(text, tuple(args), loc=loc)
         elif kind == "REAL":
             self.advance()
-            node = ir.RealValue(float(text), loc=loc)
+            node = ir.RealValue(_finite(tok), loc=loc)
         elif text == "true" or text == "false":
             self.advance()
             node = ir.BoolValue(text == "true", loc=loc)
@@ -498,7 +508,7 @@ class _Parser:
             if lit.kind == "INT":
                 v = int(lit.text)
                 return ir.IntValue(-v if negative else v, loc=loc)
-            v = float(lit.text)
+            v = _finite(lit)
             return ir.RealValue(-v if negative else v, loc=loc)
         operand = self.nested(tok, self.parse_operand, POWER_BP)
         return ir.AlgUnaryOp("neg" if negative else "plus", operand, loc=loc)

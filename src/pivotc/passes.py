@@ -144,7 +144,8 @@ def _materialize(v, loc) -> ir.Expression | None:
             return ir.IntValue(v.numerator, loc=loc)
         return None  # keep non-integral rationals symbolic to stay exact
     if isinstance(v, float):
-        return ir.RealValue(v, loc=loc)
+        # inf and nan would print as names; the fold stays symbolic
+        return ir.RealValue(v, loc=loc) if math.isfinite(v) else None
     if isinstance(v, frozenset):
         return ir.SetValue(tuple(ir.IntValue(x, loc=loc) for x in sorted(v)), loc=loc)
     return None
@@ -296,7 +297,8 @@ class _Folder:
         node = _materialize(v, e.loc)
         if node is None:  # ground, but no literal holds the value exactly
             out = self._identities(e)
-            self._exact[id(out)] = (out, v)
+            if isinstance(v, Fraction):  # inf, nan or a complex power is no value
+                self._exact[id(out)] = (out, v)
             return out
         if node == e:
             return e
@@ -987,10 +989,12 @@ class _Unroller:
     ``iters``.  A subtree that reads no iterator is built once (where an
     instance reaches it if that raises), one that reads fewer iterators than
     enclose it once per tuple of the values it reads.  A node goes to the
-    folder only if it is no literal and has no child or one that can become
-    a value (holds no variable or object occurrence); the folder returns any
-    other as is.  Plans never refer to themselves: a reference cycle would
-    keep the model alive until the cyclic collector runs."""
+    folder only if it is no literal and has no child, or a child that can
+    become a value (holds no variable or object occurrence) and, if another
+    child holds one, is an AlgBinaryOp; the folder returns any other as is.
+    A loop whose body holds only constraints fetches their plans once.
+    Plans never refer to themselves: a reference cycle would keep the model
+    alive until the cyclic collector runs."""
 
     __slots__ = ("folder", "count", "iters", "literals", "plans")
 
@@ -1033,7 +1037,11 @@ class _Unroller:
                     held, valued = held or h, valued or not h
                 fields.append((name, many, plans))
         literal = t is ir.IntValue or t is ir.RealValue or t is ir.BoolValue
-        fold = None if literal or held and not valued else self.folder._fold_node
+        # with a child that holds a variable, only the x + 0 style identities
+        # of an AlgBinaryOp can apply
+        fold = self.folder._fold_node
+        if literal or held and (not valued or t is not ir.AlgBinaryOp):
+            fold = None
         held = held or t is ir.ObjectOccurrence or b is not None and b.kind == "variable"
         if not lazy:
             try:
@@ -1043,6 +1051,13 @@ class _Unroller:
                 pass  # raised again where an instance reaches it, in evaluation order
         fields = [(name, many, [_call(p) for p in plans]) for name, many, plans in fields]
         memo = {} if 0 < len(reads) < len(iters) else None  # e reads some, not all, iterators
+        if memo is None and (t is ir.BoolBinaryOp or t is ir.SetBinaryOp or t is ir.AlgBinaryOp):
+            # the most common instance: built by its constructor, with no updates dict
+            (_, _, (left,)), (_, _, (right,)) = fields
+            op, loc = e.op, e.loc
+            if fold is None:
+                return (lambda: t(op, left(), right(), loc=loc)), reads, held
+            return (lambda: fold(t(op, left(), right(), loc=loc))), reads, held
         key = operator.itemgetter(*reads) if memo is not None else None
 
         def run():
@@ -1086,11 +1101,21 @@ class _Unroller:
                 self.count += 1
                 lo, hi = self.bound(s.lower, s), self.bound(s.upper, s)
                 outer = iters.get(s.iter_var)
+                body = s.body
+                # a body of constraints only fetches their plans once, at the first value
+                flat = all(type(b) is ir.ExpressionConstraint for b in body)
+                runs = None
                 for v in range(lo, hi + 1):
                     if v not in self.literals:
                         self.literals[v] = ir.IntValue(v)
                     iters[s.iter_var] = v
-                    self.stmts(s.body, out)
+                    if not flat:
+                        self.stmts(body, out)
+                        continue
+                    if runs is None:
+                        runs = [(self.plan(b, (b.expr,))[0], b.loc) for b in body]
+                    for run, loc in runs:
+                        out.append(ir.ExpressionConstraint(run(), loc=loc))
                 iters.pop(s.iter_var, None)
                 if outer is not None:  # the value it shadowed
                     iters[s.iter_var] = outer

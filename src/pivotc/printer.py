@@ -22,43 +22,55 @@ def _render_occurrence(e: ir.VarOccurrence) -> str:
 
 def print_expression(e: ir.Expression, min_prec: int = 0) -> str:
     """Source text of e, parenthesized when it binds looser than min_prec.
-    One call per expression level: operands recurse here directly."""
+    One call per operator node: a binary operator prints a leaf operand
+    (a name without indexes, an int >= 0) in its own frame, and every
+    other operand by a call here."""
     prec = _ATOM_PREC
-    if isinstance(e, (ir.BoolBinaryOp, ir.SetBinaryOp, ir.AlgBinaryOp)):
-        if e.op == "^":
-            prec = POWER_BP
-            text = (
-                print_expression(e.left, _ATOM_PREC)
-                + " ^ "
-                + print_expression(e.right, POWER_BP)
-            )
+    t = type(e)
+    if t is ir.BoolBinaryOp or t is ir.SetBinaryOp or t is ir.AlgBinaryOp:
+        op = e.op
+        if op == "^":
+            prec, left_prec, right_prec = POWER_BP, _ATOM_PREC, POWER_BP
         else:
-            prec = BINARY_OPS[e.op][0]
-            text = (
-                print_expression(e.left, prec)
-                + f" {e.op} "
-                + print_expression(e.right, prec + 1)
-            )
-    elif isinstance(e, ir.VarOccurrence):
-        text = _render_occurrence(e)
-    elif isinstance(e, (ir.IntValue, ir.RealValue)):
-        text = str(e.v) if isinstance(e, ir.IntValue) else repr(e.v)
+            prec = left_prec = BINARY_OPS[op][0]
+            right_prec = prec + 1
+        x = e.left
+        tx = type(x)
+        if tx is ir.VarOccurrence and not x.indexes:
+            left = x.name
+        elif tx is ir.IntValue and x.v >= 0:
+            left = str(x.v)
+        else:
+            left = print_expression(x, left_prec)
+        x = e.right
+        tx = type(x)
+        if tx is ir.VarOccurrence and not x.indexes:
+            right = x.name
+        elif tx is ir.IntValue and x.v >= 0:
+            right = str(x.v)
+        else:
+            right = print_expression(x, right_prec)
+        text = f"{left} {op} {right}"
+    elif t is ir.VarOccurrence:
+        return _render_occurrence(e)  # an atom: never parenthesized
+    elif t is ir.IntValue or t is ir.RealValue:
+        text = str(e.v) if t is ir.IntValue else repr(e.v)
         if e.v < 0:
             prec = _UNARY_PREC  # prints with a leading minus
-    elif isinstance(e, ir.BoolValue):
+    elif t is ir.BoolValue:
         text = "true" if e.value else "false"
-    elif isinstance(e, ir.ObjectOccurrence):
+    elif t is ir.SetFunction:
+        text = f"{e.fn}(" + print_expression(e.arg) + ")"
+    elif t is ir.ObjectOccurrence:
         text = ".".join(_render_occurrence(s) for s in e.path)
-    elif isinstance(e, ir.BoolUnaryOp):
+    elif t is ir.BoolUnaryOp:
         prec = NOT_BP
         text = "not " + print_expression(e.operand, NOT_BP)
-    elif isinstance(e, ir.SetValue):
+    elif t is ir.SetValue:
         text = "{" + ",".join(print_expression(x) for x in e.elems) + "}"
-    elif isinstance(e, ir.SetFunction):
-        text = f"{e.fn}(" + print_expression(e.arg) + ")"
-    elif isinstance(e, ir.AlgFunction):
+    elif t is ir.AlgFunction:
         text = f"{e.fn}(" + ", ".join(print_expression(a) for a in e.args) + ")"
-    elif isinstance(e, ir.AlgUnaryOp):
+    elif t is ir.AlgUnaryOp:
         prec = _UNARY_PREC
         sign = "-" if e.op == "neg" else "+"
         # parenthesize literal operands so reparsing does not fold them

@@ -6,9 +6,12 @@ It traces the run with ``sys.settrace`` (coverage.py is not a dependency,
 and Python 3.11 has no ``sys.monitoring``) and ends with, per module of
 ``pivotc``, the function-body lines that no test ran.  Only ``-p reach``
 loads it, so a plain run is untouched; a traced run is several times
-slower.  Lines that only a child process runs (``run_cli`` tests) count
-as unreached, and so does code compiled at run time (``<ir methods>``,
-``<oracle search>``), which has no lines in the package's files.
+slower.  It also loads a derandomized hypothesis profile, so property
+tests draw the same examples on every traced run and two reports of the
+same tree agree.  Lines that only a child process runs (``run_cli``
+tests) count as unreached, and so does code compiled at run time
+(``<ir methods>``, ``<oracle search>``), which has no lines in the
+package's files.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ import inspect
 import sys
 import threading
 from pathlib import Path
+
+from hypothesis import settings
 
 _PACKAGE = Path(importlib.util.find_spec("pivotc").origin).parent
 _PREFIX = str(_PACKAGE) + "/"
@@ -70,6 +75,9 @@ def _ranges(lines: list[int]) -> str:
 
 
 def pytest_load_initial_conftests(early_config, parser, args):
+    # before the test modules make their settings, which inherit the profile
+    settings.register_profile("reach", derandomize=True)
+    settings.load_profile("reach")
     # before the conftests import pivotc, so import-time calls count too
     sys.settrace(_trace_calls)
     threading.settrace(_trace_calls)

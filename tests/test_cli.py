@@ -7,6 +7,9 @@ import pytest
 
 from pivotc import cli
 from pivotc.cli import main
+from pivotc.oracle import parse_flat
+from pivotc.parser import SourceUnit, parse, parse_expression
+from pivotc.passes import _Folder
 
 from conftest import FIXTURES
 
@@ -224,6 +227,86 @@ def test_non_integral_constant_has_no_flat_literal(tmp_path, command):
     assert proc.returncode == 1
     assert "the flat format has no literal for 1/3, the value of constant 'r'" in proc.stderr
     assert "non-ground" not in proc.stderr
+
+
+_BEYOND_RANGE = "model M;\nint x in 1..3;\nconstraint k { x <= 1e400; }\n"
+_OVERFLOWING_FOLD = "model M;\nint x in 1..3;\nconstraint k { x * 1.0 <= 1e300 * 1e300; }\n"
+
+
+def _command(tmp_path, model: str, target: str | None):
+    path = tmp_path / "m.som"
+    path.write_text(model)
+    if target is None:
+        return path, ["check", "-m", str(path)]
+    return path, ["compile", "-m", str(path), "--target", target, "-o", str(tmp_path / "out")]
+
+
+@pytest.mark.parametrize("target", [None, "pivot", "flat", "clp"])
+def test_real_literal_beyond_the_float_range_is_a_diagnostic(tmp_path, capsys, target):
+    path, argv = _command(tmp_path, _BEYOND_RANGE, target)
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"{path}:3:21: error: real literal '1e400' is out of range\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("expr,col", [("1e400", 1), ("-1e400", 2), ("2 * 1.5e999", 5)])
+def test_eval_real_literal_beyond_the_float_range_is_a_diagnostic(capsys, expr, col):
+    assert main(["eval", f"--expr={expr}"]) == 1
+    literal = expr.split()[-1].lstrip("-")
+    assert capsys.readouterr() == ("", f"<expr>:1:{col}: error: real literal '{literal}' is out of range\n")
+
+
+@pytest.mark.parametrize("target,text", [
+    ("pivot", "  x * 1.0 <= 1e+300 * 1e+300;\n"),
+    ("flat", "constraint x * 1.0 <= 1e+300 * 1e+300;\n"),
+    ("clp", " X*1.0 $=< 1e+300*1e+300,\n"),
+])
+def test_fold_beyond_the_float_range_stays_symbolic(tmp_path, capsys, target, text):
+    _, argv = _command(tmp_path, _OVERFLOWING_FOLD, target)
+    assert main(argv) == 0
+    out = (tmp_path / "out").read_text()
+    assert text in out and "inf" not in out
+    if target == "pivot":
+        assert parse(SourceUnit(out)) == parse(SourceUnit(_OVERFLOWING_FOLD))
+    elif target == "flat":
+        assert len(parse_flat(out).constraints) == 1
+
+
+def test_check_of_a_fold_beyond_the_float_range(tmp_path, capsys):
+    _, argv = _command(tmp_path, _OVERFLOWING_FOLD, None)
+    assert main(argv) == 0
+    assert capsys.readouterr() == ("EQUAL baseline=3 transformed=3\n", "")
+
+
+@pytest.mark.parametrize("expr", [
+    "1e300 * 1e300", "1e300 * 1e300 - 1e300 * 1e300 = 0", "1e308 + 1e308 > 1", "1e200 / 1e-200",
+])
+def test_eval_fold_beyond_the_float_range_stays_symbolic(capsys, expr):
+    # an infinite float is no value: neither printed nor compared
+    assert main(["eval", "-e", expr]) == 0
+    out = capsys.readouterr().out
+    assert "inf" not in out and "nan" not in out and out not in ("true\n", "false\n")
+    assert parse_expression(out) == _Folder({}).fold(parse_expression(expr))
+
+
+@pytest.mark.parametrize("role", ["model", "data", "verify-against"])
+def test_input_that_is_not_utf8_is_a_diagnostic(tmp_path, capsys, role):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"model M;\n\xff\n")
+    model, data, verify = FIXTURES / "queens4.som", None, None
+    if role == "model":
+        model = bad
+    elif role == "data":
+        data = bad
+    else:
+        verify = bad
+    argv = ["compile", "-m", str(model), "--target", "clp", "-o", str(tmp_path / "out")]
+    argv += ["-d", str(data)] if data else []
+    argv += ["--verify-against", str(verify)] if verify else []
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == f"error: {bad}: not UTF-8 text (byte 0xff at offset 9)"
+    assert [line for line in err if line.startswith("error")] == err[-1:]
 
 
 def test_verify_against(tmp_path):

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from pivotc import ir
 from pivotc.cli import main
-from pivotc.parser import SourceUnit, parse, parse_expression
+from pivotc.parser import BINARY_OPS, POWER_BP, SourceUnit, parse, parse_expression
 from pivotc.printer import print_expression, print_pivot
 
 from conftest import ALL_FIXTURES, parse_fixture
@@ -46,6 +46,54 @@ def test_expression_texts():
     for text, tree in cases.items():
         assert print_expression(tree) == text
         assert parse_expression(text) == tree
+
+
+# Each leaf of the binary-operator fast path, and the nested operator it
+# hands to a call: (node, text, binding strength); the strengths are the
+# parser's, atoms 13 and a leading minus 12
+_OPERANDS = [
+    (ir.VarOccurrence("x"), "x", 13),
+    (ir.VarOccurrence("y", (ir.IntValue(2), ir.VarOccurrence("i"))), "y[2,i]", 13),
+    (ir.IntValue(0), "0", 13),
+    (ir.IntValue(7), "7", 13),
+    (ir.IntValue(-3), "-3", 12),
+    (ir.RealValue(2.5), "2.5", 13),
+    (ir.BoolValue(True), "true", 13),
+    (ir.AlgBinaryOp("-", ir.VarOccurrence("a"), ir.VarOccurrence("b")), "a - b", 9),
+]
+# operator -> (node class, strength its left operand needs, its right one)
+_OPERATORS = {op: (cls, bp, bp + 1) for op, (bp, cls) in BINARY_OPS.items()}
+_OPERATORS["^"] = (ir.AlgBinaryOp, 13, POWER_BP)
+
+
+@pytest.mark.parametrize("op", list(_OPERATORS))
+@pytest.mark.parametrize("operand,text,strength", _OPERANDS, ids=[t for _, t, _ in _OPERANDS])
+def test_each_operand_of_each_binary_operator(op, operand, text, strength):
+    cls, left_needs, right_needs = _OPERATORS[op]
+    z = ir.VarOccurrence("z")
+    for tree, left, right in (
+        (cls(op, operand, z), text if strength >= left_needs else f"({text})", "z"),
+        (cls(op, z, operand), "z", text if strength >= right_needs else f"({text})"),
+    ):
+        printed = print_expression(tree)
+        assert printed == f"{left} {op} {right}"
+        assert parse_expression(printed) == tree
+
+
+def test_operand_table_spot_checks():
+    operand = {text: node for node, text, _ in _OPERANDS}
+    z = ir.VarOccurrence("z")
+    cases = {
+        "(a - b) * z": ir.AlgBinaryOp("*", operand["a - b"], z),
+        "z - (a - b)": ir.AlgBinaryOp("-", z, operand["a - b"]),
+        "a - b + z": ir.AlgBinaryOp("+", operand["a - b"], z),
+        "(-3) ^ z": ir.AlgBinaryOp("^", operand["-3"], z),
+        "z ^ -3": ir.AlgBinaryOp("^", z, operand["-3"]),
+        "z - -3": ir.AlgBinaryOp("-", z, operand["-3"]),
+        "y[2,i] intersect 0": ir.SetBinaryOp("intersect", operand["y[2,i]"], operand["0"]),
+    }
+    for text, tree in cases.items():
+        assert print_expression(tree) == text
 
 
 # ---- structural round trip over generated expressions ----
