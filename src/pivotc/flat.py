@@ -154,8 +154,6 @@ class _Lowerer:
             if hit is None:
                 hit = cells[id(e)] = (e, self._lower_occurrence(e))
             return hit[1]
-        if t is ir.ObjectOccurrence:
-            raise _residual("object navigation", print_expression(e))
         if t is ir.BoolBinaryOp or t is ir.SetBinaryOp or t is ir.AlgBinaryOp:
             left, right = e.left, e.right
             tx = type(left)

@@ -15,7 +15,7 @@ and ``walk_expr`` walk any node through it.
 The element hierarchy:
 
     Model
-      Classifier ............ Enumeration | Class   (DataType is built in)
+      Classifier ............ Enumeration | Class
       ModelFeature .......... Variable | Constant | ConstraintZone | Statement
       Statement ............. ExpressionConstraint | GlobalCtr | ForAll | If
 
@@ -38,7 +38,7 @@ from .errors import Loc
 __all__ = [
     "AlgBinaryOp", "AlgFunction", "AlgUnaryOp", "Binding", "Bindings", "BoolBinaryOp",
     "BoolUnaryOp", "BoolValue", "Class", "Classifier", "Constant",
-    "ConstraintZone", "DataType", "Domain", "Enumeration", "Expression",
+    "ConstraintZone", "Domain", "Enumeration", "Expression",
     "ExpressionConstraint", "ExprDomain", "ForAll", "GlobalCtr", "If",
     "IntervalDomain", "IntValue", "Model", "ModelElement",
     "ModelFeature", "Node", "ObjectOccurrence", "RealValue", "SetBinaryOp",
@@ -46,7 +46,7 @@ __all__ = [
     "Variable", "BOOLEAN", "INTEGER", "REAL", "SET_OF_INT", "enum_kind",
     "set_of_enum", "object_kind", "ALG_FUNCTIONS", "BOOL_BINARY_OPS",
     "CHILD_FIELDS", "COMPARISON_OPS", "SET_BINARY_OPS", "element_count",
-    "map_expressions", "map_expr", "model_equals", "rebuild", "walk_elements", "walk_expr",
+    "map_expr", "model_equals", "rebuild", "walk_elements", "walk_expr",
 ]
 
 
@@ -281,13 +281,6 @@ CHILD_FIELDS.update(dict.fromkeys(  # the abstract node classes have no fields o
 # Classifiers
 
 @_slotted
-class DataType(Classifier):
-    """One of the three primitive types; values compare by kind."""
-
-    kind: str  # "boolean" | "integer" | "real"
-
-
-@_slotted
 class Enumeration(Classifier):
     name: str
     literals: tuple[str, ...]
@@ -491,7 +484,6 @@ BOOLEAN = TypeKind("boolean")
 INTEGER = TypeKind("integer")
 REAL = TypeKind("real")
 SET_OF_INT = TypeKind("set_of_int")
-BUILTIN_TYPES = {"bool": DataType("boolean"), "int": DataType("integer"), "real": DataType("real")}
 
 
 def model_equals(a: Model, b: Model) -> bool:
@@ -547,11 +539,6 @@ def walk_expr(e: Node):
             v = getattr(node, name)
             if v is not None:
                 stack.extend([(x, False) for x in reversed(v if many else (v,))])
-
-
-def map_expressions(m: Model, fn) -> Model:
-    """Apply fn bottom-up to every node of the model (see ``map_expr``)."""
-    return map_expr(m, fn)
 
 
 def walk_elements(m: Model):

@@ -816,6 +816,8 @@ def enumerate_solutions(
         nodes, complete = namespace["s0"]((), 0), True
     except _Stop as stop:
         nodes, complete = stop.args[0], False
+    except (ValueError, ArithmeticError) as exc:  # math domain, range or complex power
+        raise CompileError(f"the oracle cannot evaluate a constraint: {exc}") from None
     finally:
         # each generated function's globals are this namespace: a cycle
         # that would keep OUT alive until the cyclic collector runs

@@ -492,7 +492,7 @@ class _Parser:
             tok = self.tok
         if tok.text == "^":
             self.advance()
-            right = self.parse_operand(POWER_BP)  # right-assoc; exponent may be signed
+            right = self.nested(tok, self.parse_operand, POWER_BP)  # right-assoc; may be signed
             return ir.AlgBinaryOp("^", node, right, loc=self.loc(tok))
         return node
 

@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from . import ir, sema
-from .errors import CompileError
+from .errors import CompileError, UnresolvedNameError
 
 ALLDIFF_MODES = ("disequalities", "relaxation", "boolean")
 
@@ -122,13 +122,14 @@ def _div(a, b, loc=None):
 
 
 def _pow(a, b, loc=None):
-    if isinstance(a, float) or isinstance(b, float):
-        return float(a) ** float(b)
-    if isinstance(b, Fraction):
-        if b.denominator != 1:
-            return float(a) ** float(b)
+    if isinstance(b, Fraction) and b.denominator == 1:
         b = b.numerator
     try:
+        if isinstance(a, float) or isinstance(b, (float, Fraction)):
+            v = float(a) ** float(b)
+            if isinstance(v, complex):
+                raise ValueError("a negative number raised to a fractional power is not real")
+            return v
         return Fraction(a) ** b if isinstance(a, Fraction) or b < 0 else a ** b
     except ZeroDivisionError:
         raise CompileError("zero raised to a negative power", loc) from None
@@ -282,7 +283,7 @@ class _Folder:
         return value(e)
 
     def _fold_node(self, e: ir.Node) -> ir.Node:
-        # map_expressions hands over statements, domains, features and the model too
+        # map_expr hands over statements, domains, features and the model too
         if not isinstance(e, ir.Expression):
             return e
         t = type(e)
@@ -297,7 +298,7 @@ class _Folder:
         node = _materialize(v, e.loc)
         if node is None:  # ground, but no literal holds the value exactly
             out = self._identities(e)
-            if isinstance(v, Fraction):  # inf, nan or a complex power is no value
+            if isinstance(v, Fraction):  # inf and nan are no value
                 self._exact[id(out)] = (out, v)
             return out
         if node == e:
@@ -350,7 +351,7 @@ def const_env(model: ir.Model) -> dict:
 
 def _fold_constants_counted(model: ir.Model) -> tuple[ir.Model, int]:
     folder = _Folder(const_env(model))
-    out = ir.map_expressions(model, folder._fold_node)
+    out = ir.map_expr(model, folder._fold_node)
     return sema.mark_resolved(out), folder.count
 
 
@@ -436,18 +437,27 @@ class _Flattener:
 
     Each occurrence it renames is bound as it is built (``Binding(kind,
     flat_name)``, or "iterator" for the fresh instance loops), and an
-    untouched subtree comes back as is, bindings included.  ``run`` marks
-    the output resolved unless a flat name could change what a kept
-    occurrence means there (see ``_rebind_needed``).
+    untouched subtree comes back as is, bindings included, so ``run``
+    marks its output resolved.  What would make a kept binding wrong is
+    refused: a flat name equal to an enumeration literal (it would hide
+    the literal) and an object read as a value (the output declares no
+    object).
 
     A loop whose iterator is named like a name the walk places in its body
     (a flat name, a moved size, an instance iterator) would capture it, so
-    such a loop is renamed (``renames``), and its body rewritten again."""
+    such a loop is renamed (``renames``), and its body rewritten again.
+    Fresh iterators avoid ``taken``: the top-level declarations, the main
+    class's attributes and the enumeration literals."""
 
     def __init__(self, model: ir.Model):
         self.model = model
         self.classes = model.classes()
         self.scope = sema.Scope(model)
+        self.taken = {
+            e.name
+            for e in model.elements
+            if isinstance(e, (ir.Variable, ir.Constant, ir.Enumeration))
+        } | self.scope.literals.keys()
         # attributes by name per class; the first one wins a repeated name
         self.attrs: dict[str, dict[str, ir.TypedElement]] = {}
         for name, cls in self.classes.items():
@@ -455,24 +465,14 @@ class _Flattener:
             for f in cls.features:
                 if isinstance(f, (ir.Variable, ir.Constant)):
                     attrs.setdefault(f.name, f)
+                    if cls.is_main and f.type_name not in self.classes:  # a flat name as is
+                        self.taken.add(f.name)
         self.objects = {
             e.name
             for e in model.elements
             if isinstance(e, ir.Variable) and e.type_name in self.classes
         }
-        self.taken = {
-            e.name
-            for e in model.elements
-            if isinstance(e, (ir.Variable, ir.Constant, ir.Enumeration))
-        }
         self.created = 0
-        # for _rebind_needed: every loop of the output, the names read by
-        # sizes placed away from where they were bound (linear indexes,
-        # instance loops), and whether every kept occurrence still names a
-        # declaration of the output (an object, or a class attribute, does not)
-        self.loops: set[str] = set()
-        self.moved_names: set[str] = set()
-        self.exact = True
         # per moved size, by id: the size itself (so the id stays its own)
         # and the names it reads
         self.size_names: dict[int, tuple[ir.Expression, set[str]]] = {}
@@ -519,15 +519,7 @@ class _Flattener:
         where it was bound."""
         entry = self.size_names.get(id(size))
         if entry is None:
-            names = set()
-            for node in ir.walk_expr(size):
-                if isinstance(node, ir.VarOccurrence):
-                    names.add(node.name)
-                    b = node.binding
-                    if b is None or b.owner is not None or node.name in self.objects:
-                        self.exact = False
-            self.moved_names |= names
-            entry = self.size_names[id(size)] = (size, names)
+            entry = self.size_names[id(size)] = (size, _names_in((size,)))
         self.placed |= entry[1]
 
     def _rewrite(self, e: ir.Node, prefix, ctx_pairs, cls) -> ir.Node:
@@ -538,18 +530,16 @@ class _Flattener:
             if indexes:
                 indexes = tuple([self._rewrite(i, prefix, ctx_pairs, cls) for i in indexes])
             b = e.binding
-            if b is None:
-                self.exact = False
-            elif b.kind == "iterator" and e.name in self.renames:
+            if b.kind == "iterator" and e.name in self.renames:
                 name = self.renames[e.name]
                 return ir.VarOccurrence(name, indexes, binding=self.binding("iterator", name), loc=e.loc)
-            elif cls is not None and b.owner == cls.name and b.kind in ("variable", "constant"):
-                decl = self.attrs[cls.name].get(e.name)
-                if decl is not None and decl.type_name not in self.classes:
-                    return self._flat_ref(prefix, ctx_pairs, [(e.name, indexes, decl)], e.loc, cls)
-                self.exact = False
-            elif e.name in self.objects and b.kind == "variable" and b.owner is None:
-                self.exact = False
+            if cls is not None and b.owner == cls.name:  # an attribute of cls
+                decl = self.attrs[cls.name][e.name]
+                if decl.type_name in self.classes:
+                    raise _object_as_value(e.name, e.loc)
+                return self._flat_ref(prefix, ctx_pairs, [(e.name, indexes, decl)], e.loc, cls)
+            if b.kind == "variable" and b.owner is None and e.name in self.objects:
+                raise _object_as_value(e.name, e.loc)
             if any(map(operator.is_not, indexes, e.indexes)):
                 return ir.VarOccurrence(e.name, indexes, binding=b, loc=e.loc)
             return e
@@ -587,8 +577,8 @@ class _Flattener:
                 decl = attrs.get(step.name) if attrs is not None else None
             indexes = tuple([self._rewrite(i, prefix, ctx_pairs, cls) for i in step.indexes])
             steps.append((step.name, indexes, decl))
-        if decl is None or decl.type_name in self.classes:
-            self.exact = False
+        if decl.type_name in self.classes:
+            raise _object_as_value(e.path[-1].name, e.loc)
         return self._flat_ref(base_prefix, base_ctx, steps, e.loc, base_cls)
 
     def _rewrite_loop(self, s: ir.ForAll, prefix, ctx_pairs, cls) -> ir.ForAll:
@@ -609,7 +599,6 @@ class _Flattener:
             iter_var = f"{s.iter_var}_{n}"
             self.renames = {**self.renames, s.iter_var: iter_var}
             body = tuple(self._rewrite(b, prefix, ctx_pairs, cls) for b in s.body)
-        self.loops.add(iter_var)
         outer_placed |= self.placed
         self.placed, self.renames = outer_placed, outer_renames
         return ir.ForAll(iter_var, lower, upper, body, loc=s.loc)
@@ -626,17 +615,16 @@ class _Flattener:
             if cand in body_names or cand in self.taken or cand in names:
                 continue
             names.append(cand)
-        self.loops.update(names)
-        for size in enclosing:
-            self._moving(size)
         return [
             (ir.VarOccurrence(name, binding=self.binding("iterator", name)), size)
             for name, size in zip(names, enclosing)
         ]
 
-    def _claim(self, name: str):
+    def _claim(self, name: str, loc):
         if name in self.taken:
-            raise CompileError(f"flattened name '{name}' collides with an existing declaration")
+            raise CompileError(
+                f"flattened name '{name}' collides with an existing declaration", loc
+            )
         self.taken.add(name)
 
     def flatten_class_feature(self, f: ir.ModelFeature, prefix: list[str],
@@ -653,9 +641,13 @@ class _Flattener:
                 )
             return out
         if isinstance(f, (ir.Variable, ir.Constant)):
-            flat_name = "_".join(prefix + [f.name]) if prefix else f.name
+            flat_name = "_".join(prefix + [f.name])
+            if flat_name in self.scope.literals:
+                raise CompileError(
+                    f"flattened name '{flat_name}' equals an enumeration literal", f.loc
+                )
             if prefix:
-                self._claim(flat_name)
+                self._claim(flat_name, f.loc)
             g = self._rewrite(f, prefix, [], cls)
             updates = {"name": flat_name}
             if enclosing and isinstance(g, ir.Variable):
@@ -675,19 +667,6 @@ class _Flattener:
             return list(body)
         return [f]
 
-    def _rebind_needed(self, out_scope: sema.Scope) -> bool:
-        """True when a fresh resolve of the output might bind an occurrence
-        otherwise than the walk did: a flat top-level name that hides an
-        enum literal or is hidden by a loop, a moved size read under a loop
-        of the same name, or a kept occurrence the output does not declare."""
-        new_top = out_scope.top.keys() - self.scope.top.keys()
-        return (
-            not self.exact
-            or not new_top.isdisjoint(self.scope.literals)
-            or not new_top.isdisjoint(self.loops)
-            or not self.loops.isdisjoint(self.moved_names)
-        )
-
     def run(self) -> ir.Model:
         out: list[ir.ModelElement] = []
         for e in self.model.elements:
@@ -695,29 +674,21 @@ class _Flattener:
                 if e.is_main:
                     for f in e.features:
                         out.extend(self.flatten_class_feature(f, [], [], e))
-                continue
-            if isinstance(e, ir.Variable) and e.type_name in self.classes:
+            elif isinstance(e, ir.Variable) and e.type_name in self.classes:
                 inner = self.classes[e.type_name]
+                dims = [self._rewrite(d, [], [], None) for d in e.dims]
                 for g in inner.features:
-                    out.extend(
-                        self.flatten_class_feature(g, [e.name], list(e.dims), inner)
-                    )
-                continue
-            if isinstance(e, (ir.ConstraintZone, ir.Statement)):
+                    out.extend(self.flatten_class_feature(g, [e.name], dims, inner))
+            else:
                 out.append(self._rewrite(e, [], [], None))
-                continue
-            # a top-level declaration can only navigate from a top-level object
-            if self.objects and isinstance(e, (ir.Variable, ir.Constant)) and any(
-                isinstance(node, ir.VarOccurrence) and node.name in self.objects
-                for node in ir.walk_expr(e)
-            ):
-                self.exact = False
-            out.append(e)
         model = ir.rebuild(self.model, {"elements": tuple(out)})
-        # a flat name that clashes with a top-level one raises here
-        if self._rebind_needed(sema.Scope(model)):
-            return sema.resolve(model)
+        sema.Scope(model)  # a main-class feature that clashes with a top-level name raises
         return sema.mark_resolved(model)
+
+
+def _object_as_value(name: str, loc) -> UnresolvedNameError:
+    """An object read as a value: only input that skipped ``validate`` has one."""
+    return UnresolvedNameError(name, loc, f"'{name}' names an object, not a value")
 
 
 def _object_flatten_counted(model: ir.Model) -> tuple[ir.Model, int]:
@@ -753,7 +724,7 @@ def _enum_remove_counted(model: ir.Model) -> tuple[ir.Model, int]:
             return ir.IntValue(e.binding.position, loc=e.loc)
         return e
 
-    mapped = ir.map_expressions(model, literal_to_int)
+    mapped = ir.map_expr(model, literal_to_int)
     elements: list[ir.ModelElement] = []
     for e in mapped.elements:
         if isinstance(e, ir.Enumeration):

@@ -186,17 +186,6 @@ def infer_type(e: ir.Expression, scope: Scope) -> ir.TypeKind:
     return kind
 
 
-def is_ground(e: ir.Expression, scope: Scope) -> bool:
-    """True when e contains no variable or iterator occurrences.  Constant
-    and enum-literal occurrences are ground (their values are fixed)."""
-    walk = _Walk(scope)
-    try:
-        walk.top(e)
-    except UnresolvedNameError:
-        return False
-    return walk.ground
-
-
 def scalar_kind(type_name: str, scope: Scope, loc=None) -> ir.TypeKind:
     if type_name in _SCALAR_BUILTINS:
         return _SCALAR_BUILTINS[type_name]

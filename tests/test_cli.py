@@ -278,6 +278,42 @@ def test_check_of_a_fold_beyond_the_float_range(tmp_path, capsys):
     assert capsys.readouterr() == ("EQUAL baseline=3 transformed=3\n", "")
 
 
+@pytest.mark.parametrize("constraint,message", [
+    ("sqrt(0.0 - 1.0) <= x", "math domain error"),
+    ("exp(1000.0 * x) >= 1.0", "math range error"),
+    ("x * 1.0 <= (0.0 - 8.0) ^ 0.5", "a negative number raised to a fractional power is not real"),
+])
+def test_check_of_a_constraint_the_oracle_cannot_evaluate(tmp_path, capsys, constraint, message):
+    # the fold leaves each of these symbolic; the search meets the error
+    _, argv = _command(tmp_path, f"model M;\nint x in 1..3;\nconstraint k {{ {constraint}; }}\n", None)
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: the oracle cannot evaluate a constraint: {message}\n")
+
+
+@pytest.mark.parametrize("powers", [60, 12000])
+def test_power_chain_counts_against_the_nesting_cap(tmp_path, capsys, powers):
+    # each exponent is one level deeper: a chain past the cap is a
+    # diagnostic, not a RecursionError
+    model = "int x in 0..2;\nconstraint c { x <= 1" + " ^ 1" * powers + "; }\n"
+    _, argv = _command(tmp_path, model, "pivot")
+    if powers < 64:
+        assert main(argv) == 0
+        assert "  x <= 1;\n" in (tmp_path / "out").read_text()
+    else:
+        assert main(argv) == 1
+        assert "expression nested too deeply" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("expr,out,err", [
+    ("(0.0 - 8.0) ^ 0.5 < 1", "(-8.0) ^ 0.5 < 1\n", ""),
+    ("0.0 ^ (0.0 - 1.0) < 1", "", "error: <expr>:1:5: zero raised to a negative power\n"),
+])
+def test_eval_of_a_real_power_without_a_real_value(capsys, expr, out, err):
+    assert main(["eval", "-e", expr]) == (1 if err else 0)
+    assert capsys.readouterr() == (out, err)
+
+
 @pytest.mark.parametrize("expr", [
     "1e300 * 1e300", "1e300 * 1e300 - 1e300 * 1e300 = 0", "1e308 + 1e308 > 1", "1e200 / 1e-200",
 ])

@@ -80,7 +80,7 @@ def test_lowering_ignores_sharing():
         (FIXTURES / "golfers.som").read_text(), SCALE_DATA, "golfers.som", "golfers.dat"
     ))
     unrolled, _ = run_pipeline(model, PassConfig(DEFAULT_PASSES + FLAT_EXTRA_PASSES))
-    unshared = ir.map_expressions(unrolled, copy.copy)
+    unshared = ir.map_expr(unrolled, copy.copy)
     shared_nodes, copied_nodes = _nodes(unrolled), _nodes(unshared)
     assert len({id(n) for n in shared_nodes}) < len(shared_nodes)
     assert len({id(n) for n in copied_nodes}) == len(copied_nodes)

@@ -125,7 +125,7 @@ def test_map_expressions_identity_keeps_every_element():
     holders = {t for t in _node_classes() if ir.CHILD_FIELDS[t] and not issubclass(t, ir.Expression)}
     assert {type(n) for n in nodes} >= holders
     assert any(type(n) is ir.If and n.else_body is None for n in nodes)
-    out = ir.map_expressions(m, lambda n: n)
+    out = ir.map_expr(m, lambda n: n)
     assert out is m
     assert all(map(operator.is_, out.elements, m.elements))
 
@@ -231,6 +231,6 @@ def test_every_node_class_has_slots_and_no_instance_dict():
         assert type(cls) is type, cls
     # the field table keeps the declaration order, the base's loc first
     assert ir.VarOccurrence._fields == ("loc", "name", "indexes", "binding")
-    for value in (_binary(), ir.Model("m"), ir.DataType("integer"), ir.ForAll("i"),
+    for value in (_binary(), ir.Model("m"), ir.ForAll("i"),
                   ir.BOOLEAN, ir.Binding("variable", "x")):
         assert not hasattr(value, "__dict__"), type(value)

@@ -317,8 +317,9 @@ def test_pinned_expression_diagnostics(text, expected):
 def test_deepest_nesting_within_default_recursion_limit():
     # parenthesized levels that each pass through every binding power parse
     # without the raised process-wide recursion limit, up to the cap of 64
+    # (an exponent counts one level while it is parsed, so none is open here)
     def nested(depth):
-        level = "a iff b implies c or d and e = f union g intersect h + k * m ^ ("
+        level = "a iff b implies c or d and e = f union g intersect h + k * m ^ 2 * ("
         return "bool a;\nconstraint c { " + level * depth + "1" + ")" * depth + "; }\n"
 
     limit = sys.getrecursionlimit()

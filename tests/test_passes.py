@@ -6,9 +6,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pivotc import ir, passes
-from pivotc.errors import CompileError
-from pivotc.cli import main
+from pivotc import ir, passes, sema
+from pivotc.errors import CompileError, UnresolvedNameError
+from pivotc.cli import DEFAULT_PASSES, FLAT_EXTRA_PASSES, main
 from pivotc.clp import emit_clp
 from pivotc.flat import emit_flat, lower_to_flat
 from pivotc.oracle import enumerate_solutions
@@ -133,19 +133,25 @@ def test_flatten_name_collision_rejected():
         object_flatten(m)
 
 
+@pytest.mark.parametrize("features", ["C o; int o_x in 1..2;", "int o_x in 1..2; C o;"])
+def test_flatten_attribute_named_like_a_main_class_feature(tmp_path, capsys, features):
+    # main-class features are flat names from the start, whatever their order
+    model = tmp_path / "m.som"
+    model.write_text(f"class C {{ int x in 1..3; }}\nmain class M {{ {features} }}\n")
+    assert main(["compile", "-m", str(model), "--target", "pivot", "-o", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {model}:1:11: flattened name 'o_x' collides with an existing declaration\n"
+
+
 def test_flatten_output_validates(golfers):
     assert validate(object_flatten(golfers)) == []
 
 
-# A flat name can change what an occurrence the walk keeps means: a
-# main-class feature hides an enum literal, a loop hides a renamed attribute
-# or a size moved into a linear index, or fresh instance loops take the
-# names of main-class constants.  The bindings must still be a resolve's.
+# A flat name can change what an occurrence the walk keeps means: a loop
+# hides a renamed attribute or a size moved into a linear index, or fresh
+# instance loops take the names of main-class constants or literals.  The
+# bindings must still be a resolve's.
 REBIND_MODELS = {
-    "literal_hidden": (
-        "enum Color := {red, blue};\nColor c2;\nconstraint t { c2 = red; }\n"
-        "main class M { int red in 1..3; Color c; constraint z { c = blue; red >= 2; } }"
-    ),
     "renamed_under_loop": (
         "class C { int x in 1..3; constraint z { forall(o_x in 1..2) { x >= o_x; } } }\nC o;"
     ),
@@ -165,6 +171,10 @@ REBIND_MODELS = {
         "main class M { int I1 := 2; int I2 := 3; P p[I2, I1]; }\n"
         "class P { int y in 0..3; constraint z { y > 0; } }"
     ),
+    "instance_loops_named_like_literals": (
+        "enum E := {I1, I2, I3};\nmain class M { P p[2, card({I1, I2, I3})]; }\n"
+        "class P { int y in 0..3; constraint z { y > 0; } }"
+    ),
     "no_clash": (
         "int k := 2;\n"
         "class Leaf { int v in 0..3; int w[k] in 0..3;"
@@ -181,6 +191,78 @@ def test_flatten_binds_like_a_fresh_resolve(name):
     assert resolve(out) is out
     fresh = resolve(ir.rebuild(out, {"elements": tuple(out.elements)}))
     assert _bindings(out) == _bindings(fresh)
+
+
+_FLATTEN_INPUTS = st.one_of(
+    st.integers(min_value=0, max_value=2**32).map(lambda seed: gen_model(random.Random(seed))),
+    st.sampled_from(ALL_FIXTURES + [("wide_classes.som", None)]).map(lambda f: parse_fixture(*f)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_FLATTEN_INPUTS)
+def test_flatten_output_binds_like_a_fresh_resolve(model):
+    out = object_flatten(model)
+    assert resolve(out) is out
+    fresh = resolve(ir.rebuild(out, {"elements": tuple(out.elements)}))
+    assert _bindings(out) == _bindings(fresh)
+
+
+# A flat name equal to an enumeration literal would hide the literal where
+# the output reads it: a main-class feature, or an object attribute whose
+# prefixed name is a literal (read as the new variable, c = o_w would hold
+# for c = red too)
+LITERAL_CLASHES = {
+    "literal_hidden": (
+        "red",
+        "enum Color := {red, blue};\nColor c2;\nconstraint t { c2 = red; }\n"
+        "main class M { int red in 1..3; Color c; constraint z { c = blue; red >= 2; } }",
+    ),
+    "attribute_named_like_literal": (
+        "o_w",
+        "enum Color := {o_w, red};\nclass P { int w in 1..3; }\n"
+        "main class M { P o; Color c; constraint k { c = o_w; o.w >= 2; } }",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LITERAL_CLASHES))
+def test_flatten_refuses_a_flat_name_equal_to_a_literal(tmp_path, capsys, name):
+    flat_name, source = LITERAL_CLASHES[name]
+    message = f"flattened name '{flat_name}' equals an enumeration literal"
+    with pytest.raises(CompileError, match=message):
+        object_flatten(parse(SourceUnit(source)))
+    model = tmp_path / "m.som"
+    model.write_text(source)
+    out = tmp_path / "m.pivot"
+    assert main(["compile", "-m", str(model), "--target", "pivot", "-o", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source,name", [
+    ("class C { int x in 1..3; }\nC o;\nC p;\nconstraint t { o = p; }", "o"),
+    ("class D { int v in 1..2; }\nclass C { D d; D e; constraint z { d = e; } }\nC o;", "d"),
+    ("class D { int v in 1..2; }\nclass C { D d; }\nC o;\nC p;\nconstraint t { o.d = p.d; }", "d"),
+], ids=["top_level_object", "object_attribute", "path_to_an_object"])
+def test_flatten_refuses_an_object_read_as_a_value(source, name):
+    # validate reports each of these; input that skips it meets the walk
+    model = parse(SourceUnit(source))
+    assert validate(resolve(model)) != []
+    with pytest.raises(UnresolvedNameError, match=f"'{name}' names an object, not a value"):
+        object_flatten(model)
+
+
+@pytest.mark.parametrize("name", ["instance_loops_named_like_constants",
+                                  "instance_loops_named_like_literals"])
+def test_flatten_names_instance_loops_apart_from_the_names_sizes_read(name):
+    # loops over p[I2, I1] named I1 and I2 would capture the sizes, as
+    # forall(I1 in 1..I2) forall(I2 in 1..I1), and index past p_y's 6 cells
+    source = REBIND_MODELS[name]
+    out, _ = run_pipeline(parse(SourceUnit(source)), PassConfig(FLAT_PIPELINE), "flat")
+    constraints = [line for line in emit_flat(lower_to_flat(out)).splitlines()
+                   if line.startswith("constraint")]
+    assert constraints == [f"constraint p_y__{k} > 0;" for k in range(1, 7)]
 
 
 def _flat_solutions(source: str) -> list[dict]:
@@ -203,6 +285,15 @@ def test_flatten_renames_a_loop_that_would_capture_a_moved_size():
     # read the iterator, and the index skipped cell 3.
     cells = {f"o_x__{k}": 0 for k in range(1, 5)}
     assert _flat_solutions(REBIND_MODELS["moved_size_under_loop"]) == [cells]
+
+
+def test_flatten_top_level_declaration_reading_an_object_attribute():
+    # a top-level dim may navigate a top-level object: it reads the flat constant o_n
+    source = (
+        "class C { int n := 2; int v in 1..3; }\nC o;\nint x[o.n] in 1..2;\n"
+        "constraint t { x[1] < x[2]; o.v = 1; }"
+    )
+    assert _flat_solutions(source) == [{"o_v": 1, "x__1": 1, "x__2": 2}]
 
 
 ATTRIBUTE_DIMS = (
@@ -1045,3 +1136,19 @@ def test_pass_outputs_carry_fresh_bindings(model_name, data_name, mode):
         fresh = resolve(ir.rebuild(out, {"elements": tuple(out.elements)}))
         assert fresh is not out
         assert _bindings(out) == _bindings(fresh)
+
+
+@pytest.mark.parametrize("model_name,data_name", ALL_FIXTURES)
+def test_flat_pipeline_resolves_once(monkeypatch, model_name, data_name):
+    # passes bind what they build, so only run_pipeline's entry walks the model
+    model = parse_fixture(model_name, data_name)
+    walks = []
+    init = sema._Walk.__init__
+
+    def counted(self, scope):
+        walks.append(scope)
+        init(self, scope)
+
+    monkeypatch.setattr(sema._Walk, "__init__", counted)
+    run_pipeline(model, PassConfig(DEFAULT_PASSES + FLAT_EXTRA_PASSES), "flat")
+    assert len(walks) == 1

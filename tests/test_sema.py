@@ -11,7 +11,7 @@ from pivotc.errors import (
     UnresolvedNameError,
 )
 from pivotc.parser import SourceUnit, parse, parse_expression
-from pivotc.sema import Scope, infer_type, is_ground, resolve, validate
+from pivotc.sema import Scope, infer_type, resolve, validate
 
 
 def _scope(text: str) -> tuple[ir.Model, Scope]:
@@ -255,13 +255,6 @@ def test_every_expression_variant_validates():
     assert validate(resolved) == []
 
 
-def test_is_ground():
-    m, sc = _scope("model M;\nint k := 2;\nint x in 1..3;\nenum E := {p,q};")
-    assert is_ground(parse_expression("k + 1"), sc)
-    assert is_ground(parse_expression("p"), sc)
-    assert not is_ground(parse_expression("x + 1"), sc)
-
-
 def test_constant_must_be_ground():
     m = resolve(parse(SourceUnit("model M;\nint x in 1..3;\nint k := 2;")))
     bad = ir.Model(
@@ -294,13 +287,6 @@ def test_flatten_composed_dims_and_attribute_arrays():
     assert print_expression(var.dims[0]) == "2 * 3"
     zone = next(e for e in flat.elements if isinstance(e, ir.ConstraintZone) and e.name == "q")
     assert print_expression(zone.body[0].expr.left.indexes[0]) == "2 * (2 - 1) + 1"
-
-
-def test_data_types_are_interned_values():
-    assert ir.DataType("integer") == ir.DataType("integer")
-    assert ir.DataType("integer") != ir.DataType("real")
-    assert ir.BUILTIN_TYPES["int"] == ir.DataType("integer")
-    assert len(ir.BUILTIN_TYPES) == 3
 
 
 # The front end's diagnostics on malformed models, pinned to the exact
