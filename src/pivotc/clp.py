@@ -13,9 +13,11 @@ The output shape is a single clause:
 
 Arrays are lists in the target, so indexed accesses go through fresh
 auxiliary variables and nth/3 goals (``V1 is <index>, nth(V2,V1,NAME)``).
-Every for-loop declares the outside names its body uses in its param list.
-Requires a class-free, enum-free, constant-folded model over integer,
-boolean and integer-set variables.
+Every for-loop declares in its param list the outside names its body
+renders, the names a declared index size brings in included.  Requires a
+class-free, enum-free model over integer, boolean and integer-set
+variables; ``passes.check_pipeline`` refuses the rest of the pass table's
+features.
 """
 
 from __future__ import annotations
@@ -23,10 +25,13 @@ from __future__ import annotations
 import re
 from typing import NamedTuple
 
-from . import ir, sema
+from . import ir, passes, sema
 from .errors import CompileError
 
-_SPELLING = {"=": "$=", "!=": "$\\=", "<=": "$=<", ">=": "$>=", "<": "$<", ">": "$>"}
+_SPELLING = {
+    "=": "$=", "!=": "$\\=", "<=": "$=<", ">=": "$>=", "<": "$<", ">": "$>",
+    "and": "and", "or": "or", "implies": "=>", "iff": "<=>",
+}
 _SET_SPELLING = {"intersect": "/\\", "union": "\\/", "diff": "\\"}
 _ATOM_RE = re.compile(r"^[a-z][A-Za-z0-9_]*$")
 _SIMPLE_TERM_RE = re.compile(r"^[A-Z][A-Za-z0-9_]*$|^-?[0-9]+$")
@@ -48,9 +53,10 @@ class _Emitter:
     def __init__(self, model: ir.Model, opts: ClpEmitOptions):
         self.model = model
         self.opts = opts
-        self.scope = sema.Scope(model)
         self.variables = [e for e in model.elements if isinstance(e, ir.Variable)]
         self.constants = [e for e in model.elements if isinstance(e, ir.Constant)]
+        self.dims = {d.name: d.dims for d in self.variables + self.constants}
+        self.names: set[str] = set()  # rendered since the innermost loop began
         self._check_supported()
         spelled: dict[str, str] = {}  # clp name -> the declaration that has it
         for d in model.elements:
@@ -65,11 +71,6 @@ class _Emitter:
         self.fresh_counter = 0
 
     def _check_supported(self):
-        for e in self.model.elements:
-            if isinstance(e, (ir.Class, ir.Enumeration)):
-                raise CompileError(
-                    f"{type(e).__name__.lower()} '{e.name}' is not supported by the clp target"
-                )
         for v in self.variables:
             if v.type_name == "real":
                 raise CompileError(
@@ -121,16 +122,20 @@ class _Emitter:
             return f"({text})" if prec > 0 else text
         if isinstance(e, ir.SetValue):
             return "[" + ",".join(self.term(x, pre) for x in e.elems) + "]"
-        if isinstance(e, ir.BoolBinaryOp) or isinstance(e, ir.BoolUnaryOp):
-            return self.bool_term(e, pre)
+        if isinstance(e, ir.BoolUnaryOp):
+            return f"neg({self.term(e.operand, pre)})"
+        if isinstance(e, ir.BoolBinaryOp):
+            left = self.term(e.left, pre)
+            right = self.term(e.right, pre)
+            return f"({left} {_SPELLING[e.op]} {right})"
         raise CompileError(f"expression {type(e).__name__} is not supported by the clp target")
 
     def _occurrence_term(self, e: ir.VarOccurrence, pre: list[str]) -> str:
+        self.names.add(e.name)
         name = _upper(e.name)
         if not e.indexes:
             return name
-        kind, decl = self.scope.lookup(e.name)
-        index = self._linear_index_term(e.indexes, decl.dims, pre)
+        index = self._linear_index_term(e.indexes, self.dims[e.name], pre)
         if not _SIMPLE_TERM_RE.match(index):
             v = self.fresh()
             pre.append(f"{v} is {index}")
@@ -150,26 +155,6 @@ class _Emitter:
             linear = f"{size_t}*({linear}-1)+{idx_t}"
         return linear
 
-    def bool_term(self, e: ir.Expression, pre: list[str]) -> str:
-        if isinstance(e, ir.BoolValue):
-            return "1" if e.value else "0"
-        if isinstance(e, ir.VarOccurrence):
-            return self._occurrence_term(e, pre)
-        if isinstance(e, ir.BoolUnaryOp):
-            return f"neg({self.bool_term(e.operand, pre)})"
-        if isinstance(e, ir.BoolBinaryOp):
-            if e.op in ir.COMPARISON_OPS:
-                left = self.term(e.left, pre)
-                right = self.term(e.right, pre)
-                return f"({left} {_SPELLING[e.op]} {right})"
-            connective = {"and": "and", "or": "or", "implies": "=>", "iff": "<=>"}[e.op]
-            left = self.bool_term(e.left, pre)
-            right = self.bool_term(e.right, pre)
-            return f"({left} {connective} {right})"
-        raise CompileError(
-            f"boolean expression {type(e).__name__} is not supported by the clp target"
-        )
-
     # ---- statements ------------------------------------------------------
     def constraint_goals(self, expr: ir.Expression) -> list[str]:
         if isinstance(expr, ir.BoolBinaryOp) and expr.op == "and":
@@ -185,7 +170,7 @@ class _Emitter:
             term = self._occurrence_term(expr, pre)
             return pre + [f"{term} $= 1"]
         if isinstance(expr, (ir.BoolUnaryOp, ir.BoolBinaryOp)):
-            goal = self.bool_term(expr, pre)
+            goal = self.term(expr, pre)
             return pre + [goal]
         raise CompileError(
             f"constraint expression {type(expr).__name__} is not supported by the clp target"
@@ -207,7 +192,7 @@ class _Emitter:
             return self.loop_goals(s, level, iters)
         if isinstance(s, ir.If):
             pre: list[str] = []
-            cond = self.bool_term(s.cond, pre)
+            cond = self.term(s.cond, pre)
             block = [f"{pad}( {cond} ->"]
             block.append(",\n".join(self.body_goals(s.then_body, level + 1, iters)))
             block.append(f"{pad};")
@@ -225,32 +210,22 @@ class _Emitter:
         return goals
 
     def loop_goals(self, s: ir.ForAll, level: int, iters: tuple[str, ...]) -> list[str]:
+        """The loop's block; its params are the outside names its body
+        renders, which the enclosing loop's body renders too."""
         pad = " " * level
         pre: list[str] = []
         lo = self.term(s.lower, pre)
         hi = self.term(s.upper, pre)
-        params = self._param_list(s, iters)
-        iter_name = _upper(s.iter_var)
-        head = f"{pad}(for({iter_name},{lo},{hi})"
-        if params:
-            head += f",param({','.join(params)})"
-        head += " do"
+        outer, self.names = self.names, set()
         inner = self.body_goals(s.body, level + 1, iters + (s.iter_var,))
-        block = head + "\n" + ",\n".join(inner) + "\n" + pad + ")"
-        return [pad + g for g in pre] + [block]
-
-    def _param_list(self, s: ir.ForAll, iters: tuple[str, ...]) -> list[str]:
-        """Outside names referenced anywhere in the loop body."""
-        used = {
-            node.name
-            for b in s.body
-            for node in ir.walk_expr(b)
-            if isinstance(node, ir.VarOccurrence)
-        }
+        used, self.names = self.names, outer
+        outer |= used
         params = [_upper(v.name) for v in self.variables if v.name in used]
         params += [_upper(c.name) for c in self.constants if c.name in used]
         params += [_upper(name) for name in iters if name in used]
-        return params
+        param = f",param({','.join(params)})" if params else ""
+        head = f"{pad}(for({_upper(s.iter_var)},{lo},{hi}){param} do"
+        return [pad + g for g in pre] + [head + "\n" + ",\n".join(inner) + "\n" + pad + ")"]
 
     # ---- declarations ----------------------------------------------------
     def _count_term(self, v: ir.Variable, pre: list[str]) -> str:
@@ -268,20 +243,13 @@ class _Emitter:
                 lo = self.term(v.domain.lo, pre)
                 hi = self.term(v.domain.hi, pre)
                 if v.dims:
-                    count = self._count_term(v, pre)
-                    goals.extend(pre)
-                    goals.append(f"intsets({name},{count},{lo},{hi})")
+                    goals += pre + [f"intsets({name},{self._count_term(v, pre)},{lo},{hi})"]
                 else:
-                    goals.extend(pre)
-                    goals.append(f"intset({name},{lo},{hi})")
+                    goals += pre + [f"intset({name},{lo},{hi})"]
                 continue
             domain = self._domain_text(v, pre)
-            decl = []
-            if v.dims:
-                decl.append(f"length({name},{self._count_term(v, pre)})")
-            decl.append(f"{name} :: {domain}")
-            goals.extend(pre)
-            goals.extend(decl)
+            length = [f"length({name},{self._count_term(v, pre)})"] if v.dims else []
+            goals += pre + length + [f"{name} :: {domain}"]
         return goals
 
     def _domain_text(self, v: ir.Variable, pre: list[str]) -> str:
@@ -300,8 +268,6 @@ class _Emitter:
         arrays = [_upper(v.name) for v in self.variables if v.dims]
         scalars = [_upper(v.name) for v in self.variables if not v.dims]
         parts = arrays + (["[" + ",".join(scalars) + "]"] if scalars else [])
-        if not parts:
-            return ["L = []"]
         if len(parts) == 1:
             return [f"L = {parts[0]}"]
         goals = []
@@ -329,46 +295,27 @@ class _Emitter:
             const_goals.append(f"{_upper(c.name)} $= {value}")
         if const_goals:
             sections.append(const_goals)
-        decls = self.decl_goals() + self.decision_binding()
         if self.variables:
-            sections.append(decls)
+            sections.append(self.decl_goals() + self.decision_binding())
         for e in self.model.elements:
             if isinstance(e, ir.ConstraintZone):
-                goals = [f"% {e.name}"]
-                for s in e.body:
-                    goals.extend(self.stmt_goals(s, 1, ()))
-                if len(goals) == 1:
-                    goals.append(" true")  # empty zone still needs a goal
-                sections.append(goals)
+                sections.append([f"% {e.name}"] + self.body_goals(e.body, 1, ()))
             elif isinstance(e, ir.Statement):
                 sections.append(self.stmt_goals(e, 1, ()))
         if self.opts.label_sets:
             sections.append(["label_sets(L)"])
 
-        lines = [f"{name}(L):-"]
-        flat: list[tuple[str, bool]] = []  # (text, section-final)
-        for si, section in enumerate(sections):
-            for gi, goal in enumerate(section):
-                flat.append((goal, si == len(sections) - 1 and gi == len(section) - 1))
-            if si != len(sections) - 1:
-                flat.append(("", False))
-        if not flat:
-            return f"{name}(L):-\n true.\n"
-        out: list[str] = []
-        for text, is_last in flat:
-            if text == "":
-                out.append("")
-                continue
-            prefixed = text if text.startswith(" ") or text.startswith("%") else " " + text
-            if text.startswith("%"):
-                prefixed = " " + text
-                out.append(prefixed)
-                continue
-            out.append(prefixed + ("." if is_last else ","))
-        return lines[0] + "\n" + "\n".join(out) + "\n"
+        lines = []
+        for section in sections or [["true"]]:  # an empty clause still needs a goal
+            lines.append("")  # a blank line before each section
+            for g in section:
+                lines.append((g if g[0] == " " else " " + g) + ("" if g[0] == "%" else ","))
+        lines[0] = f"{name}(L):-"
+        return "\n".join(lines)[:-1] + ".\n"  # the last goal ends the clause
 
 
 def emit_clp(model: ir.Model, opts: ClpEmitOptions | None = None) -> str:
     """Emit a structured CLP clause for a class-free, enum-free model."""
     model = sema.resolve(model)
+    passes.check_pipeline(passes.model_features(model), (), "clp")
     return _Emitter(model, opts or ClpEmitOptions()).emit()

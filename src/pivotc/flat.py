@@ -10,19 +10,21 @@ The text format is the interchange grammar shared with the oracle:
 
 Array cells scalarize to ``name__i`` / ``name__i__j`` (double underscore,
 so flattened-object names with single underscores cannot collide).
-Lowering requires a class-free, enum-free, unrolled, constant-folded model
-with every alldifferent already rewritten.
+Lowering requires a model that has none of the pass table's features:
+``passes.check_pipeline`` refuses classes, enumerations, alldifferent,
+loops and conditionals before anything is lowered.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from typing import NamedTuple
 
-from . import ir, sema
+from . import ir, passes, sema
 from .errors import CompileError
-from .passes import _as_int, _Folder, _value_int, const_env
+from .passes import _MISSING, _as_int, _Folder, _value_int, const_env
 from .printer import print_expression
 
 
@@ -61,6 +63,7 @@ class _Lowerer:
     def __init__(self, model: ir.Model):
         self.model = model
         self.env = const_env(model)
+        self.constants = {e.name: e for e in model.elements if isinstance(e, ir.Constant)}
         self.folder = _Folder(self.env)
         self.dims: dict[str, tuple[int, ...]] = {}
         self.vars: list[FlatVar] = []
@@ -185,13 +188,19 @@ class _Lowerer:
         if folded is not node:  # an inlined constant
             return folded
         b = node.binding
-        if b is not None and b.kind == "enum_literal":
-            raise _residual("enumeration literal", node.name)
-        if b is not None and b.kind == "iterator":
-            raise _residual("loop iterator", node.name)
-        if b is not None and b.kind == "constant":
-            value = self.env.get(node.name)
-            if value is not None:  # ground, but not an integer
+        if b is not None and b.kind == "constant":  # not inlined: no literal holds its value
+            try:
+                value = self.folder._eval(self.folder.fold(self.constants[node.name].value))
+            except OverflowError:  # a math range error
+                value = math.inf
+            except ValueError:  # a math domain error: no value
+                value = _MISSING
+            if isinstance(value, float) and not math.isfinite(value):
+                raise CompileError(
+                    f"cannot lower model: the value of constant '{node.name}' "
+                    "is beyond the float range"
+                )
+            if value is not _MISSING:  # ground, but not an integer
                 raise CompileError(
                     f"cannot lower model: the flat format has no literal for {value}, "
                     f"the value of constant '{node.name}'"
@@ -214,8 +223,6 @@ class _Lowerer:
 
     def run(self) -> FlatProgram:
         for e in self.model.elements:
-            if isinstance(e, (ir.Class, ir.Enumeration)):
-                raise _residual(type(e).__name__.lower(), f"'{e.name}'")
             if isinstance(e, ir.Variable):
                 self.add_variable(e)
         constraints = list(self.domain_constraints)
@@ -227,21 +234,16 @@ class _Lowerer:
             else:
                 continue
             for s in body:
-                t = type(s)
-                if t is ir.ExpressionConstraint:
-                    constraints.append(self.rewrite(s.expr))
-                elif t is ir.GlobalCtr:
+                if type(s) is not ir.ExpressionConstraint:  # a global the table does not know
                     raise _residual("global constraint", s.ctr_name)
-                elif t is ir.ForAll:
-                    raise _residual("forall loop", f"over '{s.iter_var}'")
-                elif t is ir.If:
-                    raise _residual("conditional", "if statement")
+                constraints.append(self.rewrite(s.expr))
         return FlatProgram(tuple(self.vars), tuple(constraints))
 
 
 def lower_to_flat(model: ir.Model) -> FlatProgram:
     """Scalarize a fully lowered model into a FlatProgram."""
     model = sema.resolve(model)
+    passes.check_pipeline(passes.model_features(model), (), "flat")
     return _Lowerer(model).run()
 
 

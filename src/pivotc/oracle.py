@@ -59,6 +59,7 @@ from .errors import CompileError, Diagnostic, OracleLimitError, ParseError
 from .flat import FlatProgram, FlatVar
 from .parser import parse_expression
 from .passes import _div, _pow, _refuse
+from .printer import print_expression
 
 MAX_SET_UNIVERSE = 12
 MAX_SEARCH_SPACE = 2 ** 40
@@ -678,9 +679,10 @@ class _Masks:
         return f"vals{j}[{mask}]" if mask else f"D[{j}]"
 
 
-def _search_source(program: FlatProgram) -> tuple[str, dict]:
+def _search_source(program: FlatProgram) -> tuple[str, dict, dict]:
     """Source defining ``s0(P, nodes)``, the whole search, plus the
-    constants it reads.
+    constants it reads and, per line of the source that checks
+    constraints, the (index, source) of each constraint it fuses.
 
     Each variable gets one loop, in declaration order.  When no constraint
     may raise, the constraints over one or two small-domain variables
@@ -699,13 +701,13 @@ def _search_source(program: FlatProgram) -> tuple[str, dict]:
     bounds = _Bounds(program)
     masks = _Masks(program, prune)
     n = len(program.vars)
-    checks: list[list[str]] = [[] for _ in range(n)]
+    checks: list[list[tuple[int, str]]] = [[] for _ in range(n)]
     reads: list[set[int]] = [set() for _ in range(n)]
-    constant_checks: list[str] = []
+    constant_checks: list[tuple[int, str]] = []
     for c, constraint in enumerate(program.constraints):
         src, used = writer.condition(constraint)
         if not used:
-            constant_checks.append(src)
+            constant_checks.append((c, src))
             continue
         if masks.add(src, used):
             continue
@@ -713,10 +715,11 @@ def _search_source(program: FlatProgram) -> tuple[str, dict]:
         if linear is not None and linear[1] and bounds.add(c, *linear):
             continue
         last = max(used)
-        checks[last].append(src)
+        checks[last].append((c, src))
         reads[last] |= used
 
     lines: list[str] = masks.prelude(bounds.forced)
+    fused: dict[int, list[tuple[int, str]]] = {}  # index in lines -> its checks
     for k, start in enumerate(range(0, max(n, 1), _LOOPS_PER_FUNCTION)):
         stop = min(start + _LOOPS_PER_FUNCTION, n)
         lines += [f"def s{k}(P, nodes):", "    D = DOMAINS", "    max_nodes = MAX_NODES"]
@@ -726,15 +729,18 @@ def _search_source(program: FlatProgram) -> tuple[str, dict]:
         lines += [f"    v{i} = P[{i}]" for i in sorted(earlier) if i < start]
         lines += bounds.rebuild(start, stop) + rebuilt
         if k == 0 and constant_checks:
-            lines.append(f"    if not ({' and '.join(constant_checks)}): return nodes")
+            fused[len(lines)] = constant_checks
+            test = " and ".join(src for _, src in constant_checks)
+            lines.append(f"    if not ({test}): return nodes")
         pad = "    "
         for i in range(start, stop):
             lines.append(f"{pad}for v{i} in {masks.loop(i, bounds.forced[i])}:")
             pad += "    "
             lines.append(f"{pad}nodes += 1")
             lines.append(f"{pad}if nodes > max_nodes: raise Stop(nodes)")
-            tests = checks[i] + bounds.tests[i] + masks.updates(i)
+            tests = [src for _, src in checks[i]] + bounds.tests[i] + masks.updates(i)
             if tests:
+                fused[len(lines)] = checks[i]
                 lines.append(f"{pad}if not ({' and '.join(tests)}): continue")
         own = "".join(f"v{i}, " for i in range(start, stop))
         values = f"({own})" if k == 0 else f"P + ({own})"
@@ -744,7 +750,9 @@ def _search_source(program: FlatProgram) -> tuple[str, dict]:
             lines.append(f"{pad}OUT.append({values})")
             lines.append(f"{pad}if len(OUT) >= MAX_SOLUTIONS: raise Stop(nodes)")
         lines.append("    return nodes")
-    return "\n".join(writer.helpers + lines) + "\n", writer.constants
+    first = sum(h.count("\n") + 1 for h in writer.helpers) + 1  # line number of lines[0]
+    fused = {first + at: checked for at, checked in fused.items()}
+    return "\n".join(writer.helpers + lines) + "\n", writer.constants, fused
 
 
 def domain_values(v: FlatVar) -> list:
@@ -802,7 +810,7 @@ def enumerate_solutions(
                 f"search space exceeds 2^40 ({len(program.vars)} variables)"
             )
 
-    source, constants = _search_source(program)
+    source, constants, fused = _search_source(program)
     rows: list[tuple] = []
     namespace = dict(
         constants,
@@ -817,7 +825,8 @@ def enumerate_solutions(
     except _Stop as stop:
         nodes, complete = stop.args[0], False
     except (ValueError, ArithmeticError) as exc:  # math domain, range or complex power
-        raise CompileError(f"the oracle cannot evaluate a constraint: {exc}") from None
+        what = _raising_constraint(program, fused, namespace, exc)
+        raise CompileError(f"the oracle cannot evaluate {what}: {exc}") from None
     finally:
         # each generated function's globals are this namespace: a cycle
         # that would keep OUT alive until the cyclic collector runs
@@ -826,6 +835,22 @@ def enumerate_solutions(
     if key is not None:
         rows.sort(key=key)
     return SolutionSet(tuple(v.name for v in program.vars), tuple(rows), complete, nodes)
+
+
+def _raising_constraint(program: FlatProgram, fused: dict, namespace: dict, exc) -> str:
+    """The first constraint fused on the generated line that raised exc
+    which raises alone, with the values of that line's frame."""
+    tb, frame, line = exc.__traceback__, None, None
+    while tb is not None:
+        if tb.tb_frame.f_code.co_filename == "<oracle search>" and tb.tb_lineno in fused:
+            frame, line = tb.tb_frame, tb.tb_lineno
+        tb = tb.tb_next
+    for c, src in fused.get(line, ()):
+        try:
+            eval(src, namespace, dict(frame.f_locals))
+        except (ValueError, ArithmeticError):
+            return f"the constraint {print_expression(program.constraints[c])}"
+    return "a constraint"
 
 
 def _project(s: SolutionSet, names: list[str]) -> set:

@@ -1,6 +1,7 @@
 """Test-suite support: an independent cross-product enumerator (the check
 on the oracle itself), a naive loop unroller (the check on loopUnroll's
-shared instantiation) and a generator of small valid random models."""
+shared instantiation), a check of clp loops' param lists read from the
+emitted text, and a generator of small valid random models."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import copy
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 from pivotc import ir
@@ -187,6 +189,38 @@ def naive_unroll(model: ir.Model) -> ir.Model:
         f if isinstance(f, (ir.ConstraintZone, ir.Statement)) else e
         for e, f in zip(unrolled.elements, folded)
     )})
+
+
+# --------------------------------------------------------------------------
+# clp param lists, checked against the emitted text, not against the
+# emitter's own record of the names it rendered.
+
+_LOOP_HEAD = re.compile(r"\(for\(([A-Z]\w*),.*?\)(?:,param\(([^)]*)\))? do")
+_CLP_NAME = re.compile(r"\b[A-Z]\w*\b")
+
+
+def check_clp_params(model: ir.Model, text: str):
+    """Assert that every loop of the clp text names in its param list each
+    outside name its body reads: a declaration of model, or the iterator
+    of an enclosing loop.  A nested loop's header, bounds and params, is
+    read in the enclosing loop's body."""
+    declared = {
+        e.name.upper() for e in model.elements if isinstance(e, (ir.Variable, ir.Constant))
+    }
+    stack: list[tuple[int, str, set[str]]] = []  # (indent, iterator, params) per open loop
+    for line in text.splitlines():
+        indent = len(line) - len(line.lstrip())
+        while stack and indent <= stack[-1][0]:
+            stack.pop()
+        head = _LOOP_HEAD.search(line)
+        read = set(_CLP_NAME.findall(line)) - ({head.group(1)} if head else set())
+        if stack:
+            outer_iters = {it for _, it, _ in stack[:-1]}
+            missing = {n for n in read if n in declared or n in outer_iters} - stack[-1][2]
+            assert not missing, f"params missing {sorted(missing)} in line: {line}"
+        if head:
+            params = set((head.group(2) or "").split(",")) - {""}
+            stack.append((indent, head.group(1), params))
 
 
 # --------------------------------------------------------------------------

@@ -278,16 +278,37 @@ def test_check_of_a_fold_beyond_the_float_range(tmp_path, capsys):
     assert capsys.readouterr() == ("EQUAL baseline=3 transformed=3\n", "")
 
 
-@pytest.mark.parametrize("constraint,message", [
-    ("sqrt(0.0 - 1.0) <= x", "math domain error"),
-    ("exp(1000.0 * x) >= 1.0", "math range error"),
-    ("x * 1.0 <= (0.0 - 8.0) ^ 0.5", "a negative number raised to a fractional power is not real"),
-])
-def test_check_of_a_constraint_the_oracle_cannot_evaluate(tmp_path, capsys, constraint, message):
+_UNEVALUABLE = [  # (constraints, the one the message names, the error)
+    ("sqrt(0.0 - 1.0) <= x", "sqrt(-1.0) <= x", "math domain error"),
+    ("exp(1000.0 * x) >= 1.0", "exp(1000.0 * x) >= 1.0", "math range error"),
+    ("x * 1.0 <= (0.0 - 8.0) ^ 0.5", "x * 1.0 <= (-8.0) ^ 0.5",
+     "a negative number raised to a fractional power is not real"),
+    # both read only x, so one line of the search checks them; the second raises
+    ("x >= 1; sqrt(0.0 - 1.0) <= x", "sqrt(-1.0) <= x", "math domain error"),
+]
+
+
+@pytest.mark.parametrize("constraints,culprit,message", _UNEVALUABLE,
+                         ids=[f"{c}-{m}" for c, _, m in _UNEVALUABLE])
+def test_check_of_a_constraint_the_oracle_cannot_evaluate(tmp_path, capsys, constraints, culprit,
+                                                          message):
     # the fold leaves each of these symbolic; the search meets the error
-    _, argv = _command(tmp_path, f"model M;\nint x in 1..3;\nconstraint k {{ {constraint}; }}\n", None)
+    _, argv = _command(tmp_path, f"model M;\nint x in 1..3;\nconstraint k {{ {constraints}; }}\n", None)
     assert main(argv) == 1
-    assert capsys.readouterr() == ("", f"error: the oracle cannot evaluate a constraint: {message}\n")
+    assert capsys.readouterr() == (
+        "", f"error: the oracle cannot evaluate the constraint {culprit}: {message}\n"
+    )
+
+
+@pytest.mark.parametrize("target", [None, "flat"])
+def test_constant_beyond_the_float_range_is_named(tmp_path, capsys, target):
+    model = "model M;\nreal r := 1e300 * 1e300;\nint x in 1..3;\nconstraint k { x <= r; }\n"
+    _, argv = _command(tmp_path, model, target)
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert err.endswith(
+        "error: cannot lower model: the value of constant 'r' is beyond the float range\n"
+    )
 
 
 @pytest.mark.parametrize("powers", [60, 12000])

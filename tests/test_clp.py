@@ -1,3 +1,4 @@
+import random
 import re
 
 import pytest
@@ -10,7 +11,8 @@ from pivotc.flat import lower_to_flat
 from pivotc.parser import SourceUnit, parse
 from pivotc.passes import PassConfig, run_pipeline
 
-from conftest import parse_fixture
+from conftest import ALL_FIXTURES, parse_fixture
+from helpers import check_clp_params, gen_loop_model
 
 GOLFERS_CFG = PassConfig(("objectFlatten", "enumRemove", "foldConstants"))
 
@@ -64,7 +66,9 @@ def test_minimal_model_three_domains_one_goal():
 
 
 def test_class_is_unsupported(golfers):
-    with pytest.raises(CompileError, match="enumeration 'Name' is not supported by the clp target"):
+    with pytest.raises(CompileError, match=re.escape(
+        "target clp: model still contains classes, enumerations; add objectFlatten; add enumRemove"
+    )):
         emit_clp(golfers)
 
 
@@ -102,37 +106,25 @@ def test_fresh_variables_numbered_in_emission_order():
 
 def test_param_lists_match_scope_analysis():
     """Every name used in a loop body and defined outside appears in the
-    loop's param list (re-scан of the emitted text against the model)."""
-    model, text = _golfers_clp()
-    decl_names = {
-        e.name.upper()
-        for e in model.elements
-        if isinstance(e, (ir.Variable, ir.Constant))
-    }
-    loop_re = re.compile(r"\(for\(([A-Z][A-Za-z0-9_]*),.*?\)(?:,param\(([^)]*)\))? do")
-    lines = text.splitlines()
-    stack: list[tuple[int, str, set[str]]] = []  # (indent, iterator, params)
-    for line in lines:
-        indent = len(line) - len(line.lstrip())
-        while stack and indent <= stack[-1][0]:
-            stack.pop()
-        m = loop_re.search(line)
-        if m:
-            params = set((m.group(2) or "").split(",")) - {""}
-            outer_iters = {it for _, it, _ in stack}
-            # body names defined outside: declared names or outer iterators
-            stack.append((indent, m.group(1), params))
-            continue
-        if not stack:
-            continue
-        used = set(re.findall(r"\b[A-Z][A-Za-z0-9_]*\b", line))
-        outside = {
-            n for n in used
-            if n in decl_names or any(n == it for _, it, _ in stack[:-1])
-        }
-        innermost_params = stack[-1][2]
-        missing = outside - innermost_params
-        assert not missing, f"params missing {missing} in line: {line}"
+    loop's param list (re-scan of the emitted text against the model)."""
+    check_clp_params(*_golfers_clp())
+
+
+UNFOLDED_CFG = PassConfig(("objectFlatten", "enumRemove"))
+
+
+@pytest.mark.parametrize("cfg", [GOLFERS_CFG, UNFOLDED_CFG], ids=["folded", "unfolded"])
+@pytest.mark.parametrize("name,data", ALL_FIXTURES + [("wide_classes.som", None)])
+def test_param_lists_of_each_fixture(name, data, cfg):
+    model, _ = run_pipeline(parse_fixture(name, data), cfg, "clp")
+    check_clp_params(model, emit_clp(model))
+
+
+@pytest.mark.parametrize("seed", range(300))
+def test_param_lists_of_generated_loop_models(seed):
+    for cfg in (GOLFERS_CFG, UNFOLDED_CFG):
+        model, _ = run_pipeline(gen_loop_model(random.Random(seed)), cfg, "clp")
+        check_clp_params(model, emit_clp(model))
 
 
 def test_structured_statements_not_more_than_flat_constraints():
@@ -256,3 +248,54 @@ def test_two_dimensional_index_is_row_major(tmp_path, capsys):
     model.write_text(GRID)
     assert main(["check", "-m", str(model)]) == 0
     assert capsys.readouterr().out == "EQUAL baseline=720 transformed=720\n"
+
+
+def test_unfolded_index_size_is_a_loop_param():
+    # the size m in a[i,j]'s linear index is read inside the inner loop
+    model, _ = run_pipeline(parse(SourceUnit(GRID)), UNFOLDED_CFG, "clp")
+    text = emit_clp(model)
+    assert "  (for(J,1,M),param(A,M,I) do\n   V1 is M*(I-1)+J,\n" in text
+    check_clp_params(model, text)
+
+
+_X = ir.VarOccurrence("x")
+_X_IN_1_2 = ir.Variable("x", "int", domain=ir.IntervalDomain(ir.IntValue(1), ir.IntValue(2)))
+
+
+@pytest.mark.parametrize("model,text", [
+    # a bool's domain, neg, a bool alone, the constant constraints, an
+    # "and" split into goals and unary minus
+    ("model B;\nbool b;\nint x in 1..2;\n"
+     "constraint c { not (x = 1); b; true; false; x = 1 and b; -x <= 2; b = false; }",
+     "b(L):-\n B :: 0..1,\n X :: 1..2,\n L = [B,X],\n\n % c\n neg((X $= 1)),\n B $= 1,\n"
+     " true,\n fail,\n X $= 1,\n B $= 1,\n -X $=< 2,\n B $= 0,\n\n label_sets(L).\n"),
+    ("model S;\nint x in {1,3,5};\n", "s(L):-\n X :: [1,3,5],\n L = [X],\n\n label_sets(L).\n"),
+    # no variable: nothing binds L
+    ("model K;\nint k := 2;\nconstraint c { k >= 1; }",
+     "k(L):-\n K $= 2,\n\n % c\n K $>= 1,\n\n label_sets(L).\n"),
+    ("model I;\nint x in 1..3;\nconstraint c { if (x = 1) { x = 1; } else { } }",
+     "i(L):-\n X :: 1..3,\n L = [X],\n\n % c\n ( (X $= 1) ->\n  X $= 1\n ;\n  true\n ),\n\n"
+     " label_sets(L).\n"),
+    # statements outside any zone, one a global constraint no pass knows
+    (ir.Model("G", (_X_IN_1_2, ir.GlobalCtr("foo", (_X, ir.IntValue(1))),
+                    ir.ExpressionConstraint(ir.BoolBinaryOp("=", _X, ir.IntValue(1))))),
+     "g(L):-\n X :: 1..2,\n L = [X],\n\n foo(X,1),\n\n X $= 1,\n\n label_sets(L).\n"),
+])
+def test_clp_text_of_each_construct(model, text):
+    assert emit_clp(parse(SourceUnit(model)) if isinstance(model, str) else model) == text
+
+
+def test_empty_clause_is_true():
+    assert emit_clp(ir.Model("E", ()), ClpEmitOptions(label_sets=False)) == "e(L):-\n true.\n"
+
+
+@pytest.mark.parametrize("variable,message", [
+    (ir.Variable("s", "int", is_set=True, domain=ir.SetDomain((ir.IntValue(1),))),
+     "set variable 's' needs an interval universe"),
+    (ir.Variable("v", "foo"), "variable 'v' has unsupported type 'foo'"),
+    (ir.Variable("x", "int"), "variable 'x' needs a finite domain for the clp target"),
+])
+def test_variables_the_clp_target_refuses(variable, message):
+    with pytest.raises(CompileError) as info:
+        emit_clp(ir.Model("M", (variable,)))
+    assert str(info.value) == message

@@ -2,7 +2,8 @@ from math import comb
 
 import pytest
 
-from pivotc import ir
+from pivotc import ir, sema
+from pivotc.cli import main
 from pivotc.errors import CompileError
 from pivotc.flat import FlatProgram, FlatVar, emit_flat, lower_to_flat
 from pivotc.oracle import parse_flat
@@ -95,7 +96,8 @@ def test_residual_loop_rejected():
     m = parse(SourceUnit(
         "model R;\nint x[2] in 1..2;\nconstraint c { forall(i in 1..2) { x[i] = 1; } }"
     ))
-    with pytest.raises(CompileError, match=r"residual forall loop \(over 'i'\)"):
+    with pytest.raises(CompileError,
+                       match="target flat: model still contains loops; add loopUnroll"):
         lower_to_flat(m)
 
 
@@ -103,7 +105,8 @@ def test_residual_conditional_rejected():
     m = parse(SourceUnit(
         "model R;\nint x in 1..2;\nconstraint c { if (1 = 1) { x = 1; } }"
     ))
-    with pytest.raises(CompileError, match=r"residual conditional \(if statement\)"):
+    with pytest.raises(CompileError,
+                       match="target flat: model still contains conditionals; add loopUnroll"):
         lower_to_flat(m)
 
 
@@ -111,19 +114,22 @@ def test_residual_global_rejected():
     m = parse(SourceUnit(
         "model R;\nint x in 1..2;\nint y in 1..2;\nconstraint c { alldifferent(x, y); }"
     ))
-    with pytest.raises(CompileError, match=r"residual global constraint \(alldifferent\)"):
+    with pytest.raises(CompileError,
+                       match="target flat: model still contains alldifferent; add alldiffRewrite"):
         lower_to_flat(m)
 
 
 def test_residual_class_rejected():
     m = parse(SourceUnit("model R;\nint x in 1..2;\nclass C { int y in 1..2; }"))
-    with pytest.raises(CompileError, match=r"residual class \('C'\)"):
+    with pytest.raises(CompileError,
+                       match="target flat: model still contains classes; add objectFlatten"):
         lower_to_flat(m)
 
 
 def test_residual_enum_rejected():
     m = parse(SourceUnit("model R;\nenum E := {p,q};\nE v;"))
-    with pytest.raises(CompileError, match=r"residual enumeration \('E'\)"):
+    with pytest.raises(CompileError,
+                       match="target flat: model still contains enumerations; add enumRemove"):
         lower_to_flat(m)
 
 
@@ -188,3 +194,60 @@ def test_identity_fold_keeps_named_cell():
     # it must not be named a second time
     texts = _lowered_texts("model I;\nint x[2] in 1..3;\nconstraint c { 1 * x[1] + 0 = x[2]; }")
     assert texts == ["x__1 = x__2"]
+
+
+def _unbound_zone_model():
+    # marked resolved by hand: the occurrence of y names no declaration
+    zone = ir.ConstraintZone("c", (
+        ir.ExpressionConstraint(ir.BoolBinaryOp("=", ir.VarOccurrence("y"), ir.IntValue(1))),
+    ))
+    return sema.mark_resolved(ir.Model("M", (zone,)))
+
+
+def _global_model():
+    x = ir.Variable("x", "int", domain=ir.IntervalDomain(ir.IntValue(1), ir.IntValue(2)))
+    return ir.Model("M", (x, ir.GlobalCtr("foo", (ir.VarOccurrence("x"),))))
+
+
+@pytest.mark.parametrize("model,message", [
+    ("int n in 1..3;\nint x[n] in 1..2;", "residual non-ground dimension (variable 'x')"),
+    ("int n in 1..3;\nint x in 1..n;", "residual non-ground domain (variable 'x')"),
+    ("int n in 1..3;\nint x in {1, n};", "residual non-ground domain (variable 'x')"),
+    ("int n in 1..3;\nint x in ({1,2} union {n});", "residual non-ground domain (variable 'x')"),
+    ("int n in 1..3;\nint x[2] in 1..2;\nconstraint c { x[n] = 1; }",
+     "residual non-ground index (n)"),
+    ("int set s in {1,2};",
+     "residual set variable without an interval universe (variable 's')"),
+    ("real r in 1..2;", "residual real variable (variable 'r')"),
+    ("int x;", "residual variable without a finite domain (variable 'x')"),
+    ("int x[2,2] in 1..2;\nconstraint c { x[1] = 1; }", "residual partial array reference ('x')"),
+    (_unbound_zone_model(), "residual unknown variable (y)"),
+    ("real r := 1/3;\nint x in 1..2;\nconstraint c { x <= r; }",
+     "the flat format has no literal for 1/3, the value of constant 'r'"),
+    ("real r := exp(1000.0);\nint x in 1..2;\nconstraint c { x <= r; }",
+     "the value of constant 'r' is beyond the float range"),
+    ("real r := sqrt(0.0 - 1.0);\nint x in 1..2;\nconstraint c { x <= r; }",
+     "residual non-ground constant (r)"),
+    (_global_model(), "residual global constraint (foo)"),
+])
+def test_what_lowering_refuses(model, message):
+    if isinstance(model, str):
+        model = parse(SourceUnit(f"model M;\n{model}\n"))
+    with pytest.raises(CompileError) as info:
+        lower_to_flat(model)
+    assert str(info.value) == f"cannot lower model: {message}"
+
+
+def test_ground_set_expression_domain_lowers_to_membership():
+    p = lower_to_flat(parse(SourceUnit("model M;\nint x in ({1,2} union {5});\n")))
+    assert emit_flat(p) == "var int x in 1..5;\nconstraint x = 1 or x = 2 or x = 5;\n"
+
+
+def test_lowering_inlines_a_constant_the_passes_left(tmp_path):
+    model = tmp_path / "m.som"
+    model.write_text("model M;\nint c := 2;\nint x in 1..3;\nconstraint z { x >= c; }\n")
+    out = tmp_path / "m.flat"
+    argv = ["compile", "-m", str(model), "--target", "flat",
+            "--passes", "objectFlatten,enumRemove", "-o", str(out)]
+    assert main(argv) == 0
+    assert out.read_text() == "var int x in 1..3;\nconstraint x >= 2;\n"

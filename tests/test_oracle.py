@@ -412,6 +412,18 @@ def test_division_by_zero_raises(text):
         enumerate_solutions(parse_flat(text))
 
 
+def test_the_raising_constraint_is_named_from_a_later_search_function():
+    # y is the 20th variable, so a second generated function checks the
+    # line that fuses both constraints over x and y, with x read from P
+    text = "var int x in 1..2;\n" + "".join(f"var bool b{i};\n" for i in range(18))
+    text += "var int y in 0..1;\nconstraint x + y >= 1;\nconstraint sqrt(0.0 - x * y) <= 1.0;\n"
+    with pytest.raises(CompileError) as info:
+        enumerate_solutions(parse_flat(text))
+    assert str(info.value) == (
+        "the oracle cannot evaluate the constraint sqrt(0.0 - x * y) <= 1.0: math domain error"
+    )
+
+
 def test_conjunction_short_circuits_before_division():
     p = parse_flat("var int x in 0..2;\nconstraint x != 0 and 1 / x = 1;\n")
     assert [a["x"] for a in enumerate_solutions(p).solutions] == [1]
