@@ -190,16 +190,29 @@ class TypeKind(_Frozen):
         return self.kind in ("set_of_int", "set_of_enum")
 
 
+# The named kinds, interned: one TypeKind per (kind, name), so that sema
+# can compare the kinds it infers by identity.  Value equality still holds
+# for kinds made with TypeKind(...) directly.
+_NAMED_KINDS: dict[tuple[str, str], TypeKind] = {}
+
+
+def _named_kind(kind: str, name: str) -> TypeKind:
+    k = _NAMED_KINDS.get((kind, name))
+    if k is None:  # setdefault: two threads that meet a new name get one kind
+        k = _NAMED_KINDS.setdefault((kind, name), TypeKind(kind, name))
+    return k
+
+
 def enum_kind(name: str) -> TypeKind:
-    return TypeKind("enum", name)
+    return _named_kind("enum", name)
 
 
 def set_of_enum(name: str) -> TypeKind:
-    return TypeKind("set_of_enum", name)
+    return _named_kind("set_of_enum", name)
 
 
 def object_kind(name: str) -> TypeKind:
-    return TypeKind("object", name)
+    return _named_kind("object", name)
 
 
 # --------------------------------------------------------------------------

@@ -795,6 +795,13 @@ def _canonical_key(program: FlatProgram, domains: list[list]):
     )
 
 
+# What evaluating a constraint in the search can raise: a math domain or
+# range error, a complex power (ValueError), or what _div, _pow and
+# _ordered refuse (CompileError: division by zero, zero to a negative
+# power, sets compared by order).
+_EVALUATION_ERRORS = (ValueError, ArithmeticError, CompileError)
+
+
 def enumerate_solutions(
     program: FlatProgram,
     max_solutions: int = DEFAULT_MAX_SOLUTIONS,
@@ -824,9 +831,10 @@ def enumerate_solutions(
         nodes, complete = namespace["s0"]((), 0), True
     except _Stop as stop:
         nodes, complete = stop.args[0], False
-    except (ValueError, ArithmeticError) as exc:  # math domain, range or complex power
+    except _EVALUATION_ERRORS as exc:
         what = _raising_constraint(program, fused, namespace, exc)
-        raise CompileError(f"the oracle cannot evaluate {what}: {exc}") from None
+        message = exc.message if isinstance(exc, CompileError) else exc
+        raise CompileError(f"the oracle cannot evaluate {what}: {message}") from None
     finally:
         # each generated function's globals are this namespace: a cycle
         # that would keep OUT alive until the cyclic collector runs
@@ -848,7 +856,7 @@ def _raising_constraint(program: FlatProgram, fused: dict, namespace: dict, exc)
     for c, src in fused.get(line, ()):
         try:
             eval(src, namespace, dict(frame.f_locals))
-        except (ValueError, ArithmeticError):
+        except _EVALUATION_ERRORS:
             return f"the constraint {print_expression(program.constraints[c])}"
     return "a constraint"
 

@@ -25,6 +25,12 @@ from iff to multiplicative share one precedence-climbing loop over
 operands recurse (brackets, prefixes, '^', calls), so parentheses and
 prefixes up to the nesting cap stay within Python's default recursion
 limit.
+
+The lexer splits each line with one regex call and hands the parser two
+parallel lists, built by C-level calls with no Python code per token: the
+token texts, and the Loc of each token, made once and shared by every
+node that starts at that token.  The parser keeps only the position and
+the text of the current token, and tells a token's kind from its text.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from __future__ import annotations
 import math
 import re
 import sys
+from itertools import accumulate, repeat
 from typing import NamedTuple
 
 from . import ir
@@ -80,16 +87,8 @@ class SourceUnit(NamedTuple):
     data_file: str = "<data>"
 
 
-class Token(NamedTuple):
-    kind: str  # ID | INT | REAL | KW | OP | EOF
-    text: str
-    line: int
-    col: int
-
-
-# Builds a NamedTuple (Token, Loc) from a tuple of all its fields, without
-# the Python-level __new__ that checks arguments: the parser makes one Loc
-# per node.
+# Builds a Loc from a tuple of its fields without the Python-level __new__
+# that checks arguments.
 _new_tuple = tuple.__new__
 
 
@@ -98,142 +97,161 @@ class _Abort(Exception):
 
 
 class _SyntaxIssue(Exception):
-    def __init__(self, message: str, token: Token):
+    def __init__(self, message: str, loc: Loc):
         self.message = message
-        self.token = token
+        self.loc = loc
         super().__init__(message)
 
 
-def _finite(tok: Token) -> float:
-    """The value of the real literal tok; one beyond the float range has
+def _finite(text: str, loc: Loc) -> float:
+    """The value of the real literal text; one beyond the float range has
     no value, so it is refused."""
-    v = float(tok.text)
+    v = float(text)
     if math.isinf(v):
-        raise _SyntaxIssue(f"real literal '{tok.text}' is out of range", tok)
+        raise _SyntaxIssue(f"real literal '{text}' is out of range", loc)
     return v
 
 
-# One match per token, after any blanks.  A real needs a digit after its
-# '.' or its exponent sign ("1.e5" is 1 . e5, "2e+" is 2 e +); operators
-# are tried longest first; any other non-blank character is BAD.
+def _is_name(text: str) -> bool:
+    """Whether the token text is an identifier: every token that passes
+    ``isidentifier`` is an ID or a keyword."""
+    return text.isidentifier() and text not in KEYWORDS
+
+
+# Every token of a line, each in the one group, so that ``split`` returns
+# [gap, token, gap, ..., token, gap].  A real needs a digit after its '.'
+# or its exponent sign ("1.e5" is 1 . e5, "2e+" is 2 e +); operators are
+# tried longest first.  A gap holds blanks and the characters that start
+# no token.
 _TOKEN_RE = re.compile(
-    r"[ \t\r]*(?:(?P<NL>\n)|(?P<COMMENT>//[^\n]*)"
-    r"|(?P<ID>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<REAL>[0-9]+(?:\.[0-9]+(?:[eE][+-]?[0-9]+)?|[eE][+-]?[0-9]+))"
-    r"|(?P<INT>[0-9]+)"
-    r"|(?P<OP>" + "|".join(re.escape(op) for op in _OPERATORS) + r")"
-    r"|(?P<BAD>[^ \t\r\n]))"
+    r"([A-Za-z_][A-Za-z0-9_]*"
+    r"|[0-9]+(?:\.[0-9]+(?:[eE][+-]?[0-9]+)?|[eE][+-]?[0-9]+)?"
+    r"|" + "|".join(re.escape(op) for op in _OPERATORS) + r")"
 )
+_BLANKS_RE = re.compile(r"[ \t\r]*")
 
 
-def _lex(text: str, file: str, diags: list[Diagnostic]) -> list[Token]:
-    tokens: list[Token] = []
-    append = tokens.append
-    new_token = _new_tuple  # bound locally: read once per token
-    line, line_start = 1, 0
-    kind = None
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        start = m.start(kind)
-        if kind == "NL":
-            line += 1
-            line_start = start + 1
-        elif kind == "COMMENT":
-            comment_col = start - line_start + 1
-        elif kind == "BAD":
-            if len(diags) < MAX_DIAGNOSTICS:
-                diags.append(Diagnostic(
-                    "error", f"unexpected character {text[start]!r}",
-                    line, start - line_start + 1, file,
-                ))
-            if len(diags) >= MAX_DIAGNOSTICS:
-                raise _Abort()
-        else:
-            word = m.group(kind)
-            if kind == "ID" and word in KEYWORDS:
-                kind = "KW"
-            append(new_token(Token, (kind, word, line, start - line_start + 1)))
-    # a comment running to the end of the text leaves the column where it starts
-    col = comment_col if kind == "COMMENT" else len(text) - line_start + 1
-    append(Token("EOF", "", line, col))
-    return tokens
+def _lex(text: str, file: str, diags: list[Diagnostic]) -> tuple[list[str], list[Loc]]:
+    """The text and the Loc of every token, then of EOF, whose text is the
+    only empty one.  Each line is split by one regex call, and its
+    columns are running sums of the part lengths: no Python code runs
+    per token.  A comment runs from '//' (which no token contains) to the
+    end of its line."""
+    texts: list[str] = []
+    locs: list[Loc] = []
+    line_no = 0
+    for line in text.split("\n"):
+        line_no += 1
+        cut = line.find("//")
+        if cut >= 0:
+            line = line[:cut]
+        parts = _TOKEN_RE.split(line)
+        # cols[2i] is where gap i starts, cols[2i + 1] where token i does
+        cols = list(accumulate(map(len, parts), initial=1))
+        if not _BLANKS_RE.fullmatch("".join(parts[::2])):
+            _bad_characters(parts[::2], cols[::2], line_no, file, diags)
+        texts += parts[1::2]
+        locs += map(_new_tuple, repeat(Loc), zip(repeat(line_no), cols[1:-2:2], repeat(file)))
+    # EOF ends the last line, or starts where a comment ending the text does
+    texts.append("")
+    locs.append(Loc(line_no, len(line) + 1, file))
+    return texts, locs
+
+
+def _bad_characters(gaps, cols, line_no: int, file: str, diags: list[Diagnostic]):
+    for gap, col in zip(gaps, cols):
+        for offset, ch in enumerate(gap):
+            if ch not in " \t\r":
+                if len(diags) < MAX_DIAGNOSTICS:
+                    diags.append(Diagnostic(
+                        "error", f"unexpected character {ch!r}", line_no, col + offset, file
+                    ))
+                if len(diags) >= MAX_DIAGNOSTICS:
+                    raise _Abort()
 
 
 class _Parser:
     """Recursive descent over declarations and statements, precedence
-    climbing over binary operators.  An operator or keyword token is known
-    by its text alone: no identifier spells a keyword, and numbers and EOF
-    spell no operator."""
+    climbing over binary operators, on the lexer's parallel lists: the
+    parser holds the position and the text of the current token, and
+    reads a token's Loc only where a node or a diagnostic starts there.
+    An operator or keyword token is known by its text alone: no
+    identifier spells a keyword, and numbers and EOF spell no operator."""
 
-    def __init__(self, tokens: list[Token], file: str, diags: list[Diagnostic]):
-        self.tokens = tokens
-        self.file = file
+    def __init__(self, texts: list[str], locs: list[Loc], diags: list[Diagnostic]):
+        self.texts = texts
+        self.locs = locs
+        self.last = len(texts) - 1  # the position of EOF
         self.pos = 0
-        self.tok = tokens[0]  # the current token, tokens[pos]
+        self.text = texts[0]  # the current token's text, texts[pos]
         self.diags = diags
         self.depth = 0
 
     # ---- token plumbing ----
-    def peek(self, off: int = 1) -> Token:
-        return self.tokens[min(self.pos + off, len(self.tokens) - 1)]
+    def peek(self, off: int = 1) -> str:
+        return self.texts[min(self.pos + off, self.last)]
 
-    def advance(self) -> Token:
-        t = self.tok
-        if t.kind != "EOF":
+    def here(self) -> Loc:
+        return self.locs[self.pos]
+
+    def advance(self) -> str:
+        """Consume the current token, unless it is EOF; returns its text."""
+        text = self.text
+        if self.pos < self.last:
             self.pos += 1
-            self.tok = self.tokens[self.pos]
-        return t
+            self.text = self.texts[self.pos]
+        return text
 
-    def accept(self, text: str) -> Token | None:
-        if self.tok.text == text:
-            return self.advance()
-        return None
+    def accept(self, text: str) -> bool:
+        if self.text == text:
+            self.advance()
+            return True
+        return False
 
-    def expect(self, text: str) -> Token:
-        if self.tok.text == text:
-            return self.advance()
+    def expect(self, text: str) -> Loc:
+        """Consume the token text, which is not EOF's; returns its Loc."""
+        if self.text == text:
+            pos = self.pos
+            self.pos = pos + 1
+            self.text = self.texts[pos + 1]
+            return self.locs[pos]
         raise self._expected(text)
 
-    def expect_id(self) -> Token:
-        if self.tok.kind == "ID":
+    def expect_id(self) -> str:
+        if _is_name(self.text):
             return self.advance()
         raise self._expected("id")
 
     def _expected(self, want: str) -> _SyntaxIssue:
-        got = self.tok.text or "end of input"
-        return _SyntaxIssue(f"expected '{want}', found '{got}'", self.tok)
-
-    def loc(self, tok: Token) -> Loc:
-        return _new_tuple(Loc, (tok.line, tok.col, self.file))
+        got = self.text or "end of input"
+        return _SyntaxIssue(f"expected '{want}', found '{got}'", self.here())
 
     def error(self, issue: _SyntaxIssue):
         if len(self.diags) < MAX_DIAGNOSTICS:
-            self.diags.append(
-                Diagnostic("error", issue.message, issue.token.line, issue.token.col, self.file)
-            )
+            loc = issue.loc
+            self.diags.append(Diagnostic("error", issue.message, loc.line, loc.col, loc.file))
         if len(self.diags) >= MAX_DIAGNOSTICS:
             raise _Abort()
 
     def sync_decl(self):
         """Skip to a plausible declaration boundary after an error."""
-        while self.tok.kind != "EOF":
-            t = self.advance()
-            if t.text in (";", "}"):
+        while self.text:
+            if self.advance() in (";", "}"):
                 return
-            if self.tok.text in ("class", "enum", "constraint", "main"):
+            if self.text in ("class", "enum", "constraint", "main"):
                 return
 
     def sync_stmt(self):
-        while self.tok.kind != "EOF":
-            if self.tok.text == "}":
+        while self.text:
+            if self.text == "}":
                 return
-            if self.advance().text == ";":
+            if self.advance() == ";":
                 return
 
     # ---- declarations ----
     def parse_unit(self) -> list[ir.ModelElement]:
         elements: list[ir.ModelElement] = []
-        while self.tok.kind != "EOF":
+        while self.text:
             try:
                 elements.extend(self.parse_top_decl())
             except _SyntaxIssue as issue:
@@ -242,38 +260,38 @@ class _Parser:
         return elements
 
     def parse_top_decl(self) -> list[ir.ModelElement]:
-        t = self.tok
-        if t.text == "enum":
+        t = self.text
+        if t == "enum":
             return [self.parse_enum()]
-        if t.text in ("main", "class"):
+        if t in ("main", "class"):
             return [self.parse_class()]
-        if t.text == "constraint":
+        if t == "constraint":
             return [self.parse_zone()]
-        if t.kind == "ID" or t.text in ("int", "real", "bool"):
+        if _is_name(t) or t in ("int", "real", "bool"):
             return [self.parse_typed_decl()]
-        raise _SyntaxIssue(f"expected a declaration, found '{t.text}'", t)
+        raise _SyntaxIssue(f"expected a declaration, found '{t}'", self.here())
 
     def parse_enum(self) -> ir.Enumeration:
-        start = self.expect("enum")
-        name = self.expect_id().text
+        loc = self.expect("enum")
+        name = self.expect_id()
         self.expect(":=")
         self.expect("{")
-        literals = [self.expect_id().text]
+        literals = [self.expect_id()]
         while self.accept(","):
-            literals.append(self.expect_id().text)
+            literals.append(self.expect_id())
         self.expect("}")
         self.expect(";")
-        return ir.Enumeration(name, tuple(literals), loc=self.loc(start))
+        return ir.Enumeration(name, tuple(literals), loc=loc)
 
     def parse_class(self) -> ir.Class:
-        is_main = self.accept("main") is not None
-        start = self.expect("class")
-        name = self.expect_id().text
+        is_main = self.accept("main")
+        loc = self.expect("class")
+        name = self.expect_id()
         self.expect("{")
         features: list[ir.ModelFeature] = []
-        while self.tok.text != "}" and self.tok.kind != "EOF":
+        while self.text != "}" and self.text:
             try:
-                if self.tok.text == "constraint":
+                if self.text == "constraint":
                     features.append(self.parse_zone())
                 else:
                     features.append(self.parse_typed_decl())
@@ -281,25 +299,25 @@ class _Parser:
                 self.error(issue)
                 self.sync_stmt()
         self.expect("}")
-        return ir.Class(name, tuple(features), is_main, loc=self.loc(start))
+        return ir.Class(name, tuple(features), is_main, loc=loc)
 
     def parse_typed_decl(self) -> ir.ModelFeature:
-        start = self.tok
-        if start.text in ("int", "real", "bool"):
-            type_name = self.advance().text
+        loc = self.here()
+        if self.text in ("int", "real", "bool"):
+            type_name = self.advance()
         else:
-            type_name = self.expect_id().text
-        is_set = self.accept("set") is not None
-        name = self.expect_id().text
-        if self.tok.text == ":=":
+            type_name = self.expect_id()
+        is_set = self.accept("set")
+        name = self.expect_id()
+        if self.text == ":=":
             if is_set:
-                raise _SyntaxIssue("constants cannot be sets", self.tok)
+                raise _SyntaxIssue("constants cannot be sets", self.here())
             if type_name not in ("int", "real", "bool"):
-                raise _SyntaxIssue("constants must be int, real or bool", start)
+                raise _SyntaxIssue("constants must be int, real or bool", loc)
             self.advance()
             value = self.parse_expression()
             self.expect(";")
-            return ir.Constant(name, type_name, value, loc=self.loc(start))
+            return ir.Constant(name, type_name, value, loc=loc)
         dims: list[ir.Expression] = []
         if self.accept("["):
             dims.append(self.parse_expression())
@@ -310,34 +328,34 @@ class _Parser:
         if self.accept("in"):
             domain = self.parse_domain()
         self.expect(";")
-        return ir.Variable(name, type_name, is_set, tuple(dims), domain, loc=self.loc(start))
+        return ir.Variable(name, type_name, is_set, tuple(dims), domain, loc=loc)
 
     def parse_domain(self) -> ir.Domain:
-        start = self.tok
+        loc = self.here()
         if self.accept("{"):
             members = [self.parse_expression()]
             while self.accept(","):
                 members.append(self.parse_expression())
             self.expect("}")
-            return ir.SetDomain(tuple(members), loc=self.loc(start))
+            return ir.SetDomain(tuple(members), loc=loc)
         lo = self.parse_expression()
         if self.accept(".."):
             hi = self.parse_expression()
-            return ir.IntervalDomain(lo, hi, loc=self.loc(start))
-        return ir.ExprDomain(lo, loc=self.loc(start))
+            return ir.IntervalDomain(lo, hi, loc=loc)
+        return ir.ExprDomain(lo, loc=loc)
 
     def parse_zone(self) -> ir.ConstraintZone:
-        start = self.expect("constraint")
-        name = self.expect_id().text
+        loc = self.expect("constraint")
+        name = self.expect_id()
         self.expect("{")
         body = self.parse_stmt_list()
         self.expect("}")
-        return ir.ConstraintZone(name, tuple(body), loc=self.loc(start))
+        return ir.ConstraintZone(name, tuple(body), loc=loc)
 
     # ---- statements ----
     def parse_stmt_list(self) -> list[ir.Statement]:
         body: list[ir.Statement] = []
-        while self.tok.text != "}" and self.tok.kind != "EOF":
+        while self.text != "}" and self.text:
             try:
                 body.append(self.parse_stmt())
             except _SyntaxIssue as issue:
@@ -346,27 +364,24 @@ class _Parser:
         return body
 
     def parse_stmt(self) -> ir.Statement:
-        start = self.tok
+        loc = self.here()
         if self.depth >= MAX_NESTING:
-            raise _SyntaxIssue("statements nested too deeply", start)
-        if start.text == "forall":
+            raise _SyntaxIssue("statements nested too deeply", loc)
+        text = self.text
+        if text == "forall":
             return self.parse_forall()
-        if start.text == "if":
+        if text == "if":
             return self.parse_if()
-        if (
-            start.kind == "ID"
-            and start.text in GLOBAL_CONSTRAINT_NAMES
-            and self.peek().text == "("
-        ):
+        if text in GLOBAL_CONSTRAINT_NAMES and self.peek() == "(":
             return self.parse_global()
         expr = self.parse_expression()
         self.expect(";")
-        return ir.ExpressionConstraint(expr, loc=self.loc(start))
+        return ir.ExpressionConstraint(expr, loc=loc)
 
     def parse_forall(self) -> ir.ForAll:
-        start = self.expect("forall")
+        loc = self.expect("forall")
         self.expect("(")
-        iter_var = self.expect_id().text
+        iter_var = self.expect_id()
         self.expect("in")
         lower = self.parse_expression()
         self.expect("..")
@@ -381,10 +396,10 @@ class _Parser:
                 body = [self.parse_stmt()]
         finally:
             self.depth -= 1
-        return ir.ForAll(iter_var, lower, upper, tuple(body), loc=self.loc(start))
+        return ir.ForAll(iter_var, lower, upper, tuple(body), loc=loc)
 
     def parse_if(self) -> ir.If:
-        start = self.expect("if")
+        loc = self.expect("if")
         self.expect("(")
         cond = self.parse_expression()
         self.expect(")")
@@ -400,39 +415,54 @@ class _Parser:
                 self.expect("}")
         finally:
             self.depth -= 1
-        return ir.If(cond, tuple(then_body), else_body, loc=self.loc(start))
+        return ir.If(cond, tuple(then_body), else_body, loc=loc)
 
     def parse_global(self) -> ir.GlobalCtr:
-        start = self.expect_id()
+        loc = self.here()
+        name = self.advance()
         self.expect("(")
         params = self.parse_list()
         self.expect(")")
         self.expect(";")
-        return ir.GlobalCtr(start.text, tuple(params), loc=self.loc(start))
+        return ir.GlobalCtr(name, tuple(params), loc=loc)
 
     # ---- expressions ----
     def parse_expression(self, min_bp: int = 1) -> ir.Expression:
         """Parse the operators of BINARY_OPS that bind at least min_bp, by
-        precedence climbing with an explicit stack: before an operator is
-        pushed, the pending ones that bind at least as tightly take their
-        right operands, so every level is left-associative.  The loop adds
-        no call per operator; only operands recurse."""
-        operands = [self.parse_operand(min_bp)]
-        pending: list[tuple[int, type, Token]] = []
+        precedence climbing with an explicit stack: an operator waits on
+        the stack only while a tighter one follows its right operand; once
+        that operand is complete, the operator and every pending one that
+        binds at least as tightly as the next are built, so every level is
+        left-associative.  The loop adds no call per operator; only
+        operands recurse.  An expression of one operand, as most indexes
+        and arguments are, returns that operand before any stack is made."""
+        lhs = self.parse_operand(min_bp)
+        op = BINARY_OPS.get(self.text)
+        if op is None or op[0] < min_bp:
+            return lhs
+        # (left operand, binding power, node type, text, Loc) of each
+        # operator still waiting for its right operand
+        pending: list[tuple] = []
         while True:
-            tok = self.tok
-            op = BINARY_OPS.get(tok.text)
-            bp = op[0] if op is not None and op[0] >= min_bp else 0  # 0: the end
-            while pending and pending[-1][0] >= bp:
-                _bp, node_type, op_tok = pending.pop()
-                right = operands.pop()
-                operands[-1] = node_type(op_tok.text, operands[-1], right, loc=self.loc(op_tok))
-            if not bp:
-                return operands[0]
-            self.advance()
-            pending.append((bp, op[1], tok))
+            bp, node_type = op
+            pos = self.pos
+            text, loc = self.text, self.locs[pos]
+            self.pos = pos + 1  # an operator is never EOF, the last token
+            self.text = self.texts[pos + 1]
             # a right operand binds tighter than its operator
-            operands.append(self.parse_operand(bp + 1))
+            rhs = self.parse_operand(bp + 1)
+            op = BINARY_OPS.get(self.text)
+            next_bp = op[0] if op is not None and op[0] >= min_bp else 0  # 0: the end
+            if next_bp > bp:  # the next operator takes rhs
+                pending.append((lhs, bp, node_type, text, loc))
+                lhs = rhs
+                continue
+            lhs = node_type(text, lhs, rhs, loc=loc)
+            while pending and pending[-1][1] >= next_bp:
+                left, _bp, node_type, text, loc = pending.pop()
+                lhs = node_type(text, left, lhs, loc=loc)
+            if not next_bp:
+                return lhs
 
     def parse_operand(self, min_bp: int) -> ir.Expression:
         """One operand of the binary operators that bind at least min_bp:
@@ -440,101 +470,105 @@ class _Parser:
         by its indexes, navigation and exponent.  Every primary, the
         leaves included, is made here, so a name or number returns from
         this one call."""
-        tok = self.tok
-        kind, text = tok.kind, tok.text
-        loc = _new_tuple(Loc, (tok.line, tok.col, self.file))
-        if kind == "ID" and self.tokens[self.pos + 1].text != "(":  # EOF, not an ID, is last
-            self.advance()
-            node = ir.VarOccurrence(text, loc=loc)
-        elif kind == "INT":
-            self.advance()
-            node = ir.IntValue(int(text), loc=loc)
-        elif kind == "ID":
-            if text not in ir.ALG_FUNCTIONS:
-                raise _SyntaxIssue(f"unknown function '{text}'", tok)
-            self.advance()
-            self.advance()
-            args = self.nested(tok, self.parse_list)
-            self.expect(")")
-            node = ir.AlgFunction(text, tuple(args), loc=loc)
-        elif kind == "REAL":
-            self.advance()
-            node = ir.RealValue(_finite(tok), loc=loc)
-        elif text == "true" or text == "false":
-            self.advance()
-            node = ir.BoolValue(text == "true", loc=loc)
-        elif text == "not" and min_bp <= NOT_BP:
-            self.advance()
-            operand = self.nested(tok, self.parse_expression, NOT_BP)
-            return ir.BoolUnaryOp("not", operand, loc=loc)
-        elif text == "-" or text == "+":
-            return self.parse_signed(tok, loc)
-        elif text == "(":
-            self.advance()
-            node = self.nested(tok, self.parse_expression)
-            self.expect(")")
-        elif text == "{":
-            self.advance()
-            elems = self.nested(tok, self.parse_list) if self.tok.text != "}" else []
-            self.expect("}")
-            node = ir.SetValue(tuple(elems), loc=loc)
-        elif text == "card":
-            self.advance()
-            self.expect("(")
-            arg = self.nested(tok, self.parse_expression)
-            self.expect(")")
-            node = ir.SetFunction("card", arg, loc=loc)
+        text = self.text
+        pos = self.pos
+        loc = self.locs[pos]
+        # a name or a number is never EOF, the last token: pos + 1 exists
+        if text.isidentifier() and text not in KEYWORDS and self.texts[pos + 1] != "(":
+            self.pos = pos + 1
+            self.text = follow = self.texts[pos + 1]
+            if follow == "[" or follow == ".":
+                node = self.parse_path(text, loc)
+            else:
+                node = ir.VarOccurrence(text, loc=loc)
         else:
-            raise _SyntaxIssue(f"expected an expression, found '{text or 'end of input'}'", tok)
-        tok = self.tok
-        if tok.text == "[" or tok.text == ".":
-            node = self.parse_suffixes(node, tok)
-            tok = self.tok
-        if tok.text == "^":
+            if text.isdigit():
+                self.pos = pos + 1
+                self.text = self.texts[pos + 1]
+                node = ir.IntValue(int(text), loc=loc)
+            elif _is_name(text):
+                if text not in ir.ALG_FUNCTIONS:
+                    raise _SyntaxIssue(f"unknown function '{text}'", loc)
+                self.advance()
+                self.advance()
+                args = self.nested(loc, self.parse_list)
+                self.expect(")")
+                node = ir.AlgFunction(text, tuple(args), loc=loc)
+            elif text[:1].isdigit():
+                self.advance()
+                node = ir.RealValue(_finite(text, loc), loc=loc)
+            elif text == "true" or text == "false":
+                self.advance()
+                node = ir.BoolValue(text == "true", loc=loc)
+            elif text == "not" and min_bp <= NOT_BP:
+                self.advance()
+                operand = self.nested(loc, self.parse_expression, NOT_BP)
+                return ir.BoolUnaryOp("not", operand, loc=loc)
+            elif text == "-" or text == "+":
+                return self.parse_signed(text, loc)
+            elif text == "(":
+                self.advance()
+                node = self.nested(loc, self.parse_expression)
+                self.expect(")")
+            elif text == "{":
+                self.advance()
+                elems = self.nested(loc, self.parse_list) if self.text != "}" else []
+                self.expect("}")
+                node = ir.SetValue(tuple(elems), loc=loc)
+            elif text == "card":
+                self.advance()
+                self.expect("(")
+                arg = self.nested(loc, self.parse_expression)
+                self.expect(")")
+                node = ir.SetFunction("card", arg, loc=loc)
+            else:
+                raise _SyntaxIssue(f"expected an expression, found '{text or 'end of input'}'", loc)
+            if self.text == "[" or self.text == ".":
+                raise _SyntaxIssue("only variables can be indexed or navigated", self.here())
+        if self.text == "^":
+            op_loc = self.here()
             self.advance()
-            right = self.nested(tok, self.parse_operand, POWER_BP)  # right-assoc; may be signed
-            return ir.AlgBinaryOp("^", node, right, loc=self.loc(tok))
+            right = self.nested(op_loc, self.parse_operand, POWER_BP)  # right-assoc; may be signed
+            return ir.AlgBinaryOp("^", node, right, loc=op_loc)
         return node
 
-    def parse_signed(self, tok: Token, loc: Loc) -> ir.Expression:
-        """The operand after the sign tok, the current token."""
+    def parse_signed(self, sign: str, loc: Loc) -> ir.Expression:
+        """The operand after the sign, the current token, at loc."""
         self.advance()
-        negative = tok.text == "-"
+        negative = sign == "-"
         # a sign directly on a numeric literal folds into the literal,
         # unless '^' follows (the sign binds below the power: -2^2 = -(2^2))
-        lit = self.tok
-        if (lit.kind == "INT" or lit.kind == "REAL") and self.peek().text != "^":
+        lit = self.text
+        if lit[:1].isdigit() and self.peek() != "^":
+            lit_loc = self.here()
             self.advance()
-            if lit.kind == "INT":
-                v = int(lit.text)
+            if lit.isdigit():
+                v = int(lit)
                 return ir.IntValue(-v if negative else v, loc=loc)
-            v = _finite(lit)
+            v = _finite(lit, lit_loc)
             return ir.RealValue(-v if negative else v, loc=loc)
-        operand = self.nested(tok, self.parse_operand, POWER_BP)
+        operand = self.nested(loc, self.parse_operand, POWER_BP)
         return ir.AlgUnaryOp("neg" if negative else "plus", operand, loc=loc)
 
-    def parse_suffixes(self, node: ir.Expression, tok: Token) -> ir.Expression:
-        """Indexes and navigation after node; tok, the current token, is
-        '[' or '.'."""
-        if not isinstance(node, ir.VarOccurrence):
-            raise _SyntaxIssue("only variables can be indexed or navigated", tok)
-        if tok.text == "[":
-            node = ir.VarOccurrence(node.name, tuple(self.parse_indexes()), loc=node.loc)
-        if self.tok.text != ".":
+    def parse_path(self, name: str, loc: Loc) -> ir.Expression:
+        """The occurrence of name, at loc, with the indexes and navigation
+        steps that follow it; the current token is '[' or '.'."""
+        indexes = self.parse_indexes() if self.text == "[" else ()
+        node = ir.VarOccurrence(name, indexes, loc=loc)
+        if self.text != ".":
             return node
         steps = [node]
         while self.accept("."):
-            name_tok = self.expect_id()
-            indexes: tuple[ir.Expression, ...] = ()
-            if self.tok.text == "[":
-                indexes = tuple(self.parse_indexes())
-            steps.append(ir.VarOccurrence(name_tok.text, indexes, loc=self.loc(name_tok)))
-        return ir.ObjectOccurrence(tuple(steps), loc=steps[0].loc)
+            step_loc = self.here()
+            step = self.expect_id()
+            indexes = self.parse_indexes() if self.text == "[" else ()
+            steps.append(ir.VarOccurrence(step, indexes, loc=step_loc))
+        return ir.ObjectOccurrence(tuple(steps), loc=loc)
 
-    def parse_indexes(self) -> list[ir.Expression]:
+    def parse_indexes(self) -> tuple[ir.Expression, ...]:
         indexes = self.nested(self.expect("["), self.parse_list)
         self.expect("]")
-        return indexes
+        return tuple(indexes)
 
     def parse_list(self) -> list[ir.Expression]:
         """One or more comma-separated expressions."""
@@ -543,13 +577,13 @@ class _Parser:
             items.append(self.parse_expression())
         return items
 
-    def nested(self, tok: Token, parse, *args):
+    def nested(self, loc: Loc, parse, *args):
         """parse(*args) one nesting level deeper; every bracket, call and
         prefix operator of an expression goes through here, so that input
-        nested past MAX_NESTING is a diagnostic at tok, not a
+        nested past MAX_NESTING is a diagnostic at loc, not a
         RecursionError."""
         if self.depth >= MAX_NESTING:
-            raise _SyntaxIssue("expression nested too deeply", tok)
+            raise _SyntaxIssue("expression nested too deeply", loc)
         self.depth += 1
         try:
             return parse(*args)
@@ -558,18 +592,16 @@ class _Parser:
 
 
 def _parse_decls(text: str, file: str, diags: list[Diagnostic], allow_header: bool):
-    tokens = _lex(text, file, diags)
-    parser = _Parser(tokens, file, diags)
+    parser = _Parser(*_lex(text, file, diags), diags)
     header_name = None
     if (
         allow_header
-        and parser.tok.kind == "ID"
-        and parser.tok.text == "model"
-        and parser.peek().kind == "ID"
-        and parser.peek(2).text == ";"
+        and parser.text == "model"
+        and _is_name(parser.peek())
+        and parser.peek(2) == ";"
     ):
         parser.advance()
-        header_name = parser.advance().text
+        header_name = parser.advance()
         parser.advance()
     return parser.parse_unit(), header_name
 
@@ -607,13 +639,12 @@ def parse_expression(text: str, file: str = "<expr>") -> ir.Expression:
     """Parse a standalone expression with the model grammar's precedence."""
     diags: list[Diagnostic] = []
     try:
-        tokens = _lex(text, file, diags)
-        parser = _Parser(tokens, file, diags)
+        parser = _Parser(*_lex(text, file, diags), diags)
         expr = parser.parse_expression()
-        if parser.tok.kind != "EOF":
-            raise _SyntaxIssue(f"unexpected trailing input '{parser.tok.text}'", parser.tok)
+        if parser.text:
+            raise _SyntaxIssue(f"unexpected trailing input '{parser.text}'", parser.here())
     except _SyntaxIssue as issue:
-        diags.append(Diagnostic("error", issue.message, issue.token.line, issue.token.col, file))
+        diags.append(Diagnostic("error", issue.message, issue.loc.line, issue.loc.col, file))
         raise ParseError(diags) from None
     except _Abort:
         raise ParseError(diags) from None

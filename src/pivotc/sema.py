@@ -1,11 +1,16 @@
 """Name resolution, type inference and model validation, in one walk.
 
-``resolve`` walks a model once.  At each name occurrence it looks the name
-up once and binds the occurrence to its declaration; at each node it
-computes the node's TypeKind from its children's kinds, and it records
-the model's diagnostics on the way.  It raises on the first name that does
-not resolve, so an unresolved name wins over any type error, and it
-returns a new model; it is idempotent, and returns its own output as is.
+``resolve`` walks a model once.  At each name occurrence it binds the
+occurrence to its declaration; at each node it computes the node's
+TypeKind from its children's kinds, and it records the model's
+diagnostics on the way.  It raises on the first name that does not
+resolve, so an unresolved name wins over any type error, and it returns
+a new model, in which each node of the input that is not a literal is
+built once, with its bound children; it is idempotent, and returns its
+own output as is.  The walk looks each name up once per scope, types
+each declaration once and indexes each class's attributes once, in
+caches that die with it (see ``_Walk``): an occurrence costs a dict
+lookup, whatever its declaration.
 ``validate`` returns the diagnostics that walk recorded for a model
 ``resolve`` returned, and runs the same walk on any other model; it never
 raises.  ``infer_type`` walks one expression and raises its first type
@@ -88,9 +93,8 @@ class Scope:
         return child
 
     def lookup(self, name: str):
-        """Return (kind, declaration-or-info); iterators shadow everything."""
-        if name in self.iters:
-            return "iterator", None
+        """Return (kind, declaration-or-info) of a name that is not an
+        iterator: iterators shadow everything, so callers test them first."""
         if self.features is not None and name in self.features:
             decl = self.features[name]
             kind = "constant" if isinstance(decl, ir.Constant) else "variable"
@@ -200,7 +204,7 @@ def decl_kind(decl: ir.TypedElement, scope: Scope) -> ir.TypeKind:
     base = scalar_kind(decl.type_name, scope, decl.loc)
     if not decl.is_set:
         return base
-    if base == ir.INTEGER:
+    if base is ir.INTEGER:
         return ir.SET_OF_INT
     if base.kind == "enum":
         return ir.set_of_enum(base.name)
@@ -222,7 +226,15 @@ class _Walk:
     walked: the walk goes on binding after it, because an unresolved name
     must still raise, but records nothing more for that expression.
     ``ground`` tells whether that expression has read no variable and no
-    iterator."""
+    iterator.
+
+    Three caches, each dropped with the walk, make an occurrence cost a
+    dict lookup: ``names`` holds what each name of the current class (or
+    of the top level) binds to, ``kinds`` each declaration's TypeKind (or
+    the error that it has none), computed once, when the walk first needs
+    it, and ``attributes`` each class's attributes by name, for
+    navigation steps.  Kinds are interned (``ir.enum_kind`` and the
+    like), so the walk compares them by identity."""
 
     def __init__(self, scope: Scope):
         self.scope = scope
@@ -230,6 +242,9 @@ class _Walk:
         self.error: CompileError | None = None
         self.ground = True
         self.binding = ir.Bindings()
+        self.names: dict[str, tuple] = {}  # name -> (Binding, declaration, kind)
+        self.kinds: dict[int, ir.TypeKind | CompileError] = {}  # by id of the declaration
+        self.attributes: dict[str, dict[str, tuple]] = {}  # class -> name -> (.., class)
 
     def _note(self, message: str, node: ir.Node | None):
         self.diags.append(_diag(message, node))
@@ -257,9 +272,10 @@ class _Walk:
                     if f.name in names:
                         self._note(f"duplicate feature '{f.name}' in class '{e.name}'", f)
                     names.add(f.name)
-            outer, self.scope = self.scope, self.scope.in_class(e)
+            outer = self.scope, self.names
+            self.scope, self.names = self.scope.in_class(e), {}
             features = self.elements(e.features)
-            self.scope = outer
+            self.scope, self.names = outer
             return ir.rebuild(e, {"features": features})
         return e
 
@@ -279,7 +295,7 @@ class _Walk:
                     self._note(f"'{d.name}': object variables cannot be sets", d)
                 if d.domain is not None:
                     self._note(f"'{d.name}': object variables take no domain", d)
-            elif d.is_set and base != ir.INTEGER and base.kind != "enum":
+            elif d.is_set and base is not ir.INTEGER and base.kind != "enum":
                 self._note(f"'{d.name}': sets of {base} are not supported", d)
             update = {"dims": dims, "domain": self.domain(d.domain)}
         else:
@@ -288,9 +304,9 @@ class _Walk:
                 self._note(f"constant '{d.name}' must have a ground value", d)
             value, k = self.settle(value, k)
             if k is not None and not d.is_set and not d.dims and not (
-                k == base
-                or (base == ir.REAL and k in (ir.INTEGER, ir.BOOLEAN))
-                or (base == ir.INTEGER and k == ir.BOOLEAN)
+                k is base
+                or (base is ir.REAL and (k is ir.INTEGER or k is ir.BOOLEAN))
+                or (base is ir.INTEGER and k is ir.BOOLEAN)
             ):
                 self._note(f"constant '{d.name}' declared {base} but valued {k}", d)
             update = {"dims": dims, "value": value}
@@ -329,14 +345,11 @@ class _Walk:
             expr, _ = self.check(s.expr, ir.BOOLEAN, "constraint expression")
             return ir.rebuild(s, {"expr": expr})
         if isinstance(s, ir.GlobalCtr):
-            if not s.ctr_name:
-                self._note("global constraint must be named", s)
             params = []
             for p in s.params:
                 p, k = self.check(p, None, "global constraint parameter")
-                if s.ctr_name == "alldifferent" and k is not None and k not in (
-                    ir.INTEGER, ir.BOOLEAN
-                ):
+                if (s.ctr_name == "alldifferent" and k is not None
+                        and k is not ir.INTEGER and k is not ir.BOOLEAN):
                     self._note(f"alldifferent parameter must be integer, found {k}", p)
                 params.append(p)
             return ir.rebuild(s, {"params": tuple(params)})
@@ -367,7 +380,7 @@ class _Walk:
         if self.error is not None:  # at the node whose check failed
             self._note(self.error.message, self.error if self.error.loc else e)
             return e, None
-        if want is not None and k != want and not (want == ir.INTEGER and k == ir.BOOLEAN):
+        if want is not None and k is not want and not (want is ir.INTEGER and k is ir.BOOLEAN):
             self._note(f"{what} must be {want}, found {k}", e)
         return e, k
 
@@ -378,16 +391,16 @@ class _Walk:
 
     def number(self, k, e: ir.Expression):
         """k as an arithmetic operand: boolean counts as integer."""
-        if k in (ir.INTEGER, ir.REAL):
+        if k is ir.INTEGER or k is ir.REAL:
             return k
-        if k == ir.BOOLEAN:
+        if k is ir.BOOLEAN:
             return ir.INTEGER
         if k is not None:
             self._fail("numeric operand expected", e)
         return None
 
     def require(self, k, want: ir.TypeKind, e: ir.Expression, what: str):
-        if k is not None and k != want:
+        if k is not None and k is not want:
             self._fail(f"{what} must be {want}", e)
 
     def expr(self, e: ir.Expression):
@@ -408,7 +421,7 @@ class _Walk:
             e = ir.rebuild(e, {"left": left, "right": right})
             if lk is None or rk is None:
                 return e, None
-            return e, ir.REAL if e.op == "/" or ir.REAL in (lk, rk) else ir.INTEGER
+            return e, ir.REAL if e.op == "/" or lk is ir.REAL or rk is ir.REAL else ir.INTEGER
         if t is ir.BoolBinaryOp:
             logical = e.op in _LOGICAL_OPS
             left, lk = self.expr(e.left)
@@ -422,7 +435,7 @@ class _Walk:
             if lk is None or rk is None:
                 return e, None
             if (lk.is_numeric and rk.is_numeric) or (
-                e.op in ("=", "!=") and lk == rk and (lk.is_set or lk.kind == "enum")
+                e.op in ("=", "!=") and lk is rk and (lk.is_set or lk.kind == "enum")
             ):
                 return e, ir.BOOLEAN
             self._fail(f"'{e.op}' cannot compare {lk} with {rk}", e)
@@ -447,7 +460,7 @@ class _Walk:
             e = ir.rebuild(e, {"left": left, "right": right})
             if lk is None or rk is None:
                 return e, None
-            if not lk.is_set or lk != rk:
+            if not lk.is_set or lk is not rk:
                 self._fail(f"'{e.op}' expects two sets of the same element type", e)
                 return e, None
             return e, lk
@@ -460,14 +473,14 @@ class _Walk:
             e = ir.rebuild(e, {"elems": tuple(elems)})
             if not kinds:
                 return e, ir.SET_OF_INT
-            if any(k is None for k in kinds):
+            if None in kinds:
                 return e, None
             if all(k.is_numeric for k in kinds):
                 for k, x in zip(kinds, elems):
                     self.require(self.number(k, x), ir.INTEGER, x, "set element")
                 return e, ir.SET_OF_INT
             first = kinds[0]
-            if first.kind == "enum" and all(k == first for k in kinds):
+            if first.kind == "enum" and all(k is first for k in kinds):
                 return e, ir.set_of_enum(first.name)
             self._fail("set elements must all be integers or literals of one enumeration", e)
             return e, None
@@ -479,20 +492,30 @@ class _Walk:
                     self._fail(f"'{e.fn}' expects at least 2 arguments", e)
             elif len(e.args) != 1:
                 self._fail(f"'{e.fn}' expects exactly 1 argument", e)
-            args, kinds = [], []
+            args, real = [], False
             for a in e.args:
                 a, k = self.expr(a)
                 args.append(a)
-                kinds.append(self.number(k, a))
+                real = self.number(k, a) is ir.REAL or real
             e = ir.rebuild(e, {"args": tuple(args)})
             if e.fn in ("abs", "min", "max"):
-                return e, ir.REAL if ir.REAL in kinds else ir.INTEGER
+                return e, ir.REAL if real else ir.INTEGER
             return e, ir.REAL
         raise TypeError(f"unknown expression {e!r}")
 
     def bind(self, e: ir.VarOccurrence):
-        """Look e's name up, once: its Binding and its declaration (None for
-        an iterator or an enum literal)."""
+        """What e's name refers to, looked up once per name and scope: its
+        Binding, its declaration (None for an iterator or an enum
+        literal) and its kind (or the error that it has none)."""
+        name = e.name
+        if name in self.scope.iters:
+            return self.binding("iterator", name), None, ir.INTEGER
+        entry = self.names.get(name)
+        if entry is None:
+            entry = self.names[name] = self.lookup(e)
+        return entry
+
+    def lookup(self, e: ir.VarOccurrence):
         scope = self.scope
         try:
             kind, decl = scope.lookup(e.name)
@@ -500,15 +523,27 @@ class _Walk:
             raise UnresolvedNameError(e.name, e.loc) from None
         if kind == "variable" or kind == "constant":
             owner = scope.owner if scope.features and e.name in scope.features else None
-            return self.binding(kind, e.name, owner=owner), decl
-        if kind == "iterator":
-            return self.binding("iterator", e.name), None
+            return self.binding(kind, e.name, owner=owner), decl, self.kind_of(decl)
         if kind == "enum_literal":
-            return self.binding(kind, e.name, *decl), None
+            return self.binding(kind, e.name, *decl), None, ir.enum_kind(decl[0])
         raise UnresolvedNameError(e.name, e.loc, f"'{e.name}' names a {kind}, not a value")
 
-    def occurrence(self, e: ir.VarOccurrence, binding: ir.Binding, decl):
-        """Bind and type one occurrence or path step: the checks on e come
+    def kind_of(self, decl: ir.TypedElement):
+        """decl's TypeKind, or the CompileError that its type is unknown or
+        unsupported: computed once per declaration."""
+        k = self.kinds.get(id(decl))
+        if k is None:
+            try:
+                k = decl_kind(decl, self.scope)
+            except CompileError as exc:
+                k = exc
+            self.kinds[id(decl)] = k
+        return k
+
+    def occurrence(self, e: ir.VarOccurrence, binding: ir.Binding, decl, declared):
+        """Bind and type one occurrence or path step, whose name ``bind``
+        (or ``attributes_of``) resolved to binding, decl and the declared
+        kind (or the error that there is none): the checks on e come
         before its indexes, and e's kind after them."""
         kind = binding.kind
         if kind == "variable" or kind == "iterator":
@@ -529,26 +564,18 @@ class _Walk:
             self.require(self.number(k, i), ir.INTEGER, i, "array index")
             indexes.append(i)
         e = ir.rebuild(e, {"indexes": tuple(indexes), "binding": binding})
-        if kind == "iterator":
-            return e, ir.INTEGER
-        if kind == "enum_literal":
-            return e, ir.enum_kind(binding.enum_name)
-        try:
-            return e, decl_kind(decl, self.scope)
-        except CompileError as exc:  # the declaration's type is unknown or unsupported
-            self.error = self.error or exc
-            return e, None
+        if type(declared) is ir.TypeKind:
+            return e, declared
+        self.error = self.error or declared  # the declaration's type is unknown or unsupported
+        return e, None
 
     def path(self, e: ir.ObjectOccurrence):
         """Bind and type a navigation path: each step's attribute is found
         in the class of the step before it."""
         self.ground = False
-        if not e.path:
-            self._fail("empty navigation path", e)
-            return e, None
         head = e.path[0]
-        binding, decl = self.bind(head)
-        step, kind = self.occurrence(head, binding, decl)
+        binding, decl, declared = self.bind(head)
+        step, kind = self.occurrence(head, binding, decl, declared)
         steps = [step]
         cls = self.scope.class_named(decl.type_name) if decl is not None else None
         for step in e.path[1:]:
@@ -556,17 +583,27 @@ class _Walk:
                 raise UnresolvedNameError(
                     step.name, step.loc, f"cannot navigate into '{steps[-1].name}'"
                 )
-            feature = next(
-                (f for f in cls.features
-                 if isinstance(f, (ir.Variable, ir.Constant)) and f.name == step.name),
-                None,
-            )
-            if feature is None:
+            entry = self.attributes_of(cls).get(step.name)
+            if entry is None:
                 raise UnresolvedNameError(
                     step.name, step.loc, f"class '{cls.name}' has no attribute '{step.name}'"
                 )
-            k = "constant" if isinstance(feature, ir.Constant) else "variable"
-            step, kind = self.occurrence(step, self.binding(k, step.name, owner=cls.name), feature)
+            step, kind = self.occurrence(step, *entry[:3])
             steps.append(step)
-            cls = self.scope.class_named(feature.type_name)
+            cls = entry[3]
         return ir.rebuild(e, {"path": tuple(steps)}), kind
+
+    def attributes_of(self, cls: ir.Class) -> dict[str, tuple]:
+        """Each attribute of cls by name (the first, if a name repeats):
+        its Binding, itself, its kind and its class, if any."""
+        found = self.attributes.get(cls.name)
+        if found is None:
+            found = self.attributes[cls.name] = {}
+            for f in cls.features:
+                if isinstance(f, (ir.Variable, ir.Constant)) and f.name not in found:
+                    k = "constant" if isinstance(f, ir.Constant) else "variable"
+                    found[f.name] = (
+                        self.binding(k, f.name, owner=cls.name), f, self.kind_of(f),
+                        self.scope.class_named(f.type_name),
+                    )
+        return found

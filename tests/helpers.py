@@ -437,3 +437,41 @@ def gen_loop_model(rng: random.Random) -> ir.Model:
         f"constraint z {{\n{stmts([], 3, '  ')}}}\n"
     )
     return parse(SourceUnit(text))
+
+
+def wide_source(rng: random.Random, constraints: int = 40, instances: int = 4) -> str:
+    """The text of a small model of the wide-clp shape: an enumeration, a
+    chain of constants, a class with a set attribute instantiated by a
+    main class, explicit constraints over array cells, attributes and
+    sets, and one loop."""
+    tags = [f"t{i}" for i in range(6)]
+    parts = [f"o{i}" for i in range(instances)]
+    lines = ["model Wide;", f"enum Tag := {{{', '.join(tags)}}};", "int c1 := 7;"]
+    lines += [f"int c{k} := c{rng.randint(1, k - 1)} + ({rng.randint(-9, 9)});" for k in range(2, 11)]
+    lines += [
+        "int nx := 12;",
+        "class Part {", "  Tag set tags;", "  int w in 0..50;", "  constraint own { card(tags) <= 4; }", "}",
+        "main class Wide {", *(f"  Part {o};" for o in parts), "  int x[nx] in 0..99;",
+        "  constraint explicit {",
+    ]
+
+    def cell() -> str:
+        return f"x[{rng.randint(1, 12)}]"
+
+    for i in range(constraints):
+        op, c = rng.choice(["<=", ">=", "<", ">", "!="]), f"c{rng.randint(1, 10)}"
+        p, q = rng.sample(parts, 2)
+        if i % 4 == 0:
+            a, b, d = (rng.randint(2, 9) for _ in range(3))
+            text = f"{a}*{cell()} + {b}*{cell()} - {d}*{cell()} {op} {c} + {rng.randint(10, 99)}"
+        elif i % 4 == 1:
+            text = f"{p}.w + {q}.w + {cell()} {op} {c} - c1"
+        elif i % 4 == 2:
+            text = f"card({p}.tags intersect {q}.tags) {op} {rng.randint(1, 4)}"
+        else:
+            t1, t2 = rng.sample(tags, 2)
+            text = f"card({p}.tags union {{{t1}, {t2}}}) {op} {rng.randint(2, 6)}"
+        lines.append(f"    {text};")
+    lines += ["  }", "  constraint chain {", "    forall(i in 1..nx-1) {", "      x[i] <= x[i+1] + c1;",
+              "    }", "  }", "}"]
+    return "\n".join(lines) + "\n"

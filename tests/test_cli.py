@@ -300,6 +300,20 @@ def test_check_of_a_constraint_the_oracle_cannot_evaluate(tmp_path, capsys, cons
     )
 
 
+@pytest.mark.parametrize("constraint,message", [
+    ("1 / x = 1", "division by zero"),
+    ("x ^ -1 = 1", "zero raised to a negative power"),
+])
+def test_check_names_the_constraint_that_divides_by_zero(tmp_path, capsys, constraint, message):
+    # the search's own refusals name their constraint as a math error does
+    model = f"int x in 0..2; int y in 0..2; constraint k {{ x + y >= 0; {constraint}; }}\n"
+    _, argv = _command(tmp_path, model, None)
+    assert main(argv) == 1
+    assert capsys.readouterr() == (
+        "", f"error: the oracle cannot evaluate the constraint {constraint}: {message}\n"
+    )
+
+
 @pytest.mark.parametrize("target", [None, "flat"])
 def test_constant_beyond_the_float_range_is_named(tmp_path, capsys, target):
     model = "model M;\nreal r := 1e300 * 1e300;\nint x in 1..3;\nconstraint k { x <= r; }\n"

@@ -194,6 +194,14 @@ def test_repr_shows_compared_fields_only():
     assert repr(ir.enum_kind("Color")) == "TypeKind(kind='enum', name='Color')"
 
 
+def test_named_kinds_are_interned_and_compare_by_value():
+    assert ir.enum_kind("Color") is ir.enum_kind("Color")
+    assert ir.set_of_enum("Color") is ir.set_of_enum("Color") is not ir.enum_kind("Color")
+    assert ir.object_kind("C") is ir.object_kind("C")
+    assert ir.enum_kind("Color") == ir.TypeKind("enum", "Color")
+    assert ir.enum_kind("Color") != ir.set_of_enum("Color")
+
+
 def test_nodes_refuse_assignment():
     e = _binary()
     with pytest.raises(AttributeError):

@@ -412,6 +412,19 @@ def test_division_by_zero_raises(text):
         enumerate_solutions(parse_flat(text))
 
 
+@pytest.mark.parametrize("text,culprit,message", [
+    ("var int x in 0..1;\nconstraint x >= 0;\nconstraint 1 / x = 1;\n",
+     "1 / x = 1", "division by zero"),
+    ("var int x in -1..1;\nconstraint x >= -1;\nconstraint x ^ -1 = 1;\n",
+     "x ^ -1 = 1", "zero raised to a negative power"),
+])
+def test_a_refused_division_names_its_constraint(text, culprit, message):
+    # both constraints read only x, so one line checks them; the second raises
+    with pytest.raises(CompileError) as info:
+        enumerate_solutions(parse_flat(text))
+    assert str(info.value) == f"the oracle cannot evaluate the constraint {culprit}: {message}"
+
+
 def test_the_raising_constraint_is_named_from_a_later_search_function():
     # y is the 20th variable, so a second generated function checks the
     # line that fuses both constraints over x and y, with x read from P

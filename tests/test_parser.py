@@ -1,11 +1,14 @@
+import random
 import sys
 
 import pytest
 
+from conftest import ALL_FIXTURES, load_unit
+from helpers import gen_model, wide_source
 from pivotc import ir
 from pivotc.errors import ParseError
 from pivotc.parser import SourceUnit, parse, parse_expression
-from pivotc.printer import print_expression
+from pivotc.printer import print_expression, print_pivot
 
 
 def test_golfers_model_shape(golfers):
@@ -224,6 +227,28 @@ PINNED_DIAGNOSTICS = {
         "model M;\nint x in 1..3 // no semicolon",
         [("expected ';', found 'end of input'", 2, 15)],
     ),
+    "comment_at_eof_after_a_statement": (
+        "constraint c { x = 1; // open",
+        [("expected '}', found 'end of input'", 1, 23)],
+    ),
+    "comment_on_the_last_line": (
+        "constraint c { x = 1;\n   // open",
+        [("expected '}', found 'end of input'", 2, 4)],
+    ),
+    "blanks_before_eof": (
+        "constraint c { x = 1;   ",
+        [("expected '}', found 'end of input'", 1, 25)],
+    ),
+    "bad_characters_between_tokens": (
+        "int x\tin 1..3; @ int y; # ! :\t@@",
+        [("unexpected character '@'", 1, 16), ("unexpected character '#'", 1, 25),
+         ("unexpected character '!'", 1, 27), ("unexpected character ':'", 1, 29),
+         ("unexpected character '@'", 1, 31), ("unexpected character '@'", 1, 32)],
+    ),
+    "non_ascii_letter": (
+        "int é;",
+        [("unexpected character 'é'", 1, 5), ("expected 'id', found ';'", 1, 6)],
+    ),
     "real_without_fraction_digits": (
         "int x;\nconstraint c { x = 1.e5; }\n",
         [("only variables can be indexed or navigated", 2, 21)],
@@ -262,6 +287,10 @@ PINNED_DIAGNOSTICS = {
     "deep_statements": (
         "int x;\nconstraint c {\n" + "forall(i in 1..2)\n" * DEEP + "x = 1;\n}\n",
         [("statements nested too deeply", 67, 1)],
+    ),
+    "constant_set": (
+        "int set k := 1;\n",
+        [("constants cannot be sets", 1, 11)],
     ),
     "not_after_comparison": (
         "bool a;\nbool b;\nconstraint c { a = not b; }\n",
@@ -307,6 +336,9 @@ def test_pinned_diagnostics(name):
     ("1 + 2 )", [("unexpected trailing input ')'", 1, 7)]),
     ("1 + frob(2)", [("unknown function 'frob'", 1, 5)]),
     ("", [("expected an expression, found 'end of input'", 1, 1)]),
+    # a character that starts no token fails an expression that parses
+    ("x @", [("unexpected character '@'", 1, 3)]),
+    ("@" * 25, [("unexpected character '@'", 1, col) for col in range(1, 21)]),
 ])
 def test_pinned_expression_diagnostics(text, expected):
     with pytest.raises(ParseError) as info:
@@ -382,3 +414,113 @@ def test_operand_locations():
     assert [str(d) for d in info.value.diagnostics] == [
         "m.som:2:24: error: unknown function 'frob'"
     ]
+
+
+# --------------------------------------------------------------------------
+# Every node's Loc, checked against the source text without the lexer: the
+# line loc.line, from column loc.col on, starts with the node's first token.
+
+_DIGITS = tuple("0123456789")
+
+
+def _leading(node) -> tuple[str, ...]:
+    """The texts the first token of node's whole span may have."""
+    if isinstance(node, (ir.AlgBinaryOp, ir.BoolBinaryOp, ir.SetBinaryOp)):
+        return _leading(node.left)
+    return _first_tokens(node)
+
+
+def _first_tokens(node) -> tuple[str, ...]:
+    """The texts the token at node.loc may have."""
+    t = type(node)
+    if t is ir.VarOccurrence:
+        return (node.name,)
+    if t is ir.ObjectOccurrence:
+        return (node.path[0].name,)
+    if t in (ir.IntValue, ir.RealValue):  # a sign folded into the literal starts it
+        return ("-",) if node.v < 0 else ("+",) + _DIGITS
+    if t is ir.BoolValue:
+        return ("true" if node.value else "false",)
+    if t in (ir.AlgBinaryOp, ir.BoolBinaryOp, ir.SetBinaryOp):
+        return (node.op,)
+    if t is ir.AlgUnaryOp:
+        return ("-" if node.op == "neg" else "+",)
+    fixed = {ir.BoolUnaryOp: "not", ir.SetValue: "{", ir.SetFunction: "card", ir.ForAll: "forall",
+             ir.If: "if", ir.ConstraintZone: "constraint", ir.Class: "class", ir.Enumeration: "enum",
+             ir.SetDomain: "{"}
+    if t in fixed:
+        return (fixed[t],)
+    if t is ir.AlgFunction:
+        return (node.fn,)
+    if t is ir.GlobalCtr:
+        return (node.ctr_name,)
+    if t in (ir.Variable, ir.Constant):
+        return (node.type_name,)
+    # a statement or a domain starts where its first expression does, or at
+    # the brackets around it
+    return ("(",) + _leading({ir.ExpressionConstraint: lambda n: n.expr,
+                              ir.IntervalDomain: lambda n: n.lo,
+                              ir.ExprDomain: lambda n: n.expr}[t](node))
+
+
+def _check_locations(model: ir.Model, texts: dict[str, str]) -> int:
+    lines = {file: text.split("\n") for file, text in texts.items()}
+    checked = 0
+    for node in ir.walk_expr(model):
+        if node.loc is None:
+            continue
+        rest = lines[node.loc.file][node.loc.line - 1][node.loc.col - 1:]
+        assert rest.startswith(_first_tokens(node)), (node, node.loc, rest)
+        checked += 1
+    return checked
+
+
+def _unit_texts(unit: SourceUnit) -> dict[str, str]:
+    texts = {unit.model_file: unit.model_text}
+    if unit.data_text is not None:
+        texts[unit.data_file] = unit.data_text
+    return texts
+
+
+@pytest.mark.parametrize("model_name,data_name", ALL_FIXTURES + [("wide_classes.som", None)])
+def test_every_fixture_node_starts_at_its_loc(model_name, data_name):
+    unit = load_unit(model_name, data_name)
+    assert _check_locations(parse(unit), _unit_texts(unit)) > 30
+
+
+def test_every_generated_node_starts_at_its_loc():
+    rng = random.Random(11)
+    for _ in range(40):
+        unit = SourceUnit(print_pivot(gen_model(rng)))
+        _check_locations(parse(unit), _unit_texts(unit))
+    unit = SourceUnit(wide_source(rng), model_file="wide.som")
+    assert _check_locations(parse(unit), _unit_texts(unit)) > 500
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_locations_with_tabs_and_line_ends(newline):
+    text = newline.join([
+        "model M;", "\tint x in 1..3;", "int y in\t1..3;",
+        "constraint c {", "\tx\t<= y; // a comment", "}", "",
+    ])
+    m = parse(SourceUnit(text))
+    x, y, zone = m.elements
+    assert [x.loc[:2], y.domain.loc[:2], zone.loc[:2]] == [(2, 2), (3, 10), (4, 1)]
+    (stmt,) = zone.body
+    assert [(n.loc.line, n.loc.col) for n in (stmt, stmt.expr, stmt.expr.right)] == [
+        (5, 2), (5, 4), (5, 7)
+    ]
+    assert _check_locations(m, {"<model>": text}) == 13
+
+
+def test_lexer_token_boundaries():
+    # a real needs a digit after its '.' or its exponent sign (the pinned
+    # diagnostics hold 1.e5 and 2e+); with one, the literal is whole
+    assert parse_expression("2e+3") == ir.RealValue(2000.0)
+    assert parse_expression("2.5e-1") == ir.RealValue(0.25)
+    # a keyword is a whole word: identifiers may start with one
+    m = parse(SourceUnit("int intx in 1..3;\nint inside in 1..3;\nconstraint c { intx <= inside; }\n"))
+    assert [e.name for e in m.elements] == ["intx", "inside", "c"]
+    assert m.elements[2].body[0].expr == ir.BoolBinaryOp(
+        "<=", ir.VarOccurrence("intx"), ir.VarOccurrence("inside")
+    )

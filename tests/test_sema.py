@@ -1,7 +1,11 @@
 
+import collections
+import random
+
 import pytest
 
-from pivotc import ir
+from helpers import wide_source
+from pivotc import ir, sema
 from pivotc.cli import _front
 from pivotc.errors import (
     CompileError,
@@ -63,6 +67,49 @@ def test_resolve_returns_its_own_output_as_is(golfers):
     again = resolve(copy)
     assert again is not copy and again == r
     assert resolve(golfers) is not golfers
+
+
+def test_resolve_is_idempotent_on_wide():
+    # the benchmark's input shape: resolving twice from the text gives
+    # equal models, each clean, and a resolved model comes back as is
+    source = wide_source(random.Random(905))
+    first = resolve(parse(SourceUnit(source)))
+    second = resolve(parse(SourceUnit(source)))
+    assert first == second
+    assert validate(first) == [] and validate(second) == []
+    assert resolve(first) is first
+
+
+def test_resolve_types_each_declaration_once_and_builds_each_node_once(monkeypatch):
+    model = parse(SourceUnit(wide_source(random.Random(3), constraints=60)))
+    typed = collections.Counter()
+    decl_kind = sema.decl_kind
+
+    def counted_kind(decl, scope):
+        typed[id(decl)] += 1
+        return decl_kind(decl, scope)
+
+    built, made = [], set()
+    rebuild = ir.rebuild
+
+    def counted_rebuild(e, updates):
+        built.append(e)
+        new = rebuild(e, updates)
+        made.add(id(new))
+        return new
+
+    monkeypatch.setattr(sema, "decl_kind", counted_kind)
+    monkeypatch.setattr(ir, "rebuild", counted_rebuild)
+    resolved = resolve(model)
+    decls = {id(d) for d in ir.walk_expr(model) if isinstance(d, ir.TypedElement)}
+    occurrences = [n for n in ir.walk_expr(model) if isinstance(n, ir.VarOccurrence)]
+    assert len(occurrences) > 4 * len(decls)  # many readings per declaration
+    assert set(typed) <= decls and set(typed.values()) == {1}
+    # each parsed node is built again at most once; every node of the
+    # result is one of those, or a parsed node shared as is (a literal)
+    parsed = {id(n) for n in ir.walk_expr(model)}
+    assert len(built) == len({id(n) for n in built}) and {id(n) for n in built} <= parsed
+    assert all(id(n) in made or id(n) in parsed for n in ir.walk_expr(resolved))
 
 
 def test_duplicate_top_level_name():
@@ -128,6 +175,14 @@ def test_infer_enum_literal_and_variable():
     assert infer_type(eq, sc) == ir.BOOLEAN
     with pytest.raises(CompileError, match="'<' cannot compare Name with Name"):
         infer_type(ir.BoolBinaryOp("<", ir.VarOccurrence("v"), ir.VarOccurrence("a")), sc)
+
+
+def test_infer_indexed_array_takes_its_declared_kind():
+    # the kind of a cell is its declaration's, whatever its index's
+    m, sc = _scope("model M;\nenum E := {a, b};\nint set ss[2] in 1..4;\nE es[2];\nreal rs[2];")
+    assert infer_type(parse_expression("ss[1]"), sc) is ir.SET_OF_INT
+    assert infer_type(parse_expression("es[2]"), sc) is ir.enum_kind("E")
+    assert infer_type(parse_expression("rs[1] + 1"), sc) is ir.REAL
 
 
 def test_infer_index_count_mismatch():
@@ -410,6 +465,78 @@ FRONT_DIAGNOSTICS = {
         "model M;\nint k := {1, 2};\n",
         [("constant 'k' declared integer but valued set of int", 2, 1)],
     ),
+    "literal_in_two_enumerations": (
+        "model M;\nenum A := {x, y};\nenum B := {y, z};\n",
+        [("duplicate name 'y'", 3, 1)],
+    ),
+    # the model has no location of its own
+    "two_main_classes": (
+        "model M;\nmain class A { }\nmain class B { }\n",
+        [("duplicate name 'main'", 0, 0)],
+    ),
+    "enumeration_read_as_a_value": (
+        "model M;\nenum E := {a, b};\nint x in 1..3;\nconstraint c { x = E; }\n",
+        [("'E' names a enum, not a value", 4, 20)],
+    ),
+    "class_read_as_a_value": (
+        "model M;\nclass C { int a in 1..2; }\nint x in 1..3;\nconstraint c { x = C; }\n",
+        [("'C' names a class, not a value", 4, 20)],
+    ),
+    # the declaration reports its type, and so does the expression that
+    # reads it, at the declaration
+    "set_of_reals_read": (
+        "model M;\nreal set s;\nconstraint c { card(s) = 1; }\n",
+        [("'s': sets of real are not supported", 2, 1),
+         ("'s': sets of real are not supported", 2, 1)],
+    ),
+    "unknown_type_read": (
+        "model M;\nFoo x;\nconstraint c { x = 1; }\n",
+        [("unknown type 'Foo'", 2, 1), ("unknown type 'Foo'", 2, 1)],
+    ),
+    "set_of_objects": (
+        "model M;\nclass C { int a in 1..2; }\nC set o;\n",
+        [("'o': object variables cannot be sets", 3, 1)],
+    ),
+    "object_with_a_domain": (
+        "model M;\nclass C { int a in 1..2; }\nC o in 1..2;\n",
+        [("'o': object variables take no domain", 3, 1)],
+    ),
+    "set_as_domain_bound": (
+        "model M;\nint x in 1..{2};\n",
+        [("domain bound must be numeric, found set of int", 2, 13)],
+    ),
+    "integer_as_domain_expression": (
+        "model M;\nint x in 3;\n",
+        [("domain expression must be a set, found integer", 2, 10)],
+    ),
+    "type_error_inside_a_union": (
+        "model M;\nint set s in 1..3;\nconstraint c { card(s union (s + 1)) = 1; }\n",
+        [("numeric operand expected", 3, 30)],
+    ),
+    "union_with_an_integer": (
+        "model M;\nint set s in 1..3;\nint x in 1..3;\nconstraint c { card(s union x) = 1; }\n",
+        [("'union' expects two sets of the same element type", 4, 23)],
+    ),
+    "empty_set_literal_is_a_set_of_int": (
+        "model M;\nint set s in 1..3;\nconstraint c { card(s union {}) = 0; }\n",
+        [],
+    ),
+    "type_error_inside_a_set_literal": (
+        "model M;\nint set s in 1..3;\nconstraint c { card({s + 1}) = 0; }\n",
+        [("numeric operand expected", 3, 22)],
+    ),
+    "set_literal_of_an_integer_and_a_literal": (
+        "model M;\nenum E := {a, b};\nint set s in 1..3;\nconstraint c { card(s union {1, a}) = 0; }\n",
+        [("set elements must all be integers or literals of one enumeration", 4, 29)],
+    ),
+    "abs_of_two_arguments": (
+        "model M;\nint x in 1..3;\nconstraint c { abs(x, x) = 1; }\n",
+        [("'abs' expects exactly 1 argument", 3, 16)],
+    ),
+    "set_of_literals_compared_with_an_integer": (
+        "model M;\nenum E := {a, b};\nE set s;\nint x in 1..3;\nconstraint c { s = x; }\n",
+        [("'=' cannot compare set of E with integer", 5, 18)],
+    ),
 }
 
 
@@ -428,3 +555,16 @@ def test_front_diagnostics_are_pinned(name, tmp_path, monkeypatch):
     else:
         found = []
     assert found == expected
+
+
+def test_what_only_a_built_tree_can_hold():
+    # the parser refuses an unknown function; a tree built in Python is
+    # typed and refused here, and a non-IR node is a programming error
+    _, sc = _scope("model M;\nint x in 1..3;")
+    with pytest.raises(CompileError, match="unknown function 'frob'"):
+        infer_type(ir.AlgFunction("frob", (ir.IntValue(1),)), sc)
+    with pytest.raises(TypeError, match="unknown expression"):
+        infer_type(ir.Domain(), sc)
+    zone = ir.ConstraintZone("c", (ir.IntValue(1),))
+    with pytest.raises(TypeError, match="unknown statement"):
+        resolve(ir.Model("M", (zone,)))
