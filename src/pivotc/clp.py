@@ -98,11 +98,12 @@ class _Emitter:
             return "1" if e.value else "0"
         if isinstance(e, ir.VarOccurrence):
             return self._occurrence_term(e, pre)
-        if isinstance(e, ir.AlgBinaryOp):
-            p = _PREC[e.op]
-            left = self.term(e.left, pre, p)
-            right = self.term(e.right, pre, p + 1)
-            text = f"{left}{e.op}{right}"
+        if isinstance(e, (ir.AlgChain, ir.AlgBinaryOp)):  # a chain as its left-deep terms
+            terms, ops = (e.terms, e.ops) if type(e) is ir.AlgChain else ((e.left, e.right), (e.op,))
+            p = _PREC[ops[0]]
+            text = self.term(terms[0], pre, p)
+            for op, x in zip(ops, terms[1:]):
+                text += op + self.term(x, pre, p + 1)
             return f"({text})" if p < prec else text
         if isinstance(e, ir.AlgUnaryOp):
             inner = self.term(e.operand, pre, 4)
@@ -124,10 +125,12 @@ class _Emitter:
             return "[" + ",".join(self.term(x, pre) for x in e.elems) + "]"
         if isinstance(e, ir.BoolUnaryOp):
             return f"neg({self.term(e.operand, pre)})"
-        if isinstance(e, ir.BoolBinaryOp):
-            left = self.term(e.left, pre)
-            right = self.term(e.right, pre)
-            return f"({left} {_SPELLING[e.op]} {right})"
+        if isinstance(e, (ir.BoolChain, ir.BoolBinaryOp)):  # bracketed as left-deep terms
+            terms = e.terms if type(e) is ir.BoolChain else (e.left, e.right)
+            text = self.term(terms[0], pre)
+            for x in terms[1:]:
+                text = f"({text} {_SPELLING[e.op]} {self.term(x, pre)})"
+            return text
         raise CompileError(f"expression {type(e).__name__} is not supported by the clp target")
 
     def _occurrence_term(self, e: ir.VarOccurrence, pre: list[str]) -> str:
@@ -157,8 +160,11 @@ class _Emitter:
 
     # ---- statements ------------------------------------------------------
     def constraint_goals(self, expr: ir.Expression) -> list[str]:
-        if isinstance(expr, ir.BoolBinaryOp) and expr.op == "and":
-            return self.constraint_goals(expr.left) + self.constraint_goals(expr.right)
+        if isinstance(expr, ir.BoolChain) and expr.op == "and":  # one goal list per conjunct
+            goals: list[str] = []
+            for x in expr.terms:
+                goals += self.constraint_goals(x)
+            return goals
         pre: list[str] = []
         if isinstance(expr, ir.BoolBinaryOp) and expr.op in ir.COMPARISON_OPS:
             left = self.term(expr.left, pre)
@@ -169,7 +175,7 @@ class _Emitter:
         if isinstance(expr, ir.VarOccurrence):
             term = self._occurrence_term(expr, pre)
             return pre + [f"{term} $= 1"]
-        if isinstance(expr, (ir.BoolUnaryOp, ir.BoolBinaryOp)):
+        if isinstance(expr, (ir.BoolUnaryOp, ir.BoolBinaryOp, ir.BoolChain)):
             goal = self.term(expr, pre)
             return pre + [goal]
         raise CompileError(

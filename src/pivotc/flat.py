@@ -52,13 +52,6 @@ def _residual(kind: str, detail: str = "") -> CompileError:
     return CompileError(f"cannot lower model: residual {kind}{detail}")
 
 
-def _or_chain(terms: list[ir.Expression]) -> ir.Expression:
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = ir.BoolBinaryOp("or", acc, t)
-    return acc
-
-
 class _Lowerer:
     def __init__(self, model: ir.Model):
         self.model = model
@@ -135,11 +128,10 @@ class _Lowerer:
                 self.vars.append(FlatVar(name, "int", lo, hi))
                 if members != frozenset(range(lo, hi + 1)):
                     occ = ir.VarOccurrence(name)
-                    self.domain_constraints.append(
-                        _or_chain(
-                            [ir.BoolBinaryOp("=", occ, ir.IntValue(m)) for m in sorted(members)]
-                        )
-                    )
+                    # a hole leaves two members at least
+                    self.domain_constraints.append(ir.BoolChain("or", tuple(
+                        [ir.BoolBinaryOp("=", occ, ir.IntValue(m)) for m in sorted(members)]
+                    )))
             else:
                 raise _residual(f"{v.type_name} variable", f"variable '{v.name}'")
 
@@ -177,7 +169,7 @@ class _Lowerer:
         updates = {}
         for name, many in ir.CHILD_FIELDS[t]:
             v = getattr(e, name)
-            nv = tuple([self.rewrite(x) for x in v]) if many else self.rewrite(v)
+            nv = tuple(map(self.rewrite, v)) if many else self.rewrite(v)
             if any(map(operator.is_not, nv, v)) if many else nv is not v:
                 updates[name] = nv
         return e._copy(updates) if updates else e
@@ -193,8 +185,10 @@ class _Lowerer:
                 value = self.folder._eval(self.folder.fold(self.constants[node.name].value))
             except OverflowError:  # a math range error
                 value = math.inf
-            except ValueError:  # a math domain error: no value
-                value = _MISSING
+            except ValueError:  # a math domain error
+                raise CompileError(
+                    f"cannot lower model: the value of constant '{node.name}' is not a real number"
+                ) from None
             if isinstance(value, float) and not math.isfinite(value):
                 raise CompileError(
                     f"cannot lower model: the value of constant '{node.name}' "

@@ -27,6 +27,14 @@ Expressions form a separate tree (values, occurrences, boolean / set /
 algebraic operators and functions).  ``VarOccurrence`` is the single occurrence
 node for variables, constants, loop iterators and enumeration literals;
 ``resolve`` distinguishes them by attaching a ``Binding``.
+
+Sums, products, conjunctions and disjunctions are n-ary: an ``AlgChain``
+holds a run of ``+``/``-`` or a run of ``*``, a ``BoolChain`` a run of
+``and`` or of ``or``, and each stands for the left-deep binary nodes that
+spell the same text.  A chain's first operand is never a chain of its own
+group (``(a + b) + c`` is the chain a, b, c).  Only brackets, calls,
+prefixes and capped runs of the binary operators left nest, so the
+parser's ``MAX_NESTING`` bounds the depth of every parsed expression.
 """
 
 from __future__ import annotations
@@ -36,8 +44,8 @@ import operator
 from .errors import Loc
 
 __all__ = [
-    "AlgBinaryOp", "AlgFunction", "AlgUnaryOp", "Binding", "Bindings", "BoolBinaryOp",
-    "BoolUnaryOp", "BoolValue", "Class", "Classifier", "Constant",
+    "AlgBinaryOp", "AlgChain", "AlgFunction", "AlgUnaryOp", "Binding", "Bindings",
+    "BoolBinaryOp", "BoolChain", "BoolUnaryOp", "BoolValue", "Class", "Classifier", "Constant",
     "ConstraintZone", "Domain", "Enumeration", "Expression",
     "ExpressionConstraint", "ExprDomain", "ForAll", "GlobalCtr", "If",
     "IntervalDomain", "IntValue", "Model", "ModelElement",
@@ -45,8 +53,8 @@ __all__ = [
     "SetDomain", "SetFunction", "SetValue", "Statement", "TypedElement", "TypeKind", "VarOccurrence",
     "Variable", "BOOLEAN", "INTEGER", "REAL", "SET_OF_INT", "enum_kind",
     "set_of_enum", "object_kind", "ALG_FUNCTIONS", "BOOL_BINARY_OPS",
-    "CHILD_FIELDS", "COMPARISON_OPS", "SET_BINARY_OPS", "element_count",
-    "map_expr", "model_equals", "rebuild", "walk_elements", "walk_expr",
+    "CHILD_FIELDS", "COMPARISON_OPS", "SET_BINARY_OPS", "chain", "chain_ops", "chain_terms",
+    "element_count", "map_expr", "model_equals", "rebuild", "walk_elements", "walk_expr",
 ]
 
 
@@ -415,7 +423,7 @@ class ObjectOccurrence(Expression):
     path: tuple[VarOccurrence, ...]
 
 
-BOOL_BINARY_OPS = ("iff", "implies", "and", "or", "=", "!=", "<=", ">=", "<", ">")
+BOOL_BINARY_OPS = ("iff", "implies", "=", "!=", "<=", ">=", "<", ">")
 COMPARISON_OPS = ("=", "!=", "<=", ">=", "<", ">")
 
 
@@ -430,6 +438,14 @@ class BoolBinaryOp(Expression):
     op: str
     left: Expression = None  # type: ignore[assignment]
     right: Expression = None  # type: ignore[assignment]
+
+
+@_slotted
+class BoolChain(Expression):
+    """terms[0] op terms[1] op ... for op "and" or "or", at least two terms."""
+
+    op: str
+    terms: tuple[Expression, ...] = ()
 
 
 @_slotted
@@ -470,9 +486,53 @@ class AlgUnaryOp(Expression):
 
 @_slotted
 class AlgBinaryOp(Expression):
-    op: str  # "+" | "-" | "*" | "/" | "^"
+    op: str  # "/" | "^"
     left: Expression = None  # type: ignore[assignment]
     right: Expression = None  # type: ignore[assignment]
+
+
+@_slotted
+class AlgChain(Expression):
+    """terms[0] ops[0] terms[1] ops[1] ... : a run of "+" and "-", or of
+    "*", of at least two terms; ``ops`` comes from ``chain_ops``."""
+
+    ops: tuple[str, ...]
+    terms: tuple[Expression, ...] = ()
+
+
+_OPS: dict[tuple[str, ...], tuple[str, ...]] = {}
+
+
+def chain_ops(ops) -> tuple[str, ...]:
+    """The one tuple of the operators ops, shared by every chain that has them."""
+    ops = tuple(ops)
+    return _OPS.setdefault(ops, ops)
+
+
+_GROUPS = {"+": "+", "-": "+", "*": "*", "and": "and", "or": "or"}  # the operators a chain mixes
+
+
+def chain_terms(e: Expression, op: str) -> tuple[tuple, tuple]:
+    """(terms, operators) that e lends a chain of op when it comes first:
+    its own if it is a chain of op's group, else e alone."""
+    t = type(e)
+    if t is AlgChain and _GROUPS[e.ops[0]] == _GROUPS[op]:
+        return e.terms, e.ops
+    if t is BoolChain and e.op == op:
+        return e.terms, (op,) * (len(e.terms) - 1)
+    return (e,), ()
+
+
+def chain(op: str, terms) -> Expression:
+    """terms[0] op terms[1] op ... as one chain node, or the one term; the
+    first term lends its terms as ``chain_terms`` says, so the node is the
+    one the parser makes of the same text."""
+    if len(terms) == 1:
+        return terms[0]
+    first, ops = chain_terms(terms[0], op)
+    if op == "and" or op == "or":
+        return BoolChain(op, first + tuple(terms[1:]))
+    return AlgChain(chain_ops(ops + (op,) * (len(terms) - 1)), first + tuple(terms[1:]))
 
 
 # --------------------------------------------------------------------------
@@ -521,8 +581,11 @@ def map_expr(e: Node, fn) -> Node:
         v = getattr(e, name)
         if v is None:
             continue
-        if many:
-            nv = tuple([map_expr(x, fn) for x in v])
+        if many:  # a loop, not a comprehension: one frame per tree level
+            nv = []
+            for x in v:
+                nv.append(map_expr(x, fn))
+            nv = tuple(nv)
             if any(map(operator.is_not, nv, v)):
                 updates[name] = nv
         else:

@@ -226,7 +226,8 @@ _LOOPS_PER_FUNCTION = 16
 # Expression levels emitted inline before a subtree moves into a helper
 # function.  A level opens at most three brackets, which keeps the source
 # within the tokenizer's 200 nested brackets and the compiler's recursion
-# limit.
+# limit.  Python's own tree is left-deep for + - *, so each operand of a
+# sum or product after the first counts one level.
 _MAX_DEPTH = 48
 # The largest domain, in values, whose loop is filtered through support
 # masks (see _Masks): its table VALS<j> holds one tuple per subset.
@@ -236,10 +237,10 @@ _ARITH = {"+": " + ", "-": " - ", "*": " * "}
 _SET_OPS = {"intersect": " & ", "union": " | "}
 _COMPARE = {"=": " == ", "!=": " != ", "<=": " <= ", ">=": " >= ", "<": " < ", ">": " > "}
 _ORDERED = {op: repr(op) for op in ("<=", ">=", "<", ">")}
-_LOGIC = {"and": " and ", "or": " or "}
 _LINEAR_OPS = ("=", "<=", ">=", "<", ">")
 # node types whose evaluation cannot raise on int and bool values
-_SAFE_NODES = (ir.VarOccurrence, ir.AlgUnaryOp, ir.BoolUnaryOp, ir.BoolBinaryOp)
+_SAFE_NODES = (ir.VarOccurrence, ir.AlgUnaryOp, ir.AlgChain, ir.BoolUnaryOp, ir.BoolBinaryOp,
+               ir.BoolChain)
 # Larger ints are bound as constants: str() refuses ints of over 4,300 digits.
 _SMALL_INT = 1 << 64
 
@@ -276,11 +277,48 @@ class _Writer:
         evaluates e exactly where the inline source would."""
         outer, self.used = self.used, set()
         body, is_set = self.emit(e, 0, cond)
+        call = self.function(body)
+        self.used |= outer
+        return call, is_set
+
+    def function(self, body: str) -> str:
+        """The call of a new function returning body, of the variables read
+        since self.used was last emptied."""
         params = ", ".join(f"v{i}" for i in sorted(self.used))
         name = f"h{len(self.helpers)}"
         self.helpers.append(f"def {name}({params}):\n    return {body}\n")
-        self.used = outer | self.used
-        return f"{name}({params})", is_set
+        return f"{name}({params})"
+
+    def chain(self, e: ir.AlgChain, depth: int) -> tuple[str, bool]:
+        """Source for a sum or product whose operands sit at depth, nested
+        as Python's left-deep binary nodes: the operand k places from the
+        end sits k levels deeper.  A source at depth holds operands up to
+        _MAX_DEPTH; a long chain's first terms move, in runs, into helpers
+        whose bodies hold _MAX_DEPTH + 1 operands, the first the call of the
+        helper before.  No helper emits another's terms: the recursion stays
+        flat however long the chain."""
+        terms, ops, n = e.terms, e.ops, len(e.terms)
+        top = max(_MAX_DEPTH - depth + 2, 2)  # operands the source at depth holds
+        # where each run of terms ends: the first run has 2 to _MAX_DEPTH + 1
+        edges = sorted(range(n - top + 1, 1, -_MAX_DEPTH)) if n > top else []
+        outer, self.used = self.used, set()
+        src, is_set, start = None, False, 0
+        for stop in edges + [n]:
+            base = depth if stop == n else 1  # a helper's body starts at 0
+            k = stop - start + (start > 0)  # operands of this source
+            for i in range(start, stop):
+                j = k - (stop - i)  # i's place among them
+                term, term_set = self.emit(terms[i], base + (k - 1 - j if j else k - 2))
+                if src is None:
+                    src, is_set = term, term_set
+                else:
+                    op = ops[i - 1]
+                    src, is_set = f"({src}{_ARITH[op]}{term})", op == "-" and (is_set or term_set)
+            if stop < n:
+                src = self.function(src)
+            start = stop
+        self.used |= outer
+        return src, is_set
 
     def emit(self, e: ir.Expression, depth: int = 0, cond: bool = False) -> tuple[str, bool]:
         """Source for e, bracketed unless it is a name, literal or call,
@@ -338,13 +376,11 @@ class _Writer:
             return f"{fn}(float({args[0]}))", False
         if isinstance(e, ir.BoolUnaryOp):
             return f"(not {self.emit(e.operand, depth, True)[0]})", False
+        if isinstance(e, ir.AlgChain):
+            return self.chain(e, depth)
         if isinstance(e, ir.AlgBinaryOp):
-            left, left_set = self.emit(e.left, depth)
-            right, right_set = self.emit(e.right, depth)
-            if e.op in _ARITH:
-                return f"({left}{_ARITH[e.op]}{right})", e.op == "-" and (left_set or right_set)
-            fn = "_div" if e.op == "/" else "_pow"
-            return f"{fn}({left}, {right})", False
+            left, right = self.emit(e.left, depth)[0], self.emit(e.right, depth)[0]
+            return f"{'_div' if e.op == '/' else '_pow'}({left}, {right})", False
         if isinstance(e, ir.SetBinaryOp):
             left, right = self.emit(e.left, depth)[0], self.emit(e.right, depth)[0]
             return f"({left}{_SET_OPS.get(e.op, ' - ')}{right})", True
@@ -356,13 +392,15 @@ class _Writer:
                     return f"_ordered({_ORDERED[e.op]}, {left}, {right})", False
                 return f"({left}{_COMPARE[e.op]}{right})", False
             left, right = self.emit(e.left, depth, True)[0], self.emit(e.right, depth, True)[0]
-            if e.op in _LOGIC:
-                src = f"({left}{_LOGIC[e.op]}{right})"
-            elif e.op == "implies":
-                src = f"(not {left} or {right})"
-            else:  # iff
-                return f"((not {left}) == (not {right}))", False
-            return (src if cond else f"bool{src}"), False  # src is bracketed
+            if e.op == "implies":
+                return (f"(not {left} or {right})" if cond else f"bool(not {left} or {right})"), False
+            return f"((not {left}) == (not {right}))", False  # iff
+        if isinstance(e, ir.BoolChain):  # one flat Python operation however many terms
+            parts = []
+            for x in e.terms:
+                parts.append(self.emit(x, depth, True)[0])
+            src = f" {e.op} ".join(parts)
+            return (f"({src})" if cond else f"bool({src})"), False
         raise CompileError(f"cannot evaluate {type(e).__name__} in the oracle")
 
 
@@ -381,9 +419,6 @@ def _may_raise(program: FlatProgram) -> bool:
                     return True
             elif t is ir.BoolValue:
                 if type(e.value) is not bool:
-                    return True
-            elif t is ir.AlgBinaryOp:
-                if e.op not in _ARITH:
                     return True
             elif t is ir.AlgFunction:
                 if e.fn != "abs":
@@ -406,36 +441,51 @@ def _linear(c: ir.Expression, index: dict[str, int]) -> tuple[str, dict[int, int
     """c as ``(op, {variable index: coefficient}, k)``, meaning the sum of
     coefficient * variable ``op`` k, when both sides of the comparison c
     are linear; repeated variables are merged and zero coefficients
-    dropped.  An explicit stack, because sums run thousands of terms."""
+    dropped."""
     if type(c) is not ir.BoolBinaryOp or c.op not in _LINEAR_OPS:
         return None
     coefs: dict[int, int] = {}
-    k = 0
-    stack = [(c.left, 1), (c.right, -1)]
-    while stack:
-        e, m = stack.pop()
-        t = type(e)
-        if t is ir.VarOccurrence:
-            i = index[e.name]
-            coefs[i] = coefs.get(i, 0) + m
-        elif t is ir.IntValue and type(e.v) is int:
-            k -= m * e.v
-        elif t is ir.AlgUnaryOp:
-            stack.append((e.operand, -m if e.op == "neg" else m))
-        elif t is ir.AlgBinaryOp and e.op in _ARITH:
-            if e.op != "*":
-                stack.append((e.left, m))
-                stack.append((e.right, -m if e.op == "-" else m))
-                continue
-            lit, other = _int_literal(e.left), e.right
-            if lit is None:
-                lit, other = _int_literal(e.right), e.left
-            if lit is None:
+    left = _add_linear(c.left, 1, coefs, index)
+    right = None if left is None else _add_linear(c.right, -1, coefs, index)
+    if right is None:
+        return None
+    return c.op, {i: a for i, a in coefs.items() if a}, -(left + right)
+
+
+def _add_linear(e: ir.Expression, m: int, coefs: dict[int, int], index: dict[str, int]) -> int | None:
+    """Add m times the coefficient of each variable of e to coefs; m times
+    the constant of e, or None when e is not linear.  A product is linear
+    when every factor after the second is an int literal, and one of the
+    first two is."""
+    t = type(e)
+    if t is ir.VarOccurrence:
+        i = index[e.name]
+        coefs[i] = coefs.get(i, 0) + m
+        return 0
+    if t is ir.IntValue and type(e.v) is int:
+        return m * e.v
+    if t is ir.AlgUnaryOp:
+        return _add_linear(e.operand, -m if e.op == "neg" else m, coefs, index)
+    if t is not ir.AlgChain:
+        return None
+    terms = e.terms
+    if e.ops[0] != "*":
+        k = 0
+        for op, x in zip(("+",) + e.ops, terms):
+            more = _add_linear(x, -m if op == "-" else m, coefs, index)
+            if more is None:
                 return None
-            stack.append((other, m * lit))
-        else:
+            k += more
+        return k
+    for x in terms[2:]:
+        lit = _int_literal(x)
+        if lit is None:
             return None
-    return c.op, {i: a for i, a in coefs.items() if a}, k
+        m *= lit
+    lit, other = _int_literal(terms[0]), terms[1]
+    if lit is None:
+        lit, other = _int_literal(terms[1]), terms[0]
+    return None if lit is None else _add_linear(other, m * lit, coefs, index)
 
 
 def _term(coef: int, x: str) -> str:

@@ -21,10 +21,14 @@ comparisons, union/diff, intersect, additive, multiplicative, ^ (right
 associative), unary -/+ (an exponent may be signed, so ``-x^2`` reads as
 ``-(x^2)``), then indexing / navigation / calls.  The binary operators
 from iff to multiplicative share one precedence-climbing loop over
-``BINARY_OPS``; every one of those levels is left-associative.  Only
-operands recurse (brackets, prefixes, '^', calls), so parentheses and
-prefixes up to the nesting cap stay within Python's default recursion
-limit.
+``BINARY_OPS``; every one of those levels is left-associative.  A run of
+``+``/``-``, of ``*``, of ``and`` or of ``or`` builds one n-ary chain
+(``ir.AlgChain``, ``ir.BoolChain``), which also takes in a bracketed chain
+of its own group on its left.  Every other operator after the first of a
+run at one level nests its left operand, and opens one nesting level, as
+a bracket, a call, a prefix or an exponent does.  So ``MAX_NESTING``
+bounds the depth of every expression, and only operands recurse: the
+deepest input stays within Python's default recursion limit.
 
 The lexer splits each line with one regex call and hands the parser two
 parallel lists, built by C-level calls with no Python code per token: the
@@ -37,14 +41,11 @@ from __future__ import annotations
 
 import math
 import re
-import sys
 from itertools import accumulate, repeat
 from typing import NamedTuple
 
 from . import ir
 from .errors import Diagnostic, Loc, ParseError
-
-sys.setrecursionlimit(max(sys.getrecursionlimit(), 10000))
 
 KEYWORDS = frozenset(
     "enum int real bool class main constraint forall if else in set "
@@ -60,15 +61,15 @@ _OPERATORS = (":=", "..", "<=", ">=", "!=", "=", "<", ">", "+", "-", "*", "/",
 BINARY_OPS = {
     "iff": (1, ir.BoolBinaryOp),
     "implies": (2, ir.BoolBinaryOp),
-    "or": (3, ir.BoolBinaryOp),
-    "and": (4, ir.BoolBinaryOp),
+    "or": (3, ir.BoolChain),
+    "and": (4, ir.BoolChain),
     **{op: (6, ir.BoolBinaryOp) for op in ir.COMPARISON_OPS},
     "union": (7, ir.SetBinaryOp),
     "diff": (7, ir.SetBinaryOp),
     "intersect": (8, ir.SetBinaryOp),
-    "+": (9, ir.AlgBinaryOp),
-    "-": (9, ir.AlgBinaryOp),
-    "*": (10, ir.AlgBinaryOp),
+    "+": (9, ir.AlgChain),
+    "-": (9, ir.AlgChain),
+    "*": (10, ir.AlgChain),
     "/": (10, ir.AlgBinaryOp),
 }
 NOT_BP = 5
@@ -428,25 +429,44 @@ class _Parser:
 
     # ---- expressions ----
     def parse_expression(self, min_bp: int = 1) -> ir.Expression:
-        """Parse the operators of BINARY_OPS that bind at least min_bp, by
-        precedence climbing with an explicit stack: an operator waits on
-        the stack only while a tighter one follows its right operand; once
-        that operand is complete, the operator and every pending one that
-        binds at least as tightly as the next are built, so every level is
-        left-associative.  The loop adds no call per operator; only
-        operands recurse.  An expression of one operand, as most indexes
-        and arguments are, returns that operand before any stack is made."""
+        """Parse the operators of BINARY_OPS that bind at least min_bp.  An
+        expression of one operand, as most indexes and arguments are,
+        returns that operand before any stack is made; the nesting levels
+        a longer one opens close with it."""
         lhs = self.parse_operand(min_bp)
         op = BINARY_OPS.get(self.text)
         if op is None or op[0] < min_bp:
             return lhs
-        # (left operand, binding power, node type, text, Loc) of each
-        # operator still waiting for its right operand
+        depth = self.depth
+        try:
+            return self.climb(lhs, op, min_bp)
+        finally:
+            self.depth = depth
+
+    def climb(self, lhs: ir.Expression, op: tuple, min_bp: int) -> ir.Expression:
+        """lhs and the operators from op on, by precedence climbing with an
+        explicit stack: an operator waits on the stack only while a tighter
+        one follows its right operand; once that operand is complete, the
+        operator and every pending one that binds at least as tightly as
+        the next are applied, so every level is left-associative.  A chain
+        stays open (``_Open``) while its run goes on.  The loop adds no call
+        per operator; only operands recurse."""
+        # (left operand, binding power, node type, text, Loc, levels its
+        # run opened) of each operator still waiting for its right operand
         pending: list[tuple] = []
+        lhs_bp = run = 0  # the binding power lhs was built at (0: an operand), and its run's levels
         while True:
             bp, node_type = op
             pos = self.pos
             text, loc = self.text, self.locs[pos]
+            if lhs_bp != bp:  # lhs's run, if any, ends: its left operand nests no deeper
+                self.depth -= run
+                run = 0
+            elif type(lhs) is not _Open or node_type is not lhs.node_type:  # lhs nests
+                if self.depth >= MAX_NESTING:
+                    raise _SyntaxIssue("expression nested too deeply", loc)
+                self.depth += 1
+                run += 1
             self.pos = pos + 1  # an operator is never EOF, the last token
             self.text = self.texts[pos + 1]
             # a right operand binds tighter than its operator
@@ -454,15 +474,22 @@ class _Parser:
             op = BINARY_OPS.get(self.text)
             next_bp = op[0] if op is not None and op[0] >= min_bp else 0  # 0: the end
             if next_bp > bp:  # the next operator takes rhs
-                pending.append((lhs, bp, node_type, text, loc))
-                lhs = rhs
+                pending.append((lhs, bp, node_type, text, loc, run))
+                lhs, lhs_bp, run = rhs, 0, 0
                 continue
-            lhs = node_type(text, lhs, rhs, loc=loc)
+            if type(lhs) is _Open and lhs.bp == bp and lhs.node_type is node_type:  # the run goes on
+                lhs.terms.append(rhs)
+                lhs.ops.append(text)
+                lhs.loc = loc
+            else:
+                lhs = _apply(lhs, bp, node_type, text, loc, rhs)
+            lhs_bp = bp
             while pending and pending[-1][1] >= next_bp:
-                left, _bp, node_type, text, loc = pending.pop()
-                lhs = node_type(text, left, lhs, loc=loc)
+                self.depth -= run
+                left, lhs_bp, node_type, text, loc, run = pending.pop()
+                lhs = _apply(left, lhs_bp, node_type, text, loc, lhs)
             if not next_bp:
-                return lhs
+                return lhs.close() if type(lhs) is _Open else lhs
 
     def parse_operand(self, min_bp: int) -> ir.Expression:
         """One operand of the binary operators that bind at least min_bp:
@@ -589,6 +616,42 @@ class _Parser:
             return parse(*args)
         finally:
             self.depth -= 1
+
+
+class _Open:
+    """A chain whose run goes on: its terms and operators so far, and the
+    Loc of its last operator, which the chain node takes."""
+
+    __slots__ = ("bp", "node_type", "terms", "ops", "loc")
+
+    def __init__(self, bp: int, node_type: type, terms: list, ops: list, loc: Loc):
+        self.bp, self.node_type, self.terms, self.ops, self.loc = bp, node_type, terms, ops, loc
+
+    def close(self) -> ir.Expression:
+        if self.node_type is ir.AlgChain:
+            return ir.AlgChain(ir.chain_ops(self.ops), tuple(self.terms), loc=self.loc)
+        return ir.BoolChain(self.ops[0], tuple(self.terms), loc=self.loc)
+
+
+def _apply(left, bp: int, node_type: type, text: str, loc: Loc, right) -> ir.Expression:
+    """left text right at binding power bp: left's open chain extended, a
+    new chain, which takes in the terms of a left chain of its own group,
+    or a binary node."""
+    if type(right) is _Open:
+        right = right.close()
+    if type(left) is _Open:
+        if left.bp == bp and left.node_type is node_type:
+            left.ops.append(text)
+            left.terms.append(right)
+            left.loc = loc
+            return left
+        left = left.close()
+    if node_type is not ir.AlgChain and node_type is not ir.BoolChain:
+        return node_type(text, left, right, loc=loc)
+    if type(left) is not node_type:
+        return _Open(bp, node_type, [left, right], [text], loc)
+    terms, ops = ir.chain_terms(left, text)
+    return _Open(bp, node_type, [*terms, right], [*ops, text], loc)
 
 
 def _parse_decls(text: str, file: str, diags: list[Diagnostic], allow_header: bool):

@@ -152,7 +152,6 @@ def _materialize(v, loc) -> ir.Expression | None:
     return None
 
 
-_INT_ZERO = ir.IntValue(0)
 _INT_ONE = ir.IntValue(1)
 
 _COMPARE = {
@@ -216,6 +215,11 @@ class _Folder:
         """The value of e from its folded children's values, or _MISSING."""
         value = self.value
         t = type(e)
+        if t is ir.AlgChain or t is ir.BoolChain:
+            last = self._chain(e)[2]
+            if isinstance(last, Exception):
+                raise last
+            return last
         if t is ir.AlgBinaryOp:
             a = value(e.left)
             if a is _MISSING:
@@ -235,9 +239,7 @@ class _Folder:
             if b is _MISSING:
                 return b
             if e.op in _LOGIC:
-                if not (isinstance(a, bool) and isinstance(b, bool)):
-                    return _MISSING
-                return _LOGIC[e.op](a, b)
+                return _logic(e.op, a, b)
             if isinstance(a, frozenset) != isinstance(b, frozenset):
                 return _MISSING
             if isinstance(a, frozenset) and e.op not in ("=", "!="):
@@ -289,6 +291,12 @@ class _Folder:
         t = type(e)
         if t is ir.IntValue or t is ir.RealValue or t is ir.BoolValue:
             return e
+        if t is ir.AlgChain or t is ir.BoolChain:
+            node, v, _last, count = self._chain(e)
+            self.count += count
+            if isinstance(v, Fraction):  # ground, but no literal holds the value exactly
+                self._exact[id(node)] = (node, v)
+            return node
         try:
             v = self._eval(e)
         except (ValueError, OverflowError):
@@ -307,28 +315,93 @@ class _Folder:
         return node
 
     def _identities(self, e: ir.Expression) -> ir.Expression:
-        if isinstance(e, ir.AlgBinaryOp):
-            if e.op == "+":
-                if e.left == _INT_ZERO:
-                    self.count += 1
-                    return e.right
-                if e.right == _INT_ZERO:
-                    self.count += 1
-                    return e.left
-            elif e.op == "-" and e.right == _INT_ZERO:
-                self.count += 1
-                return e.left
-            elif e.op == "*":
-                if e.left == _INT_ONE:
-                    self.count += 1
-                    return e.right
-                if e.right == _INT_ONE:
-                    self.count += 1
-                    return e.left
-            elif e.op == "/" and e.right == _INT_ONE:
-                self.count += 1
-                return e.left
+        if type(e) is ir.AlgBinaryOp and e.op == "/" and e.right == _INT_ONE:
+            self.count += 1
+            return e.left
         return e
+
+    def _chain(self, e: ir.Expression):
+        """Fold the folded terms of chain e as the left-deep binary nodes e
+        stands for, each from the one before it: the ground prefix folds, in
+        order, and x + 0, 0 + x, x - 0, x * 1 and 1 * x each drop an
+        operand.  Returns (the node they fold to, its value, the value the
+        last of them computed or the error it raised, the rewrites).  A
+        chain of e's group that comes to lead the result is spliced in.
+        Pure: the caller counts and records."""
+        terms, value = e.terms, self.value
+        alg = type(e) is ir.AlgChain
+        ops = e.ops if alg else (e.op,) * (len(terms) - 1)
+        first = terms[0]
+        val = value(first)
+        # the terms and operators of the node the nodes so far fold to
+        if type(first) is type(e):
+            acc, acc_ops = map(list, ir.chain_terms(first, ops[0]))
+        else:
+            acc, acc_ops = [first], []
+        changed = len(acc) > 1
+        count = 0
+        last = _MISSING
+        for op, t in zip(ops, terms[1:]):
+            b = value(t)
+            if val is _MISSING or b is _MISSING:
+                v = last = _MISSING
+            else:
+                try:
+                    v = last = _step(op, val, b)
+                except (ValueError, OverflowError) as exc:  # a domain error: that node stays symbolic
+                    v, last = _MISSING, exc
+                node = None if v is _MISSING else _materialize(v, e.loc)
+                if node is not None:
+                    count += 1
+                    acc, acc_ops, changed = [node], [], True
+                    val = value(node)
+                    continue
+            # the identities 0 + x, 1 * x (left) and x + 0, x - 0, x * 1 (right)
+            drop = None
+            if alg:
+                unit = 1 if op == "*" else 0
+                if op != "-" and len(acc) == 1 and type(acc[0]) is ir.IntValue and acc[0].v == unit:
+                    drop = "left"
+                elif type(t) is ir.IntValue and t.v == unit:
+                    drop = "right"
+            if drop is None:
+                acc.append(t)
+                acc_ops.append(op)
+            else:
+                count += 1
+                changed = True
+                if drop == "left":
+                    acc, acc_ops = map(list, ir.chain_terms(t, op))
+                    val = value(t)
+            # a ground node no literal holds keeps its value only if rational
+            if isinstance(v, Fraction):
+                val = v
+            elif drop is None:
+                val = _MISSING
+        if len(acc) == 1:
+            return acc[0], val, last, count
+        if not changed:
+            return e, val, last, count
+        if alg:
+            return ir.AlgChain(ir.chain_ops(acc_ops), tuple(acc), loc=e.loc), val, last, count
+        return ir.BoolChain(e.op, tuple(acc), loc=e.loc), val, last, count
+
+
+def _step(op: str, a, b):
+    """The value of a op b for the values of two operands of a chain, or
+    _MISSING."""
+    if op in _LOGIC:
+        return _logic(op, a, b)
+    a_set, b_set = isinstance(a, frozenset), isinstance(b, frozenset)
+    if a_set != b_set or a_set and op != "-":
+        return _MISSING  # arithmetic on a set stays symbolic; set difference folds
+    return _arith(op, a, b, None)
+
+
+def _logic(op: str, a, b):
+    if not (isinstance(a, bool) and isinstance(b, bool)):
+        return _MISSING
+    return _LOGIC[op](a, b)
 
 
 def const_env(model: ir.Model) -> dict:
@@ -405,18 +478,15 @@ def _linear_index(pairs: list[tuple[ir.Expression, ir.Expression]]) -> ir.Expres
     d2*(i1-1)+i2 and so on (1-based)."""
     linear = pairs[0][0]
     for idx, size in pairs[1:]:
-        linear = ir.AlgBinaryOp(
-            "+",
-            ir.AlgBinaryOp("*", size, ir.AlgBinaryOp("-", linear, ir.IntValue(1))),
-            idx,
-        )
+        linear = ir.chain("+", [ir.chain("*", [size, ir.chain("-", [linear, ir.IntValue(1)])]), idx])
     return linear
 
 
 def _composed_dim(sizes: list[ir.Expression]) -> ir.Expression:
+    """The product of sizes, each new one on the left: s3 * (s2 * s1)."""
     acc = sizes[0]
     for s in sizes[1:]:
-        acc = ir.AlgBinaryOp("*", s, acc)
+        acc = ir.chain("*", [s, acc])
     return acc
 
 
@@ -552,8 +622,11 @@ class _Flattener:
             v = getattr(e, name)
             if v is None:
                 continue
-            if many:
-                nv = tuple([self._rewrite(x, prefix, ctx_pairs, cls) for x in v])
+            if many:  # a loop, not a comprehension: one frame per tree level
+                nv = []
+                for x in v:
+                    nv.append(self._rewrite(x, prefix, ctx_pairs, cls))
+                nv = tuple(nv)
                 if any(map(operator.is_not, nv, v)):
                     updates[name] = nv
             else:
@@ -785,13 +858,6 @@ def _param_interval(p: ir.Expression, scope: sema.Scope, env: dict):
     return lo, hi
 
 
-def _sum_of(terms: list[ir.Expression]) -> ir.Expression:
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = ir.AlgBinaryOp("+", acc, t)
-    return acc
-
-
 def _alldiff_to_relaxation(c: ir.GlobalCtr, scope: sema.Scope, env: dict) -> ir.Statement:
     if not isinstance(c, ir.GlobalCtr) or c.ctr_name != "alldifferent":
         raise CompileError("expected an alldifferent constraint")
@@ -802,7 +868,7 @@ def _alldiff_to_relaxation(c: ir.GlobalCtr, scope: sema.Scope, env: dict) -> ir.
             raise CompileError(f"relaxation requires every parameter domain to be 1..{n}", c.loc)
     total = ir.IntValue(n * (n + 1) // 2)
     return ir.ExpressionConstraint(
-        ir.BoolBinaryOp("=", _sum_of(list(c.params)), total, loc=c.loc), loc=c.loc
+        ir.BoolBinaryOp("=", ir.chain("+", list(c.params)), total, loc=c.loc), loc=c.loc
     )
 
 
@@ -853,18 +919,16 @@ def _alldiff_to_boolean(
 
     features: list[ir.ModelFeature] = [b]
     for i in range(1, n + 1):  # one value per variable
-        row = _sum_of([cell(i, j) for j in range(1, m + 1)])
+        row = ir.chain("+", [cell(i, j) for j in range(1, m + 1)])
         features.append(ir.ExpressionConstraint(ir.BoolBinaryOp("=", row, ir.IntValue(1)), loc=c.loc))
     col_op = "=" if m == n else "<="
     for j in range(1, m + 1):  # each value used once (at most once when m > n)
-        col = _sum_of([cell(i, j) for i in range(1, n + 1)])
+        col = ir.chain("+", [cell(i, j) for i in range(1, n + 1)])
         features.append(
             ir.ExpressionConstraint(ir.BoolBinaryOp(col_op, col, ir.IntValue(1)), loc=c.loc)
         )
     for i, p in enumerate(c.params, start=1):  # channel b back to the parameters
-        value = _sum_of(
-            [ir.AlgBinaryOp("*", ir.IntValue(j), cell(i, j)) for j in range(1, m + 1)]
-        )
+        value = ir.chain("+", [ir.chain("*", [ir.IntValue(j), cell(i, j)]) for j in range(1, m + 1)])
         features.append(
             ir.ExpressionConstraint(ir.BoolBinaryOp("=", p, value), loc=c.loc)
         )
@@ -962,7 +1026,8 @@ class _Unroller:
     enclose it once per tuple of the values it reads.  A node goes to the
     folder only if it is no literal and has no child, or a child that can
     become a value (holds no variable or object occurrence) and, if another
-    child holds one, is an AlgBinaryOp; the folder returns any other as is.
+    child holds one, is a chain, whose ground prefix folds, or an
+    AlgBinaryOp, whose x / 1 drops; the folder returns any other as is.
     A loop whose body holds only constraints fetches their plans once.
     Plans never refer to themselves: a reference cycle would keep the model
     alive until the cyclic collector runs."""
@@ -1008,10 +1073,10 @@ class _Unroller:
                     held, valued = held or h, valued or not h
                 fields.append((name, many, plans))
         literal = t is ir.IntValue or t is ir.RealValue or t is ir.BoolValue
-        # with a child that holds a variable, only the x + 0 style identities
-        # of an AlgBinaryOp can apply
+        # with a child that holds a variable, only a chain's ground prefix
+        # and identities, and x / 1, can fold
         fold = self.folder._fold_node
-        if literal or held and (not valued or t is not ir.AlgBinaryOp):
+        if literal or held and (not valued or t not in _FOLD_HELD):
             fold = None
         held = held or t is ir.ObjectOccurrence or b is not None and b.kind == "variable"
         if not lazy:
@@ -1040,8 +1105,14 @@ class _Unroller:
             node = e
             if fields:
                 u = {}
-                for name, many, runs in fields:  # not a comprehension: one frame per level
-                    u[name] = tuple([r() for r in runs]) if many else runs[0]()
+                for name, many, runs in fields:  # no comprehension: one frame per level
+                    if many:
+                        built = []
+                        for r in runs:
+                            built.append(r())
+                        u[name] = tuple(built)
+                    else:
+                        u[name] = runs[0]()
                 node = e._copy(u)
             if fold is not None:
                 node = fold(node)
@@ -1099,6 +1170,9 @@ class _Unroller:
                     )
                 self.stmts(s.then_body if cond.value else (s.else_body or ()), out)
         return out
+
+
+_FOLD_HELD = (ir.AlgBinaryOp, ir.AlgChain, ir.BoolChain)  # what folds beside a variable
 
 
 def _call(plan) -> Callable:

@@ -21,10 +21,11 @@ def _render_occurrence(e: ir.VarOccurrence) -> str:
 
 
 def print_expression(e: ir.Expression, min_prec: int = 0) -> str:
-    """Source text of e, parenthesized when it binds looser than min_prec.
-    One call per operator node: a binary operator prints a leaf operand
-    (a name without indexes, an int >= 0) in its own frame, and every
-    other operand by a call here."""
+    """Source text of e, parenthesized when it binds looser than min_prec;
+    a chain prints as the left-deep binary text it stands for.  One call
+    per operator node: an operator prints a leaf operand (a name without
+    indexes, an int >= 0) in its own frame, and every other operand by a
+    call here."""
     prec = _ATOM_PREC
     t = type(e)
     if t is ir.BoolBinaryOp or t is ir.SetBinaryOp or t is ir.AlgBinaryOp:
@@ -78,6 +79,21 @@ def print_expression(e: ir.Expression, min_prec: int = 0) -> str:
             text = f"{sign}({print_expression(e.operand)})"
         else:
             text = sign + print_expression(e.operand, POWER_BP)
+    elif t is ir.AlgChain or t is ir.BoolChain:  # as the left-deep binary nodes
+        ops = e.ops if t is ir.AlgChain else (e.op,) * (len(e.terms) - 1)
+        prec = BINARY_OPS[ops[0]][0]
+        parts = []
+        for x in e.terms:
+            tx = type(x)
+            if tx is ir.VarOccurrence and not x.indexes:
+                parts.append(x.name)
+            elif tx is ir.IntValue and x.v >= 0:
+                parts.append(str(x.v))
+            else:  # the first term is the left operand of a left-associative operator
+                parts.append(print_expression(x, prec + 1 if parts else prec))
+        text = parts[0]
+        for op, part in zip(ops, parts[1:]):
+            text += f" {op} {part}"
     else:
         raise TypeError(f"unknown expression {e!r}")
     if prec < min_prec:

@@ -38,7 +38,6 @@ from .errors import (
 
 _SCALAR_BUILTINS = {"int": ir.INTEGER, "real": ir.REAL, "bool": ir.BOOLEAN}
 _LITERAL_KINDS = {ir.IntValue: ir.INTEGER, ir.RealValue: ir.REAL, ir.BoolValue: ir.BOOLEAN}
-_LOGICAL_OPS = ("iff", "implies", "and", "or")
 
 
 class Scope:
@@ -51,7 +50,7 @@ class Scope:
         self.features: dict[str, ir.ModelElement] | None = None
         self.owner: str | None = None
         self.iters: tuple[str, ...] = ()
-        mains = 0
+        main = None
         for e in model.elements:
             if isinstance(e, (ir.Enumeration, ir.Class, ir.Variable, ir.Constant)):
                 if e.name in self.top:
@@ -64,10 +63,10 @@ class Scope:
                     if lit in self.literals:
                         raise DuplicateNameError(lit, e.loc)
                     self.literals[lit] = (e.name, pos)
-            if isinstance(e, ir.Class):
-                mains += e.is_main
-        if mains > 1:
-            raise DuplicateNameError("main", model.loc)
+            if isinstance(e, ir.Class) and e.is_main:
+                if main is not None:
+                    raise DuplicateNameError("main", e.loc)
+                main = e
 
     def _clone(self) -> "Scope":
         child = object.__new__(Scope)
@@ -211,6 +210,13 @@ def decl_kind(decl: ir.TypedElement, scope: Scope) -> ir.TypeKind:
     raise CompileError(f"'{decl.name}': sets of {base} are not supported", decl.loc)
 
 
+def _with_operands(e: ir.Expression, operands: list) -> ir.Expression:
+    """e with its terms, or its left and right operand, replaced."""
+    if type(e) is ir.AlgChain or type(e) is ir.BoolChain:
+        return ir.rebuild(e, {"terms": tuple(operands)})
+    return ir.rebuild(e, {"left": operands[0], "right": operands[1]})
+
+
 def _diag(message: str, node: ir.Node | CompileError | None) -> Diagnostic:
     loc = getattr(node, "loc", None) or Loc()
     return Diagnostic("error", message, max(loc.line, 1), max(loc.col, 1), loc.file)
@@ -287,16 +293,15 @@ class _Walk:
             self._note(exc.message, d)
             self.diags, base = [], None  # bind the rest, report nothing more for d
         dims = tuple([self.check(x, ir.INTEGER, "array dimension")[0] for x in d.dims])
+        if base is None or not d.is_set or base is ir.INTEGER or base.kind == "enum":
+            pass
+        elif base.kind == "object":
+            self._note(f"'{d.name}': object variables cannot be sets", d)
+        else:
+            self._note(f"'{d.name}': sets of {base} are not supported", d)
         if isinstance(d, ir.Variable):
-            if base is None:
-                pass
-            elif base.kind == "object":
-                if d.is_set:
-                    self._note(f"'{d.name}': object variables cannot be sets", d)
-                if d.domain is not None:
-                    self._note(f"'{d.name}': object variables take no domain", d)
-            elif d.is_set and base is not ir.INTEGER and base.kind != "enum":
-                self._note(f"'{d.name}': sets of {base} are not supported", d)
+            if base is not None and base.kind == "object" and d.domain is not None:
+                self._note(f"'{d.name}': object variables take no domain", d)
             update = {"dims": dims, "domain": self.domain(d.domain)}
         else:
             value, k = self.top(d.value)
@@ -378,7 +383,8 @@ class _Walk:
         """Record e's first type error, or a kind other than want (boolean
         passes for integer); returns (e, k) with k None after an error."""
         if self.error is not None:  # at the node whose check failed
-            self._note(self.error.message, self.error if self.error.loc else e)
+            if self.error not in self.kinds.values():  # a declaration's error is noted there
+                self._note(self.error.message, self.error if self.error.loc else e)
             return e, None
         if want is not None and k is not want and not (want is ir.INTEGER and k is ir.BOOLEAN):
             self._note(f"{what} must be {want}, found {k}", e)
@@ -413,25 +419,25 @@ class _Walk:
         kind = _LITERAL_KINDS.get(t)
         if kind is not None:
             return e, kind
-        if t is ir.AlgBinaryOp:
+        if t is ir.AlgChain or t is ir.AlgBinaryOp:
+            operands, kind = [], ir.REAL if t is ir.AlgBinaryOp and e.op == "/" else ir.INTEGER
+            for x in e.terms if t is ir.AlgChain else (e.left, e.right):
+                x, k = self.expr(x)
+                operands.append(x)
+                k = self.number(k, x)
+                kind = None if k is None or kind is None else ir.REAL if k is ir.REAL else kind
+            return _with_operands(e, operands), kind
+        if t is ir.BoolChain or t is ir.BoolBinaryOp and (e.op == "iff" or e.op == "implies"):
+            operands, what = [], f"'{e.op}' operand"
+            for x in e.terms if t is ir.BoolChain else (e.left, e.right):
+                x, k = self.expr(x)
+                operands.append(x)
+                self.require(k, ir.BOOLEAN, x, what)
+            return _with_operands(e, operands), ir.BOOLEAN
+        if t is ir.BoolBinaryOp:  # a comparison
             left, lk = self.expr(e.left)
-            lk = self.number(lk, left)
-            right, rk = self.expr(e.right)
-            rk = self.number(rk, right)
-            e = ir.rebuild(e, {"left": left, "right": right})
-            if lk is None or rk is None:
-                return e, None
-            return e, ir.REAL if e.op == "/" or lk is ir.REAL or rk is ir.REAL else ir.INTEGER
-        if t is ir.BoolBinaryOp:
-            logical = e.op in _LOGICAL_OPS
-            left, lk = self.expr(e.left)
-            if logical:
-                self.require(lk, ir.BOOLEAN, left, f"'{e.op}' operand")
             right, rk = self.expr(e.right)
             e = ir.rebuild(e, {"left": left, "right": right})
-            if logical:
-                self.require(rk, ir.BOOLEAN, right, f"'{e.op}' operand")
-                return e, ir.BOOLEAN
             if lk is None or rk is None:
                 return e, None
             if (lk.is_numeric and rk.is_numeric) or (

@@ -56,14 +56,14 @@ def eval_expr(e: ir.Expression, env: dict):
     if isinstance(e, ir.AlgUnaryOp):
         v = eval_expr(e.operand, env)
         return -v if e.op == "neg" else +v
+    if isinstance(e, ir.AlgChain):
+        acc = eval_expr(e.terms[0], env)
+        for op, x in zip(e.ops, e.terms[1:]):
+            b = eval_expr(x, env)
+            acc = acc + b if op == "+" else acc - b if op == "-" else acc * b
+        return acc
     if isinstance(e, ir.AlgBinaryOp):
         a, b = eval_expr(e.left, env), eval_expr(e.right, env)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
         if e.op == "/":
             return Fraction(a) / Fraction(b)
         if isinstance(b, Fraction) and b.denominator == 1:
@@ -80,6 +80,9 @@ def eval_expr(e: ir.Expression, env: dict):
         return getattr(math, e.fn)(float(args[0]))
     if isinstance(e, ir.BoolUnaryOp):
         return not eval_expr(e.operand, env)
+    if isinstance(e, ir.BoolChain):
+        values = [bool(eval_expr(x, env)) for x in e.terms]  # every operand, as a fold reads them
+        return all(values) if e.op == "and" else any(values)
     if isinstance(e, ir.BoolBinaryOp):
         a, b = eval_expr(e.left, env), eval_expr(e.right, env)
         return {
@@ -89,8 +92,6 @@ def eval_expr(e: ir.Expression, env: dict):
             ">=": lambda: a >= b,
             "<": lambda: a < b,
             ">": lambda: a > b,
-            "and": lambda: bool(a) and bool(b),
-            "or": lambda: bool(a) or bool(b),
             "implies": lambda: (not a) or bool(b),
             "iff": lambda: bool(a) == bool(b),
         }[e.op]()
@@ -255,7 +256,7 @@ class _Gen:
         r = self.rng.random()
         if r < 0.7:
             op = self.rng.choice(["+", "-", "*"])
-            return ir.AlgBinaryOp(op, self.int_expr(ints, depth - 1), self.int_expr(ints, depth - 1))
+            return ir.chain(op, [self.int_expr(ints, depth - 1), self.int_expr(ints, depth - 1)])
         if r < 0.85:
             inner = self.int_expr(ints, depth - 1)
             if isinstance(inner, (ir.IntValue, ir.RealValue)):
@@ -286,9 +287,8 @@ class _Gen:
             return ir.BoolBinaryOp(op, card, self.int_expr(ints, depth - 1))
         if r < 0.75:
             op = self.rng.choice(["and", "or", "implies", "iff"])
-            return ir.BoolBinaryOp(
-                op, self.bool_expr(ints, sets, depth - 1), self.bool_expr(ints, sets, depth - 1)
-            )
+            operands = [self.bool_expr(ints, sets, depth - 1), self.bool_expr(ints, sets, depth - 1)]
+            return ir.chain(op, operands) if op in ("and", "or") else ir.BoolBinaryOp(op, *operands)
         if r < 0.85:
             return ir.BoolUnaryOp("not", self.bool_expr(ints, sets, depth - 1))
         return ir.BoolValue(self.rng.random() < 0.5)

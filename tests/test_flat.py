@@ -227,8 +227,12 @@ def _global_model():
     ("real r := exp(1000.0);\nint x in 1..2;\nconstraint c { x <= r; }",
      "the value of constant 'r' is beyond the float range"),
     ("real r := sqrt(0.0 - 1.0);\nint x in 1..2;\nconstraint c { x <= r; }",
-     "residual non-ground constant (r)"),
+     "the value of constant 'r' is not a real number"),
     (_global_model(), "residual global constraint (foo)"),
+    ("real r := 10 ^ 400 * 1.5;\nint x in 1..2;\nconstraint c { x <= r; }",
+     "the value of constant 'r' is beyond the float range"),
+    # validate would refuse it; lowering alone names it
+    ("int x in 1..2;\nint c := x;\nconstraint k { x <= c; }", "residual non-ground constant (c)"),
 ])
 def test_what_lowering_refuses(model, message):
     if isinstance(model, str):

@@ -23,22 +23,23 @@ def test_walk_expr_post_order_on_mixed_tree():
     left = "a[i + 1].b.c[j] = abs(-k)"
     right = "card({1,m} union s) > min(p, 2 * q, 3)"
     assert order == [
-        "VarOccurrence:i", "IntValue:1", "AlgBinaryOp:i + 1", "VarOccurrence:a[i + 1]",
+        "VarOccurrence:i", "IntValue:1", "AlgChain:i + 1", "VarOccurrence:a[i + 1]",
         "VarOccurrence:b", "VarOccurrence:j", "VarOccurrence:c[j]",
         "ObjectOccurrence:a[i + 1].b.c[j]",
         "VarOccurrence:k", "AlgUnaryOp:-k", "AlgFunction:abs(-k)", f"BoolBinaryOp:{left}",
         "IntValue:1", "VarOccurrence:m", "SetValue:{1,m}", "VarOccurrence:s",
         "SetBinaryOp:{1,m} union s", "SetFunction:card({1,m} union s)",
-        "VarOccurrence:p", "IntValue:2", "VarOccurrence:q", "AlgBinaryOp:2 * q", "IntValue:3",
+        "VarOccurrence:p", "IntValue:2", "VarOccurrence:q", "AlgChain:2 * q", "IntValue:3",
         "AlgFunction:min(p, 2 * q, 3)", f"BoolBinaryOp:{right}",
-        f"BoolBinaryOp:{left} or {right}", f"BoolUnaryOp:not ({left} or {right})",
+        f"BoolChain:{left} or {right}", f"BoolUnaryOp:not ({left} or {right})",
     ]
 
 
 def test_walk_expr_deep_sum_needs_no_recursion():
+    # x20000 + (x19999 + (... + x1)): each bracket one level
     acc = ir.VarOccurrence("x1")
     for i in range(2, 20_001):
-        acc = ir.AlgBinaryOp("+", acc, ir.VarOccurrence(f"x{i}"))
+        acc = ir.AlgChain(("+",), (ir.VarOccurrence(f"x{i}"), acc))
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
@@ -46,7 +47,7 @@ def test_walk_expr_deep_sum_needs_no_recursion():
     finally:
         sys.setrecursionlimit(limit)
     assert len(nodes) == 39_999
-    assert nodes[0].name == "x1" and nodes[-1] is acc
+    assert nodes[0].name == "x20000" and nodes[19_999].name == "x1" and nodes[-1] is acc
 
 
 def test_map_expr_rebuilds_only_changed_paths():
@@ -57,7 +58,23 @@ def test_map_expr_rebuilds_only_changed_paths():
         e, lambda n: ir.VarOccurrence("z") if isinstance(n, ir.VarOccurrence) and n.name == "b" else n
     )
     assert print_expression(renamed) == "a[i].z + c * 2"
-    assert renamed.right is e.right
+    assert renamed.terms[1] is e.terms[1]
+
+
+def test_chains_share_operator_tuples_and_take_in_a_leading_chain():
+    x, y, z = map(ir.VarOccurrence, "xyz")
+    assert ir.CHILD_FIELDS[ir.AlgChain] == (("terms", True),)
+    assert ir.CHILD_FIELDS[ir.BoolChain] == (("terms", True),)
+    assert ir.chain_ops(["+", "-"]) is ir.chain_ops(("+", "-"))
+    assert ir.chain("+", [x]) is x
+    difference = ir.chain("-", [x, y])
+    assert ir.chain("+", [difference, z]) == ir.AlgChain(("-", "+"), (x, y, z))
+    assert ir.chain("+", [difference, z]).ops is ir.chain_ops(("-", "+"))
+    # a chain of another group, or on the right, stays one operand
+    assert ir.chain("*", [difference, z]).terms == (difference, z)
+    assert ir.chain("+", [z, difference]).terms == (z, difference)
+    assert ir.chain("and", [ir.chain("and", [x, y]), z]) == ir.BoolChain("and", (x, y, z))
+    assert ir.chain("or", [ir.chain("and", [x, y]), z]).terms[1] is z
 
 
 def test_child_fields_cover_statements_features_and_the_model():
@@ -136,16 +153,16 @@ def test_map_expressions_identity_keeps_every_element():
 
 def _binary(loc=None, xloc=None, binding=None):
     x = ir.VarOccurrence("x", (ir.IntValue(1),), loc=xloc, binding=binding)
-    return ir.AlgBinaryOp("+", x, ir.IntValue(2), loc=loc)
+    return ir.AlgBinaryOp("/", x, ir.IntValue(2), loc=loc)
 
 
 def test_nodes_construct_positionally_and_by_keyword():
     loc = Loc(3, 4, "m.som")
     binding = ir.Binding("variable", "x")
-    assert ir.AlgBinaryOp("+", ir.IntValue(1), ir.IntValue(2)) == ir.AlgBinaryOp(
-        right=ir.IntValue(2), op="+", left=ir.IntValue(1)
+    assert ir.AlgBinaryOp("/", ir.IntValue(1), ir.IntValue(2)) == ir.AlgBinaryOp(
+        right=ir.IntValue(2), op="/", left=ir.IntValue(1)
     )
-    assert ir.AlgBinaryOp("-").left is None and ir.AlgBinaryOp("-").loc is None
+    assert ir.AlgBinaryOp("/").left is None and ir.AlgBinaryOp("/").loc is None
     occ = ir.VarOccurrence("x", (ir.IntValue(1),), binding=binding, loc=loc)
     assert (occ.name, occ.indexes, occ.binding, occ.loc) == ("x", (ir.IntValue(1),), binding, loc)
     assert ir.VarOccurrence(name="x").indexes == () and ir.VarOccurrence("x").binding is None
@@ -161,18 +178,18 @@ def test_nodes_construct_positionally_and_by_keyword():
     with pytest.raises(TypeError):
         ir.VarOccurrence("x", (), binding)
     with pytest.raises(TypeError):
-        ir.AlgBinaryOp("+", ir.IntValue(1), ir.IntValue(2), loc)
+        ir.AlgBinaryOp("/", ir.IntValue(1), ir.IntValue(2), loc)
 
 
 def test_equality_and_hash_ignore_locations_and_bindings():
     plain = _binary()
     located = _binary(Loc(1, 1), Loc(1, 2), ir.Binding("variable", "x"))
     assert plain == located and hash(plain) == hash(located)
-    assert plain != ir.AlgBinaryOp("+", plain.left, ir.IntValue(3))
+    assert plain != ir.AlgBinaryOp("/", plain.left, ir.IntValue(3))
     assert ir.IntValue(1) != ir.IntValue(2)
     assert hash(ir.IntValue(1)) == hash((1,))
     # the same fields in another class are another node
-    assert ir.AlgBinaryOp("+") != ir.SetBinaryOp("+")
+    assert ir.AlgBinaryOp("/") != ir.SetBinaryOp("/")
     assert ir.ExpressionConstraint(ir.BoolValue(True)) != ir.ExprDomain(ir.BoolValue(True))
     assert len({plain, located, ir.SetBinaryOp("+", plain.left, plain.right)}) == 2
     # bindings and inferred types compare and hash by every field
@@ -184,7 +201,7 @@ def test_equality_and_hash_ignore_locations_and_bindings():
 def test_repr_shows_compared_fields_only():
     e = _binary(Loc(1, 1), Loc(1, 2), ir.Binding("variable", "x"))
     assert repr(e) == (
-        "AlgBinaryOp(op='+', left=VarOccurrence(name='x', indexes=(IntValue(v=1),)), "
+        "AlgBinaryOp(op='/', left=VarOccurrence(name='x', indexes=(IntValue(v=1),)), "
         "right=IntValue(v=2))"
     )
     assert repr(ir.Model("m")) == "Model(name='m', elements=())"
@@ -205,12 +222,12 @@ def test_named_kinds_are_interned_and_compare_by_value():
 def test_nodes_refuse_assignment():
     e = _binary()
     with pytest.raises(AttributeError):
-        e.op = "-"
+        e.op = "^"
     with pytest.raises(AttributeError):
         e.extra = 1
     with pytest.raises(AttributeError):
         del e.left
-    assert e.op == "+"
+    assert e.op == "/"
 
 
 def test_deepcopy_and_pickle_keep_locations_and_bindings():
@@ -220,7 +237,7 @@ def test_deepcopy_and_pickle_keep_locations_and_bindings():
         assert twin == e and twin is not e and type(twin) is ir.AlgBinaryOp
         assert twin.loc == e.loc and twin.left.loc == loc and twin.left.binding == binding
     shared = ir.IntValue(7)
-    pair = copy.deepcopy(ir.AlgBinaryOp("*", shared, shared))
+    pair = copy.deepcopy(ir.AlgBinaryOp("^", shared, shared))
     assert pair.left is pair.right and pair.left is not shared
 
 

@@ -13,7 +13,7 @@ from pivotc import ir, oracle
 from pivotc.errors import CompileError, OracleLimitError
 from pivotc.flat import FlatProgram, FlatVar, lower_to_flat
 from pivotc.oracle import compare_solutions, enumerate_solutions, parse_flat
-from pivotc.parser import SourceUnit, parse
+from pivotc.parser import SourceUnit, parse, parse_expression
 from pivotc.passes import PassConfig, alldiff_rewrite, loop_unroll, run_pipeline
 
 from conftest import parse_fixture
@@ -376,6 +376,23 @@ def test_more_variables_than_python_nests_loops():
     assert not any(s.solutions[0].values.values())
 
 
+@pytest.mark.parametrize("text,form", [
+    ("2 * x * 3 - y = 1", ("=", {0: 6, 1: -1}, 1)),
+    ("x * 2 + -y <= 3 - x", ("<=", {0: 3, 1: -1}, 3)),
+    ("x - x > 2", (">", {}, 2)),
+    # a product is linear when its factors after the second are int
+    # literals and one of the first two is
+    ("2 * 3 * x = 1", None),
+    ("x * y * 2 = 1", None),
+    ("abs(x) + y = 1", None),
+    ("x + y * y + 1 = 1", None),
+    ("x = y * y", None),
+    ("x != y", None),
+])
+def test_linear_forms(text, form):
+    assert oracle._linear(parse_expression(text), {"x": 0, "y": 1}) == form
+
+
 def test_long_sum_constraint():
     # a 5,000-deep left-nested tree, deeper than the Python compiler recurses
     text = "var int x in 0..1;\nconstraint " + " + ".join(["x"] * 5000) + " = 5000;\n"
@@ -389,7 +406,7 @@ def test_deeply_nested_constraint_matches_naive():
     x = ir.VarOccurrence("x")
     e = x
     for _ in range(300):
-        e = ir.AlgBinaryOp("-", x, e)
+        e = ir.AlgChain(("-",), (x, e))
     p = FlatProgram((FlatVar("x", "int", -1, 1),), (ir.BoolBinaryOp("=", e, ir.IntValue(0)),))
     s = enumerate_solutions(p)
     assert s.solutions == naive_enumerate(p).solutions

@@ -82,9 +82,30 @@ def test_expression_card_intersect():
 
 
 def test_expression_precedence_mul_over_add():
-    assert parse_expression("1+2*3") == ir.AlgBinaryOp(
-        "+", ir.IntValue(1), ir.AlgBinaryOp("*", ir.IntValue(2), ir.IntValue(3))
+    assert parse_expression("1+2*3") == ir.AlgChain(
+        ("+",), (ir.IntValue(1), ir.AlgChain(("*",), (ir.IntValue(2), ir.IntValue(3))))
     )
+
+
+def test_runs_of_one_group_make_one_chain():
+    one, two, three, four = map(ir.IntValue, (1, 2, 3, 4))
+    assert parse_expression("1 - 2 + 3 - 4") == ir.AlgChain(("-", "+", "-"), (one, two, three, four))
+    # a bracketed chain of the group on the left is taken in, as the
+    # left-deep text reads; on the right it stays an operand
+    assert parse_expression("(1 - 2) + 3") == parse_expression("1 - 2 + 3")
+    assert parse_expression("1 - (2 + 3)") == ir.AlgChain(
+        ("-",), (one, ir.AlgChain(("+",), (two, three)))
+    )
+    assert parse_expression("(1 * 2) * 3 / 4 * 1") == ir.AlgChain(("*",), (
+        ir.AlgBinaryOp("/", ir.AlgChain(("*", "*"), (one, two, three)), four), one,
+    ))
+    p, q, r = map(ir.VarOccurrence, "pqr")
+    assert parse_expression("(p and q) and r or p") == ir.BoolChain(
+        "or", (ir.BoolChain("and", (p, q, r)), p)
+    )
+    assert parse_expression("(p or q) and r") == ir.BoolChain("and", (ir.BoolChain("or", (p, q)), r))
+    # the operator tuples are shared
+    assert parse_expression("1 - 2 + 3").ops is parse_expression("p - q + r").ops
 
 
 def test_unary_minus_binds_below_power():
@@ -105,7 +126,7 @@ def test_power_right_associative():
 
 def test_negative_literal_folds_at_parse():
     assert parse_expression("-3") == ir.IntValue(-3)
-    assert parse_expression("1 - -3") == ir.AlgBinaryOp("-", ir.IntValue(1), ir.IntValue(-3))
+    assert parse_expression("1 - -3") == ir.AlgChain(("-",), (ir.IntValue(1), ir.IntValue(-3)))
     assert parse_expression("-(3)") == ir.AlgUnaryOp("neg", ir.IntValue(3))
 
 
@@ -119,8 +140,8 @@ def test_navigation_path():
 
 def test_set_literal_and_bool_ops():
     e = parse_expression("not (x = 1) and true")
-    assert isinstance(e, ir.BoolBinaryOp) and e.op == "and"
-    assert isinstance(e.left, ir.BoolUnaryOp)
+    assert isinstance(e, ir.BoolChain) and e.op == "and"
+    assert isinstance(e.terms[0], ir.BoolUnaryOp)
     s = parse_expression("{1,2,3} union {4}")
     assert isinstance(s, ir.SetBinaryOp) and s.op == "union"
 
@@ -218,6 +239,12 @@ def test_domain_forms():
 # lexer and the one-function-per-level parser reported them
 DEEP = 65
 PINNED_DIAGNOSTICS = {
+    # each operator after the first of a run that stays binary nests one
+    # level, so the 66th '/' is too deep, while a sum goes on as one chain
+    "long_division_run": (
+        "int x;\nconstraint c { x = x" + " / 2" * 66 + " + 1" * 100 + "; }\n",
+        [("expression nested too deeply", 2, 282)],
+    ),
     "stray_char_after_tab": (
         "model M;\nint x in 1..3;\n\t@ constraint c { x = 1; }\n",
         [("unexpected character '@'", 3, 2)],
@@ -346,6 +373,21 @@ def test_pinned_expression_diagnostics(text, expected):
     assert [(d.message, d.line, d.column) for d in info.value.diagnostics] == expected
 
 
+def test_binary_runs_count_against_the_nesting_cap():
+    half = " / 2" * 65  # 64 levels: the first operator opens none
+    assert isinstance(parse_expression("x" + half), ir.AlgBinaryOp)
+    # a run's levels close with it: the second run starts afresh
+    parse_expression(f"x{half} = x{half}")
+    four = " / 2" * 4  # in 61 brackets: 3 levels more
+    parse_expression("(" * 61 + f"x{four} = x{four}" + ")" * 61)
+    for text in ("x" + half + " / 2", "(" * 61 + f"x{four} / 2" + ")" * 61, " < ".join(["a"] * 67)):
+        with pytest.raises(ParseError) as info:
+            parse_expression(text)
+        assert [d.message for d in info.value.diagnostics] == ["expression nested too deeply"]
+    # chains nest nothing, however long
+    assert len(parse_expression(" - ".join(["x"] * 20_000) + " * 2 * 3").terms) == 20_000
+
+
 def test_deepest_nesting_within_default_recursion_limit():
     # parenthesized levels that each pass through every binding power parse
     # without the raised process-wide recursion limit, up to the cap of 64
@@ -368,7 +410,8 @@ def test_deepest_nesting_within_default_recursion_limit():
 
 def test_operand_locations():
     # every operand form, each node at the (line, col) of its first token
-    # (a binary operator at its operator, a folded sign at the sign)
+    # (a binary operator at its operator, a chain at its last operator, a
+    # folded sign at the sign)
     m = parse(SourceUnit(
         "int v in 1..n;\n"
         "constraint c { not b or x = 7 + a[1] + o.f + abs(x) + x^2 + -2^2 + -3; }\n",
@@ -387,27 +430,22 @@ def test_operand_locations():
         ("IntValue", "7", 2, 29),
         ("IntValue", "1", 2, 35),
         ("VarOccurrence", "a[1]", 2, 33),
-        ("AlgBinaryOp", "7 + a[1]", 2, 31),
         ("VarOccurrence", "o", 2, 40),
         ("VarOccurrence", "f", 2, 42),
         ("ObjectOccurrence", "o.f", 2, 40),
-        ("AlgBinaryOp", "7 + a[1] + o.f", 2, 38),
         ("VarOccurrence", "x", 2, 50),
         ("AlgFunction", "abs(x)", 2, 46),
-        ("AlgBinaryOp", "7 + a[1] + o.f + abs(x)", 2, 44),
         ("VarOccurrence", "x", 2, 55),
         ("IntValue", "2", 2, 57),
         ("AlgBinaryOp", "x ^ 2", 2, 56),
-        ("AlgBinaryOp", "7 + a[1] + o.f + abs(x) + x ^ 2", 2, 53),
         ("IntValue", "2", 2, 62),
         ("IntValue", "2", 2, 64),
         ("AlgBinaryOp", "2 ^ 2", 2, 63),
         ("AlgUnaryOp", "-2 ^ 2", 2, 61),
-        ("AlgBinaryOp", "7 + a[1] + o.f + abs(x) + x ^ 2 + -2 ^ 2", 2, 59),
         ("IntValue", "-3", 2, 68),
-        ("AlgBinaryOp", "7 + a[1] + o.f + abs(x) + x ^ 2 + -2 ^ 2 + -3", 2, 66),
+        ("AlgChain", "7 + a[1] + o.f + abs(x) + x ^ 2 + -2 ^ 2 + -3", 2, 66),
         ("BoolBinaryOp", "x = 7 + a[1] + o.f + abs(x) + x ^ 2 + -2 ^ 2 + -3", 2, 27),
-        ("BoolBinaryOp", "not b or x = 7 + a[1] + o.f + abs(x) + x ^ 2 + -2 ^ 2 + -3", 2, 22),
+        ("BoolChain", "not b or x = 7 + a[1] + o.f + abs(x) + x ^ 2 + -2 ^ 2 + -3", 2, 22),
     ]
     with pytest.raises(ParseError) as info:
         parse(SourceUnit("int x;\nconstraint c { x = 1 + frob(x); }\n", model_file="m.som"))
@@ -427,6 +465,8 @@ def _leading(node) -> tuple[str, ...]:
     """The texts the first token of node's whole span may have."""
     if isinstance(node, (ir.AlgBinaryOp, ir.BoolBinaryOp, ir.SetBinaryOp)):
         return _leading(node.left)
+    if isinstance(node, (ir.AlgChain, ir.BoolChain)):
+        return _leading(node.terms[0])
     return _first_tokens(node)
 
 
@@ -441,8 +481,10 @@ def _first_tokens(node) -> tuple[str, ...]:
         return ("-",) if node.v < 0 else ("+",) + _DIGITS
     if t is ir.BoolValue:
         return ("true" if node.value else "false",)
-    if t in (ir.AlgBinaryOp, ir.BoolBinaryOp, ir.SetBinaryOp):
+    if t in (ir.AlgBinaryOp, ir.BoolBinaryOp, ir.SetBinaryOp, ir.BoolChain):
         return (node.op,)
+    if t is ir.AlgChain:  # at its last operator
+        return (node.ops[-1],)
     if t is ir.AlgUnaryOp:
         return ("-" if node.op == "neg" else "+",)
     fixed = {ir.BoolUnaryOp: "not", ir.SetValue: "{", ir.SetFunction: "card", ir.ForAll: "forall",

@@ -12,7 +12,7 @@ from pivotc.cli import DEFAULT_PASSES, FLAT_EXTRA_PASSES, main
 from pivotc.clp import emit_clp
 from pivotc.flat import emit_flat, lower_to_flat
 from pivotc.oracle import enumerate_solutions
-from pivotc.parser import SourceUnit, parse
+from pivotc.parser import SourceUnit, parse, parse_expression
 from pivotc.passes import (
     PassConfig,
     alldiff_rewrite,
@@ -658,13 +658,13 @@ def test_unroll_inlines_a_constant_beside_a_variable():
     ))
     body = _zone(loop_unroll(m), "k").body
     assert [print_expression(s.expr) for s in body] == ["1 - x[1] = 4 - x[2]", "1 - x[2] = 4 - x[2]"]
-    assert body[0].expr.left.left is body[1].expr.left.left
+    assert body[0].expr.left.terms[0] is body[1].expr.left.terms[0]
 
 
 def test_unroll_folds_what_varies_between_instances(monkeypatch):
     # a node that reads no iterator is folded once, one that reads some
     # once per instance or per tuple of their values, and one with a child
-    # that holds a variable only if it is an AlgBinaryOp; the count is exact,
+    # that holds a variable only if it is a chain or an AlgBinaryOp; the count is exact,
     # and folding every node of every instance (139 calls) exceeds the bound
     structured, _ = run_pipeline(
         parse_fixture("golfers.som", "golfers_small.dat"), PassConfig(("objectFlatten", "enumRemove"))
@@ -761,10 +761,10 @@ def test_unroll_shared_subtree_under_shadowing_iterator():
     (j_loop,) = zone.body[0].body
     outer_stmt, inner_loop = j_loop.body
     (inner_stmt,) = inner_loop.body
-    shared = outer_stmt.expr.left.left
+    shared = outer_stmt.expr.left.terms[0]
     inner_expr = inner_stmt.expr
     grafted = ir.rebuild(
-        inner_expr, {"left": ir.rebuild(inner_expr.left, {"left": shared})}
+        inner_expr, {"left": ir.rebuild(inner_expr.left, {"terms": (shared,) + inner_expr.left.terms[1:]})}
     )
     inner_loop = ir.rebuild(
         inner_loop, {"body": (ir.rebuild(inner_stmt, {"expr": grafted}),)}
@@ -881,6 +881,75 @@ def test_fold_identity_x_plus_zero():
     out = fold_constants(m)
     expr = _zone(out, "c").body[0].expr
     assert print_expression(expr) == "x = x"
+
+
+# (text, (its fold, rewrites)): a chain folds as the left-deep binary nodes
+# it stands for, so only a ground prefix folds and each identity drops one
+# operand; a chain that comes to lead a chain of its group is spliced in.
+# The functions fold in floats, and a domain or range error stays symbolic.
+FOLDS = {
+    'x + 1 + 2': ('x + 1 + 2', 0),
+    '1 + 2 + x': ('3 + x', 1),
+    '0 + x - 0 + 0': ('x', 3),
+    '1 * x * 1 * y': ('x * y', 2),
+    '1 * (x + y) + z': ('x + y + z', 1),
+    '1 / 3 + 1 / 3 + x': ('1 / 3 + 1 / 3 + x', 0),
+    'true and false and b': ('false and b', 1),
+    '0.1 + 0.2 + 0.3': ('0.6000000000000001', 2),
+    '0 + (x + y) + 0 + z': ('x + y + z', 2),
+    '1 / 3 * 1 + 0': ('1 / 3', 2),
+    'x - 0 - 0 * 1': ('x', 3),
+    '2 * 3 * x * 1': ('6 * x', 2),
+    '1e308 * 10.0 * 1.0': ('1e+308 * 10.0 * 1.0', 0),
+    '(1 - 1) + x * 1': ('x', 3),
+    'b or true or false': ('b or true or false', 0),
+    '{1,2} - {1} - {2}': ('{}', 2),
+    'sin(0.0)': ('0.0', 1),
+    'cos(0.0)': ('1.0', 1),
+    'tan(0.0)': ('0.0', 1),
+    'exp(0.0) + 1': ('2.0', 2),
+    'log(1.0)': ('0.0', 1),
+    'sqrt(2.25)': ('1.5', 1),
+    'abs(0 - 3)': ('3', 2),
+    'min(3, 1, 2)': ('1', 1),
+    'max(3, 1.5)': ('3', 1),
+    'sqrt(0.0 - 1.0)': ('sqrt(-1.0)', 1),
+    'exp(1000.0)': ('exp(1000.0)', 0),
+}
+
+
+@pytest.mark.parametrize("text", FOLDS)
+def test_fold_pinned(text):
+    folder = passes._Folder({})
+    folded = folder.fold(parse_expression(text))
+    assert (print_expression(folded), folder.count) == FOLDS[text]
+    assert folded == parse_expression(FOLDS[text][0])
+
+
+def test_passes_rewrite_top_level_statements():
+    # the parser puts every statement in a zone, but a model built through
+    # the API may hold one at the top level, as flat and clp accept
+    x = ir.Variable("x", "int", dims=(ir.IntValue(2),), domain=ir.IntervalDomain(ir.IntValue(1), ir.IntValue(2)))
+
+    def cell(i):
+        return ir.VarOccurrence("x", (i,))
+
+    m = ir.Model("T", (
+        x, ir.GlobalCtr("alldifferent", (cell(ir.IntValue(1)), cell(ir.IntValue(2)))),
+        ir.ForAll("i", ir.IntValue(1), ir.IntValue(2), (
+            ir.ExpressionConstraint(ir.BoolBinaryOp("<=", cell(ir.VarOccurrence("i")), ir.IntValue(2))),
+        )),
+    ))
+    out, reports = run_pipeline(m, PassConfig(("alldiffRewrite", "loopUnroll"), "boolean"))
+    assert [str(r) for r in reports] == [
+        "alldiffRewrite: elements 4 -> 10, rewrites 1", "loopUnroll: elements 10 -> 10, rewrites 1",
+    ]
+    # the matrix goes just before the statements that replace the constraint
+    assert print_pivot(out) == (
+        "model T;\nint x[2] in 1..2;\nbool b[2,2];\n"
+        "b[1,1] + b[1,2] = 1;\nb[2,1] + b[2,2] = 1;\nb[1,1] + b[2,1] = 1;\nb[1,2] + b[2,2] = 1;\n"
+        "x[1] = b[1,1] + 2 * b[1,2];\nx[2] = b[2,1] + 2 * b[2,2];\nx[1] <= 2;\nx[2] <= 2;\n"
+    )
 
 
 def test_fold_rational_exactness():

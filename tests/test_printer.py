@@ -29,11 +29,10 @@ def test_print_deterministic(golfers):
 
 def test_expression_texts():
     cases = {
-        "1 + 2 * 3": ir.AlgBinaryOp("+", ir.IntValue(1),
-                                    ir.AlgBinaryOp("*", ir.IntValue(2), ir.IntValue(3))),
-        "(1 + 2) * 3": ir.AlgBinaryOp("*",
-                                      ir.AlgBinaryOp("+", ir.IntValue(1), ir.IntValue(2)),
-                                      ir.IntValue(3)),
+        "1 + 2 * 3": ir.chain("+", [ir.IntValue(1), ir.chain("*", [ir.IntValue(2), ir.IntValue(3)])]),
+        "(1 + 2) * 3": ir.chain("*", [ir.chain("+", [ir.IntValue(1), ir.IntValue(2)]), ir.IntValue(3)]),
+        "1 - 2 + 3 - 4": ir.AlgChain(("-", "+", "-"), tuple(map(ir.IntValue, (1, 2, 3, 4)))),
+        "1 - (2 + 3)": ir.chain("-", [ir.IntValue(1), ir.chain("+", [ir.IntValue(2), ir.IntValue(3)])]),
         "x ^ y ^ z": ir.AlgBinaryOp("^", ir.VarOccurrence("x"),
                                     ir.AlgBinaryOp("^", ir.VarOccurrence("y"), ir.VarOccurrence("z"))),
         "(x ^ y) ^ z": ir.AlgBinaryOp("^",
@@ -41,7 +40,11 @@ def test_expression_texts():
                                       ir.VarOccurrence("z")),
         "-x ^ 2": ir.AlgUnaryOp("neg", ir.AlgBinaryOp("^", ir.VarOccurrence("x"), ir.IntValue(2))),
         "(-x) ^ 2": ir.AlgBinaryOp("^", ir.AlgUnaryOp("neg", ir.VarOccurrence("x")), ir.IntValue(2)),
-        "-(x * 2)": ir.AlgUnaryOp("neg", ir.AlgBinaryOp("*", ir.VarOccurrence("x"), ir.IntValue(2))),
+        "-(x * 2)": ir.AlgUnaryOp("neg", ir.chain("*", [ir.VarOccurrence("x"), ir.IntValue(2)])),
+        "a and b and (c or d)": ir.BoolChain("and", (
+            ir.VarOccurrence("a"), ir.VarOccurrence("b"),
+            ir.chain("or", [ir.VarOccurrence("c"), ir.VarOccurrence("d")]),
+        )),
     }
     for text, tree in cases.items():
         assert print_expression(tree) == text
@@ -59,7 +62,7 @@ _OPERANDS = [
     (ir.IntValue(-3), "-3", 12),
     (ir.RealValue(2.5), "2.5", 13),
     (ir.BoolValue(True), "true", 13),
-    (ir.AlgBinaryOp("-", ir.VarOccurrence("a"), ir.VarOccurrence("b")), "a - b", 9),
+    (ir.chain("-", [ir.VarOccurrence("a"), ir.VarOccurrence("b")]), "a - b", 9),
 ]
 # operator -> (node class, strength its left operand needs, its right one)
 _OPERATORS = {op: (cls, bp, bp + 1) for op, (bp, cls) in BINARY_OPS.items()}
@@ -70,10 +73,14 @@ _OPERATORS["^"] = (ir.AlgBinaryOp, 13, POWER_BP)
 @pytest.mark.parametrize("operand,text,strength", _OPERANDS, ids=[t for _, t, _ in _OPERANDS])
 def test_each_operand_of_each_binary_operator(op, operand, text, strength):
     cls, left_needs, right_needs = _OPERATORS[op]
+
+    def node(left, right):
+        return ir.chain(op, [left, right]) if cls in (ir.AlgChain, ir.BoolChain) else cls(op, left, right)
+
     z = ir.VarOccurrence("z")
     for tree, left, right in (
-        (cls(op, operand, z), text if strength >= left_needs else f"({text})", "z"),
-        (cls(op, z, operand), "z", text if strength >= right_needs else f"({text})"),
+        (node(operand, z), text if strength >= left_needs else f"({text})", "z"),
+        (node(z, operand), "z", text if strength >= right_needs else f"({text})"),
     ):
         printed = print_expression(tree)
         assert printed == f"{left} {op} {right}"
@@ -84,9 +91,9 @@ def test_operand_table_spot_checks():
     operand = {text: node for node, text, _ in _OPERANDS}
     z = ir.VarOccurrence("z")
     cases = {
-        "(a - b) * z": ir.AlgBinaryOp("*", operand["a - b"], z),
-        "z - (a - b)": ir.AlgBinaryOp("-", z, operand["a - b"]),
-        "a - b + z": ir.AlgBinaryOp("+", operand["a - b"], z),
+        "(a - b) * z": ir.chain("*", [operand["a - b"], z]),
+        "z - (a - b)": ir.chain("-", [z, operand["a - b"]]),
+        "a - b + z": ir.chain("+", [operand["a - b"], z]),
         "(-3) ^ z": ir.AlgBinaryOp("^", operand["-3"], z),
         "z ^ -3": ir.AlgBinaryOp("^", z, operand["-3"]),
         "z - -3": ir.AlgBinaryOp("-", z, operand["-3"]),
@@ -112,13 +119,11 @@ def _exprs(depth):
     sub = _exprs(depth - 1)
     return st.one_of(
         leaf,
-        st.tuples(st.sampled_from(["+", "-", "*", "/", "^"]), sub, sub).map(
-            lambda t: ir.AlgBinaryOp(*t)
+        st.tuples(st.sampled_from(["+", "-", "*", "and", "or"]), sub, sub).map(
+            lambda t: ir.chain(t[0], t[1:])
         ),
-        st.tuples(st.sampled_from(list(ir.COMPARISON_OPS)), sub, sub).map(
-            lambda t: ir.BoolBinaryOp(*t)
-        ),
-        st.tuples(st.sampled_from(["and", "or", "implies", "iff"]), sub, sub).map(
+        st.tuples(st.sampled_from(["/", "^"]), sub, sub).map(lambda t: ir.AlgBinaryOp(*t)),
+        st.tuples(st.sampled_from(list(ir.COMPARISON_OPS) + ["implies", "iff"]), sub, sub).map(
             lambda t: ir.BoolBinaryOp(*t)
         ),
         sub.map(lambda e: ir.BoolUnaryOp("not", e)),

@@ -472,7 +472,7 @@ FRONT_DIAGNOSTICS = {
     # the model has no location of its own
     "two_main_classes": (
         "model M;\nmain class A { }\nmain class B { }\n",
-        [("duplicate name 'main'", 0, 0)],
+        [("duplicate name 'main'", 3, 6)],
     ),
     "enumeration_read_as_a_value": (
         "model M;\nenum E := {a, b};\nint x in 1..3;\nconstraint c { x = E; }\n",
@@ -486,12 +486,11 @@ FRONT_DIAGNOSTICS = {
     # reads it, at the declaration
     "set_of_reals_read": (
         "model M;\nreal set s;\nconstraint c { card(s) = 1; }\n",
-        [("'s': sets of real are not supported", 2, 1),
-         ("'s': sets of real are not supported", 2, 1)],
+        [("'s': sets of real are not supported", 2, 1)],
     ),
     "unknown_type_read": (
         "model M;\nFoo x;\nconstraint c { x = 1; }\n",
-        [("unknown type 'Foo'", 2, 1), ("unknown type 'Foo'", 2, 1)],
+        [("unknown type 'Foo'", 2, 1)],
     ),
     "set_of_objects": (
         "model M;\nclass C { int a in 1..2; }\nC set o;\n",
