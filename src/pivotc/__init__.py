@@ -22,7 +22,8 @@ _EXPORTS = {
     "lower_to_flat": "flat",
     "Model": "ir", "model_equals": "ir",
     "Assignment": "oracle", "SolutionSet": "oracle",
-    "compare_solutions": "oracle", "enumerate_solutions": "oracle",
+    "compare_solutions": "oracle", "compare_streaming": "oracle",
+    "enumerate_solutions": "oracle",
     "parse_flat": "oracle",
     "SourceUnit": "parser", "parse": "parser", "parse_expression": "parser",
     "PassConfig": "passes", "PassReport": "passes",

@@ -40,8 +40,9 @@ EXIT_DIAGNOSTICS = 1
 EXIT_USAGE = 2
 EXIT_ORACLE_LIMIT = 3
 
-# check's verdict, printed first on its line, per compare_solutions relation
-# of the transformed model's solutions to the baseline's
+# check's verdict, printed first on its line, per relation of the
+# transformed model's solutions to the baseline's (as compare_solutions and
+# compare_streaming name it)
 VERDICTS = {
     "equal": "EQUAL",
     "superset": "SUPERSET",
@@ -121,16 +122,14 @@ def cmd_compile(args) -> int:
     return EXIT_OK
 
 
-def _flat_solutions(model: ir.Model, cfg: PassConfig):
+def _lowered(model: ir.Model, cfg: PassConfig):
     from .flat import lower_to_flat
-    from .oracle import enumerate_solutions
 
-    program = lower_to_flat(run_pipeline(model, cfg, "flat")[0])
-    return program, enumerate_solutions(program)
+    return lower_to_flat(run_pipeline(model, cfg, "flat")[0])
 
 
 def cmd_check(args) -> int:
-    from .oracle import compare_solutions
+    from .oracle import compare_streaming, enumerate_solutions
 
     base_cfg = PassConfig(DEFAULT_PASSES + FLAT_EXTRA_PASSES, "disequalities")
     # the oracle needs fully lowered models
@@ -138,11 +137,10 @@ def cmd_check(args) -> int:
     full_cfg = PassConfig(passes, args.cfg.alldiff_mode)
     model = _front(args.model, args.data)
     check_pipeline(model_features(model), full_cfg.passes, "flat")  # before the baseline runs
-    base_prog, base_sols = _flat_solutions(model, base_cfg)
-    _full_prog, full_sols = _flat_solutions(model, full_cfg)
-    projection = [v.name for v in base_prog.vars]
-    relation = compare_solutions(full_sols, base_sols, projection)
-    print(f"{VERDICTS[relation]} baseline={len(base_sols)} transformed={len(full_sols)}")
+    base_sols = enumerate_solutions(_lowered(model, base_cfg))
+    # the transformed side's solutions are counted and looked up, not kept
+    relation, count = compare_streaming(_lowered(model, full_cfg), base_sols)
+    print(f"{VERDICTS[relation]} baseline={len(base_sols)} transformed={count}")
     return EXIT_OK
 
 

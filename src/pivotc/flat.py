@@ -25,7 +25,6 @@ from typing import NamedTuple
 from . import ir, passes, sema
 from .errors import CompileError
 from .passes import _MISSING, _as_int, _Folder, _value_int, const_env
-from .printer import print_expression
 
 
 class FlatVar(NamedTuple):
@@ -181,24 +180,29 @@ class _Lowerer:
             return folded
         b = node.binding
         if b is not None and b.kind == "constant":  # not inlined: no literal holds its value
-            try:
-                value = self.folder._eval(self.folder.fold(self.constants[node.name].value))
-            except OverflowError:  # a math range error
-                value = math.inf
-            except ValueError:  # a math domain error
-                raise CompileError(
-                    f"cannot lower model: the value of constant '{node.name}' is not a real number"
-                ) from None
-            if isinstance(value, float) and not math.isfinite(value):
-                raise CompileError(
-                    f"cannot lower model: the value of constant '{node.name}' "
-                    "is beyond the float range"
-                )
-            if value is not _MISSING:  # ground, but not an integer
-                raise CompileError(
-                    f"cannot lower model: the flat format has no literal for {value}, "
-                    f"the value of constant '{node.name}'"
-                )
+            folded = self.folder.fold(self.constants[node.name].value)
+            # each part, the whole value last: a part that overflows or has
+            # no real value leaves the parts above it no value
+            for part in ir.walk_expr(folded):
+                try:
+                    value = self.folder._eval(part)
+                except OverflowError:  # a math range error
+                    value = math.inf
+                except ValueError:  # a math domain error
+                    raise CompileError(
+                        f"cannot lower model: the value of constant '{node.name}' "
+                        "is not a real number"
+                    ) from None
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise CompileError(
+                        f"cannot lower model: the value of constant '{node.name}' "
+                        "is beyond the float range"
+                    )
+                if part is folded and value is not _MISSING:  # ground, but not an integer
+                    raise CompileError(
+                        f"cannot lower model: the flat format has no literal for {value}, "
+                        f"the value of constant '{node.name}'"
+                    )
             raise _residual("non-ground constant", node.name)
         dims = self.dims.get(node.name)
         if dims is None:
@@ -209,6 +213,8 @@ class _Lowerer:
         for expr, size in zip(indexes, dims):  # already folded
             value = _as_int(self.folder.value(expr))
             if value is None:
+                from .printer import print_expression
+
                 raise _residual("non-ground index", print_expression(expr))
             if not 1 <= value <= size:
                 raise CompileError(f"index {value} outside 1..{size} for '{node.name}'", node.loc)
@@ -243,6 +249,8 @@ def lower_to_flat(model: ir.Model) -> FlatProgram:
 
 def emit_flat(p: FlatProgram) -> str:
     """Deterministic text form; declarations first, then constraints."""
+    from .printer import print_expression  # here: check lowers, but prints nothing
+
     lines = []  # each ends in its newline, so one join makes the only copy
     for v in p.vars:
         if v.kind == "int":

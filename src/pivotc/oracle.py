@@ -39,7 +39,9 @@ stored once; ``SolutionSet.solutions`` builds ``Assignment``s from them only
 when read.  Rows are in canonical order, by value (as ``domain_values``
 orders them) in sorted variable-name order.  When the variables are
 declared in sorted name order, the search yields that order itself and
-nothing is sorted.
+nothing is sorted.  ``compare_streaming`` runs the same search with
+another leaf: each solution is projected and looked up among a baseline's
+rows, counted, and not kept.
 
 Evaluation is exact: integer arithmetic is unbounded, ``/`` evaluates in
 rationals, and set values are frozensets over the declared universe.
@@ -59,7 +61,6 @@ from .errors import CompileError, Diagnostic, OracleLimitError, ParseError
 from .flat import FlatProgram, FlatVar
 from .parser import parse_expression
 from .passes import _div, _pow, _refuse
-from .printer import print_expression
 
 MAX_SET_UNIVERSE = 12
 MAX_SEARCH_SPACE = 2 ** 40
@@ -232,6 +233,10 @@ _MAX_DEPTH = 48
 # The largest domain, in values, whose loop is filtered through support
 # masks (see _Masks): its table VALS<j> holds one tuple per subset.
 _MAX_MASKED = 12
+# The most two-variable tables one search builds (see _Masks): each costs
+# about as much to compile as hundreds of nodes, whatever the search's size.
+# 11-queens, the largest within MAX_SEARCH_SPACE, has 55.
+_MAX_TABLES = 64
 
 _ARITH = {"+": " + ", "-": " - ", "*": " * "}
 _SET_OPS = {"intersect": " & ", "union": " | "}
@@ -601,6 +606,12 @@ class _Masks:
     the constraints over the domains; that is safe only because no
     constraint can raise.
 
+    A table costs its compile whatever the search's size, so a search
+    builds at most _MAX_TABLES of them, for the first pairs in program
+    order, and none over two variables of at most two values each: there
+    a mask drops at most the one value that the check would reject a node
+    later.  A constraint over a pair without a table is checked instead.
+
     Once v<i> is bound, ``m<i>_<j>`` is j's mask so far ANDed with
     ``T<i>_<j>[v<i>]``, for every later j; the value is rejected when one
     of these is empty.  Loop j binds only the values whose bits its mask
@@ -616,6 +627,8 @@ class _Masks:
             for i, v in enumerate(program.vars)
             if prune and (v.kind == "bool" or v.kind == "int" and v.hi - v.lo < _MAX_MASKED)
         }
+        self.two_valued = {i for i in self.masked if program.vars[i].kind == "bool"
+                           or program.vars[i].hi - program.vars[i].lo < 2}  # or one
         self.unary: dict[int, list[str]] = {}
         self.pairs: dict[tuple[int, int], list[str]] = {}
         self.before: dict[int, set[int]] = {}  # j -> each i with a table T<i>_<j>
@@ -623,13 +636,17 @@ class _Masks:
 
     def add(self, src: str, used: set[int]) -> bool:
         """Fold the constraint with source src into a mask; False when it
-        reads more than two variables or one that is not masked."""
+        reads more than two variables or one that is not masked, or would
+        need a table that the search does not build."""
         if len(used) > 2 or not used <= self.masked:
             return False
         if len(used) == 1:
             self.unary.setdefault(min(used), []).append(src)
         else:
             i, j = sorted(used)
+            new = (i, j) not in self.pairs
+            if new and (used <= self.two_valued or len(self.pairs) >= _MAX_TABLES):
+                return False
             self.pairs.setdefault((i, j), []).append(src)
             self.before.setdefault(j, set()).add(i)
             self.after.setdefault(i, set()).add(j)
@@ -729,7 +746,8 @@ class _Masks:
         return f"vals{j}[{mask}]" if mask else f"D[{j}]"
 
 
-def _search_source(program: FlatProgram) -> tuple[str, dict, dict]:
+def _search_source(program: FlatProgram,
+                   project: list[int] | None = None) -> tuple[str, dict, dict]:
     """Source defining ``s0(P, nodes)``, the whole search, plus the
     constants it reads and, per line of the source that checks
     constraints, the (index, source) of each constraint it fuses.
@@ -745,6 +763,13 @@ def _search_source(program: FlatProgram) -> tuple[str, dict, dict]:
     loops of the k-th run of _LOOPS_PER_FUNCTION variables and receives the
     earlier values as the tuple P.  It returns the node count; a limit
     raises Stop instead.
+
+    Only the leaf, the line after the last loop, depends on project.
+    Without it, the leaf appends the values to ``OUT``.  With it, the leaf
+    counts the solution in ``ROWS`` and builds the row of the values of the
+    variables project indexes, in that order.  A row in the set ``BASE``
+    goes to ``HIT``, a bound ``add``; any other becomes ``MISS``.  Either
+    way a limit of MAX_SOLUTIONS rows stops the search.
     """
     writer = _Writer(program)
     prune = not _may_raise(program)
@@ -796,9 +821,18 @@ def _search_source(program: FlatProgram) -> tuple[str, dict, dict]:
         values = f"({own})" if k == 0 else f"P + ({own})"
         if stop < n:
             lines.append(f"{pad}nodes = s{k + 1}({values}, nodes)")
-        else:
+        elif project is None:
             lines.append(f"{pad}OUT.append({values})")
             lines.append(f"{pad}if len(OUT) >= MAX_SOLUTIONS: raise Stop(nodes)")
+        else:
+            row = "".join(f"v{i}, " if i >= start else f"P[{i}], " for i in project)
+            lines += [
+                f"{pad}global ROWS, MISS",
+                f"{pad}ROWS += 1",
+                f"{pad}if (row := ({row})) in BASE: HIT(row)",
+                f"{pad}else: MISS = row",
+                f"{pad}if ROWS >= MAX_SOLUTIONS: raise Stop(nodes)",
+            ]
         lines.append("    return nodes")
     first = sum(h.count("\n") + 1 for h in writer.helpers) + 1  # line number of lines[0]
     fused = {first + at: checked for at, checked in fused.items()}
@@ -852,12 +886,12 @@ def _canonical_key(program: FlatProgram, domains: list[list]):
 _EVALUATION_ERRORS = (ValueError, ArithmeticError, CompileError)
 
 
-def enumerate_solutions(
-    program: FlatProgram,
-    max_solutions: int = DEFAULT_MAX_SOLUTIONS,
-    max_nodes: int = DEFAULT_MAX_NODES,
-) -> SolutionSet:
-    """Exhaustive backtracking search; exact unless a limit triggers."""
+def _search(program: FlatProgram, project: list[int] | None, names: dict,
+            max_solutions: int, max_nodes: int) -> tuple[list[list], int, bool, dict]:
+    """Run the search _search_source writes for program and project in a
+    namespace that also binds names.  Returns the domains, the node count,
+    whether no limit stopped the search, and the final value of each of
+    names."""
     domains = [domain_values(v) for v in program.vars]
     space = 1
     for d in domains:
@@ -867,14 +901,14 @@ def enumerate_solutions(
                 f"search space exceeds 2^40 ({len(program.vars)} variables)"
             )
 
-    source, constants, fused = _search_source(program)
-    rows: list[tuple] = []
+    source, constants, fused = _search_source(program, project)
     namespace = dict(
         constants,
-        DOMAINS=domains, OUT=rows,
+        DOMAINS=domains,
         MAX_NODES=max_nodes, MAX_SOLUTIONS=max_solutions, Stop=_Stop,
         _div=_div, _pow=_pow, _ordered=_ordered,
         _mask=_mask, _support=_support, _subsets=_subsets,
+        **names,
     )
     try:
         exec(compile(source, "<oracle search>", "exec"), namespace)
@@ -886,9 +920,22 @@ def enumerate_solutions(
         message = exc.message if isinstance(exc, CompileError) else exc
         raise CompileError(f"the oracle cannot evaluate {what}: {message}") from None
     finally:
+        final = {name: namespace[name] for name in names}
         # each generated function's globals are this namespace: a cycle
-        # that would keep OUT alive until the cyclic collector runs
+        # that would keep what the leaf fills alive until the cyclic
+        # collector runs
         namespace.clear()
+    return domains, nodes, complete, final
+
+
+def enumerate_solutions(
+    program: FlatProgram,
+    max_solutions: int = DEFAULT_MAX_SOLUTIONS,
+    max_nodes: int = DEFAULT_MAX_NODES,
+) -> SolutionSet:
+    """Exhaustive backtracking search; exact unless a limit triggers."""
+    rows: list[tuple] = []
+    domains, nodes, complete, _ = _search(program, None, {"OUT": rows}, max_solutions, max_nodes)
     key = _canonical_key(program, domains)
     if key is not None:
         rows.sort(key=key)
@@ -907,6 +954,8 @@ def _raising_constraint(program: FlatProgram, fused: dict, namespace: dict, exc)
         try:
             eval(src, namespace, dict(frame.f_locals))
         except _EVALUATION_ERRORS:
+            from .printer import print_expression
+
             return f"the constraint {print_expression(program.constraints[c])}"
     return "a constraint"
 
@@ -932,10 +981,39 @@ def compare_solutions(a: SolutionSet, b: SolutionSet, projection=None) -> str:
     else:
         names = list(projection)
         pa, pb = _project(a, names), _project(b, names)
-    if pa == pb:
-        return "equal"
-    if pa < pb:
-        return "subset"
-    if pa > pb:
-        return "superset"
-    return "incomparable"
+    return _relation(pa <= pb, pa >= pb)
+
+
+def _relation(within: bool, covers: bool) -> str:
+    """The relation of a set to another it is within, covers, both or
+    neither."""
+    if within:
+        return "equal" if covers else "subset"
+    return "superset" if covers else "incomparable"
+
+
+def compare_streaming(
+    program: FlatProgram,
+    baseline: SolutionSet,
+    max_solutions: int = DEFAULT_MAX_SOLUTIONS,
+    max_nodes: int = DEFAULT_MAX_NODES,
+) -> tuple[str, int]:
+    """``compare_solutions(enumerate_solutions(program), baseline,
+    baseline.names)`` and the number of program's solutions, without
+    keeping them.
+
+    The search projects each solution onto the baseline's variables, in
+    their order, and looks the row up among the baseline's rows: the
+    projected solutions are within the baseline when no row misses, and
+    cover it when every baseline row is hit.  Limits count as in
+    enumerate_solutions.  Once the search has run, a limit that stopped it
+    or the baseline raises OracleLimitError, as compare_solutions does.  A
+    baseline variable that program lacks raises KeyError."""
+    index = {v.name: i for i, v in enumerate(program.vars)}
+    project = [index[name] for name in baseline.names]
+    base, hits = set(baseline.rows), set()
+    names = {"BASE": base, "HIT": hits.add, "ROWS": 0, "MISS": None}
+    _, _, complete, found = _search(program, project, names, max_solutions, max_nodes)
+    if not complete or not baseline.complete:
+        raise OracleLimitError("cannot compare incomplete solution sets")
+    return _relation(found["MISS"] is None, len(hits) == len(base)), found["ROWS"]

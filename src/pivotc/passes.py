@@ -122,15 +122,15 @@ def _div(a, b, loc=None):
 
 
 def _pow(a, b, loc=None):
-    if isinstance(b, Fraction) and b.denominator == 1:
+    if type(b) is Fraction and b.denominator == 1:
         b = b.numerator
     try:
-        if isinstance(a, float) or isinstance(b, (float, Fraction)):
+        if isinstance(a, float) or isinstance(b, float) or type(b) is Fraction:
             v = float(a) ** float(b)
             if isinstance(v, complex):
                 raise ValueError("a negative number raised to a fractional power is not real")
             return v
-        return Fraction(a) ** b if isinstance(a, Fraction) or b < 0 else a ** b
+        return Fraction(a) ** b if type(a) is Fraction or b < 0 else a ** b
     except ZeroDivisionError:
         raise CompileError("zero raised to a negative power", loc) from None
 
@@ -140,7 +140,7 @@ def _materialize(v, loc) -> ir.Expression | None:
         return ir.BoolValue(v, loc=loc)
     if isinstance(v, int):
         return ir.IntValue(v, loc=loc)
-    if isinstance(v, Fraction):
+    if type(v) is Fraction:
         if v.denominator == 1:
             return ir.IntValue(v.numerator, loc=loc)
         return None  # keep non-integral rationals symbolic to stay exact
@@ -294,7 +294,7 @@ class _Folder:
         if t is ir.AlgChain or t is ir.BoolChain:
             node, v, _last, count = self._chain(e)
             self.count += count
-            if isinstance(v, Fraction):  # ground, but no literal holds the value exactly
+            if type(v) is Fraction:  # ground, but no literal holds the value exactly
                 self._exact[id(node)] = (node, v)
             return node
         try:
@@ -306,7 +306,7 @@ class _Folder:
         node = _materialize(v, e.loc)
         if node is None:  # ground, but no literal holds the value exactly
             out = self._identities(e)
-            if isinstance(v, Fraction):  # inf and nan are no value
+            if type(v) is Fraction:  # inf and nan are no value
                 self._exact[id(out)] = (out, v)
             return out
         if node == e:
@@ -374,7 +374,7 @@ class _Folder:
                     acc, acc_ops = map(list, ir.chain_terms(t, op))
                     val = value(t)
             # a ground node no literal holds keeps its value only if rational
-            if isinstance(v, Fraction):
+            if type(v) is Fraction:
                 val = v
             elif drop is None:
                 val = _MISSING
@@ -441,7 +441,7 @@ def _as_int(v) -> int | None:
     if v is _MISSING:
         return None
     v = _num(v)
-    if isinstance(v, Fraction):
+    if type(v) is Fraction:
         if v.denominator != 1:
             return None
         return v.numerator

@@ -1,3 +1,4 @@
+import functools
 import gc
 import json
 import subprocess
@@ -5,7 +6,7 @@ import sys
 
 import pytest
 
-from pivotc import cli
+from pivotc import cli, oracle
 from pivotc.cli import main
 from pivotc.oracle import parse_flat
 from pivotc.parser import SourceUnit, parse, parse_expression
@@ -76,7 +77,7 @@ def test_compile_refuses_an_unreachable_order_before_any_pass(tmp_path, capsys, 
 
 
 def test_check_refuses_an_unreachable_order_before_the_baseline_runs(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "_flat_solutions", lambda model, cfg: pytest.fail("a pipeline ran"))
+    monkeypatch.setattr(cli, "_lowered", lambda model, cfg: pytest.fail("a pipeline ran"))
     assert main(["check", "-m", str(FIXTURES / "queens4.som"), "--passes", "foldConstants"]) == 1
     assert capsys.readouterr() == ("", (
         "error: alldiffRewrite: model still contains classes; "
@@ -325,6 +326,16 @@ def test_constant_beyond_the_float_range_is_named(tmp_path, capsys, target):
     )
 
 
+def test_check_names_a_constant_whose_prefix_overflows(tmp_path, capsys):
+    # the product overflows, so the sum above it has no value of its own
+    model = "model M;\nreal r := 1e300 * 1e300 + 1.0;\nint x in 1..3;\nconstraint k { x <= r; }\n"
+    _, argv = _command(tmp_path, model, None)
+    assert main(argv) == 1
+    assert capsys.readouterr() == (
+        "", "error: cannot lower model: the value of constant 'r' is beyond the float range\n"
+    )
+
+
 @pytest.mark.parametrize("powers", [60, 12000])
 def test_power_chain_counts_against_the_nesting_cap(tmp_path, capsys, powers):
     # each exponent is one level deeper: a chain past the cap is a
@@ -436,6 +447,50 @@ def test_check_oracle_limit_exit_code(tmp_path):
     assert proc.stderr.strip() != ""
 
 
+def _limited(monkeypatch, side: str, **limits):
+    """Run check's baseline search ("baseline") or its streamed transformed
+    search ("transformed") under the given limits."""
+    name = "enumerate_solutions" if side == "baseline" else "compare_streaming"
+    monkeypatch.setattr(oracle, name, functools.partial(getattr(oracle, name), **limits))
+
+
+@pytest.mark.parametrize("side", ["baseline", "transformed"])
+@pytest.mark.parametrize("limits", [{"max_solutions": 1}, {"max_nodes": 2}])
+def test_check_exits_3_when_either_search_stops_at_a_limit(capsys, monkeypatch, side, limits):
+    _limited(monkeypatch, side, **limits)
+    assert main(["check", "-m", str(FIXTURES / "queens4.som"), "--alldiff", "relaxation"]) == 3
+    assert capsys.readouterr() == ("", "error: cannot compare incomplete solution sets\n")
+
+
+def test_check_reports_the_transformed_error_before_the_baseline_limit(tmp_path, capsys,
+                                                                     monkeypatch):
+    # the baseline stops at its first solution, x = 0, before x = 2 divides
+    # by zero; the transformed search gets there, and its error comes first
+    _limited(monkeypatch, "baseline", max_solutions=1)
+    model = "model M;\nint x in 0..2;\nconstraint k { 1 / (x - 2) >= -1; }\n"
+    _, argv = _command(tmp_path, model, None)
+    assert main(argv) == 1
+    assert capsys.readouterr() == (
+        "", "error: the oracle cannot evaluate the constraint 1 / (x - 2) >= -1: division by zero\n"
+    )
+
+
+@pytest.mark.parametrize("transformed,out", [
+    ("var int x in 1..3;\nconstraint x = 1;\n", "SUBSET baseline=2 transformed=1\n"),
+    ("var int x in 1..3;\nconstraint x >= 2;\n", "DIFFER baseline=2 transformed=2\n"),
+    ("var int x in 1..3;\nvar bool z;\nconstraint x <= 2;\n", "EQUAL baseline=2 transformed=4\n"),
+    ("var bool z;\nvar int x in 1..3;\n", "SUPERSET baseline=2 transformed=6\n"),
+])
+def test_check_prints_each_relation_with_the_transformed_count(capsys, monkeypatch, transformed,
+                                                               out):
+    # the transformed count is every solution, before projection
+    programs = {"disequalities": parse_flat("var int x in 1..3;\nconstraint x <= 2;\n"),
+                "relaxation": parse_flat(transformed)}
+    monkeypatch.setattr(cli, "_lowered", lambda model, cfg: programs[cfg.alldiff_mode])
+    assert main(["check", "-m", str(FIXTURES / "queens4.som"), "--alldiff", "relaxation"]) == 0
+    assert capsys.readouterr() == (out, "")
+
+
 # --------------------------------------------------------------------------
 # Start-up: per-command imports, lazy package exports, no cyclic GC in main
 
@@ -452,7 +507,7 @@ PROBE = (
 @pytest.mark.parametrize("command,extra", [
     (["compile", "--target", "flat"], {"pivotc.flat", "pivotc.printer"}),
     (["compile", "--target", "clp"], {"pivotc.clp"}),
-    (["check"], {"pivotc.flat", "pivotc.oracle", "pivotc.printer"}),
+    (["check"], {"pivotc.flat", "pivotc.oracle"}),
 ], ids=["compile-flat", "compile-clp", "check"])
 def test_command_imports_only_its_backends(tmp_path, command, extra):
     argv = [*command, "-m", str(FIXTURES / "queens4.som")]

@@ -233,6 +233,11 @@ def _global_model():
      "the value of constant 'r' is beyond the float range"),
     # validate would refuse it; lowering alone names it
     ("int x in 1..2;\nint c := x;\nconstraint k { x <= c; }", "residual non-ground constant (c)"),
+    # a prefix that overflows or has no real value leaves the sum no value
+    ("real r := 1e300 * 1e300 + 1.0;\nint x in 1..2;\nconstraint c { x <= r; }",
+     "the value of constant 'r' is beyond the float range"),
+    ("real r := sqrt(0.0 - 1.0) + 1.0;\nint x in 1..2;\nconstraint c { x <= r; }",
+     "the value of constant 'r' is not a real number"),
 ])
 def test_what_lowering_refuses(model, message):
     if isinstance(model, str):

@@ -2,6 +2,7 @@ import gc
 import itertools
 import math
 import operator
+import random
 import re
 import tracemalloc
 import types
@@ -12,12 +13,12 @@ from hypothesis import example, given, settings, strategies as st
 from pivotc import ir, oracle
 from pivotc.errors import CompileError, OracleLimitError
 from pivotc.flat import FlatProgram, FlatVar, lower_to_flat
-from pivotc.oracle import compare_solutions, enumerate_solutions, parse_flat
+from pivotc.oracle import compare_solutions, compare_streaming, enumerate_solutions, parse_flat
 from pivotc.parser import SourceUnit, parse, parse_expression
-from pivotc.passes import PassConfig, alldiff_rewrite, loop_unroll, run_pipeline
+from pivotc.passes import ALLDIFF_MODES, PassConfig, alldiff_rewrite, loop_unroll, run_pipeline
 
 from conftest import parse_fixture
-from helpers import naive_enumerate
+from helpers import gen_model, naive_enumerate
 
 FULL = PassConfig(
     ("objectFlatten", "enumRemove", "foldConstants", "alldiffRewrite", "loopUnroll")
@@ -313,6 +314,38 @@ def test_nodes_count_only_values_a_mask_keeps():
     assert s.nodes == 9 + 36
 
 
+def _tables(program: FlatProgram) -> int:
+    return oracle._search_source(program)[0].count("_support(")
+
+
+def test_no_table_joins_two_variables_of_two_values(monkeypatch):
+    # 780 tables would cost more to compile than they save: each drops at
+    # most the one value that its check would reject a node later
+    text = "".join(f"var bool b{i};\n" for i in range(40))
+    text += "".join(
+        f"constraint not (b{i} and b{j});\n" for i in range(40) for j in range(i + 1, 40)
+    )
+    p = parse_flat(text)
+    # a variable of three values keeps its tables
+    assert _tables(parse_flat(text.replace("var bool b39;", "var int b39 in 0..2;"))) == 39
+    source = oracle._search_source(p)[0]
+    assert len(enumerate_solutions(p)) == 41
+    monkeypatch.setattr(oracle._Masks, "add", lambda self, src, used: False)
+    assert oracle._search_source(p)[0] == source  # the search without masks
+
+
+def test_a_search_builds_at_most_max_tables(monkeypatch):
+    # 12 variables make 66 pairs; the last two are checked instead
+    text = "".join(f"var int x{i} in 0..2;\n" for i in range(12))
+    text += "".join(f"constraint x{i} <= x{j};\n" for i in range(12) for j in range(i + 1, 12))
+    p = parse_flat(text)
+    assert _tables(p) == oracle._MAX_TABLES == 64
+    capped = enumerate_solutions(p)
+    monkeypatch.setattr(oracle, "_MAX_TABLES", 66)
+    assert _tables(p) == 66
+    assert capped == enumerate_solutions(p) and len(capped) == math.comb(14, 2)
+
+
 def test_forced_sum_crosses_the_loop_split():
     # 18 loops run in two generated functions; the second rebuilds the
     # partial sum from the first's values and forces the last variable
@@ -554,6 +587,177 @@ def test_compare_requires_complete_sets():
     full = enumerate_solutions(p)
     with pytest.raises(OracleLimitError, match="cannot compare incomplete solution sets"):
         compare_solutions(s, full, ["x"])
+
+
+# --------------------------------------------------------------------------
+# streaming compare: the transformed side's solutions looked up among the
+# baseline's rows, not kept
+
+def _outcome(run):
+    """What run returns, or the class and text of the oracle error it raises."""
+    try:
+        return run()
+    except (CompileError, OracleLimitError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _assert_streams_as_compared(full, base):
+    """compare_streaming(full, B) says what compare_solutions says of the two
+    enumerations, projected onto B's variables, with full's solution count;
+    an error either raises, both raise."""
+    b = _outcome(lambda: enumerate_solutions(base))
+    if not isinstance(b, oracle.SolutionSet):
+        return
+    t = _outcome(lambda: enumerate_solutions(full))
+    expected = t if not isinstance(t, oracle.SolutionSet) else _outcome(
+        lambda: (compare_solutions(t, b, b.names), len(t))
+    )
+    assert _outcome(lambda: compare_streaming(full, b)) == expected
+
+
+# every fixture whose search fits under 2^40, under each alldiff mode that
+# rewrites it: SEND's digits share no 1..n domain, which the other two need
+_UNDER_2_40 = [
+    (name, data, mode)
+    for name, data in [("queens4.som", None), ("queens5.som", None), ("queens6.som", None),
+                       ("send.som", None), ("golfers.som", "golfers_small.dat")]
+    for mode in ALLDIFF_MODES
+    if name != "send.som" or mode == "disequalities"
+]
+
+
+@pytest.mark.parametrize("name,data,mode", _UNDER_2_40)
+def test_streaming_matches_compare_on_fixtures(name, data, mode):
+    base = _lowered(name, data, PassConfig(FULL.passes, "disequalities"))
+    _assert_streams_as_compared(_lowered(name, data, PassConfig(FULL.passes, mode)), base)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(ALLDIFF_MODES))
+def test_streaming_matches_compare_on_generated_models(seed, mode):
+    model = gen_model(random.Random(seed))
+    lowered = [
+        _outcome(lambda cfg=cfg: lower_to_flat(run_pipeline(model, cfg)[0]))
+        for cfg in (PassConfig(FULL.passes, "disequalities"), PassConfig(FULL.passes, mode))
+    ]
+    if all(isinstance(p, FlatProgram) for p in lowered):  # else a loop or condition stays
+        _assert_streams_as_compared(lowered[1], lowered[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_program_pairs())
+def test_streaming_matches_compare_on_program_pairs(pair):
+    # the second program declares the first's variables in another order,
+    # plus an auxiliary one
+    text_a, text_b, _ = pair
+    a, b = parse_flat(text_a), parse_flat(text_b)
+    _assert_streams_as_compared(b, a)
+    _assert_streams_as_compared(a, a)
+
+
+_BASE = "var int x in 1..3;\nvar int y in 1..2;\nconstraint x != y;\n"  # 4 rows
+
+
+@pytest.mark.parametrize("transformed,relation,count", [
+    (_BASE + "constraint x < 3;\n", "subset", 2),
+    ("var int x in 1..3;\nvar int y in 1..2;\nconstraint x = y;\n", "incomparable", 2),
+    ("var int x in 1..3;\nvar int y in 1..2;\n", "superset", 6),
+    ("var int x in 1..3;\nvar int y in 1..2;\nconstraint x = 4;\n", "subset", 0),
+    # auxiliary z doubles every row; the projection is over x and y alone,
+    # in the baseline's order
+    ("var int y in 1..2;\nvar bool z;\nvar int x in 1..3;\nconstraint x != y;\n", "equal", 8),
+    ("var int y in 1..2;\nvar bool z;\nvar int x in 1..3;\nconstraint x = y or z;\n"
+     "constraint x != 3;\n", "incomparable", 6),
+])
+def test_streaming_relation_and_count(transformed, relation, count):
+    base = enumerate_solutions(parse_flat(_BASE))
+    assert compare_streaming(parse_flat(transformed), base) == (relation, count)
+
+
+def test_streaming_onto_one_variable_and_onto_none():
+    full = parse_flat("var int x in 1..3;\nvar bool z;\nconstraint x != 2;\n")
+    one = enumerate_solutions(parse_flat("var int x in 1..3;\n"))
+    assert compare_streaming(full, one) == ("subset", 4)
+    none = enumerate_solutions(FlatProgram())  # one empty row
+    assert compare_streaming(full, none) == ("equal", 4)
+    empty = parse_flat("var int x in 1..3;\nconstraint x = 4;\n")
+    assert compare_streaming(empty, none) == ("subset", 0)
+
+
+def test_streaming_reads_earlier_values_from_the_loop_split():
+    # 18 loops run in two generated functions: the leaf, in the second,
+    # reads the first's values from P, in the baseline's order
+    names = [f"x{i}" for i in range(1, 19)]
+    total = f"constraint {' + '.join(names)} = 2;\n"
+    text = "".join(f"var int {x} in 0..1;\n" for x in names) + total
+    reversed_text = "".join(f"var int {x} in 0..1;\n" for x in reversed(names)) + total
+    base = enumerate_solutions(parse_flat(reversed_text + "constraint x1 = 0;\n"))
+    assert compare_streaming(parse_flat(text), base) == ("superset", math.comb(18, 2))
+    assert compare_streaming(parse_flat(text), enumerate_solutions(parse_flat(reversed_text))) == (
+        "equal", math.comb(18, 2)
+    )
+
+
+def test_streaming_limits_count_streamed_rows():
+    full = parse_flat("var int x in 1..9;\nvar int y in 1..2;\n")
+    base = enumerate_solutions(parse_flat("var int x in 1..9;\n"))
+    assert compare_streaming(full, base, max_solutions=19) == ("equal", 18)
+    for limits in ({"max_solutions": 18}, {"max_nodes": 26}):  # 9 + 18 nodes in all
+        with pytest.raises(OracleLimitError, match="^cannot compare incomplete solution sets$"):
+            compare_streaming(full, base, **limits)
+    # a baseline that stopped raises the same, once the streamed side has run
+    with pytest.raises(OracleLimitError, match="^cannot compare incomplete solution sets$"):
+        compare_streaming(full, enumerate_solutions(full, max_nodes=3))
+
+
+def test_streaming_names_the_constraint_that_raises():
+    full = parse_flat("var int x in 0..2;\nvar int y in 0..2;\nconstraint 1 / x = 1;\n")
+    base = enumerate_solutions(parse_flat("var int x in 0..2;\n"))
+    with pytest.raises(CompileError, match=r"^the oracle cannot evaluate the constraint 1 / x = 1: "
+                                           r"division by zero$"):
+        compare_streaming(full, base)
+
+
+def test_streaming_needs_every_baseline_variable():
+    base = enumerate_solutions(parse_flat("var int x in 1..2;\nvar int w in 1..2;\n"))
+    with pytest.raises(KeyError):
+        compare_streaming(parse_flat("var int x in 1..2;\n"), base)
+
+
+def _queens(n: int, mode: str) -> FlatProgram:
+    """n-queens with alldifferent, lowered under mode, as check lowers it."""
+    cells = ", ".join(f"q[{k}]" for k in range(1, n + 1))
+    return _lower_text(
+        f"model Q;\nint n := {n};\nmain class Queens {{\n  int q[n] in 1..n;\n"
+        f"  constraint place {{\n    alldifferent({cells});\n    forall(i in 1..n)\n"
+        "      forall(j in i+1..n) {\n        abs(q[i] - q[j]) != j - i;\n      }\n  }\n}\n",
+        PassConfig(FULL.passes, mode),
+    )
+
+
+def test_queens_searches_keep_their_tables_and_differ_only_at_the_leaf():
+    for mode in ("disequalities", "relaxation"):
+        program = _queens(9, mode)
+        plain = oracle._search_source(program)[0].splitlines()
+        streamed = oracle._search_source(program, list(range(9)))[0].splitlines()
+        assert sum(line.startswith("T") and "_support(" in line for line in plain) == 36
+        leaf = next(i for i, line in enumerate(plain) if "OUT.append(" in line)
+        assert plain[:leaf] == streamed[:leaf]
+        assert plain[leaf + 2:] == streamed[leaf + 5:]
+        assert "ROWS += 1" in streamed[leaf + 1] and "OUT" not in "".join(streamed)
+
+
+def test_streaming_relaxed_queens_keeps_no_rows():
+    base = enumerate_solutions(_queens(9, "disequalities"))
+    relaxed = _queens(9, "relaxation")
+    tracemalloc.start()
+    try:
+        result = compare_streaming(relaxed, base)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(base) == 352 and result == ("superset", 26365)
+    assert peak < 1.5 * 2 ** 20  # enumerating and comparing both sides took 5.56 MB
 
 
 # --------------------------------------------------------------------------
