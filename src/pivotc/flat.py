@@ -18,7 +18,6 @@ loops and conditionals before anything is lowered.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from typing import NamedTuple
 
@@ -180,29 +179,15 @@ class _Lowerer:
             return folded
         b = node.binding
         if b is not None and b.kind == "constant":  # not inlined: no literal holds its value
-            folded = self.folder.fold(self.constants[node.name].value)
-            # each part, the whole value last: a part that overflows or has
-            # no real value leaves the parts above it no value
-            for part in ir.walk_expr(folded):
-                try:
-                    value = self.folder._eval(part)
-                except OverflowError:  # a math range error
-                    value = math.inf
-                except ValueError:  # a math domain error
-                    raise CompileError(
-                        f"cannot lower model: the value of constant '{node.name}' "
-                        "is not a real number"
-                    ) from None
-                if isinstance(value, float) and not math.isfinite(value):
-                    raise CompileError(
-                        f"cannot lower model: the value of constant '{node.name}' "
-                        "is beyond the float range"
-                    )
-                if part is folded and value is not _MISSING:  # ground, but not an integer
-                    raise CompileError(
-                        f"cannot lower model: the flat format has no literal for {value}, "
-                        f"the value of constant '{node.name}'"
-                    )
+            folder = _Folder(self.env)
+            value = folder.ground_value(self.constants[node.name].value)
+            what = f"the value of constant '{node.name}'"
+            if folder.why is not None:  # a part has no value, or none a literal holds
+                raise CompileError(f"cannot lower model: {what} is {folder.why}")
+            if value is not _MISSING:  # ground, but not an integer
+                raise CompileError(
+                    f"cannot lower model: the flat format has no literal for {value}, {what}"
+                )
             raise _residual("non-ground constant", node.name)
         dims = self.dims.get(node.name)
         if dims is None:

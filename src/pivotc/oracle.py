@@ -60,7 +60,7 @@ from . import ir
 from .errors import CompileError, Diagnostic, OracleLimitError, ParseError
 from .flat import FlatProgram, FlatVar
 from .parser import parse_expression
-from .passes import _div, _pow, _refuse
+from .passes import _SMALL_INT, _div, _pow, _refuse
 
 MAX_SET_UNIVERSE = 12
 MAX_SEARCH_SPACE = 2 ** 40
@@ -156,16 +156,7 @@ def parse_flat(text: str, file: str = "<flat>") -> FlatProgram:
         line = raw.strip()
         if not line:
             continue
-        if m := _VAR_INT_RE.match(line):
-            name, lo, hi = m.group(1), int(m.group(2)), int(m.group(3))
-            vars_.append(FlatVar(name, "int", lo, hi))
-        elif m := _VAR_BOOL_RE.match(line):
-            name = m.group(1)
-            vars_.append(FlatVar(name, "bool"))
-        elif m := _VAR_SET_RE.match(line):
-            lo, hi, name = int(m.group(1)), int(m.group(2)), m.group(3)
-            vars_.append(FlatVar(name, "set", lo, hi))
-        elif m := _CONSTRAINT_RE.match(line):
+        if m := _CONSTRAINT_RE.match(line):
             try:
                 expr = parse_expression(m.group(1), file=file)
             except ParseError as exc:
@@ -186,8 +177,20 @@ def parse_flat(text: str, file: str = "<flat>") -> FlatProgram:
                 continue
             constraints.append(expr)
             continue
-        else:
-            diags.append(Diagnostic("error", f"unrecognized line: {line}", lineno, 1, file))
+        try:
+            if m := _VAR_INT_RE.match(line):
+                name, lo, hi = m.group(1), int(m.group(2)), int(m.group(3))
+                vars_.append(FlatVar(name, "int", lo, hi))
+            elif m := _VAR_BOOL_RE.match(line):
+                vars_.append(FlatVar(m.group(1), "bool"))
+            elif m := _VAR_SET_RE.match(line):
+                lo, hi, name = int(m.group(1)), int(m.group(2)), m.group(3)
+                vars_.append(FlatVar(name, "set", lo, hi))
+            else:
+                diags.append(Diagnostic("error", f"unrecognized line: {line}", lineno, 1, file))
+                continue
+        except ValueError:  # int() refuses more digits than sys.get_int_max_str_digits()
+            diags.append(Diagnostic("error", "integer bound out of range", lineno, 1, file))
             continue
         if vars_ and vars_[-1].name in names:
             diags.append(Diagnostic("error", f"duplicate variable '{vars_[-1].name}'", lineno, 1, file))
@@ -243,11 +246,6 @@ _SET_OPS = {"intersect": " & ", "union": " | "}
 _COMPARE = {"=": " == ", "!=": " != ", "<=": " <= ", ">=": " >= ", "<": " < ", ">": " > "}
 _ORDERED = {op: repr(op) for op in ("<=", ">=", "<", ">")}
 _LINEAR_OPS = ("=", "<=", ">=", "<", ">")
-# node types whose evaluation cannot raise on int and bool values
-_SAFE_NODES = (ir.VarOccurrence, ir.AlgUnaryOp, ir.AlgChain, ir.BoolUnaryOp, ir.BoolBinaryOp,
-               ir.BoolChain)
-# Larger ints are bound as constants: str() refuses ints of over 4,300 digits.
-_SMALL_INT = 1 << 64
 
 
 class _Writer:
@@ -256,7 +254,8 @@ class _Writer:
     Variable i is the local ``v<i>``.  Values other than small ints and
     bools (rationals, frozensets, math functions) are bound to names in
     the namespace the source runs in, so no name or string read from the
-    input reaches the source text.
+    input reaches the source text.  ``raises`` says whether evaluating
+    anything written might raise, by the rule the module docstring states.
     """
 
     def __init__(self, program: FlatProgram):
@@ -265,6 +264,7 @@ class _Writer:
         self.constants: dict[str, object] = {}
         self.helpers: list[str] = []
         self.used: set[int] = set()
+        self.raises = bool(self.set_vars)
 
     def condition(self, c: ir.Expression) -> tuple[str, set[int]]:
         """Source testing constraint c, and the indexes of the variables
@@ -343,23 +343,29 @@ class _Writer:
             return f"v{i}", i in self.set_vars
         if isinstance(e, ir.IntValue):
             if type(e.v) is not int or abs(e.v) >= _SMALL_INT:
+                self.raises |= type(e.v) is not int
                 return self.constant(e.v)
             return str(e.v) if e.v >= 0 else f"({e.v})", False
         if isinstance(e, ir.BoolValue):
             if type(e.value) is not bool:
+                self.raises = True
                 return self.constant(e.value)
             return "True" if e.value else "False", False
         if isinstance(e, ir.RealValue):
+            self.raises = True
             return self.constant(Fraction(e.v))  # floats are binary rationals; keep them exact
         if isinstance(e, ir.SetValue):
+            self.raises = True
             elems = "".join(f"int({self.emit(x, depth)[0]}), " for x in e.elems)
             return f"frozenset(({elems}))", True
         if isinstance(e, ir.SetFunction):
+            self.raises = True
             return f"len({self.emit(e.arg, depth)[0]})", False
         if isinstance(e, ir.AlgUnaryOp):
             sign = "-" if e.op == "neg" else "+"
             return f"({sign}{self.emit(e.operand, depth)[0]})", False
         if isinstance(e, ir.AlgFunction):
+            self.raises |= e.fn != "abs"
             if e.fn in ("min", "max"):
                 fn = "min" if e.fn == "min" else "max"
                 if len(e.args) > 2:
@@ -384,9 +390,11 @@ class _Writer:
         if isinstance(e, ir.AlgChain):
             return self.chain(e, depth)
         if isinstance(e, ir.AlgBinaryOp):
+            self.raises = True
             left, right = self.emit(e.left, depth)[0], self.emit(e.right, depth)[0]
             return f"{'_div' if e.op == '/' else '_pow'}({left}, {right})", False
         if isinstance(e, ir.SetBinaryOp):
+            self.raises = True
             left, right = self.emit(e.left, depth)[0], self.emit(e.right, depth)[0]
             return f"({left}{_SET_OPS.get(e.op, ' - ')}{right})", True
         if isinstance(e, ir.BoolBinaryOp):
@@ -407,30 +415,6 @@ class _Writer:
             src = f" {e.op} ".join(parts)
             return (f"({src})" if cond else f"bool({src})"), False
         raise CompileError(f"cannot evaluate {type(e).__name__} in the oracle")
-
-
-def _may_raise(program: FlatProgram) -> bool:
-    """Whether evaluating some constraint might raise: anything beyond int
-    and bool variables, int literals, ``+ - *``, ``abs``, comparisons and
-    the connectives.  Pruning skips evaluations, so it must not skip an
-    error."""
-    if any(v.kind == "set" for v in program.vars):
-        return True
-    for c in program.constraints:
-        for e in ir.walk_expr(c):
-            t = type(e)
-            if t is ir.IntValue:
-                if type(e.v) is not int:
-                    return True
-            elif t is ir.BoolValue:
-                if type(e.value) is not bool:
-                    return True
-            elif t is ir.AlgFunction:
-                if e.fn != "abs":
-                    return True
-            elif t not in _SAFE_NODES:
-                return True
-    return False
 
 
 def _int_literal(e: ir.Expression) -> int | None:
@@ -752,17 +736,19 @@ def _search_source(program: FlatProgram,
     constants it reads and, per line of the source that checks
     constraints, the (index, source) of each constraint it fuses.
 
-    Each variable gets one loop, in declaration order.  When no constraint
-    may raise, the constraints over one or two small-domain variables
-    filter the values a loop binds (see _Masks).  After each value the node
-    counter is checked against MAX_NODES, then every other constraint whose
-    last variable is that one, fused into one ``and`` in program order,
-    followed by the bounds tests of the linear constraints (see _Bounds)
-    and the mask updates when no constraint may raise.  Constraints over no
-    variable are checked once before the first loop.  ``s<k>`` runs the
-    loops of the k-th run of _LOOPS_PER_FUNCTION variables and receives the
-    earlier values as the tuple P.  It returns the node count; a limit
-    raises Stop instead.
+    Every constraint is written first, and the writer says whether any may
+    raise (see _Writer); then each is placed as a mask, a bounds test or a
+    check.  Each variable gets one loop, in declaration order.  When no
+    constraint may raise, the constraints over one or two small-domain
+    variables filter the values a loop binds (see _Masks).  After each
+    value the node counter is checked against MAX_NODES, then every other
+    constraint whose last variable is that one, fused into one ``and`` in
+    program order, followed by the bounds tests of the linear constraints
+    (see _Bounds) and the mask updates when no constraint may raise.
+    Constraints over no variable are checked once before the first loop.
+    ``s<k>`` runs the loops of the k-th run of _LOOPS_PER_FUNCTION
+    variables and receives the earlier values as the tuple P.  It returns
+    the node count; a limit raises Stop instead.
 
     Only the leaf, the line after the last loop, depends on project.
     Without it, the leaf appends the values to ``OUT``.  With it, the leaf
@@ -772,21 +758,21 @@ def _search_source(program: FlatProgram,
     way a limit of MAX_SOLUTIONS rows stops the search.
     """
     writer = _Writer(program)
-    prune = not _may_raise(program)
+    written = [writer.condition(c) for c in program.constraints]
+    prune = not writer.raises
     bounds = _Bounds(program)
     masks = _Masks(program, prune)
     n = len(program.vars)
     checks: list[list[tuple[int, str]]] = [[] for _ in range(n)]
     reads: list[set[int]] = [set() for _ in range(n)]
     constant_checks: list[tuple[int, str]] = []
-    for c, constraint in enumerate(program.constraints):
-        src, used = writer.condition(constraint)
+    for c, (src, used) in enumerate(written):
         if not used:
             constant_checks.append((c, src))
             continue
         if masks.add(src, used):
             continue
-        linear = _linear(constraint, writer.index) if prune else None
+        linear = _linear(program.constraints[c], writer.index) if prune else None
         if linear is not None and linear[1] and bounds.add(c, *linear):
             continue
         last = max(used)
@@ -880,10 +866,12 @@ def _canonical_key(program: FlatProgram, domains: list[list]):
 
 
 # What evaluating a constraint in the search can raise: a math domain or
-# range error, a complex power (ValueError), or what _div, _pow and
-# _ordered refuse (CompileError: division by zero, zero to a negative
-# power, sets compared by order).
-_EVALUATION_ERRORS = (ValueError, ArithmeticError, CompileError)
+# range error, a complex power (ValueError), an operator or function
+# applied to a value of the wrong type, such as a set in arithmetic or a
+# number given to card (TypeError; parse_flat reads untyped text), or what
+# _div, _pow and _ordered refuse (CompileError: division by zero, zero to
+# a negative power, sets compared by order).
+_EVALUATION_ERRORS = (ValueError, ArithmeticError, TypeError, CompileError)
 
 
 def _search(program: FlatProgram, project: list[int] | None, names: dict,

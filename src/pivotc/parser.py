@@ -113,6 +113,14 @@ def _finite(text: str, loc: Loc) -> float:
     return v
 
 
+def _integer(text: str, loc: Loc) -> int:
+    """The value of integer literal text, unless int() refuses its length."""
+    try:
+        return int(text)
+    except ValueError:
+        raise _SyntaxIssue(f"integer literal of {len(text)} digits is out of range", loc) from None
+
+
 def _is_name(text: str) -> bool:
     """Whether the token text is an identifier: every token that passes
     ``isidentifier`` is an ID or a keyword."""
@@ -512,7 +520,7 @@ class _Parser:
             if text.isdigit():
                 self.pos = pos + 1
                 self.text = self.texts[pos + 1]
-                node = ir.IntValue(int(text), loc=loc)
+                node = ir.IntValue(_integer(text, loc), loc=loc)
             elif _is_name(text):
                 if text not in ir.ALG_FUNCTIONS:
                     raise _SyntaxIssue(f"unknown function '{text}'", loc)
@@ -570,7 +578,7 @@ class _Parser:
             lit_loc = self.here()
             self.advance()
             if lit.isdigit():
-                v = int(lit)
+                v = _integer(lit, lit_loc)
                 return ir.IntValue(-v if negative else v, loc=loc)
             v = _finite(lit, lit_loc)
             return ir.RealValue(-v if negative else v, loc=loc)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -97,21 +98,6 @@ def _num(v):
     return int(v) if isinstance(v, bool) else v
 
 
-def _arith(op: str, a, b, loc):
-    a, b = _num(a), _num(b)
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        return _div(a, b, loc)
-    if op == "^":
-        return _pow(a, b, loc)
-    raise ValueError(op)
-
-
 # Exact / and ^, shared with the oracle's generated search
 def _div(a, b, loc=None):
     if b == 0:
@@ -135,15 +121,49 @@ def _pow(a, b, loc=None):
         raise CompileError("zero raised to a negative power", loc) from None
 
 
+_LOGIC = {
+    "iff": lambda a, b: a == b, "implies": lambda a, b: (not a) or b,
+    "and": lambda a, b: a and b, "or": lambda a, b: a or b,
+}
+_OPS = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "=": operator.eq, "!=": operator.ne, "<=": operator.le, ">=": operator.ge,
+    "<": operator.lt, ">": operator.gt,
+}
+
+
+def _step(op: str, a, b, loc=None):
+    """The value of a op b for the values of the two operands of a binary
+    node or a chain step, or _MISSING: the one evaluator of a binary
+    operator.  A set folds only with a set, under -, = or !=."""
+    if op in _LOGIC:
+        return _LOGIC[op](a, b) if isinstance(a, bool) and isinstance(b, bool) else _MISSING
+    a_set, b_set = isinstance(a, frozenset), isinstance(b, frozenset)
+    if a_set or b_set:
+        return _OPS[op](a, b) if a_set and b_set and op in ("-", "=", "!=") else _MISSING
+    a, b = _num(a), _num(b)
+    if op == "/" or op == "^":
+        return (_div if op == "/" else _pow)(a, b, loc)
+    return _OPS[op](a, b)
+
+
+# str() writes any int within this bound; it refuses one of over
+# sys.get_int_max_str_digits() digits, 4,300 unless set otherwise
+_SMALL_INT = 1 << 64
+
+
 def _materialize(v, loc) -> ir.Expression | None:
     if isinstance(v, bool):
         return ir.BoolValue(v, loc=loc)
-    if isinstance(v, int):
-        return ir.IntValue(v, loc=loc)
     if type(v) is Fraction:
-        if v.denominator == 1:
-            return ir.IntValue(v.numerator, loc=loc)
-        return None  # keep non-integral rationals symbolic to stay exact
+        if v.denominator != 1:
+            return None  # keep non-integral rationals symbolic to stay exact
+        v = v.numerator
+    if isinstance(v, int):
+        if -_SMALL_INT < v < _SMALL_INT:
+            return ir.IntValue(v, loc=loc)
+        limit = sys.get_int_max_str_digits()  # no literal holds an int str() refuses
+        return ir.IntValue(v, loc=loc) if not limit or abs(v) < 10 ** limit else None
     if isinstance(v, float):
         # inf and nan would print as names; the fold stays symbolic
         return ir.RealValue(v, loc=loc) if math.isfinite(v) else None
@@ -153,16 +173,6 @@ def _materialize(v, loc) -> ir.Expression | None:
 
 
 _INT_ONE = ir.IntValue(1)
-
-_COMPARE = {
-    "=": lambda a, b: a == b, "!=": lambda a, b: a != b,
-    "<=": lambda a, b: a <= b, ">=": lambda a, b: a >= b,
-    "<": lambda a, b: a < b, ">": lambda a, b: a > b,
-}
-_LOGIC = {
-    "iff": lambda a, b: a == b, "implies": lambda a, b: (not a) or b,
-    "and": lambda a, b: a and b, "or": lambda a, b: a or b,
-}
 
 
 class _Folder:
@@ -174,12 +184,16 @@ class _Folder:
     inlined-constant occurrence, or a ground node no literal holds exactly
     (a non-integral rational), whose value ``_exact`` keeps by identity.
     Rationals stay exact; enum literals, variables, iterators and
-    navigation paths are opaque."""
+    navigation paths are opaque.  A ground node without a value, or with
+    one no literal holds, stays symbolic; ``why`` says what the first such
+    node's value is: "not a real number" (a math domain error), "beyond the
+    float range" (a range error, inf or nan) or an integer str() refuses."""
 
     def __init__(self, env: dict):
         self.env = env
         self.count = 0
         self._exact: dict[int, tuple[ir.Expression, Fraction]] = {}  # node kept alive
+        self.why: str | None = None
 
     def fold(self, e: ir.Expression) -> ir.Expression:
         return ir.map_expr(e, self._fold_node)
@@ -211,40 +225,27 @@ class _Folder:
         hit = self._exact.get(id(e))
         return _MISSING if hit is None else hit[1]
 
+    def _lost(self, cause):
+        """_MISSING, for a ground node left symbolic: its evaluation raised
+        cause, or its value cause has no literal.  The first sets why."""
+        if self.why is None:
+            self.why = ("not a real number" if isinstance(cause, ValueError)  # a math domain error
+                        else f"an integer of over {sys.get_int_max_str_digits()} digits"
+                        if isinstance(cause, int) else "beyond the float range")
+        return _MISSING
+
     def _eval(self, e: ir.Expression):
         """The value of e from its folded children's values, or _MISSING."""
         value = self.value
         t = type(e)
-        if t is ir.AlgChain or t is ir.BoolChain:
-            last = self._chain(e)[2]
-            if isinstance(last, Exception):
-                raise last
-            return last
-        if t is ir.AlgBinaryOp:
+        if t is ir.AlgBinaryOp or t is ir.BoolBinaryOp:
             a = value(e.left)
             if a is _MISSING:
                 return a
             b = value(e.right)
             if b is _MISSING:
                 return b
-            a_set, b_set = isinstance(a, frozenset), isinstance(b, frozenset)
-            if a_set != b_set or a_set and e.op != "-":
-                return _MISSING  # arithmetic on a set stays symbolic; set difference folds
-            return _arith(e.op, a, b, e.loc)
-        if t is ir.BoolBinaryOp:
-            a = value(e.left)
-            if a is _MISSING:
-                return a
-            b = value(e.right)
-            if b is _MISSING:
-                return b
-            if e.op in _LOGIC:
-                return _logic(e.op, a, b)
-            if isinstance(a, frozenset) != isinstance(b, frozenset):
-                return _MISSING
-            if isinstance(a, frozenset) and e.op not in ("=", "!="):
-                return _MISSING
-            return _COMPARE[e.op](_num(a), _num(b))
+            return _step(e.op, a, b, e.loc)
         if t is ir.AlgUnaryOp:
             v = value(e.operand)
             if v is _MISSING or isinstance(v, frozenset):
@@ -292,22 +293,24 @@ class _Folder:
         if t is ir.IntValue or t is ir.RealValue or t is ir.BoolValue:
             return e
         if t is ir.AlgChain or t is ir.BoolChain:
-            node, v, _last, count = self._chain(e)
+            node, v, count = self._chain(e)
             self.count += count
             if type(v) is Fraction:  # ground, but no literal holds the value exactly
                 self._exact[id(node)] = (node, v)
             return node
         try:
             v = self._eval(e)
-        except (ValueError, OverflowError):
-            v = _MISSING  # domain error: leave the node symbolic
+        except (ValueError, OverflowError) as exc:  # the node stays symbolic
+            v = self._lost(exc)
         if v is _MISSING:
             return self._identities(e)
         node = _materialize(v, e.loc)
-        if node is None:  # ground, but no literal holds the value exactly
+        if node is None:  # ground, but no literal holds the value
             out = self._identities(e)
-            if type(v) is Fraction:  # inf and nan are no value
+            if type(v) is Fraction:  # exactly: the value is kept
                 self._exact[id(out)] = (out, v)
+            else:
+                self._lost(v)
             return out
         if node == e:
             return e
@@ -324,10 +327,9 @@ class _Folder:
         """Fold the folded terms of chain e as the left-deep binary nodes e
         stands for, each from the one before it: the ground prefix folds, in
         order, and x + 0, 0 + x, x - 0, x * 1 and 1 * x each drop an
-        operand.  Returns (the node they fold to, its value, the value the
-        last of them computed or the error it raised, the rewrites).  A
-        chain of e's group that comes to lead the result is spliced in.
-        Pure: the caller counts and records."""
+        operand.  Returns (the node they fold to, its value, the rewrites).
+        A chain of e's group that comes to lead the result is spliced in.
+        The caller counts the rewrites and records the value."""
         terms, value = e.terms, self.value
         alg = type(e) is ir.AlgChain
         ops = e.ops if alg else (e.op,) * (len(terms) - 1)
@@ -340,22 +342,23 @@ class _Folder:
             acc, acc_ops = [first], []
         changed = len(acc) > 1
         count = 0
-        last = _MISSING
         for op, t in zip(ops, terms[1:]):
             b = value(t)
             if val is _MISSING or b is _MISSING:
-                v = last = _MISSING
+                v = _MISSING
             else:
                 try:
-                    v = last = _step(op, val, b)
-                except (ValueError, OverflowError) as exc:  # a domain error: that node stays symbolic
-                    v, last = _MISSING, exc
+                    v = _step(op, val, b)
+                except (ValueError, OverflowError) as exc:  # that node stays symbolic
+                    v = self._lost(exc)
                 node = None if v is _MISSING else _materialize(v, e.loc)
                 if node is not None:
                     count += 1
                     acc, acc_ops, changed = [node], [], True
                     val = value(node)
                     continue
+                if v is not _MISSING and type(v) is not Fraction:  # no literal holds it
+                    self._lost(v)
             # the identities 0 + x, 1 * x (left) and x + 0, x - 0, x * 1 (right)
             drop = None
             if alg:
@@ -379,29 +382,12 @@ class _Folder:
             elif drop is None:
                 val = _MISSING
         if len(acc) == 1:
-            return acc[0], val, last, count
+            return acc[0], val, count
         if not changed:
-            return e, val, last, count
+            return e, val, count
         if alg:
-            return ir.AlgChain(ir.chain_ops(acc_ops), tuple(acc), loc=e.loc), val, last, count
-        return ir.BoolChain(e.op, tuple(acc), loc=e.loc), val, last, count
-
-
-def _step(op: str, a, b):
-    """The value of a op b for the values of two operands of a chain, or
-    _MISSING."""
-    if op in _LOGIC:
-        return _logic(op, a, b)
-    a_set, b_set = isinstance(a, frozenset), isinstance(b, frozenset)
-    if a_set != b_set or a_set and op != "-":
-        return _MISSING  # arithmetic on a set stays symbolic; set difference folds
-    return _arith(op, a, b, None)
-
-
-def _logic(op: str, a, b):
-    if not (isinstance(a, bool) and isinstance(b, bool)):
-        return _MISSING
-    return _LOGIC[op](a, b)
+            return ir.AlgChain(ir.chain_ops(acc_ops), tuple(acc), loc=e.loc), val, count
+        return ir.BoolChain(e.op, tuple(acc), loc=e.loc), val, count
 
 
 def const_env(model: ir.Model) -> dict:

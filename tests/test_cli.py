@@ -232,6 +232,7 @@ def test_non_integral_constant_has_no_flat_literal(tmp_path, command):
 
 _BEYOND_RANGE = "model M;\nint x in 1..3;\nconstraint k { x <= 1e400; }\n"
 _OVERFLOWING_FOLD = "model M;\nint x in 1..3;\nconstraint k { x * 1.0 <= 1e300 * 1e300; }\n"
+_LONG_FOLD = "model M;\nint k := 10 ^ 5000;\nint x in 1..2;\nconstraint c { x <= k; }\n"
 
 
 def _command(tmp_path, model: str, target: str | None):
@@ -250,25 +251,35 @@ def test_real_literal_beyond_the_float_range_is_a_diagnostic(tmp_path, capsys, t
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("expr,col", [("1e400", 1), ("-1e400", 2), ("2 * 1.5e999", 5)])
+@pytest.mark.parametrize("expr,col", [
+    ("1e400", 1), ("-1e400", 2), ("2 * 1.5e999", 5),
+    # int() refuses an integer literal of over 4,300 digits
+    pytest.param("9" * 5001, 1, id="5001-digits"),
+    pytest.param("2 * -" + "9" * 5001, 6, id="-5001-digits"),
+])
 def test_eval_real_literal_beyond_the_float_range_is_a_diagnostic(capsys, expr, col):
     assert main(["eval", f"--expr={expr}"]) == 1
     literal = expr.split()[-1].lstrip("-")
-    assert capsys.readouterr() == ("", f"<expr>:1:{col}: error: real literal '{literal}' is out of range\n")
+    what = f"integer literal of {len(literal)} digits" if literal.isdigit() else f"real literal '{literal}'"
+    assert capsys.readouterr() == ("", f"<expr>:1:{col}: error: {what} is out of range\n")
 
 
 @pytest.mark.parametrize("target,text", [
     ("pivot", "  x * 1.0 <= 1e+300 * 1e+300;\n"),
     ("flat", "constraint x * 1.0 <= 1e+300 * 1e+300;\n"),
     ("clp", " X*1.0 $=< 1e+300*1e+300,\n"),
+    # str() refuses an int of over 4,300 digits: that fold stays symbolic too
+    ("pivot", "int k := 10 ^ 5000;\n"),
+    ("clp", " K $= 10^5000,\n"),
 ])
 def test_fold_beyond_the_float_range_stays_symbolic(tmp_path, capsys, target, text):
-    _, argv = _command(tmp_path, _OVERFLOWING_FOLD, target)
+    model = _LONG_FOLD if "5000" in text else _OVERFLOWING_FOLD
+    _, argv = _command(tmp_path, model, target)
     assert main(argv) == 0
     out = (tmp_path / "out").read_text()
     assert text in out and "inf" not in out
     if target == "pivot":
-        assert parse(SourceUnit(out)) == parse(SourceUnit(_OVERFLOWING_FOLD))
+        assert parse(SourceUnit(out)) == parse(SourceUnit(model))
     elif target == "flat":
         assert len(parse_flat(out).constraints) == 1
 
@@ -362,6 +373,7 @@ def test_eval_of_a_real_power_without_a_real_value(capsys, expr, out, err):
 
 @pytest.mark.parametrize("expr", [
     "1e300 * 1e300", "1e300 * 1e300 - 1e300 * 1e300 = 0", "1e308 + 1e308 > 1", "1e200 / 1e-200",
+    "10 ^ 5000", "10 ^ 5000 - 10 ^ 5000 = 0",
 ])
 def test_eval_fold_beyond_the_float_range_stays_symbolic(capsys, expr):
     # an infinite float is no value: neither printed nor compared

@@ -168,6 +168,13 @@ def test_parse_flat_errors_positioned():
     with pytest.raises(ParseError) as info:
         parse_flat("var int x in 1..2;\nconstraint y = 1;\n")
     assert info.value.diagnostics[0].line == 2
+    # int() refuses more than 4,300 digits, in a constraint and in a bound
+    with pytest.raises(ParseError) as info:
+        parse_flat(f"var int x in 1..2;\nconstraint x <= {'9' * 5001};\n")
+    assert str(info.value) == "<flat>:2:6: error: integer literal of 5001 digits is out of range"
+    with pytest.raises(ParseError) as info:
+        parse_flat(f"var int x in 1..{'9' * 5001};\n")
+    assert str(info.value) == "<flat>:1:1: error: integer bound out of range"
 
 
 def test_bool_variable_with_domain_rejected():
@@ -238,6 +245,12 @@ def _global_model():
      "the value of constant 'r' is beyond the float range"),
     ("real r := sqrt(0.0 - 1.0) + 1.0;\nint x in 1..2;\nconstraint c { x <= r; }",
      "the value of constant 'r' is not a real number"),
+    # the first step of the chain overflows, so the steps after it have no value
+    ("real r := 1e308 + 1e308 - 1e308;\nint x in 1..2;\nconstraint c { x <= r; }",
+     "the value of constant 'r' is beyond the float range"),
+    # str() refuses an int of over 4,300 digits, so the flat format has no literal for it
+    ("int k := 10 ^ 5000;\nint x in 1..2;\nconstraint c { x <= k; }",
+     "the value of constant 'k' is an integer of over 4300 digits"),
 ])
 def test_what_lowering_refuses(model, message):
     if isinstance(model, str):
