@@ -12,9 +12,10 @@ The commands raise; ``main`` alone maps a failure to its exit code and
 stderr text.  Pass reports go to stderr; payload only ever goes to the
 output file.
 
-Start-up is a fixed cost of every command, so the backends (``clp``,
-``flat``, ``oracle``, ``printer``) are imported inside the commands that
-use them, and ``main`` runs with the cyclic garbage collector off.
+Start-up and exit are a fixed cost of every command, so the backends
+(``clp``, ``flat``, ``oracle``, ``printer``) are imported inside the
+commands that use them, ``main`` runs with the cyclic garbage collector
+off, and ``entry`` freezes every object before the interpreter exits.
 """
 
 from __future__ import annotations
@@ -220,8 +221,14 @@ def main(argv=None) -> int:
             gc.enable()
 
 
-def entry():  # console_scripts hook
-    sys.exit(main())
+def entry():  # console_scripts hook, and where -m pivotc and -m pivotc.cli end
+    code = main()
+    # Finalization runs full collections over every object the loaded
+    # modules hold, even with the collector off; frozen objects are left
+    # out.  Refcounting still frees acyclic objects, and atexit handlers
+    # and stream flushes still run.
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

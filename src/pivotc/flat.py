@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from . import ir, passes, sema
 from .errors import CompileError
-from .passes import _MISSING, _as_int, _Folder, _value_int, const_env
+from .passes import _MISSING, _as_int, _Folder, _value_int, _writable, const_env
 
 
 class FlatVar(NamedTuple):
@@ -182,12 +182,14 @@ class _Lowerer:
             folder = _Folder(self.env)
             value = folder.ground_value(self.constants[node.name].value)
             what = f"the value of constant '{node.name}'"
+            if value is not _MISSING:  # ground, but a non-integral rational
+                if _writable(value.numerator) and _writable(value.denominator):
+                    raise CompileError(
+                        f"cannot lower model: the flat format has no literal for {value}, {what}"
+                    )
+                folder._lost(value)  # no message can quote it
             if folder.why is not None:  # a part has no value, or none a literal holds
                 raise CompileError(f"cannot lower model: {what} is {folder.why}")
-            if value is not _MISSING:  # ground, but not an integer
-                raise CompileError(
-                    f"cannot lower model: the flat format has no literal for {value}, {what}"
-                )
             raise _residual("non-ground constant", node.name)
         dims = self.dims.get(node.name)
         if dims is None:

@@ -1,9 +1,10 @@
 """The pivot intermediate representation for constraint models.
 
 Every node is an immutable instance of a class with ``__slots__``, whose
-constructor, equality, hash and copy are generated from its field
-annotations at import.  Passes never mutate a tree, they build new ones,
-sharing every subtree they leave unchanged (``rebuild``).
+constructor and copy are generated from its field annotations at import;
+equality and hash read its compared fields as one tuple.  Passes never
+mutate a tree, they build new ones, sharing every subtree they leave
+unchanged (``rebuild``).
 Source locations and name bindings ride along on nodes but are excluded
 from equality, so ``a == b`` is structural identity: same names, same
 order, same shapes.
@@ -62,10 +63,11 @@ __all__ = [
 # Slotted immutable classes
 
 # A class made by ``@_slotted`` annotates its fields, with their defaults,
-# in constructor order, and gets one slot per field.  Its ``__init__``,
-# ``__eq__``, ``__hash__`` and ``_copy`` come from ``_generate_methods``,
-# once every class is made.  On nodes, ``loc`` and ``binding`` ride along:
-# keyword-only, None by default, and left out of equality, hash and repr.
+# in constructor order, and gets one slot per field.  Its ``__init__`` and
+# ``_copy`` come from ``_generate_methods``, once every class is made; its
+# ``__eq__`` and ``__hash__`` from ``_compared``.  On nodes, ``loc`` and
+# ``binding`` ride along: keyword-only, None by default, and left out of
+# equality, hash and repr.
 _RIDERS = ("loc", "binding")
 
 
@@ -91,20 +93,36 @@ def _restore(cls: type, fields: dict) -> _Frozen:
     return cls(**fields)
 
 
-# The methods of one class, as the body of a factory that takes the class
-# and its slots' setters.  The setters bypass the refusing __setattr__.
+def _compared(fields: tuple[str, ...]):
+    """``__eq__`` and ``__hash__`` over the tuple of fields: equal only to
+    an instance of the same class, and hashed as that tuple."""
+    get = operator.attrgetter(*fields)
+    if len(fields) > 1:
+        def __eq__(self, other):
+            return get(self) == get(other) if other.__class__ is self.__class__ else NotImplemented
+
+        def __hash__(self):
+            return hash(get(self))
+    else:  # attrgetter of one name returns the value, not a 1-tuple
+        def __eq__(self, other):
+            return (get(self),) == (get(other),) if other.__class__ is self.__class__ else NotImplemented
+
+        def __hash__(self):
+            return hash((get(self),))
+    return __eq__, __hash__
+
+
+# The constructor and copy of one class, as the body of a factory that
+# takes the class and its slots' setters: compiled code, since they run
+# once per node built.  The setters bypass the refusing __setattr__.
 _METHODS = """(cls, {setters}):
     def __init__(self, {params}):
         {init}
-    def __eq__(self, other):
-        return ({mine}) == ({theirs}) if other.__class__ is self.__class__ else NotImplemented
-    def __hash__(self):
-        return hash(({mine}))
     def _copy(self, u):
         n = new(cls)
         {copy}
         return n
-    return __init__, __eq__, __hash__, _copy
+    return __init__, _copy
 """
 _SLOTTED: list[tuple[type, str]] = []  # (class, its factory body) awaiting methods
 
@@ -134,16 +152,14 @@ def _slotted(cls: type) -> type:
     body = {k: v for k, v in cls.__dict__.items() if k not in own and k not in ("__dict__", "__weakref__")}
     body["__slots__"] = own + body.get("__slots__", ())
     fields = body["_fields"] = cls._fields + own
-    compared = [f for f in fields if f not in _RIDERS]
+    compared = tuple(f for f in fields if f not in _RIDERS)
     params = [f"{f}={cls.__dict__[f]!r}" if f in cls.__dict__ else f for f in compared]
     riders = [f"{f}=None" for f in fields if f in _RIDERS]
-    mine = "".join(f"self.{f}, " for f in compared)
+    body["__eq__"], body["__hash__"] = _compared(compared)
     methods = _METHODS.format(
         setters=", ".join(f"s_{f}" for f in fields),
         params=", ".join(params + ["*"] + riders if riders else params),
         init="; ".join(f"s_{f}(self, {f})" for f in fields),
-        mine=mine,
-        theirs=mine.replace("self.", "other."),
         copy="; ".join(f"s_{f}(n, u['{f}'] if '{f}' in u else self.{f})" for f in fields),
     )
     new = type(cls.__name__, cls.__bases__, body)

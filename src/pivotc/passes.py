@@ -147,9 +147,16 @@ def _step(op: str, a, b, loc=None):
     return _OPS[op](a, b)
 
 
-# str() writes any int within this bound; it refuses one of over
-# sys.get_int_max_str_digits() digits, 4,300 unless set otherwise
-_SMALL_INT = 1 << 64
+_SMALL_INT = 1 << 64  # str() writes any int within this bound
+
+
+def _writable(v: int) -> bool:
+    """Whether str() writes int v: it refuses one of over
+    sys.get_int_max_str_digits() digits, 4,300 unless set otherwise."""
+    if -_SMALL_INT < v < _SMALL_INT:
+        return True
+    limit = sys.get_int_max_str_digits()
+    return not limit or abs(v) < 10 ** limit
 
 
 def _materialize(v, loc) -> ir.Expression | None:
@@ -159,11 +166,8 @@ def _materialize(v, loc) -> ir.Expression | None:
         if v.denominator != 1:
             return None  # keep non-integral rationals symbolic to stay exact
         v = v.numerator
-    if isinstance(v, int):
-        if -_SMALL_INT < v < _SMALL_INT:
-            return ir.IntValue(v, loc=loc)
-        limit = sys.get_int_max_str_digits()  # no literal holds an int str() refuses
-        return ir.IntValue(v, loc=loc) if not limit or abs(v) < 10 ** limit else None
+    if isinstance(v, int):  # no literal holds an int str() refuses
+        return ir.IntValue(v, loc=loc) if _writable(v) else None
     if isinstance(v, float):
         # inf and nan would print as names; the fold stays symbolic
         return ir.RealValue(v, loc=loc) if math.isfinite(v) else None
@@ -187,7 +191,8 @@ class _Folder:
     navigation paths are opaque.  A ground node without a value, or with
     one no literal holds, stays symbolic; ``why`` says what the first such
     node's value is: "not a real number" (a math domain error), "beyond the
-    float range" (a range error, inf or nan) or an integer str() refuses."""
+    float range" (a range error, inf or nan) or an integer str() refuses.
+    Lowering records through ``_lost`` a kept rational that str() refuses."""
 
     def __init__(self, env: dict):
         self.env = env
@@ -227,11 +232,14 @@ class _Folder:
 
     def _lost(self, cause):
         """_MISSING, for a ground node left symbolic: its evaluation raised
-        cause, or its value cause has no literal.  The first sets why."""
+        cause, or its value cause has no literal (a Fraction: no text that
+        str() writes).  The first sets why."""
         if self.why is None:
+            limit = sys.get_int_max_str_digits()
             self.why = ("not a real number" if isinstance(cause, ValueError)  # a math domain error
-                        else f"an integer of over {sys.get_int_max_str_digits()} digits"
-                        if isinstance(cause, int) else "beyond the float range")
+                        else f"an integer of over {limit} digits" if isinstance(cause, int)
+                        else f"a fraction whose numerator or denominator has over {limit} digits"
+                        if isinstance(cause, Fraction) else "beyond the float range")
         return _MISSING
 
     def _eval(self, e: ir.Expression):

@@ -10,7 +10,7 @@ from pivotc import cli, oracle
 from pivotc.cli import main
 from pivotc.oracle import parse_flat
 from pivotc.parser import SourceUnit, parse, parse_expression
-from pivotc.passes import _Folder
+from pivotc.passes import ALLDIFF_MODES, _Folder
 
 from conftest import FIXTURES
 
@@ -347,6 +347,32 @@ def test_check_names_a_constant_whose_prefix_overflows(tmp_path, capsys):
     )
 
 
+# the denominator, 3 ^ 10000, has 4,772 digits: more than str() writes
+_LONG_FRACTION = "model M;\nreal r := (1/3) ^ 10000;\nint x in 1..2;\nconstraint c { x <= r; }\n"
+
+
+@pytest.mark.parametrize("alldiff", [None, *ALLDIFF_MODES])
+@pytest.mark.parametrize("target", [None, "flat"])
+def test_constant_of_a_fraction_too_long_to_quote_is_named(tmp_path, capsys, target, alldiff):
+    _, argv = _command(tmp_path, _LONG_FRACTION, target)
+    assert main(argv + ([] if alldiff is None else ["--alldiff", alldiff])) == 1
+    out, err = capsys.readouterr()
+    line = ("error: cannot lower model: the value of constant 'r' is a fraction whose "
+            "numerator or denominator has over 4300 digits\n")
+    assert out == "" and err.endswith(line) and err.count("error:") == 1
+    assert err == line if target is None else not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("target,text", [
+    ("pivot", "real r := (1 / 3) ^ 10000;\n"),
+    ("clp", " R $= (1/3)^10000,\n"),
+])
+def test_fraction_too_long_to_quote_stays_symbolic(tmp_path, target, text):
+    _, argv = _command(tmp_path, _LONG_FRACTION, target)
+    assert main(argv) == 0
+    assert text in (tmp_path / "out").read_text()
+
+
 @pytest.mark.parametrize("powers", [60, 12000])
 def test_power_chain_counts_against_the_nesting_cap(tmp_path, capsys, powers):
     # each exponent is one level deeper: a chain past the cap is a
@@ -504,7 +530,8 @@ def test_check_prints_each_relation_with_the_transformed_count(capsys, monkeypat
 
 
 # --------------------------------------------------------------------------
-# Start-up: per-command imports, lazy package exports, no cyclic GC in main
+# Start-up and exit: per-command imports, lazy package exports, no cyclic
+# GC in main, during -m pivotc's imports or in finalization
 
 COMMON = {"pivotc", "pivotc.cli", "pivotc.errors", "pivotc.ir", "pivotc.parser",
           "pivotc.passes", "pivotc.sema"}
@@ -611,3 +638,61 @@ def test_main_runs_no_collection(tmp_path):
         gc.callbacks.remove(count)
     assert code == 0
     assert starts == []
+
+
+# Runs a module as `python -m` does and writes, at exit, how many objects
+# are frozen, whether the collector is on, and the module running as
+# __main__ at each collection start.
+EXIT_PROBE = """\
+import atexit, gc, json, runpy, sys
+report, module = sys.argv[1:3]
+starts = []
+
+def seen(phase, info):
+    if phase == "start":
+        starts.append(getattr(sys.modules["__main__"].__spec__, "name", None))
+
+def done():
+    with open(report, "w") as fh:
+        json.dump({"frozen": gc.get_freeze_count(), "on": gc.isenabled(), "starts": starts}, fh)
+
+gc.callbacks.append(seen)
+atexit.register(done)
+sys.argv = [module, *sys.argv[3:]]
+runpy.run_module(module, run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("module,argv,code", [
+    ("pivotc", ["compile", "--target", "flat", "-m", "queens4.som", "-o", "OUT"], 0),
+    ("pivotc", ["compile", "--target", "clp", "-m", "queens4.som", "-o", "OUT"], 0),
+    ("pivotc", ["check", "-m", "queens4.som", "--alldiff", "relaxation"], 0),
+    ("pivotc", ["check", "-m", "bad.som"], 1),
+    ("pivotc", ["compile", "--target", "nope"], 2),
+    ("pivotc", ["check", "-m", "huge.som"], 3),
+    ("pivotc.cli", ["compile", "--target", "flat", "-m", "queens4.som", "-o", "OUT"], 0),
+    ("pivotc.cli", ["check", "-m", "bad.som"], 1),
+], ids=["flat", "clp", "check", "diagnostic", "usage", "oracle-limit", "cli-flat", "cli-diagnostic"])
+def test_command_exits_frozen_after_importing_with_no_collection(tmp_path, capsys, module, argv,
+                                                                  code):
+    (tmp_path / "bad.som").write_text("model M;\nint x in 1..3;\nconstraint c { card(x) = 1; }\n")
+    (tmp_path / "huge.som").write_text("model H;\nint x[5] in 1..1024;\nconstraint c { x[1] = 1; }\n")
+    paths = {"queens4.som": str(FIXTURES / "queens4.som"), "bad.som": str(tmp_path / "bad.som"),
+             "huge.som": str(tmp_path / "huge.som")}
+
+    def args(out: str) -> list[str]:
+        return [str(tmp_path / out) if a == "OUT" else paths.get(a, a) for a in argv]
+
+    def written(out: str) -> str | None:
+        return (tmp_path / out).read_text() if (tmp_path / out).exists() else None
+
+    report = tmp_path / "report.json"
+    proc = subprocess.run([sys.executable, "-c", EXIT_PROBE, str(report), module, *args("probe.out")],
+                          capture_output=True, text=True)
+    assert proc.returncode == code
+    assert (code, proc.stdout, proc.stderr) == (main(args("main.out")), *capsys.readouterr())
+    assert written("probe.out") == written("main.out")
+    report = json.loads(report.read_text())
+    assert report["frozen"] > 0
+    if module == "pivotc":  # none while pivotc.__main__ runs, and the collector stays off
+        assert "pivotc.__main__" not in report["starts"] and not report["on"]

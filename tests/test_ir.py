@@ -196,6 +196,22 @@ def test_equality_and_hash_ignore_locations_and_bindings():
     assert ir.Binding("variable", "x") == ir.Binding("variable", "x", None, None, None)
     assert ir.Binding("variable", "x") != ir.Binding("constant", "x")
     assert hash(ir.INTEGER) == hash(("integer", None)) and ir.INTEGER == ir.TypeKind("integer")
+    # and so does every class: each field in turn, never the riders, only
+    # against its own class, hashed as the tuple of its compared fields
+    classes = [c for c in ir.CHILD_FIELDS if c._fields != ("loc",)]  # the abstract ones have none
+    assert {ir.Binding, ir.TypeKind, ir.IntValue, ir.Model} <= set(classes) and len(classes) == 30
+    for cls in classes:
+        compared = [f for f in cls._fields if f not in ("loc", "binding")]
+        values = [f"{cls.__name__}.{f}" for f in compared]
+        node = cls(*values)
+        riders = {r: v for r, v in (("loc", Loc(1, 2)), ("binding", ir.Binding("iterator", "i")))
+                  if r in cls._fields}
+        assert node == cls(*values, **riders) and hash(node) == hash(cls(*values, **riders))
+        assert hash(node) == hash(tuple(values)) == hash(tuple(map(node.__getattribute__, compared)))
+        for at in range(len(values)):
+            assert node != cls(*values[:at], "other", *values[at + 1:]), (cls, compared[at])
+        twin = type(cls.__name__, (cls,), {"__slots__": ()})(*values)  # the same fields
+        assert node != twin and twin != node, cls
 
 
 def test_repr_shows_compared_fields_only():
