@@ -15,6 +15,8 @@ __version__ = "0.1.0"
 
 # public name -> the submodule that defines it
 _EXPORTS = {
+    "alldiff_to_boolean": "alldiff", "alldiff_to_disequalities": "alldiff",
+    "alldiff_to_relaxation": "alldiff",
     "ClpEmitOptions": "clp", "emit_clp": "clp",
     "CompileError": "errors", "Diagnostic": "errors", "Loc": "errors",
     "ParseError": "errors",
@@ -26,9 +28,7 @@ _EXPORTS = {
     "enumerate_solutions": "oracle",
     "parse_flat": "oracle",
     "SourceUnit": "parser", "parse": "parser", "parse_expression": "parser",
-    "PassConfig": "passes", "PassReport": "passes",
-    "alldiff_rewrite": "passes", "alldiff_to_boolean": "passes",
-    "alldiff_to_disequalities": "passes", "alldiff_to_relaxation": "passes",
+    "PassConfig": "passes", "PassReport": "passes", "alldiff_rewrite": "passes",
     "enum_remove": "passes", "fold_constants": "passes",
     "loop_unroll": "passes", "object_flatten": "passes",
     "run_pipeline": "passes",

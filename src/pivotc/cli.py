@@ -1,35 +1,58 @@
-"""Command-line driver: frontend -> pass pipeline -> backend, plus an
-oracle-backed equivalence checker and an expression evaluator.
+"""pivotc: compile an object-oriented constraint model to CLP, flat or
+pivot text, check a rewrite configuration against a baseline with the
+brute-force oracle, or fold an expression.
 
-Subcommands:
-  compile -m M [-d D] --target clp|flat|pivot [--passes ...]
-          [--alldiff MODE] [--unroll] -o OUT [--verify-against FILE]
-  check   -m M [-d D] [--passes ...] [--alldiff MODE]
-  eval    -e EXPR
+usage: pivotc compile -m MODEL [-d DATA] --target clp|flat|pivot -o OUT
+                      [--passes P1,P2,...] [--alldiff MODE] [--unroll]
+                      [--no-label] [--verify-against FILE]
+       pivotc check -m MODEL [-d DATA] [--passes P1,P2,...] [--alldiff MODE]
+       pivotc eval -e EXPR
+       pivotc -h | --help
+
+options:
+  -m, --model MODEL      model file (.som)
+  -d, --data DATA        data file (.dat)
+  --target T             clp, flat or pivot
+  -o, --output OUT       output path
+  --passes P1,P2,...     comma-separated pass list, from objectFlatten,
+                         enumRemove, alldiffRewrite, loopUnroll, foldConstants
+  --alldiff MODE         alldifferent rewrite: disequalities, relaxation or
+                         boolean
+  --unroll               append loopUnroll
+  --no-label             omit the labeling goal (clp)
+  --verify-against FILE  fail unless the output equals this file
+  -e, --expr EXPR        the expression to parse and fold
+  -h, --help             print this synopsis and exit
+
+A value follows its option as the next argument, taken as it is even if
+it starts with '-', or a long option's '=': --expr=-1.  A repeated option
+keeps its last value.
 
 Exit codes: 0 success, 1 diagnostics, 2 usage error, 3 oracle limit.
-The commands raise; ``main`` alone maps a failure to its exit code and
-stderr text.  Pass reports go to stderr; payload only ever goes to the
-output file.
-
-Start-up and exit are a fixed cost of every command, so the backends
-(``clp``, ``flat``, ``oracle``, ``printer``) are imported inside the
-commands that use them, ``main`` runs with the cyclic garbage collector
-off, and ``entry`` freezes every object before the interpreter exits.
 """
+
+# The commands raise; ``main`` alone maps a failure to its exit code and
+# stderr text.  Pass reports go to stderr; payload only ever goes to the
+# output file.
+#
+# Start-up and exit are a fixed cost of every command, so the command line
+# is read from one table (``COMMANDS``) without argparse, the backends
+# (``clp``, ``flat``, ``oracle``, ``printer``) are imported inside the
+# commands that use them, ``main`` runs with the cyclic garbage collector
+# off, and ``entry`` freezes every object before the interpreter exits.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import ir
 from .errors import CompileError, OracleLimitError, ParseError
 from .parser import SourceUnit, parse, parse_expression
 from .passes import (
-    ALLDIFF_MODES, PASS_IDS, PassConfig, _Folder, check_pipeline, model_features, run_pipeline,
+    ALLDIFF_MODES, PassConfig, _Folder, check_pipeline, model_features, run_pipeline,
 )
 from .sema import resolve, validate
 
@@ -153,36 +176,77 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _build_argparser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
-        prog="pivotc",
-        description="constraint-model compiler (object-oriented source -> clp/flat)",
-    )
-    sub = top.add_subparsers(dest="command", required=True)
+# Each command's options: (spellings, required, value), where value is None
+# for any text, a tuple of the values allowed, or SWITCH for an option that
+# takes none.  An option's attribute is its last spelling without dashes.
+SWITCH = "switch"
+_MODEL = (("-m", "--model"), True, None)
+_DATA = (("-d", "--data"), False, None)
+_PASSES = (("--passes",), False, None)
+_ALLDIFF = (("--alldiff",), False, ALLDIFF_MODES)
+COMMANDS = {
+    "compile": (
+        _MODEL, _DATA, (("--target",), True, ("clp", "flat", "pivot")),
+        (("-o", "--output"), True, None), _PASSES, _ALLDIFF, (("--unroll",), False, SWITCH),
+        (("--no-label",), False, SWITCH), (("--verify-against",), False, None),
+    ),
+    "check": (_MODEL, _DATA, _PASSES, _ALLDIFF),
+    "eval": ((("-e", "--expr"), True, None),),
+}
+_HELP = ("-h", "--help")
 
-    c = sub.add_parser("compile", help="run the transformation chain and emit a target")
-    c.add_argument("-m", "--model", required=True, help="model file (.som)")
-    c.add_argument("-d", "--data", help="data file (.dat)")
-    c.add_argument("--target", required=True, choices=("clp", "flat", "pivot"))
-    c.add_argument("--passes", help="comma-separated pass list: " + ",".join(PASS_IDS))
-    c.add_argument("--alldiff", choices=ALLDIFF_MODES, help="alldifferent rewrite mode")
-    c.add_argument("--unroll", action="store_true", help="append loopUnroll")
-    c.add_argument("--no-label", action="store_true", help="omit the labeling goal (clp)")
-    c.add_argument("-o", "--output", required=True, help="output path")
-    c.add_argument("--verify-against", help="fail unless the output matches this file")
-    c.set_defaults(func=cmd_compile)
 
-    k = sub.add_parser("check", help="oracle-compare the transformed model with a baseline")
-    k.add_argument("-m", "--model", required=True)
-    k.add_argument("-d", "--data")
-    k.add_argument("--passes")
-    k.add_argument("--alldiff", choices=ALLDIFF_MODES)
-    k.set_defaults(func=cmd_check)
+def _attribute(option) -> str:
+    return option[0][-1].lstrip("-").replace("-", "_")
 
-    e = sub.add_parser("eval", help="parse and fold a standalone expression")
-    e.add_argument("-e", "--expr", required=True)
-    e.set_defaults(func=cmd_eval)
-    return top
+
+def _parse_argv(argv: list[str]) -> SimpleNamespace | None:
+    """argv's command and options as the namespace the cmd_* functions
+    read, or None for -h/--help; a ValueError names what it refuses."""
+    if not argv:
+        raise ValueError("no command: expected compile, check or eval")
+    command, rest = argv[0], argv[1:]
+    if command in _HELP:
+        return None
+    if command not in COMMANDS:
+        raise ValueError(f"unknown command '{command}': expected compile, check or eval")
+    options = COMMANDS[command]
+    spelled = {spelling: option for option in options for spelling in option[0]}
+    args = SimpleNamespace(command=command)
+    for option in options:
+        setattr(args, _attribute(option), False if option[2] is SWITCH else None)
+    at = 0
+    while at < len(rest):
+        token = rest[at]
+        at += 1
+        if token in _HELP:
+            return None
+        name, eq, value = token.partition("=") if token.startswith("--") else (token, "", "")
+        option = spelled.get(name)
+        if option is None:
+            if token.startswith("-") and token != "-":
+                raise ValueError(f"{command}: unknown option '{name}'")
+            raise ValueError(f"{command}: unexpected argument '{token}'")
+        allowed = option[2]
+        if allowed is SWITCH:
+            if eq:
+                raise ValueError(f"{command}: option {name} takes no value")
+            setattr(args, _attribute(option), True)
+            continue
+        if not eq:
+            if at == len(rest):
+                raise ValueError(f"{command}: option {name} needs a value")
+            value = rest[at]
+            at += 1
+        if allowed is not None and value not in allowed:
+            raise ValueError(
+                f"{command}: option {name}: '{value}' is not one of {', '.join(allowed)}"
+            )
+        setattr(args, _attribute(option), value)
+    missing = ["/".join(o[0]) for o in options if o[1] and getattr(args, _attribute(o)) is None]
+    if missing:
+        raise ValueError(f"{command}: missing {', '.join(missing)}")
+    return args
 
 
 def main(argv=None) -> int:
@@ -194,18 +258,18 @@ def main(argv=None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        parser = _build_argparser()
         try:
-            args = parser.parse_args(argv)
-        except SystemExit as exc:
-            return EXIT_USAGE if exc.code not in (0, None) else 0
-        if args.command != "eval":
-            try:
+            args = _parse_argv(sys.argv[1:] if argv is None else list(argv))
+            if args is None:  # -OO strips the docstring
+                print(__doc__ or "usage: pivotc compile|check|eval [options]\n", end="")
+                return EXIT_OK
+            if args.command != "eval":
                 args.cfg = _pass_config(args)
-            except ValueError as exc:
-                print(f"usage error: {exc}", file=sys.stderr)
-                return EXIT_USAGE
-        return args.func(args)
+        except ValueError as exc:
+            print(f"usage error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        run = {"compile": cmd_compile, "check": cmd_check, "eval": cmd_eval}[args.command]
+        return run(args)
     except ParseError as exc:
         for d in exc.diagnostics:
             print(str(d), file=sys.stderr)

@@ -140,14 +140,21 @@ class SolutionSet:
 # --------------------------------------------------------------------------
 # Reading the flat format back (inverse of flat.emit_flat)
 
-_VAR_INT_RE = re.compile(r"^var int ([A-Za-z_][A-Za-z0-9_]*) in (-?\d+)\.\.(-?\d+);$")
-_VAR_BOOL_RE = re.compile(r"^var bool ([A-Za-z_][A-Za-z0-9_]*);$")
-_VAR_SET_RE = re.compile(r"^var set of (-?\d+)\.\.(-?\d+) ([A-Za-z_][A-Za-z0-9_]*);$")
-_CONSTRAINT_RE = re.compile(r"^constraint (.*);$")
+@functools.cache
+def _line_patterns() -> tuple[re.Pattern, ...]:
+    """The flat format's four line patterns, compiled when parse_flat first
+    runs: check never reads flat text."""
+    return (
+        re.compile(r"^var int ([A-Za-z_][A-Za-z0-9_]*) in (-?\d+)\.\.(-?\d+);$"),
+        re.compile(r"^var bool ([A-Za-z_][A-Za-z0-9_]*);$"),
+        re.compile(r"^var set of (-?\d+)\.\.(-?\d+) ([A-Za-z_][A-Za-z0-9_]*);$"),
+        re.compile(r"^constraint (.*);$"),
+    )
 
 
 def parse_flat(text: str, file: str = "<flat>") -> FlatProgram:
     """Parse the flat interchange format; errors carry line numbers."""
+    var_int, var_bool, var_set, constraint = _line_patterns()
     vars_: list[FlatVar] = []
     names: set[str] = set()
     constraints: list[ir.Expression] = []
@@ -156,7 +163,7 @@ def parse_flat(text: str, file: str = "<flat>") -> FlatProgram:
         line = raw.strip()
         if not line:
             continue
-        if m := _CONSTRAINT_RE.match(line):
+        if m := constraint.match(line):
             try:
                 expr = parse_expression(m.group(1), file=file)
             except ParseError as exc:
@@ -178,12 +185,12 @@ def parse_flat(text: str, file: str = "<flat>") -> FlatProgram:
             constraints.append(expr)
             continue
         try:
-            if m := _VAR_INT_RE.match(line):
+            if m := var_int.match(line):
                 name, lo, hi = m.group(1), int(m.group(2)), int(m.group(3))
                 vars_.append(FlatVar(name, "int", lo, hi))
-            elif m := _VAR_BOOL_RE.match(line):
+            elif m := var_bool.match(line):
                 vars_.append(FlatVar(m.group(1), "bool"))
-            elif m := _VAR_SET_RE.match(line):
+            elif m := var_set.match(line):
                 lo, hi, name = int(m.group(1)), int(m.group(2)), m.group(3)
                 vars_.append(FlatVar(name, "set", lo, hi))
             else:

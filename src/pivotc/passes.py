@@ -15,10 +15,18 @@ Passes:
   * enum_remove     - map enumeration literals to their 1-based positions
     and retype enum variables over integer ranges;
   * alldiff_rewrite - replace alldifferent constraints by pairwise
-    disequalities, a sum relaxation, or a boolean assignment matrix;
-  * loop_unroll     - expand loops and ground conditionals;
+    disequalities, a sum relaxation, or a boolean assignment matrix
+    (``alldiff.py``);
+  * loop_unroll     - expand loops and ground conditionals (``unroll.py``);
   * fold_constants  - evaluate every ground subexpression (rationals for
     exactness), inline constants, and apply +0/*1 style identities.
+
+The code of alldiffRewrite and loopUnroll lives in its own module, which
+the pass's ``PASSES`` row imports the first time the pass runs: a command
+that runs neither, such as ``compile --target clp``, does not compile
+them.  alldiffRewrite returns a model without alldifferent as it is,
+before its module loads, as objectFlatten and enumRemove do for a model
+without classes or enumerations.
 """
 
 from __future__ import annotations
@@ -817,166 +825,7 @@ def enum_remove(model: ir.Model) -> ir.Model:
 
 
 # --------------------------------------------------------------------------
-# Alldifferent rewrites
-
-def alldiff_to_disequalities(c: ir.GlobalCtr) -> list[ir.Statement]:
-    """alldifferent(x1..xn) -> the n(n-1)/2 pairwise disequalities."""
-    if not isinstance(c, ir.GlobalCtr) or c.ctr_name != "alldifferent":
-        raise CompileError("expected an alldifferent constraint")
-    out: list[ir.Statement] = []
-    n = len(c.params)
-    for i in range(n):
-        for j in range(i + 1, n):
-            out.append(
-                ir.ExpressionConstraint(
-                    ir.BoolBinaryOp("!=", c.params[i], c.params[j], loc=c.loc), loc=c.loc
-                )
-            )
-    return out
-
-
-def _param_interval(p: ir.Expression, scope: sema.Scope, env: dict):
-    """(lo, hi) of the declared domain behind a variable occurrence."""
-    if not isinstance(p, ir.VarOccurrence):
-        return None
-    try:
-        kind, decl = scope.lookup(p.name)
-    except CompileError:
-        return None
-    if kind != "variable" or not isinstance(decl.domain, ir.IntervalDomain):
-        return None
-    lo = _value_int(decl.domain.lo, env)
-    hi = _value_int(decl.domain.hi, env)
-    if lo is None or hi is None:
-        return None
-    return lo, hi
-
-
-def _alldiff_to_relaxation(c: ir.GlobalCtr, scope: sema.Scope, env: dict) -> ir.Statement:
-    if not isinstance(c, ir.GlobalCtr) or c.ctr_name != "alldifferent":
-        raise CompileError("expected an alldifferent constraint")
-    n = len(c.params)
-    for p in c.params:
-        iv = _param_interval(p, scope, env)
-        if iv != (1, n):
-            raise CompileError(f"relaxation requires every parameter domain to be 1..{n}", c.loc)
-    total = ir.IntValue(n * (n + 1) // 2)
-    return ir.ExpressionConstraint(
-        ir.BoolBinaryOp("=", ir.chain("+", list(c.params)), total, loc=c.loc), loc=c.loc
-    )
-
-
-def alldiff_to_relaxation(c: ir.GlobalCtr, model: ir.Model) -> ir.Statement:
-    model = sema.resolve(model)
-    return _alldiff_to_relaxation(c, sema.Scope(model), const_env(model))
-
-
-def _fresh_bool_matrix_name(taken: set[str]) -> str:
-    if "b" not in taken:
-        return "b"
-    n = 2
-    while f"b{n}" in taken:
-        n += 1
-    return f"b{n}"
-
-
-def _alldiff_to_boolean(
-    c: ir.GlobalCtr, scope: sema.Scope, env: dict, taken: set[str]
-) -> list[ir.ModelFeature]:
-    if not isinstance(c, ir.GlobalCtr) or c.ctr_name != "alldifferent":
-        raise CompileError("expected an alldifferent constraint")
-    n = len(c.params)
-    intervals = []
-    for p in c.params:
-        if not isinstance(p, ir.VarOccurrence) or (
-            p.binding is not None and p.binding.kind != "variable"
-        ):
-            raise CompileError("boolean reformulation requires plain variable parameters", c.loc)
-        iv = _param_interval(p, scope, env)
-        if iv is None:
-            raise CompileError(f"cannot determine the domain of parameter '{p.name}'", c.loc)
-        intervals.append(iv)
-    if len(set(intervals)) != 1:
-        raise CompileError("boolean reformulation requires one common parameter domain", c.loc)
-    lo, m = intervals[0]
-    if lo != 1 or m < n:
-        raise CompileError(
-            f"boolean reformulation requires a common domain 1..m with m >= {n}", c.loc
-        )
-    name = _fresh_bool_matrix_name(taken)
-    taken.add(name)
-    b = ir.Variable(name, "bool", dims=(ir.IntValue(n), ir.IntValue(m)), loc=c.loc)
-
-    def cell(i: int, j: int) -> ir.Expression:
-        b = ir.Binding("variable", name)
-        return ir.VarOccurrence(name, (ir.IntValue(i), ir.IntValue(j)), binding=b)
-
-    features: list[ir.ModelFeature] = [b]
-    for i in range(1, n + 1):  # one value per variable
-        row = ir.chain("+", [cell(i, j) for j in range(1, m + 1)])
-        features.append(ir.ExpressionConstraint(ir.BoolBinaryOp("=", row, ir.IntValue(1)), loc=c.loc))
-    col_op = "=" if m == n else "<="
-    for j in range(1, m + 1):  # each value used once (at most once when m > n)
-        col = ir.chain("+", [cell(i, j) for i in range(1, n + 1)])
-        features.append(
-            ir.ExpressionConstraint(ir.BoolBinaryOp(col_op, col, ir.IntValue(1)), loc=c.loc)
-        )
-    for i, p in enumerate(c.params, start=1):  # channel b back to the parameters
-        value = ir.chain("+", [ir.chain("*", [ir.IntValue(j), cell(i, j)]) for j in range(1, m + 1)])
-        features.append(
-            ir.ExpressionConstraint(ir.BoolBinaryOp("=", p, value), loc=c.loc)
-        )
-    return features
-
-
-def alldiff_to_boolean(c: ir.GlobalCtr, model: ir.Model) -> list[ir.ModelFeature]:
-    model = sema.resolve(model)
-    taken = {e.name for e in model.elements if hasattr(e, "name")}
-    return _alldiff_to_boolean(c, sema.Scope(model), const_env(model), taken)
-
-
-class _AlldiffRewriter:
-    """Rewrites the alldifferent constraints of statement lists and counts
-    them.  Not a recursive closure: a closure that calls itself is a
-    reference cycle, which would keep the model alive until the cyclic
-    collector runs."""
-
-    def __init__(self, mode: str, scope: sema.Scope, env: dict, taken: set[str]):
-        self.mode, self.scope, self.env, self.taken = mode, scope, env, taken
-        self.count = 0
-
-    def stmts(self, stmts, nested: bool) -> tuple[list[ir.Statement], list[ir.Variable]]:
-        out: list[ir.Statement] = []
-        hoisted: list[ir.Variable] = []
-        for s in stmts:
-            if isinstance(s, ir.GlobalCtr) and s.ctr_name == "alldifferent":
-                self.count += 1
-                if self.mode == "disequalities":
-                    out.extend(alldiff_to_disequalities(s))
-                elif self.mode == "relaxation":
-                    out.append(_alldiff_to_relaxation(s, self.scope, self.env))
-                else:
-                    if nested:
-                        raise CompileError(
-                            "alldiffRewrite: boolean mode cannot rewrite alldifferent inside "
-                            "forall/if (the matrix would be shared between iterations)"
-                        )
-                    features = _alldiff_to_boolean(s, self.scope, self.env, self.taken)
-                    hoisted.extend(f for f in features if isinstance(f, ir.Variable))
-                    out.extend(f for f in features if isinstance(f, ir.Statement))
-            elif isinstance(s, (ir.ForAll, ir.If)):
-                updates = {}
-                for name in ("body",) if isinstance(s, ir.ForAll) else ("then_body", "else_body"):
-                    body = getattr(s, name)
-                    if body is not None:
-                        body, inner_hoisted = self.stmts(body, True)
-                        hoisted.extend(inner_hoisted)
-                        updates[name] = tuple(body)
-                out.append(ir.rebuild(s, updates))
-            else:
-                out.append(s)
-        return out, hoisted
-
+# alldiffRewrite and loopUnroll: their code is in alldiff.py and unroll.py
 
 def _rewrite_bodies(model: ir.Model, rewrite) -> ir.Model:
     """model with rewrite(statements) -> (statements, hoisted elements)
@@ -998,185 +847,21 @@ def _rewrite_bodies(model: ir.Model, rewrite) -> ir.Model:
 
 
 def _alldiff_rewrite_counted(model: ir.Model, mode: str) -> tuple[ir.Model, int]:
-    taken = {e.name for e in model.elements if hasattr(e, "name")}
-    rewriter = _AlldiffRewriter(mode, sema.Scope(model), const_env(model), taken)
-    return _rewrite_bodies(model, lambda stmts: rewriter.stmts(stmts, False)), rewriter.count
+    if "alldifferent" not in model_features(model):  # as is, before alldiff.py loads
+        return model, 0
+    from .alldiff import rewrite_counted
+
+    return rewrite_counted(model, mode)
 
 
 def alldiff_rewrite(model: ir.Model, mode: str = "disequalities") -> ir.Model:
     return run_pipeline(model, PassConfig(("alldiffRewrite",), mode))[0]
 
 
-# --------------------------------------------------------------------------
-# Loop unrolling
-
-class _Unroller:
-    """Expands the loops and grounds the conditionals of statement lists,
-    and counts the loops and conditionals.  Each leaf statement, loop bound
-    and condition is compiled, when first met, into a plan: one closure per
-    template node that builds and folds its instance from the values in
-    ``iters``.  A subtree that reads no iterator is built once (where an
-    instance reaches it if that raises), one that reads fewer iterators than
-    enclose it once per tuple of the values it reads.  A node goes to the
-    folder only if it is no literal and has no child, or a child that can
-    become a value (holds no variable or object occurrence) and, if another
-    child holds one, is a chain, whose ground prefix folds, or an
-    AlgBinaryOp, whose x / 1 drops; the folder returns any other as is.
-    A loop whose body holds only constraints fetches their plans once.
-    Plans never refer to themselves: a reference cycle would keep the model
-    alive until the cyclic collector runs."""
-
-    __slots__ = ("folder", "count", "iters", "literals", "plans")
-
-    def __init__(self, env: dict):
-        self.folder = _Folder(env)
-        self.count = 0
-        self.iters: dict[str, int] = {}  # enclosing iterator -> its value
-        self.literals: dict[int, ir.IntValue] = {}  # iterator value -> its one node
-        # id(template) -> its plans; the model keeps templates alive, so ids are stable
-        self.plans: dict[int, list[Callable]] = {}
-
-    def plan(self, template: ir.Node, exprs) -> list[Callable]:
-        """The plans of the expressions of template: a leaf statement, a
-        bound or a condition.  Each returns its expression's instance."""
-        runs = self.plans.get(id(template))
-        if runs is None:
-            runs = self.plans[id(template)] = [_call(self._compile(e)[0]) for e in exprs]
-        return runs
-
-    def _compile(self, e: ir.Expression):
-        """(e's instance if it reads no iterator and builds, else its plan;
-        the iterators e reads; whether e holds a variable or object
-        occurrence)."""
-        t, iters = type(e), self.iters
-        b = e.binding if t is ir.VarOccurrence else None
-        if b is not None and b.kind == "iterator" and not e.indexes and e.name in iters:
-            literals, name = self.literals, e.name
-            return (lambda: literals[iters[name]]), frozenset((name,)), False
-        fields, reads = [], frozenset()
-        changed = lazy = held = valued = False  # valued: a child can become a value
-        for name, many in ir.CHILD_FIELDS[t]:
-            v = getattr(e, name)
-            if v:  # neither None nor an empty tuple
-                plans = []
-                for x in v if many else (v,):
-                    plan, r, h = self._compile(x)
-                    plans.append(plan)
-                    reads |= r
-                    changed, lazy = changed or plan is not x, lazy or callable(plan)
-                    held, valued = held or h, valued or not h
-                fields.append((name, many, plans))
-        literal = t is ir.IntValue or t is ir.RealValue or t is ir.BoolValue
-        # with a child that holds a variable, only a chain's ground prefix
-        # and identities, and x / 1, can fold
-        fold = self.folder._fold_node
-        if literal or held and (not valued or t not in _FOLD_HELD):
-            fold = None
-        held = held or t is ir.ObjectOccurrence or b is not None and b.kind == "variable"
-        if not lazy:
-            try:
-                node = e._copy({n: tuple(p) if m else p[0] for n, m, p in fields}) if changed else e
-                return (node if fold is None else fold(node)), reads, held
-            except CompileError:
-                pass  # raised again where an instance reaches it, in evaluation order
-        fields = [(name, many, [_call(p) for p in plans]) for name, many, plans in fields]
-        memo = {} if 0 < len(reads) < len(iters) else None  # e reads some, not all, iterators
-        if memo is None and (t is ir.BoolBinaryOp or t is ir.SetBinaryOp or t is ir.AlgBinaryOp):
-            # the most common instance: built by its constructor, with no updates dict
-            (_, _, (left,)), (_, _, (right,)) = fields
-            op, loc = e.op, e.loc
-            if fold is None:
-                return (lambda: t(op, left(), right(), loc=loc)), reads, held
-            return (lambda: fold(t(op, left(), right(), loc=loc))), reads, held
-        key = operator.itemgetter(*reads) if memo is not None else None
-
-        def run():
-            if memo is not None:
-                k = key(iters)
-                hit = memo.get(k)
-                if hit is not None:
-                    return hit
-            node = e
-            if fields:
-                u = {}
-                for name, many, runs in fields:  # no comprehension: one frame per level
-                    if many:
-                        built = []
-                        for r in runs:
-                            built.append(r())
-                        u[name] = tuple(built)
-                    else:
-                        u[name] = runs[0]()
-                node = e._copy(u)
-            if fold is not None:
-                node = fold(node)
-            if memo is not None:
-                memo[k] = node
-            return node
-
-        return run, reads, held
-
-    def bound(self, e: ir.Expression, loop: ir.ForAll) -> int:
-        v = _as_int(self.folder.value(self.plan(e, (e,))[0]()))
-        if v is None:
-            raise CompileError(f"loop over '{loop.iter_var}' has a non-ground bound", loop.loc)
-        return v
-
-    def stmts(self, stmts, out: list) -> list[ir.Statement]:
-        """out, with the instances of stmts under the values in iters
-        appended; an inner loop shadows an outer one of the same name."""
-        iters = self.iters
-        for s in stmts:
-            t = type(s)
-            if t is ir.ExpressionConstraint:
-                out.append(ir.ExpressionConstraint(self.plan(s, (s.expr,))[0](), loc=s.loc))
-            elif t is ir.GlobalCtr:
-                params = tuple([run() for run in self.plan(s, s.params)])
-                out.append(ir.GlobalCtr(s.ctr_name, params, loc=s.loc))
-            elif t is ir.ForAll:
-                self.count += 1
-                lo, hi = self.bound(s.lower, s), self.bound(s.upper, s)
-                outer = iters.get(s.iter_var)
-                body = s.body
-                # a body of constraints only fetches their plans once, at the first value
-                flat = all(type(b) is ir.ExpressionConstraint for b in body)
-                runs = None
-                for v in range(lo, hi + 1):
-                    if v not in self.literals:
-                        self.literals[v] = ir.IntValue(v)
-                    iters[s.iter_var] = v
-                    if not flat:
-                        self.stmts(body, out)
-                        continue
-                    if runs is None:
-                        runs = [(self.plan(b, (b.expr,))[0], b.loc) for b in body]
-                    for run, loc in runs:
-                        out.append(ir.ExpressionConstraint(run(), loc=loc))
-                iters.pop(s.iter_var, None)
-                if outer is not None:  # the value it shadowed
-                    iters[s.iter_var] = outer
-            elif t is ir.If:
-                self.count += 1
-                cond = self.plan(s.cond, (s.cond,))[0]()
-                if not isinstance(cond, ir.BoolValue):
-                    raise CompileError(
-                        "conditional with a non-ground condition cannot be unrolled", s.loc
-                    )
-                self.stmts(s.then_body if cond.value else (s.else_body or ()), out)
-        return out
-
-
-_FOLD_HELD = (ir.AlgBinaryOp, ir.AlgChain, ir.BoolChain)  # what folds beside a variable
-
-
-def _call(plan) -> Callable:
-    """plan, or for an instance built already, a call that returns it."""
-    return plan if callable(plan) else lambda: plan
-
-
 def _loop_unroll_counted(model: ir.Model) -> tuple[ir.Model, int]:
-    unroller = _Unroller(const_env(model))
-    return _rewrite_bodies(model, lambda stmts: (unroller.stmts(stmts, []), ())), unroller.count
+    from .unroll import unroll_counted
+
+    return unroll_counted(model)
 
 
 def loop_unroll(model: ir.Model) -> ir.Model:

@@ -10,7 +10,7 @@ from pivotc import cli, oracle
 from pivotc.cli import main
 from pivotc.oracle import parse_flat
 from pivotc.parser import SourceUnit, parse, parse_expression
-from pivotc.passes import ALLDIFF_MODES, _Folder
+from pivotc.passes import ALLDIFF_MODES, PASS_IDS, _Folder
 
 from conftest import FIXTURES
 
@@ -189,6 +189,12 @@ def test_eval_folds():
 def test_eval_identity():
     proc = run_cli("eval", "-e", "x+0")
     assert proc.stdout.strip() == "x"
+
+
+@pytest.mark.parametrize("expr,folded", [("-2*3", "-6"), ("-(1+2)", "-3")])
+def test_eval_takes_an_expression_that_starts_with_a_minus(expr, folded):
+    proc = run_cli("eval", "-e", expr)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, folded + "\n", "")
 
 
 def test_eval_parse_error():
@@ -471,10 +477,81 @@ def test_main_callable_in_process(tmp_path):
     assert out.exists()
 
 
-@pytest.mark.parametrize("args", [["bogus"], ["compile", "--target", "nope"]])
-def test_usage_errors(args):
-    proc = run_cli(*args)
-    assert proc.returncode == 2
+_Q4 = str(FIXTURES / "queens4.som")
+
+
+_USAGE_ERRORS = {  # argv -> the refusal
+    ("bogus",): "unknown command 'bogus': expected compile, check or eval",
+    ("compile", "--target", "nope"): "compile: option --target: 'nope' is not one of clp, flat, pivot",
+    (): "no command: expected compile, check or eval",
+    ("--target", "clp"): "unknown command '--target': expected compile, check or eval",
+    ("check", "-m", _Q4, "--unroll"): "check: unknown option '--unroll'",
+    # argparse's unique-prefix abbreviations are gone
+    ("compile", "-m", _Q4, "--targ", "clp", "-o", "x"): "compile: unknown option '--targ'",
+    ("check", "-m", _Q4, "extra"): "check: unexpected argument 'extra'",
+    ("eval", "-e", "1", "-"): "eval: unexpected argument '-'",
+    ("check", "-m"): "check: option -m needs a value",
+    ("eval", "--expr"): "eval: option --expr needs a value",
+    ("compile", "--unroll=yes"): "compile: option --unroll takes no value",
+    ("check", "-m", _Q4, "--alldiff=pairs"):
+        "check: option --alldiff: 'pairs' is not one of disequalities, relaxation, boolean",
+    ("compile", "--target", "clp", "-o", "x"): "compile: missing -m/--model",
+    ("compile", "-m", _Q4, "--target", "clp"): "compile: missing -o/--output",
+    ("compile", "-m", _Q4, "-o", "x"): "compile: missing --target",
+    ("check",): "check: missing -m/--model",
+    ("eval",): "eval: missing -e/--expr",
+    ("check", "-m", _Q4, "--passes", "loopUnroll,nope"): "unknown pass 'nope'",
+}
+
+
+@pytest.mark.parametrize("args", [list(argv) for argv in _USAGE_ERRORS])
+def test_usage_errors(capsys, args):
+    assert main(args) == 2
+    assert capsys.readouterr() == ("", f"usage error: {_USAGE_ERRORS[tuple(args)]}\n")
+
+
+@pytest.mark.parametrize("args", [
+    ["-h"], ["--help"], ["compile", "-h"], ["check", "--help"], ["eval", "-h"],
+    ["compile", "--target", "clp", "--help"],
+])
+def test_help_prints_the_synopsis(capsys, args):
+    assert main(args) == 0
+    assert capsys.readouterr() == (cli.__doc__, "")
+
+
+def test_help_and_a_usage_error_as_a_command():
+    help_run, refused = run_cli("--help"), run_cli("compile", "--targ", "clp")
+    assert (help_run.returncode, help_run.stdout, help_run.stderr) == (0, cli.__doc__, "")
+    assert (refused.returncode, refused.stdout) == (2, "")
+    assert refused.stderr == "usage error: compile: unknown option '--targ'\n"
+
+
+def test_every_option_is_in_the_help_and_the_readme():
+    readme = (FIXTURES.parents[1] / "README.md").read_text()
+    cli_block = readme.split("## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    help_text = cli.__doc__
+    words = [*PASS_IDS, *cli.COMMANDS, "-h", "--help"]
+    for spellings, _, value in (o for options in cli.COMMANDS.values() for o in options):
+        words += [*spellings, *(value if isinstance(value, tuple) else ())]
+    for word in words:
+        assert word in help_text, word
+        assert word in cli_block, word
+
+
+def test_long_option_with_equals_and_the_last_of_a_repeated_option(tmp_path, capsys):
+    spelled = ["compile", f"--model={_Q4}", "--target", "flat", "--target=clp",
+               "-o", str(tmp_path / "no"), f"--output={tmp_path / 'a.ecl'}",
+               "--alldiff", "boolean", "--alldiff=relaxation"]
+    plain = ["compile", "-m", _Q4, "--target", "clp", "-o", str(tmp_path / "b.ecl"),
+             "--alldiff", "relaxation"]
+    assert main(spelled) == 0
+    first = capsys.readouterr()
+    assert main(plain) == 0
+    assert capsys.readouterr() == first and "alldiffRewrite" in first.err
+    assert (tmp_path / "a.ecl").read_text() == (tmp_path / "b.ecl").read_text()
+    assert not (tmp_path / "no").exists()
+    assert main(["eval", "-e", "1", "--expr=2+3", "-e", "x+0"]) == 0
+    assert capsys.readouterr().out == "x\n"
 
 
 def test_check_oracle_limit_exit_code(tmp_path):
@@ -543,13 +620,19 @@ PROBE = (
 )
 
 
+_GOLFERS_SMALL = ["-m", str(FIXTURES / "golfers.som"), "-d", str(FIXTURES / "golfers_small.dat")]
+
+
 @pytest.mark.parametrize("command,extra", [
-    (["compile", "--target", "flat"], {"pivotc.flat", "pivotc.printer"}),
-    (["compile", "--target", "clp"], {"pivotc.clp"}),
-    (["check"], {"pivotc.flat", "pivotc.oracle"}),
-], ids=["compile-flat", "compile-clp", "check"])
+    (["compile", "--target", "flat", "-m", _Q4],
+     {"pivotc.flat", "pivotc.printer", "pivotc.alldiff", "pivotc.unroll"}),
+    (["compile", "--target", "clp", "-m", _Q4], {"pivotc.clp"}),
+    (["check", "-m", _Q4], {"pivotc.flat", "pivotc.oracle", "pivotc.alldiff", "pivotc.unroll"}),
+    # no alldifferent: alldiffRewrite returns the model before its module loads
+    (["compile", "--target", "flat", *_GOLFERS_SMALL], {"pivotc.flat", "pivotc.printer", "pivotc.unroll"}),
+], ids=["compile-flat", "compile-clp", "check", "compile-flat-no-alldifferent"])
 def test_command_imports_only_its_backends(tmp_path, command, extra):
-    argv = [*command, "-m", str(FIXTURES / "queens4.som")]
+    argv = list(command)
     if command[0] == "compile":
         argv += ["-o", str(tmp_path / "out")]
     proc = subprocess.run([sys.executable, "-c", PROBE, *argv], capture_output=True, text=True)
@@ -574,19 +657,21 @@ def test_package_exports_every_name_lazily():
 
 
 def test_commands_load_neither_dataclasses_nor_inspect():
-    # what compile (every target), check and eval import, measured against
-    # the modules the bare interpreter (site included) has already loaded
+    # what compile (every target), check and eval import, and what reading
+    # a command line loads (argparse's parser imported locale), measured
+    # against the modules the bare interpreter (site included) has loaded
     probe = (
         "import sys\n"
         "bare = set(sys.modules)\n"
         "import pivotc.cli, pivotc.flat, pivotc.oracle, pivotc.clp, pivotc.printer\n"
+        "pivotc.cli.main(['eval', '-e', '1'])\n"
         "print(' '.join(sorted(set(sys.modules) - bare)))\n"
     )
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    loaded = set(proc.stdout.split())
+    loaded = set(proc.stdout.splitlines()[-1].split())
     assert "pivotc.oracle" in loaded and "pivotc.clp" in loaded
-    assert not loaded & {"dataclasses", "inspect"}
+    assert not loaded & {"dataclasses", "inspect", "argparse", "gettext", "locale"}
 
 
 def _raise(args):

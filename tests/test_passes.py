@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pivotc import ir, passes, sema
+from pivotc.alldiff import alldiff_to_boolean, alldiff_to_disequalities, alldiff_to_relaxation
 from pivotc.errors import CompileError, UnresolvedNameError
 from pivotc.cli import DEFAULT_PASSES, FLAT_EXTRA_PASSES, main
 from pivotc.clp import emit_clp
@@ -16,9 +17,6 @@ from pivotc.parser import SourceUnit, parse, parse_expression
 from pivotc.passes import (
     PassConfig,
     alldiff_rewrite,
-    alldiff_to_boolean,
-    alldiff_to_disequalities,
-    alldiff_to_relaxation,
     enum_remove,
     fold_constants,
     loop_unroll,
@@ -404,6 +402,15 @@ ALLDIFF3 = (
     "model A;\nint x1 in 1..3;\nint x2 in 1..3;\nint x3 in 1..3;\n"
     "constraint c { alldifferent(x1, x2, x3); }"
 )
+
+
+@pytest.mark.parametrize("mode", passes.ALLDIFF_MODES)
+def test_alldiff_rewrite_returns_a_model_without_alldifferent_as_is(mode):
+    # not even its constants are evaluated: 1/0 is left to foldConstants
+    m = resolve(parse(SourceUnit("model A;\nreal k := 1/0;\nint x in 1..3;\nconstraint c { x <= 2; }")))
+    out, reports = run_pipeline(m, PassConfig(("alldiffRewrite",), mode))
+    assert out is m
+    assert [str(r) for r in reports] == ["alldiffRewrite: elements 4 -> 4, rewrites 0"]
 
 
 def test_alldiff_disequalities_pair_order():
