@@ -15,8 +15,7 @@ __version__ = "0.1.0"
 
 # public name -> the submodule that defines it
 _EXPORTS = {
-    "alldiff_to_boolean": "alldiff", "alldiff_to_disequalities": "alldiff",
-    "alldiff_to_relaxation": "alldiff",
+    "alldiff_to_disequalities": "alldiff",
     "ClpEmitOptions": "clp", "emit_clp": "clp",
     "CompileError": "errors", "Diagnostic": "errors", "Loc": "errors",
     "ParseError": "errors",

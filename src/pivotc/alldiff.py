@@ -47,8 +47,6 @@ def _param_interval(p: ir.Expression, scope: sema.Scope, env: dict):
 
 
 def _alldiff_to_relaxation(c: ir.GlobalCtr, scope: sema.Scope, env: dict) -> ir.Statement:
-    if not isinstance(c, ir.GlobalCtr) or c.ctr_name != "alldifferent":
-        raise CompileError("expected an alldifferent constraint")
     n = len(c.params)
     for p in c.params:
         iv = _param_interval(p, scope, env)
@@ -58,11 +56,6 @@ def _alldiff_to_relaxation(c: ir.GlobalCtr, scope: sema.Scope, env: dict) -> ir.
     return ir.ExpressionConstraint(
         ir.BoolBinaryOp("=", ir.chain("+", list(c.params)), total, loc=c.loc), loc=c.loc
     )
-
-
-def alldiff_to_relaxation(c: ir.GlobalCtr, model: ir.Model) -> ir.Statement:
-    model = sema.resolve(model)
-    return _alldiff_to_relaxation(c, sema.Scope(model), const_env(model))
 
 
 def _fresh_bool_matrix_name(taken: set[str]) -> str:
@@ -77,8 +70,6 @@ def _fresh_bool_matrix_name(taken: set[str]) -> str:
 def _alldiff_to_boolean(
     c: ir.GlobalCtr, scope: sema.Scope, env: dict, taken: set[str]
 ) -> list[ir.ModelFeature]:
-    if not isinstance(c, ir.GlobalCtr) or c.ctr_name != "alldifferent":
-        raise CompileError("expected an alldifferent constraint")
     n = len(c.params)
     intervals = []
     for p in c.params:
@@ -121,12 +112,6 @@ def _alldiff_to_boolean(
             ir.ExpressionConstraint(ir.BoolBinaryOp("=", p, value), loc=c.loc)
         )
     return features
-
-
-def alldiff_to_boolean(c: ir.GlobalCtr, model: ir.Model) -> list[ir.ModelFeature]:
-    model = sema.resolve(model)
-    taken = {e.name for e in model.elements if hasattr(e, "name")}
-    return _alldiff_to_boolean(c, sema.Scope(model), const_env(model), taken)
 
 
 class _AlldiffRewriter:

@@ -8,7 +8,7 @@ from typing import NamedTuple
 # and clp) are NamedTuples: immutable, compared and hashed by value,
 # picklable, and cheap to build.  The parser builds one Loc per node.  The
 # few with behaviour beyond a __str__ (passes.PassConfig, oracle.Assignment
-# and oracle.SolutionSet) are plain classes with __slots__.
+# and oracle.SolutionSet) subclass the IR nodes' frozen base, ir._Frozen.
 
 
 class Loc(NamedTuple):

@@ -4,7 +4,10 @@ Every node is an immutable instance of a class with ``__slots__``, whose
 constructor and copy are generated from its field annotations at import;
 equality and hash read its compared fields as one tuple.  Passes never
 mutate a tree, they build new ones, sharing every subtree they leave
-unchanged (``rebuild``).
+unchanged (``rebuild``).  Three value classes outside the IR,
+``passes.PassConfig``, ``oracle.Assignment`` and ``oracle.SolutionSet``,
+share the nodes' frozen base ``_Frozen`` and ``_compared``, with
+constructors of their own.
 Source locations and name bindings ride along on nodes but are excluded
 from equality, so ``a == b`` is structural identity: same names, same
 order, same shapes.

@@ -60,7 +60,7 @@ from . import ir
 from .errors import CompileError, Diagnostic, OracleLimitError, ParseError
 from .flat import FlatProgram, FlatVar
 from .parser import parse_expression
-from .passes import _SMALL_INT, _div, _pow, _refuse
+from .passes import _SMALL_INT, _div, _pow
 
 MAX_SET_UNIVERSE = 12
 MAX_SEARCH_SPACE = 2 ** 40
@@ -68,26 +68,15 @@ DEFAULT_MAX_SOLUTIONS = 10 ** 6
 DEFAULT_MAX_NODES = 10 ** 7
 
 
-class Assignment:
+class Assignment(ir._Frozen):
     """One solution: variable name -> value.  Unhashable, as its dict is."""
 
-    __slots__ = ("values",)  # no __dict__: a read of solutions can build 10^6
-    __setattr__ = __delattr__ = _refuse
+    __slots__ = _fields = ("values",)  # no __dict__: a read of solutions can build 10^6
+    __eq__ = ir._compared(_fields)[0]
     __hash__ = None
 
     def __init__(self, values: dict | None = None):
         object.__setattr__(self, "values", {} if values is None else values)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.values == other.values
-
-    def __repr__(self) -> str:
-        return f"Assignment(values={self.values!r})"
-
-    def __reduce__(self):
-        return Assignment, (self.values,)
 
     def __getitem__(self, name: str):
         return self.values[name]
@@ -96,13 +85,13 @@ class Assignment:
         return tuple(self.values[n] for n in names)
 
 
-class SolutionSet:
+class SolutionSet(ir._Frozen):
     """Value rows in canonical order: ``rows[r][i]`` is ``names[i]``'s value.
     ``nodes``, the values bound (checked against max_nodes), is the
     search's cost, so equality and hash leave it out."""
 
-    __slots__ = ("names", "rows", "complete", "nodes")
-    __setattr__ = __delattr__ = _refuse
+    __slots__ = _fields = ("names", "rows", "complete", "nodes")
+    __eq__, __hash__ = ir._compared(("names", "rows", "complete"))
 
     def __init__(self, names: tuple[str, ...] = (), rows: tuple[tuple, ...] = (),
                  complete: bool = True, nodes: int = 0):
@@ -110,24 +99,6 @@ class SolutionSet:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "complete", complete)
         object.__setattr__(self, "nodes", nodes)
-
-    def _key(self) -> tuple:
-        return self.names, self.rows, self.complete
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (f"SolutionSet(names={self.names!r}, rows={self.rows!r}, "
-                f"complete={self.complete!r}, nodes={self.nodes!r})")
-
-    def __reduce__(self):
-        return SolutionSet, (self.names, self.rows, self.complete, self.nodes)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -212,15 +183,8 @@ def parse_flat(text: str, file: str = "<flat>") -> FlatProgram:
 # Helpers called by the generated search (and _div, _pow from passes)
 
 def _ordered(op: str, a, b) -> bool:
-    if isinstance(a, frozenset) or isinstance(b, frozenset):
-        raise CompileError(f"sets cannot be compared with '{op}'")
-    if op == "<=":
-        return a <= b
-    if op == ">=":
-        return a >= b
-    if op == "<":
-        return a < b
-    return a > b
+    # called only when an operand is a set, once both are evaluated
+    raise CompileError(f"sets cannot be compared with '{op}'")
 
 
 class _Stop(Exception):

@@ -43,16 +43,11 @@ from .errors import CompileError, UnresolvedNameError
 ALLDIFF_MODES = ("disequalities", "relaxation", "boolean")
 
 
-def _refuse(self, name, value=None):
-    """__setattr__ and __delattr__ of the immutable classes with __slots__."""
-    raise AttributeError(f"cannot assign to field '{name}'")
-
-
-class PassConfig:
+class PassConfig(ir._Frozen):
     """A checked pipeline: pass ids in order, and the alldifferent mode."""
 
-    __slots__ = ("passes", "alldiff_mode")
-    __setattr__ = __delattr__ = _refuse
+    __slots__ = _fields = ("passes", "alldiff_mode")
+    __eq__, __hash__ = ir._compared(_fields)
 
     def __init__(self, passes: tuple[str, ...] = (), alldiff_mode: str = "disequalities"):
         if isinstance(passes, str):
@@ -67,20 +62,6 @@ class PassConfig:
             raise ValueError(f"unknown alldifferent mode '{alldiff_mode}'")
         object.__setattr__(self, "passes", passes)
         object.__setattr__(self, "alldiff_mode", alldiff_mode)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.passes, self.alldiff_mode) == (other.passes, other.alldiff_mode)
-
-    def __hash__(self) -> int:
-        return hash((self.passes, self.alldiff_mode))
-
-    def __repr__(self) -> str:
-        return f"PassConfig(passes={self.passes!r}, alldiff_mode={self.alldiff_mode!r})"
-
-    def __reduce__(self):
-        return PassConfig, (self.passes, self.alldiff_mode)
 
 
 class PassReport(NamedTuple):

@@ -452,6 +452,15 @@ def test_verify_against(tmp_path):
     assert bad.returncode == 1
 
 
+def test_verify_against_mismatch_in_process(tmp_path, capsys):
+    other = tmp_path / "other"
+    other.write_text("different\n")
+    argv = ["compile", "-m", str(FIXTURES / "queens4.som"), "--target", "clp",
+            "-o", str(tmp_path / "a.ecl"), "--verify-against", str(other)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == f"error: output differs from {other}"
+
+
 def test_missing_file_reports_and_fails(tmp_path):
     proc = run_cli(
         "compile", "-m", str(tmp_path / "nope.som"), "--target", "clp",

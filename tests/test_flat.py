@@ -175,6 +175,9 @@ def test_parse_flat_errors_positioned():
     with pytest.raises(ParseError) as info:
         parse_flat(f"var int x in 1..{'9' * 5001};\n")
     assert str(info.value) == "<flat>:1:1: error: integer bound out of range"
+    with pytest.raises(ParseError) as info:
+        parse_flat("var int x in 1..2;\n\nvar bool x;\n")  # a blank line is skipped
+    assert str(info.value) == "<flat>:3:1: error: duplicate variable 'x'"
 
 
 def test_bool_variable_with_domain_rejected():

@@ -489,6 +489,29 @@ def test_a_refused_division_names_its_constraint(text, culprit, message):
     assert str(info.value) == f"the oracle cannot evaluate the constraint {culprit}: {message}"
 
 
+@pytest.mark.parametrize("constraint,message", [
+    ("s <= t", "sets cannot be compared with '<='"),
+    ("min(s, t) < s", "sets cannot be compared with '<'"),
+    ("card(s) <= 1 and s >= t", "sets cannot be compared with '>='"),
+    # the subtraction raises first: both operands are evaluated before the refusal
+    ("s - 1 <= t", "unsupported operand type(s) for -: 'frozenset' and 'int'"),
+])
+def test_sets_are_not_compared_by_order(constraint, message):
+    text = f"var set of 1..2 s;\nvar set of 1..2 t;\nconstraint {constraint};\n"
+    with pytest.raises(CompileError) as info:
+        enumerate_solutions(parse_flat(text))
+    assert str(info.value) == f"the oracle cannot evaluate the constraint {constraint}: {message}"
+
+
+def test_integral_rational_exponent_and_signed_literal_coefficient():
+    # 4 / 2 evaluates to the rational 2, which _pow takes as the int 2
+    s = enumerate_solutions(parse_flat("var int x in -3..3;\nconstraint x ^ (4 / 2) = 4;\n"))
+    assert s.rows == ((-2,), (2,))
+    # -(2) reads as the coefficient -2 of a linear comparison
+    text = "var int x in -3..3;\nvar int y in -3..3;\nconstraint -(2) * x + y = -3;\n"
+    assert enumerate_solutions(parse_flat(text)).rows == ((0, -3), (1, -1), (2, 1), (3, 3))
+
+
 def test_the_raising_constraint_is_named_from_a_later_search_function():
     # y is the 20th variable, so a second generated function checks the
     # line that fuses both constraints over x and y, with x read from P

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pivotc import ir, passes, sema
-from pivotc.alldiff import alldiff_to_boolean, alldiff_to_disequalities, alldiff_to_relaxation
+from pivotc.alldiff import alldiff_to_disequalities
 from pivotc.errors import CompileError, UnresolvedNameError
 from pivotc.cli import DEFAULT_PASSES, FLAT_EXTRA_PASSES, main
 from pivotc.clp import emit_clp
@@ -435,17 +435,16 @@ def test_alldiff_disequalities_wrong_constraint():
 
 
 def test_alldiff_relaxation_sum():
-    m = parse(SourceUnit(ALLDIFF3))
-    out = alldiff_to_relaxation(_first_global(m), m)
-    assert print_expression(out.expr) == "x1 + x2 + x3 = 6"
+    out = alldiff_rewrite(parse(SourceUnit(ALLDIFF3)), "relaxation")
+    assert [print_expression(s.expr) for s in _zone(out, "c").body] == ["x1 + x2 + x3 = 6"]
 
 
 def test_alldiff_relaxation_single():
     m = parse(SourceUnit(
         "model A;\nint x1 in 1..1;\nconstraint c { alldifferent(x1); }"
     ))
-    out = alldiff_to_relaxation(_first_global(m), m)
-    assert print_expression(out.expr) == "x1 = 1"
+    out = alldiff_rewrite(m, "relaxation")
+    assert [print_expression(s.expr) for s in _zone(out, "c").body] == ["x1 = 1"]
 
 
 def test_alldiff_relaxation_domain_mismatch():
@@ -454,7 +453,19 @@ def test_alldiff_relaxation_domain_mismatch():
         "constraint c { alldifferent(x1, x2, x3); }"
     ))
     with pytest.raises(CompileError, match=r"relaxation requires every parameter domain to be 1\.\.3"):
-        alldiff_to_relaxation(_first_global(m), m)
+        alldiff_rewrite(m, "relaxation")
+
+
+@pytest.mark.parametrize("declarations,body", [
+    ("int x1 in 1..2;\nint x2 in 1..2;", "alldifferent(x1 + 1, x2);"),  # a compound parameter
+    ("int x[2] in 1..2;", "forall(i in 1..2) { alldifferent(i, x[i]); }"),  # an iterator
+    ("int x1 in {1,2};\nint x2 in 1..2;", "alldifferent(x1, x2);"),  # a set domain
+    ("int y in 1..2;\nint x1 in 1..y;\nint x2 in 1..2;", "alldifferent(x1, x2);"),  # a bound not ground
+])
+def test_alldiff_relaxation_needs_a_known_domain_per_parameter(declarations, body):
+    m = parse(SourceUnit(f"model A;\n{declarations}\nconstraint c {{ {body} }}"))
+    with pytest.raises(CompileError, match=r"relaxation requires every parameter domain to be 1\.\.2$"):
+        alldiff_rewrite(m, "relaxation")
 
 
 def test_alldiff_boolean_n2_structure():
@@ -462,11 +473,11 @@ def test_alldiff_boolean_n2_structure():
         "model A;\nint x1 in 1..2;\nint x2 in 1..2;\n"
         "constraint c { alldifferent(x1, x2); }"
     ))
-    out = alldiff_to_boolean(_first_global(m), m)
-    b = out[0]
+    out = alldiff_rewrite(m, "boolean")
+    b = out.elements[-2]  # hoisted just before its zone
     assert isinstance(b, ir.Variable) and b.name == "b" and b.type_name == "bool"
     assert b.dims == (ir.IntValue(2), ir.IntValue(2))
-    texts = [print_expression(s.expr) for s in out[1:]]
+    texts = [print_expression(s.expr) for s in _zone(out, "c").body]
     assert texts == [
         "b[1,1] + b[1,2] = 1",
         "b[2,1] + b[2,2] = 1",
@@ -481,8 +492,8 @@ def test_alldiff_boolean_n1():
     m = parse(SourceUnit(
         "model A;\nint x1 in 1..1;\nconstraint c { alldifferent(x1); }"
     ))
-    out = alldiff_to_boolean(_first_global(m), m)
-    texts = [print_expression(s.expr) for s in out[1:]]
+    out = alldiff_rewrite(m, "boolean")
+    texts = [print_expression(s.expr) for s in _zone(out, "c").body]
     assert texts == ["b[1,1] = 1", "b[1,1] = 1", "x1 = 1 * b[1,1]"]
 
 
@@ -491,8 +502,8 @@ def test_alldiff_boolean_wide_domain_uses_at_most_one():
         "model A;\nint x1 in 1..3;\nint x2 in 1..3;\n"
         "constraint c { alldifferent(x1, x2); }"
     ))
-    out = alldiff_to_boolean(_first_global(m), m)
-    texts = [print_expression(s.expr) for s in out[1:]]
+    out = alldiff_rewrite(m, "boolean")
+    texts = [print_expression(s.expr) for s in _zone(out, "c").body]
     assert "b[1,1] + b[2,1] <= 1" in texts
     assert all("= 1" in t for t in texts[:2])
 
@@ -503,7 +514,17 @@ def test_alldiff_boolean_rejects_compound_params():
         "constraint c { alldifferent(x1 + 1, x2); }"
     ))
     with pytest.raises(CompileError, match="boolean reformulation requires plain variable parameters"):
-        alldiff_to_boolean(_first_global(m), m)
+        alldiff_rewrite(m, "boolean")
+
+
+@pytest.mark.parametrize("declarations,message", [
+    ("int x1;\nint x2 in 1..2;", "cannot determine the domain of parameter 'x1'"),
+    ("int x1 in 1..1;\nint x2 in 1..1;", r"boolean reformulation requires a common domain 1\.\.m with m >= 2"),
+])
+def test_alldiff_boolean_rejects_parameters_without_room(declarations, message):
+    m = parse(SourceUnit(f"model A;\n{declarations}\nconstraint c {{ alldifferent(x1, x2); }}"))
+    with pytest.raises(CompileError, match=f"{message}$"):
+        alldiff_rewrite(m, "boolean")
 
 
 def test_alldiff_boolean_rejects_params_over_different_domains(tmp_path, capsys):
@@ -555,6 +576,12 @@ def test_alldiff_rewrite_fresh_matrix_names():
     out = alldiff_rewrite(m, "boolean")
     names = [e.name for e in out.elements if isinstance(e, ir.Variable)]
     assert "b2" in names  # "b" was taken
+    taken = parse(SourceUnit(
+        "model A;\nint b in 1..1;\nint b2 in 1..1;\nint x in 1..2;\nint y in 1..2;\n"
+        "constraint c { alldifferent(x, y); }"
+    ))
+    out = alldiff_rewrite(taken, "boolean")
+    assert out.elements[-2].name == "b3"  # "b" and "b2" were taken
 
 
 @pytest.mark.parametrize("mode", ["disequalities", "boolean", "relaxation"])

@@ -151,6 +151,13 @@ def test_random_model_round_trip_sample():
         assert ir.model_equals(again, m)
 
 
+def test_set_domain_and_parenthesized_literal_print():
+    m = parse(SourceUnit("model M;\nint x in {1,3,5};"))
+    assert print_pivot(m) == "model M;\nint x in {1,3,5};\n"
+    # a literal under a sign keeps its brackets, so reparsing does not fold it
+    assert print_expression(parse_expression("-(1) + x")) == "-(1) + x"
+
+
 def test_expr_domain_round_trip():
     m = parse(SourceUnit(
         "model D;\nint set base in 1..4;\nint set narrowed in base;\n"

@@ -185,3 +185,9 @@ def test_pass_config_refuses_a_string_pass_list():
     with pytest.raises(ValueError) as info:
         PassConfig("loopUnroll")
     assert str(info.value) == "pass list is the string 'loopUnroll', not a sequence of pass ids"
+
+
+def test_values_use_one_of_two_immutability_idioms():
+    # a NamedTuple, or the IR's frozen base; not a third hand-written one
+    for value in _values():
+        assert isinstance(value, (tuple, ir._Frozen)), type(value)
