@@ -58,7 +58,7 @@ __all__ = [
     "Variable", "BOOLEAN", "INTEGER", "REAL", "SET_OF_INT", "enum_kind",
     "set_of_enum", "object_kind", "ALG_FUNCTIONS", "BOOL_BINARY_OPS",
     "CHILD_FIELDS", "COMPARISON_OPS", "SET_BINARY_OPS", "chain", "chain_ops", "chain_terms",
-    "element_count", "map_expr", "model_equals", "rebuild", "walk_elements", "walk_expr",
+    "element_bodies", "element_count", "map_expr", "model_equals", "rebuild", "walk_expr",
 ]
 
 
@@ -636,21 +636,24 @@ def walk_expr(e: Node):
                 stack.extend([(x, False) for x in reversed(v if many else (v,))])
 
 
-def walk_elements(m: Model):
-    """Every element of m, and every feature and statement below one; no
-    expression."""
-    todo = list(m.elements)
+_BODIES = {Class: ("features",), ConstraintZone: ("body",), ForAll: ("body",),
+           If: ("then_body", "else_body")}  # the fields that hold elements
+
+
+def element_bodies(m: Model):
+    """(body, the set of its elements' classes) for each tuple of elements
+    in m, the model's own first; a body is read element by element only if
+    it holds a class, zone, loop or conditional.  No expression is walked."""
+    todo = [m.elements]
     while todo:
-        e = todo.pop()
-        yield e
-        if isinstance(e, Class):
-            todo.extend(e.features)
-        elif isinstance(e, (ConstraintZone, ForAll)):
-            todo.extend(e.body)
-        elif isinstance(e, If):
-            todo.extend(e.then_body + (e.else_body or ()))
+        body = todo.pop()
+        types = set(map(type, body))
+        yield body, types
+        if not types.isdisjoint(_BODIES):
+            for e in body:
+                todo.extend(getattr(e, f) or () for f in _BODIES.get(type(e), ()))
 
 
 def element_count(m: Model) -> int:
     """Number of features and statements in the model, recursively."""
-    return sum(1 for _ in walk_elements(m))
+    return sum(len(body) for body, _ in element_bodies(m))

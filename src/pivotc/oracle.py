@@ -54,13 +54,12 @@ import itertools
 import math
 import operator
 import re
-from fractions import Fraction
 
 from . import ir
 from .errors import CompileError, Diagnostic, OracleLimitError, ParseError
 from .flat import FlatProgram, FlatVar
 from .parser import parse_expression
-from .passes import _SMALL_INT, _div, _pow
+from .passes import _SMALL_INT, Fraction, _div, _pow
 
 MAX_SET_UNIVERSE = 12
 MAX_SEARCH_SPACE = 2 ** 40

@@ -34,7 +34,6 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from . import ir, sema
@@ -81,6 +80,18 @@ class PassReport(NamedTuple):
 # Ground evaluation and constant folding
 
 _MISSING = object()
+
+
+class Fraction:
+    """fractions.Fraction's stand-in until a value needs an exact rational,
+    since fractions imports decimal.  No value is an instance of it (values
+    enter the folder as int, float and bool literals); a call imports the
+    real class, binds it in its place and returns its instance."""
+
+    def __new__(cls, *args):
+        global Fraction
+        from fractions import Fraction
+        return Fraction(*args)
 
 
 def _num(v):
@@ -884,16 +895,16 @@ _FEATURE_OF = {
 
 def model_features(model: ir.Model) -> set[str]:
     """The FEATURES model has, and "object arrays" if a variable of a
-    class type has dims; no expression is walked."""
+    class type has dims; read body by body, no expression is walked."""
     found, arrays = set(), set()
-    for e in ir.walk_elements(model):
-        t = type(e)
-        if t in _FEATURE_OF:
-            found.add(_FEATURE_OF[t])
-        elif t is ir.GlobalCtr and e.ctr_name == "alldifferent":
+    for body, types in ir.element_bodies(model):
+        found.update([_FEATURE_OF[t] for t in types & _FEATURE_OF.keys()])
+        if ir.GlobalCtr in types and any(
+            type(e) is ir.GlobalCtr and e.ctr_name == "alldifferent" for e in body
+        ):
             found.add("alldifferent")
-        elif t is ir.Variable and e.dims:
-            arrays.add(e.type_name)
+        if ir.Variable in types:
+            arrays.update([e.type_name for e in body if type(e) is ir.Variable and e.dims])
     if not arrays.isdisjoint(model.classes()):
         found.add("object arrays")
     return found

@@ -1,7 +1,9 @@
 """Test-suite support: an independent cross-product enumerator (the check
 on the oracle itself), a naive loop unroller (the check on loopUnroll's
-shared instantiation), a check of clp loops' param lists read from the
-emitted text, and a generator of small valid random models."""
+shared instantiation), an element-by-element walk (the check on the body
+scans that count elements and find a model's features), a check of clp
+loops' param lists read from the emitted text, and a generator of small
+valid random models."""
 
 from __future__ import annotations
 
@@ -190,6 +192,49 @@ def naive_unroll(model: ir.Model) -> ir.Model:
         f if isinstance(f, (ir.ConstraintZone, ir.Statement)) else e
         for e, f in zip(unrolled.elements, folded)
     )})
+
+
+# --------------------------------------------------------------------------
+# Element-by-element reference for the body scans of ir.element_count and
+# passes.model_features: every element is visited on its own.
+
+
+def walk_elements(m: ir.Model):
+    """Every element of m, and every feature and statement below one; no
+    expression."""
+    todo = list(m.elements)
+    while todo:
+        e = todo.pop()
+        yield e
+        if isinstance(e, ir.Class):
+            todo.extend(e.features)
+        elif isinstance(e, (ir.ConstraintZone, ir.ForAll)):
+            todo.extend(e.body)
+        elif isinstance(e, ir.If):
+            todo.extend(e.then_body + (e.else_body or ()))
+
+
+def naive_element_count(m: ir.Model) -> int:
+    return sum(1 for _ in walk_elements(m))
+
+
+_NAIVE_FEATURES = {
+    ir.Class: "classes", ir.Enumeration: "enumerations", ir.ForAll: "loops", ir.If: "conditionals",
+}
+
+
+def naive_model_features(m: ir.Model) -> set[str]:
+    found, arrays = set(), set()
+    for e in walk_elements(m):
+        if type(e) in _NAIVE_FEATURES:
+            found.add(_NAIVE_FEATURES[type(e)])
+        elif isinstance(e, ir.GlobalCtr) and e.ctr_name == "alldifferent":
+            found.add("alldifferent")
+        elif isinstance(e, ir.Variable) and e.dims:
+            arrays.add(e.type_name)
+    if arrays & set(m.classes()):
+        found.add("object arrays")
+    return found
 
 
 # --------------------------------------------------------------------------

@@ -403,6 +403,17 @@ def test_eval_of_a_real_power_without_a_real_value(capsys, expr, out, err):
     assert capsys.readouterr() == (out, err)
 
 
+@pytest.mark.parametrize("expr,out", [
+    ("2 ^ 0.5", "1.4142135623730951"), ("4 ^ (1/2)", "2.0"), ("(1/4) ^ 0.5", "0.5"),
+    ("8 ^ (6/3)", "64"), ("(2/3) ^ 2", "(2 / 3) ^ 2"), ("2 ^ -2", "2 ^ -2"),
+])
+def test_eval_of_a_power(capsys, expr, out):
+    # a real or non-integral exponent folds in float, an integral rational
+    # one exactly; an exact power that is not an integer stays symbolic
+    assert main(["eval", "-e", expr]) == 0
+    assert capsys.readouterr() == (out + "\n", "")
+
+
 @pytest.mark.parametrize("expr", [
     "1e300 * 1e300", "1e300 * 1e300 - 1e300 * 1e300 = 0", "1e308 + 1e308 > 1", "1e200 / 1e-200",
     "10 ^ 5000", "10 ^ 5000 - 10 ^ 5000 = 0",
@@ -665,22 +676,66 @@ def test_package_exports_every_name_lazily():
     assert proc.stdout.strip() == "[]"
 
 
-def test_commands_load_neither_dataclasses_nor_inspect():
+def test_commands_load_neither_dataclasses_nor_inspect(tmp_path):
     # what compile (every target), check and eval import, and what reading
     # a command line loads (argparse's parser imported locale), measured
-    # against the modules the bare interpreter (site included) has loaded
+    # against the modules the bare interpreter (site included) has loaded;
+    # fractions (which imports decimal and numbers) waits for a division
     probe = (
         "import sys\n"
         "bare = set(sys.modules)\n"
         "import pivotc.cli, pivotc.flat, pivotc.oracle, pivotc.clp, pivotc.printer\n"
         "pivotc.cli.main(['eval', '-e', '1'])\n"
+        f"pivotc.cli.main(['compile', '--target', 'flat', *{_GOLFERS_SMALL!r}, '-o', sys.argv[1]])\n"
+        f"pivotc.cli.main(['check', '-m', {_Q4!r}, '--alldiff', 'relaxation'])\n"
         "print(' '.join(sorted(set(sys.modules) - bare)))\n"
     )
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", probe, str(tmp_path / "out")],
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.splitlines()[-1].split())
     assert "pivotc.oracle" in loaded and "pivotc.clp" in loaded
-    assert not loaded & {"dataclasses", "inspect", "argparse", "gettext", "locale"}
+    assert not loaded & {"dataclasses", "inspect", "argparse", "gettext", "locale",
+                         "fractions", "decimal", "numbers"}
+
+
+_RATIONAL_PROBE = (
+    "import sys\n"
+    "from pivotc.cli import main\n"
+    "before = 'fractions' in sys.modules\n"
+    "code = main(sys.argv[1:])\n"
+    "print(before, code, 'fractions' in sys.modules)\n"
+)
+_THIRD = "model R;\nreal r := 1/3;\nint x in 0..3;\nconstraint c { x * 3 <= r * 6; }\n"
+_HALF = "model H;\nint x in 0..3;\nconstraint c { x * 0.5 <= 1; }\n"
+_THIRD_CLP = (
+    "r(L):-\n R $= 1/3,\n\n X :: 0..3,\n L = [X],\n\n % c\n X*3 $=< 2,\n\n label_sets(L).\n"
+)
+_REPORTS = "".join(f"{p}: elements 4 -> 4, rewrites {n}\n"
+                   for p, n in [("objectFlatten", 0), ("enumRemove", 0), ("foldConstants", 1)])
+
+
+@pytest.mark.parametrize("argv,source,stdout,stderr,output", [
+    (["compile", "--target", "clp"], _THIRD, "", _REPORTS, _THIRD_CLP),
+    (["eval", "-e", "1/3"], None, "1 / 3\n", "", None),
+    (["check"], _HALF, "EQUAL baseline=3 transformed=3\n", "", None),  # the oracle's real literal
+], ids=["compile-clp-division", "eval-division", "check-real-literal"])
+def test_an_exact_rational_loads_fractions(tmp_path, argv, source, stdout, stderr, output):
+    # a fresh process imports fractions at its first exact rational, and
+    # prints what it printed when every command imported fractions
+    argv = list(argv)
+    if source is not None:
+        (tmp_path / "m.som").write_text(source)
+        argv += ["-m", str(tmp_path / "m.som")]
+    if output is not None:
+        argv += ["-o", str(tmp_path / "out")]
+    proc = subprocess.run([sys.executable, "-c", _RATIONAL_PROBE, *argv],
+                          capture_output=True, text=True)
+    *printed, last = proc.stdout.splitlines(keepends=True)
+    assert last == "False 0 True\n"
+    assert ("".join(printed), proc.stderr) == (stdout, stderr)
+    if output is not None:
+        assert (tmp_path / "out").read_text() == output
 
 
 def _raise(args):

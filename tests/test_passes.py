@@ -27,7 +27,9 @@ from pivotc.printer import print_expression, print_pivot
 from pivotc.sema import mark_resolved, resolve, validate
 
 from conftest import ALL_FIXTURES, parse_fixture
-from helpers import gen_loop_model, gen_model, naive_unroll
+from helpers import (
+    gen_loop_model, gen_model, naive_element_count, naive_model_features, naive_unroll,
+)
 from test_acceptance import _within
 
 
@@ -1224,21 +1226,72 @@ def _bindings(model):
 FLAT_PIPELINE = ("objectFlatten", "enumRemove", "foldConstants", "alldiffRewrite", "loopUnroll")
 
 
+def _prefix_outputs(model, mode):
+    """The output of every accepted prefix of FLAT_PIPELINE under mode."""
+    for k in range(1, len(FLAT_PIPELINE) + 1):
+        try:
+            yield run_pipeline(model, PassConfig(FLAT_PIPELINE[:k], mode))[0]
+        except CompileError:
+            return  # e.g. boolean mode on differing domains; longer prefixes fail too
+
+
 @pytest.mark.parametrize("mode", ["disequalities", "relaxation", "boolean"])
 @pytest.mark.parametrize("model_name,data_name", ALL_FIXTURES + [("wide_classes.som", None)])
 def test_pass_outputs_carry_fresh_bindings(model_name, data_name, mode):
     # passes hand back resolved models without resolving them again: every
     # binding must match what a fresh resolve of a structural copy gives
     model = parse_fixture(model_name, data_name)
-    for k in range(1, len(FLAT_PIPELINE) + 1):
-        try:
-            out, _ = run_pipeline(model, PassConfig(FLAT_PIPELINE[:k], mode))
-        except CompileError:
-            break  # e.g. boolean mode on differing domains; longer prefixes fail too
+    for out in _prefix_outputs(model, mode):
         assert resolve(out) is out
         fresh = resolve(ir.rebuild(out, {"elements": tuple(out.elements)}))
         assert fresh is not out
         assert _bindings(out) == _bindings(fresh)
+
+
+def _scans_match_the_walk(model):
+    assert ir.element_count(model) == naive_element_count(model)
+    assert passes.model_features(model) == naive_model_features(model)
+
+
+@pytest.mark.parametrize("mode", ["disequalities", "relaxation", "boolean"])
+@pytest.mark.parametrize("model_name,data_name", ALL_FIXTURES + [("wide_classes.som", None)])
+def test_body_scans_match_the_element_walk(model_name, data_name, mode):
+    # counts and features read body by body equal a walk of every element,
+    # for the input and the output of every accepted pass prefix
+    model = resolve(parse_fixture(model_name, data_name))
+    _scans_match_the_walk(model)
+    for out in _prefix_outputs(model, mode):
+        _scans_match_the_walk(out)
+
+
+def _nested_model(ctr_name="alldifferent", dims=(ir.IntValue(3),)):
+    # a loop holding a global constraint in an else branch, an empty zone,
+    # a conditional without else and a class with an empty zone, and a
+    # variable of that class
+    glob = ir.GlobalCtr(ctr_name, (ir.VarOccurrence("x"),))
+    loop = ir.ForAll("i", ir.IntValue(1), ir.IntValue(2), (glob,))
+    x_is_1 = ir.ExpressionConstraint(
+        ir.BoolBinaryOp("=", ir.VarOccurrence("x"), ir.IntValue(1)))
+    return ir.Model("Nested", (
+        ir.Class("Cell", (ir.Variable("v", "int"), ir.ConstraintZone("inner"))),
+        ir.Variable("cells", "Cell", dims=dims),
+        ir.ConstraintZone("empty"),
+        ir.ConstraintZone("z", (ir.If(ir.BoolValue(True), (x_is_1,), (loop,)),
+                                ir.If(ir.BoolValue(False)))),
+    ))
+
+
+@pytest.mark.parametrize("model,features", [
+    (_nested_model(), {"classes", "conditionals", "loops", "alldifferent", "object arrays"}),
+    (_nested_model("atmost"), {"classes", "conditionals", "loops", "object arrays"}),
+    (_nested_model(dims=()), {"classes", "conditionals", "loops", "alldifferent"}),
+], ids=["all", "other-global", "no-object-array"])
+def test_body_scans_of_nested_bodies(model, features):
+    # 4 elements, 2 class features, 2 statements in z, one in each branch
+    # of the first conditional, and the loop's global constraint
+    assert ir.element_count(model) == 11
+    assert passes.model_features(model) == features
+    _scans_match_the_walk(model)
 
 
 @pytest.mark.parametrize("model_name,data_name", ALL_FIXTURES)
