@@ -8,7 +8,7 @@ the ``alldiff_rewrite`` wrapper stay in ``passes``.
 
 from __future__ import annotations
 
-from . import ir, sema
+from . import ir
 from .errors import CompileError
 from .passes import _rewrite_bodies, _value_int, const_env
 
@@ -29,27 +29,25 @@ def alldiff_to_disequalities(c: ir.GlobalCtr) -> list[ir.Statement]:
     return out
 
 
-def _param_interval(p: ir.Expression, scope: sema.Scope, env: dict):
-    """(lo, hi) of the declared domain behind a variable occurrence."""
-    if not isinstance(p, ir.VarOccurrence):
+def _param_interval(p: ir.Expression, variables: dict, env: dict):
+    """(lo, hi) of the declared domain of the top-level variable that p
+    is bound to; None when p is no such occurrence (a loop iterator, say)."""
+    if not isinstance(p, ir.VarOccurrence) or p.binding.kind != "variable":
         return None
-    try:
-        kind, decl = scope.lookup(p.name)
-    except CompileError:
+    domain = variables[p.name].domain
+    if not isinstance(domain, ir.IntervalDomain):
         return None
-    if kind != "variable" or not isinstance(decl.domain, ir.IntervalDomain):
-        return None
-    lo = _value_int(decl.domain.lo, env)
-    hi = _value_int(decl.domain.hi, env)
+    lo = _value_int(domain.lo, env)
+    hi = _value_int(domain.hi, env)
     if lo is None or hi is None:
         return None
     return lo, hi
 
 
-def _alldiff_to_relaxation(c: ir.GlobalCtr, scope: sema.Scope, env: dict) -> ir.Statement:
+def _alldiff_to_relaxation(c: ir.GlobalCtr, variables: dict, env: dict) -> ir.Statement:
     n = len(c.params)
     for p in c.params:
-        iv = _param_interval(p, scope, env)
+        iv = _param_interval(p, variables, env)
         if iv != (1, n):
             raise CompileError(f"relaxation requires every parameter domain to be 1..{n}", c.loc)
     total = ir.IntValue(n * (n + 1) // 2)
@@ -68,16 +66,14 @@ def _fresh_bool_matrix_name(taken: set[str]) -> str:
 
 
 def _alldiff_to_boolean(
-    c: ir.GlobalCtr, scope: sema.Scope, env: dict, taken: set[str]
+    c: ir.GlobalCtr, variables: dict, env: dict, taken: set[str]
 ) -> list[ir.ModelFeature]:
     n = len(c.params)
     intervals = []
     for p in c.params:
-        if not isinstance(p, ir.VarOccurrence) or (
-            p.binding is not None and p.binding.kind != "variable"
-        ):
+        if not isinstance(p, ir.VarOccurrence) or p.binding.kind != "variable":
             raise CompileError("boolean reformulation requires plain variable parameters", c.loc)
-        iv = _param_interval(p, scope, env)
+        iv = _param_interval(p, variables, env)
         if iv is None:
             raise CompileError(f"cannot determine the domain of parameter '{p.name}'", c.loc)
         intervals.append(iv)
@@ -120,8 +116,8 @@ class _AlldiffRewriter:
     reference cycle, which would keep the model alive until the cyclic
     collector runs."""
 
-    def __init__(self, mode: str, scope: sema.Scope, env: dict, taken: set[str]):
-        self.mode, self.scope, self.env, self.taken = mode, scope, env, taken
+    def __init__(self, mode: str, variables: dict, env: dict, taken: set[str]):
+        self.mode, self.variables, self.env, self.taken = mode, variables, env, taken
         self.count = 0
 
     def stmts(self, stmts, nested: bool) -> tuple[list[ir.Statement], list[ir.Variable]]:
@@ -133,14 +129,14 @@ class _AlldiffRewriter:
                 if self.mode == "disequalities":
                     out.extend(alldiff_to_disequalities(s))
                 elif self.mode == "relaxation":
-                    out.append(_alldiff_to_relaxation(s, self.scope, self.env))
+                    out.append(_alldiff_to_relaxation(s, self.variables, self.env))
                 else:
                     if nested:
                         raise CompileError(
                             "alldiffRewrite: boolean mode cannot rewrite alldifferent inside "
                             "forall/if (the matrix would be shared between iterations)"
                         )
-                    features = _alldiff_to_boolean(s, self.scope, self.env, self.taken)
+                    features = _alldiff_to_boolean(s, self.variables, self.env, self.taken)
                     hoisted.extend(f for f in features if isinstance(f, ir.Variable))
                     out.extend(f for f in features if isinstance(f, ir.Statement))
             elif isinstance(s, (ir.ForAll, ir.If)):
@@ -159,6 +155,7 @@ class _AlldiffRewriter:
 
 def rewrite_counted(model: ir.Model, mode: str) -> tuple[ir.Model, int]:
     taken = {e.name for e in model.elements if hasattr(e, "name")}
-    rewriter = _AlldiffRewriter(mode, sema.Scope(model), const_env(model), taken)
+    variables = {e.name: e for e in model.elements if isinstance(e, ir.Variable)}
+    rewriter = _AlldiffRewriter(mode, variables, const_env(model), taken)
     return _rewrite_bodies(model, lambda stmts: rewriter.stmts(stmts, False)), rewriter.count
 

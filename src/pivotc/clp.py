@@ -16,7 +16,8 @@ auxiliary variables and nth/3 goals (``V1 is <index>, nth(V2,V1,NAME)``).
 Every for-loop declares in its param list the outside names its body
 renders, the names a declared index size brings in included.  Requires a
 class-free, enum-free model over integer, boolean and integer-set
-variables; ``passes.check_pipeline`` refuses the rest of the pass table's
+variables; ``emit_clp`` enters through ``passes.run_pipeline`` with no
+passes, which resolves the model and refuses the rest of the pass table's
 features.
 """
 
@@ -25,7 +26,7 @@ from __future__ import annotations
 import re
 from typing import NamedTuple
 
-from . import ir, passes, sema
+from . import ir, passes
 from .errors import CompileError
 
 _SPELLING = {
@@ -58,16 +59,25 @@ class _Emitter:
         self.dims = {d.name: d.dims for d in self.variables + self.constants}
         self.names: set[str] = set()  # rendered since the innermost loop began
         self._check_supported()
-        spelled: dict[str, str] = {}  # clp name -> the declaration that has it
+        self.spelled: dict[str, str] = {}  # clp name -> the declaration that has it
         for d in model.elements:
             if isinstance(d, (ir.Variable, ir.Constant)):
-                first = spelled.setdefault(_upper(d.name), d.name)
+                first = self.spelled.setdefault(_upper(d.name), d.name)
                 if first != d.name:
                     raise CompileError(
                         f"declarations '{first}' and '{d.name}' share the clp name "
                         f"'{_upper(d.name)}'"
                     )
-        self.reserved = set(spelled) | {"L"}
+        if "L" in self.spelled:
+            raise CompileError(
+                f"declaration '{self.spelled['L']}' and the clause head share the clp name 'L'"
+            )
+        # auxiliaries avoid every clp name, each loop iterator's included
+        self.reserved = set(self.spelled) | {"L"} | {
+            _upper(s.iter_var)
+            for body, types in ir.element_bodies(model) if ir.ForAll in types
+            for s in body if type(s) is ir.ForAll
+        }
         self.fresh_counter = 0
 
     def _check_supported(self):
@@ -219,6 +229,15 @@ class _Emitter:
         """The loop's block; its params are the outside names its body
         renders, which the enclosing loop's body renders too."""
         pad = " " * level
+        clp = _upper(s.iter_var)
+        other = (f"declaration '{self.spelled[clp]}'" if clp in self.spelled
+                 else "the clause head" if clp == "L"
+                 else next((f"the enclosing loop iterator '{i}'"
+                            for i in iters if _upper(i) == clp), None))
+        if other is not None:
+            raise CompileError(
+                f"loop iterator '{s.iter_var}' and {other} share the clp name '{clp}'"
+            )
         pre: list[str] = []
         lo = self.term(s.lower, pre)
         hi = self.term(s.upper, pre)
@@ -322,6 +341,5 @@ class _Emitter:
 
 def emit_clp(model: ir.Model, opts: ClpEmitOptions | None = None) -> str:
     """Emit a structured CLP clause for a class-free, enum-free model."""
-    model = sema.resolve(model)
-    passes.check_pipeline(passes.model_features(model), (), "clp")
+    model = passes.run_pipeline(model, passes.PassConfig(), "clp")[0]
     return _Emitter(model, opts or ClpEmitOptions()).emit()

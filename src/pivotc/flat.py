@@ -11,8 +11,9 @@ The text format is the interchange grammar shared with the oracle:
 Array cells scalarize to ``name__i`` / ``name__i__j`` (double underscore,
 so flattened-object names with single underscores cannot collide).
 Lowering requires a model that has none of the pass table's features:
-``passes.check_pipeline`` refuses classes, enumerations, alldifferent,
-loops and conditionals before anything is lowered.
+it enters through ``passes.run_pipeline`` with no passes, which resolves
+the model and refuses classes, enumerations, alldifferent, loops and
+conditionals before anything is lowered.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import itertools
 import operator
 from typing import NamedTuple
 
-from . import ir, passes, sema
+from . import ir, passes
 from .errors import CompileError
 from .passes import _MISSING, _as_int, _Folder, _value_int, _writable, const_env
 
@@ -229,9 +230,7 @@ class _Lowerer:
 
 def lower_to_flat(model: ir.Model) -> FlatProgram:
     """Scalarize a fully lowered model into a FlatProgram."""
-    model = sema.resolve(model)
-    passes.check_pipeline(passes.model_features(model), (), "flat")
-    return _Lowerer(model).run()
+    return _Lowerer(passes.run_pipeline(model, passes.PassConfig(), "flat")[0]).run()
 
 
 def emit_flat(p: FlatProgram) -> str:

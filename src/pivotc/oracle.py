@@ -915,7 +915,6 @@ def _raising_constraint(program: FlatProgram, fused: dict, namespace: dict, exc)
             from .printer import print_expression
 
             return f"the constraint {print_expression(program.constraints[c])}"
-    return "a constraint"
 
 
 def _project(s: SolutionSet, names: list[str]) -> set:

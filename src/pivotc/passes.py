@@ -1,9 +1,10 @@
 """Rewriting passes over pivot models.
 
 Each pass is a pure function Model -> Model: inputs are never mutated.
-Passes take and return resolved models: each binds what it creates and
-marks its output (``sema.mark_resolved``), so the next ``resolve`` is
-free.  Unresolved input is resolved on entry.
+Passes take and return resolved models: each binds every node it builds,
+and ``run_pipeline``, the one entry, resolves its input and marks each
+pass's new output resolved (``sema.mark_resolved``), so no pass resolves
+again.
 ``PASSES``, at the end, says what each pass needs absent and removes;
 ``run_pipeline`` refuses a pass list that cannot reach its target before
 any pass runs, then collects one report per pass.
@@ -107,6 +108,20 @@ def _div(a, b, loc=None):
     return Fraction(a) / Fraction(b)
 
 
+# The largest exact power _pow computes, in estimated bits: about 1 ms at
+# this size, 30-55 ms at ten times it.  Folded integers stop at 4,300
+# digits (about 14,300 bits) anyway.
+_MAX_POWER_BITS = 100_000
+
+
+class _HugePower(OverflowError):
+    """An exact power _pow refuses for its estimated size."""
+
+    def __init__(self, fraction: bool):
+        super().__init__(f"a power too large to compute exactly (over {_MAX_POWER_BITS} bits)")
+        self.fraction = fraction  # whether the power is a fraction, not an integer
+
+
 def _pow(a, b, loc=None):
     if type(b) is Fraction and b.denominator == 1:
         b = b.numerator
@@ -116,7 +131,12 @@ def _pow(a, b, loc=None):
             if isinstance(v, complex):
                 raise ValueError("a negative number raised to a fractional power is not real")
             return v
-        return Fraction(a) ** b if type(a) is Fraction or b < 0 else a ** b
+        fraction = type(a) is Fraction or b < 0
+        if type(a) is int or type(a) is Fraction:  # bases 0, 1 and -1 have 1 bit: exempt
+            bits = max(a.numerator.bit_length(), a.denominator.bit_length())
+            if abs(b) * (bits - 1) > _MAX_POWER_BITS:
+                raise _HugePower(fraction)
+        return Fraction(a) ** b if fraction else a ** b
     except ZeroDivisionError:
         raise CompileError("zero raised to a negative power", loc) from None
 
@@ -171,9 +191,7 @@ def _materialize(v, loc) -> ir.Expression | None:
     if isinstance(v, float):
         # inf and nan would print as names; the fold stays symbolic
         return ir.RealValue(v, loc=loc) if math.isfinite(v) else None
-    if isinstance(v, frozenset):
-        return ir.SetValue(tuple(ir.IntValue(x, loc=loc) for x in sorted(v)), loc=loc)
-    return None
+    return ir.SetValue(tuple(ir.IntValue(x, loc=loc) for x in sorted(v)), loc=loc)  # a frozenset
 
 
 _INT_ONE = ir.IntValue(1)
@@ -233,13 +251,16 @@ class _Folder:
     def _lost(self, cause):
         """_MISSING, for a ground node left symbolic: its evaluation raised
         cause, or its value cause has no literal (a Fraction: no text that
-        str() writes).  The first sets why."""
+        str() writes).  The first sets why; a power too large to compute
+        gets the reason its value would get."""
         if self.why is None:
             limit = sys.get_int_max_str_digits()
+            huge = type(cause) is _HugePower
             self.why = ("not a real number" if isinstance(cause, ValueError)  # a math domain error
-                        else f"an integer of over {limit} digits" if isinstance(cause, int)
+                        else f"an integer of over {limit} digits"
+                        if isinstance(cause, int) or huge and not cause.fraction
                         else f"a fraction whose numerator or denominator has over {limit} digits"
-                        if isinstance(cause, Fraction) else "beyond the float range")
+                        if huge or isinstance(cause, Fraction) else "beyond the float range")
         return _MISSING
 
     def _eval(self, e: ir.Expression):
@@ -416,10 +437,9 @@ def const_env(model: ir.Model) -> dict:
     return env
 
 
-def _fold_constants_counted(model: ir.Model) -> tuple[ir.Model, int]:
+def _fold_constants_counted(model: ir.Model, _mode) -> tuple[ir.Model, int]:
     folder = _Folder(const_env(model))
-    out = ir.map_expr(model, folder._fold_node)
-    return sema.mark_resolved(out), folder.count
+    return ir.map_expr(model, folder._fold_node), folder.count
 
 
 def fold_constants(model: ir.Model) -> ir.Model:
@@ -501,11 +521,10 @@ class _Flattener:
 
     Each occurrence it renames is bound as it is built (``Binding(kind,
     flat_name)``, or "iterator" for the fresh instance loops), and an
-    untouched subtree comes back as is, bindings included, so ``run``
-    marks its output resolved.  What would make a kept binding wrong is
-    refused: a flat name equal to an enumeration literal (it would hide
-    the literal) and an object read as a value (the output declares no
-    object).
+    untouched subtree comes back as is, bindings included: the output is
+    resolved.  What would make a kept binding wrong is refused: a flat
+    name equal to an enumeration literal (it would hide the literal) and
+    an object read as a value (the output declares no object).
 
     A loop whose iterator is named like a name the walk places in its body
     (a flat name, a moved size, an instance iterator) would capture it, so
@@ -750,7 +769,7 @@ class _Flattener:
                 out.append(self._rewrite(e, [], [], None))
         model = ir.rebuild(self.model, {"elements": tuple(out)})
         sema.Scope(model)  # a main-class feature that clashes with a top-level name raises
-        return sema.mark_resolved(model)
+        return model
 
 
 def _object_as_value(name: str, loc) -> UnresolvedNameError:
@@ -758,7 +777,7 @@ def _object_as_value(name: str, loc) -> UnresolvedNameError:
     return UnresolvedNameError(name, loc, f"'{name}' names an object, not a value")
 
 
-def _object_flatten_counted(model: ir.Model) -> tuple[ir.Model, int]:
+def _object_flatten_counted(model: ir.Model, _mode) -> tuple[ir.Model, int]:
     classes = model.classes()
     if not classes:
         return model, 0
@@ -774,7 +793,7 @@ def object_flatten(model: ir.Model) -> ir.Model:
 # --------------------------------------------------------------------------
 # Enumeration removal
 
-def _enum_remove_counted(model: ir.Model) -> tuple[ir.Model, int]:
+def _enum_remove_counted(model: ir.Model, _mode) -> tuple[ir.Model, int]:
     enums = model.enumerations()
     if not enums:
         return model, 0
@@ -808,8 +827,7 @@ def _enum_remove_counted(model: ir.Model) -> tuple[ir.Model, int]:
             else:
                 e = ir.rebuild(e, {"type_name": "int"})
         elements.append(e)
-    out = ir.rebuild(mapped, {"elements": tuple(elements)})
-    return sema.mark_resolved(out), count
+    return ir.rebuild(mapped, {"elements": tuple(elements)}), count
 
 
 def enum_remove(model: ir.Model) -> ir.Model:
@@ -835,7 +853,7 @@ def _rewrite_bodies(model: ir.Model, rewrite) -> ir.Model:
             elements.extend(stmts)
         else:
             elements.append(e)
-    return sema.mark_resolved(ir.rebuild(model, {"elements": tuple(elements)}))
+    return ir.rebuild(model, {"elements": tuple(elements)})
 
 
 def _alldiff_rewrite_counted(model: ir.Model, mode: str) -> tuple[ir.Model, int]:
@@ -850,7 +868,7 @@ def alldiff_rewrite(model: ir.Model, mode: str = "disequalities") -> ir.Model:
     return run_pipeline(model, PassConfig(("alldiffRewrite",), mode))[0]
 
 
-def _loop_unroll_counted(model: ir.Model) -> tuple[ir.Model, int]:
+def _loop_unroll_counted(model: ir.Model, _mode) -> tuple[ir.Model, int]:
     from .unroll import unroll_counted
 
     return unroll_counted(model)
@@ -876,14 +894,12 @@ class PassRow(NamedTuple):
 
 PASSES = {
     # the zones of arrays of objects end up in loops over the instances
-    "objectFlatten": PassRow(lambda m, _: _object_flatten_counted(m), (),
-                             ("classes", "object arrays"), (("loops", "object arrays"),)),
-    "enumRemove": PassRow(lambda m, _: _enum_remove_counted(m), ("classes",), ("enumerations",)),
+    "objectFlatten": PassRow(_object_flatten_counted, (), ("classes", "object arrays"),
+                             (("loops", "object arrays"),)),
+    "enumRemove": PassRow(_enum_remove_counted, ("classes",), ("enumerations",)),
     "alldiffRewrite": PassRow(_alldiff_rewrite_counted, ("classes",), ("alldifferent",)),
-    "loopUnroll": PassRow(
-        lambda m, _: _loop_unroll_counted(m), ("classes",), ("loops", "conditionals")
-    ),
-    "foldConstants": PassRow(lambda m, _: _fold_constants_counted(m)),
+    "loopUnroll": PassRow(_loop_unroll_counted, ("classes",), ("loops", "conditionals")),
+    "foldConstants": PassRow(_fold_constants_counted),
 }
 PASS_IDS = tuple(PASSES)
 TARGETS = {"flat": FEATURES, "clp": ("classes", "enumerations"), "pivot": ()}  # needs absent
@@ -938,13 +954,17 @@ def _refuse_present(who: str, needs_absent, have: set, later, where: str):
 def run_pipeline(model: ir.Model, cfg: PassConfig,
                  target: str = "pivot") -> tuple[ir.Model, list[PassReport]]:
     """Apply cfg.passes in order and collect one report per pass.  A pass
-    list that cannot bring the model to target raises before any pass runs."""
+    list that cannot bring the model to target raises before any pass runs.
+    The model is resolved on entry, and each pass's new output marked
+    resolved here: a pass binds every node it builds.  An unchanged output
+    keeps its mark, and with it the diagnostics ``validate`` recorded."""
     model = sema.resolve(model)
     check_pipeline(model_features(model), cfg.passes, target)
     reports: list[PassReport] = []
-    after = ir.element_count(model)
+    after = ir.element_count(model) if cfg.passes else 0
     for pass_id in cfg.passes:
-        model, n = PASSES[pass_id].run(model, cfg.alldiff_mode)
+        out, n = PASSES[pass_id].run(model, cfg.alldiff_mode)
+        model = out if out is model else sema.mark_resolved(out)
         before, after = after, ir.element_count(model)
         reports.append(PassReport(pass_id, before, after, n))
     return model, reports

@@ -41,15 +41,15 @@ _LITERAL_KINDS = {ir.IntValue: ir.INTEGER, ir.RealValue: ir.REAL, ir.BoolValue: 
 
 
 class Scope:
-    """Layered name environment: top-level declarations, optionally the
-    features of one class, plus a stack of loop iterators."""
+    """Layered name environment: top-level declarations and optionally
+    the features of one class.  Loop iterators are not in it: the walk
+    that resolves a model keeps the iterators in scope (``_Walk.iters``)."""
 
     def __init__(self, model: ir.Model):
         self.top: dict[str, ir.ModelElement] = {}
         self.literals: dict[str, tuple[str, int]] = {}
         self.features: dict[str, ir.ModelElement] | None = None
         self.owner: str | None = None
-        self.iters: tuple[str, ...] = ()
         main = None
         for e in model.elements:
             if isinstance(e, (ir.Enumeration, ir.Class, ir.Variable, ir.Constant)):
@@ -68,27 +68,12 @@ class Scope:
                     raise DuplicateNameError("main", e.loc)
                 main = e
 
-    def _clone(self) -> "Scope":
-        child = object.__new__(Scope)
-        child.top = self.top
-        child.literals = self.literals
-        child.features = self.features
-        child.owner = self.owner
-        child.iters = self.iters
-        return child
-
     def in_class(self, cls: ir.Class) -> "Scope":
-        child = self._clone()
+        child = object.__new__(Scope)
+        child.top, child.literals, child.owner = self.top, self.literals, cls.name
         child.features = {
             f.name: f for f in cls.features if isinstance(f, (ir.Variable, ir.Constant))
         }
-        child.owner = cls.name
-        child.iters = ()
-        return child
-
-    def with_iter(self, name: str) -> "Scope":
-        child = self._clone()
-        child.iters = self.iters + (name,)
         return child
 
     def lookup(self, name: str):
@@ -232,7 +217,8 @@ class _Walk:
     walked: the walk goes on binding after it, because an unresolved name
     must still raise, but records nothing more for that expression.
     ``ground`` tells whether that expression has read no variable and no
-    iterator.
+    iterator.  ``iters`` holds the enclosing loops' iterators, innermost
+    last; a class body is never inside a loop.
 
     Three caches, each dropped with the walk, make an occurrence cost a
     dict lookup: ``names`` holds what each name of the current class (or
@@ -247,6 +233,7 @@ class _Walk:
         self.diags: list[Diagnostic] = []
         self.error: CompileError | None = None
         self.ground = True
+        self.iters: list[str] = []
         self.binding = ir.Bindings()
         self.names: dict[str, tuple] = {}  # name -> (Binding, declaration, kind)
         self.kinds: dict[int, ir.TypeKind | CompileError] = {}  # by id of the declaration
@@ -361,9 +348,9 @@ class _Walk:
         if isinstance(s, ir.ForAll):
             lower, _ = self.check(s.lower, ir.INTEGER, "loop bound")
             upper, _ = self.check(s.upper, ir.INTEGER, "loop bound")
-            outer, self.scope = self.scope, self.scope.with_iter(s.iter_var)
+            self.iters.append(s.iter_var)
             body = self.stmts(s.body)
-            self.scope = outer
+            self.iters.pop()
             return ir.rebuild(s, {"lower": lower, "upper": upper, "body": body})
         if isinstance(s, ir.If):
             cond, _ = self.check(s.cond, ir.BOOLEAN, "condition")
@@ -514,7 +501,7 @@ class _Walk:
         Binding, its declaration (None for an iterator or an enum
         literal) and its kind (or the error that it has none)."""
         name = e.name
-        if name in self.scope.iters:
+        if name in self.iters:
             return self.binding("iterator", name), None, ir.INTEGER
         entry = self.names.get(name)
         if entry is None:

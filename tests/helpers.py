@@ -432,11 +432,12 @@ def gen_model(rng: random.Random) -> ir.Model:
     return ir.Model(model_name, tuple(elements))
 
 
-def gen_loop_model(rng: random.Random) -> ir.Model:
+def gen_loop_model(rng: random.Random, shadow: bool = True) -> ir.Model:
     """A random model of nested foralls: bounds that read outer iterators,
-    inner loops that shadow outer names, ifs on iterators, and leaves that
-    mix iterators, constants, array cells and divisions (some by zero).
-    These are the shapes where loopUnroll shares instances."""
+    inner loops that shadow outer names (unless not shadow), ifs on
+    iterators, and leaves that mix iterators, constants, array cells and
+    divisions (some by zero).  These are the shapes where loopUnroll shares
+    instances."""
 
     def index(scope):
         a = rng.choice(scope)
@@ -458,7 +459,7 @@ def gen_loop_model(rng: random.Random) -> ir.Model:
         for _ in range(rng.randint(1, 2)):
             r = rng.random()
             if depth > 0 and r < 0.5:
-                name = rng.choice("ijk")
+                name = rng.choice([n for n in "ijk" if shadow or n not in scope])
                 lo = rng.choice(["1", "2"] + [f"{s} + 1" for s in scope])
                 hi = rng.choice(["2", "3"] + [f"{s} + 1" for s in scope])
                 body = stmts(scope + [name], depth - 1, pad + "  ")

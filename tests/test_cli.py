@@ -1,6 +1,7 @@
 import functools
 import gc
 import json
+import resource
 import subprocess
 import sys
 
@@ -162,6 +163,27 @@ def test_check_prints_the_exported_verdict(capsys):
     argv = ["check", "-m", str(FIXTURES / "queens4.som"), "--alldiff", "relaxation"]
     assert main(argv) == 0
     assert capsys.readouterr().out == f"{cli.VERDICTS['superset']} baseline=2 transformed=4\n"
+
+
+# the loop iterator x hides the variable x: the relaxation cannot see a
+# declared domain behind it, and the sum it would write loses every solution
+_ITERATOR_PARAMETER = ("int x in 1..2;\nint y in 1..2;\n"
+                       "constraint c {\n  forall(x in 5..5) {\n    alldifferent(x, y);\n  }\n}\n")
+
+
+@pytest.mark.parametrize("mode,target,code,out,err", [
+    ("relaxation", None, 1, "", "relaxation requires every parameter domain to be 1..2"),
+    ("relaxation", "flat", 1, "", "relaxation requires every parameter domain to be 1..2"),
+    ("disequalities", None, 0, "EQUAL baseline=4 transformed=4\n", ""),
+    ("boolean", None, 1, "", "boolean mode cannot rewrite alldifferent inside forall/if"),
+])
+def test_alldiff_parameter_that_is_a_loop_iterator(tmp_path, capsys, mode, target, code, out,
+                                                   err):
+    _, argv = _command(tmp_path, _ITERATOR_PARAMETER, target)
+    assert main(argv + ["--alldiff", mode]) == code
+    captured = capsys.readouterr()
+    assert captured.out == out
+    assert err in captured.err and captured.err.count("error:") == (1 if code else 0)
 
 
 def test_check_boolean_equal():
@@ -414,6 +436,67 @@ def test_eval_of_a_power(capsys, expr, out):
     assert capsys.readouterr() == (out + "\n", "")
 
 
+def run_capped(*args, seconds: float):
+    """run_cli in a child that caps its own address space at 1 GiB after
+    the fork; raises TimeoutExpired after seconds."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    return subprocess.run([sys.executable, "-m", "pivotc.cli", *args], capture_output=True,
+                          text=True, timeout=seconds, preexec_fn=cap)
+
+
+@pytest.mark.parametrize("expr,out", [
+    ("10^10^10", "10 ^ 10000000000"), ("9^9^9", "9 ^ 387420489"),
+    ("(1/2)^(10^10)", "(1 / 2) ^ 10000000000"), ("2^-(10^10)", "2 ^ -10000000000"),
+    ("2^20000", "2 ^ 20000"),  # computed, but too long to write: as before the bound
+    ("1^(10^10)", "1"), ("(-1)^(10^10)", "1"), ("0^(10^10)", "0"),  # bases exempt from it
+])
+def test_eval_of_a_huge_power_ends_at_once(expr, out):
+    # each exact power above stays symbolic without being computed
+    proc = run_capped("eval", "-e", expr, seconds=10.0)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, out + "\n", "")
+
+
+@pytest.mark.parametrize("target,code,text", [
+    ("clp", 0, " K $= 10^10000000000,\n"),
+    ("pivot", 0, "int k := 10 ^ 10000000000;\n"),
+    ("flat", 1, "error: cannot lower model: the value of constant 'k' is an integer of over "
+                "4300 digits\n"),
+])
+def test_compile_of_a_constant_too_large_to_compute(tmp_path, target, code, text):
+    # the value gets the reason int k := 10^5000 gets
+    _, argv = _command(tmp_path, "int k := 10^10^10; int x in 1..2; constraint c { x <= k; }",
+                       target)
+    proc = run_capped(*argv, seconds=10.0)
+    assert proc.returncode == code
+    if code:
+        assert proc.stderr.endswith(text) and proc.stderr.count("error:") == 1
+    else:
+        assert text in (tmp_path / "out").read_text()
+
+
+def test_a_fraction_too_large_to_compute_gets_the_fraction_reason(tmp_path):
+    _, argv = _command(tmp_path, "real k := (2/3)^(10^10); int x in 1..2;\n"
+                       "constraint c { x <= k; }", "flat")
+    proc = run_capped(*argv, seconds=10.0)
+    assert proc.returncode == 1
+    assert proc.stderr.endswith("error: cannot lower model: the value of constant 'k' is a "
+                                "fraction whose numerator or denominator has over 4300 digits\n")
+
+
+@pytest.mark.parametrize("bound,code,out,err", [
+    ("2^3^4^5", 1, "", "error: the oracle cannot evaluate the constraint x <= 2 ^ {}: a power "
+                       "too large to compute exactly (over 100000 bits)\n"),
+    ("10^5000", 0, "EQUAL baseline=2 transformed=2\n", ""),
+])
+def test_check_of_a_huge_power(tmp_path, bound, code, out, err):
+    _, argv = _command(tmp_path, f"int x in 1..2; constraint c {{ x <= {bound}; }}", None)
+    proc = run_capped(*argv, seconds=10.0)
+    assert (proc.returncode, proc.stdout) == (code, out)
+    assert proc.stderr == err.format(3 ** 4 ** 5)
+
+
 @pytest.mark.parametrize("expr", [
     "1e300 * 1e300", "1e300 * 1e300 - 1e300 * 1e300 = 0", "1e308 + 1e308 > 1", "1e200 / 1e-200",
     "10 ^ 5000", "10 ^ 5000 - 10 ^ 5000 = 0",
@@ -661,6 +744,25 @@ def test_command_imports_only_its_backends(tmp_path, command, extra):
     assert set(modules) == COMMON | extra
 
 
+def test_entry_exits_with_the_code_of_main(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["pivotc", "eval", "-e", "1+2"])
+    try:
+        with pytest.raises(SystemExit) as info:
+            cli.entry()
+    finally:
+        gc.unfreeze()  # entry freezes every object for the interpreter's exit
+    assert info.value.code == 0
+    assert capsys.readouterr().out == "3\n"
+
+
+def test_package_attribute_loads_its_module_once(monkeypatch):
+    import pivotc
+    from pivotc.passes import run_pipeline
+
+    monkeypatch.delitem(vars(pivotc), "run_pipeline", raising=False)
+    assert pivotc.run_pipeline is run_pipeline
+    assert vars(pivotc)["run_pipeline"] is run_pipeline  # later lookups skip __getattr__
+    assert "run_pipeline" in dir(pivotc)
 def test_package_exports_every_name_lazily():
     probe = (
         "import sys, pivotc\n"

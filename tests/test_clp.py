@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from pivotc import ir
+from pivotc import ir, sema
 from pivotc.cli import main
 from pivotc.clp import ClpEmitOptions, emit_clp
 from pivotc.errors import CompileError
@@ -122,8 +122,9 @@ def test_param_lists_of_each_fixture(name, data, cfg):
 
 @pytest.mark.parametrize("seed", range(300))
 def test_param_lists_of_generated_loop_models(seed):
+    # without shadowing loops, which the clp target refuses
     for cfg in (GOLFERS_CFG, UNFOLDED_CFG):
-        model, _ = run_pipeline(gen_loop_model(random.Random(seed)), cfg, "clp")
+        model, _ = run_pipeline(gen_loop_model(random.Random(seed), False), cfg, "clp")
         check_clp_params(model, emit_clp(model))
 
 
@@ -164,6 +165,43 @@ def test_declarations_sharing_a_clp_name_are_named(decls, first, second, shared)
     with pytest.raises(CompileError) as info:
         emit_clp(m)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("decls,body,message", [
+    ("int x in 1..2; int y in 1..2;", "forall(x in 5..5) { alldifferent(x, y); }",
+     "loop iterator 'x' and declaration 'x' share the clp name 'X'"),
+    ("int I in 1..2;", "forall(i in 1..2) { I != i; }",
+     "loop iterator 'i' and declaration 'I' share the clp name 'I'"),
+    ("int a[2,2] in 1..4;", "forall(i in 1..2) { forall(i in 1..2) { a[i,i] >= 1; } }",
+     "loop iterator 'i' and the enclosing loop iterator 'i' share the clp name 'I'"),
+    ("int x in 1..2;", "forall(l in 1..2) { x >= l; }",
+     "loop iterator 'l' and the clause head share the clp name 'L'"),
+    ("int l in 1..2;", "l >= 1;", "declaration 'l' and the clause head share the clp name 'L'"),
+])
+def test_a_clp_name_that_would_stand_for_two_things_is_refused(tmp_path, capsys, decls, body,
+                                                               message):
+    path = tmp_path / "m.som"
+    path.write_text(f"{decls}\nconstraint c {{ {body} }}\n")
+    out = tmp_path / "m.ecl"
+    assert main(["compile", "-m", str(path), "--target", "clp", "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: {message}\n") and err.count("error:") == 1
+    assert not out.exists()
+
+
+def test_auxiliaries_skip_every_loop_iterators_clp_name():
+    m = parse(SourceUnit("model M;\nint a[3] in 1..4;\n"
+                         "constraint c { forall(v1 in 1..2) { a[v1+1] >= a[v1]; } }\n"))
+    assert _block(emit_clp(m), "c") == "\n".join([
+        " % c",
+        " (for(V1,1,2),param(A) do",
+        "  V2 is V1+1,",
+        "  nth(V3,V2,A),",
+        "  nth(V4,V1,A),",
+        "  V3 $>= V4",
+        " ),",
+        "",
+    ])
 
 
 def test_invalid_predicate_name_rejected():
@@ -299,3 +337,20 @@ def test_variables_the_clp_target_refuses(variable, message):
     with pytest.raises(CompileError) as info:
         emit_clp(ir.Model("M", (variable,)))
     assert str(info.value) == message
+
+
+_X = ir.VarOccurrence("x", binding=ir.Binding("variable", "x"))
+
+
+@pytest.mark.parametrize("stmt,message", [
+    (ir.ExpressionConstraint(ir.BoolBinaryOp("=", _X, ir.SetDomain(()))),
+     "expression SetDomain is not supported by the clp target"),
+    (ir.ExpressionConstraint(ir.IntValue(1)),
+     "constraint expression IntValue is not supported by the clp target"),
+    (ir.Variable("y", "int"), "statement Variable is not supported by the clp target"),
+])
+def test_hand_built_node_out_of_place_is_refused(stmt, message):
+    x = ir.Variable("x", "int", domain=ir.IntervalDomain(ir.IntValue(1), ir.IntValue(2)))
+    model = sema.mark_resolved(ir.Model("M", (x, ir.ConstraintZone("z", (stmt,)))))
+    with pytest.raises(CompileError, match=message):
+        emit_clp(model)

@@ -276,3 +276,20 @@ def test_lowering_inlines_a_constant_the_passes_left(tmp_path):
             "--passes", "objectFlatten,enumRemove", "-o", str(out)]
     assert main(argv) == 0
     assert out.read_text() == "var int x in 1..3;\nconstraint x >= 2;\n"
+
+
+@pytest.mark.parametrize("hi,lowered", [("5/2", None), ("4/2", "1..2"), ("2.0", "1..2")])
+def test_domain_bound_that_is_a_rational_or_a_float(hi, lowered):
+    # an integral rational or float bound is the integer it stands for
+    model = parse(SourceUnit(f"int x in 1..{hi};\nconstraint c {{ x >= 1; }}\n"))
+    if lowered is None:
+        with pytest.raises(CompileError, match=r"residual non-ground domain \(variable 'x'\)"):
+            lower_to_flat(model)
+    else:
+        assert emit_flat(lower_to_flat(model)) == f"var int x in {lowered};\nconstraint x >= 1;\n"
+
+
+def test_domain_bound_that_is_an_integral_rational_too_long_to_write():
+    # the folder keeps the value 2 ^ 20000 as a rational; lowering reads its integer
+    model = parse(SourceUnit("int x in 1..(1/2)^(0-20000);\nconstraint c { x >= 1; }\n"))
+    assert lower_to_flat(model).vars == (FlatVar("x", "int", 1, 2 ** 20000),)

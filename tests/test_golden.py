@@ -1,8 +1,10 @@
 """Byte-for-byte guard on the two text backends.
 
-``tests/fixtures/golden/`` holds the ``--target flat`` and ``--target clp``
-output of ``pivotc compile`` with the default passes for every fixture
-(golfers once per data file).  ``wide_classes.som`` exercises objectFlatten:
+``tests/fixtures/golden/`` holds the ``--target flat``, ``--target clp``
+and ``--target pivot`` output of ``pivotc compile`` with the default passes
+for every fixture (golfers once per data file), and the flat output of the
+queens fixtures under the relaxation and boolean alldifferent
+reformulations (``<stem>.<mode>.flat``; send's domains fit neither).  ``wide_classes.som`` exercises objectFlatten:
 scalar and array instances, nested object arrays, navigation, class
 constants, enum-set features and zones in the main and the part classes.
 A change to the passes, the lowering or the emitters that alters a single
@@ -36,7 +38,7 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("target,ext", [("flat", "flat"), ("clp", "ecl")])
+@pytest.mark.parametrize("target,ext", [("flat", "flat"), ("clp", "ecl"), ("pivot", "pivot")])
 @pytest.mark.parametrize("stem,model,data", CASES, ids=[c[0] for c in CASES])
 def test_output_matches_golden(tmp_path, stem, model, data, target, ext):
     out = tmp_path / f"{stem}.{ext}"
@@ -45,6 +47,16 @@ def test_output_matches_golden(tmp_path, stem, model, data, target, ext):
         argv += ["-d", str(FIXTURES / data)]
     assert main(argv) == 0
     assert out.read_bytes() == (GOLDEN / f"{stem}.{ext}").read_bytes()
+
+
+@pytest.mark.parametrize("mode", ["relaxation", "boolean"])
+@pytest.mark.parametrize("stem", ["queens4", "queens5", "queens6"])
+def test_flat_under_each_reformulation_matches_golden(tmp_path, stem, mode):
+    out = tmp_path / f"{stem}.flat"
+    argv = ["compile", "-m", str(FIXTURES / f"{stem}.som"), "--target", "flat", "--alldiff", mode,
+            "-o", str(out)]
+    assert main(argv) == 0
+    assert out.read_bytes() == (GOLDEN / f"{stem}.{mode}.flat").read_bytes()
 
 
 # Social golfers w10 g10 s4 (5,050 flat constraints), where loopUnroll

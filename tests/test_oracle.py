@@ -1002,3 +1002,33 @@ def test_relaxed_queens_rows_stay_small(monkeypatch):
     s, peak = _search_peak(monkeypatch, lambda: enumerate_solutions(program))
     assert len(s) == 26365
     assert peak / len(s) < 200  # bytes per solution; an Assignment per solution took 331
+
+
+@pytest.mark.parametrize("text,rows", [
+    # a coefficient under signs
+    ("var int x in 1..3;\nvar int y in 1..3;\nvar int z in 1..3;\n"
+     "constraint x * -(3) + y + z = -4;\n", ((2, 1, 1), (3, 2, 3), (3, 3, 2))),
+    # a coefficient past 2^64 is a constant of the search and gets no pruning
+    ("var int x in 0..1;\nvar int y in 0..1;\nconstraint 100000000000000000000 * x + y = 0;\n",
+     ((0, 0),)),
+])
+def test_linear_constraint_with_an_unusual_coefficient(text, rows):
+    assert enumerate_solutions(parse_flat(text)).rows == rows
+
+
+_X12 = (FlatVar("x", "int", 1, 2),)
+
+
+@pytest.mark.parametrize("constraint,message", [
+    (ir.BoolBinaryOp("=", ir.VarOccurrence("z"), ir.IntValue(1)), "'z' is not a flat variable"),
+    (ir.BoolBinaryOp("=", ir.ObjectOccurrence((ir.VarOccurrence("x"),)), ir.IntValue(1)),
+     "cannot evaluate ObjectOccurrence in the oracle"),
+])
+def test_hand_built_program_the_oracle_cannot_search(constraint, message):
+    with pytest.raises(CompileError, match=message):
+        enumerate_solutions(FlatProgram(_X12, (constraint,)))
+
+
+def test_hand_built_literal_of_another_type_is_a_constant_of_the_search():
+    # BoolValue(1) is truthy: every assignment satisfies it
+    assert enumerate_solutions(FlatProgram(_X12, (ir.BoolValue(1),))).rows == ((1,), (2,))

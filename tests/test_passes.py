@@ -182,6 +182,17 @@ REBIND_MODELS = {
         "class Mid { Leaf leaves[3]; int c := 1; constraint q { leaves[2].v = c; } }\n"
         "main class Top { Mid hub[2]; constraint r { hub[1].leaves[2].w[1] <= hub[2].c; } }"
     ),
+    "renamed_in_a_renamed_loop": (
+        "class C { int x in 1..3; constraint z {"
+        " forall(o_x in 1..2) { forall(o_x in 1..2) { x >= o_x; } } } }\nC o;"
+    ),
+    "renamed_past_a_taken_name": (
+        "int o_x_1 := 0;\n"
+        "class C { int x in 1..3; constraint z { forall(o_x in 1..2) { x >= o_x; } } }\nC o;"
+    ),
+    "array_indexed_by_a_main_class_constant": (
+        "int a[2] in 1..2;\nmain class M { int k := 1; constraint z { a[k] >= 1; } }"
+    ),
 }
 
 
@@ -1308,3 +1319,35 @@ def test_flat_pipeline_resolves_once(monkeypatch, model_name, data_name):
     monkeypatch.setattr(sema._Walk, "__init__", counted)
     run_pipeline(model, PassConfig(DEFAULT_PASSES + FLAT_EXTRA_PASSES), "flat")
     assert len(walks) == 1
+
+
+def test_hand_built_enumerations_where_the_parser_puts_none():
+    # an enumeration among a class's features is kept as it is, and an
+    # enum-typed constant becomes an int one
+    e = ir.Enumeration("E", ("a", "b"))
+    x = ir.Variable("x", "int", domain=ir.IntervalDomain(ir.IntValue(1), ir.IntValue(2)))
+    flat = object_flatten(ir.Model("M", (ir.Class("C", (e, x)), ir.Variable("o", "C"))))
+    assert print_pivot(flat) == "model M;\nenum E := {a,b};\nint o_x in 1..2;\n"
+    k = ir.Constant("k", "E", ir.VarOccurrence("a"))
+    assert print_pivot(enum_remove(ir.Model("M", (e, k)))) == "model M;\nint k := 1;\n"
+
+
+@pytest.mark.parametrize("expr,folded", [
+    ("{1, 2} diff {2}", "{1}"), ("{1} union {2}", "{1,2}"), ("{1, 2} intersect {2}", "{2}"),
+])
+def test_set_operations_fold(expr, folded):
+    assert print_expression(passes._Folder({}).fold(parse_expression(expr))) == folded
+
+
+def test_exact_power_bound():
+    # a power of estimated size past the bound is refused before it is
+    # computed; these stay small enough to compute if it were not
+    assert passes._pow(2, 100_000) == 1 << 100_000
+    for a, b, fraction in ((2, 100_001, False), (passes.Fraction(1, 2), 100_001, True),
+                           (2, -100_001, True)):
+        with pytest.raises(OverflowError) as info:
+            passes._pow(a, b)
+        assert info.value.fraction is fraction
+    folder = passes._Folder({})
+    assert folder.fold(parse_expression("1 + 2 ^ 100001")) == parse_expression("1 + 2 ^ 100001")
+    assert folder.why == "an integer of over 4300 digits"

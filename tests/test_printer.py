@@ -184,3 +184,13 @@ def test_long_sum_prints_through_flat_and_pivot(tmp_path):
     flat = (tmp_path / "s.flat").read_text().splitlines()
     assert len(flat) == n + 1
     assert flat[-1] == "constraint " + " + ".join(f"x__{k}" for k in range(1, n + 1)) + " <= 3;"
+
+
+@pytest.mark.parametrize("print_node,node,message", [
+    (print_pivot, ir.Model("M", (ir.ConstraintZone("z", (ir.IntValue(1),)),)), "unknown statement"),
+    (print_pivot, ir.Model("M", (ir.IntValue(1),)), "unknown element"),
+    (print_expression, ir.SetDomain(()), "unknown expression"),
+])
+def test_hand_built_node_out_of_place_is_refused(print_node, node, message):
+    with pytest.raises(TypeError, match=message):
+        print_node(node)
