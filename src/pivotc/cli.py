@@ -118,25 +118,30 @@ def _pass_config(args) -> PassConfig:
     return PassConfig(passes, args.alldiff or "disequalities")
 
 
-def cmd_compile(args) -> int:
-    model = _front(args.model, args.data)
-    model, reports = run_pipeline(model, args.cfg, args.target)
+def _report(reports):
     for r in reports:
         print(str(r), file=sys.stderr)
-    if args.target == "clp":
-        from .clp import ClpEmitOptions, emit_clp
 
-        payload = emit_clp(model, ClpEmitOptions(label_sets=not args.no_label))
-    elif args.target == "flat":
-        from .flat import emit_flat, lower_to_flat
+
+def cmd_compile(args) -> int:
+    model = _front(args.model, args.data)
+    if args.target == "flat":
+        from .flat import emit_flat, lower_pipeline
 
         # drop each stage's input once the next is built: a lower peak
-        program, model = lower_to_flat(model), None
+        program, model = lower_pipeline(model, args.cfg, _report), None
         payload, program = emit_flat(program), None
     else:
-        from .printer import print_pivot
+        model, reports = run_pipeline(model, args.cfg, args.target)
+        _report(reports)
+        if args.target == "clp":
+            from .clp import ClpEmitOptions, emit_clp
 
-        payload = print_pivot(model)
+            payload = emit_clp(model, ClpEmitOptions(label_sets=not args.no_label))
+        else:
+            from .printer import print_pivot
+
+            payload = print_pivot(model)
     with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
         for at in range(0, len(payload), 1 << 16):  # no second full copy of the text
             fh.write(payload[at:at + (1 << 16)])
@@ -147,9 +152,9 @@ def cmd_compile(args) -> int:
 
 
 def _lowered(model: ir.Model, cfg: PassConfig):
-    from .flat import lower_to_flat
+    from .flat import lower_pipeline
 
-    return lower_to_flat(run_pipeline(model, cfg, "flat")[0])
+    return lower_pipeline(model, cfg)
 
 
 def cmd_check(args) -> int:

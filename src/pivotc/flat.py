@@ -11,15 +11,22 @@ The text format is the interchange grammar shared with the oracle:
 Array cells scalarize to ``name__i`` / ``name__i__j`` (double underscore,
 so flattened-object names with single underscores cannot collide).
 Lowering requires a model that has none of the pass table's features:
-it enters through ``passes.run_pipeline`` with no passes, which resolves
-the model and refuses classes, enumerations, alldifferent, loops and
-conditionals before anything is lowered.
+``lower_to_flat`` enters through ``passes.run_pipeline`` with no passes,
+which resolves the model and refuses classes, enumerations,
+alldifferent, loops and conditionals before anything is lowered, then
+walks every constraint to inline constants and name cells.
+
+``lower_pipeline`` (the CLI's) runs a pass list first.  If it ends with
+loopUnroll, lowering declares the variables, the unroll plan names each
+cell it builds (``_lower_occurrence``), and no constraint is walked.  If
+that raises, the walk runs instead, so diagnostics and the pass reports
+before them stay the walk's.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
+import sys
 from typing import NamedTuple
 
 from . import ir, passes
@@ -40,8 +47,6 @@ class FlatProgram(NamedTuple):
 
 
 def _cell_name(base: str, idx: tuple[int, ...]) -> str:
-    if not idx:
-        return base
     return base + "".join(f"__{i}" for i in idx)
 
 
@@ -60,10 +65,12 @@ class _Lowerer:
         self.dims: dict[str, tuple[int, ...]] = {}
         self.vars: list[FlatVar] = []
         self.domain_constraints: list[ir.Expression] = []
-        # id(occurrence) -> (occurrence, lowered): an occurrence the unrolled
-        # model shares between constraints is lowered once, and found here
-        # before its indexes are walked
+        # id(occurrence) -> (occurrence, lowered): the walk lowers an
+        # occurrence the unrolled model shares between constraints once
         self.cells: dict[int, tuple[ir.VarOccurrence, ir.Expression]] = {}
+        for e in model.elements:
+            if isinstance(e, ir.Variable):
+                self.add_variable(e)
 
     def _dims_of(self, v: ir.Variable) -> tuple[int, ...]:
         out = []
@@ -74,107 +81,76 @@ class _Lowerer:
             out.append(n)
         return tuple(out)
 
-    def _interval(self, v: ir.Variable, domain: ir.Domain) -> tuple[int, int]:
-        lo = _value_int(domain.lo, self.env)
-        hi = _value_int(domain.hi, self.env)
-        if lo is None or hi is None:
+    def _ground(self, v: ir.Variable, e: ir.Expression) -> int:
+        value = _value_int(e, self.env)
+        if value is None:
             raise _residual("non-ground domain", f"variable '{v.name}'")
-        return lo, hi
+        return value
 
-    def _domain_members(self, v: ir.Variable) -> frozenset | None:
-        d = v.domain
-        if isinstance(d, ir.SetDomain):
-            members = []
-            for m in d.members:
-                value = _value_int(m, self.env)
-                if value is None:
-                    raise _residual("non-ground domain", f"variable '{v.name}'")
-                members.append(value)
-            return frozenset(members)
-        if isinstance(d, ir.ExprDomain):
-            value = _Folder(self.env).ground_value(d.expr)
-            if isinstance(value, frozenset):
-                return value
-            raise _residual("non-ground domain", f"variable '{v.name}'")
-        return None
+    def _domain(self, v: ir.Variable):
+        """(kind, lo, hi, the members if they leave holes) of v's cells."""
+        d, what = v.domain, f"variable '{v.name}'"
+        if v.is_set:
+            if not isinstance(d, ir.IntervalDomain):
+                raise _residual("set variable without an interval universe", what)
+        elif v.type_name == "bool":
+            if d is not None:
+                raise _residual("boolean variable with a domain", what)
+            return "bool", None, None, None
+        elif v.type_name != "int":
+            raise _residual(f"{v.type_name} variable", what)
+        members = None
+        if isinstance(d, ir.IntervalDomain):
+            lo, hi = self._ground(v, d.lo), self._ground(v, d.hi)
+        else:
+            if isinstance(d, ir.SetDomain):
+                members = frozenset([self._ground(v, m) for m in d.members])
+            elif isinstance(d, ir.ExprDomain):
+                members = _Folder(self.env).ground_value(d.expr)
+                if not isinstance(members, frozenset):
+                    raise _residual("non-ground domain", what)
+            if not members:
+                raise _residual("variable without a finite domain", what)
+            lo, hi = min(members), max(members)
+            if len(members) == hi - lo + 1:  # no hole
+                members = None
+        if not (_writable(lo) and _writable(hi)):  # the flat text could not write it
+            raise CompileError(f"cannot lower model: a domain bound of {what} is an integer "
+                               f"of over {sys.get_int_max_str_digits()} digits")
+        return "set" if v.is_set else "int", lo, hi, members
 
     def add_variable(self, v: ir.Variable):
         dims = self._dims_of(v)
         self.dims[v.name] = dims
-        cells = itertools.product(*(range(1, n + 1) for n in dims))
-        for idx in cells:
-            name = _cell_name(v.name, idx)
-            if v.is_set:
-                if not isinstance(v.domain, ir.IntervalDomain):
-                    raise _residual(
-                        "set variable without an interval universe", f"variable '{v.name}'"
-                    )
-                lo, hi = self._interval(v, v.domain)
-                self.vars.append(FlatVar(name, "set", lo, hi))
-            elif v.type_name == "bool":
-                if v.domain is not None:
-                    raise _residual("boolean variable with a domain", f"variable '{v.name}'")
-                self.vars.append(FlatVar(name, "bool"))
-            elif v.type_name == "int":
-                if isinstance(v.domain, ir.IntervalDomain):
-                    lo, hi = self._interval(v, v.domain)
-                    self.vars.append(FlatVar(name, "int", lo, hi))
-                    continue
-                members = self._domain_members(v)
-                if members is None or not members:
-                    raise _residual("variable without a finite domain", f"variable '{v.name}'")
-                lo, hi = min(members), max(members)
-                self.vars.append(FlatVar(name, "int", lo, hi))
-                if members != frozenset(range(lo, hi + 1)):
-                    occ = ir.VarOccurrence(name)
-                    # a hole leaves two members at least
-                    self.domain_constraints.append(ir.BoolChain("or", tuple(
-                        [ir.BoolBinaryOp("=", occ, ir.IntValue(m)) for m in sorted(members)]
-                    )))
-            else:
-                raise _residual(f"{v.type_name} variable", f"variable '{v.name}'")
+        names = [_cell_name(v.name, idx)
+                 for idx in itertools.product(*(range(1, n + 1) for n in dims))]
+        if not names:  # an empty array reads no domain
+            return
+        kind, lo, hi, members = self._domain(v)
+        for name in names:
+            self.vars.append(FlatVar(name, kind, lo, hi))
+            if members is not None:
+                occ = ir.VarOccurrence(name)
+                # a hole leaves two members at least
+                self.domain_constraints.append(ir.BoolChain("or", tuple(
+                    [ir.BoolBinaryOp("=", occ, ir.IntValue(m)) for m in sorted(members)]
+                )))
 
     def rewrite(self, e: ir.Expression) -> ir.Expression:
-        """Inline the constants and name the array cells of e in one
-        bottom-up walk, which rebuilds only the nodes whose children
-        change.  loopUnroll has folded e already, so its operator nodes
-        need no lowering of their own.  A binary operator takes an int
-        operand, or a cell lowered already, in its own frame, without a
-        call, and rebuilds itself with its constructor."""
-        t = type(e)
-        cells = self.cells
-        if t is ir.VarOccurrence:
-            hit = cells.get(id(e))
-            if hit is None:
-                hit = cells[id(e)] = (e, self._lower_occurrence(e))
-            return hit[1]
-        if t is ir.BoolBinaryOp or t is ir.SetBinaryOp or t is ir.AlgBinaryOp:
-            left, right = e.left, e.right
-            tx = type(left)
-            if tx is ir.IntValue:
-                nl = left
-            else:
-                hit = cells.get(id(left)) if tx is ir.VarOccurrence else None
-                nl = self.rewrite(left) if hit is None else hit[1]
-            tx = type(right)
-            if tx is ir.IntValue:
-                nr = right
-            else:
-                hit = cells.get(id(right)) if tx is ir.VarOccurrence else None
-                nr = self.rewrite(right) if hit is None else hit[1]
-            if nl is left and nr is right:
-                return e
-            return t(e.op, nl, nr, loc=e.loc)
-        updates = {}
-        for name, many in ir.CHILD_FIELDS[t]:
-            v = getattr(e, name)
-            nv = tuple(map(self.rewrite, v)) if many else self.rewrite(v)
-            if any(map(operator.is_not, nv, v)) if many else nv is not v:
-                updates[name] = nv
-        return e._copy(updates) if updates else e
+        """e with its constants inlined and its array cells named, in one
+        bottom-up walk; loopUnroll has folded the rest of e already."""
+        return ir.map_expr(e, self._lower_node)
+
+    def _lower_node(self, node: ir.Node) -> ir.Node:
+        if type(node) is not ir.VarOccurrence:
+            return node
+        hit = self.cells.get(id(node))
+        if hit is None:
+            hit = self.cells[id(node)] = (node, self._lower_occurrence(node))
+        return hit[1]
 
     def _lower_occurrence(self, node: ir.VarOccurrence) -> ir.Expression:
-        indexes = [self.rewrite(x) for x in node.indexes]  # first, as a bottom-up walk would
+        """node's inlined constant or its cell; its indexes are lowered."""
         folded = self.folder._fold_node(node)
         if folded is not node:  # an inlined constant
             return folded
@@ -198,7 +174,7 @@ class _Lowerer:
         if len(node.indexes) != len(dims):
             raise _residual("partial array reference", f"'{node.name}'")
         idx = []
-        for expr, size in zip(indexes, dims):  # already folded
+        for expr, size in zip(node.indexes, dims):  # already folded
             value = _as_int(self.folder.value(expr))
             if value is None:
                 from .printer import print_expression
@@ -209,12 +185,11 @@ class _Lowerer:
             idx.append(value)
         return ir.VarOccurrence(_cell_name(node.name, tuple(idx)), loc=node.loc)
 
-    def run(self) -> FlatProgram:
-        for e in self.model.elements:
-            if isinstance(e, ir.Variable):
-                self.add_variable(e)
+    def run(self, unrolled: ir.Model | None = None) -> FlatProgram:
+        """The program, with the constraints of self.model lowered here,
+        or those of unrolled, whose unroll plan lowered them."""
         constraints = list(self.domain_constraints)
-        for e in self.model.elements:
+        for e in (self.model if unrolled is None else unrolled).elements:
             if isinstance(e, ir.ConstraintZone):
                 body = e.body
             elif isinstance(e, ir.Statement):
@@ -224,13 +199,45 @@ class _Lowerer:
             for s in body:
                 if type(s) is not ir.ExpressionConstraint:  # a global the table does not know
                     raise _residual("global constraint", s.ctr_name)
-                constraints.append(self.rewrite(s.expr))
+                constraints.append(self.rewrite(s.expr) if unrolled is None else s.expr)
         return FlatProgram(tuple(self.vars), tuple(constraints))
 
 
 def lower_to_flat(model: ir.Model) -> FlatProgram:
     """Scalarize a fully lowered model into a FlatProgram."""
     return _Lowerer(passes.run_pipeline(model, passes.PassConfig(), "flat")[0]).run()
+
+
+def lower_pipeline(model: ir.Model, cfg: passes.PassConfig,
+                   report=lambda reports: None) -> FlatProgram:
+    """model after cfg's passes, lowered; report gets the pass reports
+    before lowering can fail."""
+    if cfg.passes[-1:] == ("loopUnroll",):
+        try:
+            program, reports = _unroll_into_cells(model, cfg)
+        except CompileError:
+            pass  # the walk below raises it again, after the reports
+        else:
+            report(reports)
+            return program
+    model, reports = passes.run_pipeline(model, cfg, "flat")
+    report(reports)
+    return _Lowerer(model).run()
+
+
+def _unroll_into_cells(model: ir.Model, cfg: passes.PassConfig):
+    """(the program, the pass reports) of a list that ends with loopUnroll,
+    whose plan lowers each occurrence as it builds it."""
+    lowerers = []
+
+    def unroll(model: ir.Model, _mode):
+        from .unroll import unroll_counted
+
+        lowerers.append(_Lowerer(model))
+        return unroll_counted(model, lowerers[0]._lower_occurrence)
+
+    unrolled, reports = passes.run_pipeline(model, cfg, "flat", unroll)
+    return lowerers[0].run(unrolled), reports
 
 
 def emit_flat(p: FlatProgram) -> str:

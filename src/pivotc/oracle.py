@@ -850,14 +850,16 @@ def _search(program: FlatProgram, project: list[int] | None, names: dict,
     namespace that also binds names.  Returns the domains, the node count,
     whether no limit stopped the search, and the final value of each of
     names."""
-    domains = [domain_values(v) for v in program.vars]
+    # an int range is sized before it is listed: it may be too long to list
+    domains = [None if v.kind == "int" else domain_values(v) for v in program.vars]
     space = 1
-    for d in domains:
-        space *= len(d)
+    for v, d in zip(program.vars, domains):
+        space *= max(v.hi - v.lo + 1, 0) if d is None else len(d)
         if space > MAX_SEARCH_SPACE:
             raise OracleLimitError(
                 f"search space exceeds 2^40 ({len(program.vars)} variables)"
             )
+    domains = [domain_values(v) if d is None else d for v, d in zip(program.vars, domains)]
 
     source, constants, fused = _search_source(program, project)
     namespace = dict(

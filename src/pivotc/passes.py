@@ -951,20 +951,23 @@ def _refuse_present(who: str, needs_absent, have: set, later, where: str):
         raise CompileError(f"{who}: model still contains {', '.join(present)}; {'; '.join(hints)}")
 
 
-def run_pipeline(model: ir.Model, cfg: PassConfig,
-                 target: str = "pivot") -> tuple[ir.Model, list[PassReport]]:
+def run_pipeline(model: ir.Model, cfg: PassConfig, target: str = "pivot",
+                 last: Callable | None = None) -> tuple[ir.Model, list[PassReport]]:
     """Apply cfg.passes in order and collect one report per pass.  A pass
     list that cannot bring the model to target raises before any pass runs.
     The model is resolved on entry, and each pass's new output marked
     resolved here: a pass binds every node it builds.  An unchanged output
-    keeps its mark, and with it the diagnostics ``validate`` recorded."""
+    keeps its mark, and with it the diagnostics ``validate`` recorded.
+    last, if given, stands in for the last pass, and its output, whose
+    names need not resolve (flat cells), comes back unmarked."""
     model = sema.resolve(model)
     check_pipeline(model_features(model), cfg.passes, target)
     reports: list[PassReport] = []
     after = ir.element_count(model) if cfg.passes else 0
     for pass_id in cfg.passes:
-        out, n = PASSES[pass_id].run(model, cfg.alldiff_mode)
-        model = out if out is model else sema.mark_resolved(out)
+        run = last if last is not None and pass_id == cfg.passes[-1] else PASSES[pass_id].run
+        out, n = run(model, cfg.alldiff_mode)
+        model = out if out is model or run is last else sema.mark_resolved(out)
         before, after = after, ir.element_count(model)
         reports.append(PassReport(pass_id, before, after, n))
     return model, reports

@@ -1,8 +1,8 @@
 """loopUnroll: expand loops and ground conditionals.
 
-``passes.PASSES`` imports this module the first time the pass runs; the
-pipeline, the pass table and the ``loop_unroll`` wrapper stay in
-``passes``.
+``passes.PASSES`` (or flat lowering, which passes a cell hook) imports
+this module the first time the pass runs; the pipeline, the pass table
+and the ``loop_unroll`` wrapper stay in ``passes``.
 """
 
 from __future__ import annotations
@@ -29,12 +29,16 @@ class _Unroller:
     AlgBinaryOp, whose x / 1 drops; the folder returns any other as is.
     A loop whose body holds only constraints fetches their plans once.
     Plans never refer to themselves: a reference cycle would keep the model
-    alive until the cyclic collector runs."""
+    alive until the cyclic collector runs.  Given a cell (flat lowering's
+    occurrence code), plans call it in place of the folder on each
+    occurrence, before a memo stores the node: the plan is then the last
+    to fold, and lowering collects its constraints without a walk."""
 
-    __slots__ = ("folder", "count", "iters", "literals", "plans")
+    __slots__ = ("folder", "cell", "count", "iters", "literals", "plans")
 
-    def __init__(self, env: dict):
+    def __init__(self, env: dict, cell: Callable | None = None):
         self.folder = _Folder(env)
+        self.cell = cell
         self.count = 0
         self.iters: dict[str, int] = {}  # enclosing iterator -> its value
         self.literals: dict[int, ir.IntValue] = {}  # iterator value -> its one node
@@ -77,6 +81,8 @@ class _Unroller:
         fold = self.folder._fold_node
         if literal or held and (not valued or t not in _FOLD_HELD):
             fold = None
+        if t is ir.VarOccurrence and self.cell is not None:
+            fold = self.cell  # it folds the occurrence first
         held = held or t is ir.ObjectOccurrence or b is not None and b.kind == "variable"
         if not lazy:
             try:
@@ -179,7 +185,7 @@ def _call(plan) -> Callable:
     return plan if callable(plan) else lambda: plan
 
 
-def unroll_counted(model: ir.Model) -> tuple[ir.Model, int]:
-    unroller = _Unroller(const_env(model))
+def unroll_counted(model: ir.Model, cell: Callable | None = None) -> tuple[ir.Model, int]:
+    unroller = _Unroller(const_env(model), cell)
     return _rewrite_bodies(model, lambda stmts: (unroller.stmts(stmts, []), ())), unroller.count
 

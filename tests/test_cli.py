@@ -485,6 +485,34 @@ def test_a_fraction_too_large_to_compute_gets_the_fraction_reason(tmp_path):
                                 "fraction whose numerator or denominator has over 4300 digits\n")
 
 
+def test_check_of_a_domain_too_wide_to_list_hits_the_search_limit(tmp_path):
+    _, argv = _command(tmp_path, "int x in 1..2^5000; constraint c { x >= 1; }", None)
+    proc = run_capped(*argv, seconds=10.0)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        3, "", "error: search space exceeds 2^40 (1 variables)\n"
+    )
+
+
+def test_compile_flat_refuses_a_bound_too_long_to_write(tmp_path):
+    _, argv = _command(tmp_path, "int x in 1..(1/2)^(0-20000); constraint c { x >= 1; }", "flat")
+    proc = run_capped(*argv, seconds=10.0)
+    assert proc.returncode == 1
+    assert proc.stderr.endswith("error: cannot lower model: a domain bound of variable 'x' is an "
+                                "integer of over 4300 digits\n")
+    assert proc.stderr.count("error:") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_compile_flat_of_a_sparse_domain_lists_no_hull(tmp_path):
+    _, argv = _command(tmp_path, "int x in {1, 10^12}; constraint c { x >= 1; }", "flat")
+    proc = run_capped(*argv, seconds=10.0)
+    assert proc.returncode == 0
+    assert (tmp_path / "out").read_text() == (
+        "var int x in 1..1000000000000;\nconstraint x = 1 or x = 1000000000000;\n"
+        "constraint x >= 1;\n"
+    )
+
+
 @pytest.mark.parametrize("bound,code,out,err", [
     ("2^3^4^5", 1, "", "error: the oracle cannot evaluate the constraint x <= 2 ^ {}: a power "
                        "too large to compute exactly (over 100000 bits)\n"),

@@ -1,17 +1,19 @@
+import random
 from math import comb
 
 import pytest
 
-from pivotc import ir, sema
+from pivotc import flat, ir, sema
 from pivotc.cli import main
 from pivotc.errors import CompileError
-from pivotc.flat import FlatProgram, FlatVar, emit_flat, lower_to_flat
+from pivotc.flat import FlatProgram, FlatVar, emit_flat, lower_pipeline, lower_to_flat
 from pivotc.oracle import parse_flat
 from pivotc.parser import SourceUnit, parse
-from pivotc.passes import PassConfig, loop_unroll, run_pipeline
+from pivotc.passes import ALLDIFF_MODES, PassConfig, loop_unroll, run_pipeline
 from pivotc.printer import print_expression
 
-from conftest import parse_fixture
+from conftest import ALL_FIXTURES, FIXTURES, parse_fixture
+from helpers import gen_loop_model
 
 FULL = PassConfig(
     ("objectFlatten", "enumRemove", "foldConstants", "alldiffRewrite", "loopUnroll")
@@ -254,6 +256,9 @@ def _global_model():
     # str() refuses an int of over 4,300 digits, so the flat format has no literal for it
     ("int k := 10 ^ 5000;\nint x in 1..2;\nconstraint c { x <= k; }",
      "the value of constant 'k' is an integer of over 4300 digits"),
+    # the folder keeps 2 ^ 20000 as an exact rational, but no flat text writes it
+    ("int x in 1..(1/2)^(0-20000);\nconstraint c { x >= 1; }",
+     "a domain bound of variable 'x' is an integer of over 4300 digits"),
 ])
 def test_what_lowering_refuses(model, message):
     if isinstance(model, str):
@@ -261,6 +266,17 @@ def test_what_lowering_refuses(model, message):
     with pytest.raises(CompileError) as info:
         lower_to_flat(model)
     assert str(info.value) == f"cannot lower model: {message}"
+
+
+def test_set_domain_without_a_hole_lowers_to_its_interval():
+    p = lower_to_flat(parse(SourceUnit("model M;\nint x in {3, 1, 2};\nint y in ({1} union {2});\n")))
+    assert emit_flat(p) == "var int x in 1..3;\nvar int y in 1..2;\n"
+
+
+def test_empty_array_declares_nothing_and_reads_no_domain():
+    # the domain of x would be refused, but no cell reads it
+    p = lower_to_flat(parse(SourceUnit("model M;\nint x[0];\nint y in 1..2;\n")))
+    assert emit_flat(p) == "var int y in 1..2;\n"
 
 
 def test_ground_set_expression_domain_lowers_to_membership():
@@ -289,7 +305,162 @@ def test_domain_bound_that_is_a_rational_or_a_float(hi, lowered):
         assert emit_flat(lower_to_flat(model)) == f"var int x in {lowered};\nconstraint x >= 1;\n"
 
 
-def test_domain_bound_that_is_an_integral_rational_too_long_to_write():
-    # the folder keeps the value 2 ^ 20000 as a rational; lowering reads its integer
-    model = parse(SourceUnit("int x in 1..(1/2)^(0-20000);\nconstraint c { x >= 1; }\n"))
-    assert lower_to_flat(model).vars == (FlatVar("x", "int", 1, 2 ** 20000),)
+
+# --------------------------------------------------------------------------
+# A pass list that ends with loopUnroll unrolls straight into cells; the
+# walk of the unrolled model, lower_to_flat's path, must give the same text
+
+def _outcome(lower):
+    """(the flat text of the program lower() returns, or its error; the
+    pass reports lower() returns beside the program, or None)."""
+    try:
+        program, reports = lower()
+    except CompileError as exc:
+        return f"error: {exc}", None
+    return emit_flat(program), reports
+
+
+def _text_or_error(lower) -> str:
+    try:
+        return emit_flat(lower())
+    except CompileError as exc:
+        return f"error: {exc}"
+
+
+def _cells_and_walk(model, cfg=FULL):
+    """The outcomes of unrolling into cells, without the walk that
+    lower_pipeline falls back on, and of walking the unrolled model."""
+    def walk():
+        unrolled, reports = run_pipeline(model, cfg, "flat")
+        return lower_to_flat(unrolled), reports
+
+    return _outcome(lambda: flat._unroll_into_cells(model, cfg)), _outcome(walk)
+
+
+def _golfers(weeks, groups, size):
+    names = ", ".join(f"p{k}" for k in range(1, groups * size + 1))
+    data = f"enum Name := {{{names}}};\nint s := {size};\nint w := {weeks};\nint g := {groups};\n"
+    return parse(SourceUnit((FIXTURES / "golfers.som").read_text(), data))
+
+
+@pytest.mark.parametrize("mode", ALLDIFF_MODES)
+@pytest.mark.parametrize("model_name,data_name", ALL_FIXTURES + [("wide_classes.som", None)])
+def test_cells_match_the_walk_on_every_fixture(model_name, data_name, mode):
+    # relaxation refuses send.som's domains, on both paths alike
+    cells, walk = _cells_and_walk(parse_fixture(model_name, data_name), PassConfig(FULL.passes, mode))
+    assert cells == walk
+
+
+@pytest.mark.parametrize("weeks,groups,size,constraints", [(3, 2, 2, 21), (10, 10, 4, 5050)])
+def test_cells_match_the_walk_on_golfers(weeks, groups, size, constraints):
+    cells, walk = _cells_and_walk(_golfers(weeks, groups, size))
+    assert cells == walk
+    assert walk[0].count("\nconstraint ") == constraints
+
+
+@pytest.mark.parametrize("shadow", [True, False])
+def test_cells_match_the_walk_on_random_loop_models(shadow):
+    # where the walk refuses, unrolling into cells refuses too (not always
+    # first with the same error), and lower_pipeline gives the walk's
+    lowered = 0
+    for seed in range(80):
+        model = gen_loop_model(random.Random(seed), shadow)
+        cells, walk = _cells_and_walk(model)
+        if walk[0].startswith("error: "):
+            assert cells[0].startswith("error: ")
+            assert _text_or_error(lambda: lower_pipeline(model, FULL)) == walk[0]
+        else:
+            assert cells == walk
+            lowered += 1
+    assert lowered >= 40
+
+
+LOOP_DIAGNOSTICS = [
+    ("int x[2] in 1..3;\nconstraint c {\n  forall(i in 1..3) { x[i] >= 1; }\n}",
+     "error: <model>:3:23: index 3 outside 1..2 for 'x'"),
+    ("int n in 1..2;\nint x[2] in 1..3;\nconstraint c {\n  forall(i in 1..2) { x[n] >= i; }\n}",
+     "error: cannot lower model: residual non-ground index (n)"),
+    ("int x[2,2] in 1..3;\nconstraint c {\n  forall(i in 1..2) { x[i] = 1; }\n}",
+     "error: cannot lower model: residual partial array reference ('x')"),
+    ("int x[2] in 1..2;\nint c := x[1];\nconstraint k {\n  forall(i in 1..2) { x[i] <= c; }\n}",
+     "error: cannot lower model: residual non-ground constant (c)"),
+    # a loop that never runs reads none of its indexes
+    ("int x[2] in 1..3;\nconstraint c {\n  forall(i in 3..2) { x[5] >= i; }\n  x[1] >= 1;\n}",
+     "var int x__1 in 1..3;\nvar int x__2 in 1..3;\nconstraint x__1 >= 1;\n"),
+]
+
+
+@pytest.mark.parametrize("source,outcome", LOOP_DIAGNOSTICS)
+def test_cells_match_the_walk_on_diagnostics_inside_loops(source, outcome):
+    cells, walk = _cells_and_walk(parse(SourceUnit(source)))
+    assert cells[0] == walk[0] == outcome
+    assert _text_or_error(lambda: lower_pipeline(parse(SourceUnit(source)), FULL)) == outcome
+
+
+def _compile_flat(tmp_path, capsys, source):
+    model, out = tmp_path / "m.som", tmp_path / "m.flat"
+    model.write_text(source)
+    out.unlink(missing_ok=True)
+    code = main(["compile", "-m", str(model), "--target", "flat", "-o", str(out)])
+    return code, capsys.readouterr(), out.read_text() if out.exists() else None
+
+
+@pytest.mark.parametrize("source", [
+    *[s for s, _ in LOOP_DIAGNOSTICS],
+    (FIXTURES / "queens6.som").read_text(),
+    # an unroll error (division by zero at i = 1) and a lowering error (x[3])
+    "int x[2] in 1..3;\nconstraint c {\n  forall(i in 1..2) { x[3] = 6 / (i - 1); }\n}",
+])
+def test_compile_flat_prints_what_the_walk_prints(tmp_path, capsys, monkeypatch, source):
+    # exit code, stderr and output, with and without unrolling into cells
+    cells = _compile_flat(tmp_path, capsys, source)
+
+    def off(model, cfg):
+        raise CompileError("unrolling into cells is off")
+
+    monkeypatch.setattr(flat, "_unroll_into_cells", off)
+    assert _compile_flat(tmp_path, capsys, source) == cells
+
+
+def test_an_unroll_error_still_comes_before_a_lowering_error():
+    # unrolling into cells meets x[3] before the plan divides by i - 1 = 0;
+    # the walk unrolls every instance first.  lower_pipeline falls back on
+    # the walk, so the division by zero is still the error reported
+    source = "int x[2] in 1..3;\nconstraint c {\n  forall(i in 1..2) { x[3] = 6 / (i - 1); }\n}"
+    cells, walk = _cells_and_walk(parse(SourceUnit(source)))
+    assert cells[0] == "error: <model>:3:23: index 3 outside 1..2 for 'x'"
+    assert walk[0] == "error: <model>:3:32: division by zero"
+    assert _text_or_error(lambda: lower_pipeline(parse(SourceUnit(source)), FULL)) == walk[0]
+
+
+def test_a_constant_no_literal_holds_that_its_product_folds_away():
+    # the plan lowers r before it folds i * r * 3, so unrolling into cells
+    # refuses r; the walk folds the product first and lowers it
+    source = ("real r := 1/3;\nint x in 1..9;\n"
+              "constraint c {\n  forall(i in 1..2) { x >= i * r * 3; }\n}")
+    cells, walk = _cells_and_walk(parse(SourceUnit(source)))
+    assert cells[0].startswith("error: cannot lower model: the flat format has no literal for 1/3")
+    text = "var int x in 1..9;\nconstraint x >= 1;\nconstraint x >= 2;\n"
+    assert walk[0] == text
+    assert _text_or_error(lambda: lower_pipeline(parse(SourceUnit(source)), FULL)) == text
+
+
+def test_flat_commands_walk_no_constraint(tmp_path, monkeypatch):
+    # compile --target flat and check unroll straight into cells; only a
+    # pass list that does not end with loopUnroll walks the unrolled model
+    calls = []
+    rewrite = flat._Lowerer.rewrite
+
+    def counted(self, e):
+        calls.append(e)
+        return rewrite(self, e)
+
+    monkeypatch.setattr(flat._Lowerer, "rewrite", counted)
+    argv = ["compile", "-m", str(FIXTURES / "golfers.som"), "-d", str(FIXTURES / "golfers.dat"),
+            "--target", "flat", "-o", str(tmp_path / "g.flat")]
+    assert main(argv) == 0
+    assert main(["check", "-m", str(FIXTURES / "queens4.som"), "--alldiff", "relaxation"]) == 0
+    assert calls == []
+    folded_last = "objectFlatten,enumRemove,alldiffRewrite,loopUnroll,foldConstants"
+    assert main(argv + ["--passes", folded_last]) == 0
+    assert len(calls) > 0

@@ -394,6 +394,13 @@ def test_search_space_guard():
         enumerate_solutions(parse_flat(many))
 
 
+def test_search_space_guard_sizes_a_range_before_listing_it():
+    # 2^5000 values: a list of them cannot be built, so none is
+    p = FlatProgram((FlatVar("x", "int", 1, 2 ** 5000),), ())
+    with pytest.raises(OracleLimitError, match=r"search space exceeds 2\^40 \(1 variables\)"):
+        enumerate_solutions(p)
+
+
 def test_set_universe_guard():
     p = FlatProgram((FlatVar("s", "set", 1, 13),), ())
     with pytest.raises(OracleLimitError, match=r"set universe of 's' has 13 elements \(limit 12\)"):
