@@ -25,7 +25,7 @@ _EXPORTS = {
     "Assignment": "oracle", "SolutionSet": "oracle",
     "compare_solutions": "oracle", "compare_streaming": "oracle",
     "enumerate_solutions": "oracle",
-    "parse_flat": "oracle",
+    "parse_flat": "flat",
     "SourceUnit": "parser", "parse": "parser", "parse_expression": "parser",
     "PassConfig": "passes", "PassReport": "passes", "alldiff_rewrite": "passes",
     "enum_remove": "passes", "fold_constants": "passes",

@@ -67,5 +67,7 @@ class DuplicateNameError(CompileError):
 
 
 class OracleLimitError(CompileError):
-    """An oracle limit stops the answer: the search space is too large, or
-    a solution set to compare is incomplete (a search budget ran out)."""
+    """A limit stops the answer: the oracle's search space is too large, a
+    solution set to compare is incomplete (a search budget ran out), or an
+    array or loop nest would build more than passes.MAX_INSTANCES cells or
+    instances."""

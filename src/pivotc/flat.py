@@ -1,7 +1,8 @@
 """Flat backend: scalarized variables plus a plain list of ground
 constraints, written in the pivot expression syntax.
 
-The text format is the interchange grammar shared with the oracle:
+The text format is the interchange grammar shared with the oracle;
+``emit_flat`` writes it and ``parse_flat`` reads it back:
 
     var int x in 1..3;
     var bool b;
@@ -25,12 +26,16 @@ before them stay the walk's.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
+import re
 import sys
 from typing import NamedTuple
 
 from . import ir, passes
-from .errors import CompileError
+from .errors import CompileError, Diagnostic, OracleLimitError, ParseError
+from .parser import parse_expression
 from .passes import _MISSING, _as_int, _Folder, _value_int, _writable, const_env
 
 
@@ -121,6 +126,11 @@ class _Lowerer:
 
     def add_variable(self, v: ir.Variable):
         dims = self._dims_of(v)
+        cells = math.prod(max(n, 0) for n in dims)
+        if cells > passes.MAX_INSTANCES:
+            raise OracleLimitError(
+                f"array '{v.name}' has {cells} cells (limit {passes.MAX_INSTANCES})", v.loc
+            )
         self.dims[v.name] = dims
         names = [_cell_name(v.name, idx)
                  for idx in itertools.product(*(range(1, n + 1) for n in dims))]
@@ -255,3 +265,74 @@ def emit_flat(p: FlatProgram) -> str:
     for c in p.constraints:
         lines.append(f"constraint {print_expression(c)};\n")
     return "".join(lines)
+
+
+# --------------------------------------------------------------------------
+# Reading the flat format back (inverse of emit_flat)
+
+@functools.cache
+def _line_patterns() -> tuple[re.Pattern, ...]:
+    """The flat format's four line patterns, compiled when parse_flat first
+    runs: neither compile nor check reads flat text."""
+    return (
+        re.compile(r"^var int ([A-Za-z_][A-Za-z0-9_]*) in (-?\d+)\.\.(-?\d+);$"),
+        re.compile(r"^var bool ([A-Za-z_][A-Za-z0-9_]*);$"),
+        re.compile(r"^var set of (-?\d+)\.\.(-?\d+) ([A-Za-z_][A-Za-z0-9_]*);$"),
+        re.compile(r"^constraint (.*);$"),
+    )
+
+
+def parse_flat(text: str, file: str = "<flat>") -> FlatProgram:
+    """Parse the flat interchange format; errors carry line numbers."""
+    var_int, var_bool, var_set, constraint = _line_patterns()
+    vars_: list[FlatVar] = []
+    names: set[str] = set()
+    constraints: list[ir.Expression] = []
+    diags: list[Diagnostic] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if m := constraint.match(line):
+            try:
+                expr = parse_expression(m.group(1), file=file)
+            except ParseError as exc:
+                first = exc.diagnostics[0]
+                diags.append(Diagnostic("error", first.message, lineno, first.column, file))
+                continue
+            bad = next(
+                (
+                    n
+                    for n in ir.walk_expr(expr)
+                    if isinstance(n, ir.VarOccurrence) and (n.indexes or n.name not in names)
+                ),
+                None,
+            )
+            if bad is not None:
+                what = "indexed reference" if bad.indexes else f"unknown variable '{bad.name}'"
+                diags.append(Diagnostic("error", f"{what} in flat constraint", lineno, 1, file))
+                continue
+            constraints.append(expr)
+            continue
+        try:
+            if m := var_int.match(line):
+                name, lo, hi = m.group(1), int(m.group(2)), int(m.group(3))
+                vars_.append(FlatVar(name, "int", lo, hi))
+            elif m := var_bool.match(line):
+                vars_.append(FlatVar(m.group(1), "bool"))
+            elif m := var_set.match(line):
+                lo, hi, name = int(m.group(1)), int(m.group(2)), m.group(3)
+                vars_.append(FlatVar(name, "set", lo, hi))
+            else:
+                diags.append(Diagnostic("error", f"unrecognized line: {line}", lineno, 1, file))
+                continue
+        except ValueError:  # int() refuses more digits than sys.get_int_max_str_digits()
+            diags.append(Diagnostic("error", "integer bound out of range", lineno, 1, file))
+            continue
+        if vars_ and vars_[-1].name in names:
+            diags.append(Diagnostic("error", f"duplicate variable '{vars_[-1].name}'", lineno, 1, file))
+        elif vars_:
+            names.add(vars_[-1].name)
+    if diags:
+        raise ParseError(diags)
+    return FlatProgram(tuple(vars_), tuple(constraints))

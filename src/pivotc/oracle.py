@@ -21,12 +21,16 @@ int literals reads as ``sum c_i * v_i op k``, with op one of
 ``= <= >= < >``.  At each of its variables but the last, a value is
 rejected when the partial sum plus the least or the greatest that the
 remaining terms can add proves the comparison false.  An equality whose
-last variable is an int with coefficient +-1 forces that variable: its
-loop tries only the value the partial sum leaves, and only if the domain
-holds it and its mask keeps it.  A program that may raise (division,
-powers, math functions, reals, min/max, sets) keeps the plain search,
-because pruning skips evaluations and the error one of them would raise
-must not be skipped.
+last variable is an int with coefficient +-1 forces that variable: it
+tries only the value the partial sum leaves, and only if the domain holds
+it and its mask keeps it, bound by an ``if`` where an enclosing loop
+takes the checks' ``continue``.  When its second-to-last variable p is a
+masked int with coefficient +-1 after a partial sum, the equality also
+filters p's loop (see _Bounds): p binds only the values whose forced
+partner the last variable's mask keeps.  A program that may raise
+(division, powers, math functions, reals, min/max, sets) keeps the plain
+search, because pruning skips evaluations and the error one of them would
+raise must not be skipped.
 
 Pruning drops only assignments that violate a constraint and keeps the
 order of the others, so the solutions are those of the plain search, in
@@ -40,11 +44,15 @@ when read.  Rows are in canonical order, by value (as ``domain_values``
 orders them) in sorted variable-name order.  When the variables are
 declared in sorted name order, the search yields that order itself and
 nothing is sorted.  ``compare_streaming`` runs the same search with
-another leaf: each solution is projected and looked up among a baseline's
-rows, counted, and not kept.
+another leaf, which counts each solution and keeps none.  A pruned search
+whose solutions are the baseline's rows, reordered, counts nothing more:
+one predicate counts the baseline rows that are solutions.  Any other
+leaf projects each solution and looks it up among the baseline's rows.
 
 Evaluation is exact: integer arithmetic is unbounded, ``/`` evaluates in
-rationals, and set values are frozensets over the declared universe.
+rationals, and set values are frozensets over the declared universe.  A
+real literal is the double foldConstants computes with, so folding never
+changes the solutions.
 """
 
 from __future__ import annotations
@@ -53,13 +61,11 @@ import functools
 import itertools
 import math
 import operator
-import re
 
 from . import ir
-from .errors import CompileError, Diagnostic, OracleLimitError, ParseError
-from .flat import FlatProgram, FlatVar
-from .parser import parse_expression
-from .passes import _SMALL_INT, Fraction, _div, _pow
+from .errors import CompileError, OracleLimitError
+from .flat import FlatProgram, FlatVar, parse_flat  # parse_flat: re-exported
+from .passes import _SMALL_INT, _div, _pow
 
 MAX_SET_UNIVERSE = 12
 MAX_SEARCH_SPACE = 2 ** 40
@@ -105,77 +111,6 @@ class SolutionSet(ir._Frozen):
     @property
     def solutions(self) -> tuple[Assignment, ...]:  # built anew on every read
         return tuple(Assignment(dict(zip(self.names, row))) for row in self.rows)
-
-
-# --------------------------------------------------------------------------
-# Reading the flat format back (inverse of flat.emit_flat)
-
-@functools.cache
-def _line_patterns() -> tuple[re.Pattern, ...]:
-    """The flat format's four line patterns, compiled when parse_flat first
-    runs: check never reads flat text."""
-    return (
-        re.compile(r"^var int ([A-Za-z_][A-Za-z0-9_]*) in (-?\d+)\.\.(-?\d+);$"),
-        re.compile(r"^var bool ([A-Za-z_][A-Za-z0-9_]*);$"),
-        re.compile(r"^var set of (-?\d+)\.\.(-?\d+) ([A-Za-z_][A-Za-z0-9_]*);$"),
-        re.compile(r"^constraint (.*);$"),
-    )
-
-
-def parse_flat(text: str, file: str = "<flat>") -> FlatProgram:
-    """Parse the flat interchange format; errors carry line numbers."""
-    var_int, var_bool, var_set, constraint = _line_patterns()
-    vars_: list[FlatVar] = []
-    names: set[str] = set()
-    constraints: list[ir.Expression] = []
-    diags: list[Diagnostic] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if m := constraint.match(line):
-            try:
-                expr = parse_expression(m.group(1), file=file)
-            except ParseError as exc:
-                first = exc.diagnostics[0]
-                diags.append(Diagnostic("error", first.message, lineno, first.column, file))
-                continue
-            bad = next(
-                (
-                    n
-                    for n in ir.walk_expr(expr)
-                    if isinstance(n, ir.VarOccurrence) and (n.indexes or n.name not in names)
-                ),
-                None,
-            )
-            if bad is not None:
-                what = "indexed reference" if bad.indexes else f"unknown variable '{bad.name}'"
-                diags.append(Diagnostic("error", f"{what} in flat constraint", lineno, 1, file))
-                continue
-            constraints.append(expr)
-            continue
-        try:
-            if m := var_int.match(line):
-                name, lo, hi = m.group(1), int(m.group(2)), int(m.group(3))
-                vars_.append(FlatVar(name, "int", lo, hi))
-            elif m := var_bool.match(line):
-                vars_.append(FlatVar(m.group(1), "bool"))
-            elif m := var_set.match(line):
-                lo, hi, name = int(m.group(1)), int(m.group(2)), m.group(3)
-                vars_.append(FlatVar(name, "set", lo, hi))
-            else:
-                diags.append(Diagnostic("error", f"unrecognized line: {line}", lineno, 1, file))
-                continue
-        except ValueError:  # int() refuses more digits than sys.get_int_max_str_digits()
-            diags.append(Diagnostic("error", "integer bound out of range", lineno, 1, file))
-            continue
-        if vars_ and vars_[-1].name in names:
-            diags.append(Diagnostic("error", f"duplicate variable '{vars_[-1].name}'", lineno, 1, file))
-        elif vars_:
-            names.add(vars_[-1].name)
-    if diags:
-        raise ParseError(diags)
-    return FlatProgram(tuple(vars_), tuple(constraints))
 
 
 # --------------------------------------------------------------------------
@@ -323,7 +258,7 @@ class _Writer:
             return "True" if e.value else "False", False
         if isinstance(e, ir.RealValue):
             self.raises = True
-            return self.constant(Fraction(e.v))  # floats are binary rationals; keep them exact
+            return self.constant(e.v)  # a double, as foldConstants computes with it
         if isinstance(e, ir.SetValue):
             self.raises = True
             elems = "".join(f"int({self.emit(x, depth)[0]}), " for x in e.elems)
@@ -460,9 +395,18 @@ class _Bounds:
     variables, taken anywhere in their domains, can satisfy the
     constraint.  An equality whose last variable is an int with
     coefficient +-1 forces that variable: ``forced`` holds the source of
-    the value the partial sum leaves, its loop runs over that one value if
-    the domain holds it (see _Masks.loop), and the constraint needs no
-    check of its own.
+    the value the partial sum leaves, which is bound only if the domain
+    holds it (see _Masks.forced_test), and the constraint needs no check
+    of its own.
+
+    When the equation's second-to-last variable v<p> is an int with
+    coefficient +-1 too, and a partial sum S precedes it, ``joins[p]``
+    holds ``(L, flip, d, s)`` for the forced last variable v<L>: the value
+    at bit b of v<p>'s mask forces the value at bit ``b - (d + s)`` of
+    v<L>'s mask, counted from its top bit down if flip, where s is the
+    source of S or -S.  _Masks turns it into a filter of v<p>'s loop.
+    (Without S, the equation is over two variables, and a table holds it
+    whenever both are masked and have three values or more.)
     """
 
     def __init__(self, program: FlatProgram):
@@ -472,6 +416,7 @@ class _Bounds:
         self.forced: list[str | None] = [None] * n  # source of a forced value
         self.reads: list[set[str]] = [set() for _ in range(n)]  # partial sums read
         self.sums: dict[str, list[tuple[int, int]]] = {}  # partial sum -> its terms
+        self.joins: dict[int, tuple[int, bool, int, str]] = {}
 
     def _range(self, coef: int, i: int) -> tuple[int, int]:
         v = self.vars[i]
@@ -488,7 +433,7 @@ class _Bounds:
             return False  # keep the generated literals small
         rest_lo = sum(r[0] for r in ranges)
         rest_hi = sum(r[1] for r in ranges)
-        prev = None
+        prev = before = None  # the partial sums through v<p> and before it
         for j, i in enumerate(order[:-1]):
             rest_lo -= ranges[j][0]
             rest_hi -= ranges[j][1]
@@ -503,7 +448,7 @@ class _Bounds:
             high = k - rest_lo - (op == "<") if op in ("=", "<=", "<") else None
             test = expr if low is None else f"{low} <= {expr}"
             self.tests[i].append(test if high is None else f"{test} <= {high}")
-            prev = name
+            before, prev = prev, name
         last = order[-1]
         v = self.vars[last]
         if op != "=" or abs(coefs[last]) != 1 or v.kind != "int" or self.forced[last] is not None:
@@ -513,6 +458,14 @@ class _Bounds:
         else:
             self.reads[last].add(prev)
             self.forced[last] = f"{k} - {prev}" if coefs[last] == 1 else f"{prev} - {k}"
+            p = order[-2]
+            if before and abs(coefs[p]) == 1 and self.vars[p].kind == "int" and p not in self.joins:
+                # v<L> = cl * (k - S - cp * v<p>), S the partial sum before v<p>;
+                # S passed its bounds test, so d is at least 1 - v<L>'s width
+                cl, lo = coefs[last], self.vars[p].lo
+                flip = coefs[p] == cl  # v<L>'s value falls as v<p>'s rises
+                d, s = (cl * k - v.hi - lo, -cl) if flip else (v.lo - lo - cl * k, cl)
+                self.joins[p] = (last, flip, d, _term(s, before))
         return True
 
     def rebuild(self, start: int, stop: int) -> list[str]:
@@ -536,6 +489,14 @@ def _support(test, xs, ys, pad: int, within: int) -> tuple[int, ...]:
     """Per x, after pad entries that no value reads, the mask of the ys
     that pass test(x, y), within the mask given."""
     return (0,) * pad + tuple(_mask(functools.partial(test, x), ys) & within for x in xs)
+
+
+def _reversal(width: int) -> list[int]:
+    """Indexed by mask, that mask's width bits in reverse order."""
+    table = [0]
+    for b in range(width):  # bit b turns into bit width - 1 - b
+        table += [m | 1 << width - 1 - b for m in table]
+    return table
 
 
 def _subsets(values) -> list[tuple]:
@@ -623,9 +584,18 @@ class _Masks:
         shift = (v.lo if v.kind == "int" else 0) - self._pad(i)
         return f"v{i} - {shift}" if shift > 0 else f"v{i} + {-shift}" if shift < 0 else f"v{i}"
 
-    def prelude(self, forced: list) -> list[str]:
-        """Module-level statements that build the masks and tables; forced
-        holds what _Bounds forces, per variable."""
+    def settle(self, bounds: _Bounds):
+        """Take the values bounds forces, and its joins over two masked
+        variables whose v<p> keeps its loop."""
+        self.forced = bounds.forced
+        self.joins = {p: join for p, join in bounds.joins.items()
+                      if self.forced[p] is None and {p, join[0]} <= self.masked}
+
+    def _width(self, j: int) -> int:
+        return self.vars[j].hi - self.vars[j].lo + 1
+
+    def prelude(self) -> list[str]:
+        """Module-level statements that build the masks and tables."""
         lines = []
         for j, srcs in sorted(self.unary.items()):
             lines.append(f"U{j} = _mask(lambda v{j}: {' and '.join(srcs)}, DOMAINS[{j}])")
@@ -637,35 +607,46 @@ class _Masks:
                 f"T{i}_{j} = _support({test}, DOMAINS[{i}], DOMAINS[{j}], {self._pad(i)}, {within})"
             )
         shared: dict[tuple, int] = {}
-        for j in self._looped(forced, 0, len(self.vars)):
+        for j in self._looped(0, len(self.vars)):
             v = self.vars[j]
             first = shared.setdefault((v.kind, v.lo, v.hi), j)
             lines.append(f"VALS{j} = " + (f"VALS{first}" if first != j else f"_subsets(DOMAINS[{j}])"))
+        lines += [f"REV{w} = _reversal({w})" for w in sorted(self._reversed(0, len(self.vars)))]
         return lines
 
-    def _looped(self, forced: list, start: int, stop: int) -> list[int]:
+    def _looped(self, start: int, stop: int) -> list[int]:
         """The variables among start..stop-1 whose loops read VALS<j>."""
         return [
             j
             for j in range(start, stop)
-            if forced[j] is None and (j in self.unary or j in self.before)
+            if self.forced[j] is None and (j in self.unary or j in self.before or j in self.joins)
         ]
 
-    def hoisted(self, forced: list, start: int, stop: int) -> list[str]:
+    def _joined(self, start: int, stop: int) -> list[tuple]:
+        """The joins of loops start..stop-1."""
+        return [self.joins[p] for p in range(start, stop) if p in self.joins]
+
+    def _reversed(self, start: int, stop: int) -> set[int]:
+        """The widths of the masks that joins of loops start..stop-1 read
+        reversed, through ``REV<width>``."""
+        return {self._width(L) for L, flip, *_ in self._joined(start, stop) if flip}
+
+    def hoisted(self, start: int, stop: int) -> list[str]:
         """The module-level names that loops start..stop-1 read, which the
         function running them binds as locals, in lower case."""
         tables = [f"T{i}_{j}" for i in range(start, stop) for j in sorted(self.after.get(i, ()))]
-        return tables + [f"VALS{j}" for j in self._looped(forced, start, stop)]
+        return (tables + [f"VALS{j}" for j in self._looped(start, stop)]
+                + [f"REV{w}" for w in sorted(self._reversed(start, stop))])
 
     def rebuild(self, start: int, stop: int) -> tuple[list[str], set[int]]:
         """Statements that recompute from the earlier values the masks that
         loops start..stop-1 read but earlier loops computed, and the
         indexes of those values."""
-        lines, reads = [], set()
+        lines, reads, joined = [], set(), {L for L, *_ in self._joined(start, stop)}
         for j in sorted(x for x in self.before if x >= start):
             tables = self._tables(j)
             old = [i for i in tables if i < start]
-            if old and (j < stop or any(start <= i < stop for i in tables)):
+            if old and (j < stop or j in joined or any(start <= i < stop for i in tables)):
                 terms = " & ".join(f"T{i}_{j}[{self._index(i)}]" for i in old)
                 lines.append(f"    m{old[-1]}_{j} = {terms}")
                 reads.update(old)
@@ -675,6 +656,10 @@ class _Masks:
         """j's mask once the values before v<upto> are bound."""
         prior = [i for i in self._tables(j) if i < upto]
         return f"m{prior[-1]}_{j}" if prior else None
+
+    def _known(self, j: int, upto: int) -> str | None:
+        """_current, or the constant mask U<j>; None for all of j's domain."""
+        return self._current(j, upto) or (f"U{j}" if j in self.unary else None)
 
     def updates(self, i: int) -> list[str]:
         """Conjuncts that narrow the masks of the later variables by the
@@ -686,17 +671,32 @@ class _Masks:
             out.append(f"(m{i}_{j} := {prior} & {table})" if prior else f"(m{i}_{j} := {table})")
         return out
 
-    def loop(self, j: int, forced: str | None) -> str:
-        """Source of what loop j iterates over, given the source of the value
-        a linear equality forces."""
-        mask = self._current(j, j) or (f"U{j}" if j in self.unary else None)
-        v = self.vars[j]
-        if forced is not None:
-            test = f"{v.lo} <= (f{j} := {forced}) <= {v.hi}"
-            if mask:
-                shift = f"(f{j} - {v.lo})" if v.lo else f"f{j}"
-                test += f" and {mask} >> {shift} & 1"
-            return f"(f{j},) if {test} else ()"
+    def forced_test(self, j: int) -> str:
+        """Source binding the forced value of v<j> to ``f<j>``, true when
+        the domain holds it and its mask keeps it."""
+        mask, v = self._known(j, j), self.vars[j]
+        test = f"{v.lo} <= (f{j} := {self.forced[j]}) <= {v.hi}"
+        if mask:
+            shift = f"(f{j} - {v.lo})" if v.lo else f"f{j}"
+            test += f" and {mask} >> {shift} & 1"
+        return test
+
+    def loop(self, j: int) -> str:
+        """Source of what loop j iterates over."""
+        if self.forced[j] is not None:
+            return f"(f{j},) if {self.forced_test(j)} else ()"
+        mask = self._known(j, j)
+        if j in self.joins:
+            # only the values whose forced partner v<L>'s mask keeps, as it
+            # stands before v<j> binds: v<L>'s own test rejects the others
+            L, flip, d, s = self.joins[j]
+            width = self._width(L)
+            partner = self._known(L, j) or str((1 << width) - 1)
+            if flip:
+                partner = f"rev{width}[{partner}]"
+            own = mask or (1 << self._width(j)) - 1
+            # a shift by d + s, as two that are never negative
+            mask = f"{own} & ({partner} << {d + width} + {s}) >> {width}"
         return f"vals{j}[{mask}]" if mask else f"D[{j}]"
 
 
@@ -720,12 +720,19 @@ def _search_source(program: FlatProgram,
     variables and receives the earlier values as the tuple P.  It returns
     the node count; a limit raises Stop instead.
 
-    Only the leaf, the line after the last loop, depends on project.
-    Without it, the leaf appends the values to ``OUT``.  With it, the leaf
-    counts the solution in ``ROWS`` and builds the row of the values of the
-    variables project indexes, in that order.  A row in the set ``BASE``
-    goes to ``HIT``, a bound ``add``; any other becomes ``MISS``.  Either
-    way a limit of MAX_SOLUTIONS rows stops the search.
+    A forced value is bound by an ``if``, not a loop of one value, where
+    the function has an enclosing loop for its checks to ``continue``.
+
+    Only the leaf, the line after the last loop, and the start of ``s0``
+    depend on project.  Without it, the leaf appends the values to ``OUT``.
+    With it, the leaf counts the solution in ``ROWS``.  When no constraint
+    may raise and project orders all the variables, each solution is its
+    own row, so nothing more is built: ``s0`` first sets ``HITS`` to the
+    number of rows of the set ``BASE``, read as the values of the variables
+    project indexes, in that order, that pass every domain and every
+    constraint.  Otherwise the leaf builds that row: one in ``BASE`` goes
+    to ``HIT``, a bound ``add``; any other becomes ``MISS``.  Either way a
+    limit of MAX_SOLUTIONS rows stops the search.
     """
     writer = _Writer(program)
     written = [writer.condition(c) for c in program.constraints]
@@ -748,24 +755,35 @@ def _search_source(program: FlatProgram,
         last = max(used)
         checks[last].append((c, src))
         reads[last] |= used
+    masks.settle(bounds)
+    counted = prune and project is not None and sorted(project) == list(range(n))
 
-    lines: list[str] = masks.prelude(bounds.forced)
+    lines: list[str] = masks.prelude()
     fused: dict[int, list[tuple[int, str]]] = {}  # index in lines -> its checks
     for k, start in enumerate(range(0, max(n, 1), _LOOPS_PER_FUNCTION)):
         stop = min(start + _LOOPS_PER_FUNCTION, n)
         lines += [f"def s{k}(P, nodes):", "    D = DOMAINS", "    max_nodes = MAX_NODES"]
-        lines += [f"    {name.lower()} = {name}" for name in masks.hoisted(bounds.forced, start, stop)]
+        lines += [f"    {name.lower()} = {name}" for name in masks.hoisted(start, stop)]
         rebuilt, masks_read = masks.rebuild(start, stop)
         earlier = masks_read.union(*reads[start:stop])
         lines += [f"    v{i} = P[{i}]" for i in sorted(earlier) if i < start]
         lines += bounds.rebuild(start, stop) + rebuilt
+        if k == 0 and counted:
+            row = "".join(f"v{i}, " for i in project)
+            tests = [f"v{i} in {writer.constant(range(v.lo, v.hi + 1))[0]}" if v.kind == "int"
+                     else f"v{i} in (False, True)" for i, v in enumerate(program.vars)]
+            test = " and ".join(tests + [src for src, _ in written]) or "True"
+            lines += ["    global HITS", f"    HITS = sum(1 for ({row}) in BASE if {test})"]
         if k == 0 and constant_checks:
             fused[len(lines)] = constant_checks
             test = " and ".join(src for _, src in constant_checks)
             lines.append(f"    if not ({test}): return nodes")
         pad = "    "
         for i in range(start, stop):
-            lines.append(f"{pad}for v{i} in {masks.loop(i, bounds.forced[i])}:")
+            if bounds.forced[i] is not None and i > start:
+                lines += [f"{pad}if {masks.forced_test(i)}:", f"{pad}    v{i} = f{i}"]
+            else:
+                lines.append(f"{pad}for v{i} in {masks.loop(i)}:")
             pad += "    "
             lines.append(f"{pad}nodes += 1")
             lines.append(f"{pad}if nodes > max_nodes: raise Stop(nodes)")
@@ -780,6 +798,9 @@ def _search_source(program: FlatProgram,
         elif project is None:
             lines.append(f"{pad}OUT.append({values})")
             lines.append(f"{pad}if len(OUT) >= MAX_SOLUTIONS: raise Stop(nodes)")
+        elif counted:
+            lines += [f"{pad}global ROWS", f"{pad}ROWS += 1",
+                      f"{pad}if ROWS >= MAX_SOLUTIONS: raise Stop(nodes)"]
         else:
             row = "".join(f"v{i}, " if i >= start else f"P[{i}], " for i in project)
             lines += [
@@ -867,7 +888,7 @@ def _search(program: FlatProgram, project: list[int] | None, names: dict,
         DOMAINS=domains,
         MAX_NODES=max_nodes, MAX_SOLUTIONS=max_solutions, Stop=_Stop,
         _div=_div, _pow=_pow, _ordered=_ordered,
-        _mask=_mask, _support=_support, _subsets=_subsets,
+        _mask=_mask, _support=_support, _subsets=_subsets, _reversal=_reversal,
         **names,
     )
     try:
@@ -964,15 +985,22 @@ def compare_streaming(
     The search projects each solution onto the baseline's variables, in
     their order, and looks the row up among the baseline's rows: the
     projected solutions are within the baseline when no row misses, and
-    cover it when every baseline row is hit.  Limits count as in
+    cover it when every baseline row is hit.  When the baseline's
+    variables are all of program's and no constraint may raise, it counts
+    the solutions and, apart, the baseline rows that are solutions (see
+    _search_source): within when the two counts agree, covering when
+    every baseline row is one.  Limits count as in
     enumerate_solutions.  Once the search has run, a limit that stopped it
     or the baseline raises OracleLimitError, as compare_solutions does.  A
     baseline variable that program lacks raises KeyError."""
     index = {v.name: i for i, v in enumerate(program.vars)}
     project = [index[name] for name in baseline.names]
     base, hits = set(baseline.rows), set()
-    names = {"BASE": base, "HIT": hits.add, "ROWS": 0, "MISS": None}
+    names = {"BASE": base, "HIT": hits.add, "ROWS": 0, "MISS": None, "HITS": None}
     _, _, complete, found = _search(program, project, names, max_solutions, max_nodes)
     if not complete or not baseline.complete:
         raise OracleLimitError("cannot compare incomplete solution sets")
-    return _relation(found["MISS"] is None, len(hits) == len(base)), found["ROWS"]
+    rows, counted = found["ROWS"], found["HITS"]
+    if counted is None:  # each row was looked up
+        return _relation(found["MISS"] is None, len(hits) == len(base)), rows
+    return _relation(rows == counted, counted == len(base)), rows

@@ -169,6 +169,14 @@ def _step(op: str, a, b, loc=None):
 
 _SMALL_INT = 1 << 64  # str() writes any int within this bound
 
+# The most cells flat lowering names for one array, and the most instances
+# loopUnroll builds for one loop nest (a loop's trip count times those of
+# the loops around it).  Each is refused before it is built: a flat
+# constraint costs about 10 us and 0.5 KB at its peak, so the limit stands
+# for about 50 s and 2.5 GB, 8 times golfers w40 g20's largest nest
+# (624,000 instances).
+MAX_INSTANCES = 5_000_000
+
 
 def _writable(v: int) -> bool:
     """Whether str() writes int v: it refuses one of over

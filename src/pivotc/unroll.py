@@ -10,8 +10,8 @@ from __future__ import annotations
 import operator
 from typing import Callable
 
-from . import ir
-from .errors import CompileError
+from . import ir, passes
+from .errors import CompileError, OracleLimitError
 from .passes import _as_int, _Folder, _rewrite_bodies, const_env
 
 
@@ -34,12 +34,13 @@ class _Unroller:
     occurrence, before a memo stores the node: the plan is then the last
     to fold, and lowering collects its constraints without a walk."""
 
-    __slots__ = ("folder", "cell", "count", "iters", "literals", "plans")
+    __slots__ = ("folder", "cell", "count", "trips", "iters", "literals", "plans")
 
     def __init__(self, env: dict, cell: Callable | None = None):
         self.folder = _Folder(env)
         self.cell = cell
         self.count = 0
+        self.trips = 1  # the instances of the body of the loops entered
         self.iters: dict[str, int] = {}  # enclosing iterator -> its value
         self.literals: dict[int, ir.IntValue] = {}  # iterator value -> its one node
         # id(template) -> its plans; the model keeps templates alive, so ids are stable
@@ -147,6 +148,11 @@ class _Unroller:
             elif t is ir.ForAll:
                 self.count += 1
                 lo, hi = self.bound(s.lower, s), self.bound(s.upper, s)
+                enclosing = self.trips
+                self.trips = enclosing * max(hi - lo + 1, 0)
+                if self.trips > passes.MAX_INSTANCES:
+                    raise OracleLimitError(f"loop over '{s.iter_var}' unrolls to {self.trips} "
+                                           f"instances (limit {passes.MAX_INSTANCES})", s.loc)
                 outer = iters.get(s.iter_var)
                 body = s.body
                 # a body of constraints only fetches their plans once, at the first value
@@ -164,6 +170,7 @@ class _Unroller:
                     for run, loc in runs:
                         out.append(ir.ExpressionConstraint(run(), loc=loc))
                 iters.pop(s.iter_var, None)
+                self.trips = enclosing
                 if outer is not None:  # the value it shadowed
                     iters[s.iter_var] = outer
             elif t is ir.If:

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from pivotc import cli, oracle
+from pivotc import cli, oracle, passes
 from pivotc.cli import main
 from pivotc.oracle import parse_flat
 from pivotc.parser import SourceUnit, parse, parse_expression
@@ -503,6 +503,62 @@ def test_compile_flat_refuses_a_bound_too_long_to_write(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+_HUGE_LOOP = "model B;\nint x[2] in 1..3;\nconstraint c {\n  forall(i in 1..100000000) { x[1] >= 1; }\n}\n"
+
+
+@pytest.mark.parametrize("target", ["flat", None])
+@pytest.mark.parametrize("model,error", [
+    (_HUGE_LOOP, "4:3: loop over 'i' unrolls to 100000000 instances (limit 5000000)"),
+    ("model B;\nint x[100000000] in 1..3;\n", "2:1: array 'x' has 100000000 cells (limit 5000000)"),
+], ids=["loop", "array"])
+def test_an_output_too_large_to_build_is_refused_before_it_is_built(tmp_path, model, error, target):
+    # the cell path refuses, then the walk refuses again: neither builds
+    path, argv = _command(tmp_path, model, target)
+    proc = run_capped(*argv, seconds=20.0)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.endswith(f"error: {path}:{error}\n") and proc.stderr.count("error:") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("body,code,error", [
+    ("forall(i in 1..2) { forall(j in 1..3) { x[1] >= 1; } }", 0, ""),
+    # sibling loops are sized apart; a loop inside is sized with those around it
+    ("forall(i in 1..6) { x[1] >= 1; } forall(j in 1..6) { x[2] >= 1; }", 0, ""),
+    ("forall(i in 1..2) { forall(j in 1..4) { x[1] >= 1; } }",
+     3, "4:21: loop over 'j' unrolls to 8 instances (limit 6)"),
+    ("forall(i in 1..7) { x[1] >= 1; }", 3, "4:1: loop over 'i' unrolls to 7 instances (limit 6)"),
+])
+@pytest.mark.parametrize("target", ["flat", None])
+def test_a_loop_nest_is_sized_at_each_loop_entry(tmp_path, capsys, monkeypatch, body, code, error,
+                                                 target):
+    monkeypatch.setattr(passes, "MAX_INSTANCES", 6)
+    path, argv = _command(tmp_path, f"model B;\nint x[2] in 1..3;\nconstraint c {{\n{body}\n}}\n",
+                          target)
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    # the loop refuses inside the pipeline: no pass report comes before it
+    assert err == f"error: {path}:{error}\n" if code else "error" not in err
+
+
+@pytest.mark.parametrize("decls,code", [
+    ("int x[2, 3] in 1..3;", 0),
+    ("int n := 0 - 3;\nint x[n, n] in 1..3;", 0),  # two negative dims make no cell
+    ("int x[7] in 1..3;", 3),
+    ("int x[2, 2, 2] in 1..3;", 3),
+])
+@pytest.mark.parametrize("target", ["flat", None])
+def test_an_array_is_sized_before_its_cells_are_named(tmp_path, capsys, monkeypatch, decls, code,
+                                                      target):
+    monkeypatch.setattr(passes, "MAX_INSTANCES", 6)
+    path, argv = _command(tmp_path, f"model B;\n{decls}\n", target)
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    if code:
+        cells = 7 if "[7]" in decls else 8
+        assert err.endswith(f"error: {path}:2:1: array 'x' has {cells} cells (limit 6)\n")
+        assert err.count("error:") == 1
+
+
 def test_compile_flat_of_a_sparse_domain_lists_no_hull(tmp_path):
     _, argv = _command(tmp_path, "int x in {1, 10^12}; constraint c { x >= 1; }", "flat")
     proc = run_capped(*argv, seconds=10.0)
@@ -837,7 +893,7 @@ _RATIONAL_PROBE = (
     "print(before, code, 'fractions' in sys.modules)\n"
 )
 _THIRD = "model R;\nreal r := 1/3;\nint x in 0..3;\nconstraint c { x * 3 <= r * 6; }\n"
-_HALF = "model H;\nint x in 0..3;\nconstraint c { x * 0.5 <= 1; }\n"
+_HALF = "model H;\nint x in 0..3;\nconstraint c { x / 2 <= 1; }\n"
 _THIRD_CLP = (
     "r(L):-\n R $= 1/3,\n\n X :: 0..3,\n L = [X],\n\n % c\n X*3 $=< 2,\n\n label_sets(L).\n"
 )
@@ -848,8 +904,8 @@ _REPORTS = "".join(f"{p}: elements 4 -> 4, rewrites {n}\n"
 @pytest.mark.parametrize("argv,source,stdout,stderr,output", [
     (["compile", "--target", "clp"], _THIRD, "", _REPORTS, _THIRD_CLP),
     (["eval", "-e", "1/3"], None, "1 / 3\n", "", None),
-    (["check"], _HALF, "EQUAL baseline=3 transformed=3\n", "", None),  # the oracle's real literal
-], ids=["compile-clp-division", "eval-division", "check-real-literal"])
+    (["check"], _HALF, "EQUAL baseline=3 transformed=3\n", "", None),  # the oracle's division
+], ids=["compile-clp-division", "eval-division", "check-division"])
 def test_an_exact_rational_loads_fractions(tmp_path, argv, source, stdout, stderr, output):
     # a fresh process imports fractions at its first exact rational, and
     # prints what it printed when every command imported fractions
@@ -866,6 +922,14 @@ def test_an_exact_rational_loads_fractions(tmp_path, argv, source, stdout, stder
     assert ("".join(printed), proc.stderr) == (stdout, stderr)
     if output is not None:
         assert (tmp_path / "out").read_text() == output
+
+
+def test_a_real_literal_alone_loads_no_fractions(tmp_path):
+    # the oracle reads 0.5 as the double that foldConstants computes with
+    (tmp_path / "m.som").write_text(_HALF.replace("x / 2", "x * 0.5"))
+    proc = subprocess.run([sys.executable, "-c", _RATIONAL_PROBE, "check", "-m",
+                           str(tmp_path / "m.som")], capture_output=True, text=True)
+    assert (proc.stdout, proc.stderr) == ("EQUAL baseline=3 transformed=3\nFalse 0 False\n", "")
 
 
 def _raise(args):

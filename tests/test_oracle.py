@@ -18,7 +18,7 @@ from pivotc.parser import SourceUnit, parse, parse_expression
 from pivotc.passes import ALLDIFF_MODES, PassConfig, alldiff_rewrite, loop_unroll, run_pipeline
 
 from conftest import parse_fixture
-from helpers import gen_model, naive_enumerate
+from helpers import gen_loop_model, gen_model, naive_enumerate
 
 FULL = PassConfig(
     ("objectFlatten", "enumRemove", "foldConstants", "alldiffRewrite", "loopUnroll")
@@ -783,12 +783,201 @@ def test_queens_searches_keep_their_tables_and_differ_only_at_the_leaf():
     for mode in ("disequalities", "relaxation"):
         program = _queens(9, mode)
         plain = oracle._search_source(program)[0].splitlines()
-        streamed = oracle._search_source(program, list(range(9)))[0].splitlines()
+        # a projection that leaves a variable out looks each row up
+        streamed = oracle._search_source(program, list(range(8)))[0].splitlines()
         assert sum(line.startswith("T") and "_support(" in line for line in plain) == 36
         leaf = next(i for i, line in enumerate(plain) if "OUT.append(" in line)
         assert plain[:leaf] == streamed[:leaf]
         assert plain[leaf + 2:] == streamed[leaf + 5:]
         assert "ROWS += 1" in streamed[leaf + 1] and "OUT" not in "".join(streamed)
+        # one that orders every variable counts them, and s0 first counts
+        # the baseline rows that are solutions
+        counted = oracle._search_source(program, list(range(8, -1, -1)))[0].splitlines()
+        first = plain.index("    for v0 in D[0]:")
+        pad = plain[leaf][: len(plain[leaf]) - len(plain[leaf].lstrip())]
+        assert counted == plain[:first] + counted[first:first + 2] + plain[first:leaf] + [
+            f"{pad}global ROWS", f"{pad}ROWS += 1", f"{pad}if ROWS >= MAX_SOLUTIONS: raise Stop(nodes)"
+        ] + plain[leaf + 2:]
+        assert counted[first] == "    global HITS"
+        assert counted[first + 1].startswith(
+            "    HITS = sum(1 for (v8, v7, v6, v5, v4, v3, v2, v1, v0, ) in BASE if v0 in k0 and "
+        )
+
+
+def _unforced(program: FlatProgram) -> FlatProgram:
+    """program with each equality written as <= and >=: the same solutions,
+    searched with bounds tests alone, so no value is forced or joined."""
+    constraints = []
+    for c in program.constraints:
+        if type(c) is ir.BoolBinaryOp and c.op == "=":
+            constraints += [ir.BoolBinaryOp("<=", c.left, c.right), ir.BoolBinaryOp(">=", c.left, c.right)]
+        else:
+            constraints.append(c)
+    return FlatProgram(program.vars, tuple(constraints))
+
+
+def _assert_search_keeps_rows(program):
+    """program's rows, or the error it raises, are those of its search with
+    no value forced or joined."""
+    ours, plain = _outcome(lambda: enumerate_solutions(program)), _outcome(
+        lambda: enumerate_solutions(_unforced(program))
+    )
+    if isinstance(ours, oracle.SolutionSet):
+        assert (ours.rows, ours.complete) == (plain.rows, plain.complete)
+    else:
+        assert ours == plain
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+@pytest.mark.parametrize("mode", ALLDIFF_MODES)
+def test_streaming_and_rows_on_queens(n, mode):
+    # boolean mode's matrix passes 2^40 from 6-queens on: both sides raise
+    full = _queens(n, mode)
+    _assert_streams_as_compared(full, _queens(n, "disequalities"))
+    _assert_search_keeps_rows(full)
+
+
+@pytest.mark.parametrize("name,data,mode", _UNDER_2_40)
+def test_search_keeps_rows_on_fixtures(name, data, mode):
+    _assert_search_keeps_rows(_lowered(name, data, PassConfig(FULL.passes, mode)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(ALLDIFF_MODES))
+def test_streaming_and_rows_on_loop_models(seed, mode):
+    # x[12] in 0..9 is narrowed to two values after lowering, so that the
+    # searches stay small; the relaxation forces and joins
+    model = gen_loop_model(random.Random(seed), seed % 2 == 0)
+    lo = seed % 3
+    programs = []
+    for cfg in (PassConfig(FULL.passes, "disequalities"), PassConfig(FULL.passes, mode)):
+        p = _outcome(lambda cfg=cfg: lower_to_flat(run_pipeline(model, cfg)[0]))
+        if not isinstance(p, FlatProgram):
+            return  # a loop bound, condition or index that does not lower
+        programs.append(FlatProgram(
+            tuple(v._replace(lo=lo, hi=lo + 1) if v.kind == "int" else v for v in p.vars),
+            p.constraints,
+        ))
+    _assert_streams_as_compared(programs[1], programs[0])
+    _assert_search_keeps_rows(programs[1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_search_keeps_rows_on_generated_models(seed):
+    model = gen_model(random.Random(seed))
+    program = _outcome(lambda: lower_to_flat(run_pipeline(model, FULL)[0]))
+    if isinstance(program, FlatProgram):
+        _assert_search_keeps_rows(program)
+
+
+def _join_program(sx: int, sy: int, k: int) -> FlatProgram:
+    """``z + sx * x + sy * y = k`` over domains of different widths and
+    offsets, y masked by its own constraint and by one with x."""
+    return parse_flat(
+        f"var int z in 0..3;\nvar int x in 3..7;\nvar int y in -2..5;\n"
+        f"constraint z + {sx} * x + {sy} * y = {k};\nconstraint y != 1;\nconstraint x + y != 6;\n"
+    )
+
+
+@pytest.mark.parametrize("sx,sy", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+def test_a_forcing_equality_joins_the_loop_before_it(sx, sy):
+    # every k that leaves a solution, and some past either end
+    for k in range(-25, 26):
+        p = _join_program(sx, sy, k)
+        source = oracle._search_source(p)[0]
+        # all 5 values of x, as far as y's mask so far, U2, keeps their
+        # partners; read reversed when y's value falls as x's rises
+        partner = "rev8[U2]" if sx == sy else "U2"
+        assert f"for v1 in vals1[31 & ({partner} << " in source
+        s = enumerate_solutions(p)
+        assert s == naive_enumerate(p)
+        assert s.nodes <= enumerate_solutions(_unforced(p)).nodes
+
+
+def test_an_equation_over_two_variables_joins_nothing():
+    # with three values or more each, a table holds it; with two, the
+    # forced variable's own test rejects a value as soon
+    for domain in ("1..4", "1..2"):
+        p = parse_flat(f"var int x in {domain};\nvar int y in {domain};\nconstraint x + y = 3;\n")
+        assert "d0" not in oracle._search_source(p)[0]
+        assert enumerate_solutions(p) == naive_enumerate(p)
+
+
+def test_no_join_over_a_loop_of_more_than_max_masked_values():
+    p = parse_flat("var int z in 0..1;\nvar int x in 0..12;\nvar int y in 0..5;\n"
+                   "constraint z + x + y = 10;\n")
+    source = oracle._search_source(p)[0]
+    assert "for v1 in D[1]:" in source and "d1" not in source
+    assert enumerate_solutions(p) == naive_enumerate(p)
+
+
+def test_a_join_reads_a_mask_from_an_earlier_search_function():
+    # x20's loop, in s1, joins x32, forced in s2 by x0 + x20 + x32 = 6; x32's
+    # mask so far comes from x0's table in s0, so s1 rebuilds it from P
+    names = [f"x{i}" for i in range(34)]
+    text = "".join(
+        f"var int {x} in {'0..3' if i == 0 else '0..5' if i in (20, 32) else '1..1'};\n"
+        for i, x in enumerate(names)
+    )
+    text += "constraint abs(x0 - x32) != 1;\nconstraint x0 + x20 + x32 = 6;\n"
+    p = parse_flat(text)
+    source = oracle._search_source(p)[0]
+    s1 = source[source.index("def s1("):source.index("def s2(")]
+    assert "    m0_32 = T0_32[" in s1 and "for v20 in vals20[" in s1
+    # x32's value is the first of s2: a loop of one value, not an if
+    assert "for v32 in (f32,) if " in source[source.index("def s2("):]
+    s = enumerate_solutions(p)
+    assert len(s) == 14 and s.solutions == naive_enumerate(p).solutions
+    assert s.nodes < enumerate_solutions(_unforced(p)).nodes
+
+
+_XY = "var int x in 1..2;\nvar int y in 1..2;\nconstraint x != y;\n"
+
+
+@pytest.mark.parametrize("names,rows,relation", [
+    # (5, 1) passes x != y but lies outside x's domain
+    (("x", "y"), ((1, 2), (2, 1), (5, 1)), "subset"),
+    (("y", "x"), ((2, 1), (1, 2)), "equal"),  # a permuted projection
+    (("y", "x"), ((2, 1),), "superset"),
+    (("x", "y"), ((True, 2), (2, 1)), "equal"),  # True is 1
+    (("x", "y"), ((1, 2), (2, 1), (frozenset(), 1)), "subset"),
+])
+def test_streaming_counts_baseline_rows_that_are_solutions(names, rows, relation):
+    full = parse_flat(_XY)
+    assert "    global HITS" in oracle._search_source(full, [0, 1])[0]
+    base = oracle.SolutionSet(names, rows)
+    expected = compare_solutions(enumerate_solutions(full), base, names)
+    assert compare_streaming(full, base) == (expected, 2) and expected == relation
+
+
+def test_streaming_counts_the_one_row_of_no_variables():
+    empty = FlatProgram()
+    assert "in BASE if True)" in oracle._search_source(empty, [])[0]
+    assert compare_streaming(empty, enumerate_solutions(empty)) == ("equal", 1)
+
+
+def test_streaming_counts_a_bool_read_as_an_int():
+    full = parse_flat("var bool b;\nvar int x in 0..1;\nconstraint b or x = 1;\n")
+    base = oracle.SolutionSet(("b", "x"), ((1, 0), (0, True), (2, 1), (True, 1)))
+    assert compare_solutions(enumerate_solutions(full), base, base.names) == "subset"
+    assert compare_streaming(full, base) == ("subset", 3)
+
+
+def test_streaming_looks_rows_up_where_a_constraint_may_raise():
+    full = parse_flat(_XY + "constraint 2 / x >= 1;\n")
+    assert "in BASE: HIT(row)" in oracle._search_source(full, [0, 1])[0]
+    base = oracle.SolutionSet(("x", "y"), ((1, 2), (2, 1), (5, 1)))
+    assert compare_streaming(full, base) == ("subset", 2)
+
+
+def test_streaming_relaxed_queens_visits_fewer_nodes():
+    # the join of q8 with forced q9 keeps 36,745 of 170,649 values of q8
+    base = enumerate_solutions(_queens(9, "disequalities"))
+    assert compare_streaming(_queens(9, "relaxation"), base, max_nodes=200_000) == (
+        "superset", 26365
+    )
+    assert enumerate_solutions(_queens(9, "relaxation")).nodes == 177_447
 
 
 def _search_peak(monkeypatch, run):
@@ -885,6 +1074,23 @@ def test_fold_preserves_solutions():
     assert compare_solutions(
         enumerate_solutions(with_fold), enumerate_solutions(without_fold)
     ) == "equal"
+
+
+@pytest.mark.parametrize("constraint,count", [
+    # 0.1 + 0.7 is the double 0.7999999999999999, folded or not
+    ("x + (0.1 + 0.7) = x + 0.7999999999999999", 2),
+    # foldConstants folds a chain's ground prefix, which the left-deep
+    # evaluation computes first too
+    ("0.1 + 0.7 + x = 0.7999999999999999 + x", 2),
+    ("0.1 + 0.7 + x = x + 0.8", 1),
+    ("0.1 * 3 * x = 0.30000000000000004 * x", 2),
+    ("0.1 * 3 * x = 0.3 * x", 0),
+    ("x + 0.1 + 0.7 = x + 0.7999999999999999", 1),  # no ground prefix: nothing folds
+])
+def test_the_oracle_computes_with_reals_as_the_folder_does(constraint, count):
+    text = f"model F;\nint x in 1..2;\nconstraint c {{ {constraint}; }}\n"
+    for cfg in (PassConfig(("objectFlatten", "enumRemove")), FULL):
+        assert len(enumerate_solutions(_lower_text(text, cfg))) == count
 
 
 def test_flatten_preserves_solutions_vs_hand_flattened():
